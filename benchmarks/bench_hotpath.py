@@ -88,7 +88,7 @@ except ImportError:  # seed/parent trees: no network subsystem yet
     repro_net = None
 
 try:  # seed/parent trees: no evaluation-backend layer yet
-    from repro.synth import ClusterBackend  # noqa: F401
+    from repro.synth import EvaluationBackend  # noqa: F401
 
     BACKEND_AVAILABLE = True
 except ImportError:
@@ -628,41 +628,48 @@ def _bench_protocol() -> dict:
 
 
 def _bench_prepared() -> dict:
-    """Worker-side setup cost: shipped prepared netlists vs graph JSON.
+    """Worker-side setup cost of a shipped prepared netlist.
 
-    Interleaved rounds against a fresh worker per round (prepared cache
-    off, so repeats do not contaminate the comparison); the worker's own
-    clock separates obtaining the Netlist (the part prepared shipping
-    removes) from the optimize ladder (identical in both modes). Best-of
-    per mode. The saving is *worker-side* work moved to the dispatcher —
-    a win when workers are the scarce resource (the paper's farm), not a
-    wall-clock win on this 1-CPU host.
+    Rounds against a fresh worker each (prepared cache off, so repeats do
+    not contaminate the number); the worker's own clock separates
+    obtaining the Netlist (deserializing the shipped design) from the
+    optimize ladder. Remote workers are only ever shipped prepared
+    designs, so the comparison leg is what a worker *would* pay to
+    rebuild from graph JSON — parse, validate, build the netlist — timed
+    in-process with the same function the same-host pool's workers run.
+    Best-of per leg. The
+    saving is *worker-side* work moved to the dispatcher — a win when
+    workers are the scarce resource (the paper's farm), not a wall-clock
+    win on this 1-CPU host.
     """
     from repro.distributed import SynthesisFarm
+    from repro.distributed.farm import task_netlist
     from repro.net import FarmWorkerServer
+    from repro.prefix import graph_to_json
 
     graphs = synthesis_corpus(CLUSTER_WIDTH)
+    lib = nangate45()
     best = {"prepared": float("inf"), "json": float("inf")}
     opt_ms = float("inf")
     for _ in range(CLUSTER_PREPARED_ROUNDS):
-        for mode, ship in (("prepared", True), ("json", False)):
-            server = FarmWorkerServer(("127.0.0.1", 0), prepared_cache_entries=0)
-            server.start()
-            farm = SynthesisFarm(
-                "nangate45",
-                num_workers=0,
-                remote_workers=[server.address],
-                ship_prepared=ship,
-            )
-            try:
-                farm.evaluate_curves(graphs)
-                stats = farm.last_stats
-                per_task = stats.worker_setup_seconds / max(stats.dispatched, 1)
-                best[mode] = min(best[mode], per_task * 1000)
-                opt_ms = min(opt_ms, stats.worker_opt_seconds / max(stats.dispatched, 1) * 1000)
-            finally:
-                farm.close()
-                server.stop()
+        server = FarmWorkerServer(("127.0.0.1", 0), prepared_cache_entries=0)
+        server.start()
+        farm = SynthesisFarm("nangate45", num_workers=0, remote_workers=[server.address])
+        try:
+            farm.evaluate_curves(graphs)
+            stats = farm.last_stats
+            per_task = stats.worker_setup_seconds / max(stats.dispatched, 1)
+            best["prepared"] = min(best["prepared"], per_task * 1000)
+            opt_ms = min(opt_ms, stats.worker_opt_seconds / max(stats.dispatched, 1) * 1000)
+        finally:
+            farm.close()
+            server.stop()
+        tasks = [{"graph": graph_to_json(g)} for g in {g.key(): g for g in graphs}.values()]
+        start = time.perf_counter()
+        for task in tasks:
+            task_netlist(task, lib)
+        rebuild = (time.perf_counter() - start) / len(tasks)
+        best["json"] = min(best["json"], rebuild * 1000)
     saved = 1.0 - best["prepared"] / best["json"] if best["json"] > 0 else 0.0
     return {
         "corpus_size": len(graphs),
@@ -687,8 +694,7 @@ def _backend_contention_run(lease: bool) -> "tuple[int, int]":
     import threading
 
     from repro.synth import (
-        ClusterBackend,
-        LocalBackend,
+        EvaluationBackend,
         LocalServiceClient,
         SharedCacheService,
         SynthesisCache,
@@ -700,14 +706,14 @@ def _backend_contention_run(lease: bool) -> "tuple[int, int]":
     if lease:
         service = SharedCacheService(SynthesisCache())
         backends = [
-            ClusterBackend(
-                LocalServiceClient(service, i), lib, poll_interval=0.002
+            EvaluationBackend(
+                lib, store=SynthesisCache(), service=LocalServiceClient(service, i)
             )
             for i in range(BACKEND_ACTORS)
         ]
     else:
         cache = SynthesisCache()
-        backends = [LocalBackend(lib, cache=cache) for _ in range(BACKEND_ACTORS)]
+        backends = [EvaluationBackend(lib, store=cache) for _ in range(BACKEND_ACTORS)]
     barrier = threading.Barrier(BACKEND_ACTORS)
     errors = []
 

@@ -63,12 +63,11 @@ def _load_graph(spec: str, width: int):
 
 
 def _library(name: str):
-    from repro.cells import industrial8nm, nangate45
+    from repro.cells import LIBRARIES, library_by_name
 
-    registry = {"nangate45": nangate45, "industrial8nm": industrial8nm}
-    if name not in registry:
-        raise SystemExit(f"unknown library {name!r}; known: {', '.join(registry)}")
-    return registry[name]()
+    if name not in LIBRARIES:
+        raise SystemExit(f"unknown library {name!r}; known: {', '.join(LIBRARIES)}")
+    return library_by_name(name)
 
 
 def cmd_build(args) -> int:
@@ -452,14 +451,14 @@ def cmd_actor(args) -> int:
             f"reconnect_seconds={stats['reconnect_seconds']:.2f}",
             file=sys.stderr,
         )
-    farm = backend.get("farm")
-    if farm:
+    remote = backend.get("remote")
+    if remote:
+        # With a farm attached every granted lease crosses to a worker.
         print(
             f"actor {stats['actor_id']} farm routed: "
-            f"dispatched={farm['synthesized']} workers="
-            f"{farm.get('remote', {}).get('workers', 0)} "
-            f"elided={farm.get('remote', {}).get('shipped_elided', 0)} "
-            f"redispatched={farm.get('remote', {}).get('redispatched_tasks', 0)}",
+            f"dispatched={backend['synthesized']} workers={remote['workers']} "
+            f"elided={remote['shipped_elided']} "
+            f"redispatched={remote['redispatched_tasks']}",
             file=sys.stderr,
         )
     inference = stats.get("inference")
@@ -630,12 +629,7 @@ def cmd_farm_worker(args) -> int:
 def cmd_stats(args) -> int:
     import time
 
-    from repro.net.protocol import (
-        ProtocolError,
-        RemoteError,
-        connect,
-        parse_address,
-    )
+    from repro.net.protocol import ProtocolError, RemoteError, connect, parse_address
     from repro.obs.report import render_fleet
 
     address = parse_address(args.connect)

@@ -1,79 +1,85 @@
-"""Parallel synthesis across worker processes.
+"""Parallel synthesis across worker processes (or remote worker daemons).
 
-Graphs are serialized to JSON, workers rebuild the library/synthesizer from
-registry names (cell libraries are code, not data, so only names cross the
-process boundary), and curves come back as plain sample points.
+A :class:`SynthesisFarm` is a *place to run misses*: it owns the pool or
+remote-connection lifecycle, slices a batch into per-worker chunks,
+dispatches them, and records what each batch cost (:class:`FarmStats`).
+Everything else the paper's 192-worker farm needs to survive its
+synthesis budget (Sections IV-D / V-C) — digest-level dedup of a batch's
+duplicate graphs, cache-aware routing so only misses cross the process
+boundary, write-back, cumulative counters — is the
+:class:`repro.synth.backend.EvaluationBackend` the farm owns
+(``farm.backend``) and is the runner of; :meth:`SynthesisFarm.evaluate_curves`
+and :meth:`SynthesisFarm.stats` are views of it.
 
-The farm's dispatch layer does three things the naive serial baseline does
-not — they are what the paper's 192-worker farm needs to survive its
-synthesis budget (Sections IV-D / V-C), and what the Section V-C benchmark
-measures:
+Tasks ship in ``num_workers`` chunks (one IPC round trip per worker, not
+per task) to a pool that is spawned and warmed once and reused across
+batches. Workers rebuild the library/synthesizer from registry names
+(cell libraries are code, not data, so only names cross the process
+boundary), and curves come back as plain sample points. The payload is
+the farm's choice from its transport: the same-host pool ships graph
+JSON (cheap to pickle; the worker's netlist build is the parallel part),
+while ``remote_workers`` — :class:`repro.net.farm.FarmWorkerServer`
+daemons over the framed socket protocol — are shipped *prepared designs*
+(the built adder netlist, serialized), which removes the graph parse and
+netlist construction from the scarce workers (61% of their per-task
+setup; ``BENCH_hotpath.json`` cluster section).
 
-- **digest-level dedup**: a batch's duplicate graphs are synthesized once
-  (RL batches repeat states constantly — that is why the paper caches);
-- **cache-aware routing**: with a :class:`repro.synth.SynthesisCache`
-  attached, only cache misses cross the process boundary and results are
-  written back, so repeat batches cost nothing;
-- **chunked submission with a warm, reusable pool**: tasks ship in
-  ``num_workers`` chunks (one IPC round trip per worker, not per task) to a
-  pool that is spawned and warmed once and reused across batches.
-
-``num_workers=0`` runs the plain per-graph serial loop with no dispatch
-layer — the un-optimized reference the speedup is measured against.
-
-With ``remote_workers`` the same dispatch layer (dedup, cache routing,
-chunking) feeds :class:`repro.net.farm.FarmWorkerServer` daemons over the
-framed socket protocol instead of a local process pool — and by default
-ships *prepared designs* (the built adder netlist, serialized) so workers
-skip the per-task graph-JSON parse/validate and netlist construction the
-ROADMAP calls out (``ship_prepared=False`` restores the legacy payload
-for comparison; the ``cluster`` bench section measures the difference).
+``num_workers=0`` with no remote workers is the un-optimized reference
+the Sec. V-C speedup is measured against: the plain per-graph loop, each
+graph a batch of its own, so nothing dedups.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro import obs
+from repro.cells import library_by_name
+from repro.netlist.adder import prefix_adder_netlist
+from repro.netlist.serialize import netlist_from_dict, netlist_to_dict
 from repro.prefix.graph import PrefixGraph
 from repro.prefix.serialize import graph_digest, graph_from_json, graph_to_json
-from repro.synth.cache import SynthesisCache
-from repro.synth.curve import AreaDelayCurve, synthesize_curve
+from repro.synth.backend import EvaluationBackend
+from repro.synth.curve import AreaDelayCurve, curve_from_prepared
 from repro.synth.optimizer import Synthesizer
 
-_LIBRARIES = {}
+
+def task_netlist(task: dict, library):
+    """A task's payload as a Netlist: a shipped prepared design is
+    deserialized, graph JSON is parsed, validated and built."""
+    if "netlist" in task:
+        return netlist_from_dict(task["netlist"], library)
+    if "graph" in task:
+        return prefix_adder_netlist(graph_from_json(task["graph"]), library)
+    raise ValueError("task carries neither a netlist nor a graph")
 
 
-def _library(name: str):
-    """Build (and memoize per process) a cell library by registry name."""
-    if name not in _LIBRARIES:
-        from repro.cells import industrial8nm, nangate45
-
-        registry = {"nangate45": nangate45, "industrial8nm": industrial8nm}
-        if name not in registry:
-            raise KeyError(f"unknown library {name!r}")
-        _LIBRARIES[name] = registry[name]()
-    return _LIBRARIES[name]
+def synthesize_netlist(netlist, synthesizer) -> AreaDelayCurve:
+    """One full curve synthesis of a built netlist."""
+    return curve_from_prepared(synthesizer.prepare(netlist), synthesizer)
 
 
-def _synthesize_task(graph_json: str, library_name: str, synth_kwargs: dict):
-    """Worker-side task: one full curve synthesis; returns sample points."""
-    graph = graph_from_json(graph_json)
-    library = _library(library_name)
+def synthesize_tasks(tasks: "list[dict]", library_name: str, synth_kwargs: dict):
+    """The worker-side task function: a chunk of tasks in, sample points out.
+
+    Pool workers, the serial reference and a remote pool's no-survivor
+    fallback all run this; the farm-worker daemon runs the same two steps
+    per task around its prepared cache. One ladder everywhere
+    (:func:`curve_from_prepared`), so curves are byte-identical wherever a
+    task lands.
+    """
+    library = library_by_name(library_name)
     synthesizer = Synthesizer(**synth_kwargs)
-    curve = synthesize_curve(graph, library, synthesizer)
-    return list(zip(curve.delays.tolist(), curve.areas.tolist()))
-
-
-def _synthesize_chunk(graph_jsons: "list[str]", library_name: str, synth_kwargs: dict):
-    """Worker-side task: synthesize a whole chunk in one IPC round trip."""
-    return [_synthesize_task(p, library_name, synth_kwargs) for p in graph_jsons]
+    return [
+        synthesize_netlist(task_netlist(t, library), synthesizer).points() for t in tasks
+    ]
 
 
 def _warm_worker(library_name: str) -> bool:
     """Force worker start-up costs (imports, library build) off the clock."""
-    _library(library_name)
+    library_by_name(library_name)
     return True
 
 
@@ -105,24 +111,21 @@ class SynthesisFarm:
     Args:
         library_name: registry name (``nangate45`` / ``industrial8nm``).
         num_workers: pool size; 0 means the naive serial in-process loop
-            (no dedup, no cache routing) used as the speedup reference.
+            (no dedup) used as the speedup reference.
         synth_kwargs: :class:`repro.synth.Synthesizer` overrides shipped to
             workers (must be picklable).
-        cache: optional shared :class:`SynthesisCache`; hits are served
-            locally and results written back. Pass one cache to several
-            farms (or batches) to share synthesis work between them.
+        cache: optional shared :class:`repro.store.CurveStore` for the
+            farm's backend; hits are served locally and results written
+            back. Pass one cache to several farms (or batches) to share
+            synthesis work between them.
         chunk_size: graphs per worker submission; default splits each
             batch's misses evenly across the pool.
         remote_workers: ``host:port`` addresses (or ``(host, port)``
             tuples) of :class:`repro.net.farm.FarmWorkerServer` daemons;
             mutually exclusive with a local pool (``num_workers`` must be
-            0 when given — the farm is then in remote mode).
-        ship_prepared: remote mode payloads — True ships the built,
-            serialized adder netlist (the prepared design); False ships
-            graph JSON and workers rebuild per task.
-        remote_local_fallback: remote mode — when every worker has died
-            mid-dispatch, synthesize the leftovers in-process (same
-            curves, slower) instead of raising.
+            0 when given — the farm is then in remote mode). When every
+            worker has died mid-dispatch the leftovers are synthesized
+            in-process (same curves, slower).
 
     The pool is created lazily on first pooled evaluation (or eagerly by
     ``with farm: ...``) and reused until :meth:`close`.
@@ -133,11 +136,9 @@ class SynthesisFarm:
         library_name: str = "nangate45",
         num_workers: int = 4,
         synth_kwargs: "dict | None" = None,
-        cache: "SynthesisCache | None" = None,
+        cache=None,
         chunk_size: "int | None" = None,
         remote_workers: "list | None" = None,
-        ship_prepared: bool = True,
-        remote_local_fallback: bool = True,
     ):
         if num_workers < 0:
             raise ValueError("num_workers must be >= 0")
@@ -151,12 +152,12 @@ class SynthesisFarm:
         self.library_name = library_name
         self.num_workers = num_workers
         self.synth_kwargs = dict(synth_kwargs or {})
-        self.cache = cache
         self.chunk_size = chunk_size
-        self.ship_prepared = ship_prepared
-        self.remote_local_fallback = remote_local_fallback
         self.remote_workers = None
         self._remote = None
+        # Cumulative worker-side accounting only a remote farm has; the
+        # backend checkpoints it and reports it as stats()["remote"].
+        self.totals: dict = {}
         if remote_workers is not None:
             from repro.net.protocol import parse_address
 
@@ -166,25 +167,54 @@ class SynthesisFarm:
             ]
             if not self.remote_workers:
                 raise ValueError("remote_workers must name at least one worker")
+            self.totals = {
+                "worker_setup_seconds": 0.0,
+                "worker_opt_seconds": 0.0,
+                "prepared_hits": 0,
+                "shipped_elided": 0,
+                "redispatched_tasks": 0,
+            }
+        self._initial_cache = cache
         self._pool: "ProcessPoolExecutor | None" = None
+        self._chunks = 0
         self.last_stats: "FarmStats | None" = None
-        # Cumulative dispatch accounting across all batches (see stats()).
-        self.total_batches = 0
-        self.total_graphs = 0
-        self.total_unique = 0
-        self.total_cache_hits = 0
-        self.total_dispatched = 0
-        self.total_worker_setup_seconds = 0.0
-        self.total_worker_opt_seconds = 0.0
-        self.total_prepared_hits = 0
-        self.total_shipped_elided = 0
-        self.total_redispatched = 0
+
+    @cached_property
+    def backend(self) -> EvaluationBackend:
+        """The backend this farm is the runner of (dedup, cache routing and
+        cumulative counters live there). Built on first use, so an unknown
+        library surfaces with the evaluation call, not at construction."""
+        return EvaluationBackend(
+            library_by_name(self.library_name),
+            Synthesizer(**self.synth_kwargs),
+            self._initial_cache,
+            runner=self,
+        )
+
+    @property
+    def cache(self):
+        return self.backend.store
+
+    @cache.setter
+    def cache(self, store) -> None:
+        self.backend.store = store
 
     @property
     def active(self) -> bool:
         """True when the farm has a dispatch layer (pool or remote) —
         the serial num_workers=0 reference mode is not one."""
         return self.num_workers > 0 or self.remote_workers is not None
+
+    @property
+    def width(self) -> int:
+        """Designs in flight at once: the worker count (1 when serial)."""
+        return len(self.remote_workers or []) or self.num_workers or 1
+
+    @property
+    def name(self) -> str:
+        if self.remote_workers is not None:
+            return f"farm-remote[{self.width}]"
+        return f"farm-pool[{self.width}]" if self.num_workers else "farm-serial"
 
     def __enter__(self) -> "SynthesisFarm":
         self._ensure_pool()
@@ -198,9 +228,7 @@ class SynthesisFarm:
         if self.remote_workers is not None and self._remote is None:
             from repro.net.farm import RemoteFarmPool
 
-            self._remote = RemoteFarmPool(
-                self.remote_workers, local_fallback=self.remote_local_fallback
-            )
+            self._remote = RemoteFarmPool(self.remote_workers)
         if self.num_workers > 0 and self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.num_workers)
             warmups = [
@@ -224,207 +252,98 @@ class SynthesisFarm:
             self._remote.close()
             self._remote = None
 
-    def _cache_key(self, graph: PrefixGraph) -> tuple:
-        # Same key layout as SynthesisEvaluator.curve, so one cache can be
-        # shared between a farm and in-process evaluators.
-        synth_name = self.synth_kwargs.get("name", "openphysyn")
-        return (graph_digest(graph), self.library_name, synth_name)
+    def _counters(self) -> dict:
+        return {**self.backend.counters_dict(), "chunks": self._chunks}
 
     def evaluate_curves(self, graphs: "list[PrefixGraph]") -> "list[AreaDelayCurve]":
         """Synthesize every graph's curve; order matches the input.
 
-        Serial mode evaluates each graph in turn. Pool and remote modes
-        dedup by digest, serve cache hits locally, and ship only the
-        unique misses to the workers in per-worker chunks.
+        Pool and remote modes resolve the batch through the farm's
+        backend: dedup by digest, serve cache hits locally, and ship only
+        the unique misses to the workers in per-worker chunks. Serial mode
+        is the naive reference: each graph is a batch of its own.
 
         The batch is timed by a ``farm.evaluate`` obs span (its measured
         seconds *are* ``FarmStats.wall_seconds`` — one timing source for
-        stats and the event log).
+        stats and the event log), and :attr:`last_stats` is what the
+        backend's (and this farm's) cumulative counters moved by.
         """
-        if not self.active:
-            with obs.span(
-                "farm.evaluate", graphs=len(graphs), mode="serial"
-            ) as batch_span:
-                points = [
-                    _synthesize_task(
-                        graph_to_json(g), self.library_name, self.synth_kwargs
-                    )
-                    for g in graphs
-                ]
-                curves = [AreaDelayCurve(pts) for pts in points]
-            self.last_stats = FarmStats(
-                num_graphs=len(graphs),
-                wall_seconds=batch_span.seconds,
-                mode="serial",
-                unique_graphs=len(graphs),
-                dispatched=len(graphs),
-            )
-            self._account(self.last_stats)
-            return curves
-
-        with obs.span("farm.evaluate", graphs=len(graphs)) as batch_span:
-            curves, info = self._evaluate_dispatch(graphs)
+        backend = self.backend
+        mode = self.name.removeprefix("farm-")
+        before = self._counters()
+        with obs.span("farm.evaluate", graphs=len(graphs), mode=mode) as batch_span:
+            if self.active:
+                curves = backend.evaluate_many(graphs)
+            else:
+                curves = [backend.evaluate_many([g])[0] for g in graphs]
+        moved = {key: value - before[key] for key, value in self._counters().items()}
         self.last_stats = FarmStats(
-            num_graphs=len(graphs), wall_seconds=batch_span.seconds, **info
+            num_graphs=len(graphs),
+            wall_seconds=batch_span.seconds,
+            mode=mode,
+            unique_graphs=moved["unique_designs"],
+            cache_hits=moved["cache_hits"],
+            dispatched=moved["synthesized"],
+            chunks=moved["chunks"],
+            worker_setup_seconds=moved.get("worker_setup_seconds", 0.0),
+            worker_opt_seconds=moved.get("worker_opt_seconds", 0.0),
+            prepared_hits=moved.get("prepared_hits", 0),
+            shipped_elided=moved.get("shipped_elided", 0),
+            redispatched=moved.get("redispatched_tasks", 0),
         )
-        self._account(self.last_stats)
         return curves
 
-    def _evaluate_dispatch(self, graphs: "list[PrefixGraph]"):
-        """The pooled/remote dispatch body; returns (curves, stats kwargs)."""
-        self._ensure_pool()
-        # Dedup by content digest: one synthesis per unique design.
-        order: "dict[bytes, int]" = {}
-        keys = []
-        for g in graphs:
-            key = g.key()
-            if key not in order:
-                order[key] = len(keys)
-                keys.append((key, g))
-        unique_curves: "list[AreaDelayCurve | None]" = [None] * len(keys)
+    def run(self, graphs: "list[PrefixGraph]") -> "list[AreaDelayCurve]":
+        """Synthesize ``graphs`` on the workers; order matches the input.
 
-        # Cache-aware routing: only misses cross the process boundary.
-        misses = []
-        cache_hits = 0
-        if self.cache is not None:
-            cached = self.cache.get_many([self._cache_key(g) for _, g in keys])
-            for i, value in enumerate(cached):
-                if value is not None:
-                    unique_curves[i] = value
-                    cache_hits += 1
-                else:
-                    misses.append(i)
+        The backend's runner face — pure dispatch: the caller has already
+        deduped the batch and routed it around the store.
+        """
+        tasks = [self._task(g) for g in graphs]
+        if not self.active:
+            chunk_points = [synthesize_tasks(tasks, self.library_name, self.synth_kwargs)]
         else:
-            misses = list(range(len(keys)))
-
-        # Chunked submission: one future (or one remote call) per slice.
-        num_chunks = 0
-        worker_setup = worker_opt = 0.0
-        prepared_hits = 0
-        shipped_elided = 0
-        redispatched = 0
-        if misses:
-            chunk = self.chunk_size
-            if chunk is None:
-                width = len(self.remote_workers or []) or self.num_workers
-                chunk = max(1, -(-len(misses) // width))
-            chunks = [misses[c : c + chunk] for c in range(0, len(misses), chunk)]
-            num_chunks = len(chunks)
+            self._ensure_pool()
+            # Chunked submission: one future (or one remote call) per slice.
+            size = self.chunk_size or max(1, -(-len(tasks) // self.width))
+            chunks = [tasks[c : c + size] for c in range(0, len(tasks), size)]
+            self._chunks += len(chunks)
             if self.remote_workers is not None:
                 chunk_points = self._remote.synth_chunks(
-                    [[self._remote_task(keys[i][1]) for i in idxs] for idxs in chunks],
-                    self.library_name,
-                    self.synth_kwargs,
+                    chunks, self.library_name, self.synth_kwargs
                 )
-                worker_setup = self._remote.last_setup_seconds
-                worker_opt = self._remote.last_opt_seconds
-                prepared_hits = self._remote.last_prepared_hits
-                shipped_elided = self._remote.last_shipped_elided
-                redispatched = self._remote.last_redispatched
+                for key, value in self._remote.last.items():
+                    self.totals[key] += value
             else:
                 futures = [
                     self._pool.submit(
-                        _synthesize_chunk,
-                        [graph_to_json(keys[i][1]) for i in idxs],
-                        self.library_name,
-                        self.synth_kwargs,
+                        synthesize_tasks, chunk, self.library_name, self.synth_kwargs
                     )
-                    for idxs in chunks
+                    for chunk in chunks
                 ]
                 chunk_points = [future.result() for future in futures]
-            fresh = []
-            for idxs, points in zip(chunks, chunk_points):
-                for i, pts in zip(idxs, points):
-                    curve = AreaDelayCurve.from_points(pts)
-                    unique_curves[i] = curve
-                    fresh.append((self._cache_key(keys[i][1]), curve))
-            if self.cache is not None and fresh:
-                self.cache.put_many(fresh)
+        return [
+            AreaDelayCurve.from_points(pts) for points in chunk_points for pts in points
+        ]
 
-        curves = [unique_curves[order[g.key()]] for g in graphs]
-        mode = (
-            f"remote[{len(self.remote_workers)}]"
-            if self.remote_workers is not None
-            else f"pool[{self.num_workers}]"
-        )
-        return curves, dict(
-            mode=mode,
-            unique_graphs=len(keys),
-            cache_hits=cache_hits,
-            dispatched=len(misses),
-            chunks=num_chunks,
-            worker_setup_seconds=worker_setup,
-            worker_opt_seconds=worker_opt,
-            prepared_hits=prepared_hits,
-            shipped_elided=shipped_elided,
-            redispatched=redispatched,
-        )
-
-    def _remote_task(self, graph: PrefixGraph) -> dict:
-        """One remote work unit: a prepared design or the legacy graph JSON."""
-        task = {"digest": graph_digest(graph)}
-        if self.ship_prepared:
-            from repro.net.farm import _library
-            from repro.netlist.adder import prefix_adder_netlist
-            from repro.netlist.serialize import netlist_to_dict
-
-            netlist = prefix_adder_netlist(graph, _library(self.library_name))
-            task["netlist"] = netlist_to_dict(netlist)
-        else:
-            task["graph"] = graph_to_json(graph)
-        return task
-
-    def _account(self, stats: FarmStats) -> None:
-        self.total_batches += 1
-        self.total_graphs += stats.num_graphs
-        self.total_unique += stats.unique_graphs
-        self.total_cache_hits += stats.cache_hits
-        self.total_dispatched += stats.dispatched
-        self.total_worker_setup_seconds += stats.worker_setup_seconds
-        self.total_worker_opt_seconds += stats.worker_opt_seconds
-        self.total_prepared_hits += stats.prepared_hits
-        self.total_shipped_elided += stats.shipped_elided
-        self.total_redispatched += stats.redispatched
+    def _task(self, graph: PrefixGraph) -> dict:
+        """One work unit, shaped for the transport: remote workers get the
+        prepared design (built here, once), same-host workers graph JSON."""
+        if self.remote_workers is None:
+            return {"graph": graph_to_json(graph)}
+        netlist = prefix_adder_netlist(graph, library_by_name(self.library_name))
+        return {"digest": graph_digest(graph), "netlist": netlist_to_dict(netlist)}
 
     def stats(self) -> dict:
-        """Cumulative dispatch counters in the unified backend stats schema
-        (:data:`repro.synth.backend.STATS_KEYS`).
+        """Cumulative counters in the unified backend stats schema
+        (:data:`repro.synth.backend.STATS_KEYS`) — the farm's backend's.
 
         ``dedup_saved`` counts graphs that never even reached the cache
         because an identical graph sat in the same batch; ``synthesized``
-        equals the dispatched count (every miss crosses to a worker). The
-        nested ``cache`` dict reflects the shared :class:`SynthesisCache`
-        (None when the farm runs cacheless); remote farms add a
-        ``remote`` extension. Consumed by :class:`repro.rl.Trainer`
-        telemetry and the scaling benchmarks.
+        is the dispatched count (every miss crosses to a worker). The
+        nested ``cache`` dict reflects the shared store (None when the
+        farm runs cacheless); remote farms add a ``remote`` extension.
+        Consumed by :class:`repro.rl.Trainer` telemetry and the scaling
+        benchmarks.
         """
-        from repro.synth.backend import cache_counters
-
-        if self.remote_workers is not None:
-            backend = f"farm-remote[{len(self.remote_workers)}]"
-        elif self.num_workers:
-            backend = f"farm-pool[{self.num_workers}]"
-        else:
-            backend = "farm-serial"
-        out = {
-            "backend": backend,
-            "batches": self.total_batches,
-            "designs": self.total_graphs,
-            "unique_designs": self.total_unique,
-            "dedup_saved": self.total_graphs - self.total_unique,
-            "cache_hits": self.total_cache_hits,
-            "cache_misses": self.total_dispatched,
-            "synthesized": self.total_dispatched,
-            "cache": cache_counters(self.cache),
-        }
-        if self.remote_workers is not None:
-            out["remote"] = {
-                "workers": len(self.remote_workers),
-                "ship_prepared": self.ship_prepared,
-                "worker_setup_seconds": self.total_worker_setup_seconds,
-                "worker_opt_seconds": self.total_worker_opt_seconds,
-                "prepared_hits": self.total_prepared_hits,
-                "shipped_elided": self.total_shipped_elided,
-                "redispatched_tasks": self.total_redispatched,
-            }
-        return out
+        return self.backend.stats()

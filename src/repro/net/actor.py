@@ -13,11 +13,11 @@ the round's transitions back. The ``push_batch`` reply carries the next
 epsilon and the stop flag, so schedule position and shutdown need no side
 channel.
 
-Synthesis routes through a :class:`repro.synth.backend.ClusterBackend`
-over :class:`RemoteCacheClient`: misses *claim* at the learner's shared
-cache service, so across all actor processes each unique design is
-synthesized exactly once (the claim/lease protocol), and designs this
-actor is leased are synthesized in-process or — with ``farm_workers`` /
+Synthesis routes through a :class:`repro.synth.backend.EvaluationBackend`
+whose lease service is a :class:`RemoteCacheClient`: misses *claim* at the
+learner's shared cache service, so across all actor processes each unique
+design is synthesized exactly once (the claim/lease protocol), and designs
+this actor is leased are synthesized in-process or — with ``farm_workers`` /
 ``repro actor --farm`` — fanned out to remote ``repro farm-worker``
 daemons, the paper's one-actor-host-drives-many-synthesis-hosts shape.
 
@@ -35,20 +35,20 @@ import time
 import numpy as np
 
 from repro import obs as obslib
+from repro.cells import library_by_name
 from repro.env.actions import ActionSpace
 from repro.env.vector import VectorPrefixEnv
 from repro.net.backoff import Backoff
-from repro.net.farm import _library
 from repro.net.inference import InferenceClient
 from repro.net.protocol import (
     DEFAULT_HEARTBEAT_TIMEOUT,
     DEFAULT_MAX_FRAME_BYTES,
     ProtocolError,
-    RemoteError,
     connect,
 )
 from repro.nn.qnet import QNetwork
-from repro.synth.backend import ClusterBackend
+from repro.store.api import make_store
+from repro.synth.backend import EvaluationBackend
 from repro.synth.curve import AreaDelayCurve
 from repro.synth.evaluator import SynthesisEvaluator
 from repro.utils.rng import ensure_rng
@@ -69,22 +69,17 @@ class LearnerUnreachable(RuntimeError):
 
 
 class RemoteCacheClient:
-    """Wire adapter giving :class:`ClusterBackend` the claim/put face.
+    """Wire adapter: a learner's cache service as a backend's lease service.
 
     The lease owner is implicit — the learner keys leases to this
     connection and releases them when it drops (heartbeat timeout or BYE),
     which is the dead-peer half of lease reclamation. A waiter that dies
     mid-park is the same case: its handler thread's reply send fails, the
     connection tears down, and ``release_owner`` rides the teardown.
-
-    ``long_poll`` mirrors the server's capability marker: ``None`` until
-    the first claim reply, then True/False — the backend's one-release
-    compatibility shim keys off it when dialing an old-protocol learner.
     """
 
     def __init__(self, conn):
         self._conn = conn
-        self.long_poll: "bool | None" = None
 
     def rebind(self, conn) -> None:
         """Point at a fresh connection after a redial.
@@ -113,7 +108,6 @@ class RemoteCacheClient:
             params["wait"] = True
             params["wait_timeout"] = max(park, 0.05)
         reply = self._conn.call("cache_claim", params)
-        self.long_poll = bool(reply.get("long_poll", False))
         out = []
         for result in reply["results"]:
             if "curve" in result:
@@ -194,21 +188,23 @@ class RemoteActorWorker:
 
     def _build(self, join: dict, cache_client: RemoteCacheClient):
         spec = join["spec"]
-        library = _library(spec["library"])
+        library = library_by_name(spec["library"])
         farm = None
         if self.farm_workers:
             from repro.distributed.farm import SynthesisFarm
 
-            # Cacheless on purpose: the learner's shared service is the
-            # cache; the farm is pure dispatch for this actor's leases.
+            # Pure dispatch for this actor's leases: the learner's shared
+            # service is the cache, so the farm's own backend stays unused.
             farm = SynthesisFarm(
                 spec["library"], num_workers=0, remote_workers=self.farm_workers
             )
-        backend = ClusterBackend(
-            cache_client,
+        # A bounded front store absorbs this actor's own repeats before
+        # they reach the wire.
+        backend = EvaluationBackend(
             library,
-            farm=farm,
-            front_entries=self.front_cache_entries,
+            store=make_store(max_entries=self.front_cache_entries),
+            service=cache_client,
+            runner=farm,
         )
 
         def make_evaluator():
@@ -533,8 +529,8 @@ class RemoteActorWorker:
                             "final": True,
                         },
                     )
-                except (ProtocolError, RemoteError, OSError):
-                    pass  # an old-protocol learner has no push_obs
+                except (ProtocolError, OSError):
+                    pass  # the learner is already gone: nothing to retire into
             return {
                 "actor_id": self.actor_id,
                 "session": self.session,

@@ -4,22 +4,19 @@ The multi-host half of :class:`repro.distributed.SynthesisFarm`: instead of
 a local process pool, curve tasks ship over the framed protocol to
 :class:`FarmWorkerServer` daemons (``repro farm-worker``) running anywhere.
 
-Two task forms (the dispatcher picks per
-``SynthesisFarm(ship_prepared=...)``):
-
-- ``graph`` — the legacy payload: graph JSON, and the worker re-derives
-  graph -> validated PrefixGraph -> adder netlist per task;
-- ``netlist`` — a *prepared design*: the dispatcher builds the adder
-  netlist once and ships its serialized form
-  (:func:`repro.netlist.serialize.netlist_to_dict`), so the worker skips
-  the graph parse/validation and netlist construction entirely.
+Dispatchers ship *prepared designs*: the adder netlist is built once,
+dispatch-side, and its serialized form
+(:func:`repro.netlist.serialize.netlist_to_dict`) crosses the wire, so the
+worker skips the graph parse/validation and netlist construction entirely
+(a ``graph`` JSON payload is still understood — it is the same-host pool's
+task form and shares the worker-side task functions of
+:mod:`repro.distributed.farm`).
 
 Workers additionally keep a digest-keyed LRU of built netlists (the
 ROADMAP's "per-worker prepared caches"), time their per-task setup
 (obtaining a Netlist) separately from optimization, and report both — the
-``cluster`` bench section turns those timings into the honest
-prepared-design savings number. Curves are byte-identical across all
-paths: every one ends in the same
+``cluster`` bench section records those timings. Curves are
+byte-identical across all paths: every one ends in the same
 :func:`repro.synth.curve.curve_from_prepared` ladder.
 """
 
@@ -29,6 +26,8 @@ import threading
 from collections import OrderedDict
 
 from repro import obs
+from repro.cells import LOADED_LIBRARIES, library_by_name
+from repro.distributed.farm import synthesize_netlist, synthesize_tasks, task_netlist
 from repro.net.protocol import (
     DEFAULT_HEARTBEAT_TIMEOUT,
     DEFAULT_MAX_FRAME_BYTES,
@@ -36,25 +35,7 @@ from repro.net.protocol import (
     connect,
 )
 from repro.net.server import FramedServer
-from repro.netlist.adder import prefix_adder_netlist
-from repro.netlist.serialize import netlist_from_dict
-from repro.prefix.serialize import graph_from_json
-from repro.synth.curve import curve_from_prepared
 from repro.synth.optimizer import Synthesizer
-
-_LIBRARIES: dict = {}
-
-
-def _library(name: str):
-    """Build (and memoize per process) a cell library by registry name."""
-    if name not in _LIBRARIES:
-        from repro.cells import industrial8nm, nangate45
-
-        registry = {"nangate45": nangate45, "industrial8nm": industrial8nm}
-        if name not in registry:
-            raise KeyError(f"unknown library {name!r}")
-        _LIBRARIES[name] = registry[name]()
-    return _LIBRARIES[name]
 
 
 class FarmWorkerServer(FramedServer):
@@ -130,15 +111,9 @@ class FarmWorkerServer(FramedServer):
         cached = self._prepared_get(digest)
         if cached is not None:
             return cached.clone(), True
-        if "netlist" in task:
-            netlist = netlist_from_dict(task["netlist"], library)
-        elif "graph" in task:
-            graph = graph_from_json(task["graph"])
-            netlist = prefix_adder_netlist(graph, library)
-        elif digest is not None:
+        if digest is not None and "netlist" not in task and "graph" not in task:
             return None, False  # elided payload, evicted here: report missing
-        else:
-            raise ValueError("task carries neither a netlist nor a graph")
+        netlist = task_netlist(task, library)
         self._prepared_put(digest, netlist.clone())
         return netlist, False
 
@@ -149,7 +124,7 @@ class FarmWorkerServer(FramedServer):
         return (digest, params["library"], synthesizer.name)
 
     def _synth_batch(self, ctx, params: dict) -> dict:
-        library = _library(params["library"])
+        library = library_by_name(params["library"])
         synthesizer = Synthesizer(**params.get("synth_kwargs", {}))
         points = []
         missing = []
@@ -174,8 +149,7 @@ class FarmWorkerServer(FramedServer):
                 points.append(None)
                 continue
             with obs.span("farm.task_opt") as opt_span:
-                prepared = synthesizer.prepare(netlist)
-                curve = curve_from_prepared(prepared, synthesizer)
+                curve = synthesize_netlist(netlist, synthesizer)
             setup_seconds += setup_span.seconds
             opt_seconds += opt_span.seconds
             obs.histogram("farm.setup_seconds").observe(setup_span.seconds)
@@ -204,7 +178,7 @@ class FarmWorkerServer(FramedServer):
         return {
             "tasks_served": self.tasks_served,
             "prepared_cache_entries": len(self._prepared),
-            "libraries_loaded": sorted(_LIBRARIES),
+            "libraries_loaded": sorted(LOADED_LIBRARIES),
             "store": self.store.stats() if self.store is not None else None,
         }
 
@@ -212,31 +186,6 @@ class FarmWorkerServer(FramedServer):
         super().server_close()
         if self.store is not None:
             self.store.close()  # releases the single-writer lock
-
-
-def _synthesize_tasks(
-    tasks: "list[dict]", library_name: str, synth_kwargs: dict
-) -> "list[list[tuple[float, float]]]":
-    """Synthesize a chunk locally: the no-survivors dispatch fallback.
-
-    Same ladder as the workers (:func:`curve_from_prepared`), so a chunk
-    rescued from a dead farm produces byte-identical curves — slower, not
-    different.
-    """
-    library = _library(library_name)
-    synthesizer = Synthesizer(**(synth_kwargs or {}))
-    points = []
-    for task in tasks:
-        if "netlist" in task:
-            netlist = netlist_from_dict(task["netlist"], library)
-        elif "graph" in task:
-            graph = graph_from_json(task["graph"])
-            netlist = prefix_adder_netlist(graph, library)
-        else:
-            raise ValueError("task carries neither a netlist nor a graph")
-        prepared = synthesizer.prepare(netlist)
-        points.append(curve_from_prepared(prepared, synthesizer).points())
-    return points
 
 
 class RemoteFarmPool:
@@ -266,7 +215,6 @@ class RemoteFarmPool:
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         timeout: float = 300.0,
         shipped_entries: int = 10_000,
-        local_fallback: bool = True,
     ):
         if not addresses:
             raise ValueError("need at least one worker address")
@@ -274,18 +222,20 @@ class RemoteFarmPool:
         self.max_frame_bytes = max_frame_bytes
         self.timeout = timeout
         self.shipped_entries = shipped_entries
-        self.local_fallback = local_fallback
         self._conns: "list" = [None] * len(addresses)
         self._shipped: "list[OrderedDict[str, None]]" = [
             OrderedDict() for _ in addresses
         ]
         self._elidable = [True] * len(addresses)
-        self.last_setup_seconds = 0.0
-        self.last_opt_seconds = 0.0
-        self.last_prepared_hits = 0
-        self.last_shipped_elided = 0
-        self.redispatched_tasks = 0
-        self.last_redispatched = 0
+        # What the latest synth_chunks call cost, worker-side (the
+        # farm folds these into its cumulative totals, key for key).
+        self.last = {
+            "worker_setup_seconds": 0.0,
+            "worker_opt_seconds": 0.0,
+            "prepared_hits": 0,
+            "shipped_elided": 0,
+            "redispatched_tasks": 0,
+        }
 
     def __len__(self) -> int:
         return len(self.addresses)
@@ -338,18 +288,15 @@ class RemoteFarmPool:
         transient case) is dropped from the alive set and its unfinished
         chunks are *re-dispatched* round-robin over the survivors — the
         lease-reclamation idea applied to dispatch. With no survivors the
-        leftovers run through local synthesis (``local_fallback=True``,
-        byte-identical curves) or the first worker error is raised; tasks
-        are never silently dropped — that would corrupt the farm's order
-        contract.
+        leftovers run through local synthesis (byte-identical curves, just
+        slower); tasks are never silently dropped — that would corrupt the
+        farm's order contract.
         """
         results: "list" = [None] * len(chunks)
-        timings = {"setup": 0.0, "opt": 0.0, "hits": 0, "elided": 0}
-        timings_lock = threading.Lock()
+        last = self.last = dict.fromkeys(self.last, 0)
+        last_lock = threading.Lock()
         alive = list(range(len(self.addresses)))
         remaining = list(range(len(chunks)))
-        self.last_redispatched = 0
-        first_error: "tuple[int, BaseException] | None" = None
 
         def call_worker(worker: int, tasks: "list[dict]", retried: bool = False) -> dict:
             """One chunk through one worker, redialing once on a wire failure.
@@ -430,7 +377,7 @@ class RemoteFarmPool:
         # own spans under it) joins the calling round's tree.
         round_trace = obs.trace.wire_context()
 
-        def drive(worker: int, chunk_ids: "list[int]", errors: list) -> None:
+        def drive(worker: int, chunk_ids: "list[int]", dead: list) -> None:
             host, port = self.addresses[worker]
             label = f"{{worker={host}:{port}}}"
             try:
@@ -452,14 +399,14 @@ class RemoteFarmPool:
                         obs.histogram(
                             f"dispatch.worker_opt_seconds{label}"
                         ).observe(reply["opt_seconds"])
-                        with timings_lock:
-                            timings["setup"] += reply["setup_seconds"]
-                            timings["opt"] += reply["opt_seconds"]
-                            timings["hits"] += reply["prepared_hits"]
-                            timings["elided"] += reply["shipped_elided"]
-            except BaseException as exc:
+                        with last_lock:
+                            last["worker_setup_seconds"] += reply["setup_seconds"]
+                            last["worker_opt_seconds"] += reply["opt_seconds"]
+                            last["prepared_hits"] += reply["prepared_hits"]
+                            last["shipped_elided"] += reply["shipped_elided"]
+            except BaseException:
                 self._drop(worker)
-                errors.append((worker, exc))
+                dead.append(worker)
 
         # Each iteration either finishes every remaining chunk or shrinks
         # the alive set — the loop is bounded by the worker count.
@@ -467,47 +414,33 @@ class RemoteFarmPool:
             by_worker: "dict[int, list[int]]" = {}
             for pos, c in enumerate(remaining):
                 by_worker.setdefault(alive[pos % len(alive)], []).append(c)
-            errors: "list[tuple[int, BaseException]]" = []
+            dead: "list[int]" = []
             threads = [
-                threading.Thread(target=drive, args=(w, ids, errors), daemon=True)
+                threading.Thread(target=drive, args=(w, ids, dead), daemon=True)
                 for w, ids in by_worker.items()
             ]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join()
-            for worker, exc in errors:
-                if first_error is None:
-                    first_error = (worker, exc)
+            for worker in dead:
                 alive.remove(worker)
             remaining = [c for c in remaining if results[c] is None]
-            if errors and remaining:
+            if dead and remaining:
                 moved = sum(len(chunks[c]) for c in remaining)
-                self.redispatched_tasks += moved
-                self.last_redispatched += moved
+                last["redispatched_tasks"] += moved
                 obs.counter("dispatch.redispatched_tasks").inc(moved)
                 obs.emit(
                     "farm_redispatch",
                     tasks=moved,
                     dead_workers=[
                         f"{self.addresses[w][0]}:{self.addresses[w][1]}"
-                        for w, _ in errors
+                        for w in dead
                     ],
                 )
-        if remaining:
-            # Every worker is gone mid-dispatch. Rescue the leftovers
-            # locally (same curves, just slower) or surface the failure.
-            if not self.local_fallback:
-                worker, exc = first_error
-                raise RuntimeError(
-                    f"remote farm worker {self.addresses[worker]} failed: {exc!r}"
-                ) from exc
-            for c in remaining:
-                results[c] = _synthesize_tasks(chunks[c], library, synth_kwargs)
-        self.last_setup_seconds = timings["setup"]
-        self.last_opt_seconds = timings["opt"]
-        self.last_prepared_hits = timings["hits"]
-        self.last_shipped_elided = timings["elided"]
+        # Every worker is gone mid-dispatch: rescue the leftovers locally.
+        for c in remaining:
+            results[c] = synthesize_tasks(chunks[c], library, synth_kwargs)
         return results
 
     def _drop(self, i: int) -> None:

@@ -84,7 +84,7 @@ class ClusterSpec:
     fast_conv: bool = False
     # Fleet-wide knobs (heartbeat window, store location, inference
     # service). ``asdict`` flattens the nested dataclass to a plain dict
-    # on the wire; actors read named keys, so older peers ignore it.
+    # on the wire; actors read named keys.
     config: "ClusterConfig | None" = None
 
     @classmethod
@@ -502,8 +502,7 @@ class LearnerServer(FramedServer):
     def _push_batch(self, ctx, params) -> dict:
         if ctx["actor_id"] is None:
             raise RuntimeError("push_batch before join")
-        # Piggybacked metric snapshot (new actors send one every round;
-        # absent from old actors, and ignored by old learners in turn).
+        # Piggybacked metric snapshot: actors send one every round.
         self.state.fleet_obs.update(params.get("obs_source"), params.get("obs"))
         return self.state.push_batch(
             ctx["actor_id"], params, session=ctx.get("session")
@@ -549,8 +548,7 @@ class LearnerServer(FramedServer):
             # service until a key resolves. The park is capped well below
             # the heartbeat window (and below any client-requested
             # budget), so the client's recv timeout can never fire
-            # mid-park — it just re-claims. Old actors never send "wait"
-            # and keep the instant-reply contract.
+            # mid-park — it just re-claims.
             timeout = self.claim_park_cap
             if params.get("wait_timeout") is not None:
                 timeout = min(timeout, float(params["wait_timeout"]))
@@ -567,10 +565,7 @@ class LearnerServer(FramedServer):
                 results.append({"curve": reply["curve"].points()})
             else:
                 results.append(reply)
-        # "long_poll" is the capability marker new clients read to decide
-        # whether wait=True claims actually park (vs the one-release
-        # client-side compatibility shim against old servers).
-        return {"results": results, "long_poll": True}
+        return {"results": results}
 
     def _stats(self, ctx, params) -> dict:
         state = self.state

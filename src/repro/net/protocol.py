@@ -45,7 +45,9 @@ from repro.obs import trace as obs_trace
 from repro.rl.checkpoint import flatten_arrays, unflatten_arrays
 
 MAGIC = b"PX"
-PROTOCOL_VERSION = 1
+# 2: waiting cache_claims always park server-side (no capability marker),
+# remote farm tasks are always prepared designs, actors rely on push_obs.
+PROTOCOL_VERSION = 2
 
 # Frame types.
 HELLO = 1
@@ -356,8 +358,7 @@ class Connection:
 
         When an obs trace is installed (:mod:`repro.obs.trace`) the CALL
         body carries it as a ``trace`` sibling of ``method``/``params``
-        — a payload field, not a frame-header change, so peers that
-        predate it ignore the key and interop is unaffected.
+        — a payload field, not a frame-header change.
         """
         body = {"method": method, "params": params}
         trace = obs_trace.wire_context()

@@ -34,7 +34,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import reference
-from repro.nn.reference import col2im, im2col  # noqa: F401  (public compat re-export)
 
 
 class TapConvCache:

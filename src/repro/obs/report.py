@@ -170,10 +170,7 @@ def render_fleet(stats: dict, address: "str | None" = None) -> str:
         f"  cache: entries={stats.get('cache_entries', 0)}"
         f" active_leases={stats.get('active_leases', 0)}",
     ]
-    obs = stats.get("obs")
-    if not isinstance(obs, dict):
-        lines.append("  obs: (learner predates repro.obs)")
-        return "\n".join(lines)
+    obs = stats["obs"]
     sources = obs.get("sources", {})
     lines.append(
         f"  obs sources: live={sources.get('live_sources', 0)}"

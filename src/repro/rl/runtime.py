@@ -61,7 +61,6 @@ from repro.rl.trainer import (
     synthesis_stats,
 )
 from repro.store.api import make_store
-from repro.synth.backend import encode_cache_state, restore_cache_state
 from repro.utils.rng import ensure_rng, rng_state, set_rng_state, spawn_rngs
 
 
@@ -348,7 +347,8 @@ class TrainingRuntime:
 
         Each group shares one ``share_token()`` (typically one
         :class:`SynthesisCache`): its state is checkpointed once, with one
-        counter record per member backend (deterministic env order), so a
+        counter record per member backend (deterministic env order) — every
+        cumulative counter, a farm runner's dispatch totals included — so a
         resumed run's telemetry continues bit-for-bit.
         """
         groups: "list[list]" = []
@@ -373,7 +373,7 @@ class TrainingRuntime:
             # The learner-owned shared cache service is the only evaluation
             # state a cluster checkpoint can (and needs to) capture; lease
             # bookkeeping is transient — actors reconnect and re-claim.
-            return [{"cache": encode_cache_state(self._cluster_cache), "counters": []}]
+            return [{"cache": self._cluster_cache.state_dict(), "counters": []}]
         states = []
         for group in self._collect_backend_groups():
             state = group[0].state_dict()
@@ -387,7 +387,7 @@ class TrainingRuntime:
                 raise CheckpointError(
                     f"cluster checkpoint has {len(states)} synthesis caches, expected 1"
                 )
-            restore_cache_state(self._cluster_cache, states[0]["cache"])
+            self._cluster_cache.load_state_dict(states[0]["cache"])
             return
         groups = self._collect_backend_groups()
         if len(states) != len(groups):
@@ -397,13 +397,12 @@ class TrainingRuntime:
             )
         for group, state in zip(groups, states):
             if state.get("cache") is not None:
-                cache = getattr(group[0], "cache", None)
-                if cache is None:
+                if group[0].store is None:
                     raise CheckpointError(
                         "checkpoint carries cache contents for a backend "
-                        f"({group[0].name}) that has no local cache"
+                        f"({group[0].name}) that has no local store"
                     )
-                restore_cache_state(cache, state["cache"])
+                group[0].store.load_state_dict(state["cache"])
             counters = state.get("counters") or []
             if len(counters) != len(group):
                 raise CheckpointError(
@@ -412,13 +411,6 @@ class TrainingRuntime:
                 )
             for backend, record in zip(group, counters):
                 backend.load_counters(record)
-
-    def _farm(self):
-        for env in self._all_envs():
-            farm = getattr(env.evaluator, "farm", None)
-            if farm is not None:
-                return farm
-        return None
 
     def _history_state(self, history: TrainingHistory) -> dict:
         return {
@@ -468,15 +460,6 @@ class TrainingRuntime:
             state["env_kind"] = "actors"
             state["env"] = {"actors": [v.state_dict() for v in self.actor_envs]}
             state["actor_rngs"] = [rng_state(r) for r in self._actor_rngs]
-        farm = self._farm()
-        if farm is not None:
-            state["farm"] = {
-                "total_batches": farm.total_batches,
-                "total_graphs": farm.total_graphs,
-                "total_unique": farm.total_unique,
-                "total_cache_hits": farm.total_cache_hits,
-                "total_dispatched": farm.total_dispatched,
-            }
         # Metrics survive checkpoint/resume: the learner's own registry
         # plus (cluster mode) the merged fleet totals pushed by workers.
         obs_state = {"metrics": obs.REGISTRY.state_dict()}
@@ -548,10 +531,6 @@ class TrainingRuntime:
                 venv.load_state_dict(snap)
             for rng, snap in zip(self._actor_rngs, state["actor_rngs"]):
                 set_rng_state(rng, snap)
-        farm = self._farm()
-        if farm is not None and "farm" in state:
-            for key, value in state["farm"].items():
-                setattr(farm, key, int(value))
         obs_state = state.get("obs")  # absent in pre-obs checkpoints
         if isinstance(obs_state, dict):
             if isinstance(obs_state.get("metrics"), dict):

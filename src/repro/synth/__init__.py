@@ -14,23 +14,15 @@ compiled+pin-swapped state forked across a curve's delay targets. The
 pre-rewrite full-STA-per-trial path survives in
 :mod:`repro.synth.reference` and is regression-tested byte-identical.
 
-Where curves come from is a pluggable :mod:`repro.synth.backend` seam:
-``SynthesisEvaluator`` delegates to an :class:`EvaluationBackend` —
-:class:`LocalBackend` (cache + in-process synthesis),
-:class:`FarmBackend` (a :class:`repro.distributed.SynthesisFarm` pool or
-remote workers) or :class:`ClusterBackend` (a learner's claim/lease cache
-service, :mod:`repro.synth.leases`) — all byte-identical, all reporting
-one stats schema.
+Where curves come from is the one :mod:`repro.synth.backend` seam:
+``SynthesisEvaluator`` delegates to an :class:`EvaluationBackend` — a
+store, optionally a claim/lease cache service (:mod:`repro.synth.leases`)
+and optionally a :class:`repro.distributed.SynthesisFarm` to run misses
+on — byte-identical curves and one stats schema however it is built.
 """
 
 from repro.synth.optimizer import Synthesizer, SynthesisResult
-from repro.synth.backend import (
-    STATS_KEYS,
-    ClusterBackend,
-    EvaluationBackend,
-    FarmBackend,
-    LocalBackend,
-)
+from repro.synth.backend import STATS_KEYS, EvaluationBackend
 from repro.synth.leases import LocalServiceClient, SharedCacheService
 from repro.synth.curve import (
     AreaDelayCurve,
@@ -50,9 +42,6 @@ __all__ = [
     "SynthesisResult",
     "STATS_KEYS",
     "EvaluationBackend",
-    "LocalBackend",
-    "FarmBackend",
-    "ClusterBackend",
     "SharedCacheService",
     "LocalServiceClient",
     "AreaDelayCurve",

@@ -1,29 +1,30 @@
-"""Pluggable evaluation backends: the one seam where curves come from.
+"""The evaluation backend: the one seam where curves come from.
 
-Before this layer the repo had five divergent ways to turn a prefix graph
-into an area-delay curve (evaluator-local cache, farm pool, remote farm,
-the learner's cache service, the actor's write-through front). Every
-consumer — :class:`repro.synth.SynthesisEvaluator`,
+Every consumer of area-delay curves — :class:`repro.synth.SynthesisEvaluator`,
 :class:`repro.env.VectorPrefixEnv`, :class:`repro.rl.Trainer`,
 :class:`repro.rl.runtime.TrainingRuntime`,
-:class:`repro.net.actor.RemoteActorWorker` — now talks to an
-:class:`EvaluationBackend` instead, and dedup, routing and telemetry live
-here, once.
+:class:`repro.distributed.SynthesisFarm`,
+:class:`repro.net.actor.RemoteActorWorker` — resolves them through an
+:class:`EvaluationBackend`, and the resolution loop (dedup a batch, look up
+the store, claim or run the misses, write back, count) lives here, once.
 
-All backends produce byte-identical curves for the same designs (every
-path bottoms out in the same synthesis ladder) and report the same
-:data:`STATS_KEYS` counter schema from :meth:`~EvaluationBackend.stats`:
+A backend is a **store**, an optional **lease service** and a place to
+**run misses**; the deployments differ only in how it is constructed:
 
-- :class:`LocalBackend` — shared-cache lookup plus in-process synthesis
-  (the default; exactly the traffic the pre-backend evaluator produced);
-- :class:`FarmBackend` — the whole batch through a
-  :class:`repro.distributed.SynthesisFarm` dispatch layer (local process
-  pool or remote ``repro farm-worker`` daemons);
-- :class:`ClusterBackend` — misses resolve through a learner's
-  claim/lease cache service (:mod:`repro.synth.leases`), so concurrent
-  actors never synthesize the same digest twice; designs this client is
-  *leased* are synthesized locally or fanned out through an attached farm
+- ``EvaluationBackend(library, synthesizer, store)`` — store lookup plus
+  in-process synthesis (what ``repro train`` and plain evaluators get);
+- ``EvaluationBackend(..., store, runner=farm)`` — misses dispatch to a
+  :class:`repro.distributed.SynthesisFarm` (a warm process pool or remote
+  ``repro farm-worker`` daemons); ``farm.backend`` is this construction;
+- ``EvaluationBackend(..., front_store, service=client)`` — misses are
+  *claimed* at a learner's :class:`repro.synth.leases.SharedCacheService`,
+  so concurrent clients never synthesize the same digest twice; with
+  ``runner=farm`` the leased designs fan out to farm workers
   (``repro actor --farm``).
+
+All constructions produce byte-identical curves for the same designs
+(every path bottoms out in the same synthesis ladder) and report the same
+:data:`STATS_KEYS` counter schema from :meth:`~EvaluationBackend.stats`.
 """
 
 from __future__ import annotations
@@ -32,25 +33,39 @@ import time
 
 from repro import obs
 from repro.prefix.serialize import graph_digest
-from repro.store.api import make_store
 from repro.synth.curve import AreaDelayCurve, synthesize_curve
 from repro.synth.optimizer import Synthesizer
 
-# The unified stats() schema every backend (and SynthesisFarm.stats(), and
-# TrainingHistory.synthesis_stats) reports. "cache" is the backing cache's
-# own counters ({"entries", "hits", "misses", "hit_rate"}) or None when the
-# backend has no local view of one. Backends may add extension sub-dicts
-# ("farm", "remote", "lease") but never rename these.
+# The unified stats() schema every construction (and SynthesisFarm.stats(),
+# and TrainingHistory.synthesis_stats) reports. "cache" is the store's own
+# counters ({"entries", "hits", "misses", "hit_rate"}) or None for a
+# storeless backend. Extension sub-dicts ("lease" with a service, "remote"
+# with a remote runner) may be added; these keys are never renamed.
 STATS_KEYS = (
-    "backend",         # str: which backend produced the numbers
+    "backend",         # str: which construction produced the numbers
     "batches",         # evaluate_many calls served
     "designs",         # graphs requested (before any dedup)
     "unique_designs",  # after in-batch digest dedup
     "dedup_saved",     # designs - unique_designs
-    "cache_hits",      # unique designs served from a cache (local or shared)
-    "cache_misses",    # unique designs that missed every cache
-    "synthesized",     # designs this backend actually synthesized
-    "cache",           # backing-cache counters dict, or None
+    "cache_hits",      # unique designs served from a store (local or shared)
+    "cache_misses",    # unique designs that missed every store
+    "synthesized",     # designs this backend actually ran
+    "cache",           # store counters dict, or None
+)
+
+# The counters a backend accumulates and checkpoints; the last four only
+# move with a lease service attached.
+COUNTER_KEYS = (
+    "batches",
+    "designs",
+    "unique_designs",
+    "cache_hits",
+    "cache_misses",
+    "synthesized",
+    "lease_granted",
+    "lease_waited",
+    "wait_hits",
+    "reclaimed_grants",
 )
 
 
@@ -69,39 +84,74 @@ def cache_counters(cache) -> "dict | None":
     }
 
 
-def encode_cache_state(store) -> dict:
-    """Checkpoint-ready snapshot of any curve store (JSON-safe points).
-
-    Thin wrapper over :meth:`repro.store.CurveStore.state_dict` — kept
-    because the checkpoint format predates the protocol and every
-    existing checkpoint carries this schema. Disk-backed stores encode
-    ``entries=None`` (their contents are already durable on disk).
-    """
-    return store.state_dict()
-
-
-def restore_cache_state(store, state: dict) -> None:
-    """Inverse of :func:`encode_cache_state` (onto a live store)."""
-    store.load_state_dict(state)
-
-
 class EvaluationBackend:
-    """Protocol + shared accounting for curve sources.
+    """Curves for prefix graphs: a store, a lease service, a runner.
 
-    Subclasses implement :meth:`_evaluate_unique` (digest-deduped graphs
-    in, curves out, counters updated); :meth:`evaluate_many` handles the
-    in-batch dedup and order restoration all backends share.
+    Args:
+        library / synthesizer: what in-process misses are synthesized
+            with, and (by name) the identity half of every store key.
+        store: a :class:`repro.store.CurveStore` consulted first and
+            written back to; ``None`` runs storeless (every unique design
+            of a batch is a miss — a cacheless farm).
+        service: optional claim/lease face of a shared cache —
+            ``claim(keys, counted=, wait=, wait_timeout=)`` and
+            ``put(items, lease_ids=)``:
+            :class:`repro.synth.leases.LocalServiceClient` in-process,
+            :class:`repro.net.actor.RemoteCacheClient` over the wire.
+            ``store`` is then a transient front absorbing this client's
+            own repeats; the shared state lives (and is checkpointed)
+            behind the service.
+        runner: where granted misses run, if not in this process — an
+            object with ``run(graphs) -> curves``, ``width`` (designs it
+            runs at once), ``name``, ``totals`` (cumulative dispatch
+            counters, checkpointed here and reported as ``"remote"``;
+            empty for a same-host pool) and ``close()``; in practice a
+            :class:`repro.distributed.SynthesisFarm`.
+        wait_timeout: seconds to wait on other clients' leases before
+            giving up on a batch.
+
+    With a service, each store miss comes back as a value, a granted
+    lease (run it and publish) or "wait" (another client is running it;
+    the re-claim *parks at the service* until the value arrives —
+    long-poll, no client-side sleep). Without one the same loop
+    degenerates: every miss is granted, nothing waits. Either way each
+    unique digest is synthesized exactly once across every client of the
+    shared state.
+
+    One caveat: a *single* synthesis that outlives the service's
+    ``lease_timeout`` can still be age-reclaimed and re-run by a waiter —
+    duplicate work, never divergent results (curves are deterministic).
+    Size the timeout above the slowest single design, exactly like the
+    cluster heartbeat it rides on.
     """
 
-    name = "backend"
+    def __init__(
+        self,
+        library,
+        synthesizer: "Synthesizer | None" = None,
+        store=None,
+        service=None,
+        runner=None,
+        wait_timeout: float = 300.0,
+    ):
+        self.library = library
+        self.synthesizer = synthesizer if synthesizer is not None else Synthesizer()
+        self.store = store
+        self.service = service
+        self.runner = runner
+        self.wait_timeout = wait_timeout
+        for key in COUNTER_KEYS:
+            setattr(self, key, 0)
 
-    def __init__(self):
-        self.batches = 0
-        self.designs = 0
-        self.unique_designs = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.synthesized = 0
+    @property
+    def name(self) -> str:
+        if self.service is not None:
+            return "cluster"
+        return self.runner.name if self.runner is not None else "local"
+
+    def key(self, graph) -> tuple:
+        """The content key a graph's curve is stored and leased under."""
+        return (graph_digest(graph), self.library.name, self.synthesizer.name)
 
     # -- the one entry point ---------------------------------------------
 
@@ -111,25 +161,121 @@ class EvaluationBackend:
         Duplicate graphs in one batch resolve to a single evaluation (RL
         batches repeat states constantly — the reason the paper caches).
         """
-        graphs = list(graphs)
-        self.batches += 1
-        self.designs += len(graphs)
-        order: "dict[bytes, int]" = {}
+        slots: "dict[bytes, int]" = {}
         unique = []
+        order = []
         for graph in graphs:
-            key = graph.key()
-            if key not in order:
-                order[key] = len(unique)
+            slot = slots.setdefault(graph.key(), len(unique))
+            if slot == len(unique):
                 unique.append(graph)
+            order.append(slot)
+        self.batches += 1
+        self.designs += len(order)
         self.unique_designs += len(unique)
         obs.counter("backend.batches").inc()
-        obs.counter("backend.designs").inc(len(graphs))
-        obs.counter("backend.dedup_saved").inc(len(graphs) - len(unique))
-        curves = self._evaluate_unique(unique) if unique else []
-        return [curves[order[graph.key()]] for graph in graphs]
+        obs.counter("backend.designs").inc(len(order))
+        obs.counter("backend.dedup_saved").inc(len(order) - len(unique))
+        curves = self._resolve(unique) if unique else []
+        return [curves[slot] for slot in order]
 
-    def _evaluate_unique(self, graphs) -> "list[AreaDelayCurve]":
-        raise NotImplementedError
+    # -- the one resolution loop -------------------------------------------
+
+    def _resolve(self, graphs) -> "list[AreaDelayCurve]":
+        """Store lookup, then claim | run | wait until every design has a curve."""
+        keys = [self.key(g) for g in graphs]
+        store, service = self.store, self.service
+        curves = store.get_many(keys) if store is not None else [None] * len(keys)
+        pending = [i for i, curve in enumerate(curves) if curve is None]
+        self.cache_hits += len(keys) - len(pending)
+        obs.counter("backend.cache_hits").inc(len(keys) - len(pending))
+        if not pending:
+            return curves
+
+        granted: "list[tuple[int, int | None]]" = []  # (index, lease id)
+        if service is None:
+            # Nobody to share the work with: every miss is ours, and the
+            # whole grant runs and is written back in one slice.
+            granted = [(i, None) for i in pending]
+            self.cache_misses += len(pending)
+            waiting: "list[int]" = []
+            step = len(pending)
+        else:
+            replies = service.claim([keys[i] for i in pending], counted=True)
+            waiting = self._file_replies(pending, replies, keys, curves, granted, first=True)
+            # Publish leased results incrementally (per design in-process,
+            # per runner-width slice with a farm) rather than after the
+            # whole grant: waiters get values as they exist, and a long
+            # batch cannot hold a lease past the service's age-reclamation
+            # window just because *later* designs are still synthesizing.
+            step = max(self.runner.width, 1) if self.runner is not None else 1
+
+        deadline = time.monotonic() + self.wait_timeout
+        while granted or waiting:
+            if granted:
+                # Useful work first: run what we own while other clients
+                # compute what we are waiting on.
+                batch, granted = granted[:step], granted[step:]
+                idxs = [i for i, _lease in batch]
+                fresh = self._run([graphs[i] for i in idxs])
+                self.synthesized += len(fresh)
+                obs.counter("backend.synthesized").inc(len(fresh))
+                items = [(keys[i], curve) for i, curve in zip(idxs, fresh)]
+                if service is not None:
+                    service.put(items, lease_ids=[lease for _i, lease in batch])
+                if store is not None:
+                    store.put_many(items)
+                for i, curve in zip(idxs, fresh):
+                    curves[i] = curve
+                continue
+            budget = deadline - time.monotonic()
+            if budget <= 0:
+                raise RuntimeError(
+                    f"timed out after {self.wait_timeout:.0f}s waiting on "
+                    f"{len(waiting)} leased design(s); the lease holder and "
+                    "the service's reclamation both went silent"
+                )
+            # One blocking re-claim: it parks at the service until a key
+            # resolves, a held lease ages out, or the budget passes — the
+            # client never sleeps.
+            replies = service.claim(
+                [keys[i] for i in waiting], counted=False, wait=True, wait_timeout=budget
+            )
+            waiting = self._file_replies(waiting, replies, keys, curves, granted, first=False)
+        return curves
+
+    def _file_replies(self, idxs, replies, keys, curves, granted, first: bool) -> "list[int]":
+        """Sort claim replies into values, grants and waits; returns the waits.
+
+        ``first`` tells a first sighting from a re-claim of waited keys: a
+        lease arriving on a re-claim means the holder died and the service
+        reclaimed it for us.
+        """
+        arrived = []
+        waiting = []
+        for i, reply in zip(idxs, replies):
+            if "curve" in reply:
+                curves[i] = reply["curve"]
+                arrived.append((keys[i], reply["curve"]))
+                self.cache_hits += 1
+                self.wait_hits += not first
+            elif "lease" in reply:
+                granted.append((i, reply["lease"]))
+                self.cache_misses += 1
+                if first:
+                    self.lease_granted += 1
+                else:
+                    self.reclaimed_grants += 1
+            else:
+                waiting.append(i)
+                self.lease_waited += first
+        if arrived and self.store is not None:
+            self.store.put_many(arrived)
+        return waiting
+
+    def _run(self, graphs) -> "list[AreaDelayCurve]":
+        if self.runner is not None:
+            return self.runner.run(graphs)
+        return [synthesize_curve(g, self.library, self.synthesizer) for g in graphs]
 
     # -- identity ---------------------------------------------------------
 
@@ -140,360 +286,14 @@ class EvaluationBackend:
         curves from shared state, so a vector environment may batch all
         replicas' evaluations through either one of them.
         """
-        return self
+        if self.service is not None:
+            return self.service
+        return self.store if self.store is not None else self
 
     # -- telemetry / persistence ------------------------------------------
 
     def stats(self) -> dict:
         """Counters in the :data:`STATS_KEYS` schema."""
-        return {
-            "backend": self.name,
-            "batches": self.batches,
-            "designs": self.designs,
-            "unique_designs": self.unique_designs,
-            "dedup_saved": self.designs - self.unique_designs,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "synthesized": self.synthesized,
-            "cache": cache_counters(getattr(self, "cache", None)),
-        }
-
-    def counters_dict(self) -> dict:
-        """Backend-local counters for checkpoints (cache state rides apart)."""
-        return {
-            "batches": self.batches,
-            "designs": self.designs,
-            "unique_designs": self.unique_designs,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "synthesized": self.synthesized,
-        }
-
-    def load_counters(self, counters: dict) -> None:
-        for key, value in counters.items():
-            if hasattr(self, key):
-                setattr(self, key, int(value))
-
-    def state_dict(self) -> dict:
-        """Checkpointable backend state (cache contents + counters)."""
-        cache = getattr(self, "cache", None)
-        return {
-            "cache": encode_cache_state(cache) if cache is not None else None,
-            "counters": [self.counters_dict()],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        cache = getattr(self, "cache", None)
-        if cache is not None and state.get("cache") is not None:
-            restore_cache_state(cache, state["cache"])
-        counters = state.get("counters") or []
-        if counters:
-            self.load_counters(counters[0])
-
-    def close(self) -> None:
-        """Release any resources (pools, sockets); idempotent."""
-
-
-class LocalBackend(EvaluationBackend):
-    """Shared-cache lookup + in-process synthesis (the default backend).
-
-    Produces exactly the cache traffic the pre-backend
-    ``SynthesisEvaluator`` did — one ``get_many`` for a batch's unique
-    designs, one ``put_many`` for the fresh ones — which is what keeps the
-    CLI differential gate byte-identical.
-    """
-
-    name = "local"
-
-    def __init__(self, library, synthesizer: "Synthesizer | None" = None, cache=None):
-        super().__init__()
-        self.library = library
-        self.synthesizer = synthesizer if synthesizer is not None else Synthesizer()
-        self.cache = cache if cache is not None else make_store()
-
-    def _key(self, graph) -> tuple:
-        return (graph_digest(graph), self.library.name, self.synthesizer.name)
-
-    def _evaluate_unique(self, graphs):
-        cached = self.cache.get_many([self._key(g) for g in graphs])
-        fresh = []
-        for i, (graph, value) in enumerate(zip(graphs, cached)):
-            if value is None:
-                curve = synthesize_curve(graph, self.library, self.synthesizer)
-                cached[i] = curve
-                fresh.append((self._key(graph), curve))
-        self.cache_hits += len(graphs) - len(fresh)
-        self.cache_misses += len(fresh)
-        self.synthesized += len(fresh)
-        obs.counter("backend.cache_hits").inc(len(graphs) - len(fresh))
-        obs.counter("backend.synthesized").inc(len(fresh))
-        if fresh:
-            self.cache.put_many(fresh)
-        return cached
-
-    def share_token(self):
-        return self.cache
-
-
-class FarmBackend(EvaluationBackend):
-    """Every batch through a :class:`~repro.distributed.SynthesisFarm`.
-
-    The farm's dispatch layer (digest dedup, cache-aware routing, chunked
-    submission to a warm pool or remote workers) subsumes this class's own
-    dedup, so counters delegate to the farm's cumulative accounting. The
-    farm must be *active* (a pool or remote workers) — the serial
-    ``num_workers=0`` farm is the deliberately-naive benchmark reference
-    and is rejected here.
-    """
-
-    def __init__(self, farm):
-        super().__init__()
-        if not farm.active:
-            raise ValueError(
-                "FarmBackend needs an active farm (a worker pool or remote "
-                "workers); the serial reference farm stays a benchmark baseline"
-            )
-        if farm.cache is None:
-            farm.cache = make_store()
-        self.farm = farm
-
-    @property
-    def name(self) -> str:
-        if self.farm.remote_workers is not None:
-            return f"farm-remote[{len(self.farm.remote_workers)}]"
-        return f"farm-pool[{self.farm.num_workers}]"
-
-    @property
-    def cache(self):
-        return self.farm.cache
-
-    def evaluate_many(self, graphs):
-        # The farm dedups and accounts for the whole batch itself.
-        return self.farm.evaluate_curves(list(graphs))
-
-    def _evaluate_unique(self, graphs):  # pragma: no cover - evaluate_many overrides
-        return self.farm.evaluate_curves(list(graphs))
-
-    def stats(self) -> dict:
-        return self.farm.stats()
-
-    def counters_dict(self) -> dict:
-        # Farm counters are checkpointed by the runtime's farm snapshot.
-        return {}
-
-    def share_token(self):
-        return self.farm.cache
-
-    def close(self) -> None:
-        self.farm.close()
-
-
-class ClusterBackend(EvaluationBackend):
-    """Misses resolve through a learner's claim/lease cache service.
-
-    A batch's unique designs are looked up in a local front LRU (absorbing
-    this client's own repeats), then *claimed* at the shared service: each
-    miss comes back as a value, a granted lease (synthesize it — locally,
-    or through ``farm``) or "wait" (another client is synthesizing it; the
-    re-claim *parks at the service* until the value arrives — long-poll,
-    no client-side sleep). The result: across any number of concurrent
-    clients, each unique digest is synthesized exactly once, cluster-wide.
-
-    ``service`` needs ``claim(keys, counted=..., wait=..., wait_timeout=...)``
-    and ``put(items, lease_ids=...)`` —
-    :class:`repro.synth.leases.LocalServiceClient` in-process,
-    :class:`repro.net.actor.RemoteCacheClient` over the wire. A service
-    that predates long-poll claims (old claim signature, or a server
-    whose replies lack the ``long_poll`` marker) is detected on the first
-    wait and handled by a one-release compatibility shim that paces
-    re-claims with ``poll_interval``; the mainline path never sleeps.
-
-    One caveat: a *single* synthesis that outlives the service's
-    ``lease_timeout`` can still be age-reclaimed and re-run by a waiter —
-    duplicate work, never divergent results (curves are deterministic).
-    Size the timeout above the slowest single design, exactly like the
-    cluster heartbeat it rides on.
-    """
-
-    name = "cluster"
-
-    def __init__(
-        self,
-        service,
-        library,
-        synthesizer: "Synthesizer | None" = None,
-        farm=None,
-        front_entries: int = 50_000,
-        poll_interval: float = 0.02,
-        wait_timeout: float = 300.0,
-    ):
-        super().__init__()
-        self.service = service
-        self.library = library
-        self.synthesizer = synthesizer if synthesizer is not None else Synthesizer()
-        if farm is not None and farm.cache is not None:
-            raise ValueError(
-                "the cluster backend's farm must be cacheless: the shared "
-                "service is the cache, and a second one would shadow leases"
-            )
-        self.farm = farm
-        self.front_entries = front_entries
-        self.poll_interval = poll_interval
-        self.wait_timeout = wait_timeout
-        # Set when the service turns out to predate long-poll claims;
-        # routes waits through the compatibility shim from then on.
-        self._legacy_wait = False
-        from collections import OrderedDict
-
-        self._front: "OrderedDict[tuple, AreaDelayCurve]" = OrderedDict()
-        # Lease-layer accounting on top of the shared schema.
-        self.lease_granted = 0
-        self.lease_waited = 0
-        self.wait_hits = 0
-        self.reclaimed_grants = 0
-
-    def _key(self, graph) -> tuple:
-        return (graph_digest(graph), self.library.name, self.synthesizer.name)
-
-    # -- front LRU --------------------------------------------------------
-
-    def _front_get(self, key: tuple):
-        curve = self._front.get(key)
-        if curve is not None:
-            self._front.move_to_end(key)
-        return curve
-
-    def _front_put(self, key: tuple, curve) -> None:
-        self._front[key] = curve
-        self._front.move_to_end(key)
-        while len(self._front) > self.front_entries:
-            self._front.popitem(last=False)
-
-    # -- synthesis of granted leases --------------------------------------
-
-    def _synthesize(self, graphs) -> "list[AreaDelayCurve]":
-        if self.farm is not None:
-            return self.farm.evaluate_curves(list(graphs))
-        return [synthesize_curve(g, self.library, self.synthesizer) for g in graphs]
-
-    # -- waiting on other clients' leases ----------------------------------
-
-    def _claim_waiting(self, keys, budget: float) -> "list[dict]":
-        """One blocking re-claim of still-waited keys (long-poll).
-
-        The claim parks at the service until a key resolves, a held lease
-        ages out, or ``budget`` seconds pass — the client never sleeps.
-        """
-        if not self._legacy_wait:
-            try:
-                replies = self.service.claim(
-                    keys, counted=False, wait=True, wait_timeout=budget
-                )
-            except TypeError:
-                # Old claim signature (pre-long-poll in-process service).
-                self._legacy_wait = True
-            else:
-                if getattr(self.service, "long_poll", True) is not False:
-                    return replies
-                # A wire server that answered instantly without the
-                # long_poll marker: old protocol. Use this reply, shim
-                # from the next round on.
-                self._legacy_wait = True
-                return replies
-        # One-release compatibility shim for pre-long-poll services:
-        # pace the uncounted re-claims client-side. Delete together with
-        # the old server protocol.
-        time.sleep(self.poll_interval)
-        return self.service.claim(keys, counted=False)
-
-    # -- the claim/lease loop ---------------------------------------------
-
-    def _evaluate_unique(self, graphs):
-        keys = [self._key(g) for g in graphs]
-        curves: "list[AreaDelayCurve | None]" = [None] * len(graphs)
-        pending = []
-        for i, key in enumerate(keys):
-            hit = self._front_get(key)
-            if hit is not None:
-                curves[i] = hit
-                self.cache_hits += 1
-            else:
-                pending.append(i)
-        if not pending:
-            return curves
-
-        granted: "list[tuple[int, int]]" = []  # (index, lease_id)
-        waiting: "list[int]" = []
-        replies = self.service.claim([keys[i] for i in pending], counted=True)
-        for i, reply in zip(pending, replies):
-            if "curve" in reply:
-                curves[i] = reply["curve"]
-                self._front_put(keys[i], reply["curve"])
-                self.cache_hits += 1
-            elif "lease" in reply:
-                granted.append((i, reply["lease"]))
-                self.cache_misses += 1
-                self.lease_granted += 1
-            else:
-                waiting.append(i)
-                self.lease_waited += 1
-
-        deadline = time.monotonic() + self.wait_timeout
-        # Publish leased results incrementally (per design in-process, per
-        # farm-width batch with a farm) rather than after the whole grant:
-        # waiters get values as they exist, and a long batch cannot hold a
-        # lease past the service's age-reclamation window just because
-        # *later* designs are still synthesizing.
-        if self.farm is not None:
-            publish_chunk = max(
-                len(self.farm.remote_workers or []) or self.farm.num_workers, 1
-            )
-        else:
-            publish_chunk = 1
-        while granted or waiting:
-            if granted:
-                # Useful work first: synthesize what we own while other
-                # clients compute what we are waiting on.
-                batch, granted = granted[:publish_chunk], granted[publish_chunk:]
-                idxs = [i for i, _lease in batch]
-                fresh = self._synthesize([graphs[i] for i in idxs])
-                self.synthesized += len(fresh)
-                self.service.put(
-                    [(keys[i], curve) for i, curve in zip(idxs, fresh)],
-                    lease_ids=[lease for _i, lease in batch],
-                )
-                for i, curve in zip(idxs, fresh):
-                    curves[i] = curve
-                    self._front_put(keys[i], curve)
-                continue
-            budget = deadline - time.monotonic()
-            if budget <= 0:
-                raise RuntimeError(
-                    f"timed out after {self.wait_timeout:.0f}s waiting on "
-                    f"{len(waiting)} leased design(s); the lease holder and "
-                    "the service's reclamation both went silent"
-                )
-            replies = self._claim_waiting([keys[i] for i in waiting], budget)
-            still = []
-            for i, reply in zip(waiting, replies):
-                if "curve" in reply:
-                    curves[i] = reply["curve"]
-                    self._front_put(keys[i], reply["curve"])
-                    self.wait_hits += 1
-                    self.cache_hits += 1
-                elif "lease" in reply:
-                    # The holder died; the service reclaimed the lease for us.
-                    granted.append((i, reply["lease"]))
-                    self.reclaimed_grants += 1
-                    self.cache_misses += 1
-                else:
-                    still.append(i)
-            waiting = still
-        return curves
-
-    # -- telemetry / persistence ------------------------------------------
-
-    def stats(self) -> dict:
         out = {
             "backend": self.name,
             "batches": self.batches,
@@ -503,50 +303,54 @@ class ClusterBackend(EvaluationBackend):
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "synthesized": self.synthesized,
-            "cache": {
-                "entries": len(self._front),
-                "hits": self.cache_hits,
-                "misses": self.cache_misses,
-                "hit_rate": (
-                    self.cache_hits / (self.cache_hits + self.cache_misses)
-                    if self.cache_hits + self.cache_misses
-                    else 0.0
-                ),
-            },
-            "lease": {
+            "cache": cache_counters(self.store),
+        }
+        if self.service is not None:
+            out["lease"] = {
                 "granted": self.lease_granted,
                 "waited": self.lease_waited,
                 "wait_hits": self.wait_hits,
                 "reclaimed_grants": self.reclaimed_grants,
-            },
-        }
-        if self.farm is not None:
-            out["farm"] = self.farm.stats()
+            }
+        if self.runner is not None and self.runner.totals:
+            out["remote"] = {"workers": self.runner.width, **self.runner.totals}
         return out
 
     def counters_dict(self) -> dict:
-        counters = super().counters_dict()
-        counters.update(
-            lease_granted=self.lease_granted,
-            lease_waited=self.lease_waited,
-            wait_hits=self.wait_hits,
-            reclaimed_grants=self.reclaimed_grants,
-        )
+        """Every cumulative counter, the runner's included (store state
+        rides apart) — the checkpoint record :meth:`load_counters` reads."""
+        counters = {key: getattr(self, key) for key in COUNTER_KEYS}
+        if self.runner is not None:
+            counters.update(self.runner.totals)
         return counters
 
+    def load_counters(self, counters: dict) -> None:
+        for key, value in counters.items():
+            if key in COUNTER_KEYS:
+                setattr(self, key, int(value))
+            elif self.runner is not None and key in self.runner.totals:
+                self.runner.totals[key] = value
+
     def state_dict(self) -> dict:
-        # The shared cache lives (and is checkpointed) learner-side; the
-        # front is a transient accelerator, so only counters persist.
-        return {"cache": None, "counters": [self.counters_dict()]}
+        """Checkpointable state: store contents + counters.
+
+        Behind a service the store is a transient front over state that is
+        checkpointed where it lives (the learner), so only counters persist.
+        """
+        owned = self.store is not None and self.service is None
+        return {
+            "cache": self.store.state_dict() if owned else None,
+            "counters": [self.counters_dict()],
+        }
 
     def load_state_dict(self, state: dict) -> None:
+        if self.store is not None and state.get("cache") is not None:
+            self.store.load_state_dict(state["cache"])
         counters = state.get("counters") or []
         if counters:
             self.load_counters(counters[0])
 
-    def share_token(self):
-        return self.service
-
     def close(self) -> None:
-        if self.farm is not None:
-            self.farm.close()
+        """Release the runner's resources (pools, sockets); idempotent."""
+        if self.runner is not None:
+            self.runner.close()

@@ -5,10 +5,10 @@ scalarization-dependent (area, delay) pair. Two implementations:
 
 - :class:`SynthesisEvaluator` — the paper's primary setting: full netlist
   synthesis at 4 targets, PCHIP curve, w-optimal point (Fig. 3). *Where*
-  the curves come from is delegated to an
-  :class:`repro.synth.backend.EvaluationBackend` (local cache, synthesis
-  farm, or a cluster's claim/lease cache service) — the evaluator itself
-  only owns the scalarization.
+  the curves come from is delegated to a
+  :class:`repro.synth.backend.EvaluationBackend` (a store, optionally a
+  farm to run misses on or a cluster's claim/lease cache service) — the
+  evaluator itself only owns the scalarization.
 - :class:`AnalyticalEvaluator` — the Moto-Kaneko model, used to train
   "Analytical-PrefixRL" for the Fig. 6 study (no curve; the metrics are
   target-independent).
@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from repro.analytical.model import evaluate_analytical
 from repro.cells.library import CellLibrary
 from repro.prefix.graph import PrefixGraph
-from repro.synth.backend import EvaluationBackend, FarmBackend, LocalBackend
+from repro.store.api import make_store
+from repro.synth.backend import EvaluationBackend
 from repro.synth.curve import AreaDelayCurve, C_AREA, C_DELAY
 from repro.synth.optimizer import Synthesizer
 
@@ -46,22 +47,21 @@ class SynthesisEvaluator:
             stand-in at default effort).
         w_area / w_delay: scalarization weights selecting the curve point
             (Section IV-B); must be nonnegative, normalized by the caller.
-        cache: shared :class:`SynthesisCache` for the default
-            :class:`~repro.synth.backend.LocalBackend` (one is created if
-            omitted). Mutually exclusive with ``backend``.
+        cache: the :class:`repro.store.CurveStore` behind the default
+            (store + in-process synthesis) backend; one is created if
+            omitted. Mutually exclusive with ``backend``.
         c_area / c_delay: the paper's scaling constants.
         farm: optional :class:`repro.distributed.SynthesisFarm`; an
-            *active* farm (pool or remote workers) becomes a
-            :class:`~repro.synth.backend.FarmBackend` and all evaluations
-            route through its dispatch layer. The farm must target the
-            same library and synthesizer identity; it adopts this
-            evaluator's cache if it has none of its own. A serial
-            (``num_workers=0``) farm is the deliberately-naive benchmark
-            reference and is never routed through — the evaluator falls
-            back to the local backend.
+            *active* farm (pool or remote workers) lends its own backend
+            (``farm.backend``), so all evaluations route through its
+            dispatch layer. The farm must target the same library and
+            synthesizer identity; it adopts this evaluator's cache if it
+            has none of its own. A serial (``num_workers=0``) farm is the
+            deliberately-naive benchmark reference and is never routed
+            through — the evaluator builds the default backend.
         backend: an explicit :class:`EvaluationBackend` (e.g. a cluster
-            actor's :class:`~repro.synth.backend.ClusterBackend`);
-            mutually exclusive with ``cache``/``farm``.
+            actor's lease-service construction); mutually exclusive with
+            ``cache``/``farm``.
     """
 
     def __init__(
@@ -105,25 +105,27 @@ class SynthesisEvaluator:
                     f"synthesizer {self.synthesizer.name!r} (cache keys would diverge)"
                 )
         if farm is not None and farm.active:
-            if farm.cache is None and cache is not None:
-                farm.cache = cache
-            self.backend = FarmBackend(farm)
+            if farm.cache is None:
+                farm.cache = cache if cache is not None else make_store()
+            self.backend = farm.backend
         else:
-            self.backend = LocalBackend(
-                self.library, synthesizer=self.synthesizer, cache=cache
+            self.backend = EvaluationBackend(
+                self.library,
+                self.synthesizer,
+                cache if cache is not None else make_store(),
             )
 
     # -- backend views ----------------------------------------------------
 
     @property
     def cache(self):
-        """The backing curve cache, when the backend has a local one."""
-        return getattr(self.backend, "cache", None)
+        """The backend's curve store (None for a storeless backend)."""
+        return self.backend.store
 
     @property
     def farm(self):
-        """The attached synthesis farm, when the backend routes through one."""
-        return getattr(self.backend, "farm", None)
+        """The synthesis farm misses run on, when the backend has one."""
+        return self.backend.runner
 
     # -- evaluation -------------------------------------------------------
 

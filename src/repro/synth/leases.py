@@ -274,9 +274,6 @@ class LocalServiceClient:
     """In-process adapter giving a :class:`SharedCacheService` the same
     claim/put face a cluster actor sees over the wire."""
 
-    # In-process services always support parked (long-poll) claims.
-    long_poll = True
-
     def __init__(self, service: SharedCacheService, owner):
         self.service = service
         self.owner = owner

@@ -217,6 +217,34 @@ class TestHandshake:
         assert "version" in body["error"]
         assert errors and "version" in str(errors[0])
 
+    def test_v1_peer_is_rejected_with_its_version_in_the_message(self):
+        """The bump is what retires the pre-long-poll / graph-JSON shims:
+        a v1 HELLO (v1 frame header, v1 in-band) never reaches a service."""
+        assert PROTOCOL_VERSION == 2
+        raw, b = socket.socketpair()
+        listener = Connection(b)
+        errors = []
+
+        def listen():
+            try:
+                listener.welcome(("actor",))
+            except HandshakeError as exc:
+                errors.append(exc)
+
+        t = threading.Thread(target=listen)
+        t.start()
+        payload = encode_payload({"version": 1, "role": "actor"})
+        raw.sendall(struct.pack("!2sBBI", MAGIC, 1, HELLO, len(payload)) + payload)
+        # The rejection comes back framed at the server's version, so a
+        # v2-aware reader gets the reason; the old peer sees a skewed header.
+        ftype, reason = recv_frame(raw)
+        t.join()
+        assert ftype == 3  # ERROR
+        assert "version 1" in decode_payload(reason)["error"]
+        assert errors and "version 1" in str(errors[0])
+        raw.close()
+        listener.close()
+
     def test_unexpected_role_rejected(self):
         a, b = pair()
         errors = []

@@ -91,10 +91,10 @@ class TestRenderReport:
 
 
 class TestRenderFleet:
-    def test_old_learner_without_obs_is_stated(self):
-        text = render_fleet({"env_steps": 3, "total": 10}, "h:1")
+    def test_header_line_names_the_learner_and_progress(self):
+        text = render_fleet({"env_steps": 3, "total": 10, "obs": {}}, "h:1")
         assert "fleet @ h:1: env_steps=3/10" in text
-        assert "(learner predates repro.obs)" in text
+        assert "obs sources: live=0 retired=0" in text
 
     def test_merged_counters_and_quantiles_render(self):
         stats = {

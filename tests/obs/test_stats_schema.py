@@ -31,9 +31,7 @@ from repro.store.disk import DiskStore
 from repro.store.layered import LayeredStore
 from repro.synth import (
     STATS_KEYS,
-    ClusterBackend,
-    FarmBackend,
-    LocalBackend,
+    EvaluationBackend,
     LocalServiceClient,
     SharedCacheService,
     SynthesisCache,
@@ -76,16 +74,21 @@ def assert_backend_schema(stats: dict, *, extensions=()) -> None:
 
 
 class TestBackendSchemas:
-    def test_local_backend(self, lib):
-        assert_backend_schema(LocalBackend(lib).stats())
+    def test_store_only_backend(self, lib):
+        assert_backend_schema(EvaluationBackend(lib, store=SynthesisCache()).stats())
+
+    def test_storeless_backend_reports_no_cache(self, lib):
+        stats = EvaluationBackend(lib).stats()
+        assert_backend_schema(stats)
+        assert stats["cache"] is None
 
     def test_serial_farm(self):
         assert_backend_schema(SynthesisFarm(num_workers=0).stats())
 
-    def test_farm_backend(self):
+    def test_pool_farm_backend(self):
         farm = SynthesisFarm(num_workers=1)  # pool is lazy: nothing spawns
         try:
-            assert_backend_schema(FarmBackend(farm).stats())
+            assert_backend_schema(farm.backend.stats())
         finally:
             farm.close()
 
@@ -95,7 +98,6 @@ class TestBackendSchemas:
         assert_backend_schema(stats, extensions=("remote",))
         assert set(stats["remote"]) == {
             "workers",
-            "ship_prepared",
             "worker_setup_seconds",
             "worker_opt_seconds",
             "prepared_hits",
@@ -103,9 +105,9 @@ class TestBackendSchemas:
             "redispatched_tasks",
         }
 
-    def test_cluster_backend_adds_the_lease_extension(self, lib):
+    def test_lease_service_adds_the_lease_extension(self, lib):
         service = LocalServiceClient(SharedCacheService(), owner="schema-test")
-        backend = ClusterBackend(service, lib)
+        backend = EvaluationBackend(lib, store=SynthesisCache(), service=service)
         stats = backend.stats()
         assert_backend_schema(stats, extensions=("lease",))
         assert set(stats["lease"]) == {
@@ -115,16 +117,22 @@ class TestBackendSchemas:
             "reclaimed_grants",
         }
 
-    def test_cluster_backend_with_farm_adds_both_extensions(self, lib):
+    def test_lease_service_with_remote_farm_adds_both_extensions(self, lib):
+        # The `repro actor --farm` construction (dialing is lazy: no I/O).
         service = LocalServiceClient(SharedCacheService(), owner="schema-test")
-        farm = SynthesisFarm(num_workers=1)
-        farm.cache = None  # the shared service is the cache
-        try:
-            stats = ClusterBackend(service, lib, farm=farm).stats()
-        finally:
-            farm.close()
-        assert set(stats) == set(STATS_KEYS) | {"lease", "farm"}
-        assert_backend_schema(stats["farm"])
+        farm = SynthesisFarm(num_workers=0, remote_workers=["127.0.0.1:1"])
+        stats = EvaluationBackend(
+            lib, store=SynthesisCache(), service=service, runner=farm
+        ).stats()
+        assert_backend_schema(stats, extensions=("lease", "remote"))
+        assert stats["remote"]["workers"] == 1
+
+    def test_counters_dict_carries_every_cumulative_counter(self, lib):
+        from repro.synth.backend import COUNTER_KEYS
+
+        farm = SynthesisFarm(num_workers=0, remote_workers=["127.0.0.1:1"])
+        assert set(farm.backend.counters_dict()) == set(COUNTER_KEYS) | set(farm.totals)
+        assert set(farm.totals) == set(farm.stats()["remote"]) - {"workers"}
 
 
 class TestLeaseServiceSchema:

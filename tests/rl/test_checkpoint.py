@@ -261,3 +261,96 @@ class TestTrainingRoundTrip:
         rt, _ = make_sync_runtime()
         with pytest.raises(CheckpointError, match="without a checkpoint_dir"):
             rt.run(resume=True)
+
+
+class TestBackendCountersRideTheCheckpoint:
+    """Every cumulative evaluation counter lives in the one backend's
+    ``counters_dict()`` and rides the backend-group record."""
+
+    def test_remote_farm_counters_survive_resume(self, tmp_path):
+        """Regression: the runtime used to checkpoint 5 of the farm's 10
+        cumulative counters, so ``stats()["remote"]`` silently reset on
+        resume while ``batches``/``designs`` continued."""
+        from repro.cells import nangate45
+        from repro.distributed import SynthesisFarm
+        from repro.net import FarmWorkerServer
+        from repro.synth import SynthesisEvaluator
+
+        library = nangate45()
+        worker = FarmWorkerServer(("127.0.0.1", 0))
+        worker.start()
+        address = f"{worker.address[0]}:{worker.address[1]}"
+        farms = []
+
+        def evaluator():
+            farms.append(SynthesisFarm("nangate45", num_workers=0, remote_workers=[address]))
+            return SynthesisEvaluator(library, farm=farms[-1])
+
+        try:
+            rt_part, env_part = make_sync_runtime(
+                tmp_path, steps=20, evaluator=evaluator(),
+                runtime=RuntimeConfig(mode="sync", stop_after=10),
+            )
+            rt_part.run()
+            saved = env_part.evaluator.backend.stats()
+            assert saved["remote"]["worker_opt_seconds"] > 0
+        finally:
+            # The resumed run's farm finds nobody home and synthesizes
+            # in-process, so every worker-side number it reports afterwards
+            # is the restored one.
+            worker.stop()
+        try:
+            rt_res, env_res = make_sync_runtime(tmp_path, steps=20, evaluator=evaluator())
+            rt_res.run(resume=True)
+            final = env_res.evaluator.backend.stats()
+        finally:
+            for farm in farms:
+                farm.close()
+        for key in ("worker_setup_seconds", "worker_opt_seconds", "prepared_hits", "shipped_elided"):
+            assert final["remote"][key] == saved["remote"][key], key
+        assert final["remote"]["redispatched_tasks"] >= saved["remote"]["redispatched_tasks"]
+        assert final["batches"] > saved["batches"]
+        assert final["synthesized"] >= saved["synthesized"] > 0
+
+    def test_pre_unification_checkpoint_state_still_loads(self, tmp_path):
+        """A state written before the backends merged carries a partial
+        ``farm`` block and per-class counter records (LocalBackend wrote
+        six keys): the block is ignored, the counters are restored."""
+        from repro.cells import nangate45
+        from repro.synth import SynthesisCache, SynthesisEvaluator
+
+        library = nangate45()
+
+        def evaluator():
+            return SynthesisEvaluator(library, cache=SynthesisCache())
+
+        rt_full, _ = make_sync_runtime(steps=30, evaluator=evaluator())
+        h_full = rt_full.run()
+
+        rt_part, _ = make_sync_runtime(
+            tmp_path, steps=30, evaluator=evaluator(),
+            runtime=RuntimeConfig(mode="sync", stop_after=12),
+        )
+        rt_part.run()
+        state, manifest = rt_part.manager.load()
+        (group,) = state["caches"]
+        (record,) = group["counters"]
+        group["counters"] = [
+            {
+                key: record[key]
+                for key in (
+                    "batches", "designs", "unique_designs",
+                    "cache_hits", "cache_misses", "synthesized",
+                )
+            }
+        ]
+        state["farm"] = {
+            "total_batches": 7, "total_graphs": 7, "total_unique": 7,
+            "total_cache_hits": 0, "total_dispatched": 7,
+        }
+        rt_part.manager.save(state, step=manifest["step"], meta=manifest["meta"])
+
+        rt_res, _ = make_sync_runtime(tmp_path, steps=30, evaluator=evaluator())
+        h_res = rt_res.run(resume=True)
+        assert_histories_identical(h_full, h_res)
+        assert h_res.synthesis_stats == h_full.synthesis_stats

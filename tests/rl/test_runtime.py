@@ -18,8 +18,8 @@ def make_agent(seed=0, n=6):
     return ScalarizedDoubleDQN(n, 0.5, 0.5, blocks=0, channels=4, lr=1e-3, rng=seed)
 
 
-def make_env(seed=0, n=6):
-    return PrefixEnv(n, AnalyticalEvaluator(0.5, 0.5), horizon=12, rng=seed)
+def make_env(seed=0, n=6, horizon=12):
+    return PrefixEnv(n, AnalyticalEvaluator(0.5, 0.5), horizon=horizon, rng=seed)
 
 
 CFG = TrainerConfig(steps=60, batch_size=4, warmup_steps=8)
@@ -147,23 +147,27 @@ class TestAsyncMode:
         assert stats["cache"]["hits"] > 0  # both actors start from the same structures
 
     def test_async_preempt_and_resume(self, tmp_path):
+        # A budget far past the halt point: the actor threads overshoot
+        # stop_after by however many rounds one learner iteration takes,
+        # and must not be able to finish the run in that window.
+        cfg = TrainerConfig(steps=240, batch_size=4, warmup_steps=8)
         rt = TrainingRuntime(
-            [make_env(seed=0), make_env(seed=10)], make_agent(), CFG,
+            [make_env(seed=0), make_env(seed=10)], make_agent(), cfg,
             RuntimeConfig(mode="async", num_actors=2, stop_after=30),
             checkpoint_dir=tmp_path, rng=0,
         )
         h1 = rt.run()
         assert rt.preempted
-        assert 30 <= h1.env_steps < 60
+        assert 30 <= h1.env_steps < 240
 
         rt2 = TrainingRuntime(
-            [make_env(seed=0), make_env(seed=10)], make_agent(), CFG,
+            [make_env(seed=0), make_env(seed=10)], make_agent(), cfg,
             RuntimeConfig(mode="async", num_actors=2),
             checkpoint_dir=tmp_path, rng=0,
         )
         h2 = rt2.run(resume=True)
         assert not rt2.preempted
-        assert h2.env_steps == 60
+        assert h2.env_steps == 240
         # The resumed history extends the preempted one.
         assert h2.areas[: len(h1.areas)] == h1.areas
         assert h2.losses[: len(h1.losses)] == h1.losses
@@ -191,11 +195,13 @@ class TestAsyncMode:
         assert rt.manager.steps() == [24]
 
     def test_inflight_episode_returns_survive_resume(self, tmp_path):
-        # Preempt mid-episode (horizon 12, stop at 8): the accumulated
-        # returns must ride the checkpoint, not reset to zero.
+        # Preempt mid-episode (stop at 8; the horizon outlasts the whole
+        # budget, so however far the actor threads overshoot the halt no
+        # episode can finish and zero its return): the accumulated returns
+        # must ride the checkpoint, not reset to zero.
         cfg = TrainerConfig(steps=40, batch_size=4, warmup_steps=8)
         rt = TrainingRuntime(
-            [make_env(0), make_env(7)], make_agent(), cfg,
+            [make_env(0, horizon=40), make_env(7, horizon=40)], make_agent(), cfg,
             RuntimeConfig(mode="async", num_actors=2, stop_after=8),
             checkpoint_dir=tmp_path, rng=0,
         )
@@ -206,7 +212,7 @@ class TestAsyncMode:
         assert any(abs(r) > 0 for returns in saved for r in returns)
 
         rt2 = TrainingRuntime(
-            [make_env(0), make_env(7)], make_agent(), cfg,
+            [make_env(0, horizon=40), make_env(7, horizon=40)], make_agent(), cfg,
             RuntimeConfig(mode="async", num_actors=2),
             checkpoint_dir=tmp_path, rng=0,
         )

@@ -1,9 +1,10 @@
 """EvaluationBackend seam: byte-identical curves and one stats schema.
 
-Every backend (local, farm-local, farm-remote, cluster with and without
-lease contention) must return byte-identical curves for the same design
-set — they all bottom out in the same synthesis ladder — and must report
-the unified ``STATS_KEYS`` counter schema.
+One class, several constructions (store only, store + pool farm, store +
+remote farm, front store + lease service with and without contention):
+each must return byte-identical curves for the same design set — they all
+bottom out in the same synthesis ladder — and must report the unified
+``STATS_KEYS`` counter schema.
 """
 
 from __future__ import annotations
@@ -14,20 +15,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.synth.backend as backend_module
 from repro.cells import nangate45
 from repro.distributed import SynthesisFarm
 from repro.prefix import PrefixGraph, brent_kung, kogge_stone, sklansky
 from repro.synth import (
     STATS_KEYS,
-    ClusterBackend,
-    FarmBackend,
-    LocalBackend,
+    EvaluationBackend,
     LocalServiceClient,
     SharedCacheService,
     SynthesisCache,
     SynthesisEvaluator,
     synthesize_curve,
 )
+
+CACHE_KEYS = {"entries", "hits", "misses", "hit_rate"}
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +48,16 @@ def expected(lib):
     return graphs, [synthesize_curve(g, lib).points() for g in graphs]
 
 
+@pytest.fixture(scope="module")
+def worker():
+    from repro.net import FarmWorkerServer
+
+    server = FarmWorkerServer(("127.0.0.1", 0))
+    server.start()
+    yield server
+    server.stop()
+
+
 def random_walk(n: int, seed: int) -> PrefixGraph:
     rng = np.random.default_rng(seed)
     g = sklansky(n)
@@ -61,137 +73,225 @@ def random_walk(n: int, seed: int) -> PrefixGraph:
     return g
 
 
-class TestByteIdenticalCurves:
-    def test_local_backend(self, lib, expected):
+def lease_backend(lib, service, owner, **kwargs):
+    return EvaluationBackend(
+        lib,
+        store=SynthesisCache(),
+        service=LocalServiceClient(service, owner),
+        **kwargs,
+    )
+
+
+def assert_schema(stats):
+    for key in STATS_KEYS:
+        assert key in stats, f"missing stats key {key!r}"
+    assert stats["dedup_saved"] == stats["designs"] - stats["unique_designs"]
+    if stats["cache"] is not None:
+        assert CACHE_KEYS <= set(stats["cache"])
+
+
+CONSTRUCTIONS = {
+    "store": "local",
+    "store+pool-farm": "farm-pool[2]",
+    "store+remote-farm": "farm-remote[1]",
+    "front-store+lease-service": "cluster",
+}
+
+
+@pytest.fixture(params=list(CONSTRUCTIONS))
+def construction(request, lib, worker):
+    """(backend, expected stats name) for each way to build the one class."""
+    kind = request.param
+    if kind == "store":
+        backend = EvaluationBackend(lib, store=SynthesisCache())
+    elif kind == "store+pool-farm":
+        backend = SynthesisFarm("nangate45", num_workers=2, cache=SynthesisCache()).backend
+    elif kind == "store+remote-farm":
+        backend = SynthesisFarm(
+            "nangate45",
+            num_workers=0,
+            remote_workers=[f"{worker.address[0]}:{worker.address[1]}"],
+            cache=SynthesisCache(),
+        ).backend
+    else:
+        backend = lease_backend(lib, SharedCacheService(SynthesisCache()), "a")
+    yield backend, CONSTRUCTIONS[kind]
+    backend.close()
+
+
+class TestConformance:
+    """Every construction: same curves, same schema, same counts."""
+
+    def test_curves_schema_and_counts(self, construction, expected):
+        backend, name = construction
         graphs, points = expected
-        backend = LocalBackend(lib)
         assert [c.points() for c in backend.evaluate_many(graphs)] == points
-        # Repeat batches come from the cache, still byte-identical.
+        # Repeat batches come from the store, still byte-identical.
         assert [c.points() for c in backend.evaluate_many(graphs)] == points
+        stats = backend.stats()
+        assert_schema(stats)
+        assert stats["backend"] == name
+        assert stats["batches"] == 2
+        assert stats["designs"] == 10 and stats["unique_designs"] == 6
+        # 3 unique designs, each synthesized exactly once; the second
+        # batch is all store hits.
+        assert stats["synthesized"] == stats["cache_misses"] == 3
+        assert stats["cache_hits"] == 3
+        assert stats["cache"]["entries"] == 3
 
-    def test_farm_local_backend(self, lib, expected):
+    def test_property_random_designs_match_direct_synthesis(self, lib):
+        @settings(max_examples=6, deadline=None)
+        @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+        def check(seed):
+            graph = random_walk(8, seed)
+            local = EvaluationBackend(lib, store=SynthesisCache())
+            leased = lease_backend(lib, SharedCacheService(SynthesisCache()), "p")
+            a = local.evaluate_many([graph])[0]
+            b = leased.evaluate_many([graph])[0]
+            assert a.points() == b.points()
+            assert a.points() == synthesize_curve(graph, lib).points()
+
+        check()
+
+    def test_storeless_backend_resynthesizes_but_still_dedups(self, lib, expected):
         graphs, points = expected
-        with SynthesisFarm("nangate45", num_workers=2) as farm:
-            backend = FarmBackend(farm)
-            assert [c.points() for c in backend.evaluate_many(graphs)] == points
-
-    def test_farm_remote_backend(self, lib, expected):
-        from repro.net import FarmWorkerServer
-
-        graphs, points = expected
-        with FarmWorkerServer(("127.0.0.1", 0)) as server:
-            farm = SynthesisFarm(
-                "nangate45",
-                num_workers=0,
-                remote_workers=[f"{server.address[0]}:{server.address[1]}"],
-            )
-            backend = FarmBackend(farm)
-            try:
-                assert [c.points() for c in backend.evaluate_many(graphs)] == points
-            finally:
-                backend.close()
-
-    def test_cluster_backend_without_contention(self, lib, expected):
-        graphs, points = expected
-        service = SharedCacheService(SynthesisCache())
-        backend = ClusterBackend(LocalServiceClient(service, "a"), lib)
+        backend = EvaluationBackend(lib)
         assert [c.points() for c in backend.evaluate_many(graphs)] == points
-        # Everything was leased to the only client and synthesized once.
-        assert backend.synthesized == 3
-        assert service.leases_fulfilled == 3
+        backend.evaluate_many(graphs)
+        stats = backend.stats()
+        assert stats["synthesized"] == 6 and stats["cache_hits"] == 0
+        assert stats["cache"] is None
 
-    def test_cluster_backend_under_lease_contention(self, lib, expected):
-        graphs, points = expected
-        service = SharedCacheService(SynthesisCache())
-        backends = [
-            ClusterBackend(
-                LocalServiceClient(service, name), lib, poll_interval=0.005
-            )
-            for name in ("a", "b")
-        ]
-        results = {}
-        barrier = threading.Barrier(2)
-
-        def run(i):
-            barrier.wait()
-            results[i] = [c.points() for c in backends[i].evaluate_many(graphs)]
-
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert results[0] == points and results[1] == points
-        # The lease protocol eliminated duplicate cross-client synthesis:
-        # 3 unique designs, 3 syntheses total no matter the interleaving.
-        assert backends[0].synthesized + backends[1].synthesized == 3
-        assert service.leases_granted == 3
-
-    def test_evaluator_metrics_agree_across_backends(self, lib, expected):
+    def test_evaluator_metrics_agree_across_constructions(self, lib, expected):
         graphs, _points = expected
         service = SharedCacheService(SynthesisCache())
         evaluators = [
             SynthesisEvaluator(lib),
-            SynthesisEvaluator(
-                lib, backend=ClusterBackend(LocalServiceClient(service, "x"), lib)
-            ),
+            SynthesisEvaluator(lib, backend=lease_backend(lib, service, "x")),
         ]
         metrics = [e.evaluate_many(graphs) for e in evaluators]
         assert metrics[0] == metrics[1]
 
 
-class TestPropertyEquivalence:
-    @settings(max_examples=6, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
-    def test_local_and_cluster_agree_on_random_designs(self, lib, seed):
-        graph = random_walk(8, seed)
-        local = LocalBackend(lib)
+class RecordingStore(SynthesisCache):
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def get_many(self, keys):
+        self.calls.append(("get_many", len(keys)))
+        return super().get_many(keys)
+
+    def put_many(self, items):
+        self.calls.append(("put_many", len(items)))
+        super().put_many(items)
+
+
+class TestStoreOnlyTraffic:
+    """The path ``repro train`` drives: one lookup, at most one write-back,
+    each digest computed once — the traffic the CLI differential gate and
+    the e2e benchmark's program-made counts pin."""
+
+    def test_one_get_many_one_put_many_one_digest_each(self, lib, expected, monkeypatch):
+        graphs, _points = expected
+        digests = []
+        real_digest = backend_module.graph_digest
+
+        def counting_digest(graph):
+            digests.append(graph.key())
+            return real_digest(graph)
+
+        monkeypatch.setattr(backend_module, "graph_digest", counting_digest)
+        store = RecordingStore()
+        backend = EvaluationBackend(lib, store=store)
+
+        backend.evaluate_many(graphs)  # cold: 3 unique misses
+        assert store.calls == [("get_many", 3), ("put_many", 3)]
+        assert len(digests) == 3 and len(set(digests)) == 3
+
+        store.calls.clear()
+        backend.evaluate_many(graphs + [random_walk(8, 1)])  # 3 hits + 1 miss
+        assert store.calls == [("get_many", 4), ("put_many", 1)]
+
+        store.calls.clear()
+        backend.evaluate_many(graphs)  # all hits: nothing to write back
+        assert store.calls == [("get_many", 3)]
+
+    def test_in_process_misses_resolve_synthesize_curve_at_call_time(self, lib, monkeypatch):
+        # Outside-in tracers patch the module-level name after backends exist.
+        seen = []
+        real = backend_module.synthesize_curve
+        backend = EvaluationBackend(lib, store=SynthesisCache())
+        monkeypatch.setattr(
+            backend_module,
+            "synthesize_curve",
+            lambda *args: seen.append(args[0]) or real(*args),
+        )
+        backend.evaluate_many([sklansky(8)])
+        assert len(seen) == 1
+
+
+class TestLeaseContention:
+    def test_without_contention_everything_is_leased_once(self, lib, expected):
+        graphs, points = expected
         service = SharedCacheService(SynthesisCache())
-        cluster = ClusterBackend(LocalServiceClient(service, "p"), lib)
-        a = local.evaluate_many([graph])[0]
-        b = cluster.evaluate_many([graph])[0]
-        assert a.points() == b.points()
-        assert a.points() == synthesize_curve(graph, lib).points()
+        backend = lease_backend(lib, service, "a")
+        assert [c.points() for c in backend.evaluate_many(graphs)] == points
+        # Everything was leased to the only client and synthesized once.
+        assert backend.synthesized == 3
+        assert service.leases_fulfilled == 3
+
+    @pytest.mark.parametrize("clients", [2, 4])
+    def test_n_threads_synthesize_each_unique_design_once(self, lib, expected, clients):
+        graphs, points = expected
+        service = SharedCacheService(SynthesisCache())
+        backends = [lease_backend(lib, service, f"c{i}") for i in range(clients)]
+        results = {}
+        barrier = threading.Barrier(clients)
+
+        def run(i):
+            barrier.wait()
+            results[i] = [c.points() for c in backends[i].evaluate_many(graphs)]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(clients)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert all(results[i] == points for i in range(clients))
+        # The lease protocol eliminated duplicate cross-client synthesis:
+        # 3 unique designs, 3 syntheses total no matter the interleaving.
+        assert sum(b.synthesized for b in backends) == 3
+        assert service.leases_granted == 3
 
 
 class TestStatsSchema:
     """One schema (STATS_KEYS) across every curve source — pinned here."""
 
-    CACHE_KEYS = {"entries", "hits", "misses", "hit_rate"}
-
-    def assert_schema(self, stats):
-        for key in STATS_KEYS:
-            assert key in stats, f"missing stats key {key!r}"
-        assert stats["dedup_saved"] == stats["designs"] - stats["unique_designs"]
-        if stats["cache"] is not None:
-            assert self.CACHE_KEYS <= set(stats["cache"])
-
-    def test_local_backend_schema(self, lib):
-        backend = LocalBackend(lib)
+    def test_store_only_dedup_counts(self, lib):
+        backend = EvaluationBackend(lib, store=SynthesisCache())
         backend.evaluate_many([sklansky(8), sklansky(8)])
         stats = backend.stats()
-        self.assert_schema(stats)
+        assert_schema(stats)
         assert stats["backend"] == "local"
         assert stats["designs"] == 2 and stats["unique_designs"] == 1
 
-    def test_farm_backend_and_farm_stats_schema(self, lib):
+    def test_farm_stats_are_its_backends(self, lib):
         with SynthesisFarm("nangate45", num_workers=1) as farm:
-            backend = FarmBackend(farm)
-            backend.evaluate_many([sklansky(8)])
-            self.assert_schema(backend.stats())
-            self.assert_schema(farm.stats())
-            assert backend.stats()["backend"] == "farm-pool[1]"
+            farm.backend.evaluate_many([sklansky(8)])
+            assert_schema(farm.stats())
+            assert farm.stats() == farm.backend.stats()
+            assert farm.stats()["backend"] == "farm-pool[1]"
         serial = SynthesisFarm("nangate45", num_workers=0)
         serial.evaluate_curves([sklansky(8)])
-        self.assert_schema(serial.stats())
+        assert_schema(serial.stats())
         assert serial.stats()["backend"] == "farm-serial"
 
-    def test_cluster_backend_schema(self, lib):
-        service = SharedCacheService(SynthesisCache())
-        backend = ClusterBackend(LocalServiceClient(service, "s"), lib)
+    def test_lease_extension(self, lib):
+        backend = lease_backend(lib, SharedCacheService(SynthesisCache()), "s")
         backend.evaluate_many([sklansky(8)])
         stats = backend.stats()
-        self.assert_schema(stats)
+        assert_schema(stats)
         assert stats["backend"] == "cluster"
         assert {"granted", "waited", "wait_hits", "reclaimed_grants"} <= set(
             stats["lease"]
@@ -204,37 +304,42 @@ class TestStatsSchema:
         env = PrefixEnv(8, SynthesisEvaluator(lib), horizon=4, rng=0)
         agent = ScalarizedDoubleDQN(8, blocks=0, channels=4, rng=0)
         hist = Trainer(env, agent, TrainerConfig(steps=4, warmup_steps=1000), rng=0).run()
-        self.assert_schema(hist.synthesis_stats)
+        assert_schema(hist.synthesis_stats)
         assert "shared" in hist.synthesis_stats["cache"]
 
 
 class TestEvaluatorBackendWiring:
-    def test_legacy_cache_kwarg_builds_local_backend(self, lib):
+    def test_cache_kwarg_becomes_the_backends_store(self, lib):
         cache = SynthesisCache()
         evaluator = SynthesisEvaluator(lib, cache=cache)
-        assert isinstance(evaluator.backend, LocalBackend)
+        assert evaluator.backend.store is cache
         assert evaluator.cache is cache
         assert evaluator.farm is None
 
-    def test_active_farm_kwarg_builds_farm_backend(self, lib):
+    def test_active_farm_kwarg_adopts_the_farms_backend(self, lib):
         with SynthesisFarm("nangate45", num_workers=1) as farm:
             evaluator = SynthesisEvaluator(lib, farm=farm)
-            assert isinstance(evaluator.backend, FarmBackend)
+            assert evaluator.backend is farm.backend
             assert evaluator.farm is farm
-            assert evaluator.cache is farm.cache
+            assert evaluator.cache is farm.cache is not None
 
-    def test_serial_farm_falls_back_to_local_backend(self, lib):
+    def test_serial_farm_is_never_routed_through(self, lib):
         farm = SynthesisFarm("nangate45", num_workers=0)
         evaluator = SynthesisEvaluator(lib, farm=farm)
-        assert isinstance(evaluator.backend, LocalBackend)
+        assert evaluator.backend is not farm.backend
+        assert evaluator.farm is None
 
     def test_backend_and_cache_kwargs_are_exclusive(self, lib):
         with pytest.raises(ValueError, match="not both"):
-            SynthesisEvaluator(lib, cache=SynthesisCache(), backend=LocalBackend(lib))
+            SynthesisEvaluator(lib, cache=SynthesisCache(), backend=EvaluationBackend(lib))
 
     def test_backend_share_tokens(self, lib):
         cache = SynthesisCache()
-        a = LocalBackend(lib, cache=cache)
-        b = LocalBackend(lib, cache=cache)
+        a = EvaluationBackend(lib, store=cache)
+        b = EvaluationBackend(lib, store=cache)
         assert a.share_token() is b.share_token()
-        assert LocalBackend(lib).share_token() is not a.share_token()
+        assert EvaluationBackend(lib, store=SynthesisCache()).share_token() is not cache
+        service = LocalServiceClient(SharedCacheService(), "t")
+        assert EvaluationBackend(lib, store=cache, service=service).share_token() is service
+        storeless = EvaluationBackend(lib)
+        assert storeless.share_token() is storeless

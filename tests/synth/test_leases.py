@@ -10,12 +10,19 @@ import pytest
 from repro.cells import nangate45
 from repro.prefix import brent_kung, sklansky
 from repro.synth import (
-    ClusterBackend,
+    EvaluationBackend,
     LocalServiceClient,
     SharedCacheService,
     SynthesisCache,
     synthesize_curve,
 )
+
+def lease_backend(service, lib, owner="waiter", **kwargs):
+    """The front-store + lease-service construction of the one backend."""
+    return EvaluationBackend(
+        lib, store=SynthesisCache(), service=LocalServiceClient(service, owner), **kwargs
+    )
+
 
 K1 = ("digest-1", "nangate45", "openphysyn")
 K2 = ("digest-2", "nangate45", "openphysyn")
@@ -146,15 +153,11 @@ class TestHolderDiesMidSynthesis:
         service = SharedCacheService(SynthesisCache(), lease_timeout=0.2)
 
         holder = LocalServiceClient(service, "holder")
-        waiter_backend = ClusterBackend(
-            LocalServiceClient(service, "waiter"), lib, poll_interval=0.01
-        )
+        waiter_backend = lease_backend(service, lib)
 
         # The holder claims both designs... and then goes silent forever
         # (process death mid-synthesis: no put, no release).
-        replies = holder.claim(
-            [waiter_backend._key(g) for g in graphs]
-        )
+        replies = holder.claim([waiter_backend.key(g) for g in graphs])
         assert all("lease" in r for r in replies)
 
         started = time.monotonic()
@@ -174,10 +177,8 @@ class TestHolderDiesMidSynthesis:
         graph = sklansky(8)
         service = SharedCacheService(SynthesisCache(), lease_timeout=60.0)
         holder = LocalServiceClient(service, "holder")
-        backend = ClusterBackend(
-            LocalServiceClient(service, "waiter"), lib, poll_interval=0.01
-        )
-        holder.claim([backend._key(graph)])
+        backend = lease_backend(service, lib)
+        holder.claim([backend.key(graph)])
 
         def drop_holder():
             time.sleep(0.05)
@@ -193,13 +194,8 @@ class TestHolderDiesMidSynthesis:
         graph = sklansky(8)
         service = SharedCacheService(SynthesisCache(), lease_timeout=60.0)
         holder = LocalServiceClient(service, "holder")
-        backend = ClusterBackend(
-            LocalServiceClient(service, "waiter"),
-            lib,
-            poll_interval=0.01,
-            wait_timeout=0.1,
-        )
-        holder.claim([backend._key(graph)])
+        backend = lease_backend(service, lib, wait_timeout=0.1)
+        holder.claim([backend.key(graph)])
         with pytest.raises(RuntimeError, match="waiting on"):
             backend.evaluate_many([graph])
 
@@ -280,11 +276,6 @@ class TestLongPoll:
         service = SharedCacheService(SynthesisCache(), lease_timeout=60.0)
         assert service.claim([], owner="a", wait=True) == []
 
-    def test_local_client_advertises_long_poll(self):
-        service = SharedCacheService(SynthesisCache())
-        client = LocalServiceClient(service, "c")
-        assert client.long_poll is True
-
     def test_backend_wait_path_uses_parking_not_sleep(self):
         """End to end over the in-process client: the waiter backend gets
         the curve without a single uncounted re-claim (no poll loop)."""
@@ -292,14 +283,14 @@ class TestLongPoll:
         graph = sklansky(8)
         service = SharedCacheService(SynthesisCache(), lease_timeout=60.0)
         holder = LocalServiceClient(service, "holder")
-        backend = ClusterBackend(LocalServiceClient(service, "waiter"), lib)
-        (granted,) = holder.claim([backend._key(graph)])
+        backend = lease_backend(service, lib)
+        (granted,) = holder.claim([backend.key(graph)])
         expected = synthesize_curve(graph, lib).points()
 
         def fulfil():
             time.sleep(0.1)
             holder.put(
-                [(backend._key(graph), synthesize_curve(graph, lib))],
+                [(backend.key(graph), synthesize_curve(graph, lib))],
                 lease_ids=[granted["lease"]],
             )
 
@@ -309,44 +300,3 @@ class TestLongPoll:
         assert backend.lease_waited == 1
         assert service.lease_parks >= 1
         assert service.lease_polls == 0
-
-
-class TestLegacyServiceShim:
-    def test_pre_long_poll_service_falls_back_to_polling(self):
-        """A client dialing an old service (claim() without wait kwargs)
-        must detect the TypeError once and poll thereafter."""
-        lib = nangate45()
-        graph = sklansky(8)
-        service = SharedCacheService(SynthesisCache(), lease_timeout=60.0)
-
-        class OldClient:
-            # The pre-long-poll claim signature: no wait parameters, no
-            # long_poll capability attribute.
-            def __init__(self, service, owner):
-                self.service = service
-                self.owner = owner
-
-            def claim(self, keys, counted=True):
-                return self.service.claim(keys, self.owner, counted=counted)
-
-            def put(self, items, lease_ids=None):
-                return self.service.put(items, owner=self.owner, lease_ids=lease_ids)
-
-        holder = LocalServiceClient(service, "holder")
-        backend = ClusterBackend(
-            OldClient(service, "waiter"), lib, poll_interval=0.01
-        )
-        (granted,) = holder.claim([backend._key(graph)])
-
-        def fulfil():
-            time.sleep(0.1)
-            holder.put(
-                [(backend._key(graph), synthesize_curve(graph, lib))],
-                lease_ids=[granted["lease"]],
-            )
-
-        threading.Thread(target=fulfil, daemon=True).start()
-        curves = backend.evaluate_many([graph])
-        assert curves[0].points() == synthesize_curve(graph, lib).points()
-        assert backend._legacy_wait is True
-        assert service.lease_polls >= 1  # it really polled
