@@ -116,7 +116,6 @@ def cmd_train(args) -> int:
     from repro.rl import (
         RuntimeConfig,
         ScalarizedDoubleDQN,
-        Trainer,
         TrainerConfig,
         TrainingRuntime,
     )
@@ -132,11 +131,6 @@ def cmd_train(args) -> int:
             raise SystemExit(
                 "--checkpoint-every/--stop-after/--resume require --checkpoint-dir"
             )
-    if args.checkpoint_dir and args.runtime == "trainer":
-        raise SystemExit(
-            "checkpointing needs the runtime: pass --runtime sync (deterministic) "
-            "or --runtime async"
-        )
 
     library = _library(args.library)
     calib = []
@@ -164,48 +158,41 @@ def cmd_train(args) -> int:
 
     config = TrainerConfig(steps=args.steps, batch_size=8, warmup_steps=16)
 
-    if args.runtime == "trainer":
-        env = PrefixEnv(args.width, make_evaluator(), horizon=24, rng=args.seed)
-        trainer = Trainer(env, make_agent(), config, rng=args.seed)
-        history = trainer.run()
-        archive_envs = [env]
+    if args.runtime == "sync":
+        envs = PrefixEnv(args.width, make_evaluator(), horizon=24, rng=args.seed)
+        archive_envs = [envs]
     else:
-        runtime_config = RuntimeConfig(
+        from repro.env import VectorPrefixEnv
+
+        envs = [
+            VectorPrefixEnv.make(
+                args.width, make_evaluator, num_envs=args.envs_per_actor,
+                horizon=24, seed=args.seed + i * args.envs_per_actor,
+            )
+            for i in range(args.actors)
+        ]
+        archive_envs = [e for venv in envs for e in venv.envs]
+    runtime = TrainingRuntime(
+        envs, make_agent(), config,
+        RuntimeConfig(
             mode=args.runtime,
             num_actors=args.actors,
             publish_every=args.publish_every,
             checkpoint_every=args.checkpoint_every,
             stop_after=args.stop_after,
+        ),
+        checkpoint_dir=args.checkpoint_dir, rng=args.seed,
+    )
+    history = runtime.run(
+        steps=None if args.resume else args.steps, resume=args.resume
+    )
+    if runtime.preempted:
+        print(
+            f"checkpointed at step {history.env_steps} into {args.checkpoint_dir}; "
+            "rerun with --resume to continue",
+            file=sys.stderr,
         )
-        if args.runtime == "sync":
-            env = PrefixEnv(args.width, make_evaluator(), horizon=24, rng=args.seed)
-            envs = env
-            archive_envs = [env]
-        else:
-            from repro.env import VectorPrefixEnv
-
-            envs = [
-                VectorPrefixEnv.make(
-                    args.width, make_evaluator, num_envs=args.envs_per_actor,
-                    horizon=24, seed=args.seed + i * args.envs_per_actor,
-                )
-                for i in range(args.actors)
-            ]
-            archive_envs = [e for venv in envs for e in venv.envs]
-        runtime = TrainingRuntime(
-            envs, make_agent(), config, runtime_config,
-            checkpoint_dir=args.checkpoint_dir, rng=args.seed,
-        )
-        history = runtime.run(
-            steps=None if args.resume else args.steps, resume=args.resume
-        )
-        if runtime.preempted:
-            print(
-                f"checkpointed at step {history.env_steps} into {args.checkpoint_dir}; "
-                "rerun with --resume to continue",
-                file=sys.stderr,
-            )
-            return 0
+        return 0
 
     print(f"trained {history.env_steps} steps ({history.gradient_steps} gradient steps)")
     print(f"cache: {cache}")
@@ -730,10 +717,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channels", type=int, default=8)
     p.add_argument("--library", default="nangate45")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--runtime", choices=("trainer", "sync", "async"), default="trainer",
-                   help="collection loop: legacy Trainer (default), the deterministic "
-                        "runtime (byte-identical, checkpointable) or the async "
-                        "actor-learner runtime")
+    p.add_argument("--runtime", choices=("sync", "async"), default="sync",
+                   help="the deterministic single-process runtime (default) or the "
+                        "async actor-learner runtime (--actors threads)")
     p.add_argument("--actors", type=int, default=2,
                    help="async runtime: actor thread count")
     p.add_argument("--envs-per-actor", type=int, default=4,
@@ -741,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--publish-every", type=int, default=1,
                    help="async runtime: gradient steps between weight publications")
     p.add_argument("--checkpoint-dir", default=None,
-                   help="checkpoint root (enables checkpointing; needs --runtime sync/async)")
+                   help="checkpoint root (enables checkpointing)")
     p.add_argument("--checkpoint-every", type=int, default=0,
                    help="env steps between checkpoints (0: only at halt/completion)")
     p.add_argument("--stop-after", type=int, default=None,

@@ -8,16 +8,19 @@ reproduces the mechanisms and their measurable effects:
   parallel, with a serial mode so the Sec. V-C speedup is measurable;
 - :class:`BatchedActor` — many environment copies stepped with one batched
   Q-network forward per round (the pipeline-parallel experience generator);
+- :class:`LearnerCore` / :class:`ActorLoop` — the off-policy actor/learner
+  split itself: one core, one loop, threads or sockets in between;
 - the shared :class:`repro.synth.SynthesisCache` provides the cache-hit
   statistics the paper reports (50% at 32b, 10% at 64b).
 """
 
 from repro.distributed.farm import SynthesisFarm, FarmStats
 from repro.distributed.pipeline import (
-    ActorPolicy,
+    ActorLoop,
     ActorWorker,
     BatchedActor,
     CollectStats,
+    LearnerCore,
     PolicyHub,
 )
 
@@ -26,7 +29,8 @@ __all__ = [
     "FarmStats",
     "BatchedActor",
     "CollectStats",
-    "ActorPolicy",
+    "ActorLoop",
     "ActorWorker",
+    "LearnerCore",
     "PolicyHub",
 ]

@@ -1,27 +1,30 @@
-"""Pipelined experience generation: batched acting and the actor side of
-the asynchronous actor-learner runtime.
+"""Pipelined experience generation: batched acting and the actor/learner core.
 
 The paper decouples experience generation from learning (off-policy DQN)
-and runs many actors in parallel. Two CPU-scale equivalents live here:
+and runs many actors in parallel. This module holds the one architecture
+the repo scales that with, at every deployment size:
 
 - :class:`BatchedActor` — ``k`` environment replicas advance in lockstep,
-  with one batched Q-network forward serving all of them per round,
-  amortizing the network cost exactly the way the paper's pipeline
-  amortizes synthesis latency (:class:`CollectStats` reports the
-  steps/second achieved so the speedup over one-env acting is
-  measurable);
-- :class:`PolicyHub` / :class:`ActorPolicy` / :class:`ActorWorker` — the
-  actor half of :class:`repro.rl.runtime.TrainingRuntime`: worker threads
-  step their own environments against a *snapshot* of the learner's
-  policy (refreshed whenever the learner publishes weights, the paper's
-  delayed-parameter actors) and push transitions into their own shard of
-  a :class:`repro.rl.replay.ShardedReplayBuffer`.
+  with one batched Q-network forward serving all of them per round
+  (:class:`CollectStats` reports the steps/second achieved so the speedup
+  over one-env acting is measurable); collection without a learner;
+- :class:`LearnerCore` — what one learner owns (history, sharded replay,
+  the published policy in a :class:`PolicyHub`, the epsilon schedule and
+  the step budget) and the two things an actor may ask of it:
+  :meth:`~LearnerCore.pull` (weights, if newer) and
+  :meth:`~LearnerCore.ingest` (one acting round in, next orders out);
+- :class:`ActorLoop` — refresh → acting round → push → obey, over any
+  *link* with ``pull(have_version, have_digest)`` and ``push(round,
+  epsilon)``. :class:`ActorWorker` is that loop on a thread with the core
+  itself behind the link; :class:`repro.net.actor.RemoteActorWorker` is
+  the same loop with a socket behind it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +33,8 @@ from repro import obs as obslib
 from repro.env.environment import PrefixEnv
 from repro.env.vector import VectorPrefixEnv
 from repro.rl.agent import ScalarizedDoubleDQN
-from repro.rl.replay import ReplayBuffer, Transition
+from repro.rl.replay import ReplayBuffer
+from repro.rl.trainer import acting_round, fold_round, grads_allowed, push_round
 from repro.utils.rng import ensure_rng
 
 
@@ -68,6 +72,7 @@ class BatchedActor:
         self._rng = ensure_rng(rng)
         self._venv = VectorPrefixEnv(envs)
         self._venv.reset()
+        self._obs, self._masks = self._venv.observe(), self._venv.legal_masks()
 
     def collect(
         self,
@@ -81,29 +86,17 @@ class BatchedActor:
         actions; epsilon-greedy noise is applied per environment. Pushes
         transitions into ``buffer`` when given.
         """
+
+        def act(obs, masks):
+            return self.agent.act_batch(obs, masks, epsilon=epsilon, rng=self._rng)
+
         steps = 0
-        venv = self._venv
         with obslib.span("pipeline.collect", rounds=rounds, envs=len(self.envs)) as sp:
             for _ in range(rounds):
-                feats = venv.observe()
-                masks = venv.legal_masks()
-                action_idxs = self.agent.act_batch(
-                    feats, masks, epsilon=epsilon, rng=self._rng
-                )
-                results = venv.step(action_idxs)
+                round_, self._obs, self._masks = acting_round(self._venv, self._obs, self._masks, act)
                 if buffer is not None:
-                    for i, (env, result) in enumerate(zip(self.envs, results)):
-                        buffer.push(
-                            Transition(
-                                state=feats[i],
-                                action=int(action_idxs[i]),
-                                reward=result.reward,
-                                next_state=env.observe(result.next_state),
-                                next_mask=env.legal_mask(result.next_state),
-                                done=result.done,
-                            )
-                        )
-                steps += len(results)
+                    push_round(buffer, round_, len(self.envs))
+                steps += len(self.envs)
         obslib.counter("pipeline.collect_steps").inc(steps)
         return CollectStats(
             env_steps=steps, wall_seconds=sp.seconds, num_envs=len(self.envs)
@@ -111,7 +104,7 @@ class BatchedActor:
 
 
 # ----------------------------------------------------------------------
-# Asynchronous actors (the runtime's experience generators)
+# The learner core
 # ----------------------------------------------------------------------
 
 
@@ -138,9 +131,8 @@ class PolicyHub:
     """The learner's published policy, shared with every actor.
 
     The learner calls :meth:`publish` on its cadence (paper-style delayed
-    weight publication); each actor holds an :class:`ActorPolicy` that
-    copies the newest weights into its private network at round
-    boundaries. Publications are detached copies, so actors never observe
+    weight publication); each :class:`ActorLoop` copies the newest weights
+    into its private network at round boundaries. Publications are detached copies, so actors never observe
     a half-applied gradient step. Every publication carries a content
     digest so pulls can be answered "unchanged" without re-shipping.
     """
@@ -174,7 +166,7 @@ class PolicyHub:
             self._version += 1
             return self._version
 
-    def _pull(self, have_version: int, have_digest: "str | None" = None):
+    def pull(self, have_version: int, have_digest: "str | None" = None):
         """``(version, digest, weights-or-None)``; None means "unchanged".
 
         A pull is unchanged when the client's version matches *or* its
@@ -188,145 +180,247 @@ class PolicyHub:
                 return self._version, self._digest, None
             return self._version, self._digest, self._weights
 
-    def subscribe(self) -> "ActorPolicy":
-        """A fresh actor-side policy copy tracking this hub."""
-        return ActorPolicy(self, self._agent.snapshot_network())
 
+class LearnerCore:
+    """What one learner owns, and the two things an actor may ask of it.
 
-class ActorPolicy:
-    """An actor's private inference network, lazily synced to the hub."""
+    The history, the sharded replay buffer, the published policy, the
+    epsilon schedule and the step budget live here, whatever carries the
+    actors' rounds in (a method call from a thread, a frame off a
+    socket). :meth:`ingest` is the only writer of the history's env-step
+    side, so three properties hold for every runtime by construction:
+    ingest never records past ``limit = min(total, stop_after)`` (a
+    preemption snapshot lands exactly on its step), nothing is recorded
+    once :attr:`stop` is set, and an actor that outruns the gradient
+    cadence by more than ``backpressure_lag`` steps (0 disables) is told
+    to yield for ``throttle_seconds``.
 
-    def __init__(self, hub: PolicyHub, network):
-        self._hub = hub
-        self._net = network
-        self._version = 0
-        self.refresh()
-
-    def refresh(self) -> bool:
-        """Adopt newly published weights, if any; returns True on update."""
-        version, _digest, weights = self._hub._pull(self._version)
-        if weights is None:
-            self._version = version
-            return False
-        self._net.load_state_arrays(weights)
-        self._net.eval()
-        self._version = version
-        return True
-
-    def act_batch(
-        self, features: np.ndarray, legal_masks: np.ndarray, epsilon: float, rng
-    ) -> np.ndarray:
-        """Epsilon-greedy actions on the snapshot network.
-
-        The exploration draws happen *first*, so the (expensive) network
-        forward only runs for the replicas that exploit this round — at
-        epsilon 1 a round costs no convolutions at all, mirroring the
-        single-env ``agent.act`` fast path while keeping the exploit
-        subset batched in one forward.
-        """
-        legal_masks = np.asarray(legal_masks)
-        if not legal_masks.any(axis=1).all():
-            raise ValueError("no legal actions available in some state")
-        num = legal_masks.shape[0]
-        chosen = np.empty(num, dtype=np.int64)
-        explore = (
-            np.array([rng.random() < epsilon for _ in range(num)])
-            if epsilon > 0
-            else np.zeros(num, dtype=bool)
-        )
-        for e in np.nonzero(explore)[0]:
-            legal_idx = np.nonzero(legal_masks[e])[0]
-            chosen[e] = legal_idx[rng.integers(legal_idx.size)]
-        exploit = np.nonzero(~explore)[0]
-        if exploit.size:
-            qmaps = self._net.predict(np.asarray(features)[exploit])
-            flat = self._hub.actions.qmaps_to_flat(qmaps)
-            scalar = np.where(legal_masks[exploit], flat @ self._hub.w, -np.inf)
-            chosen[exploit] = np.argmax(scalar, axis=1)
-        return chosen
-
-
-class ActorWorker(threading.Thread):
-    """One experience-generating thread of the asynchronous runtime.
-
-    Each round: refresh the policy snapshot, act on every replica of this
-    actor's vector environment with one batched forward, step the
-    environment (replicas sharing a cache ride one ``evaluate_many``
-    synthesis batch), and push the transitions into this actor's replay
-    shard. Coordination state (step budget, pause gate for checkpoints,
-    shared history) is owned by the runtime and accessed under its lock.
+    ``lock`` guards the history and per-shard bookkeeping;
+    ``ingest_lock`` additionally serializes whole rounds, so holding it
+    parks every actor at its next round boundary (checkpoints do).
+    ``parked`` counts the actors waiting there — an in-process snapshot
+    of actor-owned environments waits for it to reach the live count.
     """
 
     def __init__(
         self,
-        index: int,
-        venv: VectorPrefixEnv,
-        policy: ActorPolicy,
+        agent: ScalarizedDoubleDQN,
         buffer,
-        schedule,
-        coordinator,
-        rng,
+        history,
+        config,
+        total: int,
+        stop_after: "int | None" = None,
+        backpressure_lag: int = 0,
+        throttle_seconds: float = 0.05,
     ):
+        self.agent = agent
+        self.buffer = buffer
+        self.history = history
+        self.config = config
+        self.total = total
+        self.limit = total if stop_after is None else min(total, stop_after)
+        self.hub = PolicyHub(agent)
+        self.schedule = config.schedule(total)
+        self.backpressure_lag = backpressure_lag
+        self.throttle_seconds = throttle_seconds
+        self.lock = threading.Lock()
+        self.ingest_lock = threading.RLock()
+        self.stop = False
+        self.parked = 0
+        self.returns: "dict[int, list[float]]" = {}  # per shard, per replica: in-flight episode returns
+        self.throttled_batches = 0
+
+    def env_steps(self) -> int:
+        with self.lock:
+            return self.history.env_steps
+
+    def gradient_steps(self) -> int:
+        with self.lock:
+            return self.history.gradient_steps
+
+    def record_loss(self, loss: float) -> None:
+        with self.lock:
+            self.history.losses.append(loss)
+            self.history.gradient_steps += 1
+
+    def _orders(self) -> dict:
+        # Callers hold self.lock.
+        steps = self.history.env_steps
+        return {
+            "env_steps": steps,
+            "epsilon": float(self.schedule(steps)),
+            "stop": self.stop or steps >= self.limit,
+        }
+
+    def orders(self) -> dict:
+        """Where the run stands: ``{env_steps, epsilon, stop}``."""
+        with self.lock:
+            return self._orders()
+
+    def pull(self, have_version: int, have_digest: "str | None" = None):
+        """``(version, digest, weights-or-None)`` — see :meth:`PolicyHub.pull`."""
+        return self.hub.pull(have_version, have_digest)
+
+    def ingest(self, shard: int, round_: dict, epsilon: float) -> dict:
+        """Fold one acting round from ``shard``; returns the actor's next
+        orders: ``{kept, env_steps, epsilon, stop, throttle}``.
+
+        The budget may truncate the round; only the kept prefix enters
+        the replay shard.
+        """
+        with self.lock:
+            self.parked += 1
+        with self.ingest_lock:
+            with self.lock:
+                self.parked -= 1
+                kept = 0
+                if not self.stop:
+                    # The replica count is the actor's to choose.
+                    returns = self.returns.setdefault(shard, [])
+                    returns.extend([0.0] * (len(round_["dones"]) - len(returns)))
+                    kept = fold_round(self.history, returns, self.hub.w, round_, epsilon, self.limit)
+                reply = {"kept": kept, **self._orders(), "throttle": 0.0}
+                if self.backpressure_lag and not reply["stop"]:
+                    lag = grads_allowed(reply["env_steps"], self.config) - self.history.gradient_steps
+                    if lag > self.backpressure_lag:
+                        reply["throttle"] = self.throttle_seconds
+                        self.throttled_batches += 1
+            push_round(self.buffer, round_, kept, shard)
+        obslib.counter("learner.push_batches").inc()
+        obslib.counter("learner.transitions_kept").inc(kept)
+        if reply["throttle"]:
+            obslib.counter("learner.throttled_batches").inc()
+        return reply
+
+
+# ----------------------------------------------------------------------
+# The actor loop
+# ----------------------------------------------------------------------
+
+
+def epsilon_greedy(predict, features, legal_masks, epsilon: float, rng) -> np.ndarray:
+    """Exploration-first epsilon-greedy over ``E`` stacked states.
+
+    The exploration draws happen *first*, so ``predict(features, masks)
+    -> flat action indices`` (the expensive network forward, local or
+    remote) only sees the rows that exploit this round — at epsilon 1 a
+    round costs no convolutions at all — and the RNG stream, hence the
+    exploration trajectory, does not depend on who serves the forward.
+    """
+    legal_masks = np.asarray(legal_masks)
+    if not legal_masks.any(axis=1).all():
+        raise ValueError("no legal actions available in some state")
+    num = legal_masks.shape[0]
+    chosen = np.empty(num, dtype=np.int64)
+    explore = (
+        np.array([rng.random() < epsilon for _ in range(num)])
+        if epsilon > 0
+        else np.zeros(num, dtype=bool)
+    )
+    for e in np.nonzero(explore)[0]:
+        legal_idx = np.nonzero(legal_masks[e])[0]
+        chosen[e] = legal_idx[rng.integers(legal_idx.size)]
+    exploit = np.nonzero(~explore)[0]
+    if exploit.size:
+        chosen[exploit] = predict(np.asarray(features)[exploit], legal_masks[exploit])
+    return chosen
+
+
+class ActorLoop:
+    """One actor: refresh → acting round → push → obey, until told to stop.
+
+    Acts on a private snapshot network (the paper's delayed-parameter
+    actors), refreshed through ``link.pull`` whenever the learner has
+    published, and hands every round to ``link.push``, whose reply carries
+    the next epsilon, the stop flag, a throttle hint and (on the wire) the
+    next round's trace — so schedule position, shutdown and backpressure
+    need no side channel.
+    """
+
+    def __init__(self, venv: VectorPrefixEnv, net, actions, w, rng, actor=None):
+        self.venv = venv
+        self.net = net
+        self.actions = actions
+        self.w = w
+        self.rng = rng
+        self.actor = actor
+        self.version = 0
+        self.digest = None
+        self.trace = None  # the trace of the round in flight (learner-minted)
+
+    def refresh(self, link) -> None:
+        """Adopt newly published weights, if any (digest-keyed: an
+        unchanged policy costs one tiny exchange)."""
+        self.version, self.digest, weights = link.pull(self.version, self.digest)
+        if weights is not None:
+            self.net.load_state_arrays(weights)
+            self.net.eval()
+
+    def greedy(self, features, masks) -> np.ndarray:
+        """Masked scalarized argmax on the snapshot network."""
+        flat = self.actions.qmaps_to_flat(self.net.predict(features))
+        return np.argmax(np.where(masks, flat @ self.w, -np.inf), axis=1)
+
+    def run(self, link, epsilon: float, trace=None, predict=None) -> None:
+        """Generate experience until a push reply says stop.
+
+        ``predict`` replaces the local exploit forward (a shared inference
+        service that falls back to :meth:`greedy`); while it is set the
+        per-round weight refresh is skipped — the service tracks the hub.
+        """
+        venv = self.venv
+        self.trace = trace
+        obs, masks = venv.observe(), venv.legal_masks()
+
+        def act(features, legal_masks):
+            # Reads the enclosing ``epsilon``: each reply moves it along the schedule.
+            return epsilon_greedy(predict or self.greedy, features, legal_masks, epsilon, self.rng)
+
+        while True:
+            with obslib.trace.scope(self.trace), obslib.span("actor.round", actor=self.actor) as round_span:
+                if predict is None:
+                    self.refresh(link)
+                round_, obs, masks = acting_round(venv, obs, masks, act)
+                with obslib.span("actor.push") as push_span:
+                    reply = link.push(round_, epsilon)
+            obslib.counter("actor.rounds").inc()
+            obslib.counter("actor.env_steps_kept").inc(reply["kept"])
+            obslib.histogram("actor.round_seconds").observe(round_span.seconds)
+            obslib.histogram("actor.push_seconds").observe(push_span.seconds)
+            epsilon = reply["epsilon"]
+            self.trace = reply.get("trace") or self.trace
+            if reply["stop"]:
+                return
+            if reply.get("throttle"):
+                # Backpressure: the learner is behind on its gradient
+                # cadence — yield briefly.
+                obslib.counter("actor.throttled_rounds").inc()
+                time.sleep(reply["throttle"])
+
+
+class ActorWorker(threading.Thread):
+    """An in-process actor: a thread that runs :class:`ActorLoop` with the
+    core itself behind the link, and captures its error for the learner."""
+
+    def __init__(self, index: int, venv: VectorPrefixEnv, core: LearnerCore, rng):
         super().__init__(name=f"actor-{index}", daemon=True)
         self.index = index
-        self.venv = venv
-        self.policy = policy
-        self.buffer = buffer
-        self.schedule = schedule
-        self.coord = coordinator
-        self.rng = ensure_rng(rng)
-        self.episode_returns = [0.0] * venv.num_envs
+        self.core = core
+        self.loop = ActorLoop(
+            venv, core.agent.snapshot_network(), core.hub.actions, core.hub.w, ensure_rng(rng), actor=index
+        )
         self.error: "BaseException | None" = None
+
+    def pull(self, have_version, have_digest):
+        return self.core.pull(have_version, have_digest)
+
+    def push(self, round_: dict, epsilon: float) -> dict:
+        return self.core.ingest(self.index, round_, epsilon)
 
     def run(self) -> None:
         try:
-            self.coord.register()
-            try:
-                while True:
-                    self.coord.checkpoint_point()
-                    step_now = self.coord.env_steps()
-                    if step_now >= self.coord.total or self.coord.stopping():
-                        return
-                    self._round(self.schedule(step_now))
-            finally:
-                self.coord.deregister()
-        except BaseException as exc:  # surface in the learner thread
+            orders = self.core.orders()
+            if not orders["stop"]:
+                self.loop.run(self, orders["epsilon"])
+        except BaseException as exc:  # surfaced by the learner thread
             self.error = exc
-            self.coord.abort()
-
-    def _round(self, epsilon: float) -> None:
-        venv = self.venv
-        self.policy.refresh()
-        obs = venv.observe()
-        masks = venv.legal_masks()
-        action_idxs = self.policy.act_batch(obs, masks, epsilon, self.rng)
-        results = venv.step(action_idxs)
-        next_obs = venv.observe()
-        next_masks = venv.legal_masks()
-
-        transitions = []
-        for i, result in enumerate(results):
-            if result.done:
-                t_obs = venv.envs[i].observe(result.next_state)
-                t_mask = venv.envs[i].legal_mask(result.next_state)
-            else:
-                t_obs = next_obs[i]
-                t_mask = next_masks[i]
-            transitions.append(
-                Transition(
-                    state=obs[i],
-                    action=int(action_idxs[i]),
-                    reward=result.reward,
-                    next_state=t_obs,
-                    next_mask=t_mask,
-                    done=result.done,
-                )
-            )
-        # Record under the coordinator's lock; the budget may truncate the
-        # round (the replicas did advance; their archives keep those
-        # evaluations, matching the vector trainer's convention).
-        kept = self.coord.record_round(self, results, epsilon)
-        for transition in transitions[:kept]:
-            self.buffer.push(transition, shard=self.index)
-        obslib.counter("pipeline.rounds").inc()
-        obslib.counter("pipeline.transitions_kept").inc(kept)

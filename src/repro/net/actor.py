@@ -1,17 +1,15 @@
 """The remote actor: experience generation in its own OS process.
 
 :class:`RemoteActorWorker` is the process-shaped sibling of the threaded
-:class:`repro.distributed.ActorWorker` — the step the ROADMAP's
-"multi-host actors" item asks for. Where the thread shares the learner's
-memory (and its GIL), the remote actor shares nothing: it dials a
+:class:`repro.distributed.ActorWorker`: the same
+:class:`~repro.distributed.pipeline.ActorLoop`, with a socket behind the
+link instead of the learner's memory (and its GIL). It dials a
 :class:`repro.net.learner.LearnerServer`, receives the
 :class:`~repro.net.learner.ClusterSpec` on ``join``, rebuilds the vector
-environment and an inference-only Q-network locally, and then loops the
-familiar round — refresh the weight snapshot if the learner published,
-act exploration-first on every replica, step the environment, and push
-the round's transitions back. The ``push_batch`` reply carries the next
-epsilon and the stop flag, so schedule position and shutdown need no side
-channel.
+environment and an inference-only Q-network locally, and runs the loop
+with ``pull_weights`` / ``push_batch`` calls as its two link methods;
+everything else here is what a wire adds — supervised redial, session
+rejoin, obs piggybacking and the shared-inference fallback.
 
 Synthesis routes through a :class:`repro.synth.backend.EvaluationBackend`
 whose lease service is a :class:`RemoteCacheClient`: misses *claim* at the
@@ -30,12 +28,12 @@ of the paper's Section V-C.
 from __future__ import annotations
 
 import os
-import time
 
 import numpy as np
 
 from repro import obs as obslib
 from repro.cells import library_by_name
+from repro.distributed.pipeline import ActorLoop
 from repro.env.actions import ActionSpace
 from repro.env.vector import VectorPrefixEnv
 from repro.net.backoff import Backoff
@@ -179,6 +177,7 @@ class RemoteActorWorker:
         self.reconnect_seconds = 0.0
         self.rounds_lost = 0
         self.throttled_rounds = 0
+        self._conn = None  # the live learner connection behind pull/push
         # Stable per-process obs identity: sessions rotate on every
         # rejoin while this process's cumulative counters survive, so
         # the learner keys pushed snapshots by source, not session.
@@ -234,56 +233,50 @@ class RemoteActorWorker:
             fast_conv=spec.get("fast_conv", False),
         )
         net.eval()
-        actions = ActionSpace(spec["width"])
         total = spec["w_area"] + spec["w_delay"]
         w = np.array([spec["w_area"] / total, spec["w_delay"] / total])
-        rng = ensure_rng(join["exploration_seed"])
-        return venv, net, actions, w, rng, backend
-
-    def _act_batch(
-        self, net, actions, w, rng, features, legal_masks, epsilon, remote=None, ensure_local=None
-    ):
-        """Exploration-first epsilon-greedy on the snapshot network
-        (the :class:`repro.distributed.ActorPolicy` policy, sans hub).
-
-        With ``remote`` (an :class:`InferenceClient`) the exploit rows are
-        served by the shared inference server; a ``None`` reply falls back
-        to the local network after calling ``ensure_local`` to freshen its
-        weights. The exploration draws happen before either path, so the
-        RNG stream — and therefore the run's exploration trajectory — is
-        identical with and without the service.
-        """
-        legal_masks = np.asarray(legal_masks)
-        if not legal_masks.any(axis=1).all():
-            raise ValueError("no legal actions available in some state")
-        num = legal_masks.shape[0]
-        chosen = np.empty(num, dtype=np.int64)
-        explore = (
-            np.array([rng.random() < epsilon for _ in range(num)])
-            if epsilon > 0
-            else np.zeros(num, dtype=bool)
+        loop = ActorLoop(
+            venv, net, ActionSpace(spec["width"]), w, ensure_rng(join["exploration_seed"]), actor=join["actor_id"]
         )
-        for e in np.nonzero(explore)[0]:
-            legal_idx = np.nonzero(legal_masks[e])[0]
-            chosen[e] = legal_idx[rng.integers(legal_idx.size)]
-        exploit = np.nonzero(~explore)[0]
-        if exploit.size:
-            feats = np.asarray(features)[exploit]
-            if remote is not None:
-                reply = remote.act_batch(feats, legal_masks[exploit], w)
-                if reply is not None:
-                    chosen[exploit] = np.asarray(reply["actions"], dtype=np.int64)
-                    return chosen
-                self.inference_fallbacks += 1
-                if ensure_local is not None:
-                    ensure_local()
-            qmaps = net.predict(feats)
-            flat = actions.qmaps_to_flat(qmaps)
-            scalar = np.where(legal_masks[exploit], flat @ w, -np.inf)
-            chosen[exploit] = np.argmax(scalar, axis=1)
-        return chosen
+        return loop, backend
 
-    # -- the loop --------------------------------------------------------
+    def _predict_via(self, inference, loop: ActorLoop):
+        """The loop's exploit forward, served by the shared inference
+        server: a ``None`` reply counts a fallback, freshens the local
+        weights (lazily — a healthy service means no pulls at all) and
+        serves the rows on the local network."""
+
+        def predict(features, masks):
+            reply = inference.act_batch(features, masks, loop.w)
+            if reply is not None:
+                return np.asarray(reply["actions"], dtype=np.int64)
+            self.inference_fallbacks += 1
+            loop.refresh(self)
+            return loop.greedy(features, masks)
+
+        return predict
+
+    # -- the link --------------------------------------------------------
+
+    def pull(self, have_version: int, have_digest: "str | None"):
+        reply = self._conn.call(
+            "pull_weights", {"have_version": have_version, "have_digest": have_digest}
+        )
+        return reply["version"], reply.get("digest"), reply.get("weights")
+
+    def push(self, round_: dict, epsilon: float) -> dict:
+        reply = self._conn.call(
+            "push_batch",
+            # Piggybacked: this process's cumulative metric snapshot.
+            {"epsilon": epsilon, **round_, "obs": obslib.REGISTRY.snapshot(), "obs_source": self.obs_source},
+        )
+        self.rounds += 1
+        self.env_steps_kept += reply["kept"]
+        if reply.get("throttle") and not reply["stop"]:
+            self.throttled_rounds += 1
+        return reply
+
+    # -- the supervised run ----------------------------------------------
 
     def _dial(self):
         return connect(
@@ -319,11 +312,9 @@ class RemoteActorWorker:
                 retry_after=self.inference_retry,
             )
         conn = None
-        built = None  # (venv, net, actions, w, rng) for the live session
+        loop = None  # the ActorLoop of the live session
         backend = None
         cache_client = None
-        version = 0
-        digest = None
         dial_failures = 0
         try:
             with obslib.span("actor.run") as run_span:
@@ -351,15 +342,16 @@ class RemoteActorWorker:
                     # so "same shard, resumed" is its explicit rejoin flag
                     # — not a token comparison.
                     rejoined = (
-                        built is not None
+                        loop is not None
                         and join["actor_id"] == self.actor_id
                         and join.get("rejoin", False)
                     )
-                    if built is not None:
+                    if loop is not None:
                         self.reconnects += 1
                         obslib.counter("actor.reconnects").inc()
                     self.actor_id = join["actor_id"]
                     self.session = join["session"]
+                    self._conn = conn
                     obslib.emit(
                         "actor_joined",
                         actor_id=self.actor_id,
@@ -372,134 +364,25 @@ class RemoteActorWorker:
                         # stream — only the cache wiring moves to the new
                         # connection.
                         cache_client.rebind(conn)
-                        venv, net, actions, w, rng = built
                     else:
                         if backend is not None:
                             backend.close()
                         cache_client = RemoteCacheClient(conn)
-                        venv, net, actions, w, rng, backend = self._build(
-                            join, cache_client
-                        )
-                        built = (venv, net, actions, w, rng)
-                        version = 0
-                        digest = None
+                        loop, backend = self._build(join, cache_client)
                         if not join["stop"]:
-                            venv.reset()
-                    epsilon = join["epsilon"]
-                    stop = join["stop"]
-                    # The learner mints a trace per round (here and in
-                    # every push_batch reply); installing it for the round
-                    # body stamps every span and CALL this round makes.
-                    round_trace = join.get("trace")
-
-                    def pull_local(conn=conn):
-                        # Digest-keyed: an unchanged policy costs one tiny
-                        # frame.
-                        nonlocal version, digest
-                        reply = conn.call(
-                            "pull_weights",
-                            {"have_version": version, "have_digest": digest},
-                        )
-                        if "weights" in reply:
-                            net.load_state_arrays(reply["weights"])
-                            net.eval()
-                        version = reply["version"]
-                        digest = reply.get("digest")
-
-                    # -- the round loop ----------------------------------
+                            loop.venv.reset()
                     try:
-                        while not stop:
-                            with obslib.trace.scope(round_trace), obslib.span(
-                                "actor.round", actor=self.actor_id
-                            ) as round_span:
-                                if inference is None:
-                                    pull_local()
-                                with obslib.span("actor.act") as act_span:
-                                    obs = venv.observe()
-                                    masks = venv.legal_masks()
-                                    chosen = self._act_batch(
-                                        net,
-                                        actions,
-                                        w,
-                                        rng,
-                                        obs,
-                                        masks,
-                                        epsilon,
-                                        remote=inference,
-                                        ensure_local=pull_local,
-                                    )
-                                with obslib.span("actor.step") as step_span:
-                                    results = venv.step(chosen)
-                                    next_obs = venv.observe()
-                                    next_masks = venv.legal_masks()
-                                    t_obs = np.array(next_obs)
-                                    t_masks = np.array(next_masks)
-                                    for i, result in enumerate(results):
-                                        if result.done:
-                                            # The replica auto-reset; the
-                                            # transition's successor is the
-                                            # terminal state, not the new
-                                            # episode.
-                                            t_obs[i] = venv.envs[i].observe(
-                                                result.next_state
-                                            )
-                                            t_masks[i] = venv.envs[i].legal_mask(
-                                                result.next_state
-                                            )
-                                with obslib.span("actor.push") as push_span:
-                                    reply = conn.call(
-                                        "push_batch",
-                                        {
-                                            "epsilon": epsilon,
-                                            "states": obs,
-                                            "actions": chosen,
-                                            "rewards": np.stack(
-                                                [r.reward for r in results]
-                                            ),
-                                            "next_states": t_obs,
-                                            "next_masks": t_masks,
-                                            "dones": np.array(
-                                                [r.done for r in results]
-                                            ),
-                                            "areas": np.array(
-                                                [r.info["area"] for r in results]
-                                            ),
-                                            "delays": np.array(
-                                                [r.info["delay"] for r in results]
-                                            ),
-                                            "obs": obslib.REGISTRY.snapshot(),
-                                            "obs_source": self.obs_source,
-                                        },
-                                    )
-                            self.rounds += 1
-                            self.env_steps_kept += reply["kept"]
-                            obslib.counter("actor.rounds").inc()
-                            obslib.counter("actor.env_steps_kept").inc(
-                                reply["kept"]
+                        if not join["stop"]:
+                            # The learner mints a trace per round (here and
+                            # in every push_batch reply); the loop installs
+                            # it around the round body, stamping every span
+                            # and CALL the round makes.
+                            loop.run(
+                                self,
+                                join["epsilon"],
+                                trace=join.get("trace"),
+                                predict=self._predict_via(inference, loop) if inference else None,
                             )
-                            obslib.histogram("actor.round_seconds").observe(
-                                round_span.seconds
-                            )
-                            obslib.histogram("actor.act_seconds").observe(
-                                act_span.seconds
-                            )
-                            obslib.histogram("actor.step_seconds").observe(
-                                step_span.seconds
-                            )
-                            obslib.histogram("actor.push_seconds").observe(
-                                push_span.seconds
-                            )
-                            epsilon = reply["epsilon"]
-                            stop = reply["stop"]
-                            round_trace = reply.get("trace") or round_trace
-                            throttle = reply.get("throttle", 0.0)
-                            if throttle and not stop:
-                                # Backpressure: the learner is behind on
-                                # its gradient cadence — yield the wire
-                                # briefly.
-                                self.throttled_rounds += 1
-                                obslib.counter("actor.throttled_rounds").inc()
-                                time.sleep(throttle)
                         break
                     except (ProtocolError, OSError):
                         # The wire died mid-round: that round's transitions
@@ -513,7 +396,7 @@ class RemoteActorWorker:
                         conn = None
                         self.rounds_lost += 1
                         obslib.counter("actor.rounds_lost").inc()
-                        with obslib.trace.scope(round_trace):
+                        with obslib.trace.scope(loop.trace):
                             obslib.emit("rounds_lost", total=self.rounds_lost)
                         self.reconnect_seconds += backoff.sleep()
             # Clean teardown: ship the final cumulative snapshot so the

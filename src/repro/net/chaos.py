@@ -97,14 +97,16 @@ class ChaosProxy:
         """Cut every live link now; returns how many sockets were closed."""
         with self._lock:
             links, self._links = self._links, set()
+        if links and not self._closing:
+            # Counted before the sockets close: a peer woken by the close
+            # must already see the sever recorded.
+            self.severed += 1
         for sock in links:
             try:
                 sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
             sock.close()
-        if links and not self._closing:
-            self.severed += 1
         return len(links)
 
     def truncate_next(self) -> None:

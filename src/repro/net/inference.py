@@ -173,7 +173,7 @@ class InferenceServer(FramedServer):
 
     def _refresh_weights(self) -> None:
         """Adopt the hub's newest publication (digest-keyed, in-process)."""
-        version, digest, weights = self._hub._pull(self._version, self._digest)
+        version, digest, weights = self._hub.pull(self._version, self._digest)
         if weights is not None:
             self._net.load_state_arrays(weights)
             self._net.eval()

@@ -13,15 +13,13 @@ in-process services of the asynchronous runtime to remote actor
   publication), shipped only when the actor's version *and* content
   digest are both stale (digest-keyed pulls answer "unchanged" without
   re-shipping the npz);
-- ``push_batch`` — one acting round's transitions; the server folds
-  telemetry into the shared :class:`~repro.rl.trainer.TrainingHistory`
-  under the ingest lock (the same accounting as the threaded runtime's
-  coordinator), pushes the budget-kept prefix into the actor's shard of
-  the :class:`repro.rl.replay.ShardedReplayBuffer`, and answers with the
-  next epsilon and the stop flag — so pausing ingest (checkpoint at a
+- ``push_batch`` — one acting round's transitions, handed to
+  :meth:`repro.distributed.pipeline.LearnerCore.ingest` (the same call an
+  in-process actor thread makes), which answers with the next epsilon, the
+  stop flag and a throttle hint — so pausing ingest (checkpoint at a
   round boundary) and stopping the run are ordinary replies, not extra
   machinery;
-- ``cache_get`` / ``cache_put`` / ``cache_claim`` — a shared
+- ``cache_put`` / ``cache_claim`` — a shared
   :class:`repro.synth.SynthesisCache` service behind a
   :class:`repro.synth.leases.SharedCacheService`: actors route synthesis
   lookups through the learner, which is what makes cache sharing work
@@ -44,6 +42,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from repro import obs
+from repro.distributed.pipeline import LearnerCore
 from repro.net.config import ClusterConfig
 from repro.obs.aggregate import FleetObs
 from repro.net.protocol import DEFAULT_HEARTBEAT_TIMEOUT, DEFAULT_MAX_FRAME_BYTES
@@ -102,100 +101,38 @@ class ClusterSpec:
         )
 
 
-def encode_cache_key(key: tuple) -> "list":
-    return list(key)
+class LearnerState(LearnerCore):
+    """The learner core plus what only a wire needs: elastic membership
+    (sessions, join/leave, eviction), the fleet's pushed metrics, the
+    shared cache service and round-trace minting.
 
-
-def decode_cache_key(key: "list") -> tuple:
-    return tuple(key)
-
-
-class LearnerState:
-    """Shared state behind a :class:`LearnerServer`'s method handlers.
-
-    The learner thread and the per-actor handler threads meet here: the
-    ``lock`` guards history/actor bookkeeping, and ``ingest_lock``
-    additionally serializes whole push rounds so the learner can quiesce
-    ingestion at a round boundary (checkpoint) by holding it.
+    The learner thread and the per-actor handler threads meet here; the
+    locks are the core's.
     """
 
-    def __init__(
-        self,
-        agent,
-        hub,
-        buffer,
-        history,
-        schedule,
-        total,
-        spec: ClusterSpec,
-        cache: "CurveStore | None" = None,
-        halt_at: "int | None" = None,
-        lease_timeout: float = 60.0,
-        grads_allowed_fn=None,
-        backpressure_lag: int = 0,
-        throttle_seconds: float = 0.05,
-    ):
-        self.agent = agent
-        self.hub = hub
-        self.buffer = buffer
-        self.history = history
-        self.schedule = schedule
-        self.total = total
+    def __init__(self, spec: ClusterSpec, cache: "CurveStore | None" = None, lease_timeout: float = 60.0, **core):
+        super().__init__(**core)
         self.spec = spec
         self.cache_service = SharedCacheService(
             cache if cache is not None else SynthesisCache(),
             lease_timeout=lease_timeout,
         )
         self.cache = self.cache_service.cache
-        # Ingest never records past this step: the budget, tightened by a
-        # requested preemption point so the halt snapshot lands exactly
-        # there no matter how actor pushes interleave.
-        self.limit = total if halt_at is None else min(total, halt_at)
-        self.lock = threading.Lock()
-        self.ingest_lock = threading.RLock()
-        self.stop = False
         self.actors: "dict[int, dict]" = {}
         self.ever_joined = 0
-        # Replay-ingest backpressure: when the learner lags the synchronous
-        # gradient cadence by more than ``backpressure_lag`` gradient steps
-        # (0 disables), push_batch replies carry a throttle hint actors
-        # honor — a slow learner degrades gracefully instead of drowning.
-        self.grads_allowed_fn = grads_allowed_fn
-        self.backpressure_lag = backpressure_lag
-        self.throttle_seconds = throttle_seconds
         self._session_ids = itertools.count(1)
         self.joins = 0
         self.rejoins = 0
         self.evictions = 0
-        self.throttled_batches = 0
         # Fleet observability: worker-pushed metric snapshots (retained
         # across rejoins/respawns) and the run id every round trace
         # minted here carries.
         self.fleet_obs = FleetObs()
         self.obs_run = obs.run_id() or obs.trace.new_id()
 
-    # -- bookkeeping -----------------------------------------------------
-
-    def env_steps(self) -> int:
-        with self.lock:
-            return self.history.env_steps
-
-    def gradient_steps(self) -> int:
-        with self.lock:
-            return self.history.gradient_steps
-
-    def record_loss(self, loss: float) -> None:
-        with self.lock:
-            self.history.losses.append(loss)
-            self.history.gradient_steps += 1
-
     def connected_actors(self) -> int:
         with self.lock:
             return sum(a["connected"] for a in self.actors.values())
-
-    def epsilon_now(self) -> float:
-        with self.lock:
-            return float(self.schedule(min(self.history.env_steps, self.total)))
 
     # -- join / leave ----------------------------------------------------
 
@@ -213,8 +150,11 @@ class LearnerState:
         slot *evicts* it — the old session token is invalidated and a
         stale rejoin gets a fresh assignment instead. Only a cluster
         whose every shard is held by a live connection is full.
+
+        Tokens rotate under the ingest lock, so a push's session check
+        and its ingest are one step as far as a takeover can tell.
         """
-        with self.lock:
+        with self.ingest_lock, self.lock:
             if session is not None:
                 for shard, actor in self.actors.items():
                     if actor["session"] == session:
@@ -244,11 +184,11 @@ class LearnerState:
                 )
             actor = {
                 "connected": True,
-                "episode_returns": [0.0] * self.spec.envs_per_actor,
                 "session": f"sess-{next(self._session_ids)}",
                 "disconnected_at": None,
             }
             self.actors[shard] = actor
+            self.returns[shard] = [0.0] * self.spec.envs_per_actor
             self.joins += 1
             self.ever_joined += 1
             return shard, self._join_reply(shard, actor)
@@ -275,11 +215,7 @@ class LearnerState:
             "env_seed": self.spec.seed + shard * self.spec.envs_per_actor,
             "exploration_seed": self.spec.seed + 7_919 * (shard + 1),
             "total": self.total,
-            "env_steps": self.history.env_steps,
-            "epsilon": float(
-                self.schedule(min(self.history.env_steps, self.total))
-            ),
-            "stop": self.stop or self.history.env_steps >= self.total,
+            **self._orders(),
             "trace": self._mint_round_trace(),
         }
 
@@ -298,29 +234,20 @@ class LearnerState:
     def membership_dict(self) -> dict:
         """The :data:`MEMBERSHIP_KEYS` counters (one schema everywhere)."""
         with self.lock:
-            return {
-                "joins": self.joins,
-                "rejoins": self.rejoins,
-                "evictions": self.evictions,
-                "throttled_batches": self.throttled_batches,
-            }
+            return {key: getattr(self, key) for key in MEMBERSHIP_KEYS}
 
     # -- ingest ----------------------------------------------------------
 
     def push_batch(
         self, actor_id: int, batch: dict, session: "str | None" = None
     ) -> dict:
-        """Fold one remote acting round; returns the actor's next marching
-        orders. Mirrors the threaded coordinator's ``record_round``: the
-        step budget may truncate the round, and only the kept prefix
-        enters the replay shard."""
-        from repro.rl.replay import Transition
-
-        rewards = np.asarray(batch["rewards"], dtype=np.float64)
-        dones = np.asarray(batch["dones"], dtype=bool)
-        areas = np.asarray(batch["areas"], dtype=np.float64)
-        delays = np.asarray(batch["delays"], dtype=np.float64)
-        num = rewards.shape[0]
+        """One remote acting round into :meth:`ingest`, for the session
+        that owns the shard; the reply adds the next round's trace."""
+        # The batch is outside input: pin the layout ingest relies on.
+        round_ = {key: np.asarray(batch[key]) for key in ("states", "actions", "next_states", "next_masks")}
+        for key in ("rewards", "areas", "delays"):
+            round_[key] = np.asarray(batch[key], dtype=np.float64)
+        round_["dones"] = np.asarray(batch["dones"], dtype=bool)
         with self.ingest_lock:
             with self.lock:
                 actor = self.actors.get(actor_id)
@@ -333,81 +260,8 @@ class LearnerState:
                         f"stale session for actor {actor_id}: the shard was "
                         "reassigned (rejoin with your session token)"
                     )
-                history = self.history
-                if self.stop:
-                    # The learner is halting (preemption or budget): the
-                    # final snapshot may already be staged, so record
-                    # nothing — the actor just learns it is time to leave.
-                    return {
-                        "kept": 0,
-                        "env_steps": history.env_steps,
-                        "epsilon": float(
-                            self.schedule(min(history.env_steps, self.total))
-                        ),
-                        "stop": True,
-                        "trace": self._mint_round_trace(),
-                    }
-                epsilon = float(batch["epsilon"])
-                returns = actor["episode_returns"]
-                if num > len(returns):
-                    # The replica count is the actor's to choose; the spec's
-                    # envs_per_actor only sizes the initial slots.
-                    returns.extend([0.0] * (num - len(returns)))
-                kept = 0
-                for i in range(num):
-                    if history.env_steps >= self.limit:
-                        break
-                    actor["episode_returns"][i] += float(self.hub.w @ rewards[i])
-                    history.areas.append(float(areas[i]))
-                    history.delays.append(float(delays[i]))
-                    history.epsilon_trace.append(epsilon)
-                    history.env_steps += 1
-                    kept += 1
-                    if dones[i]:
-                        history.episode_returns.append(actor["episode_returns"][i])
-                        actor["episode_returns"][i] = 0.0
-                env_steps = history.env_steps
-                stop = self.stop or env_steps >= self.total
-                next_epsilon = float(self.schedule(min(env_steps, self.total)))
-                throttle = 0.0
-                if (
-                    not stop
-                    and self.backpressure_lag
-                    and self.grads_allowed_fn is not None
-                ):
-                    lag = self.grads_allowed_fn(env_steps) - history.gradient_steps
-                    if lag > self.backpressure_lag:
-                        throttle = self.throttle_seconds
-                        self.throttled_batches += 1
-            states = np.asarray(batch["states"])
-            actions = np.asarray(batch["actions"])
-            next_states = np.asarray(batch["next_states"])
-            next_masks = np.asarray(batch["next_masks"])
-            for i in range(kept):
-                self.buffer.push(
-                    Transition(
-                        state=states[i],
-                        action=int(actions[i]),
-                        reward=rewards[i],
-                        next_state=next_states[i],
-                        next_mask=next_masks[i],
-                        done=bool(dones[i]),
-                    ),
-                    shard=actor_id,
-                )
-        obs.counter("learner.push_batches").inc()
-        obs.counter("learner.transitions_kept").inc(kept)
-        if throttle:
-            obs.counter("learner.throttled_batches").inc()
-        reply = {
-            "kept": kept,
-            "env_steps": env_steps,
-            "epsilon": next_epsilon,
-            "stop": stop,
-            "trace": self._mint_round_trace(),
-        }
-        if throttle:
-            reply["throttle"] = throttle
+            reply = self.ingest(actor_id, round_, float(batch["epsilon"]))
+        reply["trace"] = self._mint_round_trace()
         return reply
 
 
@@ -444,7 +298,6 @@ class LearnerServer(FramedServer):
             "join": self._join,
             "pull_weights": self._pull_weights,
             "push_batch": self._push_batch,
-            "cache_get": self._cache_get,
             "cache_put": self._cache_put,
             "cache_claim": self._cache_claim,
             "push_obs": self._push_obs,
@@ -491,7 +344,7 @@ class LearnerServer(FramedServer):
         # Digest-keyed: "unchanged" (no weights in the reply) when the
         # client's version *or* content digest matches, so steady-state
         # pulls and reconnects-after-resume never re-ship the full npz.
-        version, digest, weights = self.state.hub._pull(
+        version, digest, weights = self.state.pull(
             int(params["have_version"]), params.get("have_digest")
         )
         reply = {"version": version, "digest": digest}
@@ -523,16 +376,9 @@ class LearnerServer(FramedServer):
             state.fleet_obs.retire(params.get("source"))
         return {"ok": True}
 
-    def _cache_get(self, ctx, params) -> dict:
-        keys = [decode_cache_key(k) for k in params["keys"]]
-        values = self.state.cache.get_many(keys)
-        return {
-            "curves": [None if v is None else v.points() for v in values],
-        }
-
     def _cache_put(self, ctx, params) -> dict:
         items = [
-            (decode_cache_key(key), AreaDelayCurve.from_points(points))
+            (tuple(key), AreaDelayCurve.from_points(points))
             for key, points in params["items"]
         ]
         self.state.cache_service.put(
@@ -541,7 +387,7 @@ class LearnerServer(FramedServer):
         return {"stored": len(items)}
 
     def _cache_claim(self, ctx, params) -> dict:
-        keys = [decode_cache_key(k) for k in params["keys"]]
+        keys = [tuple(k) for k in params["keys"]]
         kwargs = {}
         if params.get("wait"):
             # Long-poll: park this connection's handler thread at the

@@ -1,50 +1,42 @@
-"""The asynchronous actor-learner training runtime (Section IV-D).
+"""The training runtime: one stepper, one actor/learner core, checkpoints.
 
 The paper's headline scale comes from decoupling experience generation
-from learning: hundreds of actors step synthesis-evaluated environments
+from learning (Section IV-D): actors step synthesis-evaluated environments
 against delayed policy snapshots while one learner consumes a shared
-replay buffer. :class:`TrainingRuntime` reproduces that architecture at
-library scale, in two modes:
+replay buffer. :class:`TrainingRuntime` runs that at three sizes:
 
-- ``mode="async"`` — ``num_actors`` worker threads
-  (:class:`repro.distributed.ActorWorker`), each stepping its own
-  (vector) environment against a private policy snapshot and pushing
-  into its own shard of a :class:`repro.rl.replay.ShardedReplayBuffer`;
-  the learner thread runs gradient steps at the synchronous cadence
-  (one per ``learn_every`` collected env steps) and publishes weights
-  every ``publish_every`` gradient steps through a
-  :class:`repro.distributed.PolicyHub`. On a single CPU the win is
-  batching and cross-actor cache sharing, not parallel compute — see
+- ``mode="sync"`` — no actors at all: the :mod:`repro.rl.trainer` stepper
+  driven tick by tick with checkpoint hooks in between. Deterministic
+  (save -> resume -> continue is bit-identical to an uninterrupted run);
+  ``repro train``'s default and what :class:`~repro.rl.trainer.Trainer`
+  wraps.
+- ``mode="async"`` — ``num_actors`` threads
+  (:class:`repro.distributed.ActorWorker`), each running the actor loop
+  against the in-process :class:`repro.distributed.pipeline.LearnerCore`
+  and filling its own shard of a
+  :class:`repro.rl.replay.ShardedReplayBuffer`. On a single CPU the win
+  is batching and cross-actor cache sharing, not parallel compute — see
   ``benchmarks/bench_hotpath.py``'s ``runtime`` section.
-- ``mode="sync"`` — the deterministic fallback: the exact
-  :class:`repro.rl.trainer.Trainer` collection loop (same stepper
-  classes, same RNG consumption, bit-identical
-  :class:`~repro.rl.trainer.TrainingHistory`), with checkpoint hooks
-  between ticks. This is the mode CI differential-checks.
-- ``mode="cluster"`` — the multi-process / multi-host shape: the runtime
-  owns only the learner half (agent, sharded buffer, history, the shared
-  synthesis cache) and serves it over a
-  :class:`repro.net.learner.LearnerServer`; experience arrives from
+- ``mode="cluster"`` — the same core served over a
+  :class:`repro.net.learner.LearnerServer` to
   :class:`repro.net.actor.RemoteActorWorker` *processes* (``repro actor
-  --connect``), which is where the actor/learner split escapes the GIL.
-  Checkpoints capture the learner-owned state (round-boundary quiesce via
-  the ingest lock); remote environments are rebuilt fresh by actors on
-  reconnect, so a resume continues the learning trajectory without
-  replaying actor-side episode tails.
+  --connect``), which run the same loop and is where the actor/learner
+  split escapes the GIL. Environments live in (and are rebuilt by) the
+  actors, so a cluster checkpoint carries the learner-owned state only.
 
-Both modes support full checkpoint/resume through
+``async`` and ``cluster`` share one learner loop: gradient steps at the
+synchronous cadence (one per ``learn_every`` ingested env steps), weights
+published every ``publish_every`` of them. Every mode checkpoints through
 :class:`repro.rl.checkpoint.CheckpointManager`: Q-net weights, optimizer
 moments, replay shards, every RNG stream, schedule position, environment
 and archive state, synthesis-cache contents and the accumulated
-:class:`~repro.rl.trainer.TrainingHistory`. In sync mode,
-save -> resume -> continue is bit-identical to an uninterrupted run; in
-async mode a resume restores exact component state but thread
-interleaving is, by nature, not replayed.
+:class:`~repro.rl.trainer.TrainingHistory`. With actors a resume restores
+exact component state, but thread interleaving is, by nature, not
+replayed.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import asdict, dataclass
 
@@ -57,6 +49,7 @@ from repro.rl.replay import ReplayBuffer, ShardedReplayBuffer
 from repro.rl.trainer import (
     TrainerConfig,
     TrainingHistory,
+    grads_allowed,
     make_loop,
     synthesis_stats,
 )
@@ -84,9 +77,9 @@ class RuntimeConfig:
     inference_listen: str = "127.0.0.1:0"  # cluster only: inference bind address
     inference_max_batch: int = 256   # rows coalesced into one forward, at most
     inference_max_wait: float = 0.005  # seconds to hold a batch for stragglers
-    backpressure_lag: int = 64     # cluster only: gradient-cadence deficit
-    #   beyond which push_batch replies carry a throttle hint (0 disables)
-    throttle_seconds: float = 0.05  # cluster only: the hint's pause length
+    backpressure_lag: int = 64     # async/cluster: gradient-cadence deficit
+    #   beyond which an ingest reply carries a throttle hint (0 disables)
+    throttle_seconds: float = 0.05  # async/cluster: the hint's pause length
     store_dir: "str | None" = None  # cluster only: persistent curve store
     #   directory behind the shared cache (None: in-memory only)
 
@@ -111,132 +104,21 @@ class RuntimeConfig:
             raise ValueError("throttle_seconds must be nonnegative")
 
 
-def grads_allowed(env_steps: int, total: int, cfg: TrainerConfig) -> int:
-    """Gradient steps the synchronous cadence permits after ``env_steps``.
-
-    The single-env loop fires at (0-indexed) step ``s`` when
-    ``s % learn_every == 0`` and the buffer already holds
-    ``warmup_steps``, i.e. ``s >= warmup - 1``; the async and cluster
-    learners reproduce that budget so all modes train at one cadence.
-    """
-    done_steps = min(env_steps, total)
-    le = max(cfg.learn_every, 1)
-    first = -(-(cfg.warmup_steps - 1) // le) * le
-    return (done_steps - 1 - first) // le + 1 if done_steps > first else 0
-
-
-class _Coordinator:
-    """Shared state between the learner thread and the actor threads."""
-
-    def __init__(self, total: int, history: TrainingHistory):
-        self.total = total
-        self.history = history
-        self.lock = threading.Lock()
-        self._stop = threading.Event()
-        self._cond = threading.Condition()
-        self._alive = 0
-        self._paused = 0
-        self._pausing = False
-
-    # -- lifecycle -------------------------------------------------------
-
-    def register(self) -> None:
-        with self._cond:
-            self._alive += 1
-
-    def deregister(self) -> None:
-        with self._cond:
-            self._alive -= 1
-            self._cond.notify_all()
-
-    def stopping(self) -> bool:
-        return self._stop.is_set()
-
-    def abort(self) -> None:
-        self._stop.set()
-        with self._cond:
-            self._cond.notify_all()
-
-    # -- progress accounting ---------------------------------------------
-
-    def env_steps(self) -> int:
-        with self.lock:
-            return self.history.env_steps
-
-    def gradient_steps(self) -> int:
-        with self.lock:
-            return self.history.gradient_steps
-
-    def record_round(self, actor, results, epsilon: float) -> int:
-        """Fold one actor round into the history; returns transitions kept."""
-        history = self.history
-        kept = 0
-        with self.lock:
-            for i, result in enumerate(results):
-                if history.env_steps >= self.total:
-                    break
-                actor.episode_returns[i] += float(
-                    actor.policy._hub.w @ result.reward
-                )
-                history.areas.append(result.info["area"])
-                history.delays.append(result.info["delay"])
-                history.epsilon_trace.append(epsilon)
-                history.env_steps += 1
-                kept += 1
-                if result.done:
-                    history.episode_returns.append(actor.episode_returns[i])
-                    actor.episode_returns[i] = 0.0
-        return kept
-
-    def record_loss(self, loss: float) -> None:
-        with self.lock:
-            self.history.losses.append(loss)
-            self.history.gradient_steps += 1
-
-    # -- checkpoint barrier ----------------------------------------------
-
-    def checkpoint_point(self) -> None:
-        """Actors park here (round boundary) while a checkpoint is taken."""
-        with self._cond:
-            while self._pausing and not self._stop.is_set():
-                self._paused += 1
-                self._cond.notify_all()
-                self._cond.wait()
-                self._paused -= 1
-                self._cond.notify_all()
-
-    def pause_actors(self) -> None:
-        """Block until every live actor is parked at the barrier."""
-        with self._cond:
-            self._pausing = True
-            self._cond.notify_all()
-            while self._paused < self._alive and not self._stop.is_set():
-                self._cond.wait(timeout=0.1)
-
-    def resume_actors(self) -> None:
-        with self._cond:
-            self._pausing = False
-            self._cond.notify_all()
-
-
 class TrainingRuntime:
     """Actor-learner training with checkpoint/resume.
 
     Args:
         env: the collection environment(s). Sync mode takes one
-            :class:`PrefixEnv` or :class:`VectorPrefixEnv` (exactly like
-            :class:`~repro.rl.trainer.Trainer`). Async mode takes a list
-            with one entry per actor (single envs are wrapped into
-            one-replica vector envs).
+            :class:`PrefixEnv` or :class:`VectorPrefixEnv`. Async mode
+            takes a list with one entry per actor (single envs are wrapped
+            into one-replica vector envs).
         agent: the learner's agent.
         config: :class:`TrainerConfig` (steps, batch size, cadences).
         runtime: :class:`RuntimeConfig` (mode, actors, checkpoint cadence).
         checkpoint_dir: root directory for snapshots (required for
             checkpointing/resume; optional otherwise).
-        rng: seed or generator. Sync mode consumes it exactly as
-            ``Trainer(..., rng=rng)`` does (replay sampling), keeping the
-            two paths bit-identical; async mode additionally derives
-            per-actor exploration streams from it.
+        rng: seed or generator for replay sampling; async mode
+            additionally derives per-actor exploration streams from it.
         cluster: cluster mode only — the :class:`repro.net.ClusterSpec`
             actors receive on join (env shape, library, scalarization,
             network architecture). ``env`` must be None: environments
@@ -554,9 +436,177 @@ class TrainingRuntime:
         self.preempted = False
         if self.runtime.mode == "sync":
             return self._run_sync(steps, resume)
-        if self.runtime.mode == "cluster":
-            return self._run_cluster(steps, resume)
-        return self._run_async(steps, resume)
+        return self._run_learner(steps, resume)
+
+    def _begin(self, steps: "int | None", resume: bool):
+        """``(total, history, loop_state)`` of a fresh or a resumed run."""
+        if resume:
+            return self._load(steps)
+        return steps if steps is not None else self.config.steps, TrainingHistory(), None
+
+    def _checkpoint_due(self, history: TrainingHistory, last_saved: int) -> bool:
+        every = self.runtime.checkpoint_every
+        return bool(every) and history.env_steps - last_saved >= every
+
+    def _stop_requested(self, history: TrainingHistory) -> bool:
+        stop = self.runtime.stop_after
+        return stop is not None and history.env_steps >= stop
+
+    def _run_sync(self, steps: "int | None", resume: bool) -> TrainingHistory:
+        total, history, loop_state = self._begin(steps, resume)
+        loop = make_loop(
+            self.env, self.agent, self.buffer, self.config,
+            total, self.config.schedule(total), history,
+        )
+        if loop_state is not None:
+            loop.load_state_dict(loop_state)
+            loop.resume()
+        else:
+            loop.start()
+
+        last_saved = history.env_steps
+        while not loop.done:
+            loop.tick()
+            if self._stop_requested(history) and not loop.done:
+                self._save(total, history, loop.state_dict())
+                self.preempted = True
+                return history
+            if self._checkpoint_due(history, last_saved):
+                self._save(total, history, loop.state_dict())
+                last_saved = history.env_steps
+
+        if self.manager is not None:
+            self._save(total, history, loop.state_dict())
+        history.synthesis_stats = synthesis_stats(self.env)
+        return history
+
+    # ------------------------------------------------------------------
+    # The learner loop (async: actor threads; cluster: repro.net)
+    # ------------------------------------------------------------------
+
+    def _run_learner(self, steps: "int | None", resume: bool) -> TrainingHistory:
+        """Gradient steps at the synchronous cadence while actors ingest.
+
+        ``async`` and ``cluster`` differ only in how actors are brought up
+        (threads over the core | a server in front of it), in who notices
+        that none are left, and in what a snapshot can say about their
+        environments.
+        """
+        from repro.distributed.pipeline import ActorWorker, LearnerCore
+
+        rt, cfg = self.runtime, self.config
+        cluster = rt.mode == "cluster"
+        if cluster:
+            self.bind()
+        core, actors = None, []
+
+        def halt():
+            # Rounds in flight once stop is set are discarded (kept=0): the
+            # final snapshot is exactly the state at the halt step.
+            core.stop = True
+            for actor in actors:
+                actor.join(timeout=60.0)
+
+        try:
+            total, history, loop_state = self._begin(steps, resume)
+            core_args = dict(
+                agent=self.agent, buffer=self.buffer, history=history, config=cfg, total=total,
+                stop_after=rt.stop_after,
+                backpressure_lag=rt.backpressure_lag, throttle_seconds=rt.throttle_seconds,
+            )
+            if cluster:
+                core = self._attach_cluster(core_args)
+            else:
+                core = LearnerCore(**core_args)
+                if loop_state is None:
+                    for venv in self.actor_envs:
+                        venv.reset()
+                # The per-replica in-flight episode returns ride the
+                # checkpoint, so episodes spanning a preemption report
+                # their full accumulated return.
+                saved = (loop_state or {}).get("episode_returns")
+                for i, venv in enumerate(self.actor_envs):
+                    returns = saved[i] if saved else [0.0] * venv.num_envs
+                    if len(returns) != venv.num_envs:
+                        raise CheckpointError(
+                            f"checkpoint has {len(returns)} replica returns for actor "
+                            f"{i}, env has {venv.num_envs}"
+                        )
+                    core.returns[i] = [float(r) for r in returns]
+                actors = [
+                    ActorWorker(i, venv, core, self._actor_rngs[i])
+                    for i, venv in enumerate(self.actor_envs)
+                ]
+                for actor in actors:
+                    actor.start()
+
+            def save():
+                # Holding the ingest lock parks every actor at its next
+                # round boundary; actor threads own environments the
+                # snapshot reads, so wait until each has arrived there.
+                with core.ingest_lock:
+                    while core.parked < sum(a.is_alive() for a in actors):
+                        time.sleep(0.001)
+                    state = {"kind": rt.mode}
+                    if not cluster:
+                        state["episode_returns"] = [list(core.returns[i]) for i in range(len(actors))]
+                    self._save(total, history, state)
+
+            last_saved = history.env_steps
+            idle_since = time.monotonic()
+            while not (any(a.error for a in actors) or self._stop_requested(history)):
+                env_steps = core.env_steps()
+                if (
+                    len(self.buffer) >= cfg.warmup_steps
+                    and core.gradient_steps() < grads_allowed(env_steps, cfg)
+                ):
+                    loss = self.agent.train_step(self.buffer.sample(cfg.batch_size))
+                    core.record_loss(loss)
+                    if history.gradient_steps % rt.publish_every == 0:
+                        core.hub.publish()
+                    idle_since = time.monotonic()
+                elif env_steps >= total:
+                    break
+                else:
+                    if not cluster or (core.ever_joined and core.connected_actors()):
+                        idle_since = time.monotonic()
+                    elif time.monotonic() - idle_since > rt.cluster_wait:
+                        host, port = self._server.address
+                        raise RuntimeError(
+                            f"no actors connected for {rt.cluster_wait:.0f}s "
+                            f"at env step {env_steps}/{total}; is anything dialing "
+                            f"{host}:{port}?"
+                        )
+                    time.sleep(0.002)
+                if self._checkpoint_due(history, last_saved):
+                    save()
+                    last_saved = history.env_steps
+
+            halt()
+            for actor in actors:
+                if actor.error is not None:
+                    raise RuntimeError(f"actor {actor.index} failed: {actor.error!r}") from actor.error
+            if cluster:
+                # Drain: let connected actors see the stop reply and leave.
+                deadline = time.monotonic() + rt.heartbeat_timeout
+                while core.connected_actors() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            if self.manager is not None:
+                # Like the sync path: a checkpoint_dir always gets a final (or
+                # halt-point) snapshot, so --resume can extend any run.
+                save()
+            self.preempted = history.env_steps < total
+            if cluster:
+                history.synthesis_stats = self._cluster_synthesis_stats(core)
+                self.membership_stats = core.membership_dict()
+            else:
+                history.synthesis_stats = synthesis_stats(self.actor_envs)
+            return history
+        finally:
+            if core is not None:
+                halt()
+            if cluster:
+                self._detach_cluster()
 
     # ------------------------------------------------------------------
     # Cluster mode (repro.net)
@@ -610,124 +660,47 @@ class TrainingRuntime:
             self._inference_server.start()
         return self._inference_server.address
 
-    def _run_cluster(self, steps: "int | None", resume: bool) -> TrainingHistory:
-        from repro.distributed.pipeline import PolicyHub
+    def _attach_cluster(self, core_args: dict):
+        """Publish the learner state behind the bound server(s)."""
         from repro.net.learner import LearnerState
 
-        self.bind()
-        server = self._server
-        try:
-            if resume:
-                total, history, _loop_state = self._load(steps)
-            else:
-                total = steps if steps is not None else self.config.steps
-                history = TrainingHistory()
-
-            cfg = self.config
-            hub = PolicyHub(self.agent)
-            state = LearnerState(
-                agent=self.agent,
-                hub=hub,
-                buffer=self.buffer,
-                history=history,
-                schedule=cfg.schedule(total),
-                total=total,
-                spec=self.cluster,
-                cache=self._cluster_cache,
-                halt_at=self.runtime.stop_after,
-                # Lease reclamation rides the same dead-peer budget as the
-                # connection teardown: a wedged holder is reclaimable the
-                # moment the heartbeat would have declared it dead.
-                lease_timeout=self.runtime.heartbeat_timeout,
-                # Backpressure: when ingest outruns the synchronous gradient
-                # cadence by more than this lag, push replies carry a
-                # throttle hint so actors yield instead of ballooning the
-                # buffer on a slow learner.
-                grads_allowed_fn=lambda env_steps: grads_allowed(
-                    env_steps, total, cfg
-                ),
-                backpressure_lag=self.runtime.backpressure_lag,
-                throttle_seconds=self.runtime.throttle_seconds,
+        state = LearnerState(
+            spec=self.cluster,
+            cache=self._cluster_cache,
+            # Lease reclamation rides the same dead-peer budget as the
+            # connection teardown: a wedged holder is reclaimable the
+            # moment the heartbeat would have declared it dead.
+            lease_timeout=self.runtime.heartbeat_timeout,
+            **core_args,
+        )
+        if self._restored_fleet_obs is not None:
+            # Rejoin fleet totals from the checkpoint: counters pushed
+            # by pre-restart workers stay in the merged view.
+            state.fleet_obs.load_state_dict(self._restored_fleet_obs)
+            self._restored_fleet_obs = None
+        self._state = state
+        self._server.attach(state)
+        if self.runtime.serve_inference:
+            self.bind_inference()
+            # The inference server tracks the same hub the actors'
+            # pull_weights reads — one publication feeds both paths.
+            self._inference_server.attach(
+                state.hub, self.agent.snapshot_network(), self.agent.actions
             )
-            if self._restored_fleet_obs is not None:
-                # Rejoin fleet totals from the checkpoint: counters pushed
-                # by pre-restart workers stay in the merged view.
-                state.fleet_obs.load_state_dict(self._restored_fleet_obs)
-                self._restored_fleet_obs = None
-            self._state = state
-            server.attach(state)
-            if self.runtime.serve_inference:
-                self.bind_inference()
-                # The inference server tracks the same hub the actors'
-                # pull_weights reads — one publication feeds both paths.
-                self._inference_server.attach(
-                    hub, self.agent.snapshot_network(), self.agent.actions
-                )
+        return state
 
-            last_saved = history.env_steps
-            stopped_early = False
-            idle_since = time.monotonic()
-            while True:
-                env_steps = state.env_steps()
-                if self._stop_requested(history):
-                    stopped_early = True
-                    break
-                if (
-                    len(self.buffer) >= cfg.warmup_steps
-                    and state.gradient_steps() < grads_allowed(env_steps, total, cfg)
-                ):
-                    loss = self.agent.train_step(self.buffer.sample(cfg.batch_size))
-                    state.record_loss(loss)
-                    if history.gradient_steps % self.runtime.publish_every == 0:
-                        hub.publish()
-                    idle_since = time.monotonic()
-                elif env_steps >= total:
-                    break
-                else:
-                    if state.ever_joined and state.connected_actors():
-                        idle_since = time.monotonic()
-                    elif time.monotonic() - idle_since > self.runtime.cluster_wait:
-                        raise RuntimeError(
-                            f"no actors connected for {self.runtime.cluster_wait:.0f}s "
-                            f"at env step {env_steps}/{total}; is anything dialing "
-                            f"{server.address[0]}:{server.address[1]}?"
-                        )
-                    time.sleep(0.002)
-                if self._checkpoint_due(history, last_saved):
-                    # Holding the ingest lock parks every actor at its next
-                    # round boundary (push_batch blocks), the cluster's
-                    # equivalent of the async pause barrier.
-                    with state.ingest_lock:
-                        self._save(total, history, {"kind": "cluster"})
-                        last_saved = history.env_steps
-
-            state.stop = True
-            # Drain: let connected actors see the stop reply and leave.
-            # Rounds in flight once stop is set are discarded (kept=0) —
-            # the final snapshot is exactly the state at the halt step.
-            deadline = time.monotonic() + self.runtime.heartbeat_timeout
-            while state.connected_actors() and time.monotonic() < deadline:
-                time.sleep(0.01)
-
-            if self.manager is not None:
-                with state.ingest_lock:
-                    self._save(total, history, {"kind": "cluster"})
-            self.preempted = stopped_early and history.env_steps < total
-            history.synthesis_stats = self._cluster_synthesis_stats(state)
-            self.membership_stats = state.membership_dict()
-            return history
-        finally:
-            self._state = None
-            if self._inference_server is not None:
-                self.inference_stats = self._inference_server.stats_dict()
-                self._inference_server.stop()
-                self._inference_server = None
-            server.stop()
-            self._server = None
-            # Release the store (and its single-writer lock) so a rerun
-            # against the same --store-dir — possibly in this process —
-            # can take ownership immediately.
-            self._cluster_cache.close()
+    def _detach_cluster(self) -> None:
+        self._state = None
+        if self._inference_server is not None:
+            self.inference_stats = self._inference_server.stats_dict()
+            self._inference_server.stop()
+            self._inference_server = None
+        self._server.stop()
+        self._server = None
+        # Release the store (and its single-writer lock) so a rerun
+        # against the same --store-dir — possibly in this process —
+        # can take ownership immediately.
+        self._cluster_cache.close()
 
     @staticmethod
     def _cluster_synthesis_stats(state) -> dict:
@@ -765,141 +738,3 @@ class TrainingRuntime:
         if disk is not None:
             out["store"] = disk.stats()
         return out
-
-    def _checkpoint_due(self, history: TrainingHistory, last_saved: int) -> bool:
-        every = self.runtime.checkpoint_every
-        return bool(every) and history.env_steps - last_saved >= every
-
-    def _stop_requested(self, history: TrainingHistory) -> bool:
-        stop = self.runtime.stop_after
-        return stop is not None and history.env_steps >= stop
-
-    def _run_sync(self, steps: "int | None", resume: bool) -> TrainingHistory:
-        if resume:
-            total, history, loop_state = self._load(steps)
-        else:
-            total = steps if steps is not None else self.config.steps
-            history = TrainingHistory()
-            loop_state = None
-
-        loop = make_loop(
-            self.env, self.agent, self.buffer, self.config,
-            total, self.config.schedule(total), history,
-        )
-        if loop_state is not None:
-            loop.load_state_dict(loop_state)
-            loop.resume()
-        else:
-            loop.start()
-
-        last_saved = history.env_steps
-        while not loop.done:
-            loop.tick()
-            if self._stop_requested(history) and not loop.done:
-                self._save(total, history, loop.state_dict())
-                self.preempted = True
-                return history
-            if self._checkpoint_due(history, last_saved):
-                self._save(total, history, loop.state_dict())
-                last_saved = history.env_steps
-
-        if self.manager is not None:
-            self._save(total, history, loop.state_dict())
-        history.synthesis_stats = synthesis_stats(self.env)
-        return history
-
-    def _run_async(self, steps: "int | None", resume: bool) -> TrainingHistory:
-        from repro.distributed.pipeline import ActorWorker, PolicyHub
-
-        saved_returns = None
-        if resume:
-            total, history, loop_state = self._load(steps)
-            saved_returns = loop_state.get("episode_returns")
-        else:
-            total = steps if steps is not None else self.config.steps
-            history = TrainingHistory()
-            for venv in self.actor_envs:
-                venv.reset()
-
-        cfg = self.config
-        coord = _Coordinator(total, history)
-        hub = PolicyHub(self.agent)
-        schedule = cfg.schedule(total)
-        actors = [
-            ActorWorker(
-                index=i,
-                venv=venv,
-                policy=hub.subscribe(),
-                buffer=self.buffer,
-                schedule=schedule,
-                coordinator=coord,
-                rng=self._actor_rngs[i],
-            )
-            for i, venv in enumerate(self.actor_envs)
-        ]
-        if saved_returns is not None:
-            # Restore the per-replica in-flight episode returns, so episodes
-            # spanning a preemption report their full accumulated return.
-            for actor, returns in zip(actors, saved_returns):
-                if len(returns) != actor.venv.num_envs:
-                    raise CheckpointError(
-                        f"checkpoint has {len(returns)} replica returns for actor "
-                        f"{actor.index}, env has {actor.venv.num_envs}"
-                    )
-                actor.episode_returns = [float(r) for r in returns]
-
-        def loop_state_now():
-            return {
-                "kind": "async",
-                "episode_returns": [list(a.episode_returns) for a in actors],
-            }
-
-        for actor in actors:
-            actor.start()
-
-        last_saved = history.env_steps
-        stopped_early = False
-        try:
-            while True:
-                env_steps = coord.env_steps()
-                if any(a.error for a in actors):
-                    break
-                if self._stop_requested(history):
-                    stopped_early = True
-                    break
-                if (
-                    len(self.buffer) >= cfg.warmup_steps
-                    and coord.gradient_steps() < grads_allowed(env_steps, total, cfg)
-                ):
-                    loss = self.agent.train_step(self.buffer.sample(cfg.batch_size))
-                    coord.record_loss(loss)
-                    if history.gradient_steps % self.runtime.publish_every == 0:
-                        hub.publish()
-                elif env_steps >= total:
-                    break
-                else:
-                    time.sleep(0.002)
-                if self._checkpoint_due(history, last_saved):
-                    coord.pause_actors()
-                    try:
-                        self._save(total, history, loop_state_now())
-                        last_saved = history.env_steps
-                    finally:
-                        coord.resume_actors()
-        finally:
-            coord.abort()
-            for actor in actors:
-                actor.join(timeout=60.0)
-        for actor in actors:
-            if actor.error is not None:
-                raise RuntimeError(
-                    f"actor {actor.index} failed: {actor.error!r}"
-                ) from actor.error
-
-        if self.manager is not None:
-            # Like the sync path: a checkpoint_dir always gets a final (or
-            # halt-point) snapshot, so --resume can extend any run.
-            self._save(total, history, loop_state_now())
-        self.preempted = stopped_early and history.env_steps < total
-        history.synthesis_stats = synthesis_stats(self.actor_envs)
-        return history

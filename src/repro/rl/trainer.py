@@ -13,15 +13,25 @@ once no matter how many times the loop observes it.
 
 The collection loops themselves live in :class:`SingleEnvLoop` /
 :class:`VectorEnvLoop` — resumable steppers that advance one env step (or
-one lockstep round) per :meth:`~SingleEnvLoop.tick`. :meth:`Trainer.run`
-just drives a loop to completion; :class:`repro.rl.runtime.TrainingRuntime`
-drives the same steppers with checkpoint hooks between ticks, which is what
-makes its deterministic mode bit-identical to this trainer by construction.
+one lockstep round) per :meth:`~SingleEnvLoop.tick`.
+:class:`repro.rl.runtime.TrainingRuntime` drives them with checkpoint hooks
+between ticks, and :class:`Trainer` is that runtime without a checkpoint
+directory.
+
+The vector stepper is built from the three functions every lockstep
+collector in the repo shares — :func:`acting_round` (act, step, fix the
+terminal successors), :func:`fold_round` (account a round in the history
+under the step budget) and :func:`push_round` (the kept prefix into a
+replay buffer) — so the in-process and remote actors
+(:mod:`repro.distributed.pipeline`) produce and ingest rounds exactly the
+way this loop does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro import obs as obslib
 from repro.env.environment import PrefixEnv
@@ -46,6 +56,16 @@ class TrainerConfig:
     epsilon_start: float = 1.0
     epsilon_end: float = 0.0          # paper: annealed to zero
     epsilon_anneal_frac: float = 0.8  # fraction of steps to anneal over
+
+    def __post_init__(self):
+        for name in ("learn_every", "batch_size", "warmup_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
+        if self.steps < 0:
+            raise ValueError("steps must be nonnegative")
+        for name in ("epsilon_start", "epsilon_end"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
 
     def schedule(self, total_steps: int) -> LinearSchedule:
         """The run's epsilon schedule for a ``total_steps`` budget."""
@@ -135,6 +155,110 @@ def synthesis_stats(env) -> "dict | None":
     if stats.get("cache") is not None:
         stats["cache"]["shared"] = len(tokens) == 1 and len(envs) > 1
     return stats
+
+
+def grads_allowed(env_steps: int, cfg: TrainerConfig) -> int:
+    """Gradient steps the synchronous cadence permits after ``env_steps``.
+
+    The single-env loop fires at (0-indexed) step ``s`` when
+    ``s % learn_every == 0`` and the buffer already holds
+    ``warmup_steps``, i.e. ``s >= warmup - 1``; the actor-learner core
+    reproduces that budget so every runtime trains at one cadence.
+    """
+    le = cfg.learn_every
+    first = -(-(cfg.warmup_steps - 1) // le) * le
+    return (env_steps - 1 - first) // le + 1 if env_steps > first else 0
+
+
+# ----------------------------------------------------------------------
+# The lockstep round: act, account, store
+# ----------------------------------------------------------------------
+
+
+def acting_round(venv: VectorPrefixEnv, obs: np.ndarray, masks: np.ndarray, act):
+    """One lockstep acting round — the only one in the repo.
+
+    ``obs`` / ``masks`` are the stacked observations the round acts on
+    (carried out of the previous round, or ``venv.observe()`` /
+    ``venv.legal_masks()`` after a reset or restore) and ``act(obs,
+    masks)`` picks one flat action per replica. Returns ``(round,
+    next_obs, next_masks)``: ``round`` holds the stacked transition fields
+    under their ``push_batch`` wire names, and ``next_obs`` /
+    ``next_masks`` are the post-reset stacks the next round acts on.
+    """
+    with obslib.span("actor.act") as act_span:
+        actions = act(obs, masks)
+    with obslib.span("actor.step") as step_span:
+        results = venv.step(actions)
+        # The per-graph feature/mask memo makes these stacks cheap for
+        # replicas whose state was already observed.
+        next_obs, next_masks = venv.observe(), venv.legal_masks()
+        t_obs, t_masks = next_obs, next_masks
+        ended = [i for i, result in enumerate(results) if result.done]
+        if ended:
+            # The vector env has already reset these replicas; their
+            # transition's successor is the terminal state, not the new
+            # episode, so featurize it directly.
+            t_obs, t_masks = next_obs.copy(), next_masks.copy()
+            for i in ended:
+                t_obs[i] = venv.envs[i].observe(results[i].next_state)
+                t_masks[i] = venv.envs[i].legal_mask(results[i].next_state)
+    obslib.histogram("actor.act_seconds").observe(act_span.seconds)
+    obslib.histogram("actor.step_seconds").observe(step_span.seconds)
+    round_ = {
+        "states": obs,
+        "actions": np.asarray(actions),
+        "rewards": np.stack([r.reward for r in results]),
+        "next_states": t_obs,
+        "next_masks": t_masks,
+        "dones": np.array([r.done for r in results]),
+        "areas": np.array([r.info["area"] for r in results]),
+        "delays": np.array([r.info["delay"] for r in results]),
+    }
+    return round_, next_obs, next_masks
+
+
+def fold_round(history: TrainingHistory, returns: list, w, round_: dict, epsilon: float, limit: int) -> int:
+    """Account one acting round in ``history`` under the step budget.
+
+    Replicas are recorded in order until ``history.env_steps`` reaches
+    ``limit``; the rest of the round is dropped (those replicas did
+    advance — their archives keep the evaluations). ``returns`` holds the
+    caller's running per-replica episode returns, scalarized by ``w``.
+    Returns how many transitions were kept. Every runtime's history is
+    written here and in :meth:`SingleEnvLoop.tick`, nowhere else.
+    """
+    kept = 0
+    for i, done in enumerate(round_["dones"]):
+        if history.env_steps >= limit:
+            break
+        returns[i] += float(w @ round_["rewards"][i])
+        history.areas.append(float(round_["areas"][i]))
+        history.delays.append(float(round_["delays"][i]))
+        history.epsilon_trace.append(epsilon)
+        history.env_steps += 1
+        kept += 1
+        if done:
+            history.episode_returns.append(returns[i])
+            returns[i] = 0.0
+    return kept
+
+
+def push_round(buffer, round_: dict, kept: int, *shard) -> None:
+    """Push the first ``kept`` transitions of a round into ``buffer``
+    (``shard``: the target shard of a sharded buffer)."""
+    for i in range(kept):
+        buffer.push(
+            Transition(
+                state=round_["states"][i],
+                action=int(round_["actions"][i]),
+                reward=round_["rewards"][i],
+                next_state=round_["next_states"][i],
+                next_mask=round_["next_masks"][i],
+                done=bool(round_["dones"][i]),
+            ),
+            *shard,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -291,60 +415,22 @@ class VectorEnvLoop:
     def tick(self) -> None:
         """One lockstep round: E env steps plus the due gradient steps."""
         cfg = self.config
-        venv = self.env
         history = self.history
-        num_envs = venv.num_envs
-        obs, masks = self._obs, self._masks
-
         epsilon = self.schedule(history.env_steps)
-        action_idxs = self.agent.act_batch(obs, masks, epsilon=epsilon)
-        results = venv.step(action_idxs)
-        # The per-graph feature/mask memo makes these stacks cheap for
-        # replicas whose state was already observed this round.
-        next_obs = venv.observe()
-        next_masks = venv.legal_masks()
-
-        for i, result in enumerate(results):
-            if history.env_steps >= self.total:
-                # The round stepped every replica, but the budget is
-                # exact: drop the overshoot (the replicas did advance;
-                # their archives keep those evaluations).
-                break
-            # For terminal replicas the vector env has already reset,
-            # so featurize the terminal state directly for the buffer.
-            if result.done:
-                t_obs = venv.envs[i].observe(result.next_state)
-                t_mask = venv.envs[i].legal_mask(result.next_state)
-            else:
-                t_obs = next_obs[i]
-                t_mask = next_masks[i]
-            self.buffer.push(
-                Transition(
-                    state=obs[i],
-                    action=int(action_idxs[i]),
-                    reward=result.reward,
-                    next_state=t_obs,
-                    next_mask=t_mask,
-                    done=result.done,
-                )
-            )
-            self.episode_returns[i] += float(self.agent.w @ result.reward)
-            history.areas.append(result.info["area"])
-            history.delays.append(result.info["delay"])
-            history.epsilon_trace.append(epsilon)
-            history.env_steps += 1
-            if result.done:
-                history.episode_returns.append(self.episode_returns[i])
-                self.episode_returns[i] = 0.0
-
-        self._obs = next_obs
-        self._masks = next_masks
+        round_, self._obs, self._masks = acting_round(
+            self.env, self._obs, self._masks,
+            lambda obs, masks: self.agent.act_batch(obs, masks, epsilon=epsilon),
+        )
+        # The round stepped every replica, but the budget is exact: the
+        # overshoot is dropped.
+        kept = fold_round(history, self.episode_returns, self.agent.w, round_, epsilon, self.total)
+        push_round(self.buffer, round_, kept)
 
         if len(self.buffer) >= cfg.warmup_steps:
             # One gradient step per learn_every env steps, matching the
             # sequential cadence in aggregate (fractional remainders
             # carry over between rounds).
-            self.gradient_debt += num_envs / max(cfg.learn_every, 1)
+            self.gradient_debt += self.env.num_envs / cfg.learn_every
             while self.gradient_debt >= 1.0:
                 loss = self.agent.train_step(self.buffer.sample(cfg.batch_size))
                 history.losses.append(loss)
@@ -389,7 +475,7 @@ def make_loop(
 
 
 class Trainer:
-    """Wires an environment, an agent and a replay buffer into one run.
+    """One uncheckpointed training run: the synchronous runtime, nothing else.
 
     ``env`` may be a single :class:`PrefixEnv` (the paper-faithful
     sequential loop) or a :class:`VectorPrefixEnv` (batched collection:
@@ -403,25 +489,14 @@ class Trainer:
         config: "TrainerConfig | None" = None,
         rng=None,
     ):
+        from repro.rl.runtime import TrainingRuntime  # runtime imports this module
+
+        self._runtime = TrainingRuntime(env, agent, config, rng=rng)
         self.env = env
         self.agent = agent
-        self.config = config if config is not None else TrainerConfig()
-        self.buffer = ReplayBuffer(self.config.buffer_capacity, rng=rng)
+        self.config = self._runtime.config
+        self.buffer = self._runtime.buffer
 
     def run(self, steps: "int | None" = None) -> TrainingHistory:
         """Train for ``steps`` environment steps (default: config.steps)."""
-        total = steps if steps is not None else self.config.steps
-        history = TrainingHistory()
-        loop = make_loop(
-            self.env, self.agent, self.buffer, self.config,
-            total, self.config.schedule(total), history,
-        )
-        loop.start()
-        while not loop.done:
-            loop.tick()
-        history.synthesis_stats = self._synthesis_stats()
-        return history
-
-    def _synthesis_stats(self) -> "dict | None":
-        """See :func:`synthesis_stats` (kept as a method for callers)."""
-        return synthesis_stats(self.env)
+        return self._runtime.run(steps)

@@ -106,7 +106,9 @@ class TestChaosProxy:
             try:
                 conn.call("echo", 1)
                 proxy.blackhole = True
-                conn.timeout = 0.3
+                # The socket's own timeout, well inside the server's 2 s
+                # heartbeat window: the client must give up first.
+                conn.sock.settimeout(0.3)
                 with pytest.raises(PeerTimeout):
                     conn.call("echo", 2)
             finally:
@@ -260,6 +262,7 @@ class TestElasticRecovery:
                 wait_until(
                     lambda: worker.rounds >= 2,
                     timeout=60.0,
+                    interval=0.002,  # the remaining rounds take ~50 ms in all
                     message="the actor to complete two rounds",
                 )
                 proxy.sever()

@@ -140,6 +140,8 @@ def test_cluster_survives_killed_actor_and_farm_worker(tmp_path):
         proc.wait()
         for t in threads:
             t.join(timeout=10)
+        proc.stdout.close()
+        proc.stderr.close()
 
     stderr = "".join(stderr_lines)
     stdout = "".join(stdout_lines)

@@ -196,6 +196,7 @@ def test_stats_cli_renders_a_live_fleet(tmp_path):
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+        proc.stdout.close()
 
     # An unreachable learner is a clean failure, not a traceback.
     dead = run_cli("stats", "--connect", "127.0.0.1:9")
@@ -231,3 +232,4 @@ def test_farm_worker_cli_serves(tmp_path):
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+        proc.stdout.close()

@@ -164,31 +164,60 @@ class TestFallback:
         assert time.monotonic() - start < 10.0
         assert client.wire_failures >= 1
 
-    def test_actor_act_batch_falls_back_to_local(self, agent):
-        """RemoteActorWorker._act_batch with a dead remote serves the
-        exploit rows locally after the ensure_local hook runs."""
+    @staticmethod
+    def _actor(agent, pulled):
+        """A remote worker and its loop, wired to a link that only counts pulls."""
+        from repro.distributed.pipeline import ActorLoop
         from repro.net.actor import RemoteActorWorker
 
-        worker = RemoteActorWorker.__new__(RemoteActorWorker)
-        worker.inference_fallbacks = 0
+        worker = RemoteActorWorker(("127.0.0.1", 1))
+        worker.pull = lambda version, digest: (pulled.append(True), (version, digest, None))[1]
+        loop = ActorLoop(None, agent.snapshot_network(), agent.actions, agent.w, None)
+        return worker, loop
+
+    def test_epsilon_greedy_falls_back_to_local(self, agent):
+        """A dead inference service serves the exploit rows locally, after
+        one counted fallback and one weight-freshening pull."""
+        from repro.distributed.pipeline import epsilon_greedy
+
+        pulled = []
+        worker, loop = self._actor(agent, pulled)
         dead = InferenceClient(("127.0.0.1", 1), connect_timeout=0.5, retry_after=30.0)
         feats, masks = batch(agent, 3)
-        pulled = []
-        net = agent.snapshot_network()
-        chosen = worker._act_batch(
-            net,
-            agent.actions,
-            agent.w,
-            np.random.default_rng(0),
-            feats,
-            masks,
-            epsilon=0.0,
-            remote=dead,
-            ensure_local=lambda: pulled.append(True),
+        chosen = epsilon_greedy(
+            worker._predict_via(dead, loop), feats, masks, 0.0, np.random.default_rng(0)
         )
         assert worker.inference_fallbacks == 1
         assert pulled == [True]
         np.testing.assert_array_equal(chosen, agent.act_batch(feats, masks, epsilon=0.0))
+
+    def test_exploration_is_independent_of_who_serves_the_forward(self, agent, service):
+        """With epsilon > 0 the chosen actions and the RNG state afterwards
+        are identical with a live service, a dead service and no service:
+        the exploration draws happen before any forward."""
+        from repro.distributed.pipeline import epsilon_greedy
+
+        server, _hub = service
+        feats, masks = batch(agent, 6)
+        outcomes = []
+        for address in (server.address, ("127.0.0.1", 1), None):
+            worker, loop = self._actor(agent, [])
+            predict = loop.greedy
+            if address is not None:
+                client = InferenceClient(address, connect_timeout=0.5, retry_after=30.0)
+                predict = worker._predict_via(client, loop)
+            rng = np.random.default_rng(7)
+            chosen = epsilon_greedy(predict, feats, masks, 0.5, rng)
+            outcomes.append((chosen.tolist(), rng.bit_generator.state, worker.inference_fallbacks))
+            if address is not None:
+                client.close()
+        (live, live_rng, live_fb), (dead, dead_rng, dead_fb), (none, none_rng, _) = outcomes
+        assert live == dead == none
+        assert live_rng == dead_rng == none_rng
+        assert (live_fb, dead_fb) == (0, 1)
+        # Mixed round: some rows explored, some exploited.
+        explored = np.array(live) != agent.act_batch(feats, masks, epsilon=0.0)
+        assert 0 < explored.sum() < len(live)
 
 
 class TestNotReady:

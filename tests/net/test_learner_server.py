@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.distributed.pipeline import PolicyHub
 from repro.net import (
     MEMBERSHIP_KEYS,
     ClusterSpec,
@@ -32,10 +31,9 @@ def server():
     config = TrainerConfig(steps=10, batch_size=4, warmup_steps=4)
     state = LearnerState(
         agent=agent,
-        hub=PolicyHub(agent),
         buffer=ShardedReplayBuffer(100, num_shards=2, rng=0),
         history=TrainingHistory(),
-        schedule=config.schedule(10),
+        config=config,
         total=10,
         spec=ClusterSpec.for_agent(agent, envs_per_actor=2, seed=0),
     )
@@ -177,16 +175,15 @@ class TestIngest:
 
 
 class TestCacheService:
-    def test_get_put_roundtrip(self, server):
-        srv, _state = server
+    def test_put_then_claim_roundtrip(self, server):
+        srv, state = server
         conn = dial(srv)
         key = ["digest123", "nangate45", "openphysyn"]
-        missing = conn.call("cache_get", {"keys": [key]})
-        assert missing["curves"] == [None]
+        assert state.cache.get(tuple(key)) is None
         points = [[0.2, 50.0], [0.4, 40.0]]
         conn.call("cache_put", {"items": [[key, points]]})
-        hit = conn.call("cache_get", {"keys": [key]})
-        assert hit["curves"][0] == points
+        hit = conn.call("cache_claim", {"keys": [key], "counted": False})
+        assert hit["results"] == [{"curve": points}]
         conn.close(bye=True)
 
     def test_shared_across_connections(self, server):
@@ -194,7 +191,8 @@ class TestCacheService:
         c1, c2 = dial(srv), dial(srv)
         key = ["d", "nangate45", "openphysyn"]
         c1.call("cache_put", {"items": [[key, [[0.1, 9.0]]]]})
-        assert c2.call("cache_get", {"keys": [key]})["curves"] == [[[0.1, 9.0]]]
+        seen = c2.call("cache_claim", {"keys": [key], "counted": False})
+        assert seen["results"] == [{"curve": [[0.1, 9.0]]}]
         assert isinstance(state.cache.get(tuple(key)), AreaDelayCurve)
         c1.close(bye=True)
         c2.close(bye=True)
@@ -399,10 +397,9 @@ class TestDeadPeer:
         config = TrainerConfig(steps=10, batch_size=4, warmup_steps=4)
         state = LearnerState(
             agent=agent,
-            hub=PolicyHub(agent),
             buffer=ShardedReplayBuffer(100, num_shards=1, rng=0),
             history=TrainingHistory(),
-            schedule=config.schedule(10),
+            config=config,
             total=10,
             spec=ClusterSpec.for_agent(agent, envs_per_actor=1, seed=0),
         )
@@ -504,18 +501,15 @@ class TestElasticMembership:
 class TestBackpressure:
     def make_state(self, lag):
         agent = ScalarizedDoubleDQN(4, blocks=0, channels=4, rng=0)
-        config = TrainerConfig(steps=10, batch_size=4, warmup_steps=4)
+        # warmup 1, learn_every 1: every env step owes one gradient step,
+        # so an idle learner accrues lag at ingest speed.
         return LearnerState(
             agent=agent,
-            hub=PolicyHub(agent),
             buffer=ShardedReplayBuffer(100, num_shards=1, rng=0),
             history=TrainingHistory(),
-            schedule=config.schedule(100),
+            config=TrainerConfig(steps=100, batch_size=4, warmup_steps=1),
             total=100,
             spec=ClusterSpec.for_agent(agent, envs_per_actor=2, seed=0),
-            # Cadence stand-in: every env step owes one gradient step, so
-            # an idle learner accrues lag at ingest speed.
-            grads_allowed_fn=lambda env_steps: env_steps,
             backpressure_lag=lag,
             throttle_seconds=0.07,
         )
@@ -524,7 +518,7 @@ class TestBackpressure:
         state = self.make_state(lag=3)
         aid, join = state.join()
         first = state.push_batch(aid, make_batch(2), session=join["session"])
-        assert "throttle" not in first  # lag 2 <= 3: no hint yet
+        assert first["throttle"] == 0.0  # lag 2 <= 3: no hint yet
         second = state.push_batch(aid, make_batch(2), session=join["session"])
         assert second["throttle"] == pytest.approx(0.07)  # lag 4 > 3
         assert state.membership_dict()["throttled_batches"] == 1
@@ -534,5 +528,5 @@ class TestBackpressure:
         aid, join = state.join()
         for _ in range(5):
             reply = state.push_batch(aid, make_batch(2), session=join["session"])
-            assert "throttle" not in reply
+            assert reply["throttle"] == 0.0
         assert state.membership_dict()["throttled_batches"] == 0

@@ -40,6 +40,23 @@ from repro.net.protocol import (
 )
 
 
+@pytest.fixture(autouse=True)
+def close_socketpairs(monkeypatch):
+    """Every socketpair end a test opens is closed when the test ends."""
+    opened = []
+    real = socket.socketpair
+
+    def tracked(*args, **kwargs):
+        ends = real(*args, **kwargs)
+        opened.extend(ends)
+        return ends
+
+    monkeypatch.setattr(socket, "socketpair", tracked)
+    yield
+    for sock in opened:
+        sock.close()
+
+
 def pair(timeout=5.0, max_frame=None):
     a, b = socket.socketpair()
     kwargs = {"timeout": timeout}

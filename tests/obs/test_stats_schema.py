@@ -15,7 +15,6 @@ import pytest
 
 from repro.cells import nangate45
 from repro.distributed import SynthesisFarm
-from repro.distributed.pipeline import PolicyHub
 from repro.net import MEMBERSHIP_KEYS, ClusterSpec, LearnerState
 from repro.net.inference import (
     CLIENT_STATS_KEYS,
@@ -192,10 +191,9 @@ class TestMembershipSchema:
         config = TrainerConfig(steps=10, batch_size=4, warmup_steps=4)
         state = LearnerState(
             agent=agent,
-            hub=PolicyHub(agent),
             buffer=ShardedReplayBuffer(100, num_shards=2, rng=0),
             history=TrainingHistory(),
-            schedule=config.schedule(10),
+            config=config,
             total=10,
             spec=ClusterSpec.for_agent(agent, envs_per_actor=2, seed=0),
         )

@@ -64,6 +64,7 @@ class TestTraceSurvivesASever:
                 wait_until(
                     lambda: worker.rounds >= 2,
                     timeout=60.0,
+                    interval=0.002,  # the remaining rounds take ~50 ms in all
                     message="the actor to complete two rounds",
                 )
                 proxy.sever()

@@ -32,41 +32,52 @@ def assert_histories_identical(a, b):
         assert getattr(a, f) == getattr(b, f), f
 
 
+def make_venv():
+    return VectorPrefixEnv.make(
+        6, lambda: AnalyticalEvaluator(0.5, 0.5), num_envs=3, horizon=12, seed=0
+    )
+
+
+def assert_weights_identical(agent_a, agent_b):
+    for ka, kb in zip(
+        agent_a.local.state_arrays().items(), agent_b.local.state_arrays().items()
+    ):
+        assert ka[0] == kb[0]
+        np.testing.assert_array_equal(ka[1], kb[1])
+
+
 class TestSyncMode:
-    def test_bit_identical_to_trainer_single_env(self):
-        h_trainer = Trainer(make_env(), make_agent(), CFG, rng=0).run()
-        h_runtime = TrainingRuntime(
-            make_env(), make_agent(), CFG, RuntimeConfig(mode="sync"), rng=0
+    @pytest.mark.parametrize("make", [make_env, make_venv], ids=["single", "vector"])
+    def test_one_seed_one_run_across_trainer_sync_and_resume(self, make, tmp_path):
+        """ROADMAP D.5: a seed gives a bit-identical history and final
+        weights through ``Trainer``, the sync runtime, and a run preempted
+        at step 24 (a round boundary of the vector env) then resumed."""
+        a_trainer, a_sync, a_resumed = make_agent(), make_agent(), make_agent()
+        h_trainer = Trainer(make(), a_trainer, CFG, rng=0).run()
+        h_sync = TrainingRuntime(
+            make(), a_sync, CFG, RuntimeConfig(mode="sync"), rng=0
         ).run()
-        assert_histories_identical(h_trainer, h_runtime)
 
-    def test_bit_identical_to_trainer_vector_env(self):
-        def venv():
-            return VectorPrefixEnv.make(
-                6, lambda: AnalyticalEvaluator(0.5, 0.5), num_envs=3, horizon=12, seed=0
-            )
+        part = TrainingRuntime(
+            make(), make_agent(), CFG, RuntimeConfig(mode="sync", stop_after=24),
+            checkpoint_dir=tmp_path, rng=0,
+        )
+        h_part = part.run()
+        assert part.preempted and h_part.env_steps == 24
+        resumed = TrainingRuntime(
+            make(), a_resumed, CFG, RuntimeConfig(mode="sync"),
+            checkpoint_dir=tmp_path, rng=0,
+        )
+        h_resumed = resumed.run(resume=True)
+        assert not resumed.preempted
 
-        h_trainer = Trainer(venv(), make_agent(), CFG, rng=0).run()
-        h_runtime = TrainingRuntime(
-            venv(), make_agent(), CFG, RuntimeConfig(mode="sync"), rng=0
-        ).run()
-        assert_histories_identical(h_trainer, h_runtime)
+        for history, agent in ((h_sync, a_sync), (h_resumed, a_resumed)):
+            assert_histories_identical(h_trainer, history)
+            assert_weights_identical(a_trainer, agent)
 
     def test_rejects_env_list(self):
         with pytest.raises(ValueError, match="single environment"):
             TrainingRuntime([make_env()], make_agent(), CFG, RuntimeConfig(mode="sync"))
-
-    def test_weights_equal_after_identical_runs(self):
-        agent_a, agent_b = make_agent(), make_agent()
-        Trainer(make_env(), agent_a, CFG, rng=0).run()
-        TrainingRuntime(
-            make_env(), agent_b, CFG, RuntimeConfig(mode="sync"), rng=0
-        ).run()
-        for ka, kb in zip(
-            agent_a.local.state_arrays().items(), agent_b.local.state_arrays().items()
-        ):
-            assert ka[0] == kb[0]
-            np.testing.assert_array_equal(ka[1], kb[1])
 
 
 class TestAsyncMode:
@@ -147,10 +158,9 @@ class TestAsyncMode:
         assert stats["cache"]["hits"] > 0  # both actors start from the same structures
 
     def test_async_preempt_and_resume(self, tmp_path):
-        # A budget far past the halt point: the actor threads overshoot
-        # stop_after by however many rounds one learner iteration takes,
-        # and must not be able to finish the run in that window.
-        cfg = TrainerConfig(steps=240, batch_size=4, warmup_steps=8)
+        # Ingest clamps at min(total, stop_after): however the actor
+        # threads race the learner, the halt snapshot lands on the step.
+        cfg = TrainerConfig(steps=60, batch_size=4, warmup_steps=8)
         rt = TrainingRuntime(
             [make_env(seed=0), make_env(seed=10)], make_agent(), cfg,
             RuntimeConfig(mode="async", num_actors=2, stop_after=30),
@@ -158,7 +168,8 @@ class TestAsyncMode:
         )
         h1 = rt.run()
         assert rt.preempted
-        assert 30 <= h1.env_steps < 240
+        assert h1.env_steps == 30 and len(h1.areas) == 30
+        assert rt.manager.steps() == [30]
 
         rt2 = TrainingRuntime(
             [make_env(seed=0), make_env(seed=10)], make_agent(), cfg,
@@ -167,10 +178,30 @@ class TestAsyncMode:
         )
         h2 = rt2.run(resume=True)
         assert not rt2.preempted
-        assert h2.env_steps == 240
+        assert h2.env_steps == 60 and len(h2.areas) == 60
         # The resumed history extends the preempted one.
-        assert h2.areas[: len(h1.areas)] == h1.areas
+        assert h2.areas[:30] == h1.areas
         assert h2.losses[: len(h1.losses)] == h1.losses
+
+    def test_periodic_async_checkpoints_park_the_actors(self, tmp_path):
+        # A tight backpressure lag makes the actors yield to the learner,
+        # so its loop comes round to a due checkpoint while they still run.
+        cfg = TrainerConfig(steps=120, batch_size=4, warmup_steps=8)
+        rt = TrainingRuntime(
+            [make_env(seed=0), make_env(seed=10)], make_agent(), cfg,
+            RuntimeConfig(
+                mode="async", num_actors=2, checkpoint_every=20, keep_checkpoints=20,
+                backpressure_lag=2, throttle_seconds=0.005,
+            ),
+            checkpoint_dir=tmp_path, rng=0,
+        )
+        assert rt.run().env_steps == 120
+        steps = rt.manager.steps()
+        assert len(steps) >= 3 and steps[-1] == 120
+        for step in steps:
+            state, _ = rt.manager.load(step=step)
+            assert state["history"]["env_steps"] == step == len(state["history"]["areas"])
+            assert [len(r) for r in state["loop"]["episode_returns"]] == [1, 1]
 
     def test_gradient_cadence_matches_sync_for_sparse_learning(self):
         # warmup not aligned to learn_every: the async learner must land on
@@ -195,29 +226,36 @@ class TestAsyncMode:
         assert rt.manager.steps() == [24]
 
     def test_inflight_episode_returns_survive_resume(self, tmp_path):
-        # Preempt mid-episode (stop at 8; the horizon outlasts the whole
-        # budget, so however far the actor threads overshoot the halt no
-        # episode can finish and zero its return): the accumulated returns
-        # must ride the checkpoint, not reset to zero.
+        # Preempt mid-episode (exactly at step 8, before any 12-step
+        # episode can finish): the accumulated returns must ride the
+        # checkpoint, not reset to zero.
         cfg = TrainerConfig(steps=40, batch_size=4, warmup_steps=8)
         rt = TrainingRuntime(
-            [make_env(0, horizon=40), make_env(7, horizon=40)], make_agent(), cfg,
+            [make_env(0), make_env(7)], make_agent(), cfg,
             RuntimeConfig(mode="async", num_actors=2, stop_after=8),
             checkpoint_dir=tmp_path, rng=0,
         )
         rt.run()
+        assert rt.manager.steps() == [8]
         state, _ = rt.manager.load()
         saved = state["loop"]["episode_returns"]
-        assert len(saved) == 2
-        assert any(abs(r) > 0 for returns in saved for r in returns)
+        # No episode has ended, so each actor's running return is the
+        # scalarized sum of the rewards in its replay shard, in order.
+        expected = []
+        for shard in rt.buffer.shards:
+            total = 0.0
+            for reward in shard.gather(np.arange(len(shard)))["rewards"] if len(shard) else []:
+                total += float(rt.agent.w @ reward)
+            expected.append([total])
+        assert saved == expected
 
         rt2 = TrainingRuntime(
-            [make_env(0, horizon=40), make_env(7, horizon=40)], make_agent(), cfg,
+            [make_env(0), make_env(7)], make_agent(), cfg,
             RuntimeConfig(mode="async", num_actors=2),
             checkpoint_dir=tmp_path, rng=0,
         )
         h = rt2.run(resume=True)
-        assert h.env_steps == 40
+        assert h.env_steps == 40 and len(h.areas) == 40
 
     def test_actor_error_propagates(self):
         class ExplodingEvaluator(AnalyticalEvaluator):
@@ -253,3 +291,14 @@ class TestRuntimeConfigValidation:
     def test_bad_publish_cadence(self):
         with pytest.raises(ValueError, match="publish_every"):
             RuntimeConfig(publish_every=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("learn_every", 0), ("batch_size", 0), ("warmup_steps", 0), ("steps", -1),
+            ("epsilon_start", 1.5), ("epsilon_end", -0.1),
+        ],
+    )
+    def test_trainer_config_rejects_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainerConfig(**{field: value})

@@ -236,6 +236,7 @@ class TestCrashRecovery:
             )
         finally:
             kill_process(proc, sig=signal.SIGKILL)
+            proc.stdout.close()
         store = DiskStore(root)
         count = len(store)
         assert count > 0

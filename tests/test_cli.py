@@ -65,26 +65,24 @@ class TestCliRuntime:
     TRAIN = ["train", "6", "--steps", "40", "--seed", "3",
              "--blocks", "0", "--channels", "4"]
 
-    def test_runtime_sync_output_identical_to_trainer(self, capsys):
-        assert main(self.TRAIN) == 0
-        expected = capsys.readouterr().out
-        assert main(self.TRAIN + ["--runtime", "sync"]) == 0
-        assert capsys.readouterr().out == expected
-
     def test_preempt_then_resume_matches_uninterrupted(self, tmp_path, capsys):
+        # The default runtime is the deterministic one: no --runtime flag.
         assert main(self.TRAIN) == 0
         expected = capsys.readouterr().out
 
         ckpt = str(tmp_path / "ckpt")
-        assert main(self.TRAIN + ["--runtime", "sync", "--checkpoint-dir", ckpt,
-                                  "--stop-after", "15"]) == 0
+        assert main(self.TRAIN + ["--checkpoint-dir", ckpt, "--stop-after", "15"]) == 0
         captured = capsys.readouterr()
         assert "checkpointed at step 15" in captured.err
         assert "trained" not in captured.out
 
-        assert main(self.TRAIN + ["--runtime", "sync", "--checkpoint-dir", ckpt,
-                                  "--resume"]) == 0
+        assert main(self.TRAIN + ["--checkpoint-dir", ckpt, "--resume"]) == 0
         assert capsys.readouterr().out == expected
+
+    def test_runtime_choices_are_sync_and_async(self, capsys):
+        with pytest.raises(SystemExit):
+            main(self.TRAIN + ["--runtime", "trainer"])
+        assert "invalid choice: 'trainer'" in capsys.readouterr().err
 
     def test_async_runtime_trains(self, capsys):
         assert main(self.TRAIN + ["--runtime", "async", "--actors", "2",
@@ -95,18 +93,13 @@ class TestCliRuntime:
 
     def test_checkpoint_flags_require_dir(self):
         with pytest.raises(SystemExit, match="checkpoint-dir"):
-            main(self.TRAIN + ["--runtime", "sync", "--stop-after", "10"])
+            main(self.TRAIN + ["--stop-after", "10"])
         with pytest.raises(SystemExit, match="checkpoint-dir"):
             # 0 is falsy but still a request to stop.
-            main(self.TRAIN + ["--runtime", "sync", "--stop-after", "0"])
-
-    def test_checkpoint_dir_requires_runtime(self, tmp_path):
-        with pytest.raises(SystemExit, match="runtime"):
-            main(self.TRAIN + ["--checkpoint-dir", str(tmp_path / "c")])
+            main(self.TRAIN + ["--stop-after", "0"])
 
     def test_resume_without_checkpoint_fails_clearly(self, tmp_path):
         from repro.rl import CheckpointError
 
         with pytest.raises(CheckpointError, match="no checkpoint found"):
-            main(self.TRAIN + ["--runtime", "sync", "--resume",
-                               "--checkpoint-dir", str(tmp_path / "empty")])
+            main(self.TRAIN + ["--resume", "--checkpoint-dir", str(tmp_path / "empty")])
