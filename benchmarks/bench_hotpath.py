@@ -17,8 +17,7 @@ writes the numbers to JSON:
    corpus plus the deep-ripple worst case (depth-bound fixpoint in old
    trees vs the level-bucketed sweep);
 6. ``SynthesisFarm`` pool-vs-serial speedup on the Section V-C workload;
-7. when the running tree has them: ``conv`` (tap-loop fast conv vs the
-   im2col oracle at trainer batch shapes, fwd and fwd+bwd), ``inference``
+7. when the running tree has them: ``inference``
    (shared batched-inference service: coalescing ratio and forwards saved
    under concurrent actor clients, honest 1-CPU accounting) and ``chaos``
    (failure-recovery cost: a severed actor link absorbed by the
@@ -119,12 +118,6 @@ try:  # older trees: no standalone analytical model yet
 except ImportError:
     analytical_delay = None
 
-from repro.nn import functional as nn_functional
-
-# Seed/parent trees: conv2d_forward has no fast path yet.
-CONV_FAST_AVAILABLE = (
-    "fast" in inspect.signature(nn_functional.conv2d_forward).parameters
-)
 INFERENCE_AVAILABLE = repro_net is not None and hasattr(repro_net, "InferenceServer")
 
 AGENT_HAS_DTYPE = "dtype" in inspect.signature(ScalarizedDoubleDQN.__init__).parameters
@@ -164,11 +157,6 @@ CLUSTER_PREPARED_ROUNDS = 3
 BACKEND_WIDTH = 16
 BACKEND_ROUNDS = 3
 BACKEND_ACTORS = 2              # concurrent clients over one shared cache
-CONV_WIDTHS = (16, 32)
-CONV_BATCH = 16                 # the trainer's sampled batch size
-CONV_CHANNELS = 16              # a residual-block conv at RUNTIME_NET width
-CONV_ROUNDS = 3
-CONV_REPS = 3                   # passes averaged inside one timing
 INFERENCE_WIDTH = 16
 INFERENCE_CLIENTS = 4           # concurrent actors sharing the server
 INFERENCE_REQUESTS = 8          # act requests per client
@@ -854,63 +842,6 @@ def bench_cluster() -> "dict | None":
     return out
 
 
-def bench_conv() -> "dict | None":
-    """Tap-loop fast conv vs the im2col oracle at trainer batch shapes.
-
-    Interleaved best-of rounds on the residual-block shape the train step
-    actually runs (batch CONV_BATCH, CONV_CHANNELS -> CONV_CHANNELS, 3x3).
-    The headline is the fwd+bwd (train-step) ratio: the tap-loop's big win
-    is the backward pass, where the cached per-tap slabs replace the
-    col2im scatter; forward-only is also recorded. Both paths are timed in
-    the same process on the same arrays, so the ratio is host-drift-free.
-    """
-    if not CONV_FAST_AVAILABLE:
-        return None
-    F = nn_functional
-    out = {}
-    for n in CONV_WIDTHS:
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((CONV_BATCH, CONV_CHANNELS, n, n))
-        weight = rng.standard_normal((CONV_CHANNELS, CONV_CHANNELS, 3, 3))
-        bias = rng.standard_normal(CONV_CHANNELS)
-        for fast in (False, True):  # warm both paths off the clock
-            y, cache = F.conv2d_forward(x, weight, bias, fast=fast)
-            F.conv2d_backward(y, cache)
-        best = {k: float("inf") for k in
-                ("im2col_fwd", "fast_fwd", "im2col_train", "fast_train")}
-        for _ in range(CONV_ROUNDS):
-            for name, fast in (("im2col", False), ("fast", True)):
-                start = time.perf_counter()
-                for _ in range(CONV_REPS):
-                    F.conv2d_forward(x, weight, bias, fast=fast)
-                fwd = (time.perf_counter() - start) / CONV_REPS
-                start = time.perf_counter()
-                for _ in range(CONV_REPS):
-                    y, cache = F.conv2d_forward(x, weight, bias, fast=fast)
-                    F.conv2d_backward(y, cache)
-                train = (time.perf_counter() - start) / CONV_REPS
-                best[f"{name}_fwd"] = min(best[f"{name}_fwd"], fwd)
-                best[f"{name}_train"] = min(best[f"{name}_train"], train)
-        row = {
-            "batch": CONV_BATCH,
-            "channels": CONV_CHANNELS,
-            "rounds": CONV_ROUNDS,
-            "im2col_fwd_ms": best["im2col_fwd"] * 1000,
-            "fast_fwd_ms": best["fast_fwd"] * 1000,
-            "im2col_train_ms": best["im2col_train"] * 1000,
-            "fast_train_ms": best["fast_train"] * 1000,
-            "fast_fwd_speedup": best["im2col_fwd"] / max(best["fast_fwd"], 1e-12),
-            "fast_train_speedup": best["im2col_train"] / max(best["fast_train"], 1e-12),
-        }
-        out[str(n)] = row
-        print(f"conv n={n} (B={CONV_BATCH}, C={CONV_CHANNELS}): "
-              f"fwd {row['im2col_fwd_ms']:.2f} -> {row['fast_fwd_ms']:.2f} ms "
-              f"({row['fast_fwd_speedup']:.2f}x), "
-              f"fwd+bwd {row['im2col_train_ms']:.2f} -> {row['fast_train_ms']:.2f} ms "
-              f"({row['fast_train_speedup']:.2f}x)")
-    return out
-
-
 def bench_inference() -> "dict | None":
     """Shared inference service: coalescing under concurrent actors.
 
@@ -1350,9 +1281,6 @@ def measure() -> dict:
         out["cluster"] = cluster
     if BACKEND_AVAILABLE:
         out["backend"] = bench_backend()
-    conv = bench_conv()
-    if conv is not None:
-        out["conv"] = conv
     inference = bench_inference()
     if inference is not None:
         out["inference"] = inference
@@ -1438,12 +1366,6 @@ def merge(baseline: dict, current: dict, parent: "dict | None" = None) -> dict:
         # Work-reduction fraction (not a wall-clock claim): the claim/lease
         # protocol vs the dedup-only shared cache under actor contention.
         speedups["backend_lease_synthesis_saved"] = row["lease_synthesis_saved"]
-    for n, row in current.get("conv", {}).items():
-        # Within-run interleaved ratios: fast tap-loop vs the im2col
-        # oracle on the same arrays; fwd+bwd is the headline (the
-        # backward's col2im scatter is the expensive part eliminated).
-        speedups[f"conv_fast_train_n{n}"] = row["fast_train_speedup"]
-        speedups[f"conv_fast_fwd_n{n}"] = row["fast_fwd_speedup"]
     for row in current.get("inference", {}).values():
         # Work-reduction records (not wall-clock claims on 1 CPU): how
         # many small forwards the shared server folded together.
@@ -1477,7 +1399,6 @@ def apply_smoke_workload() -> None:
     global RUNTIME_WIDTH, RUNTIME_STEPS, RUNTIME_ROUNDS, RUNTIME_ENVS_PER_ACTOR
     global CLUSTER_WIDTH, CLUSTER_PROTOCOL_ITERS, CLUSTER_PREPARED_ROUNDS
     global BACKEND_WIDTH, BACKEND_ROUNDS
-    global CONV_WIDTHS, CONV_BATCH, CONV_ROUNDS, CONV_REPS
     global INFERENCE_WIDTH, INFERENCE_CLIENTS, INFERENCE_REQUESTS
     global INFERENCE_ROWS, INFERENCE_ROUNDS
     global CHAOS_WIDTH, CHAOS_STEPS, CHAOS_ROUNDS
@@ -1508,10 +1429,6 @@ def apply_smoke_workload() -> None:
     CLUSTER_PREPARED_ROUNDS = 1
     BACKEND_WIDTH = 8
     BACKEND_ROUNDS = 1
-    CONV_WIDTHS = (8,)
-    CONV_BATCH = 4
-    CONV_ROUNDS = 1
-    CONV_REPS = 2
     INFERENCE_WIDTH = 8
     INFERENCE_CLIENTS = 2
     INFERENCE_REQUESTS = 3
@@ -1629,10 +1546,6 @@ def run_smoke(output: "str | None") -> dict:
     if BACKEND_AVAILABLE:
         assert "backend" in current, "missing bench section 'backend'"
         expected.append("backend_lease_synthesis_saved")
-    if CONV_FAST_AVAILABLE:
-        assert "conv" in current, "missing bench section 'conv'"
-        expected.append(f"conv_fast_train_n{CONV_WIDTHS[0]}")
-        expected.append(f"conv_fast_fwd_n{CONV_WIDTHS[0]}")
     if INFERENCE_AVAILABLE:
         assert "inference" in current, "missing bench section 'inference'"
         expected.append("inference_coalescing")
@@ -1670,7 +1583,6 @@ def profile_sections() -> dict:
         "runtime": bench_runtime,
         "cluster": bench_cluster,
         "backend": (lambda: bench_backend() if BACKEND_AVAILABLE else None),
-        "conv": bench_conv,
         "inference": bench_inference,
         "chaos": bench_chaos,
         "store": bench_store,
@@ -1736,7 +1648,7 @@ def main() -> None:
              "functions instead of measuring; combine with --smoke for a "
              "fast workload (sections: "
              "graph_features, trainer, synthesis, sta_backward, analytical, "
-             "synthesis_farm, runtime, cluster, backend, conv, inference, "
+             "synthesis_farm, runtime, cluster, backend, inference, "
              "chaos, store, obs)",
     )
     parser.add_argument(

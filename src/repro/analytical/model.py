@@ -55,7 +55,7 @@ def analytical_delay(graph: PrefixGraph) -> float:
     are already final because their level is strictly lower. The
     per-node expression ``delay + max(arrival[upper], arrival[lower])``
     is the one the preserved fixpoint oracle
-    (:func:`repro.analytical.reference.analytical_delay_reference`)
+    (``analytical_delay_reference`` in ``tests/oracles/analytical.py``)
     applies, in the same final state, so results are bit-identical while
     the total work drops from O(depth * nodes) relaxation sweeps to
     O(nodes).

@@ -153,7 +153,6 @@ def cmd_train(args) -> int:
         return ScalarizedDoubleDQN(
             args.width, w_area=args.w_area, w_delay=1 - args.w_area,
             blocks=args.blocks, channels=args.channels, lr=3e-4, rng=args.seed,
-            fast_conv=args.fast_conv,
         )
 
     config = TrainerConfig(steps=args.steps, batch_size=8, warmup_steps=16)
@@ -238,7 +237,6 @@ def _cluster_pieces(args):
         channels=args.channels,
         lr=3e-4,
         rng=args.seed,
-        fast_conv=args.fast_conv,
     )
     cluster_config = ClusterConfig.from_args(args)
     spec = ClusterSpec.for_agent(
@@ -738,9 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="persistent content-addressed curve store directory: "
                         "synthesized curves are durable across restarts, so a rerun "
                         "against the same dir starts warm (default: in-memory only)")
-    p.add_argument("--fast-conv", action="store_true",
-                   help="opt into the tolerance-gated tap-loop convolution "
-                        "(default: the byte-exact im2col path)")
     p.set_defaults(func=cmd_train)
 
     from repro.net.config import ClusterConfig
@@ -757,9 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
         # Fleet knobs live on the ClusterConfig dataclass; the CLI is a
         # thin parser over it (field defaults ARE the flag defaults).
         ClusterConfig.add_arguments(p, command)
-        p.add_argument("--fast-conv", action="store_true",
-                       help="opt into the tolerance-gated tap-loop convolution for "
-                            "learner and actors (default: the byte-exact im2col path)")
 
     p = sub.add_parser(
         "serve-learner",

@@ -230,7 +230,6 @@ class RemoteActorWorker:
             blocks=spec["blocks"],
             channels=spec["channels"],
             dtype=np.dtype(spec["dtype"]),
-            fast_conv=spec.get("fast_conv", False),
         )
         net.eval()
         total = spec["w_area"] + spec["w_delay"]

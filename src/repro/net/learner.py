@@ -80,7 +80,6 @@ class ClusterSpec:
     blocks: int = 2
     channels: int = 16
     dtype: str = "float64"
-    fast_conv: bool = False
     # Fleet-wide knobs (heartbeat window, store location, inference
     # service). ``asdict`` flattens the nested dataclass to a plain dict
     # on the wire; actors read named keys.
@@ -96,7 +95,6 @@ class ClusterSpec:
             blocks=agent.local.blocks,
             channels=agent.local.channels,
             dtype=np.dtype(agent.local.dtype).name,
-            fast_conv=bool(agent.local.fast_conv),
             **kwargs,
         )
 

@@ -8,12 +8,12 @@ design: each module caches its forward activations and its ``backward``
 consumes them in reverse order, which is sufficient for the
 chain-plus-skip topology of the network.
 
-Convolution ships two layouts: the byte-exact im2col path (default; the
-original implementation, preserved in :mod:`repro.nn.reference` as the
-oracle) and an opt-in tap-loop GEMM fast path gated on a tested numerical
-tolerance (``QNetwork(fast_conv=True)`` / ``--fast-conv``). The repo's
-bit-identity policy keeps ``mode="sync"`` and the differential-CLI gate
-on the exact path.
+Each op has one numeric path (:mod:`repro.nn.functional`): a tap-loop
+GEMM for K > 1 convolutions, a batched channel-first GEMM for 1x1, and a
+fused scale/shift batchnorm. Their contract is a stated tolerance against
+the test-side reference implementations plus finite-difference gradient
+checks, and same seed -> same bytes across runs; ``dtype`` is a property
+of the tensors, not a second implementation.
 """
 
 from repro.nn.layers import (

@@ -42,19 +42,25 @@ class Module:
 
     def __init__(self):
         self.training = True
+        self._cache = None
+
+    def _members(self):
+        """Own parameters and direct submodules, in attribute order."""
+        for attr in self.__dict__.values():
+            if isinstance(attr, (Parameter, Module)):
+                yield attr
+            elif isinstance(attr, (list, tuple)):
+                yield from (item for item in attr if isinstance(item, Module))
+
+    def _children(self):
+        """Direct submodules."""
+        return (member for member in self._members() if isinstance(member, Module))
 
     def parameters(self) -> "list[Parameter]":
         """All trainable parameters (depth-first over submodules)."""
         params: "list[Parameter]" = []
-        for attr in self.__dict__.values():
-            if isinstance(attr, Parameter):
-                params.append(attr)
-            elif isinstance(attr, Module):
-                params.extend(attr.parameters())
-            elif isinstance(attr, (list, tuple)):
-                for item in attr:
-                    if isinstance(item, Module):
-                        params.extend(item.parameters())
+        for member in self._members():
+            params.extend([member] if isinstance(member, Parameter) else member.parameters())
         return params
 
     def train(self) -> None:
@@ -67,13 +73,21 @@ class Module:
 
     def _set_mode(self, training: bool) -> None:
         self.training = training
-        for attr in self.__dict__.values():
-            if isinstance(attr, Module):
-                attr._set_mode(training)
-            elif isinstance(attr, (list, tuple)):
-                for item in attr:
-                    if isinstance(item, Module):
-                        item._set_mode(training)
+        for child in self._children():
+            child._set_mode(training)
+
+    def drop_caches(self) -> None:
+        """Forget every pending backward cache (a forward nobody will backprop)."""
+        self._cache = None
+        for child in self._children():
+            child.drop_caches()
+
+    def _take_cache(self):
+        """Hand the last forward's cache to ``backward``, exactly once."""
+        cache, self._cache = self._cache, None
+        if cache is None:
+            raise RuntimeError(f"{type(self).__name__}.backward has no pending forward to differentiate")
+        return cache
 
     def zero_grad(self) -> None:
         for p in self.parameters():
@@ -129,16 +143,10 @@ class Module:
 
 
 class Conv2d(Module):
-    """Same-padded stride-1 convolution with He-initialized weights.
-
-    ``fast=True`` selects the tolerance-gated tap-loop GEMM layout in
-    :mod:`repro.nn.functional`; the default stays on the byte-exact
-    im2col reference path.
-    """
+    """Same-padded stride-1 convolution with He-initialized weights."""
 
     def __init__(
-        self, in_channels: int, out_channels: int, kernel_size: int,
-        rng=None, bias: bool = True, dtype=np.float64, fast: bool = False,
+        self, in_channels: int, out_channels: int, kernel_size: int, rng=None, bias: bool = True, dtype=np.float64
     ):
         super().__init__()
         gen = ensure_rng(rng)
@@ -150,17 +158,14 @@ class Conv2d(Module):
             dtype=dtype,
         )
         self.bias = Parameter(np.zeros(out_channels), name="conv.bias", dtype=dtype) if bias else None
-        self.fast = fast
-        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         bias = self.bias.value if self.bias is not None else None
-        y, self._cache = F.conv2d_forward(x, self.weight.value, bias, fast=self.fast)
+        y, self._cache = F.conv2d_forward(x, self.weight.value, bias)
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        dx, dw, db = F.conv2d_backward(dy, self._cache)
-        self._cache = None
+        dx, dw, db = F.conv2d_backward(dy, self._take_cache())
         self.weight.grad += dw
         if self.bias is not None:
             self.bias.grad += db
@@ -168,16 +173,9 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    """Per-channel batch normalization with running statistics.
+    """Per-channel batch normalization with running statistics."""
 
-    ``fast=True`` selects the fused scale/shift formulation (tolerance-
-    gated); the default stays on the byte-exact reference algebra.
-    """
-
-    def __init__(
-        self, channels: int, momentum: float = 0.1, eps: float = 1e-5,
-        dtype=np.float64, fast: bool = False,
-    ):
+    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5, dtype=np.float64):
         super().__init__()
         self.gamma = Parameter(np.ones(channels), name="bn.gamma", dtype=dtype)
         self.beta = Parameter(np.zeros(channels), name="bn.beta", dtype=dtype)
@@ -185,8 +183,6 @@ class BatchNorm2d(Module):
         self.running_var = np.ones(channels, dtype=dtype)
         self.momentum = momentum
         self.eps = eps
-        self.fast = fast
-        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         y, self._cache = F.batchnorm_forward(
@@ -198,13 +194,11 @@ class BatchNorm2d(Module):
             self.momentum,
             self.eps,
             self.training,
-            fast=self.fast,
         )
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        dx, dgamma, dbeta = F.batchnorm_backward(dy, self._cache)
-        self._cache = None
+        dx, dgamma, dbeta = F.batchnorm_backward(dy, self._take_cache())
         self.gamma.grad += dgamma
         self.beta.grad += dbeta
         return dx
@@ -216,16 +210,13 @@ class LeakyReLU(Module):
     def __init__(self, slope: float = 0.01):
         super().__init__()
         self.slope = slope
-        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         y, self._cache = F.leaky_relu_forward(x, self.slope)
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        dx = F.leaky_relu_backward(dy, self._cache)
-        self._cache = None
-        return dx
+        return F.leaky_relu_backward(dy, self._take_cache())
 
 
 class Sequential(Module):
@@ -249,17 +240,14 @@ class Sequential(Module):
 class ResidualBlock(Module):
     """Fig. 2 residual block: conv5x5-BN-LReLU-conv5x5-BN, skip add, LReLU."""
 
-    def __init__(
-        self, channels: int, kernel_size: int = 5, rng=None, slope: float = 0.01,
-        dtype=np.float64, fast: bool = False,
-    ):
+    def __init__(self, channels: int, kernel_size: int = 5, rng=None, slope: float = 0.01, dtype=np.float64):
         super().__init__()
         gen = ensure_rng(rng)
-        self.conv1 = Conv2d(channels, channels, kernel_size, rng=gen, dtype=dtype, fast=fast)
-        self.bn1 = BatchNorm2d(channels, dtype=dtype, fast=fast)
+        self.conv1 = Conv2d(channels, channels, kernel_size, rng=gen, dtype=dtype)
+        self.bn1 = BatchNorm2d(channels, dtype=dtype)
         self.act1 = LeakyReLU(slope)
-        self.conv2 = Conv2d(channels, channels, kernel_size, rng=gen, dtype=dtype, fast=fast)
-        self.bn2 = BatchNorm2d(channels, dtype=dtype, fast=fast)
+        self.conv2 = Conv2d(channels, channels, kernel_size, rng=gen, dtype=dtype)
+        self.bn2 = BatchNorm2d(channels, dtype=dtype)
         self.act_out = LeakyReLU(slope)
 
     def forward(self, x: np.ndarray) -> np.ndarray:

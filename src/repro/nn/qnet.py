@@ -37,7 +37,6 @@ class QNetwork(Module):
         rng=None,
         slope: float = 0.01,
         dtype=np.float64,
-        fast_conv: bool = False,
     ):
         super().__init__()
         if blocks < 0 or channels < 1:
@@ -47,22 +46,17 @@ class QNetwork(Module):
         self.blocks = blocks
         self.channels = channels
         self.dtype = np.dtype(dtype)
-        self.fast_conv = bool(fast_conv)
-        fast = self.fast_conv
         self.body = Sequential(
-            Conv2d(NUM_INPUT_PLANES, channels, 3, rng=gen, dtype=dtype, fast=fast),
-            BatchNorm2d(channels, dtype=dtype, fast=fast),
+            Conv2d(NUM_INPUT_PLANES, channels, 3, rng=gen, dtype=dtype),
+            BatchNorm2d(channels, dtype=dtype),
             LeakyReLU(slope),
-            *[
-                ResidualBlock(channels, 5, rng=gen, slope=slope, dtype=dtype, fast=fast)
-                for _ in range(blocks)
-            ],
+            *[ResidualBlock(channels, 5, rng=gen, slope=slope, dtype=dtype) for _ in range(blocks)],
         )
         self.head = Sequential(
-            Conv2d(channels, channels, 1, rng=gen, dtype=dtype, fast=fast),
-            BatchNorm2d(channels, dtype=dtype, fast=fast),
+            Conv2d(channels, channels, 1, rng=gen, dtype=dtype),
+            BatchNorm2d(channels, dtype=dtype),
             LeakyReLU(slope),
-            Conv2d(channels, NUM_OUTPUT_PLANES, 1, rng=gen, dtype=dtype, fast=fast),
+            Conv2d(channels, NUM_OUTPUT_PLANES, 1, rng=gen, dtype=dtype),
         )
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -75,12 +69,18 @@ class QNetwork(Module):
         return self.body.backward(self.head.backward(dy))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Inference-mode forward (no activation caching side effects kept)."""
+        """Inference-mode forward that leaves no layer holding a backward cache.
+
+        The caches of a training ``forward`` still awaiting its ``backward``
+        are dropped too, so that ``backward`` raises instead of
+        differentiating this input.
+        """
         was_training = self.training
         self.eval()
         try:
             return self.forward(np.asarray(x, dtype=self.dtype))
         finally:
+            self.drop_caches()
             if was_training:
                 self.train()
 
@@ -98,7 +98,6 @@ class QNetwork(Module):
             __meta_blocks=self.blocks,
             __meta_channels=self.channels,
             __meta_dtype=str(self.dtype),
-            __meta_fast_conv=int(self.fast_conv),
             **self.state_arrays(),
         )
 
@@ -107,14 +106,14 @@ class QNetwork(Module):
         """Reconstruct a saved network (architecture from metadata)."""
         data = np.load(path)
         dtype = str(data["__meta_dtype"]) if "__meta_dtype" in data.files else "float64"
-        fast_conv = bool(int(data["__meta_fast_conv"])) if "__meta_fast_conv" in data.files else False
         net = cls(
             n=int(data["__meta_n"]),
             blocks=int(data["__meta_blocks"]),
             channels=int(data["__meta_channels"]),
             dtype=np.dtype(dtype),
-            fast_conv=fast_conv,
         )
+        # Every ``__meta_*`` key that is not architecture is skipped, which is
+        # how files from releases that wrote ``__meta_fast_conv`` still load.
         arrays = {k: data[k] for k in data.files if not k.startswith("__meta_")}
         net.load_state_arrays(arrays)
         return net

@@ -28,8 +28,6 @@ class ScalarizedDoubleDQN:
         blocks / channels: Q-network capacity (paper: 32 / 256).
         dtype: Q-network parameter/activation dtype; ``np.float32`` halves
             the convolution memory traffic (default float64).
-        fast_conv: opt into the tolerance-gated tap-loop conv layout for
-            both networks (default: the byte-exact im2col path).
         lr: Adam learning rate (paper: 4e-5).
         gamma: discount (paper: 0.75).
         target_sync_every: gradient steps between target-network syncs
@@ -50,7 +48,6 @@ class ScalarizedDoubleDQN:
         grad_clip: "float | None" = 1.0,
         double: bool = True,
         dtype=np.float64,
-        fast_conv: bool = False,
         rng=None,
     ):
         if w_area < 0 or w_delay < 0 or (w_area + w_delay) <= 0:
@@ -65,12 +62,8 @@ class ScalarizedDoubleDQN:
         self.gamma = gamma
         self.target_sync_every = target_sync_every
         self.double = double
-        self.local = QNetwork(
-            n, blocks=blocks, channels=channels, rng=self._rng, dtype=dtype, fast_conv=fast_conv
-        )
-        self.target = QNetwork(
-            n, blocks=blocks, channels=channels, rng=self._rng, dtype=dtype, fast_conv=fast_conv
-        )
+        self.local = QNetwork(n, blocks=blocks, channels=channels, rng=self._rng, dtype=dtype)
+        self.target = QNetwork(n, blocks=blocks, channels=channels, rng=self._rng, dtype=dtype)
         self.target.copy_from(self.local)
         self.target.eval()
         self.optimizer = Adam(self.local.parameters(), lr=lr, grad_clip=grad_clip)
@@ -207,7 +200,6 @@ class ScalarizedDoubleDQN:
             blocks=self.local.blocks,
             channels=self.local.channels,
             dtype=self.local.dtype,
-            fast_conv=self.local.fast_conv,
         )
         net.copy_from(self.local)
         net.eval()

@@ -13,7 +13,7 @@ Two engines share one contract:
   into arc tables, runs the forward pass as level-grouped array sweeps,
   and keeps the analysis live across netlist edits (incremental cone
   re-timing); :func:`analyze_timing` is a one-shot wrapper over it.
-- :mod:`repro.sta.reference` — the original dict-of-objects traversal,
+- ``tests/oracles/sta.py`` — the original dict-of-objects traversal,
   preserved verbatim as the oracle the fast engine is property-tested
   bit-identical against.
 """

@@ -25,7 +25,7 @@ then keeps the analysis *live* across netlist edits:
   times at all (the backward state stays lazily uninitialized).
 
 The engine is **bit-identical** to the reference implementation preserved
-in :mod:`repro.sta.reference`: identical load summation order, identical
+in ``tests/oracles/sta.py``: identical load summation order, identical
 arc-delay expression grouping (``intrinsic + resistance * load`` first,
 then add the source arrival), identical first-wins tie-breaks for worst
 arcs and worst outputs. ``tests/sta/test_timing_graph.py`` property-tests

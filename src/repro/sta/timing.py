@@ -66,7 +66,7 @@ def analyze_timing(
 
     Implemented on the array-backed :class:`repro.sta.graph.TimingGraph`
     engine (level-grouped forward/backward sweeps); bit-identical to the
-    original traversal preserved in :mod:`repro.sta.reference`. Callers
+    original traversal preserved in ``tests/oracles/sta.py``. Callers
     that re-analyze after small edits should hold a ``TimingGraph`` and use
     its incremental mutation methods instead of calling this repeatedly.
     """

@@ -12,7 +12,7 @@ The optimizer runs on the incremental :class:`repro.sta.TimingGraph`
 engine: one compile per run, O(cone) accept/reject trials, and one
 compiled+pin-swapped state forked across a curve's delay targets. The
 pre-rewrite full-STA-per-trial path survives in
-:mod:`repro.synth.reference` and is regression-tested byte-identical.
+``tests/oracles/synth.py`` and is regression-tested byte-identical.
 
 Where curves come from is the one :mod:`repro.synth.backend` seam:
 ``SynthesisEvaluator`` delegates to an :class:`EvaluationBackend` — a

@@ -26,7 +26,7 @@ move incrementally — the accept/reject check costs O(affected cone), not
 O(netlist). :meth:`Synthesizer.prepare` exposes the compiled, pin-swapped
 state so :func:`repro.synth.synthesize_curve` can fork it per delay target
 instead of recompiling; results are byte-identical to the original
-full-STA-per-trial path preserved in :mod:`repro.synth.reference`.
+full-STA-per-trial path preserved in ``tests/oracles/synth.py``.
 """
 
 from __future__ import annotations
@@ -337,7 +337,7 @@ class Synthesizer:
 
         Slack-driven: candidates are visited in descending slack-margin
         order (one slack map at pass start, exactly as the reference
-        loop preserved in :mod:`repro.synth.reference` sorts them), but
+        loop preserved in ``tests/oracles/synth.py`` sorts them), but
         per-candidate gating reads :meth:`TimingGraph.slack_of` — after
         an accepted downsize the engine's incremental backward worklist
         re-examines only the nets whose required time actually changed,

@@ -8,6 +8,7 @@ by the CLI end-to-end test and the CI cluster-smoke job.
 from __future__ import annotations
 
 import threading
+from dataclasses import asdict
 
 import pytest
 
@@ -97,6 +98,17 @@ class TestClusterTraining:
             TrainingRuntime(
                 None, agent, runtime=RuntimeConfig(mode="cluster"), cluster=spec
             )
+
+    @pytest.mark.parametrize("stale", [{}, {"fast_conv": False}, {"fast_conv": True}])
+    def test_actor_builds_its_net_from_specs_of_either_release(self, stale):
+        """The learner stopped sending ``fast_conv`` (PROTOCOL_VERSION still
+        2); a join spec from a learner that still sends it builds the same net."""
+        agent = ScalarizedDoubleDQN(4, blocks=0, channels=4, rng=0)
+        spec = asdict(ClusterSpec.for_agent(agent, horizon=6, envs_per_actor=2))
+        assert "fast_conv" not in spec
+        join = {"spec": {**spec, **stale}, "env_seed": 1, "exploration_seed": 2, "actor_id": 0}
+        loop, _backend = RemoteActorWorker(("127.0.0.1", 1))._build(join, cache_client=None)
+        assert sorted(loop.net.state_arrays()) == sorted(agent.local.state_arrays())
 
     def test_no_actors_is_a_clear_timeout(self):
         runtime = make_runtime(steps=8, cluster_wait=0.5)

@@ -52,6 +52,27 @@ class TestModuleSystem:
         net.predict(gen.normal(size=(1, 4, 5, 5)))
         assert net.training
 
+    def test_predict_leaves_no_layer_holding_a_cache(self, gen):
+        def holding(module):
+            return (module._cache is not None) + sum(holding(child) for child in module._children())
+
+        net = QNetwork(n=5, blocks=1, channels=4, rng=0)
+        net.forward(gen.normal(size=(2, 4, 5, 5)))
+        assert holding(net) == 5 + 4 + 4  # every conv, batchnorm and LeakyReLU awaits a backward
+        net.predict(gen.normal(size=(1, 4, 5, 5)))
+        assert holding(net) == 0
+
+    def test_backward_after_an_interleaved_predict_fails_loudly(self, gen):
+        """A predict between a training forward and its backward used to
+        swap in its own caches, and backward returned gradients for the
+        predict's input. Now the pending forward is gone and backward says so."""
+        net = QNetwork(n=5, blocks=0, channels=4, rng=0)
+        net.train()
+        y = net.forward(gen.normal(size=(2, 4, 5, 5)))
+        net.predict(gen.normal(size=(2, 4, 5, 5)))
+        with pytest.raises(RuntimeError, match="no pending forward"):
+            net.backward(np.ones_like(y))
+
     def test_num_parameters_positive(self):
         net = QNetwork(n=6, blocks=1, channels=8, rng=0)
         assert net.num_parameters() > 1000
@@ -132,6 +153,19 @@ class TestPersistence:
         net.save(path)
         loaded = QNetwork.load(path)
         assert np.allclose(loaded.predict(x), expected)
+
+    @pytest.mark.parametrize("stale", [{}, {"__meta_fast_conv": 0}, {"__meta_fast_conv": 1}])
+    def test_load_ignores_the_retired_fast_conv_key(self, tmp_path, gen, stale):
+        """Files written while ``fast_conv`` was a constructor switch carry
+        ``__meta_fast_conv``; ``save`` no longer writes it and ``load`` skips it."""
+        net = QNetwork(n=6, blocks=1, channels=4, rng=5)
+        path = str(tmp_path / "qnet.npz")
+        net.save(path)
+        data = dict(np.load(path))
+        assert "__meta_fast_conv" not in data
+        np.savez(path, **data, **stale)
+        x = gen.normal(size=(2, 4, 6, 6))
+        assert QNetwork.load(path).predict(x).tobytes() == net.predict(x).tobytes()
 
     def test_copy_from_synchronizes(self, gen):
         a = QNetwork(n=5, blocks=1, channels=4, rng=1)

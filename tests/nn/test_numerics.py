@@ -1,0 +1,191 @@
+"""The Q-network's numerical contract, held against the test-side oracle.
+
+``repro.nn.functional`` has one path per op (tap-loop / pointwise GEMM
+convolution, fused batchnorm). Each reassociates sums the im2col
+convolution and the four-pass batchnorm in ``tests/oracles/nn.py`` take
+in another order, so the contract is a stated tolerance per dtype — not
+byte equality — on every output and gradient, plus finite-difference
+checks that the backward passes are gradients in their own right (full
+sweeps live in ``test_gradients.py``). The oracle *network* is the same
+``QNetwork`` run with the four functional ops swapped for the oracle's.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+
+from repro.nn import Adam, QNetwork, huber_loss
+from repro.nn import functional as F
+from tests.oracles import nn as oracle
+
+# Reassociation tolerance per dtype: (rtol, atol).
+TOL = {np.float64: (1e-10, 1e-12), np.float32: (1e-3, 1e-5)}
+DTYPES = [np.float64, np.float32]
+OPS = ("conv2d_forward", "conv2d_backward", "batchnorm_forward", "batchnorm_backward")
+
+CONV_SHAPES = [
+    # (batch, c_in, c_out, n, k) — the trainer shapes (3x3 stem, 5x5
+    # residual, 16->16 and 16->4 heads) plus deliberately awkward odd sizes.
+    (1, 1, 1, 3, 3),
+    (2, 3, 4, 5, 3),
+    (4, 4, 16, 8, 3),
+    (2, 16, 16, 8, 5),
+    (3, 5, 7, 11, 5),
+    (1, 2, 3, 9, 7),
+    (1, 1, 1, 3, 1),
+    (2, 16, 16, 8, 1),
+    (4, 16, 4, 16, 1),
+    (3, 5, 7, 11, 1),
+    (8, 16, 4, 32, 1),
+]
+
+
+def conv_case(rng, shape, dtype=np.float64, bias=True):
+    b, c_in, c_out, n, k = shape
+    x = rng.normal(size=(b, c_in, n, n)).astype(dtype)
+    w = rng.normal(size=(c_out, c_in, k, k)).astype(dtype)
+    bias_arr = rng.normal(size=c_out).astype(dtype) if bias else None
+    dy = rng.normal(size=(b, c_out, n, n)).astype(dtype)
+    return x, w, bias_arr, dy
+
+
+def bn_case(rng, b=4, c=6, n=8, dtype=np.float64):
+    x = rng.normal(size=(b, c, n, n)).astype(dtype)
+    gamma = rng.normal(loc=1.0, scale=0.2, size=c).astype(dtype)
+    beta = rng.normal(size=c).astype(dtype)
+    dy = rng.normal(size=(b, c, n, n)).astype(dtype)
+    return x, gamma, beta, dy
+
+
+def assert_close(got, want, dtype, scale=1.0):
+    rtol, atol = TOL[dtype]
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=rtol * scale, atol=atol * scale)
+
+
+def spot_check_gradients(objective, pairs, tol, samples=5, eps=1e-6):
+    """Central differences of ``objective()`` at ~``samples`` evenly spaced
+    coordinates of each ``(array, analytic_gradient)`` pair."""
+    for arr, grad in pairs:
+        flat, gflat = arr.reshape(-1), grad.reshape(-1)
+        for k in range(0, flat.size, max(1, flat.size // samples)):
+            orig = flat[k]
+            flat[k] = orig + eps
+            plus = objective()
+            flat[k] = orig - eps
+            minus = objective()
+            flat[k] = orig
+            assert abs(gflat[k] - (plus - minus) / (2 * eps)) < tol
+
+
+@contextmanager
+def oracle_numerics():
+    """Run every ``QNetwork`` in the block on the oracle's conv and batchnorm."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name in OPS:
+            patch.setattr(F, name, getattr(oracle, name))
+        yield
+
+
+class TestConv:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", CONV_SHAPES)
+    def test_forward_and_backward_within_tolerance(self, shape, dtype):
+        x, w, bias, dy = conv_case(np.random.default_rng(hash(shape) % (2**32)), shape, dtype)
+        y_ref, cache_ref = oracle.conv2d_forward(x, w, bias)
+        y, cache = F.conv2d_forward(x, w, bias)
+        assert_close(y, y_ref, dtype)
+        for got, want in zip(F.conv2d_backward(dy, cache), oracle.conv2d_backward(dy, cache_ref)):
+            assert_close(got, want, dtype)
+
+    @pytest.mark.parametrize("shape", [(2, 6, 3, 5, 1), (2, 3, 4, 6, 3)])
+    def test_no_bias(self, shape):
+        x, w, _, dy = conv_case(np.random.default_rng(0), shape, bias=False)
+        y_ref, cache_ref = oracle.conv2d_forward(x, w, None)
+        y, cache = F.conv2d_forward(x, w, None)
+        assert_close(y, y_ref, np.float64)
+        dx, dw, db = F.conv2d_backward(dy, cache)
+        dx_ref, dw_ref, db_ref = oracle.conv2d_backward(dy, cache_ref)
+        assert db is None and db_ref is None
+        assert_close(dx, dx_ref, np.float64)
+        assert_close(dw, dw_ref, np.float64)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 2, 4, 1), (2, 3, 4, 5, 3), (2, 2, 3, 6, 5)])
+    def test_gradients_numerically(self, shape):
+        x, w, bias, dy = conv_case(np.random.default_rng(3), shape)
+        _, cache = F.conv2d_forward(x, w, bias)
+        grads = F.conv2d_backward(dy, cache)
+        spot_check_gradients(
+            lambda: float((F.conv2d_forward(x, w, bias)[0] * dy).sum()), zip((x, w, bias), grads), tol=1e-6
+        )
+
+    @pytest.mark.parametrize("k", [(2, 2), (3, 5), (4, 4)])
+    def test_even_or_rectangular_kernels_rejected(self, k):
+        with pytest.raises(ValueError, match="odd square"):
+            F.conv2d_forward(np.zeros((1, 2, 6, 6)), np.zeros((3, 2, *k)), None)
+
+
+class TestBatchnorm:
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_matches_oracle_within_tolerance(self, training, dtype):
+        x, gamma, beta, dy = bn_case(np.random.default_rng(7), dtype=dtype)
+        rm_ref, rv_ref = np.zeros(6, dtype=dtype), np.ones(6, dtype=dtype)
+        rm, rv = rm_ref.copy(), rv_ref.copy()
+        y_ref, cache_ref = oracle.batchnorm_forward(x, gamma, beta, rm_ref, rv_ref, 0.1, 1e-5, training)
+        y, cache = F.batchnorm_forward(x, gamma, beta, rm, rv, 0.1, 1e-5, training)
+        assert_close(y, y_ref, dtype)
+        # Running statistics use the identical mean/var expressions.
+        assert rm.tobytes() == rm_ref.tobytes() and rv.tobytes() == rv_ref.tobytes()
+        for got, want in zip(F.batchnorm_backward(dy, cache), oracle.batchnorm_backward(dy, cache_ref)):
+            assert_close(got, want, dtype)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_gradients_numerically(self, training):
+        x, gamma, beta, dy = bn_case(np.random.default_rng(13), b=3, c=2, n=4)
+        running = np.array([0.3, -0.2]), np.array([1.5, 0.7])
+
+        def forward():
+            return F.batchnorm_forward(x, gamma, beta, running[0].copy(), running[1].copy(), 0.1, 1e-5, training)
+
+        grads = F.batchnorm_backward(dy, forward()[1])
+        spot_check_gradients(lambda: float((forward()[0] * dy).sum()), zip((x, gamma, beta), grads), tol=1e-5)
+
+
+class TestQNetwork:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_predict_within_tolerance(self, dtype):
+        x = np.random.default_rng(2).normal(size=(3, 4, 8, 8))
+        net = QNetwork(8, blocks=1, channels=8, rng=0, dtype=dtype)
+        y = net.predict(x)
+        with oracle_numerics():
+            y_ref = net.predict(x)
+        # Ten layers deep: the per-op tolerance, with headroom to compound.
+        assert_close(y, y_ref, dtype, scale=10.0)
+
+    def test_three_step_training_trajectory_tracks_oracle(self):
+        rng = np.random.default_rng(21)
+        batches = [(rng.normal(size=(4, 4, 8, 8)), rng.normal(size=(4, 4, 8, 8))) for _ in range(3)]
+
+        def train():
+            net = QNetwork(8, blocks=1, channels=8, rng=0)
+            optimizer = Adam(net.parameters(), lr=1e-3)
+            losses = []
+            for x, target in batches:
+                loss, dpred = huber_loss(net.forward(x), target)
+                net.zero_grad()
+                net.backward(dpred)
+                optimizer.step()
+                losses.append(loss)
+            return losses, net.parameters()
+
+        losses, params = train()
+        with oracle_numerics():
+            losses_ref, params_ref = train()
+        np.testing.assert_allclose(losses, losses_ref, rtol=1e-9, atol=1e-11)
+        for p, p_ref in zip(params, params_ref):
+            assert p.name == p_ref.name
+            np.testing.assert_allclose(p.value, p_ref.value, rtol=1e-8, atol=1e-10)

@@ -1,18 +1,16 @@
-"""Reference convolution (executable specification).
+"""Reference convolution and batchnorm (executable specification).
 
-This module preserves the original im2col implementation of
-:func:`conv2d_forward` / :func:`conv2d_backward` verbatim, as the oracle
-the tap-loop GEMM path in :mod:`repro.nn.functional` is property-tested
-against: the fast path must match within a stated numerical tolerance on
-random shapes and dtypes, and the *default* path must stay byte-identical
-to this module (see ``tests/nn/test_fast_conv.py``).
+The original im2col implementation of ``conv2d_forward`` /
+``conv2d_backward`` and the textbook four-pass batchnorm pair, verbatim
+as they shipped in ``repro.nn`` before the tap-loop / pointwise GEMM and
+the fused scale/shift algebra became the only path. The production ops
+reassociate the K*K accumulation and the elementwise algebra, so they are
+pinned to these within a stated per-dtype tolerance — not byte equality —
+in ``tests/nn/test_numerics.py``, which also monkeypatches these four
+functions into :mod:`repro.nn.functional` to build a whole oracle
+``QNetwork``.
 
-Like :mod:`repro.sta.reference`, this code still runs in production — it
-*is* the default conv path, because the repo's bit-identity policy keeps
-``mode="sync"`` and the differential-CLI gate on the exact im2col layout.
-The fast path is opt-in (``QNetwork(fast_conv=True)`` / ``--fast-conv``)
-and is checked against the code that actually shipped before, not a
-strawman.
+Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -98,3 +96,42 @@ def conv2d_backward(dy: np.ndarray, cache):
     dcols = dout @ wmat
     dx = col2im(dcols, x_shape, kh, kw, pad)
     return dx, dweight, dbias
+
+
+def batchnorm_forward(x, gamma, beta, running_mean, running_var, momentum, eps, training):
+    """Per-channel batch normalization over ``(B, H, W)``: normalize to ``xhat``, then affine."""
+    if training:
+        mean = x.mean(axis=(0, 2, 3))
+        var = x.var(axis=(0, 2, 3))
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean
+        running_var *= 1.0 - momentum
+        running_var += momentum * var
+    else:
+        mean = running_mean
+        var = running_var
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    y = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    cache = (xhat, inv_std, gamma, training, x.shape)
+    return y, cache
+
+
+def batchnorm_backward(dy: np.ndarray, cache):
+    """Gradients of :func:`batchnorm_forward`: ``(dx, dgamma, dbeta)``."""
+    xhat, inv_std, gamma, training, x_shape = cache
+    b, c, h, w = x_shape
+    m = b * h * w
+    dgamma = (dy * xhat).sum(axis=(0, 2, 3))
+    dbeta = dy.sum(axis=(0, 2, 3))
+    if not training:
+        dx = dy * (gamma * inv_std)[None, :, None, None]
+        return dx, dgamma, dbeta
+    dxhat = dy * gamma[None, :, None, None]
+    # Standard batchnorm backward: couple through batch mean and variance.
+    dx = (
+        dxhat
+        - dxhat.mean(axis=(0, 2, 3))[None, :, None, None]
+        - xhat * (dxhat * xhat).sum(axis=(0, 2, 3))[None, :, None, None] / m
+    ) * inv_std[None, :, None, None]
+    return dx, dgamma, dbeta

@@ -7,7 +7,7 @@ the optimized engine must be *bit-identical* — same delays, same worst
 arcs, same required times — on full analyses and after arbitrary
 incremental move sequences (see ``tests/sta/test_timing_graph.py``).
 
-Like :mod:`repro.prefix.reference`, nothing here is used on a hot path;
+Like :mod:`tests.oracles.prefix`, nothing here is used on a hot path;
 it exists so the fast code can be checked against the code that actually
 shipped before, not a strawman.
 """

@@ -2,7 +2,7 @@
 
 Preserves the pre-``TimingGraph`` greedy optimizer verbatim — every pass
 re-running a full dict-based STA per candidate move, via
-:func:`repro.sta.reference.analyze_timing_reference` — so the incremental
+:func:`tests.oracles.sta.analyze_timing_reference` — so the incremental
 engine in :mod:`repro.synth.optimizer` can be regression-tested for
 *byte-identical* results: same accepted moves, same final netlist, same
 curve samples. ``tests/synth/test_optimizer_equivalence.py`` pins
@@ -21,7 +21,7 @@ from repro.netlist.adder import prefix_adder_netlist
 from repro.netlist.cleanup import remove_dead_logic
 from repro.netlist.ir import Netlist
 from repro.prefix.graph import PrefixGraph
-from repro.sta.reference import analyze_timing_reference as analyze_timing
+from tests.oracles.sta import analyze_timing_reference as analyze_timing
 from repro.sta.timing import TimingReport, net_load
 from repro.synth.curve import NUM_TARGETS, AreaDelayCurve
 from repro.synth.optimizer import SynthesisResult

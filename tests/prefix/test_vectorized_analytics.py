@@ -3,7 +3,7 @@
 The vectorized ``PrefixGraph`` analytics (upper-parent map, levels,
 fanouts, minlist, children, validation, legalization) must be
 *bit-identical* — same values, same dtypes — to the seed's loop
-implementations (preserved in :mod:`repro.prefix.reference`) and
+implementations (preserved in :mod:`tests.oracles.prefix`) and
 consistent with the paper's literal Algorithm 1
 (:class:`repro.prefix.legalize.Algorithm1State`) across random legal
 graphs at n in {4, 8, 16, 32}.
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.prefix import PrefixGraph, ripple_carry, sklansky
-from repro.prefix import reference as ref
+from tests.oracles import prefix as ref
 from repro.prefix.legalize import (
     Algorithm1State,
     derive_minlist,

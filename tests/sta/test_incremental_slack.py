@@ -4,7 +4,7 @@ Randomized move/revert sequences drive every ``TimingGraph`` mutation
 class (resize with exact revert, commutative pin swap, buffer insert +
 sink rewires, rewire-back + removal). After *every single move* the
 incrementally repaired ``slack_all()`` must equal the full backward pass
-of :func:`repro.sta.reference.analyze_timing_reference` — same keys,
+of :func:`tests.oracles.sta.analyze_timing_reference` — same keys,
 same float values, including the +inf slacks off the constrained cone.
 Querying after each move is the point: it forces the rank-descending
 required-time worklist (not the cold full sweep) to produce the values.
@@ -25,7 +25,7 @@ from repro.cells import nangate45
 from repro.netlist import prefix_adder_netlist
 from repro.prefix import REGULAR_STRUCTURES
 from repro.sta import TimingGraph
-from repro.sta.reference import analyze_timing_reference
+from tests.oracles.sta import analyze_timing_reference
 from tests.conftest import random_walk_graph
 from tests.sta.test_timing_graph import apply_random_move
 

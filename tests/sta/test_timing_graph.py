@@ -1,7 +1,7 @@
 """Property tests: the array-backed TimingGraph vs the reference STA oracle.
 
 The incremental engine must be *bit-identical* — same floats, same worst
-arcs, same dict contents — to :func:`repro.sta.reference.analyze_timing_reference`
+arcs, same dict contents — to :func:`tests.oracles.sta.analyze_timing_reference`
 both on full analyses of randomized adder netlists and after randomized
 incremental move sequences (resize, pin swap, buffer-style insert/rewire,
 removal, with reverts)."""
@@ -12,7 +12,7 @@ from repro.cells import nangate45
 from repro.netlist import prefix_adder_netlist
 from repro.prefix import REGULAR_STRUCTURES
 from repro.sta import TimingGraph, analyze_timing
-from repro.sta.reference import analyze_timing_reference
+from tests.oracles.sta import analyze_timing_reference
 from tests.conftest import random_walk_graph
 
 

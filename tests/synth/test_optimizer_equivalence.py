@@ -1,7 +1,7 @@
 """Regression: the incremental optimizer is byte-identical to the old path.
 
 The pre-``TimingGraph`` optimizer (full dict STA per candidate trial) is
-preserved in :mod:`repro.synth.reference`; the production path must make
+preserved in :mod:`tests.oracles.synth`; the production path must make
 the same decisions and produce the same floats — curve samples, accepted
 move counts, final netlists — for the RL reward stream to be unchanged."""
 
@@ -10,7 +10,7 @@ import pytest
 from repro.cells import nangate45
 from repro.prefix import REGULAR_STRUCTURES, sklansky
 from repro.synth import Synthesizer, synthesize_curve
-from repro.synth.reference import ReferenceSynthesizer, synthesize_curve_reference
+from tests.oracles.synth import ReferenceSynthesizer, synthesize_curve_reference
 from tests.conftest import random_walk_graph
 
 

@@ -5,7 +5,7 @@ engine's incrementally repaired slacks and skips provably-rejected
 downsizes (:meth:`TimingGraph.downsize_rejected`). Neither shortcut may
 change a single decision: over randomized graphs, targets and
 ``recovery_passes``, the *accepted-move sequence* and the final netlist
-must match :class:`repro.synth.reference.ReferenceSynthesizer` exactly.
+must match :class:`tests.oracles.synth.ReferenceSynthesizer` exactly.
 
 Accepted moves are observed by recording every ``Netlist.replace_cell``
 call (both paths funnel through it) and collapsing trial+revert pairs;
@@ -28,7 +28,7 @@ from repro.netlist import prefix_adder_netlist
 from repro.netlist.ir import Netlist
 from repro.prefix import REGULAR_STRUCTURES
 from repro.synth import Synthesizer, synthesize_curve
-from repro.synth.reference import ReferenceSynthesizer, synthesize_curve_reference
+from tests.oracles.synth import ReferenceSynthesizer, synthesize_curve_reference
 from tests.conftest import random_walk_graph
 
 LIB = nangate45()

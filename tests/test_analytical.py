@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analytical import analytical_area, analytical_delay, evaluate_analytical
-from repro.analytical.reference import analytical_delay_reference
+from tests.oracles.analytical import analytical_delay_reference
 from repro.prefix import REGULAR_STRUCTURES, brent_kung, kogge_stone, ripple_carry, sklansky
 from tests.conftest import random_walk_graph
 

@@ -84,6 +84,22 @@ class TestCliRuntime:
             main(self.TRAIN + ["--runtime", "trainer"])
         assert "invalid choice: 'trainer'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "cluster"])
+    def test_fast_conv_flag_is_gone(self, command, capsys):
+        """The Q-network has one numeric path; there is nothing to opt into."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "8", "--fast-conv"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --fast-conv" in capsys.readouterr().err
+
+    def test_same_seed_twice_prints_the_same_bytes(self, capsys):
+        """The differential-CLI fingerprint command is a function of its seed."""
+        command = ["train", "8", "--steps", "60", "--seed", "3"]
+        assert main(command) == 0
+        first = capsys.readouterr().out
+        assert main(command) == 0
+        assert capsys.readouterr().out == first and "frontier" in first
+
     def test_async_runtime_trains(self, capsys):
         assert main(self.TRAIN + ["--runtime", "async", "--actors", "2",
                                   "--envs-per-actor", "2"]) == 0
