@@ -45,21 +45,21 @@ class Module:
         self._cache = None
 
     def _members(self):
-        """Own parameters and direct submodules, in attribute order."""
-        for attr in self.__dict__.values():
+        """``(name, member)`` for own parameters and direct submodules, in attribute order."""
+        for key, attr in self.__dict__.items():
             if isinstance(attr, (Parameter, Module)):
-                yield attr
+                yield key, attr
             elif isinstance(attr, (list, tuple)):
-                yield from (item for item in attr if isinstance(item, Module))
+                yield from ((f"{key}.{i}", item) for i, item in enumerate(attr) if isinstance(item, Module))
 
     def _children(self):
         """Direct submodules."""
-        return (member for member in self._members() if isinstance(member, Module))
+        return (member for _, member in self._members() if isinstance(member, Module))
 
     def parameters(self) -> "list[Parameter]":
         """All trainable parameters (depth-first over submodules)."""
         params: "list[Parameter]" = []
-        for member in self._members():
+        for _, member in self._members():
             params.extend([member] if isinstance(member, Parameter) else member.parameters())
         return params
 
@@ -107,22 +107,12 @@ class Module:
     def state_arrays(self) -> "dict[str, np.ndarray]":
         """Flat name -> array map of parameters plus buffers (for save/load)."""
         out: "dict[str, np.ndarray]" = {}
-
-        def visit(module: Module, prefix: str) -> None:
-            for key, attr in module.__dict__.items():
-                path = f"{prefix}{key}"
-                if isinstance(attr, Parameter):
-                    out[path] = attr.value
-                elif isinstance(attr, np.ndarray) and key.startswith("running_"):
-                    out[path] = attr
-                elif isinstance(attr, Module):
-                    visit(attr, path + ".")
-                elif isinstance(attr, (list, tuple)):
-                    for i, item in enumerate(attr):
-                        if isinstance(item, Module):
-                            visit(item, f"{path}.{i}.")
-
-        visit(self, "")
+        for name, member in self._members():
+            if isinstance(member, Parameter):
+                out[name] = member.value
+            else:
+                out.update((f"{name}.{key}", array) for key, array in member.state_arrays().items())
+        out.update((key, attr) for key, attr in self.__dict__.items() if key.startswith("running_"))
         return out
 
     def load_state_arrays(self, arrays: "dict[str, np.ndarray]") -> None:
@@ -253,11 +243,11 @@ class ResidualBlock(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         y = self.act1(self.bn1(self.conv1(x)))
         y = self.bn2(self.conv2(y))
-        return self.act_out(y + x)
+        return self.act_out(np.add(y, x, out=F.empty(y.shape, y.dtype)))
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         dsum = self.act_out.backward(dy)
         dbranch = self.conv1.backward(
             self.bn1.backward(self.act1.backward(self.conv2.backward(self.bn2.backward(dsum))))
         )
-        return dbranch + dsum
+        return np.add(dbranch, dsum, out=F.empty(dsum.shape, dsum.dtype))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.nn import functional as F
 from repro.nn.layers import (
     BatchNorm2d,
     Conv2d,
@@ -46,6 +47,7 @@ class QNetwork(Module):
         self.blocks = blocks
         self.channels = channels
         self.dtype = np.dtype(dtype)
+        self._workspace = F.Workspace()
         self.body = Sequential(
             Conv2d(NUM_INPUT_PLANES, channels, 3, rng=gen, dtype=dtype),
             BatchNorm2d(channels, dtype=dtype),
@@ -63,17 +65,21 @@ class QNetwork(Module):
         """``(B, 4, N, N)`` features -> ``(B, 4, N, N)`` Q-map."""
         if x.ndim != 4 or x.shape[1] != NUM_INPUT_PLANES or x.shape[2] != self.n:
             raise ValueError(f"expected (B,4,{self.n},{self.n}) input, got {x.shape}")
-        return self.head(self.body(x))
+        self._workspace.cursor = 0
+        with self._workspace:  # the copy is the caller's; the workspace's array is the next pass's
+            return self.head(self.body(x)).copy()
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        return self.body.backward(self.head.backward(dy))
+        with self._workspace:
+            return self.body.backward(self.head.backward(dy)).copy()
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Inference-mode forward that leaves no layer holding a backward cache.
 
         The caches of a training ``forward`` still awaiting its ``backward``
         are dropped too, so that ``backward`` raises instead of
-        differentiating this input.
+        differentiating this input. The arrays stay with the workspace, for
+        the next pass to compute in.
         """
         was_training = self.training
         self.eval()

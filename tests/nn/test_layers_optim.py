@@ -73,6 +73,51 @@ class TestModuleSystem:
         with pytest.raises(RuntimeError, match="no pending forward"):
             net.backward(np.ones_like(y))
 
+    def test_passes_reuse_the_workspace_and_hand_out_copies(self, gen):
+        """Steady state allocates nothing large: the second same-shape pass
+        computes in the first one's arrays. What the caller gets is a copy."""
+        net = QNetwork(n=6, blocks=1, channels=4, rng=0)
+        xs = gen.normal(size=(3, 2, 4, 6, 6))
+        first = net.predict(xs[0])
+        kept, held = first.copy(), [id(a) for a in net._workspace]
+        second = net.predict(xs[1])
+        assert [id(a) for a in net._workspace] == held
+        assert np.array_equal(first, kept) and not np.array_equal(second, kept)
+        net.train()
+        y = net.forward(xs[2])
+        y_kept, forward_arrays = y.copy(), len(net._workspace)
+        dx = net.backward(np.ones_like(y))
+        assert np.array_equal(y, y_kept) and len(net._workspace) > forward_arrays
+        assert not any(np.shares_memory(dx, a) or np.shares_memory(y, a) for a in net._workspace)
+
+    def test_workspace_changes_no_bytes(self, gen):
+        """Same values with and without a workspace, across a change of batch
+        size and from two threads with a network each."""
+        import threading
+
+        nets = [QNetwork(n=6, blocks=1, channels=4, rng=seed) for seed in (0, 1)]
+        batches = [gen.normal(size=(b, 4, 6, 6)) for b in (2, 5, 2)]
+
+        def bare(net, x):  # the layers outside any workspace: np.empty every time
+            net.eval()
+            return net.head(net.body(x))
+
+        want = [[bare(net, x) for x in batches] for net in nets]
+        got = [[], []]
+
+        def run(k):
+            for _ in range(20):
+                got[k] = [nets[k].predict(x) for x in batches]
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for k in (0, 1):
+            for a, b in zip(want[k], got[k]):
+                assert np.array_equal(a, b)
+
     def test_num_parameters_positive(self):
         net = QNetwork(n=6, blocks=1, channels=8, rng=0)
         assert net.num_parameters() > 1000
