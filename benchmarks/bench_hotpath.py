@@ -17,9 +17,7 @@ writes the numbers to JSON:
    corpus plus the deep-ripple worst case (depth-bound fixpoint in old
    trees vs the level-bucketed sweep);
 6. ``SynthesisFarm`` pool-vs-serial speedup on the Section V-C workload;
-7. when the running tree has them: ``inference``
-   (shared batched-inference service: coalescing ratio and forwards saved
-   under concurrent actor clients, honest 1-CPU accounting) and ``chaos``
+7. when the running tree has it: ``chaos``
    (failure-recovery cost: a severed actor link absorbed by the
    supervised reconnect loop vs an undisturbed run, plus the supervisor's
    respawn-dispatch overhead — recovery records, not speedup claims).
@@ -118,8 +116,6 @@ try:  # older trees: no standalone analytical model yet
 except ImportError:
     analytical_delay = None
 
-INFERENCE_AVAILABLE = repro_net is not None and hasattr(repro_net, "InferenceServer")
-
 AGENT_HAS_DTYPE = "dtype" in inspect.signature(ScalarizedDoubleDQN.__init__).parameters
 
 FEATURE_WIDTHS = (16, 32, 64)
@@ -157,11 +153,6 @@ CLUSTER_PREPARED_ROUNDS = 3
 BACKEND_WIDTH = 16
 BACKEND_ROUNDS = 3
 BACKEND_ACTORS = 2              # concurrent clients over one shared cache
-INFERENCE_WIDTH = 16
-INFERENCE_CLIENTS = 4           # concurrent actors sharing the server
-INFERENCE_REQUESTS = 8          # act requests per client
-INFERENCE_ROWS = 4              # env replicas per request (exploit rows)
-INFERENCE_ROUNDS = 3
 CHAOS_WIDTH = 16
 CHAOS_STEPS = 96
 CHAOS_ROUNDS = 2                # interleaved clean/severed run pairs
@@ -842,114 +833,6 @@ def bench_cluster() -> "dict | None":
     return out
 
 
-def bench_inference() -> "dict | None":
-    """Shared inference service: coalescing under concurrent actors.
-
-    Honest 1-CPU accounting like the runtime/cluster sections: the
-    recorded wins are the batch-coalescing ratio and the fraction of
-    network forwards eliminated (many tiny GEMMs folded into fewer large
-    ones) — *work* reduction, not wall-clock. The remote per-request
-    latency (wire + micro-batch wait included) is recorded next to the
-    local per-request cost so the overhead the service pays on loopback
-    is visible, not hidden; it only turns into steps/sec on real parallel
-    hardware where the actors' cores are free to step environments while
-    the server computes.
-    """
-    if not INFERENCE_AVAILABLE:
-        return None
-    import threading
-
-    from repro.distributed.pipeline import PolicyHub
-    from repro.net import InferenceClient, InferenceServer
-
-    n = INFERENCE_WIDTH
-    agent = ScalarizedDoubleDQN(n, rng=0, **RUNTIME_NET)
-    hub = PolicyHub(agent)
-    rng = np.random.default_rng(0)
-    feats = rng.random((INFERENCE_ROWS, 4, n, n))
-    masks = np.ones((INFERENCE_ROWS, agent.actions.size), dtype=bool)
-    w = agent.w
-    local_net = agent.snapshot_network()
-    total_requests = INFERENCE_CLIENTS * INFERENCE_REQUESTS
-
-    best = {"local": float("inf"), "remote": float("inf")}
-    best_stats = None
-    for _ in range(INFERENCE_ROUNDS):
-        # Local reference: every request is its own small forward — what
-        # each actor does without the service.
-        start = time.perf_counter()
-        for _ in range(total_requests):
-            qmaps = local_net.predict(feats)
-            flat = agent.actions.qmaps_to_flat(qmaps)
-            np.argmax(np.where(masks, flat @ w, -np.inf), axis=1)
-        best["local"] = min(
-            best["local"], (time.perf_counter() - start) / total_requests * 1000
-        )
-
-        server = InferenceServer(max_batch=64, max_wait=0.02)
-        server.start()
-        server.attach(hub, agent.snapshot_network(), agent.actions)
-        clients = [InferenceClient(server.address) for _ in range(INFERENCE_CLIENTS)]
-        barrier = threading.Barrier(INFERENCE_CLIENTS + 1)
-        errors = []
-
-        def run(client):
-            try:
-                barrier.wait()
-                for _ in range(INFERENCE_REQUESTS):
-                    if client.act_batch(feats, masks, w) is None:
-                        raise RuntimeError("inference request fell back")
-            except Exception as exc:  # pragma: no cover - surfaced below
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=run, args=(c,), daemon=True) for c in clients
-        ]
-        for t in threads:
-            t.start()
-        barrier.wait()
-        start = time.perf_counter()
-        for t in threads:
-            t.join()
-        wall = time.perf_counter() - start
-        stats = server.stats_dict()
-        for c in clients:
-            c.close()
-        server.stop()
-        if errors:
-            raise errors[0]
-        per_request = wall / total_requests * 1000
-        if per_request < best["remote"]:
-            best["remote"] = per_request
-            best_stats = stats
-
-    row = {
-        "clients": INFERENCE_CLIENTS,
-        "requests_per_client": INFERENCE_REQUESTS,
-        "rows_per_request": INFERENCE_ROWS,
-        "rounds": INFERENCE_ROUNDS,
-        "local_request_ms": best["local"],
-        "remote_request_ms": best["remote"],
-        "remote_over_local": best["remote"] / max(best["local"], 1e-9),
-        "batches": best_stats["batches"],
-        "requests": best_stats["requests"],
-        "served_rows": best_stats["rows"],
-        "max_coalesced_rows": best_stats["max_coalesced"],
-        "coalescing_ratio": best_stats["coalescing"],
-        "forwards_saved": 1.0 - best_stats["batches"] / max(best_stats["requests"], 1),
-    }
-    out = {str(n): row}
-    print(
-        f"inference n={n}: {INFERENCE_CLIENTS} clients x {INFERENCE_REQUESTS} reqs "
-        f"x {INFERENCE_ROWS} rows -> {row['batches']} forwards "
-        f"(coalescing {row['coalescing_ratio']:.2f}, "
-        f"{row['forwards_saved']:.0%} forwards saved); "
-        f"request {row['local_request_ms']:.2f} ms local, "
-        f"{row['remote_request_ms']:.2f} ms via server"
-    )
-    return out
-
-
 CHAOS_AVAILABLE = (
     repro_net is not None
     and hasattr(repro_net, "ChaosProxy")
@@ -1281,9 +1164,6 @@ def measure() -> dict:
         out["cluster"] = cluster
     if BACKEND_AVAILABLE:
         out["backend"] = bench_backend()
-    inference = bench_inference()
-    if inference is not None:
-        out["inference"] = inference
     chaos = bench_chaos()
     if chaos is not None:
         out["chaos"] = chaos
@@ -1366,11 +1246,6 @@ def merge(baseline: dict, current: dict, parent: "dict | None" = None) -> dict:
         # Work-reduction fraction (not a wall-clock claim): the claim/lease
         # protocol vs the dedup-only shared cache under actor contention.
         speedups["backend_lease_synthesis_saved"] = row["lease_synthesis_saved"]
-    for row in current.get("inference", {}).values():
-        # Work-reduction records (not wall-clock claims on 1 CPU): how
-        # many small forwards the shared server folded together.
-        speedups["inference_coalescing"] = row["coalescing_ratio"]
-        speedups["inference_forwards_saved"] = row["forwards_saved"]
     for row in current.get("chaos", {}).values():
         # A recovery-cost record, not a speedup: wall-clock of a run that
         # absorbed a severed actor link over an undisturbed run.
@@ -1399,8 +1274,6 @@ def apply_smoke_workload() -> None:
     global RUNTIME_WIDTH, RUNTIME_STEPS, RUNTIME_ROUNDS, RUNTIME_ENVS_PER_ACTOR
     global CLUSTER_WIDTH, CLUSTER_PROTOCOL_ITERS, CLUSTER_PREPARED_ROUNDS
     global BACKEND_WIDTH, BACKEND_ROUNDS
-    global INFERENCE_WIDTH, INFERENCE_CLIENTS, INFERENCE_REQUESTS
-    global INFERENCE_ROWS, INFERENCE_ROUNDS
     global CHAOS_WIDTH, CHAOS_STEPS, CHAOS_ROUNDS
     global STORE_ENTRIES, STORE_ROUNDS, STORE_SYNTH_WIDTH, STORE_SYNTH_GRAPHS
     global OBS_ROUNDS, OBS_REPEATS
@@ -1429,11 +1302,6 @@ def apply_smoke_workload() -> None:
     CLUSTER_PREPARED_ROUNDS = 1
     BACKEND_WIDTH = 8
     BACKEND_ROUNDS = 1
-    INFERENCE_WIDTH = 8
-    INFERENCE_CLIENTS = 2
-    INFERENCE_REQUESTS = 3
-    INFERENCE_ROWS = 2
-    INFERENCE_ROUNDS = 1
     CHAOS_WIDTH = 8
     CHAOS_STEPS = 16
     CHAOS_ROUNDS = 1
@@ -1546,10 +1414,6 @@ def run_smoke(output: "str | None") -> dict:
     if BACKEND_AVAILABLE:
         assert "backend" in current, "missing bench section 'backend'"
         expected.append("backend_lease_synthesis_saved")
-    if INFERENCE_AVAILABLE:
-        assert "inference" in current, "missing bench section 'inference'"
-        expected.append("inference_coalescing")
-        expected.append("inference_forwards_saved")
     if CHAOS_AVAILABLE:
         assert "chaos" in current, "missing bench section 'chaos'"
         expected.append("chaos_severed_over_clean_wall")
@@ -1583,7 +1447,6 @@ def profile_sections() -> dict:
         "runtime": bench_runtime,
         "cluster": bench_cluster,
         "backend": (lambda: bench_backend() if BACKEND_AVAILABLE else None),
-        "inference": bench_inference,
         "chaos": bench_chaos,
         "store": bench_store,
         "obs": bench_obs,
@@ -1648,7 +1511,7 @@ def main() -> None:
              "functions instead of measuring; combine with --smoke for a "
              "fast workload (sections: "
              "graph_features, trainer, synthesis, sta_backward, analytical, "
-             "synthesis_farm, runtime, cluster, backend, inference, "
+             "synthesis_farm, runtime, cluster, backend, "
              "chaos, store, obs)",
     )
     parser.add_argument(

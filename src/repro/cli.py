@@ -108,36 +108,55 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    from repro.cells import nangate45
-    from repro.env import PrefixEnv
-    from repro.pareto.front import ParetoArchive
-    from repro.prefix import REGULAR_STRUCTURES
-    from repro.rl import (
-        RuntimeConfig,
-        ScalarizedDoubleDQN,
-        TrainerConfig,
-        TrainingRuntime,
-    )
-    from repro.store import make_store
-    from repro.synth import (
-        SynthesisEvaluator,
-        calibrate_scaling,
-        synthesize_curve,
-    )
-
+def _require_checkpoint_dir(args) -> None:
     if args.checkpoint_every or args.stop_after is not None or args.resume:
         if not args.checkpoint_dir:
             raise SystemExit(
                 "--checkpoint-every/--stop-after/--resume require --checkpoint-dir"
             )
 
-    library = _library(args.library)
+
+def _print_preempted(history, args) -> None:
+    print(
+        f"checkpointed at step {history.env_steps} into {args.checkpoint_dir}; "
+        "rerun with --resume to continue",
+        file=sys.stderr,
+    )
+
+
+def _calibrated_scaling(library, width: int):
+    """``(c_area, c_delay)`` calibrated on the regular structures' curves."""
+    from repro.prefix import REGULAR_STRUCTURES
+    from repro.synth import calibrate_scaling, synthesize_curve
+
     calib = []
     for ctor in REGULAR_STRUCTURES.values():
-        curve = synthesize_curve(ctor(args.width), library)
+        curve = synthesize_curve(ctor(width), library)
         calib.extend((a, d) for d, a in curve.points())
-    c_area, c_delay = calibrate_scaling(calib)
+    return calibrate_scaling(calib)
+
+
+def _make_agent(args):
+    """The agent ``train``, ``serve-learner`` and ``cluster`` all train."""
+    from repro.rl import ScalarizedDoubleDQN
+
+    return ScalarizedDoubleDQN(
+        args.width, w_area=args.w_area, w_delay=1 - args.w_area,
+        blocks=args.blocks, channels=args.channels, lr=3e-4, rng=args.seed,
+    )
+
+
+def cmd_train(args) -> int:
+    from repro.env import PrefixEnv
+    from repro.pareto.front import ParetoArchive
+    from repro.rl import RuntimeConfig, TrainerConfig, TrainingRuntime
+    from repro.store import make_store
+    from repro.synth import SynthesisEvaluator
+
+    _require_checkpoint_dir(args)
+
+    library = _library(args.library)
+    c_area, c_delay = _calibrated_scaling(library, args.width)
     # Default: the in-memory SynthesisCache (repr unchanged). With
     # --store-dir: a memory front over a durable DiskStore, so a rerun
     # against the same directory starts warm.
@@ -147,12 +166,6 @@ def cmd_train(args) -> int:
         return SynthesisEvaluator(
             library, w_area=args.w_area, w_delay=1 - args.w_area,
             cache=cache, c_area=c_area, c_delay=c_delay,
-        )
-
-    def make_agent():
-        return ScalarizedDoubleDQN(
-            args.width, w_area=args.w_area, w_delay=1 - args.w_area,
-            blocks=args.blocks, channels=args.channels, lr=3e-4, rng=args.seed,
         )
 
     config = TrainerConfig(steps=args.steps, batch_size=8, warmup_steps=16)
@@ -172,7 +185,7 @@ def cmd_train(args) -> int:
         ]
         archive_envs = [e for venv in envs for e in venv.envs]
     runtime = TrainingRuntime(
-        envs, make_agent(), config,
+        envs, _make_agent(args), config,
         RuntimeConfig(
             mode=args.runtime,
             num_actors=args.actors,
@@ -186,11 +199,7 @@ def cmd_train(args) -> int:
         steps=None if args.resume else args.steps, resume=args.resume
     )
     if runtime.preempted:
-        print(
-            f"checkpointed at step {history.env_steps} into {args.checkpoint_dir}; "
-            "rerun with --resume to continue",
-            file=sys.stderr,
-        )
+        _print_preempted(history, args)
         return 0
 
     print(f"trained {history.env_steps} steps ({history.gradient_steps} gradient steps)")
@@ -212,32 +221,18 @@ def cmd_train(args) -> int:
 def _cluster_pieces(args):
     """Shared setup of the cluster-side learner (serve-learner/cluster).
 
-    Mirrors ``cmd_train``'s calibration so a cluster learner and a local
-    ``train`` run score designs identically; the resulting constants ride
-    to actors inside the ClusterSpec instead of being recomputed there.
+    Shares ``cmd_train``'s calibration and agent so a cluster learner and a
+    local ``train`` run score designs identically; the resulting constants
+    ride to actors inside the ClusterSpec instead of being recomputed there.
     """
     from repro.net import ClusterSpec
     from repro.net.config import ClusterConfig
-    from repro.prefix import REGULAR_STRUCTURES
-    from repro.rl import RuntimeConfig, ScalarizedDoubleDQN, TrainerConfig
-    from repro.synth import calibrate_scaling, synthesize_curve
+    from repro.rl import RuntimeConfig, TrainerConfig
 
     library = _library(args.library)
-    calib = []
-    for ctor in REGULAR_STRUCTURES.values():
-        curve = synthesize_curve(ctor(args.width), library)
-        calib.extend((a, d) for d, a in curve.points())
-    c_area, c_delay = calibrate_scaling(calib)
+    c_area, c_delay = _calibrated_scaling(library, args.width)
 
-    agent = ScalarizedDoubleDQN(
-        args.width,
-        w_area=args.w_area,
-        w_delay=1 - args.w_area,
-        blocks=args.blocks,
-        channels=args.channels,
-        lr=3e-4,
-        rng=args.seed,
-    )
+    agent = _make_agent(args)
     cluster_config = ClusterConfig.from_args(args)
     spec = ClusterSpec.for_agent(
         agent,
@@ -260,9 +255,6 @@ def _cluster_pieces(args):
         heartbeat_timeout=cluster_config.heartbeat_timeout,
         cluster_wait=cluster_config.cluster_wait,
         store_dir=cluster_config.store_dir,
-        serve_inference=cluster_config.inference,
-        inference_max_batch=cluster_config.inference_max_batch,
-        inference_max_wait=cluster_config.inference_max_wait,
         backpressure_lag=cluster_config.backpressure_lag,
         throttle_seconds=cluster_config.throttle_seconds,
     )
@@ -330,25 +322,10 @@ def _print_fleet_summary(runtime, supervisor=None) -> None:
         )
 
 
-def _print_inference_summary(runtime) -> None:
-    stats = runtime.inference_stats
-    if stats and stats["batches"]:
-        print(
-            f"inference server served: batches={stats['batches']} "
-            f"requests={stats['requests']} rows={stats['rows']} "
-            f"coalescing={stats['coalescing']:.2f}",
-            file=sys.stderr,
-        )
-
-
 def cmd_serve_learner(args) -> int:
     from repro.rl import TrainingRuntime
 
-    if args.checkpoint_every or args.stop_after is not None or args.resume:
-        if not args.checkpoint_dir:
-            raise SystemExit(
-                "--checkpoint-every/--stop-after/--resume require --checkpoint-dir"
-            )
+    _require_checkpoint_dir(args)
     _configure_obs(args, "learner")
     agent, spec, config, runtime_config = _cluster_pieces(args)
     runtime = TrainingRuntime(
@@ -359,27 +336,16 @@ def cmd_serve_learner(args) -> int:
     print(f"learner listening on {host}:{port}", flush=True)
     # 0.0.0.0 accepts from anywhere but is not a dialable address.
     dial_host = "<this-host>" if host == "0.0.0.0" else host
-    dial_extra = ""
-    if args.inference:
-        inf_host, inf_port = runtime.bind_inference()
-        print(f"inference server listening on {inf_host}:{inf_port}", flush=True)
-        inf_dial = "<this-host>" if inf_host == "0.0.0.0" else inf_host
-        dial_extra = f" --inference {inf_dial}:{inf_port}"
     print(
-        f"dial with: python -m repro actor --connect {dial_host}:{port}{dial_extra}",
+        f"dial with: python -m repro actor --connect {dial_host}:{port}",
         file=sys.stderr, flush=True,
     )
     history = runtime.run(
         steps=None if args.resume else args.steps, resume=args.resume
     )
     _print_fleet_summary(runtime)
-    _print_inference_summary(runtime)
     if runtime.preempted:
-        print(
-            f"checkpointed at step {history.env_steps} into {args.checkpoint_dir}; "
-            "rerun with --resume to continue",
-            file=sys.stderr,
-        )
+        _print_preempted(history, args)
         return 0
     _print_cluster_summary(history)
     return 0
@@ -404,9 +370,6 @@ def cmd_actor(args) -> int:
         parse_address(args.connect),
         front_cache_entries=args.front_cache,
         farm_workers=farm_workers or None,
-        inference_address=(
-            parse_address(args.inference) if args.inference else None
-        ),
         heartbeat_timeout=args.heartbeat_timeout,
         reconnect_attempts=args.reconnect_attempts,
     )
@@ -446,14 +409,6 @@ def cmd_actor(args) -> int:
             f"redispatched={remote['redispatched_tasks']}",
             file=sys.stderr,
         )
-    inference = stats.get("inference")
-    if inference:
-        print(
-            f"actor {stats['actor_id']} inference served: "
-            f"requests={inference['requests']} rows={inference['rows']} "
-            f"fallbacks={inference['fallbacks']}",
-            file=sys.stderr,
-        )
     return 0
 
 
@@ -467,11 +422,7 @@ def cmd_cluster(args) -> int:
     )
     from repro.rl import TrainingRuntime
 
-    if args.checkpoint_every or args.stop_after is not None or args.resume:
-        if not args.checkpoint_dir:
-            raise SystemExit(
-                "--checkpoint-every/--stop-after/--resume require --checkpoint-dir"
-            )
+    _require_checkpoint_dir(args)
     _configure_obs(args, "learner")
     agent, spec, config, runtime_config = _cluster_pieces(args)
     runtime = TrainingRuntime(
@@ -523,13 +474,6 @@ def cmd_cluster(args) -> int:
                 f"farm-worker-{j}", proc, respawn=respawn, kind="farm"
             )
         supervisor.start()
-    if args.inference:
-        inf_host, inf_port = runtime.bind_inference()
-        print(
-            f"inference server listening on {inf_host}:{inf_port}",
-            file=sys.stderr, flush=True,
-        )
-        actor_args += ["--inference", f"{inf_host}:{inf_port}"]
     try:
         history, codes = run_local_cluster(
             runtime,
@@ -568,16 +512,11 @@ def cmd_cluster(args) -> int:
         elif code != 0:
             print(f"warning: actor subprocess {i} exited with {code}", file=sys.stderr)
     _print_fleet_summary(runtime, supervisor)
-    _print_inference_summary(runtime)
     rc = supervisor.exit_code()
     if any(code not in (0, LEARNER_UNREACHABLE_EXIT) for code in codes):
         rc = rc or 1
     if runtime.preempted:
-        print(
-            f"checkpointed at step {history.env_steps} into {args.checkpoint_dir}; "
-            "rerun with --resume to continue",
-            file=sys.stderr,
-        )
+        _print_preempted(history, args)
         return rc
     _print_cluster_summary(history)
     return rc
@@ -766,10 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--farm", action="append", metavar="HOST:PORT[,HOST:PORT...]",
                    help="route this actor's leased synthesis to farm-worker "
                         "daemons (repeat or comma-separate for several)")
-    p.add_argument("--inference", metavar="HOST:PORT", default=None,
-                   help="serve exploit-side argmax from this shared inference "
-                        "server (printed by serve-learner/cluster --inference); "
-                        "falls back to local inference when unavailable")
     ClusterConfig.add_arguments(p, "actor")
     p.set_defaults(func=cmd_actor)
 

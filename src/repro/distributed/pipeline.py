@@ -32,7 +32,7 @@ import numpy as np
 from repro import obs as obslib
 from repro.env.environment import PrefixEnv
 from repro.env.vector import VectorPrefixEnv
-from repro.rl.agent import ScalarizedDoubleDQN
+from repro.rl.agent import ScalarizedDoubleDQN, epsilon_greedy
 from repro.rl.replay import ReplayBuffer
 from repro.rl.trainer import acting_round, fold_round, grads_allowed, push_round
 from repro.utils.rng import ensure_rng
@@ -82,8 +82,8 @@ class BatchedActor:
     ) -> CollectStats:
         """Advance every environment ``rounds`` times.
 
-        One ``(k, 4, N, N)`` forward pass per round selects all k greedy
-        actions; epsilon-greedy noise is applied per environment. Pushes
+        One ``agent.act_batch`` per round: the replicas that explore draw
+        their action, one stacked forward pass serves the rest. Pushes
         transitions into ``buffer`` when given.
         """
 
@@ -298,43 +298,15 @@ class LearnerCore:
 # ----------------------------------------------------------------------
 
 
-def epsilon_greedy(predict, features, legal_masks, epsilon: float, rng) -> np.ndarray:
-    """Exploration-first epsilon-greedy over ``E`` stacked states.
-
-    The exploration draws happen *first*, so ``predict(features, masks)
-    -> flat action indices`` (the expensive network forward, local or
-    remote) only sees the rows that exploit this round — at epsilon 1 a
-    round costs no convolutions at all — and the RNG stream, hence the
-    exploration trajectory, does not depend on who serves the forward.
-    """
-    legal_masks = np.asarray(legal_masks)
-    if not legal_masks.any(axis=1).all():
-        raise ValueError("no legal actions available in some state")
-    num = legal_masks.shape[0]
-    chosen = np.empty(num, dtype=np.int64)
-    explore = (
-        np.array([rng.random() < epsilon for _ in range(num)])
-        if epsilon > 0
-        else np.zeros(num, dtype=bool)
-    )
-    for e in np.nonzero(explore)[0]:
-        legal_idx = np.nonzero(legal_masks[e])[0]
-        chosen[e] = legal_idx[rng.integers(legal_idx.size)]
-    exploit = np.nonzero(~explore)[0]
-    if exploit.size:
-        chosen[exploit] = predict(np.asarray(features)[exploit], legal_masks[exploit])
-    return chosen
-
-
 class ActorLoop:
     """One actor: refresh → acting round → push → obey, until told to stop.
 
-    Acts on a private snapshot network (the paper's delayed-parameter
-    actors), refreshed through ``link.pull`` whenever the learner has
-    published, and hands every round to ``link.push``, whose reply carries
-    the next epsilon, the stop flag, a throttle hint and (on the wire) the
-    next round's trace — so schedule position, shutdown and backpressure
-    need no side channel.
+    Acts with :func:`repro.rl.agent.epsilon_greedy` on a private snapshot
+    network (the paper's delayed-parameter actors), refreshed through
+    ``link.pull`` whenever the learner has published, and hands every round
+    to ``link.push``, whose reply carries the next epsilon, the stop flag,
+    a throttle hint and (on the wire) the next round's trace — so schedule
+    position, shutdown and backpressure need no side channel.
     """
 
     def __init__(self, venv: VectorPrefixEnv, net, actions, w, rng, actor=None):
@@ -356,30 +328,19 @@ class ActorLoop:
             self.net.load_state_arrays(weights)
             self.net.eval()
 
-    def greedy(self, features, masks) -> np.ndarray:
-        """Masked scalarized argmax on the snapshot network."""
-        flat = self.actions.qmaps_to_flat(self.net.predict(features))
-        return np.argmax(np.where(masks, flat @ self.w, -np.inf), axis=1)
-
-    def run(self, link, epsilon: float, trace=None, predict=None) -> None:
-        """Generate experience until a push reply says stop.
-
-        ``predict`` replaces the local exploit forward (a shared inference
-        service that falls back to :meth:`greedy`); while it is set the
-        per-round weight refresh is skipped — the service tracks the hub.
-        """
+    def run(self, link, epsilon: float, trace=None) -> None:
+        """Generate experience until a push reply says stop."""
         venv = self.venv
         self.trace = trace
         obs, masks = venv.observe(), venv.legal_masks()
 
         def act(features, legal_masks):
             # Reads the enclosing ``epsilon``: each reply moves it along the schedule.
-            return epsilon_greedy(predict or self.greedy, features, legal_masks, epsilon, self.rng)
+            return epsilon_greedy(self.net, self.actions, self.w, features, legal_masks, epsilon, self.rng)
 
         while True:
             with obslib.trace.scope(self.trace), obslib.span("actor.round", actor=self.actor) as round_span:
-                if predict is None:
-                    self.refresh(link)
+                self.refresh(link)
                 round_, obs, masks = acting_round(venv, obs, masks, act)
                 with obslib.span("actor.push") as push_span:
                     reply = link.push(round_, epsilon)

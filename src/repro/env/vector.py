@@ -11,8 +11,8 @@ Episodes auto-reset: when a replica's episode ends, :meth:`step` returns
 the terminal transition and the replica starts a fresh episode, so the
 stacked observation always reflects ``E`` live states.
 
-When every replica's evaluator exposes ``evaluate_many`` and shares one
-:class:`repro.synth.SynthesisCache` (the recommended setup — pass a
+When there are several replicas and every one's evaluator exposes
+``evaluate_many`` and shares one :class:`repro.synth.SynthesisCache` (the recommended setup — pass a
 closure over a shared cache to :meth:`VectorPrefixEnv.make`), :meth:`step`
 routes the whole round through **one batched evaluation**: all successor
 states (and all auto-reset start states) are deduplicated and synthesized
@@ -20,7 +20,8 @@ in a single ``evaluate_many`` call — optionally fanned out through a
 :class:`repro.distributed.SynthesisFarm` — instead of each replica paying
 for synthesis serially inside its own ``env.step``. Rewards and RL
 trajectories are unchanged (synthesis is deterministic); only the latency
-overlaps.
+overlaps. A single replica steps itself (``env.step`` / ``env.reset``):
+that is how the trainer runs a bare :class:`PrefixEnv`.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class VectorPrefixEnv:
         self.envs = list(envs)
         self.n = envs[0].n
         self.action_space = envs[0].action_space
-        self._states = [None] * len(envs)
+        self._states = [env.state for env in self.envs]  # None until reset
         self._batch_evaluator = self._shared_batch_evaluator(self.envs)
 
     @staticmethod
@@ -74,8 +75,8 @@ class VectorPrefixEnv:
             return getattr(evaluator, "cache", None)
 
         first = envs[0].evaluator
-        if not hasattr(first, "evaluate_many"):
-            return None
+        if len(envs) == 1 or not hasattr(first, "evaluate_many"):
+            return None  # a batch of one is not a batch: the replica steps itself
         shared = token(first)
         if shared is None:
             return None

@@ -7,9 +7,7 @@ and heartbeats (:mod:`repro.net.protocol`), a threaded framed server base
 (:mod:`repro.net.server`), the learner's service face — replay ingest,
 weight publication, shared synthesis cache —
 (:mod:`repro.net.learner`), actor *processes* that escape the GIL
-(:mod:`repro.net.actor`), a shared batched-inference service that
-coalesces many actors' act requests into one large-batch forward
-(:mod:`repro.net.inference`), remote synthesis-farm workers fed
+(:mod:`repro.net.actor`), remote synthesis-farm workers fed
 serialized prepared designs (:mod:`repro.net.farm`), a localhost
 cluster launcher with a crash-respawning fleet supervisor
 (:mod:`repro.net.cluster`), the shared jittered-backoff reconnect policy
@@ -46,7 +44,6 @@ from repro.net.learner import (
     LearnerServer,
     LearnerState,
 )
-from repro.net.inference import InferenceClient, InferenceServer
 from repro.net.actor import (
     LEARNER_UNREACHABLE_EXIT,
     LearnerUnreachable,
@@ -89,8 +86,6 @@ __all__ = [
     "ClusterSpec",
     "LearnerServer",
     "LearnerState",
-    "InferenceClient",
-    "InferenceServer",
     "LEARNER_UNREACHABLE_EXIT",
     "LearnerUnreachable",
     "RemoteActorWorker",

@@ -9,7 +9,7 @@ link instead of the learner's memory (and its GIL). It dials a
 environment and an inference-only Q-network locally, and runs the loop
 with ``pull_weights`` / ``push_batch`` calls as its two link methods;
 everything else here is what a wire adds — supervised redial, session
-rejoin, obs piggybacking and the shared-inference fallback.
+rejoin and obs piggybacking.
 
 Synthesis routes through a :class:`repro.synth.backend.EvaluationBackend`
 whose lease service is a :class:`RemoteCacheClient`: misses *claim* at the
@@ -37,7 +37,6 @@ from repro.distributed.pipeline import ActorLoop
 from repro.env.actions import ActionSpace
 from repro.env.vector import VectorPrefixEnv
 from repro.net.backoff import Backoff
-from repro.net.inference import InferenceClient
 from repro.net.protocol import (
     DEFAULT_HEARTBEAT_TIMEOUT,
     DEFAULT_MAX_FRAME_BYTES,
@@ -130,15 +129,6 @@ class RemoteActorWorker:
     ``farm_workers`` (``host:port`` strings or tuples) points this actor's
     leased synthesis at remote farm-worker daemons instead of its own
     process — ``repro actor --connect ... --farm host:port``.
-
-    ``inference_address`` points the exploit-side argmax at a shared
-    :class:`repro.net.inference.InferenceServer` — ``repro actor
-    --connect ... --inference host:port``. Exploration draws stay local
-    (the RNG stream is this actor's), and any inference failure falls
-    back to the local network after a lazy digest-keyed weight pull, so
-    the service is never a single point of failure. While inference is
-    healthy the actor skips its per-round ``pull_weights`` entirely —
-    the server tracks the hub for it.
     """
 
     def __init__(
@@ -146,8 +136,6 @@ class RemoteActorWorker:
         address: "tuple[str, int]",
         front_cache_entries: int = 50_000,
         farm_workers: "list | None" = None,
-        inference_address: "tuple[str, int] | None" = None,
-        inference_retry: float = 10.0,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
         connect_timeout: float = 30.0,
@@ -159,8 +147,6 @@ class RemoteActorWorker:
         self.address = address
         self.front_cache_entries = front_cache_entries
         self.farm_workers = list(farm_workers) if farm_workers else None
-        self.inference_address = inference_address
-        self.inference_retry = inference_retry
         self.max_frame_bytes = max_frame_bytes
         self.heartbeat_timeout = heartbeat_timeout
         self.connect_timeout = connect_timeout
@@ -172,7 +158,6 @@ class RemoteActorWorker:
         self.session: "str | None" = None
         self.rounds = 0
         self.env_steps_kept = 0
-        self.inference_fallbacks = 0
         self.reconnects = 0
         self.reconnect_seconds = 0.0
         self.rounds_lost = 0
@@ -239,22 +224,6 @@ class RemoteActorWorker:
         )
         return loop, backend
 
-    def _predict_via(self, inference, loop: ActorLoop):
-        """The loop's exploit forward, served by the shared inference
-        server: a ``None`` reply counts a fallback, freshens the local
-        weights (lazily — a healthy service means no pulls at all) and
-        serves the rows on the local network."""
-
-        def predict(features, masks):
-            reply = inference.act_batch(features, masks, loop.w)
-            if reply is not None:
-                return np.asarray(reply["actions"], dtype=np.int64)
-            self.inference_fallbacks += 1
-            loop.refresh(self)
-            return loop.greedy(features, masks)
-
-        return predict
-
     # -- the link --------------------------------------------------------
 
     def pull(self, have_version: int, have_digest: "str | None"):
@@ -303,13 +272,6 @@ class RemoteActorWorker:
         backoff = Backoff(
             base=self.reconnect_base, cap=self.reconnect_cap, rng=self.backoff_rng
         )
-        inference = None
-        if self.inference_address is not None:
-            inference = InferenceClient(
-                self.inference_address,
-                max_frame_bytes=self.max_frame_bytes,
-                retry_after=self.inference_retry,
-            )
         conn = None
         loop = None  # the ActorLoop of the live session
         backend = None
@@ -376,12 +338,7 @@ class RemoteActorWorker:
                             # in every push_batch reply); the loop installs
                             # it around the round body, stamping every span
                             # and CALL the round makes.
-                            loop.run(
-                                self,
-                                join["epsilon"],
-                                trace=join.get("trace"),
-                                predict=self._predict_via(inference, loop) if inference else None,
-                            )
+                            loop.run(self, join["epsilon"], trace=join.get("trace"))
                         break
                     except (ProtocolError, OSError):
                         # The wire died mid-round: that round's transitions
@@ -426,16 +383,9 @@ class RemoteActorWorker:
                 "cache_hits": backend.cache_hits,
                 "cache_misses": backend.cache_misses,
                 "backend": backend.stats(),
-                "inference": (
-                    dict(inference.stats(), fallbacks=self.inference_fallbacks)
-                    if inference is not None
-                    else None
-                ),
             }
         finally:
             if backend is not None:
                 backend.close()
-            if inference is not None:
-                inference.close()
             if conn is not None:
                 conn.close(bye=True)

@@ -1,9 +1,8 @@
 """Shared reconnect policy: exponential backoff with jitter.
 
-Every redial loop in repro.net — the actor's supervised reconnect
-(:class:`repro.net.actor.RemoteActorWorker`), the inference client's
-retry window (:class:`repro.net.inference.InferenceClient`) — shares this
-one policy object instead of growing its own ad-hoc timer. Exponential
+The redial loop in repro.net — the actor's supervised reconnect
+(:class:`repro.net.actor.RemoteActorWorker`) — takes its delays from this
+policy object instead of growing its own ad-hoc timer. Exponential
 growth keeps a dead learner from being hammered; jitter keeps a fleet of
 actors that all lost the same server from redialing in lockstep (the
 thundering-herd reconnect storm).

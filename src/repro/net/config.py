@@ -50,10 +50,6 @@ class ClusterConfig:
     # caches
     front_cache: int = 50_000
     prepared_cache: int = 10_000
-    # shared inference service
-    inference: bool = False
-    inference_max_batch: int = 256
-    inference_max_wait: float = 0.005
     # replay-ingest backpressure
     backpressure_lag: int = 64
     throttle_seconds: float = 0.05
@@ -66,8 +62,7 @@ class ClusterConfig:
     _LEARNER_FIELDS = (
         "actors", "envs_per_actor", "publish_every", "listen",
         "heartbeat_timeout", "cluster_wait", "store_dir", "checkpoint_dir",
-        "checkpoint_every", "stop_after", "resume", "inference",
-        "inference_max_batch", "inference_max_wait", "backpressure_lag",
+        "checkpoint_every", "stop_after", "resume", "backpressure_lag",
         "throttle_seconds", "obs_dir",
     )
     COMMAND_FIELDS = {
@@ -184,19 +179,6 @@ _FLAG_SPECS = {
     "prepared_cache": dict(
         type=int,
         help="per-worker prepared-netlist LRU entries (0 disables)",
-    ),
-    "inference": dict(
-        store_true=True,
-        help="host a shared batched-inference server next to the "
-             "learner; cluster mode points every actor at it",
-    ),
-    "inference_max_batch": dict(
-        type=int,
-        help="inference server: rows coalesced per forward, at most",
-    ),
-    "inference_max_wait": dict(
-        type=float,
-        help="inference server: seconds to hold a batch for stragglers",
     ),
     "backpressure_lag": dict(
         type=int,

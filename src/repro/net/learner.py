@@ -80,9 +80,9 @@ class ClusterSpec:
     blocks: int = 2
     channels: int = 16
     dtype: str = "float64"
-    # Fleet-wide knobs (heartbeat window, store location, inference
-    # service). ``asdict`` flattens the nested dataclass to a plain dict
-    # on the wire; actors read named keys.
+    # Fleet-wide knobs (heartbeat window, store location). ``asdict``
+    # flattens the nested dataclass to a plain dict on the wire; actors
+    # read named keys.
     config: "ClusterConfig | None" = None
 
     @classmethod

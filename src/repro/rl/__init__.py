@@ -10,13 +10,12 @@ several (Section V-A trains 15 agents with w in [0.10, 0.99]).
 
 from repro.rl.replay import ReplayBuffer, ShardedReplayBuffer, Transition
 from repro.rl.schedule import LinearSchedule
-from repro.rl.agent import ScalarizedDoubleDQN
+from repro.rl.agent import ScalarizedDoubleDQN, epsilon_greedy
 from repro.rl.trainer import (
-    SingleEnvLoop,
+    CollectionLoop,
     Trainer,
     TrainerConfig,
     TrainingHistory,
-    VectorEnvLoop,
     make_loop,
     synthesis_stats,
 )
@@ -34,8 +33,8 @@ __all__ = [
     "Transition",
     "LinearSchedule",
     "ScalarizedDoubleDQN",
-    "SingleEnvLoop",
-    "VectorEnvLoop",
+    "epsilon_greedy",
+    "CollectionLoop",
     "make_loop",
     "synthesis_stats",
     "Trainer",

@@ -18,6 +18,42 @@ from repro.nn.qnet import QNetwork
 from repro.utils.rng import ensure_rng, rng_state, set_rng_state
 
 
+def masked_argmax(flat_q: np.ndarray, w: np.ndarray, legal_masks) -> np.ndarray:
+    """Eq. 6: per row, the legal action maximizing ``w . Q`` — the one
+    masked argmax acting and the double-DQN target share.
+
+    ``flat_q`` is ``(B, A, 2)`` vector Q values; a row without a legal
+    action yields index 0 (callers exclude such rows).
+    """
+    return np.argmax(np.where(legal_masks, flat_q @ w, -np.inf), axis=1)
+
+
+def epsilon_greedy(net, actions: ActionSpace, w, features, legal_masks, epsilon: float, rng) -> np.ndarray:
+    """The epsilon-greedy policy over ``E`` stacked states — the only one.
+
+    Replicas draw in order: ``rng.random()`` decides exploration, and only
+    a replica that explores draws ``rng.integers()`` for its uniform legal
+    action. ``net.predict`` then sees only the rows that exploit — no call
+    at all when none do (at epsilon 1 a round costs no convolutions) — so
+    the RNG stream does not depend on the network.
+    """
+    legal_masks = np.asarray(legal_masks)
+    if not legal_masks.any(axis=1).all():
+        raise ValueError("no legal actions available in some state")
+    chosen = np.empty(legal_masks.shape[0], dtype=np.int64)
+    exploit = []
+    for e, mask in enumerate(legal_masks):
+        if epsilon > 0 and rng.random() < epsilon:
+            legal_idx = np.nonzero(mask)[0]
+            chosen[e] = legal_idx[rng.integers(legal_idx.size)]
+        else:
+            exploit.append(e)
+    if exploit:
+        flat = actions.qmaps_to_flat(net.predict(np.asarray(features)[exploit]))
+        chosen[exploit] = masked_argmax(flat, w, legal_masks[exploit])
+    return chosen
+
+
 class ScalarizedDoubleDQN:
     """Agent owning the local/target networks and the optimizer.
 
@@ -78,20 +114,9 @@ class ScalarizedDoubleDQN:
         qmap = self.local.predict(features[None])[0]
         return self.actions.qmap_to_flat(qmap)
 
-    def _masked_scalar_q(self, q_flat: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        scalar = q_flat @ self.w
-        scalar = np.where(mask, scalar, -np.inf)
-        return scalar
-
     def act(self, features: np.ndarray, legal_mask: np.ndarray, epsilon: float = 0.0) -> int:
-        """Epsilon-greedy scalarized policy; returns a flat action index."""
-        legal_idx = np.nonzero(legal_mask)[0]
-        if legal_idx.size == 0:
-            raise ValueError("no legal actions available")
-        if epsilon > 0 and self._rng.random() < epsilon:
-            return int(legal_idx[self._rng.integers(legal_idx.size)])
-        scalar = self._masked_scalar_q(self.q_values(features), legal_mask)
-        return int(np.argmax(scalar))
+        """Epsilon-greedy scalarized policy for one state: :meth:`act_batch` at E=1."""
+        return int(self.act_batch(features[None], np.asarray(legal_mask)[None], epsilon)[0])
 
     def act_batch(
         self,
@@ -100,7 +125,8 @@ class ScalarizedDoubleDQN:
         epsilon: float = 0.0,
         rng=None,
     ) -> np.ndarray:
-        """Epsilon-greedy actions for ``E`` states with one network forward.
+        """Epsilon-greedy actions for ``E`` states: :func:`epsilon_greedy`
+        on the local network.
 
         Args:
             features: stacked feature tensors, ``(E, 4, N, N)``.
@@ -112,19 +138,7 @@ class ScalarizedDoubleDQN:
             int64 array of ``E`` flat action indices.
         """
         rng = self._rng if rng is None else rng
-        legal_masks = np.asarray(legal_masks)
-        if not legal_masks.any(axis=1).all():
-            raise ValueError("no legal actions available in some state")
-        qmaps = self.local.predict(features)
-        flat = self.actions.qmaps_to_flat(qmaps)  # (E, A, 2)
-        scalar = np.where(legal_masks, flat @ self.w, -np.inf)
-        chosen = np.argmax(scalar, axis=1)
-        if epsilon > 0:
-            for e in range(chosen.shape[0]):
-                if rng.random() < epsilon:
-                    legal_idx = np.nonzero(legal_masks[e])[0]
-                    chosen[e] = legal_idx[rng.integers(legal_idx.size)]
-        return chosen
+        return epsilon_greedy(self.local, self.actions, self.w, features, legal_masks, epsilon, rng)
 
     # ------------------------------------------------------------------
     # Learning
@@ -151,9 +165,8 @@ class ScalarizedDoubleDQN:
             flat_select = self.actions.qmaps_to_flat(self.local.predict(next_states))
         else:
             flat_select = flat_target
-        scalar = np.where(next_masks, flat_select @ self.w, -np.inf)  # (B, A)
-        a_star = np.argmax(scalar, axis=1)
-        use = ~np.asarray(dones, dtype=bool) & np.isfinite(scalar).any(axis=1)
+        a_star = masked_argmax(flat_select, self.w, next_masks)
+        use = ~np.asarray(dones, dtype=bool) & np.asarray(next_masks, dtype=bool).any(axis=1)
         targets_vec = np.array(rewards, dtype=np.float64)
         targets_vec[use] += self.gamma * flat_target[use, a_star[use]]
 

@@ -1,5 +1,12 @@
 """The training runtime: one stepper, one actor/learner core, checkpoints.
 
+Acting is one path at every size: one epsilon-greedy policy
+(:func:`repro.rl.agent.epsilon_greedy` — the sync stepper calls it through
+``agent.act_batch``, every actor through its snapshot network), one
+collection stepper (:class:`repro.rl.trainer.CollectionLoop`; a bare env is
+its one-replica case) and one statement of the gradient cadence
+(:func:`repro.rl.trainer.gradient_due`).
+
 The paper's headline scale comes from decoupling experience generation
 from learning (Section IV-D): actors step synthesis-evaluated environments
 against delayed policy snapshots while one learner consumes a shared
@@ -24,8 +31,8 @@ replay buffer. :class:`TrainingRuntime` runs that at three sizes:
   split escapes the GIL. Environments live in (and are rebuilt by) the
   actors, so a cluster checkpoint carries the learner-owned state only.
 
-``async`` and ``cluster`` share one learner loop: gradient steps at the
-synchronous cadence (one per ``learn_every`` ingested env steps), weights
+``async`` and ``cluster`` share one learner loop: gradient steps whenever
+``gradient_due`` says so (the sync stepper's predicate), weights
 published every ``publish_every`` of them. Every mode checkpoints through
 :class:`repro.rl.checkpoint.CheckpointManager`: Q-net weights, optimizer
 moments, replay shards, every RNG stream, schedule position, environment
@@ -42,14 +49,14 @@ from dataclasses import asdict, dataclass
 
 from repro import obs
 from repro.env.environment import PrefixEnv
-from repro.env.vector import VectorPrefixEnv
 from repro.rl.agent import ScalarizedDoubleDQN
 from repro.rl.checkpoint import CheckpointError, CheckpointManager
 from repro.rl.replay import ReplayBuffer, ShardedReplayBuffer
 from repro.rl.trainer import (
     TrainerConfig,
     TrainingHistory,
-    grads_allowed,
+    as_vector,
+    gradient_due,
     make_loop,
     synthesis_stats,
 )
@@ -72,11 +79,6 @@ class RuntimeConfig:
     #   must exceed an actor's worst acting round (synthesis included) —
     #   the actor is wire-silent while it steps its environments
     cluster_wait: float = 60.0     # cluster only: max seconds with zero actors
-    serve_inference: bool = False  # cluster only: host a shared batched
-    #   inference server next to the learner (actors opt in per process)
-    inference_listen: str = "127.0.0.1:0"  # cluster only: inference bind address
-    inference_max_batch: int = 256   # rows coalesced into one forward, at most
-    inference_max_wait: float = 0.005  # seconds to hold a batch for stragglers
     backpressure_lag: int = 64     # async/cluster: gradient-cadence deficit
     #   beyond which an ingest reply carries a throttle hint (0 disables)
     throttle_seconds: float = 0.05  # async/cluster: the hint's pause length
@@ -94,10 +96,6 @@ class RuntimeConfig:
             raise ValueError("publish_every must be positive")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be nonnegative")
-        if self.inference_max_batch < 1:
-            raise ValueError("inference_max_batch must be positive")
-        if self.inference_max_wait < 0:
-            raise ValueError("inference_max_wait must be nonnegative")
         if self.backpressure_lag < 0:
             raise ValueError("backpressure_lag must be nonnegative")
         if self.throttle_seconds < 0:
@@ -110,8 +108,8 @@ class TrainingRuntime:
     Args:
         env: the collection environment(s). Sync mode takes one
             :class:`PrefixEnv` or :class:`VectorPrefixEnv`. Async mode
-            takes a list with one entry per actor (single envs are wrapped
-            into one-replica vector envs).
+            takes a list with one entry per actor. Either way a bare env
+            is held as a one-replica vector env.
         agent: the learner's agent.
         config: :class:`TrainerConfig` (steps, batch size, cadences).
         runtime: :class:`RuntimeConfig` (mode, actors, checkpoint cadence).
@@ -171,11 +169,10 @@ class TrainingRuntime:
             # In-memory by default; with store_dir, a memory front over a
             # durable DiskStore — a restarted cluster starts warm.
             self._cluster_cache = make_store(self.runtime.store_dir)
-            self._inference_server = None
         elif self.runtime.mode == "sync":
             if isinstance(env, (list, tuple)):
                 raise ValueError("sync mode takes a single environment, not a list")
-            self.env = env
+            self.env = as_vector(env)
             self.actor_envs = None
             self.buffer = ReplayBuffer(self.config.buffer_capacity, rng=rng)
             self._actor_rngs = None
@@ -189,10 +186,7 @@ class TrainingRuntime:
                     f"async mode with num_actors={self.runtime.num_actors} needs "
                     f"{self.runtime.num_actors} environments, got {len(envs)}"
                 )
-            self.actor_envs = [
-                e if isinstance(e, VectorPrefixEnv) else VectorPrefixEnv([e])
-                for e in envs
-            ]
+            self.actor_envs = [as_vector(e) for e in envs]
             self.env = None
             base = ensure_rng(rng)
             self.buffer = ShardedReplayBuffer(
@@ -205,9 +199,7 @@ class TrainingRuntime:
             self.cluster = None
             self._server = None
             self._state = None
-            self._inference_server = None
         self.preempted = False
-        self.inference_stats: "dict | None" = None
         self.membership_stats: "dict | None" = None
         # Fleet-obs totals restored from a checkpoint, applied to the
         # LearnerState once cluster mode creates it.
@@ -221,7 +213,7 @@ class TrainingRuntime:
         if self.runtime.mode == "cluster":
             return []  # environments live in the actor processes
         if self.runtime.mode == "sync":
-            return self.env.envs if isinstance(self.env, VectorPrefixEnv) else [self.env]
+            return self.env.envs
         return [e for venv in self.actor_envs for e in venv.envs]
 
     def _collect_backend_groups(self) -> "list[list]":
@@ -334,9 +326,7 @@ class TrainingRuntime:
             state["env_kind"] = "cluster"
             state["env"] = {"num_actors": self.runtime.num_actors}
         elif self.runtime.mode == "sync":
-            state["env_kind"] = (
-                "vector" if isinstance(self.env, VectorPrefixEnv) else "single"
-            )
+            state["env_kind"] = "vector"
             state["env"] = self.env.state_dict()
         else:
             state["env_kind"] = "actors"
@@ -401,7 +391,9 @@ class TrainingRuntime:
         if self.runtime.mode == "cluster":
             pass  # no env state: actors rebuild environments on reconnect
         elif self.runtime.mode == "sync":
-            self.env.load_state_dict(state["env"])
+            # Releases with a separate one-env stepper saved the bare env.
+            single = state.get("env_kind") == "single"
+            self.env.load_state_dict({"envs": [state["env"]]} if single else state["env"])
         else:
             actors = state["env"]["actors"]
             if len(actors) != len(self.actor_envs):
@@ -556,10 +548,7 @@ class TrainingRuntime:
             idle_since = time.monotonic()
             while not (any(a.error for a in actors) or self._stop_requested(history)):
                 env_steps = core.env_steps()
-                if (
-                    len(self.buffer) >= cfg.warmup_steps
-                    and core.gradient_steps() < grads_allowed(env_steps, cfg)
-                ):
+                if gradient_due(len(self.buffer), core.gradient_steps(), env_steps, cfg):
                     loss = self.agent.train_step(self.buffer.sample(cfg.batch_size))
                     core.record_loss(loss)
                     if history.gradient_steps % rt.publish_every == 0:
@@ -633,35 +622,8 @@ class TrainingRuntime:
             self._server.start()
         return self._server.address
 
-    def bind_inference(self) -> "tuple[str, int]":
-        """Bind the shared batched-inference server; returns its address.
-
-        Like :meth:`bind`, binding is separate from :meth:`run` so the
-        launcher can pass ``--inference host:port`` to actor subprocesses
-        before training state exists — requests made early wait on the
-        server's ready gate (and the client falls back to local inference
-        if the gate times out).
-        """
-        if self.runtime.mode != "cluster":
-            raise RuntimeError("bind_inference() is only meaningful in cluster mode")
-        if not self.runtime.serve_inference:
-            raise RuntimeError("runtime config does not set serve_inference")
-        if self._inference_server is None:
-            from repro.net.inference import InferenceServer
-            from repro.net.protocol import parse_address
-
-            self._inference_server = InferenceServer(
-                parse_address(self.runtime.inference_listen),
-                max_batch=self.runtime.inference_max_batch,
-                max_wait=self.runtime.inference_max_wait,
-                heartbeat_timeout=self.runtime.heartbeat_timeout,
-                state_wait=self.runtime.cluster_wait,
-            )
-            self._inference_server.start()
-        return self._inference_server.address
-
     def _attach_cluster(self, core_args: dict):
-        """Publish the learner state behind the bound server(s)."""
+        """Publish the learner state behind the bound server."""
         from repro.net.learner import LearnerState
 
         state = LearnerState(
@@ -680,21 +642,10 @@ class TrainingRuntime:
             self._restored_fleet_obs = None
         self._state = state
         self._server.attach(state)
-        if self.runtime.serve_inference:
-            self.bind_inference()
-            # The inference server tracks the same hub the actors'
-            # pull_weights reads — one publication feeds both paths.
-            self._inference_server.attach(
-                state.hub, self.agent.snapshot_network(), self.agent.actions
-            )
         return state
 
     def _detach_cluster(self) -> None:
         self._state = None
-        if self._inference_server is not None:
-            self.inference_stats = self._inference_server.stats_dict()
-            self._inference_server.stop()
-            self._inference_server = None
         self._server.stop()
         self._server = None
         # Release the store (and its single-writer lock) so a rerun

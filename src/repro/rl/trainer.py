@@ -5,26 +5,23 @@ environment: epsilon-greedy experience collection into the replay buffer,
 gradient steps on a fixed cadence, target sync handled by the agent, and
 the environment's Pareto archive accumulating every evaluated design.
 
-The trainer also accepts a :class:`repro.env.VectorPrefixEnv`: ``E``
-replicas then advance in lockstep with one stacked Q-net forward per round
-(amortizing the convolution cost — Section V-C's batched acting), while
-featurization/mask work rides the per-graph memo so each state is analyzed
-once no matter how many times the loop observes it.
+There is one collection stepper, :class:`CollectionLoop`: ``E`` replicas of
+a :class:`repro.env.VectorPrefixEnv` advance in lockstep, one
+``agent.act_batch`` call picks every replica's action (one stacked Q-net
+forward over the rows that exploit — Section V-C's batched acting), and a
+bare :class:`PrefixEnv` is the ``E`` = 1 case. Each :meth:`~CollectionLoop.tick`
+is one round; :class:`repro.rl.runtime.TrainingRuntime` drives the ticks
+with checkpoint hooks in between, and :class:`Trainer` is that runtime
+without a checkpoint directory.
 
-The collection loops themselves live in :class:`SingleEnvLoop` /
-:class:`VectorEnvLoop` — resumable steppers that advance one env step (or
-one lockstep round) per :meth:`~SingleEnvLoop.tick`.
-:class:`repro.rl.runtime.TrainingRuntime` drives them with checkpoint hooks
-between ticks, and :class:`Trainer` is that runtime without a checkpoint
-directory.
-
-The vector stepper is built from the three functions every lockstep
-collector in the repo shares — :func:`acting_round` (act, step, fix the
-terminal successors), :func:`fold_round` (account a round in the history
-under the step budget) and :func:`push_round` (the kept prefix into a
-replay buffer) — so the in-process and remote actors
-(:mod:`repro.distributed.pipeline`) produce and ingest rounds exactly the
-way this loop does.
+The stepper is built from the three functions every lockstep collector in
+the repo shares — :func:`acting_round` (act, step, fix the terminal
+successors), :func:`fold_round` (account a round in the history under the
+step budget) and :func:`push_round` (the kept prefix into a replay buffer)
+— so the in-process and remote actors (:mod:`repro.distributed.pipeline`)
+produce and ingest rounds exactly the way this loop does, and from the one
+statement of the gradient cadence, :func:`gradient_due`, that the
+actor-learner loop fires on too.
 """
 
 from __future__ import annotations
@@ -63,6 +60,11 @@ class TrainerConfig:
                 raise ValueError(f"{name} must be positive")
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
+        if self.buffer_capacity < self.warmup_steps:
+            raise ValueError(
+                f"buffer_capacity {self.buffer_capacity} can never reach "
+                f"warmup_steps {self.warmup_steps}: no gradient step would run"
+            )
         for name in ("epsilon_start", "epsilon_end"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
@@ -158,16 +160,22 @@ def synthesis_stats(env) -> "dict | None":
 
 
 def grads_allowed(env_steps: int, cfg: TrainerConfig) -> int:
-    """Gradient steps the synchronous cadence permits after ``env_steps``.
-
-    The single-env loop fires at (0-indexed) step ``s`` when
-    ``s % learn_every == 0`` and the buffer already holds
-    ``warmup_steps``, i.e. ``s >= warmup - 1``; the actor-learner core
-    reproduces that budget so every runtime trains at one cadence.
+    """Gradient steps the cadence permits after ``env_steps``: one per
+    (0-indexed) env step ``s`` with ``s % learn_every == 0`` from the step
+    that records the ``warmup_steps``-th transition (``s >= warmup - 1``).
     """
     le = cfg.learn_every
     first = -(-(cfg.warmup_steps - 1) // le) * le
     return (env_steps - 1 - first) // le + 1 if env_steps > first else 0
+
+
+def gradient_due(buffered: int, gradient_steps: int, env_steps: int, cfg: TrainerConfig) -> bool:
+    """The gradient cadence, stated once: a step is due while the replay
+    buffer holds ``warmup_steps`` transitions and fewer steps were taken
+    than :func:`grads_allowed`. The sync stepper and the actor-learner
+    loop both fire on this, so every runtime trains at one cadence.
+    """
+    return buffered >= cfg.warmup_steps and gradient_steps < grads_allowed(env_steps, cfg)
 
 
 # ----------------------------------------------------------------------
@@ -225,8 +233,8 @@ def fold_round(history: TrainingHistory, returns: list, w, round_: dict, epsilon
     ``limit``; the rest of the round is dropped (those replicas did
     advance — their archives keep the evaluations). ``returns`` holds the
     caller's running per-replica episode returns, scalarized by ``w``.
-    Returns how many transitions were kept. Every runtime's history is
-    written here and in :meth:`SingleEnvLoop.tick`, nowhere else.
+    Returns how many transitions were kept. Every runtime's env-step
+    history is written here, nowhere else.
     """
     kept = 0
     for i, done in enumerate(round_["dones"]):
@@ -262,117 +270,25 @@ def push_round(buffer, round_: dict, kept: int, *shard) -> None:
 
 
 # ----------------------------------------------------------------------
-# Resumable collection loops
+# The resumable collection stepper
 # ----------------------------------------------------------------------
 
 
-class SingleEnvLoop:
-    """Sequential collection stepper: one :meth:`tick` = one env step.
-
-    Holds only the loop-local state (running episode return); everything
-    else (env, agent, buffer, history) is owned by the caller and captured
-    by their own ``state_dict`` methods, so a checkpoint taken between
-    ticks plus :meth:`resume` reproduces the remaining run bit for bit.
-    """
-
-    def __init__(
-        self,
-        env: PrefixEnv,
-        agent: ScalarizedDoubleDQN,
-        buffer: ReplayBuffer,
-        config: TrainerConfig,
-        total: int,
-        schedule: LinearSchedule,
-        history: TrainingHistory,
-    ):
-        self.env = env
-        self.agent = agent
-        self.buffer = buffer
-        self.config = config
-        self.total = total
-        self.schedule = schedule
-        self.history = history
-        self.episode_return = 0.0
-        self._obs = None
-        self._mask = None
-
-    def start(self) -> None:
-        """Begin a fresh run (resets the environment)."""
-        state = self.env.reset()
-        self._obs = self.env.observe(state)
-        self._mask = self.env.legal_mask(state)
-
-    def resume(self) -> None:
-        """Continue from restored env/agent/buffer/history state."""
-        self._obs = self.env.observe()
-        self._mask = self.env.legal_mask()
-
-    @property
-    def done(self) -> bool:
-        return self.history.env_steps >= self.total
-
-    def tick(self) -> None:
-        """One env step (and, past warmup, the due gradient steps)."""
-        cfg = self.config
-        history = self.history
-        step = history.env_steps
-        epsilon = self.schedule(step)
-        action_idx = self.agent.act(self._obs, self._mask, epsilon=epsilon)
-        action = self.env.action_space.action(action_idx)
-        result = self.env.step(action)
-
-        next_obs = self.env.observe(result.next_state)
-        next_mask = self.env.legal_mask(result.next_state)
-        self.buffer.push(
-            Transition(
-                state=self._obs,
-                action=action_idx,
-                reward=result.reward,
-                next_state=next_obs,
-                next_mask=next_mask,
-                done=result.done,
-            )
-        )
-        self.episode_return += float(self.agent.w @ result.reward)
-        history.areas.append(result.info["area"])
-        history.delays.append(result.info["delay"])
-        history.epsilon_trace.append(epsilon)
-        history.env_steps += 1
-
-        if result.done:
-            history.episode_returns.append(self.episode_return)
-            self.episode_return = 0.0
-            state = self.env.reset()
-            self._obs = self.env.observe(state)
-            self._mask = self.env.legal_mask(state)
-        else:
-            self._obs = next_obs
-            self._mask = next_mask
-
-        if len(self.buffer) >= cfg.warmup_steps and step % cfg.learn_every == 0:
-            loss = self.agent.train_step(self.buffer.sample(cfg.batch_size))
-            history.losses.append(loss)
-            history.gradient_steps += 1
-            obslib.counter("trainer.gradient_steps").inc()
-
-    # -- persistence -----------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Loop-local state (the rest lives with env/agent/buffer/history)."""
-        return {"kind": "single", "episode_return": self.episode_return}
-
-    def load_state_dict(self, state: dict) -> None:
-        if state.get("kind") != "single":
-            raise ValueError(f"loop state is {state.get('kind')!r}, expected 'single'")
-        self.episode_return = float(state["episode_return"])
+def as_vector(env: "PrefixEnv | VectorPrefixEnv") -> VectorPrefixEnv:
+    """``env`` itself, or a bare :class:`PrefixEnv` as a one-replica vector env."""
+    return env if isinstance(env, VectorPrefixEnv) else VectorPrefixEnv([env])
 
 
-class VectorEnvLoop:
-    """Batched collection stepper: one :meth:`tick` = one lockstep round.
+class CollectionLoop:
+    """The synchronous collection stepper: one :meth:`tick` = one lockstep
+    round of ``E`` env steps (``E`` = 1 for a bare environment) plus the
+    gradient steps the cadence then owes.
 
-    Checkpoints happen at round boundaries; the per-replica running
-    returns and the fractional gradient debt are the only loop-local
-    state.
+    Holds only the loop-local state (per-replica running episode returns);
+    everything else (env, agent, buffer, history) is owned by the caller
+    and captured by their own ``state_dict`` methods, so a checkpoint taken
+    between ticks plus :meth:`resume` reproduces the remaining run bit for
+    bit.
     """
 
     def __init__(
@@ -393,15 +309,13 @@ class VectorEnvLoop:
         self.schedule = schedule
         self.history = history
         self.episode_returns = [0.0] * env.num_envs
-        self.gradient_debt = 0.0
         self._obs = None
         self._masks = None
 
     def start(self) -> None:
         """Begin a fresh run (resets every replica)."""
         self.env.reset()
-        self._obs = self.env.observe()
-        self._masks = self.env.legal_masks()
+        self.resume()
 
     def resume(self) -> None:
         """Continue from restored env/agent/buffer/history state."""
@@ -425,39 +339,32 @@ class VectorEnvLoop:
         # overshoot is dropped.
         kept = fold_round(history, self.episode_returns, self.agent.w, round_, epsilon, self.total)
         push_round(self.buffer, round_, kept)
-
-        if len(self.buffer) >= cfg.warmup_steps:
-            # One gradient step per learn_every env steps, matching the
-            # sequential cadence in aggregate (fractional remainders
-            # carry over between rounds).
-            self.gradient_debt += self.env.num_envs / cfg.learn_every
-            while self.gradient_debt >= 1.0:
-                loss = self.agent.train_step(self.buffer.sample(cfg.batch_size))
-                history.losses.append(loss)
-                history.gradient_steps += 1
-                self.gradient_debt -= 1.0
-                obslib.counter("trainer.gradient_steps").inc()
+        while gradient_due(len(self.buffer), history.gradient_steps, history.env_steps, cfg):
+            loss = self.agent.train_step(self.buffer.sample(cfg.batch_size))
+            history.losses.append(loss)
+            history.gradient_steps += 1
+            obslib.counter("trainer.gradient_steps").inc()
 
     # -- persistence -----------------------------------------------------
 
     def state_dict(self) -> dict:
         """Loop-local state (the rest lives with env/agent/buffer/history)."""
-        return {
-            "kind": "vector",
-            "episode_returns": list(self.episode_returns),
-            "gradient_debt": self.gradient_debt,
-        }
+        return {"kind": "vector", "episode_returns": list(self.episode_returns)}
 
     def load_state_dict(self, state: dict) -> None:
-        if state.get("kind") != "vector":
+        """Restore :meth:`state_dict`; also reads the loop states of
+        releases that had a separate one-env stepper (kind ``single``)."""
+        if state.get("kind") == "single":
+            returns = [float(state["episode_return"])]
+        elif state.get("kind") == "vector":
+            returns = [float(r) for r in state["episode_returns"]]
+        else:
             raise ValueError(f"loop state is {state.get('kind')!r}, expected 'vector'")
-        returns = [float(r) for r in state["episode_returns"]]
         if len(returns) != self.env.num_envs:
             raise ValueError(
                 f"loop state has {len(returns)} replicas, env has {self.env.num_envs}"
             )
         self.episode_returns = returns
-        self.gradient_debt = float(state["gradient_debt"])
 
 
 def make_loop(
@@ -468,18 +375,17 @@ def make_loop(
     total: int,
     schedule: LinearSchedule,
     history: TrainingHistory,
-) -> "SingleEnvLoop | VectorEnvLoop":
-    """The collection stepper matching ``env``'s type."""
-    cls = VectorEnvLoop if isinstance(env, VectorPrefixEnv) else SingleEnvLoop
-    return cls(env, agent, buffer, config, total, schedule, history)
+) -> CollectionLoop:
+    """The collection stepper over ``env`` (a bare env steps as one replica)."""
+    return CollectionLoop(as_vector(env), agent, buffer, config, total, schedule, history)
 
 
 class Trainer:
     """One uncheckpointed training run: the synchronous runtime, nothing else.
 
     ``env`` may be a single :class:`PrefixEnv` (the paper-faithful
-    sequential loop) or a :class:`VectorPrefixEnv` (batched collection:
-    one stacked forward selects every replica's action each round).
+    sequential loop: one replica per round) or a :class:`VectorPrefixEnv`
+    (one stacked forward selects every replica's action each round).
     """
 
     def __init__(

@@ -138,6 +138,16 @@ class TestBatchedSynthesisEvaluation:
         assert evaluators[0].evaluate_many_calls == 0
         assert all(ev.evaluate_calls > 0 for ev in evaluators)
 
+    def test_one_replica_steps_itself(self):
+        """A batch of one is not a batch: the trainer's bare-env case goes
+        through ``env.step`` / ``env.reset``, never ``evaluate_many``."""
+        venv, evaluators = self._synthesis_vector(num_envs=1, horizon=1)
+        assert venv._batch_evaluator is None
+        venv.reset()
+        (result,) = venv.step([int(np.nonzero(venv.legal_masks()[0])[0][0])])
+        assert result.done and venv.states[0] is venv.envs[0].state
+        assert evaluators[0].evaluate_many_calls == 0 and evaluators[0].evaluate_calls > 0
+
     def test_analytical_evaluator_not_batched(self):
         venv = make_vector()
         assert venv._batch_evaluator is None
@@ -250,7 +260,7 @@ class TestVectorTrainer:
     def test_buffer_receives_all_transitions(self):
         venv = make_vector(n=6, num_envs=3, horizon=4)
         agent = ScalarizedDoubleDQN(6, blocks=0, channels=4, rng=0)
-        cfg = TrainerConfig(steps=12, buffer_capacity=100, warmup_steps=1000)
+        cfg = TrainerConfig(steps=12, warmup_steps=1000)
         trainer = Trainer(venv, agent, cfg, rng=0)
         trainer.run()
         assert len(trainer.buffer) == 12

@@ -77,48 +77,6 @@ def test_cluster_preempt_resume_end_to_end_with_farm(tmp_path):
 
 
 @pytest.mark.slow
-def test_cluster_preempt_resume_end_to_end_with_inference(tmp_path):
-    """``--inference``: train -> preempt -> resume with act-inference
-    served by the shared batched server (the inference-PR acceptance
-    run; the marker regex proves at least one actor batch was served
-    remotely rather than falling back)."""
-    ckpt = tmp_path / "ckpt"
-    first = run_cli(
-        "cluster", "8",
-        "--steps", "24",
-        "--actors", "2",
-        "--envs-per-actor", "2",
-        "--inference",
-        "--checkpoint-dir", str(ckpt),
-        "--stop-after", "12",
-        "--seed", "3",
-    )
-    assert first.returncode == 0, first.stderr
-    assert "rerun with --resume" in first.stderr
-    assert "warning: actor subprocess" not in first.stderr, first.stderr
-    assert "inference server listening on" in first.stderr
-    served = re.findall(r"inference served: requests=(\d+)", first.stderr)
-    assert served and sum(int(s) for s in served) >= 1, first.stderr
-    assert "inference server served: batches=" in first.stderr
-    assert (ckpt / "LATEST").is_file()
-
-    resumed = run_cli(
-        "cluster", "8",
-        "--actors", "2",
-        "--envs-per-actor", "2",
-        "--inference",
-        "--checkpoint-dir", str(ckpt),
-        "--resume",
-        "--seed", "3",
-    )
-    assert resumed.returncode == 0, resumed.stderr
-    assert "warning: actor subprocess" not in resumed.stderr, resumed.stderr
-    assert "trained 24 steps" in resumed.stdout
-    steps = sorted(p.name for p in ckpt.iterdir() if p.name.startswith("step-"))
-    assert steps == ["step-00000012", "step-00000024"]
-
-
-@pytest.mark.slow
 def test_cluster_obs_dir_produces_a_traceable_ledger(tmp_path):
     """``--obs-dir``: the whole fleet (learner, actor subprocesses, farm
     worker) writes one merged JSONL ledger — well-formed spans, at least

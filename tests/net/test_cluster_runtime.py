@@ -110,6 +110,22 @@ class TestClusterTraining:
         loop, _backend = RemoteActorWorker(("127.0.0.1", 1))._build(join, cache_client=None)
         assert sorted(loop.net.state_arrays()) == sorted(agent.local.state_arrays())
 
+    def test_actors_join_a_learner_whose_spec_config_carries_retired_keys(self):
+        """A ``serve-learner`` built before the shared inference server was
+        removed still ships its three ``inference*`` knobs in the spec's
+        ``config`` dict; actors read named keys and train against it."""
+        from repro.net import ClusterConfig
+
+        runtime = make_runtime(steps=12)
+        runtime.cluster.config = {
+            **asdict(ClusterConfig()),
+            "inference": True, "inference_max_batch": 256, "inference_max_wait": 0.005,
+        }
+        history, stats = run_with_actors(runtime)
+        assert history.env_steps == 12
+        assert sum(s["env_steps_kept"] for s in stats.values()) == 12
+        assert all("inference" not in s for s in stats.values())
+
     def test_no_actors_is_a_clear_timeout(self):
         runtime = make_runtime(steps=8, cluster_wait=0.5)
         with pytest.raises(RuntimeError, match="no actors connected"):

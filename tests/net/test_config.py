@@ -32,9 +32,6 @@ class TestFlagContract:
         "checkpoint_every": 0,
         "stop_after": None,
         "resume": False,
-        "inference": False,
-        "inference_max_batch": 256,
-        "inference_max_wait": 0.005,
         "backpressure_lag": 64,
         "throttle_seconds": 0.05,
     }

@@ -83,6 +83,17 @@ class TestModuleSystem:
         second = net.predict(xs[1])
         assert [id(a) for a in net._workspace] == held
         assert np.array_equal(first, kept) and not np.array_equal(second, kept)
+        # A smaller batch (acting hands predict only the rows that exploit) is
+        # served from leading slices of the same arrays, and so is the next full one.
+        wide = gen.normal(size=(2, 8, 4, 6, 6))
+        full = net.predict(wide[0])
+        full_kept, held = full.copy(), [id(a) for a in net._workspace]
+        part = net.predict(wide[1][:6])
+        again = net.predict(wide[1])
+        assert [id(a) for a in net._workspace] == held
+        assert np.array_equal(full, full_kept) and np.allclose(part, again[:6], rtol=1e-12, atol=0)
+        assert not np.shares_memory(part, again) and not np.shares_memory(full, again)
+        assert not any(np.shares_memory(part, a) for a in net._workspace)
         net.train()
         y = net.forward(xs[2])
         y_kept, forward_arrays = y.copy(), len(net._workspace)

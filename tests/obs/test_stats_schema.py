@@ -2,7 +2,7 @@
 exactly its documented keys, with numeric counter values.
 
 The pins live next to the implementations (``STATS_KEYS``,
-``MEMBERSHIP_KEYS``, ``STATS_BASE_KEYS``, ``SERVER_STATS_KEYS`` …); this
+``MEMBERSHIP_KEYS``, ``STATS_BASE_KEYS`` …); this
 test walks one instance of each implementation and fails the moment a key
 is added, renamed, or dropped without updating its pin — the fleet
 aggregation layer (``repro stats``) and the checkpoint format both read
@@ -16,12 +16,6 @@ import pytest
 from repro.cells import nangate45
 from repro.distributed import SynthesisFarm
 from repro.net import MEMBERSHIP_KEYS, ClusterSpec, LearnerState
-from repro.net.inference import (
-    CLIENT_STATS_KEYS,
-    SERVER_STATS_KEYS,
-    InferenceClient,
-    InferenceServer,
-)
 from repro.rl import ScalarizedDoubleDQN, TrainerConfig
 from repro.rl.replay import ShardedReplayBuffer
 from repro.rl.trainer import TrainingHistory
@@ -170,19 +164,6 @@ class TestStoreSchemas:
         assert set(stats) == set(STATS_BASE_KEYS) | {"front", "disk"}
         assert_numeric(stats["front"], STATS_BASE_KEYS)
         assert set(stats["disk"]) >= set(STATS_BASE_KEYS)
-
-
-class TestInferenceSchemas:
-    def test_server_stats(self):
-        server = InferenceServer(("127.0.0.1", 0))
-        server.start()
-        try:
-            assert_numeric(server.stats_dict(), SERVER_STATS_KEYS)
-        finally:
-            server.stop()
-
-    def test_client_stats(self):
-        assert_numeric(InferenceClient(("127.0.0.1", 1)).stats(), CLIENT_STATS_KEYS)
 
 
 class TestMembershipSchema:

@@ -297,6 +297,7 @@ class TestRuntimeConfigValidation:
         [
             ("learn_every", 0), ("batch_size", 0), ("warmup_steps", 0), ("steps", -1),
             ("epsilon_start", 1.5), ("epsilon_end", -0.1),
+            ("buffer_capacity", 8),  # below warmup_steps: no gradient step could ever run
         ],
     )
     def test_trainer_config_rejects_out_of_range(self, field, value):

@@ -92,6 +92,25 @@ class TestCliRuntime:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --fast-conv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["cluster", "8", "--inference"],
+            ["serve-learner", "8", "--inference"],
+            ["cluster", "8", "--inference-max-batch", "64"],
+            ["serve-learner", "8", "--inference-max-wait", "0.01"],
+            ["actor", "--connect", "127.0.0.1:1", "--inference", "127.0.0.1:2"],
+        ],
+        ids=lambda command: " ".join(command[:1] + command[-2:]),
+    )
+    def test_inference_flags_are_gone(self, command, capsys):
+        """Every actor runs the one policy on its own snapshot network; the
+        shared inference server (2.5x slower per request) left with its flags."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(command)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --inference" in capsys.readouterr().err
+
     def test_same_seed_twice_prints_the_same_bytes(self, capsys):
         """The differential-CLI fingerprint command is a function of its seed."""
         command = ["train", "8", "--steps", "60", "--seed", "3"]
