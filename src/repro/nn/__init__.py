@@ -8,7 +8,7 @@ design: each module caches its forward activations and its ``backward``
 consumes them in reverse order, which is sufficient for the
 chain-plus-skip topology of the network.
 
-Each op has one numeric path (:mod:`repro.nn.functional`): a tap-loop
+Each op has one numeric path (:mod:`repro.nn.functional`): a row-unfolded
 GEMM for K > 1 convolutions, a batched channel-first GEMM for 1x1, and a
 fused scale/shift batchnorm. Their contract is a stated tolerance against
 the test-side reference implementations plus finite-difference gradient

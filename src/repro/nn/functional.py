@@ -6,17 +6,20 @@ Tensors are channel-first: ``(batch, channels, height, width)``.
 
 One numeric path per op:
 
-- **Convolution, K > 1** is a tap loop: each of the K*K kernel taps
-  contributes one exact-size GEMM over a contiguous channels-last slab of
-  the padded input, so the ``(B*H*W, C*K*K)`` unfolded matrix is never
-  materialized. Only the padded input is kept for the backward pass, which
-  cuts the same slabs again for the weight gradient and scatters the input
-  gradient tap by tap: holding all K*K slabs costs K*K times the memory.
+- **Convolution, K > 1** is row-unfolded: the padded channels-last input
+  is unfolded along the width only — one strided copy into a
+  ``(B, Hp*W, K*C_in)`` matrix, K times the input where im2col is K*K —
+  and kernel row i is one batched GEMM of inner dimension ``K*C_in`` over
+  rows ``i*W .. (i+H)*W`` of it: a 5x5 layer is 5 GEMMs into one output.
+  Backward keeps only the padded input: it unfolds it again for the weight
+  gradient (K GEMMs) and gets the input gradient from the forward routine
+  itself, on the padded ``dy`` with the flipped, in/out-swapped kernel.
+  The unfolded matrix and per-row product are network-wide :func:`scratch`.
 - **Convolution, K = 1** is one batched channel-first GEMM straight on
-  ``(B, C, H*W)`` views. Why pointwise gets its own layout: the tap loop
-  would degenerate to a single tap that still pays the padding copy, the
-  slab copy and two channels-last transposes; here no data moves beyond
-  the GEMM itself, and the Q-net head is all 1x1.
+  ``(B, C, H*W)`` views. Why pointwise gets its own layout: unfolded it
+  would still pay the padding copy, the unfold copy and two channels-last
+  transposes; here no data moves beyond the GEMM itself, and the Q-net
+  head is all 1x1.
 - **Batchnorm** folds normalize + affine into one per-channel
   scale/shift and never materializes ``xhat``.
 
@@ -33,6 +36,7 @@ from __future__ import annotations
 import threading
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 
 class Workspace(list):
@@ -50,10 +54,15 @@ class Workspace(list):
     Setting ``cursor = 0`` starts a pass (forward); entering without doing so
     continues it (backward), so what forward cached is intact until the next
     forward. Whatever :func:`empty` hands out inside the block is overwritten
-    by the next pass: copy what must outlive it.
+    by the next pass (what :func:`scratch` does, by the next op): copy what
+    must outlive it.
     """
 
     cursor = 0
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.scratch: "dict[tuple, np.ndarray]" = {}
 
     def __enter__(self) -> None:
         self.outer, _active.workspace = getattr(_active, "workspace", None), self
@@ -80,49 +89,78 @@ def empty(shape, dtype) -> np.ndarray:
     return held[:lead]
 
 
-def _tap_conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: "np.ndarray | None"):
-    c_out, c_in, kh, kw = weight.shape
-    pad = (kh - 1) // 2
-    b, _, h, w = x.shape
-    xfull = empty((b, h + 2 * pad, w + 2 * pad, c_in), x.dtype)
+def scratch(shape, dtype) -> np.ndarray:
+    """``np.empty`` for an array nobody reads once the op that asked has returned.
+
+    The active :class:`Workspace` holds one per (trailing shape, dtype) for all
+    its layers, lead-sliced as in :func:`empty`: one per layer, or per exact
+    batch size while acting's exploit-row count wanders, shows in ``peak_rss_mb``.
+    """
+    ws = getattr(_active, "workspace", None)
+    if ws is None:
+        return np.empty(shape, dtype)
+    key = (tuple(shape[1:]), np.dtype(dtype))
+    held = ws.scratch.get(key)
+    if held is None or held.shape[0] < shape[0]:
+        held = ws.scratch[key] = np.empty(shape, dtype)
+    return held[: shape[0]]
+
+
+def _pad_channels_last(x: np.ndarray, pad: int, make) -> np.ndarray:
+    b, c, h, w = x.shape
+    xfull = make((b, h + 2 * pad, w + 2 * pad, c), x.dtype)
     xfull.fill(0)
     xfull[:, pad : pad + h, pad : pad + w, :] = x.transpose(0, 2, 3, 1)
-    # One contiguous (B*H*W, C_in) GEMM operand and one product, refilled per tap.
-    slab = empty((b, h, w, c_in), x.dtype)
-    product = empty((b * h * w, c_out), x.dtype)
-    out = empty((b * h * w, c_out), x.dtype)
-    out.fill(0)
-    for i in range(kh):
-        for j in range(kw):
-            np.copyto(slab, xfull[:, i : i + h, j : j + w, :])
-            out += np.matmul(slab.reshape(-1, c_in), weight[:, :, i, j].T, out=product)
+    return xfull
+
+
+def _unfold_rows(xfull: np.ndarray, kw: int) -> np.ndarray:
+    """``(B, Hp, Wp, C)`` -> ``(B, Hp*W, kw*C)``: every width-``kw`` window, already contiguous in ``xfull``."""
+    b, hp, wp, c = xfull.shape
+    unf = scratch((b, hp, wp - kw + 1, kw * c), xfull.dtype)
+    np.copyto(unf, as_strided(xfull, unf.shape, xfull.strides, writeable=False))
+    return unf.reshape(b, -1, kw * c)
+
+
+def _row_conv2d(xfull: np.ndarray, weight: np.ndarray, bias: "np.ndarray | None") -> np.ndarray:
+    """Valid correlation of the padded channels-last ``xfull`` with ``weight``, channel-first."""
+    c_out, c_in, kh, kw = weight.shape
+    b, hp, wp, _ = xfull.shape
+    h, w = hp - kh + 1, wp - kw + 1
+    unf = _unfold_rows(xfull, kw)
+    wmat = weight.transpose(2, 3, 1, 0).reshape(kh, kw * c_in, c_out)
+    # Accumulator and per-row product from one request, so neither can be served the other's array.
+    pair = scratch((b, 2, h * w, c_out), xfull.dtype)
+    out, product = pair[:, 0], pair[:, 1]
+    # Kernel row i reads input rows i..i+H: one contiguous run of the unfolded rows per batch item.
+    np.matmul(unf[:, : h * w], wmat[0], out=out)
+    for i in range(1, kh):
+        out += np.matmul(unf[:, i * w : (i + h) * w], wmat[i], out=product)
     if bias is not None:
         out += bias
-    y = empty((b, c_out, h, w), x.dtype)
+    y = empty((b, c_out, h, w), xfull.dtype)
     np.copyto(y, out.reshape(b, h, w, c_out).transpose(0, 3, 1, 2))
-    return y, xfull
+    return y
 
 
-def _tap_conv2d_backward(dy: np.ndarray, xfull: np.ndarray, weight: np.ndarray, x_shape):
+def _row_conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: "np.ndarray | None"):
+    xfull = _pad_channels_last(x, (weight.shape[2] - 1) // 2, empty)
+    return _row_conv2d(xfull, weight, bias), xfull
+
+
+def _row_conv2d_backward(dy: np.ndarray, xfull: np.ndarray, weight: np.ndarray, x_shape):
     c_out, c_in, kh, kw = weight.shape
-    pad = (kh - 1) // 2
     b, _, h, w = x_shape
-    dy_flat = empty((b * h * w, c_out), dy.dtype)
-    np.copyto(dy_flat.reshape(b, h, w, c_out), dy.transpose(0, 2, 3, 1))
+    rows = _unfold_rows(xfull, kw)
+    dyf = dy.reshape(b, c_out, h * w)
     dweight = np.empty_like(weight)
-    dxp = empty(xfull.shape, dy.dtype)
-    dxp.fill(0)
-    slab = empty((b, h, w, c_in), xfull.dtype)
-    product = empty((b * h * w, c_in), dy.dtype)
+    per_item = scratch((b, c_out, kw * c_in), dy.dtype)
     for i in range(kh):
-        for j in range(kw):
-            np.copyto(slab, xfull[:, i : i + h, j : j + w, :])
-            dweight[:, :, i, j] = dy_flat.T @ slab.reshape(-1, c_in)
-            np.matmul(dy_flat, weight[:, :, i, j], out=product)
-            dxp[:, i : i + h, j : j + w, :] += product.reshape(b, h, w, c_in)
-    dx = empty(x_shape, dy.dtype)
-    np.copyto(dx, dxp[:, pad : pad + h, pad : pad + w, :].transpose(0, 3, 1, 2))
-    return dx, dweight
+        np.matmul(dyf, rows[:, i * w : (i + h) * w], out=per_item)
+        dweight[:, :, i, :] = per_item.sum(axis=0).reshape(c_out, kw, c_in).transpose(0, 2, 1)
+    # dx is the same correlation, of the padded dy with the flipped kernel, in and out swapped.
+    dyp = _pad_channels_last(dy, (kh - 1) // 2, scratch)
+    return _row_conv2d(dyp, weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), None), dweight
 
 
 def _pointwise_conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: "np.ndarray | None"):
@@ -159,7 +197,7 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: "np.ndarray | None")
     kh, kw = weight.shape[2:]
     if kh != kw or kh % 2 == 0:
         raise ValueError(f"only odd square kernels supported, got {kh}x{kw}")
-    forward = _pointwise_conv2d_forward if kh == 1 else _tap_conv2d_forward
+    forward = _pointwise_conv2d_forward if kh == 1 else _row_conv2d_forward
     y, saved = forward(x, weight, bias)
     return y, (saved, weight, x.shape, bias is not None)
 
@@ -171,7 +209,7 @@ def conv2d_backward(dy: np.ndarray, cache):
     layout follows the kernel size recorded in the cache, as in forward.
     """
     saved, weight, x_shape, has_bias = cache
-    backward = _pointwise_conv2d_backward if weight.shape[2] == 1 else _tap_conv2d_backward
+    backward = _pointwise_conv2d_backward if weight.shape[2] == 1 else _row_conv2d_backward
     dx, dweight = backward(dy, saved, weight, x_shape)
     dbias = dy.sum(axis=(0, 2, 3)) if has_bias else None
     return dx, dweight, dbias
@@ -238,16 +276,15 @@ def batchnorm_backward(dy: np.ndarray, cache):
 
 
 def leaky_relu_forward(x: np.ndarray, slope: float):
-    """LeakyReLU: ``max(x, slope * x)``."""
-    mask = np.greater(x, 0, out=empty(x.shape, bool))
+    """LeakyReLU ``max(x, slope * x)``; the identity needs ``0 < slope < 1``."""
     y = np.multiply(x, slope, out=empty(x.shape, x.dtype))
-    np.copyto(y, x, where=mask)
-    return y, (mask, slope)
+    np.maximum(y, x, out=y)
+    return y, (y, slope)
 
 
 def leaky_relu_backward(dy: np.ndarray, cache):
-    """Gradient of :func:`leaky_relu_forward`."""
-    mask, slope = cache
-    dx = np.multiply(dy, slope, out=empty(dy.shape, dy.dtype))
-    np.copyto(dx, dy, where=mask)
-    return dx
+    """Gradient of :func:`leaky_relu_forward`: the output has the input's sign."""
+    y, slope = cache
+    dx = np.sign(y, out=empty(dy.shape, dy.dtype))
+    np.maximum(dx, slope, out=dx)
+    return np.multiply(dx, dy, out=dx)

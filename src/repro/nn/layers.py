@@ -1,7 +1,9 @@
 """Module system: parameterized layers with cached-activation backprop.
 
 Each :class:`Module` caches whatever its backward pass needs during
-``forward`` and releases it on ``backward``. Modules compose via
+``forward``; ``backward`` takes that cache exactly once, ``predict`` drops
+it unused (:meth:`Module.drop_caches`), and the arrays behind it stay with
+the network's :class:`~repro.nn.functional.Workspace`. Modules compose via
 :class:`Sequential` and :class:`ResidualBlock`; anything with parameters
 exposes them through ``parameters()`` for the optimizers.
 """
@@ -17,10 +19,9 @@ from repro.utils.rng import ensure_rng
 class Parameter:
     """A trainable array with its gradient accumulator.
 
-    ``dtype`` defaults to float64 (the numerically safest choice for the
-    tiny CI-scale networks); float32 halves the memory traffic of the
-    convolution hot path and is selected per network (see
-    :class:`repro.nn.qnet.QNetwork`).
+    ``dtype`` defaults to float64 and is chosen per network (see
+    :class:`repro.nn.qnet.QNetwork`); every op computes in the dtype of
+    its tensors, so float32 halves the bytes each pass moves.
     """
 
     __slots__ = ("value", "grad", "name")
@@ -199,6 +200,8 @@ class LeakyReLU(Module):
 
     def __init__(self, slope: float = 0.01):
         super().__init__()
+        if not 0.0 < slope < 1.0:  # max(x, slope * x) is LeakyReLU only then
+            raise ValueError(f"slope must be in (0, 1), got {slope}")
         self.slope = slope
 
     def forward(self, x: np.ndarray) -> np.ndarray:

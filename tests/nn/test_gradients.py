@@ -127,6 +127,25 @@ class TestActivationAndBlocks:
         dx = layer.backward(dy)
         assert np.abs(dx - numerical_grad(objective, x)).max() < 1e-7
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_leaky_relu_is_the_masked_select_to_the_bit(self, gen, dtype):
+        """``max(slope*x, x)`` forward and sign-of-the-output backward are the
+        masked copy they replaced, zeros and signed zeros included."""
+        x = gen.normal(size=(3, 2, 4, 4)).astype(dtype)
+        x.reshape(-1)[:4] = [0.0, -0.0, np.finfo(dtype).tiny, -np.finfo(dtype).tiny]
+        dy = gen.normal(size=x.shape).astype(dtype)
+        for slope in (0.01, 0.1, 0.99):
+            y, cache = F.leaky_relu_forward(x, slope)
+            dx = F.leaky_relu_backward(dy, cache)
+            assert y.dtype == dx.dtype == dtype
+            assert y.tobytes() == np.where(x > 0, x, x * dtype(slope)).tobytes()
+            assert dx.tobytes() == np.where(x > 0, dy, dy * dtype(slope)).tobytes()
+
+    @pytest.mark.parametrize("slope", [0.0, 1.0, -0.1, 1.5, float("nan")])
+    def test_leaky_relu_slope_outside_the_open_unit_interval_rejected(self, slope):
+        with pytest.raises(ValueError, match="slope"):
+            LeakyReLU(slope)
+
     def test_residual_block_gradcheck(self, gen):
         block = ResidualBlock(3, kernel_size=3, rng=3)
         block.train()

@@ -101,6 +101,37 @@ class TestModuleSystem:
         assert np.array_equal(y, y_kept) and len(net._workspace) > forward_arrays
         assert not any(np.shares_memory(dx, a) or np.shares_memory(y, a) for a in net._workspace)
 
+    def test_varying_batch_reuses_workspace_and_scratch(self, gen):
+        """Acting's exploit-row count wanders (B = 8, 5, 8, ...): after the
+        first full batch neither the per-layer arrays nor the shared conv
+        scratch are replaced, and reuse changes no byte of any result."""
+
+        def held(net):
+            return [id(a) for a in net._workspace], {k: id(a) for k, a in net._workspace.scratch.items()}
+
+        net = QNetwork(n=6, blocks=1, channels=4, rng=0)
+        xs = [gen.normal(size=(b, 4, 6, 6)) for b in (8, 5, 8, 5)]
+        got = [net.predict(xs[0])]
+        first = held(net)
+        assert first[1], "the convolution asked for no scratch"
+        for x in xs[1:]:
+            got.append(net.predict(x))
+            assert held(net) == first
+        for x, y in zip(xs, got):
+            assert QNetwork(n=6, blocks=1, channels=4, rng=0).predict(x).tobytes() == y.tobytes()
+
+    def test_scratch_is_per_network_not_per_layer(self, gen):
+        """Bytes a ``QNetwork`` (blocks=2, channels=16) holds after one n=32,
+        B=8 ``predict``: 35,668,992 (26,838,016 in 26 workspace arrays +
+        8,830,976 in 3 scratch arrays), against 42,566,656 in 47 workspace
+        arrays when every conv layer kept its own slab and product. The
+        unfolded matrix is 5x a slab but there is one of it, not one per layer."""
+        net = QNetwork(n=32, blocks=2, channels=16, rng=0)
+        net.predict(gen.normal(size=(8, 4, 32, 32)))
+        ws = net._workspace
+        assert len(ws.scratch) == 3  # stem unfold, 5x5 unfold, accumulator + product
+        assert sum(a.nbytes for a in ws) + sum(a.nbytes for a in ws.scratch.values()) <= 42_566_656
+
     def test_workspace_changes_no_bytes(self, gen):
         """Same values with and without a workspace, across a change of batch
         size and from two threads with a network each."""

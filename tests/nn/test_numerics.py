@@ -1,6 +1,6 @@
 """The Q-network's numerical contract, held against the test-side oracle.
 
-``repro.nn.functional`` has one path per op (tap-loop / pointwise GEMM
+``repro.nn.functional`` has one path per op (row-unfolded / pointwise GEMM
 convolution, fused batchnorm). Each reassociates sums the im2col
 convolution and the four-pass batchnorm in ``tests/oracles/nn.py`` take
 in another order, so the contract is a stated tolerance per dtype — not
@@ -40,15 +40,22 @@ CONV_SHAPES = [
     (4, 16, 4, 16, 1),
     (3, 5, 7, 11, 1),
     (8, 16, 4, 32, 1),
+    # n = (H, W) with H != W pins the unfold's stride arithmetic: kernel row i
+    # is rows i*W .. (i+H)*W of the unfolded matrix.
+    (2, 16, 16, (6, 9), 5),
+    (3, 5, 7, (11, 4), 3),
+    (1, 16, 16, (16, 3), 5),  # narrower than the kernel
+    (2, 3, 2, (1, 8), 5),  # a single row
 ]
 
 
 def conv_case(rng, shape, dtype=np.float64, bias=True):
     b, c_in, c_out, n, k = shape
-    x = rng.normal(size=(b, c_in, n, n)).astype(dtype)
+    hw = n if isinstance(n, tuple) else (n, n)
+    x = rng.normal(size=(b, c_in, *hw)).astype(dtype)
     w = rng.normal(size=(c_out, c_in, k, k)).astype(dtype)
     bias_arr = rng.normal(size=c_out).astype(dtype) if bias else None
-    dy = rng.normal(size=(b, c_out, n, n)).astype(dtype)
+    dy = rng.normal(size=(b, c_out, *hw)).astype(dtype)
     return x, w, bias_arr, dy
 
 
@@ -101,7 +108,8 @@ class TestConv:
         for got, want in zip(F.conv2d_backward(dy, cache), oracle.conv2d_backward(dy, cache_ref)):
             assert_close(got, want, dtype)
 
-    @pytest.mark.parametrize("shape", [(2, 6, 3, 5, 1), (2, 3, 4, 6, 3)])
+    # The last is the stem (K=3, C_in=4) at B=1 on a non-square input.
+    @pytest.mark.parametrize("shape", [(2, 6, 3, 5, 1), (2, 3, 4, 6, 3), (1, 4, 16, (7, 5), 3)])
     def test_no_bias(self, shape):
         x, w, _, dy = conv_case(np.random.default_rng(0), shape, bias=False)
         y_ref, cache_ref = oracle.conv2d_forward(x, w, None)
@@ -112,6 +120,15 @@ class TestConv:
         assert db is None and db_ref is None
         assert_close(dx, dx_ref, np.float64)
         assert_close(dw, dw_ref, np.float64)
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_dx_is_the_oracle_convolution_of_dy_with_the_flipped_swapped_kernel(self, k):
+        """How ``dx`` is computed, held against the oracle's *forward*: an
+        unflipped or un-swapped kernel fails here on its own, C_in != C_out."""
+        x, weight, bias, dy = conv_case(np.random.default_rng(k), (2, 3, 6, 7, k))
+        dx = F.conv2d_backward(dy, F.conv2d_forward(x, weight, bias)[1])[0]
+        flipped = np.ascontiguousarray(weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+        assert_close(dx, oracle.conv2d_forward(dy, flipped, None)[0], np.float64)
 
     @pytest.mark.parametrize("shape", [(2, 3, 2, 4, 1), (2, 3, 4, 5, 3), (2, 2, 3, 6, 5)])
     def test_gradients_numerically(self, shape):
@@ -165,6 +182,22 @@ class TestQNetwork:
             y_ref = net.predict(x)
         # Ten layers deep: the per-op tolerance, with headroom to compound.
         assert_close(y, y_ref, dtype, scale=10.0)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_predict_is_batch_invariant(self, dtype):
+        """A row's Q-map does not depend on which rows share its batch:
+        ``predict(x)[rows]`` and ``predict(x[rows])`` are the same bytes.
+        ``epsilon_greedy`` predicts only the rows that exploit, and the
+        ``Trainer``-vs-vector same-bytes test steps one replica against
+        eight; both rely on this. Every conv GEMM is batched per item and
+        eval-mode batchnorm is per-channel constants, so it holds by shape."""
+        rng = np.random.default_rng(5)
+        net = QNetwork(8, blocks=2, channels=8, rng=0, dtype=dtype)
+        x = rng.normal(size=(8, 4, 8, 8))
+        full = net.predict(x)
+        for b in range(1, 9):
+            rows = np.sort(rng.choice(8, size=b, replace=False))
+            assert net.predict(x[rows]).tobytes() == full[rows].tobytes(), rows
 
     def test_three_step_training_trajectory_tracks_oracle(self):
         rng = np.random.default_rng(21)

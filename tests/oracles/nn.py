@@ -2,9 +2,10 @@
 
 The original im2col implementation of ``conv2d_forward`` /
 ``conv2d_backward`` and the textbook four-pass batchnorm pair, verbatim
-as they shipped in ``repro.nn`` before the tap-loop / pointwise GEMM and
-the fused scale/shift algebra became the only path. The production ops
-reassociate the K*K accumulation and the elementwise algebra, so they are
+as they shipped in ``repro.nn`` before the row-unfolded / pointwise GEMM
+and the fused scale/shift algebra became the only path. The production ops
+reassociate the K*K accumulation (K GEMMs of inner dimension K*C_in, where
+this is one of C_in*K*K) and the elementwise algebra, so they are
 pinned to these within a stated per-dtype tolerance — not byte equality —
 in ``tests/nn/test_numerics.py``, which also monkeypatches these four
 functions into :mod:`repro.nn.functional` to build a whole oracle
