@@ -16,6 +16,11 @@ Quickstart::
 See README.md for the full tour and DESIGN.md for the system inventory.
 """
 
+import ctypes
+import os
+
+import numpy as np
+
 from repro.prefix import (
     PrefixGraph,
     IllegalActionError,
@@ -32,6 +37,34 @@ from repro.prefix import (
 from repro.analytical import AnalyticalMetrics, evaluate_analytical
 
 __version__ = "1.0.0"
+
+
+def _blas_on_the_calling_thread() -> None:
+    """Default numpy's OpenBLAS to one thread, unless ``OPENBLAS_NUM_THREADS`` says otherwise.
+
+    The program's parallelism is processes and actor threads, each computing
+    on its own thread. Left to itself OpenBLAS splits every Q-network GEMM
+    over all cores and its workers spin between calls, so a pass takes as long
+    as the slower core and a second CPU burns through the Python in between.
+    On the 2-vCPU reference host that bought ``collect_vec8_n32`` 20% (nothing
+    at n=16) and made it twice as spread from run to run: quartile distance
+    10-18% of the median, 6-8% on one thread. A numpy built on another BLAS
+    is left alone.
+    """
+    if "OPENBLAS_NUM_THREADS" in os.environ:
+        return
+    core = getattr(np, "_core", None) or np.core
+    # The extension module's handle resolves symbols of the OpenBLAS it was linked against.
+    blas = ctypes.CDLL(core._multiarray_umath.__file__)
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            setter = getattr(blas, f"{prefix}_set_num_threads{suffix}", None)
+            if setter is not None:
+                setter(1)
+                return
+
+
+_blas_on_the_calling_thread()
 
 __all__ = [
     "PrefixGraph",

@@ -1,4 +1,8 @@
-"""Utility-layer tests: RNG plumbing, scale profiles, ASCII rendering."""
+"""Utility-layer tests: RNG plumbing, scale profiles, ASCII rendering, the BLAS thread default."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -92,3 +96,36 @@ class TestAsciiPlot:
         assert lines[0].startswith("col")
         assert "---" in lines[1]
         assert len(lines) == 4
+
+
+class TestBlasThreadDefault:
+    """``import repro`` leaves numpy's OpenBLAS on the calling thread (``repro/__init__.py``)."""
+
+    SCRIPT = (
+        "import ctypes, numpy as np\n"
+        "blas = ctypes.CDLL((getattr(np, '_core', None) or np.core)._multiarray_umath.__file__)\n"
+        "names = [p + '_get_num_threads' + s for p in ('scipy_openblas', 'openblas') for s in ('64_', '')]\n"
+        "getter = next((getattr(blas, n) for n in names if hasattr(blas, n)), None)\n"
+        "before = getter() if getter else -1\n"
+        "import repro\n"
+        "print(before, getter() if getter else -1)\n"
+    )
+
+    def threads_before_and_after_import(self, setting):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        if setting is not None:
+            env["OPENBLAS_NUM_THREADS"] = setting
+        out = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env, capture_output=True, text=True, check=True)
+        before, after = map(int, out.stdout.split())
+        if before < 0:
+            pytest.skip("numpy is not linked against an OpenBLAS with a thread-count symbol")
+        return before, after
+
+    def test_one_thread_after_import(self):
+        _, after = self.threads_before_and_after_import(None)
+        assert after == 1
+
+    def test_an_explicit_openblas_setting_is_left_alone(self):
+        before, after = self.threads_before_and_after_import("2")
+        assert after == before
