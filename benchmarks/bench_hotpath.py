@@ -6,7 +6,7 @@ writes the numbers to JSON:
 1. ``graph_features`` throughput (graphs/sec) at n in {16, 32, 64} over a
    fixed corpus of regular structures and random-walk graphs;
 2. ``Trainer.run`` environment-steps/sec at n in {16, 32} (plus, when the
-   running tree supports them, the 8-env vectorized + float32 variants);
+   running tree supports it, the 8-env vectorized variant);
 3. ``synthesize_curve`` throughput (graphs/sec) at n in {16, 32} — the
    paper's true cost center, the target of the incremental-STA engine;
 4. ``sta_backward``: the same curves under a recovery-heavy synthesizer
@@ -53,7 +53,6 @@ separately in the per-width detail (``ripple_ms_per_graph``)."""
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -115,8 +114,6 @@ try:  # older trees: no standalone analytical model yet
     from repro.analytical import analytical_delay
 except ImportError:
     analytical_delay = None
-
-AGENT_HAS_DTYPE = "dtype" in inspect.signature(ScalarizedDoubleDQN.__init__).parameters
 
 FEATURE_WIDTHS = (16, 32, 64)
 TRAINER_WIDTHS = (16, 32)
@@ -220,11 +217,8 @@ def bench_features() -> dict:
     return out
 
 
-def _trainer_throughput(n: int, env, dtype=None) -> float:
-    kwargs = dict(blocks=1, channels=8, rng=0)
-    if dtype is not None:
-        kwargs["dtype"] = dtype
-    agent = ScalarizedDoubleDQN(n, **kwargs)
+def _trainer_throughput(n: int, env) -> float:
+    agent = ScalarizedDoubleDQN(n, blocks=1, channels=8, rng=0)
     trainer = Trainer(env, agent, TrainerConfig(steps=TRAINER_STEPS, **TRAINER_CONFIG), rng=0)
     start = time.perf_counter()
     history = trainer.run()
@@ -243,11 +237,6 @@ def bench_trainer() -> dict:
                 n, AnalyticalEvaluator, num_envs=NUM_VECTOR_ENVS, horizon=24, seed=0
             )
             row["vector8_steps_per_sec"] = _trainer_throughput(n, venv)
-            if AGENT_HAS_DTYPE:
-                venv = VectorPrefixEnv.make(
-                    n, AnalyticalEvaluator, num_envs=NUM_VECTOR_ENVS, horizon=24, seed=0
-                )
-                row["vector8_f32_steps_per_sec"] = _trainer_throughput(n, venv, dtype=np.float32)
         out[str(n)] = row
         print(f"trainer n={n}: " + ", ".join(f"{k}={v:.2f}" for k, v in row.items()))
     return out

@@ -16,7 +16,9 @@ Feature tensors are memoized on the (immutable) graph instance: the
 training loop observes every state at least twice (once as ``next_state``,
 once as the following step's ``state``), and the batched actors observe the
 same object again when stacking, so the memo halves-or-better the analytics
-work per transition. The returned array is read-only; copy before mutating.
+work per transition. The returned array is float32 — the dtype the Q-network
+and the replay ring hold (planes 1-2 are exactly 0/1, planes 3-4 within 6e-8
+of the float64 quotient) — and read-only; copy before mutating.
 """
 
 from __future__ import annotations
@@ -31,12 +33,11 @@ NUM_FEATURE_PLANES = 4
 def _compute_features(graph: PrefixGraph) -> np.ndarray:
     n = graph.n
     denom = max(n - 1, 1)
-    features = np.empty((NUM_FEATURE_PLANES, n, n), dtype=np.float64)
+    features = np.empty((NUM_FEATURE_PLANES, n, n), dtype=np.float32)
     features[0] = graph.grid
     features[1] = graph.minlist()
-    levels = graph.levels().astype(np.float64)
-    levels[levels < 0] = 0.0
-    np.divide(levels, denom, out=features[2])
+    # Integer counts over N - 1: the quotient is taken in float64 and rounded once into the plane.
+    np.divide(np.maximum(graph.levels(), 0), denom, out=features[2])
     np.divide(graph.fanouts(), denom, out=features[3])
     features.setflags(write=False)
     return features

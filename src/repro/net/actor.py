@@ -210,12 +210,7 @@ class RemoteActorWorker:
             horizon=spec["horizon"],
             seed=join["env_seed"],
         )
-        net = QNetwork(
-            spec["width"],
-            blocks=spec["blocks"],
-            channels=spec["channels"],
-            dtype=np.dtype(spec["dtype"]),
-        )
+        net = QNetwork(spec["width"], blocks=spec["blocks"], channels=spec["channels"])
         net.eval()
         total = spec["w_area"] + spec["w_delay"]
         w = np.array([spec["w_area"] / total, spec["w_delay"] / total])

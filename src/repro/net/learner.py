@@ -58,6 +58,20 @@ from repro.synth.leases import SharedCacheService
 MEMBERSHIP_KEYS = ("joins", "rejoins", "evictions", "throttled_batches")
 
 
+# What ``push_batch`` makes of a peer's round, whatever dtype it was sent in
+# (None: as sent): states are the network's float32, rewards and metrics float64.
+_ROUND_LAYOUT = {
+    "states": np.float32,
+    "next_states": np.float32,
+    "actions": None,
+    "next_masks": None,
+    "rewards": np.float64,
+    "areas": np.float64,
+    "delays": np.float64,
+    "dones": bool,
+}
+
+
 @dataclass
 class ClusterSpec:
     """Everything a remote actor needs to rebuild the collection setup.
@@ -79,7 +93,6 @@ class ClusterSpec:
     seed: int = 0
     blocks: int = 2
     channels: int = 16
-    dtype: str = "float64"
     # Fleet-wide knobs (heartbeat window, store location). ``asdict``
     # flattens the nested dataclass to a plain dict on the wire; actors
     # read named keys.
@@ -94,7 +107,6 @@ class ClusterSpec:
             w_delay=float(agent.w[1]),
             blocks=agent.local.blocks,
             channels=agent.local.channels,
-            dtype=np.dtype(agent.local.dtype).name,
             **kwargs,
         )
 
@@ -242,10 +254,7 @@ class LearnerState(LearnerCore):
         """One remote acting round into :meth:`ingest`, for the session
         that owns the shard; the reply adds the next round's trace."""
         # The batch is outside input: pin the layout ingest relies on.
-        round_ = {key: np.asarray(batch[key]) for key in ("states", "actions", "next_states", "next_masks")}
-        for key in ("rewards", "areas", "delays"):
-            round_[key] = np.asarray(batch[key], dtype=np.float64)
-        round_["dones"] = np.asarray(batch["dones"], dtype=bool)
+        round_ = {key: np.asarray(batch[key], dtype=dtype) for key, dtype in _ROUND_LAYOUT.items()}
         with self.ingest_lock:
             with self.lock:
                 actor = self.actors.get(actor_id)

@@ -12,8 +12,10 @@ Each op has one numeric path (:mod:`repro.nn.functional`): a row-unfolded
 GEMM for K > 1 convolutions, a batched channel-first GEMM for 1x1, and a
 fused scale/shift batchnorm. Their contract is a stated tolerance against
 the test-side reference implementations plus finite-difference gradient
-checks, and same seed -> same bytes across runs; ``dtype`` is a property
-of the tensors, not a second implementation.
+checks, and same seed -> same bytes across runs. Every array a network
+holds is born float32 (parameters, running statistics, Adam moments; the
+ops compute in the dtype of the tensors they are handed) and nothing
+selects another; saved float64 state loads by cast.
 """
 
 from repro.nn.layers import (

@@ -230,9 +230,14 @@ def batchnorm_forward(
     In training mode, batch statistics are used and the running estimates
     updated in place; in eval mode the running estimates are used and the
     cache is marked accordingly for the backward pass.
+
+    The batch mean and backward's two sums accumulate in float64 whatever
+    ``x`` is — ``dgamma`` subtracts ``mean * sum(dy)`` from ``sum(dy * x)``,
+    and in float32 a channel with |mean| = 10 sigma left the tolerance. They
+    are C numbers; every pass over ``x`` or ``dy`` stays in its own dtype.
     """
     if training:
-        mean = x.mean(axis=(0, 2, 3))
+        mean = x.mean(axis=(0, 2, 3), dtype=np.float64)
         var = x.var(axis=(0, 2, 3))
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
@@ -247,32 +252,36 @@ def batchnorm_forward(
     # keeps x itself rather than a materialized xhat.
     scale = gamma * inv_std
     shift = beta - mean * scale
-    y = np.multiply(x, scale[None, :, None, None], out=empty(x.shape, x.dtype))
-    y += shift[None, :, None, None]
+    y = np.multiply(x, _per_channel(scale, x), out=empty(x.shape, x.dtype))
+    y += _per_channel(shift, x)
     return y, (x, mean, inv_std, gamma, training)
+
+
+def _per_channel(values: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """``(C,)`` -> ``(1, C, 1, 1)`` in ``like``'s dtype, so the broadcast pass does not upcast."""
+    return values.astype(like.dtype, copy=False)[None, :, None, None]
 
 
 def batchnorm_backward(dy: np.ndarray, cache):
     """Gradients of :func:`batchnorm_forward`: ``(dx, dgamma, dbeta)``."""
     x, mean, inv_std, gamma, training = cache
     m = x.size // x.shape[1]
-    dbeta = dy.sum(axis=(0, 2, 3))
+    dbeta = dy.sum(axis=(0, 2, 3), dtype=np.float64)
     # dgamma = sum(dy * xhat) expanded through xhat = (x - mean)*inv_std,
     # so xhat is never materialized.
     term = np.multiply(dy, x, out=empty(x.shape, x.dtype))
-    dgamma = inv_std * (term.sum(axis=(0, 2, 3)) - mean * dbeta)
+    dgamma = inv_std * (term.sum(axis=(0, 2, 3), dtype=np.float64) - mean * dbeta)
     scale = gamma * inv_std
-    dx = np.multiply(dy, scale[None, :, None, None], out=empty(dy.shape, dy.dtype))
-    if not training:
-        return dx, dgamma, dbeta
-    # Textbook dx = (dxhat - mean(dxhat) - xhat*mean(dxhat*xhat)) * inv_std
-    # regrouped as per-channel  dx = a*dy + b*x + c  (three broadcast passes):
-    # mean(dxhat) = gamma*dbeta/m and sum(dxhat*xhat) = gamma*dgamma.
-    bb = -scale * inv_std * dgamma / m
-    cc = scale * (mean * inv_std * dgamma - dbeta) / m
-    dx += np.multiply(x, bb[None, :, None, None], out=term)
-    dx += cc[None, :, None, None]
-    return dx, dgamma, dbeta
+    dx = np.multiply(dy, _per_channel(scale, dy), out=empty(dy.shape, dy.dtype))
+    if training:
+        # Textbook dx = (dxhat - mean(dxhat) - xhat*mean(dxhat*xhat)) * inv_std
+        # regrouped as per-channel  dx = a*dy + b*x + c  (three broadcast passes):
+        # mean(dxhat) = gamma*dbeta/m and sum(dxhat*xhat) = gamma*dgamma.
+        bb = -scale * inv_std * dgamma / m
+        cc = scale * (mean * inv_std * dgamma - dbeta) / m
+        dx += np.multiply(x, _per_channel(bb, x), out=term)
+        dx += _per_channel(cc, x)
+    return dx, dgamma.astype(x.dtype), dbeta.astype(x.dtype)
 
 
 def leaky_relu_forward(x: np.ndarray, slope: float):

@@ -17,17 +17,16 @@ from repro.utils.rng import ensure_rng
 
 
 class Parameter:
-    """A trainable array with its gradient accumulator.
+    """A trainable float32 array with its gradient accumulator.
 
-    ``dtype`` defaults to float64 and is chosen per network (see
-    :class:`repro.nn.qnet.QNetwork`); every op computes in the dtype of
-    its tensors, so float32 halves the bytes each pass moves.
+    float32 is the one dtype network arrays are born in; every op computes
+    in the dtype of the tensors it is handed, so that is what a pass runs in.
     """
 
     __slots__ = ("value", "grad", "name")
 
-    def __init__(self, value: np.ndarray, name: str = "param", dtype=np.float64):
-        self.value = np.asarray(value, dtype=dtype)
+    def __init__(self, value: np.ndarray, name: str = "param"):
+        self.value = np.asarray(value, dtype=np.float32)
         self.grad = np.zeros_like(self.value)
         self.name = name
 
@@ -136,9 +135,7 @@ class Module:
 class Conv2d(Module):
     """Same-padded stride-1 convolution with He-initialized weights."""
 
-    def __init__(
-        self, in_channels: int, out_channels: int, kernel_size: int, rng=None, bias: bool = True, dtype=np.float64
-    ):
+    def __init__(self, in_channels: int, out_channels: int, kernel_size: int, rng=None, bias: bool = True):
         super().__init__()
         gen = ensure_rng(rng)
         fan_in = in_channels * kernel_size * kernel_size
@@ -146,9 +143,8 @@ class Conv2d(Module):
         self.weight = Parameter(
             gen.normal(0.0, scale, size=(out_channels, in_channels, kernel_size, kernel_size)),
             name=f"conv{kernel_size}x{kernel_size}.weight",
-            dtype=dtype,
         )
-        self.bias = Parameter(np.zeros(out_channels), name="conv.bias", dtype=dtype) if bias else None
+        self.bias = Parameter(np.zeros(out_channels), name="conv.bias") if bias else None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         bias = self.bias.value if self.bias is not None else None
@@ -166,12 +162,12 @@ class Conv2d(Module):
 class BatchNorm2d(Module):
     """Per-channel batch normalization with running statistics."""
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5, dtype=np.float64):
+    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
         super().__init__()
-        self.gamma = Parameter(np.ones(channels), name="bn.gamma", dtype=dtype)
-        self.beta = Parameter(np.zeros(channels), name="bn.beta", dtype=dtype)
-        self.running_mean = np.zeros(channels, dtype=dtype)
-        self.running_var = np.ones(channels, dtype=dtype)
+        self.gamma = Parameter(np.ones(channels), name="bn.gamma")
+        self.beta = Parameter(np.zeros(channels), name="bn.beta")
+        self.running_mean = np.zeros(channels, dtype=np.float32)
+        self.running_var = np.ones(channels, dtype=np.float32)
         self.momentum = momentum
         self.eps = eps
 
@@ -233,14 +229,14 @@ class Sequential(Module):
 class ResidualBlock(Module):
     """Fig. 2 residual block: conv5x5-BN-LReLU-conv5x5-BN, skip add, LReLU."""
 
-    def __init__(self, channels: int, kernel_size: int = 5, rng=None, slope: float = 0.01, dtype=np.float64):
+    def __init__(self, channels: int, kernel_size: int = 5, rng=None, slope: float = 0.01):
         super().__init__()
         gen = ensure_rng(rng)
-        self.conv1 = Conv2d(channels, channels, kernel_size, rng=gen, dtype=dtype)
-        self.bn1 = BatchNorm2d(channels, dtype=dtype)
+        self.conv1 = Conv2d(channels, channels, kernel_size, rng=gen)
+        self.bn1 = BatchNorm2d(channels)
         self.act1 = LeakyReLU(slope)
-        self.conv2 = Conv2d(channels, channels, kernel_size, rng=gen, dtype=dtype)
-        self.bn2 = BatchNorm2d(channels, dtype=dtype)
+        self.conv2 = Conv2d(channels, channels, kernel_size, rng=gen)
+        self.bn2 = BatchNorm2d(channels)
         self.act_out = LeakyReLU(slope)
 
     def forward(self, x: np.ndarray) -> np.ndarray:

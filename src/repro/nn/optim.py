@@ -93,17 +93,10 @@ class Adam:
         """Restore :meth:`state_dict` output onto the same parameter list."""
         m, v = state["m"], state["v"]
         if len(m) != len(self.params) or len(v) != len(self.params):
-            raise ValueError(
-                f"optimizer state has {len(m)} slots, "
-                f"optimizer tracks {len(self.params)} parameters"
-            )
+            raise ValueError(f"optimizer state has {len(m)} slots, optimizer tracks {len(self.params)} parameters")
         self._t = int(state["t"])
-        for slot, arr in zip(self._m, m):
-            if slot.shape != np.asarray(arr).shape:
-                raise ValueError(
-                    f"optimizer moment shape mismatch: {np.asarray(arr).shape} "
-                    f"vs {slot.shape}"
-                )
-            slot[...] = arr
-        for slot, arr in zip(self._v, v):
-            slot[...] = arr
+        for slots, arrays in ((self._m, m), (self._v, v)):
+            for slot, arr in zip(slots, arrays):
+                if slot.shape != np.shape(arr):
+                    raise ValueError(f"optimizer moment shape mismatch: {np.shape(arr)} vs {slot.shape}")
+                slot[...] = arr  # into the live (float32) slot: a float64 checkpoint's moments load by cast

@@ -28,17 +28,9 @@ NUM_OUTPUT_PLANES = 4
 
 
 class QNetwork(Module):
-    """Convolutional vector-Q approximator for N-input prefix graphs."""
+    """Convolutional vector-Q approximator for N-input prefix graphs; float32 throughout (see :mod:`repro.nn`)."""
 
-    def __init__(
-        self,
-        n: int,
-        blocks: int = 2,
-        channels: int = 16,
-        rng=None,
-        slope: float = 0.01,
-        dtype=np.float64,
-    ):
+    def __init__(self, n: int, blocks: int = 2, channels: int = 16, rng=None, slope: float = 0.01):
         super().__init__()
         if blocks < 0 or channels < 1:
             raise ValueError("blocks must be >= 0 and channels >= 1")
@@ -46,23 +38,32 @@ class QNetwork(Module):
         self.n = n
         self.blocks = blocks
         self.channels = channels
-        self.dtype = np.dtype(dtype)
         self._workspace = F.Workspace()
         self.body = Sequential(
-            Conv2d(NUM_INPUT_PLANES, channels, 3, rng=gen, dtype=dtype),
-            BatchNorm2d(channels, dtype=dtype),
+            Conv2d(NUM_INPUT_PLANES, channels, 3, rng=gen),
+            BatchNorm2d(channels),
             LeakyReLU(slope),
-            *[ResidualBlock(channels, 5, rng=gen, slope=slope, dtype=dtype) for _ in range(blocks)],
+            *[ResidualBlock(channels, 5, rng=gen, slope=slope) for _ in range(blocks)],
         )
         self.head = Sequential(
-            Conv2d(channels, channels, 1, rng=gen, dtype=dtype),
-            BatchNorm2d(channels, dtype=dtype),
+            Conv2d(channels, channels, 1, rng=gen),
+            BatchNorm2d(channels),
             LeakyReLU(slope),
-            Conv2d(channels, NUM_OUTPUT_PLANES, 1, rng=gen, dtype=dtype),
+            Conv2d(channels, NUM_OUTPUT_PLANES, 1, rng=gen),
         )
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameters' dtype (float32 as built): read off them, not settable."""
+        return self.body.stages[0].weight.value.dtype
+
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """``(B, 4, N, N)`` features -> ``(B, 4, N, N)`` Q-map."""
+        """``(B, 4, N, N)`` features -> ``(B, 4, N, N)`` Q-map.
+
+        ``x`` (and ``dy`` in :meth:`backward`) is cast to the parameters' dtype on the way in: every op
+        computes in the dtype it is handed, and a float64 batch would carry the whole pass in float64.
+        """
+        x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 4 or x.shape[1] != NUM_INPUT_PLANES or x.shape[2] != self.n:
             raise ValueError(f"expected (B,4,{self.n},{self.n}) input, got {x.shape}")
         self._workspace.cursor = 0
@@ -71,7 +72,7 @@ class QNetwork(Module):
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         with self._workspace:
-            return self.body.backward(self.head.backward(dy)).copy()
+            return self.body.backward(self.head.backward(np.asarray(dy, dtype=self.dtype))).copy()
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Inference-mode forward that leaves no layer holding a backward cache.
@@ -84,7 +85,7 @@ class QNetwork(Module):
         was_training = self.training
         self.eval()
         try:
-            return self.forward(np.asarray(x, dtype=self.dtype))
+            return self.forward(x)
         finally:
             self.drop_caches()
             if was_training:
@@ -103,7 +104,6 @@ class QNetwork(Module):
             __meta_n=self.n,
             __meta_blocks=self.blocks,
             __meta_channels=self.channels,
-            __meta_dtype=str(self.dtype),
             **self.state_arrays(),
         )
 
@@ -111,15 +111,10 @@ class QNetwork(Module):
     def load(cls, path: str) -> "QNetwork":
         """Reconstruct a saved network (architecture from metadata)."""
         data = np.load(path)
-        dtype = str(data["__meta_dtype"]) if "__meta_dtype" in data.files else "float64"
-        net = cls(
-            n=int(data["__meta_n"]),
-            blocks=int(data["__meta_blocks"]),
-            channels=int(data["__meta_channels"]),
-            dtype=np.dtype(dtype),
-        )
-        # Every ``__meta_*`` key that is not architecture is skipped, which is
-        # how files from releases that wrote ``__meta_fast_conv`` still load.
+        net = cls(n=int(data["__meta_n"]), blocks=int(data["__meta_blocks"]), channels=int(data["__meta_channels"]))
+        # Every ``__meta_*`` key that is not architecture is skipped, which is how
+        # files that carry ``__meta_dtype`` or ``__meta_fast_conv`` still load;
+        # float64 arrays load by cast.
         arrays = {k: data[k] for k in data.files if not k.startswith("__meta_")}
         net.load_state_arrays(arrays)
         return net

@@ -61,9 +61,9 @@ class ScalarizedDoubleDQN:
         n: bit width (defines action space and network spatial size).
         w_area / w_delay: scalarization weights (nonnegative; the paper
             normalizes them to sum to 1).
-        blocks / channels: Q-network capacity (paper: 32 / 256).
-        dtype: Q-network parameter/activation dtype; ``np.float32`` halves
-            the convolution memory traffic (default float64).
+        blocks / channels: Q-network capacity (paper: 32 / 256). Both
+            networks and the Adam moments are float32; rewards, the TD
+            targets and the scalarization weights stay float64.
         lr: Adam learning rate (paper: 4e-5).
         gamma: discount (paper: 0.75).
         target_sync_every: gradient steps between target-network syncs
@@ -83,7 +83,6 @@ class ScalarizedDoubleDQN:
         target_sync_every: int = 60,
         grad_clip: "float | None" = 1.0,
         double: bool = True,
-        dtype=np.float64,
         rng=None,
     ):
         if w_area < 0 or w_delay < 0 or (w_area + w_delay) <= 0:
@@ -98,8 +97,8 @@ class ScalarizedDoubleDQN:
         self.gamma = gamma
         self.target_sync_every = target_sync_every
         self.double = double
-        self.local = QNetwork(n, blocks=blocks, channels=channels, rng=self._rng, dtype=dtype)
-        self.target = QNetwork(n, blocks=blocks, channels=channels, rng=self._rng, dtype=dtype)
+        self.local = QNetwork(n, blocks=blocks, channels=channels, rng=self._rng)
+        self.target = QNetwork(n, blocks=blocks, channels=channels, rng=self._rng)
         self.target.copy_from(self.local)
         self.target.eval()
         self.optimizer = Adam(self.local.parameters(), lr=lr, grad_clip=grad_clip)
@@ -146,7 +145,7 @@ class ScalarizedDoubleDQN:
 
     def train_step(self, batch: "dict[str, np.ndarray]") -> float:
         """One double-DQN gradient step on a sampled batch; returns the loss."""
-        states = np.asarray(batch["states"], dtype=self.local.dtype)
+        states = batch["states"]
         actions = batch["actions"]
         rewards = batch["rewards"]
         next_states = batch["next_states"]
@@ -208,12 +207,7 @@ class ScalarizedDoubleDQN:
         (refreshed whenever the learner publishes weights) instead of
         racing the learner's in-place gradient updates.
         """
-        net = QNetwork(
-            self.n,
-            blocks=self.local.blocks,
-            channels=self.local.channels,
-            dtype=self.local.dtype,
-        )
+        net = QNetwork(self.n, blocks=self.local.blocks, channels=self.local.channels)
         net.copy_from(self.local)
         net.eval()
         return net

@@ -56,25 +56,24 @@ class ReplayBuffer:
         self._size = 0
         self._cursor = 0
 
-    def _allocate(self, t: Transition) -> None:
-        """Size the ring arrays from the first transition's shapes/dtypes."""
-        state = np.asarray(t.state)
-        mask = np.asarray(t.next_mask)
-        reward = np.asarray(t.reward)
+    def _allocate(self, state_shape, reward_shape, mask_shape) -> None:
+        """Size the ring: states float32 (the network's dtype), rewards float64."""
         cap = self.capacity
         self._arrays = {
-            "states": np.empty((cap, *state.shape), dtype=state.dtype),
+            "states": np.empty((cap, *state_shape), dtype=np.float32),
             "actions": np.empty(cap, dtype=np.int64),
-            "rewards": np.empty((cap, *reward.shape), dtype=np.float64),
-            "next_states": np.empty((cap, *state.shape), dtype=state.dtype),
-            "next_masks": np.empty((cap, *mask.shape), dtype=mask.dtype),
+            "rewards": np.empty((cap, *reward_shape), dtype=np.float64),
+            "next_states": np.empty((cap, *state_shape), dtype=np.float32),
+            "next_masks": np.empty((cap, *mask_shape), dtype=bool),
             "dones": np.empty(cap, dtype=bool),
         }
 
     def push(self, transition: Transition) -> None:
         """Insert, overwriting the oldest entry once full."""
         if self._arrays is None:
-            self._allocate(transition)
+            self._allocate(
+                np.shape(transition.state), np.shape(transition.reward), np.shape(transition.next_mask)
+            )
         arrays = self._arrays
         i = self._cursor
         arrays["states"][i] = transition.state
@@ -140,13 +139,10 @@ class ReplayBuffer:
         if arrays is None:
             self._arrays = None
             return
-        cap = self.capacity
-        self._arrays = {
-            name: np.empty((cap, *np.asarray(arr).shape[1:]), dtype=np.asarray(arr).dtype)
-            for name, arr in arrays.items()
-        }
-        for name, arr in arrays.items():
-            self._arrays[name][: self._size] = arr
+        # The ring's dtypes are this tree's, not the checkpoint's: float64 states load by cast.
+        self._allocate(*(np.shape(arrays[name])[1:] for name in ("states", "rewards", "next_masks")))
+        for name in _FIELDS:
+            self._arrays[name][: self._size] = arrays[name]
 
 
 class ShardedReplayBuffer:

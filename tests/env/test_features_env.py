@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.env import PrefixEnv, graph_features
-from repro.prefix import kogge_stone, ripple_carry, sklansky
+from repro.prefix import REGULAR_STRUCTURES, kogge_stone, ripple_carry, sklansky
 from repro.synth import AnalyticalEvaluator
 from tests.conftest import random_walk_graph
 
@@ -43,6 +43,19 @@ class TestFeatures:
         g = ripple_carry(6)
         f = graph_features(g)
         assert f[:, 2, 1].sum() == 0.0  # (2,1) absent in ripple
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    @pytest.mark.parametrize("name", sorted(REGULAR_STRUCTURES))
+    def test_float32_loses_nothing_the_network_could_see(self, name, n):
+        """Born float32 (the network's and the replay ring's dtype) and
+        read-only; the 0/1 planes are exact and the two ``count / (N - 1)``
+        planes are the float64 quotient rounded once: within 6e-8 of it."""
+        g = REGULAR_STRUCTURES[name](n)
+        f = graph_features(g)
+        assert f.dtype == np.float32 and not f.flags.writeable
+        assert np.array_equal(f[0], g.grid) and np.array_equal(f[1], g.minlist())
+        assert np.abs(f[2] - np.maximum(g.levels(), 0).astype(np.float64) / (n - 1)).max() <= 6e-8
+        assert np.abs(f[3] - g.fanouts().astype(np.float64) / (n - 1)).max() <= 6e-8
 
 
 class TestEnvironment:

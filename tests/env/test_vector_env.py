@@ -248,6 +248,8 @@ class TestVectorTrainer:
         assert all(np.isfinite(l) for l in hist.losses)
         # horizon 6 x 4 envs over 48 steps -> two full episodes per env.
         assert len(hist.episode_returns) == 8
+        # The default agent is the float32 one, from the features to the ring.
+        assert venv.observe().dtype == agent.local.dtype == trainer.buffer.sample(2)["states"].dtype == np.float32
 
     def test_archives_accumulate_per_replica(self):
         venv = make_vector(n=6, num_envs=3, horizon=4)
@@ -273,10 +275,3 @@ class TestVectorTrainer:
         trainer.run()
         loss = agent.train_step(trainer.buffer.sample(8))
         assert np.isfinite(loss)
-
-    def test_float32_agent_trains(self):
-        venv = make_vector(n=6, num_envs=2, horizon=4)
-        agent = ScalarizedDoubleDQN(6, blocks=0, channels=4, dtype=np.float32, rng=0)
-        hist = Trainer(venv, agent, TrainerConfig(steps=16, batch_size=4, warmup_steps=4), rng=0).run()
-        assert hist.gradient_steps > 0
-        assert all(np.isfinite(l) for l in hist.losses)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dataclasses import asdict
+
 from repro.net import (
     MEMBERSHIP_KEYS,
     ClusterSpec,
@@ -19,6 +21,8 @@ from repro.net import (
     connect,
     wait_until,
 )
+from repro.net.protocol import decode_payload, encode_payload
+from repro.nn import QNetwork
 from repro.rl import ScalarizedDoubleDQN, TrainerConfig
 from repro.rl.replay import ShardedReplayBuffer
 from repro.rl.trainer import TrainingHistory
@@ -119,6 +123,25 @@ class TestWeights:
         )
         conn.close(bye=True)
 
+    def test_frames_are_float32_and_a_float64_peers_frame_loads_by_cast(self, server):
+        """No ``dtype`` crosses the wire: the spec does not carry one, a weight
+        frame is float32 (half the bytes it was), and a frame built by a
+        float64 release loads into the actor's network by cast."""
+        srv, state = server
+        assert "dtype" not in asdict(state.spec)
+        conn = dial(srv)
+        conn.call("join")
+        weights = conn.call("pull_weights", {"have_version": 0})["weights"]
+        conn.close(bye=True)
+        assert {arr.dtype for arr in weights.values()} == {np.dtype(np.float32)}
+        doubled = {key: arr.astype(np.float64) * 2 for key, arr in weights.items()}  # the float64 peer's frame
+        received = decode_payload(encode_payload({"weights": doubled}))["weights"]
+        assert {arr.dtype for arr in received.values()} == {np.dtype(np.float64)}
+        net = QNetwork(4, blocks=0, channels=4)
+        net.load_state_arrays(received)
+        for key, arr in net.state_arrays().items():
+            assert arr.dtype == np.float32 and np.array_equal(arr, weights[key] * 2), key
+
     def test_digest_keyed_pull_skips_reship_across_version_reset(self, server):
         """A client whose version counter is stale but whose *content*
         matches (e.g. after a learner restart reset the counter) gets an
@@ -158,6 +181,23 @@ class TestIngest:
         assert len(state.history.episode_returns) == 1
         assert len(state.buffer.shards[actor_id]) == 2
         conn.close(bye=True)
+
+    def test_states_from_a_float64_peer_are_ingested_as_float32(self, server):
+        """The batch is outside input: ingest pins ``states`` / ``next_states``
+        to float32 as it pins rewards to float64, whatever the peer sent."""
+        srv, state = server
+        conn = dial(srv)
+        actor_id = conn.call("join")["actor_id"]
+        batch = make_batch(2)
+        batch["states"] = np.full((2, 4, 4, 4), 1 / 3)  # float64, and not a float32 value
+        batch["rewards"] = batch["rewards"].astype(np.float32)
+        assert batch["states"].dtype == batch["next_states"].dtype == np.float64
+        assert conn.call("push_batch", batch)["kept"] == 2
+        conn.close(bye=True)
+        held = state.buffer.shards[actor_id].gather(np.arange(2))
+        assert held["states"].dtype == held["next_states"].dtype == np.float32
+        assert held["rewards"].dtype == np.float64
+        assert np.array_equal(held["states"], batch["states"].astype(np.float32))
 
     def test_budget_truncates_and_stops(self, server):
         srv, state = server

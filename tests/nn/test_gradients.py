@@ -1,4 +1,9 @@
-"""Numerical gradient checks for every layer and the full Q-network."""
+"""Numerical gradient checks for every layer and the full Q-network.
+
+Central differences at eps 1e-6 need float64's digits: the functional ops
+are handed float64 tensors, and a module (born float32) is upcast in place
+by ``tests.oracles.nn.in_float64`` first.
+"""
 
 import numpy as np
 import pytest
@@ -6,6 +11,7 @@ import pytest
 from repro.nn import functional as F
 from repro.nn import QNetwork, huber_loss, mse_loss
 from repro.nn.layers import BatchNorm2d, Conv2d, LeakyReLU, ResidualBlock, Sequential
+from tests.oracles.nn import in_float64
 
 
 def numerical_grad(func, x, eps=1e-6):
@@ -107,7 +113,7 @@ class TestBatchNormGradients:
 
     def test_train_output_normalized(self, gen):
         x = gen.normal(loc=7.0, scale=3.0, size=(8, 2, 6, 6))
-        layer = BatchNorm2d(2)
+        layer = in_float64(BatchNorm2d(2))
         y = layer(x)
         assert abs(float(y.mean())) < 1e-8
         assert float(y.var()) == pytest.approx(1.0, abs=1e-2)
@@ -147,7 +153,7 @@ class TestActivationAndBlocks:
             LeakyReLU(slope)
 
     def test_residual_block_gradcheck(self, gen):
-        block = ResidualBlock(3, kernel_size=3, rng=3)
+        block = in_float64(ResidualBlock(3, kernel_size=3, rng=3))
         block.train()
         x = gen.normal(size=(2, 3, 5, 5))
         dy = gen.normal(size=(2, 3, 5, 5))
@@ -209,7 +215,7 @@ class TestLosses:
 
 class TestQNetworkGradients:
     def test_end_to_end_gradcheck(self, gen):
-        net = QNetwork(n=5, blocks=1, channels=4, rng=2)
+        net = in_float64(QNetwork(n=5, blocks=1, channels=4, rng=2))
         net.train()
         x = gen.normal(size=(2, 4, 5, 5))
         target = gen.normal(size=(2, 4, 5, 5))

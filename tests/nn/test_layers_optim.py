@@ -122,15 +122,16 @@ class TestModuleSystem:
 
     def test_scratch_is_per_network_not_per_layer(self, gen):
         """Bytes a ``QNetwork`` (blocks=2, channels=16) holds after one n=32,
-        B=8 ``predict``: 35,668,992 (26,838,016 in 26 workspace arrays +
-        8,830,976 in 3 scratch arrays), against 42,566,656 in 47 workspace
-        arrays when every conv layer kept its own slab and product. The
-        unfolded matrix is 5x a slab but there is one of it, not one per layer."""
+        B=8 ``predict``: 17,834,496 in float32 (13,419,008 in 26 workspace
+        arrays + 4,415,488 in 3 scratch arrays), against what would be 21,283,328
+        in 47 workspace arrays if every conv layer kept its own slab and product
+        (42,566,656 when they did, in float64). The unfolded matrix is 5x a slab
+        but there is one of it, not one per layer."""
         net = QNetwork(n=32, blocks=2, channels=16, rng=0)
         net.predict(gen.normal(size=(8, 4, 32, 32)))
         ws = net._workspace
         assert len(ws.scratch) == 3  # stem unfold, 5x5 unfold, accumulator + product
-        assert sum(a.nbytes for a in ws) + sum(a.nbytes for a in ws.scratch.values()) <= 42_566_656
+        assert sum(a.nbytes for a in ws) + sum(a.nbytes for a in ws.scratch.values()) <= 17_834_496
 
     def test_workspace_changes_no_bytes(self, gen):
         """Same values with and without a workspace, across a change of batch
@@ -138,7 +139,8 @@ class TestModuleSystem:
         import threading
 
         nets = [QNetwork(n=6, blocks=1, channels=4, rng=seed) for seed in (0, 1)]
-        batches = [gen.normal(size=(b, 4, 6, 6)) for b in (2, 5, 2)]
+        # float32 as ``predict`` would cast them: the bare layers compute in what they are handed.
+        batches = [gen.normal(size=(b, 4, 6, 6)).astype(np.float32) for b in (2, 5, 2)]
 
         def bare(net, x):  # the layers outside any workspace: np.empty every time
             net.eval()
@@ -241,15 +243,21 @@ class TestPersistence:
         loaded = QNetwork.load(path)
         assert np.allclose(loaded.predict(x), expected)
 
-    @pytest.mark.parametrize("stale", [{}, {"__meta_fast_conv": 0}, {"__meta_fast_conv": 1}])
-    def test_load_ignores_the_retired_fast_conv_key(self, tmp_path, gen, stale):
-        """Files written while ``fast_conv`` was a constructor switch carry
-        ``__meta_fast_conv``; ``save`` no longer writes it and ``load`` skips it."""
+    @pytest.mark.parametrize(
+        "stale", [{}, {"__meta_fast_conv": 0}, {"__meta_fast_conv": 1}, {"__meta_dtype": "float64"}]
+    )
+    def test_load_ignores_the_retired_meta_keys(self, tmp_path, gen, stale):
+        """Files written while ``fast_conv`` and ``dtype`` were constructor
+        arguments carry ``__meta_fast_conv`` / ``__meta_dtype``; ``save`` no
+        longer writes them and ``load`` skips them. A float64 file's arrays
+        (exactly the float32 values here) load by cast."""
         net = QNetwork(n=6, blocks=1, channels=4, rng=5)
         path = str(tmp_path / "qnet.npz")
         net.save(path)
         data = dict(np.load(path))
-        assert "__meta_fast_conv" not in data
+        assert not {"__meta_fast_conv", "__meta_dtype"} & set(data)
+        if "__meta_dtype" in stale:
+            data = {key: arr.astype(np.float64) if arr.dtype == np.float32 else arr for key, arr in data.items()}
         np.savez(path, **data, **stale)
         x = gen.normal(size=(2, 4, 6, 6))
         assert QNetwork.load(path).predict(x).tobytes() == net.predict(x).tobytes()

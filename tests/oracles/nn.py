@@ -11,12 +11,37 @@ in ``tests/nn/test_numerics.py``, which also monkeypatches these four
 functions into :mod:`repro.nn.functional` to build a whole oracle
 ``QNetwork``.
 
+float64 lives here and nowhere in ``src/repro/nn``: network arrays are born
+float32, and :func:`in_float64` is how a finite-difference check (which
+needs the digits) or a tight-tolerance comparison runs a module in double.
+
 Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def in_float64(module):
+    """Upcast ``module``'s parameters, gradients and running statistics in place; returns it.
+
+    Every op computes in the dtype of the tensors it is handed, so the module
+    then runs in float64 end to end (``QNetwork.forward`` casts its input to
+    the parameters' dtype). An optimizer must be built afterwards: it sizes its
+    moments from the parameters it is given.
+    """
+    for param in module.parameters():
+        param.value = param.value.astype(np.float64)
+        param.grad = np.zeros_like(param.value)
+    pending = [module]
+    while pending:
+        current = pending.pop()
+        for key, attr in vars(current).items():
+            if key.startswith("running_"):
+                setattr(current, key, attr.astype(np.float64))
+        pending.extend(current._children())
+    return module
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, pad: int) -> np.ndarray:

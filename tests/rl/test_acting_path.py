@@ -12,6 +12,7 @@ import pytest
 from repro.cli import main
 from repro.env import PrefixEnv, VectorPrefixEnv
 from repro.rl import (
+    CheckpointManager,
     ReplayBuffer,
     ScalarizedDoubleDQN,
     Trainer,
@@ -24,6 +25,7 @@ from repro.rl.trainer import grads_allowed
 from repro.synth import AnalyticalEvaluator
 
 PARENT_CHECKPOINT = Path(__file__).resolve().parents[1] / "fixtures" / "pr15_train8_seed3"
+FLOAT32_CHECKPOINT = PARENT_CHECKPOINT.with_name("pr22_train8_seed3")
 
 
 def make_agent(seed=0, n=6):
@@ -154,10 +156,36 @@ class TestOneStepper:
 
 class TestEarlierReleases:
     def test_parent_single_loop_checkpoint_resumes_to_the_parents_stdout(self, tmp_path, capsys):
+        """Also the float64 checkpoint that loads by cast: every network, Adam
+        and replay array in it is float64, and the float32 run it resumes into
+        still ends on the stdout the float64 run printed."""
         ckpt = tmp_path / "ckpt"
         shutil.copytree(PARENT_CHECKPOINT, ckpt)
         assert main(["train", "8", "--seed", "3", "--checkpoint-dir", str(ckpt), "--resume"]) == 0
         assert capsys.readouterr().out == (PARENT_CHECKPOINT / "uninterrupted.stdout").read_text()
+
+    def test_float32_checkpoint_resumes_to_its_own_stdout(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(FLOAT32_CHECKPOINT, ckpt)
+        assert main(["train", "8", "--seed", "3", "--checkpoint-dir", str(ckpt), "--resume"]) == 0
+        assert capsys.readouterr().out == (FLOAT32_CHECKPOINT / "uninterrupted.stdout").read_text()
+
+    def test_a_float64_checkpoint_restores_a_float32_ring(self):
+        """The ring was re-allocated in the checkpoint's dtype: a resumed parent
+        run held float64 states to its end — twice the memory, a cast on every
+        push and every sample. (The fixtures' buffers: same transitions, the
+        PR 15 one float64, the PR 22 one float32.)"""
+        snaps = [CheckpointManager(str(d)).load()[0]["buffer"] for d in (PARENT_CHECKPOINT, FLOAT32_CHECKPOINT)]
+        assert [snap["arrays"]["states"].dtype for snap in snaps] == [np.float64, np.float32]
+        batches = []
+        for snap in snaps:
+            buffer = ReplayBuffer(snap["capacity"])
+            buffer.load_state_dict(snap)
+            assert buffer._arrays["states"].dtype == buffer._arrays["next_states"].dtype == np.float32
+            assert buffer._arrays["rewards"].dtype == np.float64 and len(buffer) == 30
+            batches.append(buffer.sample(8))
+        for key, arr in batches[0].items():  # the cast of a count / (N - 1) is the float32 it would be born as
+            assert arr.dtype == batches[1][key].dtype and np.array_equal(arr, batches[1][key]), key
 
     def test_parent_vector_loop_state_loads_without_its_gradient_debt(self):
         cfg = TrainerConfig(batch_size=4, warmup_steps=10)

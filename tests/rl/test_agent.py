@@ -1,9 +1,14 @@
 """Agent tests: masked scalarized policy, double-DQN targets, target sync."""
 
+import inspect
+import sys
+
 import numpy as np
 import pytest
 
 from repro.env import PrefixEnv
+from repro.net.learner import ClusterSpec
+from repro.nn import BatchNorm2d, Conv2d, Parameter, QNetwork, ResidualBlock
 from repro.prefix import ripple_carry
 from repro.rl import ReplayBuffer, ScalarizedDoubleDQN, Transition
 from repro.synth import AnalyticalEvaluator
@@ -142,3 +147,62 @@ class TestLearning:
         positions = [agent.actions.qmap_positions(int(a)) for a in batch["actions"]]
         flat_positions = {(i, *p) for i, pair in enumerate(positions) for p in pair}
         assert len(flat_positions) == 2 * len(positions)
+
+
+class TestOneDtype:
+    """float32 is the dtype network arrays are born in, and nothing selects
+    another. A silent upcast (NumPy 2: ``float32_array * np.float64(2)`` is
+    float64) would bring the float64 pass back without leaving any tolerance,
+    so the dtypes are asserted where the arrays live."""
+
+    @staticmethod
+    def _held(agent):
+        """Every array the agent's networks and optimizer keep between passes."""
+        for net in (agent.local, agent.target):
+            yield from ((f"workspace[{i}]", a) for i, a in enumerate(net._workspace))
+            yield from ((f"scratch{key}", a) for key, a in net._workspace.scratch.items())
+            yield from net.state_arrays().items()
+            yield from ((f"{p.name}.grad", p.grad) for p in net.parameters())
+        yield from ((f"adam.m[{i}]", m) for i, m in enumerate(agent.optimizer._m))
+        yield from ((f"adam.v[{i}]", v) for i, v in enumerate(agent.optimizer._v))
+
+    def test_no_pass_upcasts(self):
+        agent = make_agent(blocks=1, lr=1e-3)
+        batch = make_batch(agent, size=4)
+        assert batch["states"].dtype == batch["next_states"].dtype == np.float32
+        assert batch["rewards"].dtype == np.float64
+
+        doubles = np.random.default_rng(0).normal(size=(3, 4, 6, 6))  # float64 on purpose: forward casts
+        assert agent.local.predict(doubles).dtype == np.float32
+        qmap = agent.local.forward(doubles)
+        assert qmap.dtype == np.float32
+        assert agent.local.backward(np.ones(qmap.shape)).dtype == np.float32  # a float64 dy too
+
+        # The locals of one full train_step, read as its frame returns.
+        step_locals = {}
+
+        def on_return(frame, event, arg):
+            if event == "return" and frame.f_code is ScalarizedDoubleDQN.train_step.__code__:
+                step_locals.update(frame.f_locals)
+
+        sys.setprofile(on_return)
+        try:
+            loss = agent.train_step(batch)
+        finally:
+            sys.setprofile(None)
+        assert isinstance(loss, float) and np.isfinite(loss)
+        for name in ("qmap", "target_map", "mask", "dpred", "flat_target", "flat_select"):
+            assert step_locals[name].dtype == np.float32, name
+        assert step_locals["targets_vec"].dtype == np.float64 and agent.w.dtype == np.float64
+
+        for name, array in self._held(agent):
+            assert array.dtype == np.float32, name
+
+    def test_nothing_selects_a_dtype(self, tmp_path):
+        for build in (QNetwork, ScalarizedDoubleDQN, Conv2d, BatchNorm2d, ResidualBlock, Parameter, ClusterSpec):
+            assert "dtype" not in inspect.signature(build).parameters, build.__name__
+        with pytest.raises(AttributeError):
+            make_agent().local.dtype = np.float64  # read off the parameters, not settable
+        path = str(tmp_path / "qnet.npz")
+        make_agent().local.save(path)
+        assert "__meta_dtype" not in np.load(path).files

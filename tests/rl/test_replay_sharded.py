@@ -178,6 +178,24 @@ class TestShardedBuffer:
         for key in a:
             np.testing.assert_array_equal(a[key], b[key])
 
+    def test_a_float64_snapshot_loads_into_float32_shards(self):
+        """What a float64 release's checkpoint holds: every shard's ring is this
+        tree's dtypes whatever the snapshot's, and the values load by cast."""
+        buf = ShardedReplayBuffer(12, num_shards=3, rng=2)
+        for i in range(20):
+            buf.push(make_transition(i))
+        snap = buf.state_dict()
+        for shard in snap["shards"]:
+            for key in ("states", "next_states"):
+                assert shard["arrays"][key].dtype == np.float32
+                shard["arrays"][key] = shard["arrays"][key].astype(np.float64)
+        other = ShardedReplayBuffer(12, num_shards=3)
+        other.load_state_dict(snap)
+        a, b = buf.sample(8), other.sample(8)
+        for key in a:
+            assert a[key].dtype == b[key].dtype and np.array_equal(a[key], b[key]), key
+        assert b["states"].dtype == b["next_states"].dtype == np.float32 and b["rewards"].dtype == np.float64
+
     def test_layout_mismatch_rejected(self):
         buf = ShardedReplayBuffer(12, num_shards=3)
         buf.push(make_transition(0))
