@@ -242,8 +242,7 @@ def prefix_adder_netlist(
 
     ``style`` selects the carry-logic mapping: ``"aoi"`` (default) is the
     paper's polarity-alternating NAND/NOR + AOI/OAI scheme; ``"naive"`` is
-    textbook AND-OR logic, kept as the ablation baseline (see DESIGN.md
-    section 4.2).
+    textbook AND-OR logic, kept as the ablation baseline.
     """
     if name is None:
         name = f"adder{graph.n}"

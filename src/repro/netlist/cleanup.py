@@ -8,32 +8,26 @@ fixed point.
 
 from __future__ import annotations
 
-from repro.netlist.ir import Netlist
 
-
-def remove_dead_logic(netlist: Netlist, remove=None) -> int:
+def remove_dead_logic(design) -> int:
     """Remove instances with no transitive path to a primary output.
 
-    Returns the number of instances removed. Mutates ``netlist``.
-
-    ``remove`` overrides the removal callable (default
-    ``netlist.remove_instance``) so engine-aware callers — e.g. a
-    :class:`repro.sta.TimingGraph` whose analysis must stay live across
-    the sweep — can route removals through their own mutation API while
-    sharing this single definition of "dead".
+    Returns the number of instances removed. Mutates ``design``: a
+    :class:`repro.netlist.Netlist`, or the :class:`repro.sta.TimingGraph`
+    holding a design under optimisation (whose analysis stays live across
+    the sweep) — anything with ``output_nets()``, ``has_sinks(net)``,
+    ``is_output(net)`` and ``remove_instance(name)``, so there is one
+    definition of "dead".
     """
-    if remove is None:
-        remove = netlist.remove_instance
     removed = 0
     while True:
         dead = [
             name
-            for name, inst in netlist.instances.items()
-            if not netlist.sinks_of(inst.output_net)
-            and inst.output_net not in netlist.outputs
+            for name, net in design.output_nets()
+            if not design.has_sinks(net) and not design.is_output(net)
         ]
         if not dead:
             return removed
         for name in dead:
-            remove(name)
+            design.remove_instance(name)
             removed += 1

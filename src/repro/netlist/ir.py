@@ -1,14 +1,27 @@
 """Mutable gate-level netlist IR.
 
-The synthesis optimizer edits netlists in place (resize, buffer, clone,
-pin-swap), so unlike :class:`repro.prefix.PrefixGraph` this structure is
-mutable and maintains driver/sink indices incrementally. ``validate()``
-checks structural sanity and is called by tests after every optimizer pass.
+Unlike :class:`repro.prefix.PrefixGraph` this structure is mutable (resize,
+buffer, clone, pin-swap) and maintains driver/sink indices incrementally;
+``validate()`` checks structural sanity. It is what adders are built as,
+shipped as, simulated and exported from. The synthesis optimizer does not
+edit it: :class:`repro.sta.TimingGraph` reads a netlist once, is the design
+while it is optimised, and hands a fresh ``Netlist`` back on demand.
 """
 
 from __future__ import annotations
 
-from repro.cells.library import Cell, CellLibrary
+from repro.cells.library import CELL_FUNCTIONS, Cell, CellLibrary
+
+
+def check_pins(name: str, cell: Cell, pins: "dict[str, str]") -> None:
+    """Raise ``ValueError`` unless ``pins`` binds exactly the pins of ``cell``."""
+    spec = CELL_FUNCTIONS[cell.function]
+    expected = {*spec.inputs, spec.output}
+    if pins.keys() != expected:
+        raise ValueError(
+            f"instance {name}: pins {sorted(pins)} do not match {cell.name} "
+            f"pins {sorted(expected)}"
+        )
 
 
 class Instance:
@@ -17,23 +30,19 @@ class Instance:
     __slots__ = ("name", "cell", "pins")
 
     def __init__(self, name: str, cell: Cell, pins: "dict[str, str]"):
-        expected = set(cell.input_pins) | {cell.output_pin}
-        if set(pins) != expected:
-            raise ValueError(
-                f"instance {name}: pins {sorted(pins)} do not match {cell.name} "
-                f"pins {sorted(expected)}"
-            )
+        check_pins(name, cell, pins)
         self.name = name
         self.cell = cell
         self.pins = dict(pins)
 
     @property
     def output_net(self) -> str:
-        return self.pins[self.cell.output_pin]
+        return self.pins[CELL_FUNCTIONS[self.cell.function].output]
 
     def input_nets(self) -> "list[tuple[str, str]]":
         """(pin, net) for every input pin, in function pin order."""
-        return [(p, self.pins[p]) for p in self.cell.input_pins]
+        pins = self.pins
+        return [(p, pins[p]) for p in CELL_FUNCTIONS[self.cell.function].inputs]
 
     def __repr__(self) -> str:
         return f"Instance({self.name}, {self.cell.name})"
@@ -42,9 +51,12 @@ class Instance:
 class Netlist:
     """A combinational gate-level netlist over one cell library.
 
-    Nets are plain strings. ``inputs`` and ``outputs`` are primary ports.
-    Driver and sink maps are maintained on every mutation so timing and
-    simulation never rebuild them from scratch.
+    Nets are plain strings. ``inputs`` and ``outputs`` are primary ports:
+    the lists are the public port order, declared through
+    :meth:`add_input` / :meth:`add_output`, which also keep the sets that
+    :meth:`is_input` / :meth:`is_output` answer from. Driver and sink maps
+    are maintained on every mutation so timing and simulation never
+    rebuild them from scratch.
     """
 
     def __init__(self, name: str, library: CellLibrary):
@@ -52,6 +64,8 @@ class Netlist:
         self.library = library
         self.inputs: "list[str]" = []
         self.outputs: "list[str]" = []
+        self._input_set: "set[str]" = set()
+        self._output_set: "set[str]" = set()
         self.instances: "dict[str, Instance]" = {}
         self._driver: "dict[str, str]" = {}
         self._sinks: "dict[str, set[tuple[str, str]]]" = {}
@@ -63,18 +77,28 @@ class Netlist:
 
     def add_input(self, net: str) -> str:
         """Declare a primary input net."""
-        if net in self._driver or net in self.inputs:
+        if net in self._driver or net in self._input_set:
             raise ValueError(f"net {net} already driven")
         self.inputs.append(net)
+        self._input_set.add(net)
         self._sinks.setdefault(net, set())
         return net
 
     def add_output(self, net: str) -> str:
         """Declare an existing net as a primary output."""
-        if net in self.outputs:
+        if net in self._output_set:
             raise ValueError(f"net {net} already an output")
         self.outputs.append(net)
+        self._output_set.add(net)
         return net
+
+    def is_input(self, net: str) -> bool:
+        """Whether ``net`` is a primary input."""
+        return net in self._input_set
+
+    def is_output(self, net: str) -> bool:
+        """Whether ``net`` is a primary output."""
+        return net in self._output_set
 
     # ------------------------------------------------------------------
     # Instances
@@ -98,7 +122,7 @@ class Netlist:
             raise ValueError(f"duplicate instance name {name}")
         inst = Instance(name, cell, pins)
         out = inst.output_net
-        if out in self._driver or out in self.inputs:
+        if out in self._driver or out in self._input_set:
             raise ValueError(f"net {out} already driven")
         self.instances[name] = inst
         self._driver[out] = name
@@ -113,7 +137,7 @@ class Netlist:
         out = inst.output_net
         if self._sinks.get(out):
             raise ValueError(f"cannot remove {name}: net {out} still has sinks")
-        if out in self.outputs:
+        if out in self._output_set:
             raise ValueError(f"cannot remove {name}: net {out} is a primary output")
         for pin, net in inst.input_nets():
             self._sinks[net].discard((name, pin))
@@ -165,9 +189,17 @@ class Netlist:
         """Sorted (instance, pin) sinks of ``net``."""
         return sorted(self._sinks.get(net, ()))
 
+    def has_sinks(self, net: str) -> bool:
+        """Whether anything reads ``net`` (its fan-out is non-empty)."""
+        return bool(self._sinks.get(net))
+
+    def output_nets(self) -> "list[tuple[str, str]]":
+        """(instance, output net) for every instance, in insertion order."""
+        return [(name, inst.output_net) for name, inst in self.instances.items()]
+
     def nets(self) -> "list[str]":
         """All nets (inputs plus driven nets)."""
-        return list(self.inputs) + [n for n in self._sinks if n not in self.inputs]
+        return list(self.inputs) + [n for n in self._sinks if n not in self._input_set]
 
     def area(self) -> float:
         """Total cell area (um^2)."""
@@ -216,10 +248,10 @@ class Netlist:
             for pin, net in inst.input_nets():
                 if (name, pin) not in self._sinks.get(net, ()):
                     raise ValueError(f"sink map stale for {name}.{pin}")
-                if net not in self.inputs and net not in self._driver:
+                if net not in self._input_set and net not in self._driver:
                     raise ValueError(f"net {net} (sink of {name}) has no driver")
         for net in self.outputs:
-            if net not in self.inputs and net not in self._driver:
+            if net not in self._input_set and net not in self._driver:
                 raise ValueError(f"primary output {net} has no driver")
         self.topological_order()
 
@@ -228,6 +260,8 @@ class Netlist:
         other = Netlist(self.name, self.library)
         other.inputs = list(self.inputs)
         other.outputs = list(self.outputs)
+        other._input_set = set(self._input_set)
+        other._output_set = set(self._output_set)
         other._counter = self._counter
         for name, inst in self.instances.items():
             other.instances[name] = Instance(name, inst.cell, dict(inst.pins))

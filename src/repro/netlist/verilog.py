@@ -33,7 +33,7 @@ def to_verilog(netlist: Netlist, module_name: "str | None" = None) -> str:
     wires = sorted(
         net
         for net in netlist.nets()
-        if net not in netlist.inputs and net not in netlist.outputs
+        if not netlist.is_input(net) and not netlist.is_output(net)
     )
 
     lines = [

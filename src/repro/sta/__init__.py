@@ -9,10 +9,11 @@ trains under (Section V-A).
 
 Two engines share one contract:
 
-- :class:`TimingGraph` — the production engine: compiles a netlist once
-  into arc tables, runs the forward pass as level-grouped array sweeps,
-  and keeps the analysis live across netlist edits (incremental cone
-  re-timing); :func:`analyze_timing` is a one-shot wrapper over it.
+- :class:`TimingGraph` — the production engine: reads a netlist once into
+  flat integer tables that hold the design *and* its analysis, takes every
+  edit through its own move methods (incremental cone re-timing) and
+  materialises a ``Netlist`` on demand; :func:`analyze_timing` is a
+  one-shot wrapper over it.
 - ``tests/oracles/sta.py`` — the original dict-of-objects traversal,
   preserved verbatim as the oracle the fast engine is property-tested
   bit-identical against.

@@ -1,66 +1,62 @@
-"""Array-backed static timing engine with incremental re-analysis.
+"""Static timing engine whose integer tables *are* the design under optimisation.
 
-:class:`TimingGraph` compiles a :class:`repro.netlist.Netlist` once and
-then keeps the analysis *live* across netlist edits:
+:class:`TimingGraph` reads a :class:`repro.netlist.Netlist` once and from
+then on is the one mutable representation of that design — structure and
+analysis in the same flat, index-addressed tables:
 
-- **Compile** builds topo-ordered arc tables (source net, intrinsic delay
-  per arc; load per net) and runs the forward arrival pass as
-  level-grouped numpy sweeps — one vectorized gather/max per logic level
-  instead of a Python visit per instance.
-- **Incremental re-analysis**: every optimizer move class (cell resize,
-  pin swap, sink rewire, instance insertion/removal) is mirrored by a
-  mutation method that updates the affected loads/arcs and re-propagates
-  arrivals only through the downstream cone, using a rank-ordered
-  worklist. An accept/reject trial therefore costs O(affected cone), not
-  O(netlist). The worklist state is kept in Python-native structures
-  (lists of ``(src, intrinsic)`` arc tuples) because the cone loop is
-  scalar by nature — per-element numpy access would dominate it.
-- **Backward required times** are maintained incrementally, mirroring
-  the forward worklist: the first slack query pays one full rank-ordered
-  reverse sweep, after which every mutation marks only the nets whose
-  required time can actually change (the fan-in cone of the edit) and a
-  rank-descending worklist repairs them on the next query. A slack query
-  after an optimizer move therefore costs O(affected cone), not
-  O(netlist). Passes that only compare delays never pay for required
-  times at all (the backward state stays lazily uninitialized).
+- **Compile** reads the netlist (never mutating or copying it) into
+  per-instance tables (name, cell, output net, arc tuple, rank — instance
+  index is the netlist's *insertion* order) and per-net tables (name,
+  driver, sinks, load, arrival), plus the fresh-name counter. Ranks come
+  from the tables' own topological pass; the first query times every
+  instance through the same rank-ordered worklist every later edit uses.
+- **Moves** (:meth:`replace_cell`, :meth:`swap_pins`, :meth:`add_instance`,
+  :meth:`remove_instance`, :meth:`rewire_sink`) perform the checks the
+  netlist IR performs, write the tables, recompute the loads they touch
+  and mark the affected cone: an accept/reject trial costs O(cone), not
+  O(netlist), and there is no second structure to keep in step.
+- **Backward required times** are maintained incrementally, mirroring the
+  forward worklist: the first slack query pays one full rank-descending
+  sweep, after which every move marks only the nets whose required time
+  can change (the fan-in cone of the edit) and a rank-descending worklist
+  repairs them on the next query. Passes that only compare delays never
+  pay for required times at all.
+- **Forks** copy a dozen flat lists. An instance's arcs and a net's sinks
+  are immutable tuples replaced on write, so branches share them until
+  one of them edits.
+- A :class:`Netlist` is produced on demand by :attr:`nl` — a fresh,
+  detached object per read, for export, simulation and the oracles.
 
-The engine is **bit-identical** to the reference implementation preserved
-in ``tests/oracles/sta.py``: identical load summation order, identical
-arc-delay expression grouping (``intrinsic + resistance * load`` first,
-then add the source arrival), identical first-wins tie-breaks for worst
-arcs and worst outputs. ``tests/sta/test_timing_graph.py`` property-tests
-full and incremental analysis against the oracle on randomized adder
-netlists and randomized move sequences.
-
-Contract: a ``TimingGraph`` *binds* its netlist — all edits must go
-through the graph's mutation methods so analysis state and netlist stay
-in sync (editing the bound netlist directly leaves the analysis stale).
-Use :meth:`fork` to branch an analysis (own netlist clone, own state),
-e.g. one branch per delay target from a single compile.
+Three orders are part of the contract (the oracles in ``tests/oracles/``
+pin them bit for bit): a net's load sums its sinks' pin caps in sorted
+``(instance name, pin)`` order; :meth:`instance_names` and :meth:`area`
+run in instance insertion order; nets and instances draw fresh names from
+one counter. The arc-delay grouping (``intrinsic + resistance * load``
+first, then add the source arrival) and the first-wins tie-breaks for
+worst arcs and worst outputs are the reference's too.
+``tests/sta/test_timing_graph.py`` property-tests full and incremental
+analysis against the oracle on randomized adder netlists, move sequences
+and fork interleavings.
 """
 
 from __future__ import annotations
 
 import heapq
 
-import numpy as np
-
 from repro.cells.library import CELL_FUNCTIONS, Cell
-from repro.netlist.ir import Instance, Netlist
-from repro.sta.timing import TimingReport, net_load
+from repro.netlist.ir import Netlist, check_pins
+from repro.sta.timing import TimingReport
 
 _INF = float("inf")
 
-MAX_ARCS = max(len(f.inputs) for f in CELL_FUNCTIONS.values())
-"""Widest cell input count; compile-time arc tables pad to this width."""
-
 
 class TimingGraph:
-    """Incrementally maintained STA over one (mutable) netlist.
+    """One design, mutable, with its timing analysis kept live.
 
     Args:
-        netlist: the design to analyze. The graph binds it: use the
-            graph's mutation methods for edits.
+        netlist: the design to read. It is not kept, mutated or copied;
+            edits go through this graph's move methods and :attr:`nl`
+            materialises the current design.
         target: required time at every primary output (None = report
             arrivals only; ``wns`` is +inf).
         input_arrivals: per-primary-input arrival overrides (default 0.0).
@@ -72,130 +68,80 @@ class TimingGraph:
         target: "float | None" = None,
         input_arrivals: "dict[str, float] | None" = None,
     ):
-        self.nl = netlist
         self.target = target
         if input_arrivals:
             unknown = set(input_arrivals) - set(netlist.inputs)
             if unknown:
                 raise ValueError(f"input_arrivals for non-input nets: {sorted(unknown)}")
-        self._input_arrivals = dict(input_arrivals or {})
         self._pending: "set[int]" = set()
         self._required: "list[float] | None" = None
         # Net indices whose required time may be stale. Only meaningful
         # while ``_required`` is a cached list; empty means the cache is
         # exact for every live net.
         self._req_pending: "set[int]" = set()
-        self._compile()
+        self._compile(netlist, input_arrivals or {})
 
     # ------------------------------------------------------------------
-    # Compile: netlist -> arc tables + one full forward pass
+    # Compile: netlist -> tables (timed lazily, by the first query)
     # ------------------------------------------------------------------
 
-    def _compile(self) -> None:
-        nl = self.nl
-        order = nl.topological_order()
+    def _compile(self, netlist: Netlist, input_arrivals: "dict[str, float]") -> None:
+        self.name = netlist.name
+        self.library = netlist.library
+        self._counter = netlist._counter
+        self._inputs: "tuple[str, ...]" = tuple(netlist.inputs)
+        instances = netlist.instances
+        num_in = len(self._inputs)
+        num_i = len(instances)
 
         # Net table. Index order: primary inputs, then instance outputs in
-        # topological order.
-        self._net_index: "dict[str, int]" = {}
-        self._net_names: "list[str | None]" = []
-        for net in nl.inputs:
-            self._net_index[net] = len(self._net_names)
-            self._net_names.append(net)
-        num_inputs = len(self._net_names)
-        for name in order:
-            out = nl.instances[name].output_net
-            self._net_index[out] = len(self._net_names)
-            self._net_names.append(out)
-        num_n = len(self._net_names)
-
-        self._net_alive: "list[bool]" = [True] * num_n
-        self._net_driver: "list[int]" = [-1] * num_n
-        self._net_load: "list[float]" = [0.0] * num_n
+        # instance order. A dead entry has name None.
+        self._net_names: "list[str | None]" = list(self._inputs)
+        for inst in instances.values():
+            self._net_names.append(inst.pins[CELL_FUNCTIONS[inst.cell.function].output])
+        self._net_index: "dict[str, int]" = {net: k for k, net in enumerate(self._net_names)}
+        num_n = num_in + num_i
+        if len(self._net_index) != num_n:
+            raise ValueError(f"{self.name}: a net has more than one driver")
+        self._net_driver: "list[int]" = [-1] * num_in + list(range(num_i))
         self._net_arrival: "list[float]" = [0.0] * num_n
         self._net_wsrc: "list[int]" = [-1] * num_n
-        self._net_sinks: "list[set[int]]" = [set() for _ in range(num_n)]
-        for net, val in self._input_arrivals.items():
+        for net, val in input_arrivals.items():
             self._net_arrival[self._net_index[net]] = float(val)
-        self._out_nets: "list[int]" = [self._net_index[n] for n in nl.outputs]
+        self._out_nets: "tuple[int, ...]" = tuple(self._net_index[n] for n in netlist.outputs)
         self._out_set: "frozenset[int]" = frozenset(self._out_nets)
 
-        # Instance table: per-instance arc tuples (source net, intrinsic),
-        # output resistance, output net, topological rank.
-        self._inst_index: "dict[str, int]" = {}
-        self._inst_names: "list[str | None]" = []
-        self._alive: "list[bool]" = []
-        self._out_net: "list[int]" = []
-        self._rank: "list[float]" = []
+        # Instance table, in the netlist's insertion order. A dead entry
+        # has name and cell None and no arcs.
+        self._inst_names: "list[str | None]" = list(instances)
+        self._inst_index: "dict[str, int]" = {name: i for i, name in enumerate(self._inst_names)}
+        self._cells: "list[Cell | None]" = []
         self._res: "list[float]" = []
-        self._arcs: "list[list[tuple[int, float]]]" = []
-        levels: "list[int]" = []
-        for pos, name in enumerate(order):
-            inst = nl.instances[name]
+        self._out_net: "list[int]" = list(range(num_in, num_n))
+        # Per instance: ((source net, intrinsic), ...) in function pin order.
+        self._arcs: "list[tuple[tuple[int, float], ...]]" = []
+        sinks: "list[list[tuple[str, str, int]]]" = [[] for _ in range(num_n)]
+        net_index = self._net_index
+        for i, (name, inst) in enumerate(instances.items()):
             cell = inst.cell
-            self._inst_index[name] = pos
-            self._inst_names.append(name)
-            self._alive.append(True)
-            out_idx = self._net_index[inst.output_net]
-            self._out_net.append(out_idx)
-            self._net_driver[out_idx] = pos
-            self._rank.append(float(pos))
-            self._res.append(cell.resistance)
+            pins = inst.pins
+            intrinsics = cell.intrinsics
             arcs = []
-            lvl = 0
-            for pin in cell.input_pins:
-                src = self._net_index[inst.pins[pin]]
-                arcs.append((src, cell.intrinsics[pin]))
-                self._net_sinks[src].add(pos)
-                drv = self._net_driver[src]
-                if drv >= 0:
-                    lvl = max(lvl, levels[drv] + 1)
-            self._arcs.append(arcs)
-            levels.append(lvl)
-            self._net_load[out_idx] = net_load(nl, inst.output_net)
+            for pin in CELL_FUNCTIONS[cell.function].inputs:
+                src = net_index[pins[pin]]
+                arcs.append((src, intrinsics[pin]))
+                sinks[src].append((name, pin, i))
+            self._cells.append(cell)
+            self._res.append(cell.resistance)
+            self._arcs.append(tuple(arcs))
+        # Per net: ((instance name, pin, instance), ...) sorted, which is
+        # the (name, pin) order load summation is pinned to.
+        self._net_sinks: "list[tuple[tuple[str, str, int], ...]]" = [tuple(sorted(s)) for s in sinks]
+        self._net_load: "list[float]" = [self._load(k) for k in range(num_n)]
 
-        self._forward_sweeps(levels, num_inputs)
-
-    def _forward_sweeps(self, levels: "list[int]", num_inputs: int) -> None:
-        """Full forward arrival pass as one array sweep per logic level."""
-        num_i = len(self._arcs)
-        if num_i == 0:
-            return
-        # Pack the python-native tables into padded numpy arc tables once.
-        arc_src = np.zeros((num_i, MAX_ARCS), dtype=np.int64)
-        arc_intr = np.zeros((num_i, MAX_ARCS), dtype=np.float64)
-        valid = np.zeros((num_i, MAX_ARCS), dtype=bool)
-        for i, arcs in enumerate(self._arcs):
-            for p, (src, intr) in enumerate(arcs):
-                arc_src[i, p] = src
-                arc_intr[i, p] = intr
-                valid[i, p] = True
-        res = np.asarray(self._res)
-        out_net = np.asarray(self._out_net, dtype=np.int64)
-        load = np.asarray(self._net_load)
-        arrival = np.asarray(self._net_arrival)
-        wsrc = np.asarray(self._net_wsrc, dtype=np.int64)
-        lvl_arr = np.asarray(levels, dtype=np.int64)
-
-        by_level = np.argsort(lvl_arr, kind="stable")
-        bounds = np.searchsorted(lvl_arr[by_level], np.arange(lvl_arr.max() + 2))
-        for lvl in range(len(bounds) - 1):
-            idx = by_level[bounds[lvl] : bounds[lvl + 1]]
-            if idx.size == 0:
-                continue
-            src = arc_src[idx]
-            ok = valid[idx]
-            d = arc_intr[idx] + res[idx, None] * load[out_net[idx], None]
-            t = np.where(ok, arrival[src] + d, -np.inf)
-            best = t.max(axis=1)
-            wa = t.argmax(axis=1)
-            worst = np.take_along_axis(src, wa[:, None], axis=1)[:, 0]
-            out = out_net[idx]
-            arrival[out] = np.maximum(best, -1.0)
-            wsrc[out] = np.where(best > -1.0, worst, -1)
-
-        self._net_arrival = arrival.tolist()
-        self._net_wsrc = wsrc.tolist()
+        self._rank: "list[float]" = [0.0] * num_i
+        self._rerank()
+        self._pending.update(range(num_i))
 
     # ------------------------------------------------------------------
     # Dirty tracking / incremental propagation
@@ -218,9 +164,24 @@ class TimingGraph:
             for s, _ in self._arcs[i]:
                 pend.add(s)
 
+    def _load(self, net_idx: int) -> float:
+        """Capacitive load of one net: pin caps + wire cap + port cap (fF).
+
+        The same sum, in the same order, as :func:`repro.sta.timing.net_load`.
+        """
+        lib = self.library
+        sinks = self._net_sinks[net_idx]
+        cells = self._cells
+        load = lib.wire_cap_per_fanout * len(sinks)
+        for _, pin, j in sinks:
+            load += cells[j].input_caps[pin]
+        if net_idx in self._out_set:
+            load += lib.output_port_cap
+        return load
+
     def _update_load(self, net_idx: int) -> None:
-        """Recompute one net's load exactly as :func:`net_load` does."""
-        new = net_load(self.nl, self._net_names[net_idx])
+        """Recompute one net's load; a change re-times its driver."""
+        new = self._load(net_idx)
         if new != self._net_load[net_idx]:
             self._net_load[net_idx] = new
             drv = self._net_driver[net_idx]
@@ -232,7 +193,8 @@ class TimingGraph:
 
         Instances are processed in ascending topological rank, so each one
         is recomputed at most once per flush, from settled fanin values —
-        the unique fixpoint the full pass would reach.
+        the unique fixpoint a full pass reaches (and the first flush after
+        compile, with every instance pending, *is* the full pass).
         """
         if not self._pending:
             return
@@ -243,7 +205,6 @@ class TimingGraph:
         self._pending.clear()
         arrival = self._net_arrival
         arcs_tab = self._arcs
-        alive = self._alive
         loads = self._net_load
         res_tab = self._res
         out_tab = self._out_net
@@ -254,8 +215,6 @@ class TimingGraph:
         while heap:
             i = pop(heap)[1]
             queued.discard(i)
-            if not alive[i]:
-                continue
             out = out_tab[i]
             rl = res_tab[i] * loads[out]
             best = -1.0
@@ -269,129 +228,265 @@ class TimingGraph:
             arrival[out] = best
             wsrc_tab[out] = bsrc
             if changed:
-                for j in sinks_tab[out]:
+                for _, _, j in sinks_tab[out]:
                     if j not in queued:
                         queued.add(j)
                         push(heap, (rank[j], j))
 
     def _rerank(self) -> None:
-        """Recompute topological ranks from scratch (rare structural repair).
+        """Recompute topological ranks from the tables (compile; rare repairs).
 
         Must run *before* the next flush — pending work is propagated in
         rank order, so ranks are repaired eagerly the moment an edit
-        violates them, never after a propagation used them.
+        violates them, never after a propagation used them. Raises
+        ``ValueError`` on a combinational cycle.
         """
-        for pos, name in enumerate(self.nl.topological_order()):
-            self._rank[self._inst_index[name]] = float(pos)
+        arcs_tab = self._arcs
+        driver = self._net_driver
+        indegree: "dict[int, int]" = {}
+        for i, cell in enumerate(self._cells):
+            if cell is not None:
+                indegree[i] = sum(driver[s] >= 0 for s, _ in arcs_tab[i])
+        ready = [i for i, count in indegree.items() if count == 0]
+        rank = self._rank
+        out_tab = self._out_net
+        sinks_tab = self._net_sinks
+        pos = 0
+        while ready:
+            i = ready.pop()
+            rank[i] = float(pos)
+            pos += 1
+            for _, _, j in sinks_tab[out_tab[i]]:
+                indegree[j] -= 1
+                if indegree[j] == 0:
+                    ready.append(j)
+        if pos != len(indegree):
+            raise ValueError("netlist contains a combinational cycle")
 
     # ------------------------------------------------------------------
-    # Mutations (mirror the Netlist API; keep analysis state in sync)
+    # The design, read by name
     # ------------------------------------------------------------------
+
+    def instance_names(self) -> "list[str]":
+        """Live instance names in insertion order."""
+        return [name for name in self._inst_names if name is not None]
+
+    def cell_of(self, name: str) -> Cell:
+        """The cell an instance is currently bound to."""
+        return self._cells[self._inst_index[name]]
+
+    def output_net(self, name: str) -> str:
+        """The net an instance drives."""
+        return self._net_names[self._out_net[self._inst_index[name]]]
+
+    def output_nets(self) -> "list[tuple[str, str]]":
+        """(instance, output net) for every live instance, in insertion order."""
+        net_names = self._net_names
+        out_tab = self._out_net
+        return [
+            (name, net_names[out_tab[i]])
+            for i, name in enumerate(self._inst_names)
+            if name is not None
+        ]
+
+    def input_nets(self, name: str) -> "list[tuple[str, str]]":
+        """(pin, net) for every input pin of an instance, in function pin order."""
+        i = self._inst_index[name]
+        net_names = self._net_names
+        return [
+            (pin, net_names[src])
+            for pin, (src, _) in zip(self._cells[i].input_pins, self._arcs[i])
+        ]
+
+    def pins_of(self, name: str) -> "dict[str, str]":
+        """Pin-to-net map of an instance (input pins, then the output pin)."""
+        pins = dict(self.input_nets(name))
+        pins[self.cell_of(name).output_pin] = self.output_net(name)
+        return pins
+
+    def driver_of(self, net: str) -> "str | None":
+        """Instance name driving ``net`` (None for primary inputs)."""
+        drv = self._net_driver[self._net_index[net]]
+        return self._inst_names[drv] if drv >= 0 else None
+
+    def sinks_of(self, net: str) -> "list[tuple[str, str]]":
+        """Sorted (instance, pin) sinks of ``net``."""
+        return [(name, pin) for name, pin, _ in self._net_sinks[self._net_index[net]]]
+
+    def has_sinks(self, net: str) -> bool:
+        """Whether anything reads ``net`` (its fan-out is non-empty)."""
+        return bool(self._net_sinks[self._net_index[net]])
+
+    def is_output(self, net: str) -> bool:
+        """Whether ``net`` is a primary output."""
+        return self._net_index[net] in self._out_set
+
+    def area(self) -> float:
+        """Total cell area (um^2), summed in instance insertion order."""
+        return sum(cell.area for cell in self._cells if cell is not None)
+
+    @property
+    def nl(self) -> Netlist:
+        """The current design as a fresh :class:`Netlist`.
+
+        Built from the tables on every read and detached from them: the
+        caller may edit it freely, and later moves on this graph do not
+        show in it.
+        """
+        nl = Netlist(self.name, self.library)
+        for net in self._inputs:
+            nl.add_input(net)
+        for name in self._inst_names:
+            if name is not None:
+                nl.add_instance(self.cell_of(name), self.pins_of(name), name=name)
+        for k in self._out_nets:
+            nl.add_output(self._net_names[k])
+        nl._counter = self._counter
+        return nl
+
+    # ------------------------------------------------------------------
+    # Moves (the checks of the Netlist API; loads and cones kept in step)
+    # ------------------------------------------------------------------
+
+    def fresh_net(self, hint: str = "n") -> str:
+        """Allocate a unique name (nets and unnamed instances share the counter)."""
+        self._counter += 1
+        return f"{hint}_{self._counter}"
+
+    def _add_sink(self, net_idx: int, entry: "tuple[str, str, int]") -> None:
+        self._net_sinks[net_idx] = tuple(sorted(self._net_sinks[net_idx] + (entry,)))
+
+    def _drop_sink(self, net_idx: int, entry: "tuple[str, str, int]") -> None:
+        self._net_sinks[net_idx] = tuple(e for e in self._net_sinks[net_idx] if e != entry)
 
     def replace_cell(self, name: str, new_cell: Cell) -> None:
         """Resize an instance; re-times its fanin drivers and its cone."""
-        self.nl.replace_cell(name, new_cell)
         i = self._inst_index[name]
-        inst = self.nl.instances[name]
+        old_cell = self._cells[i]
+        if new_cell.function != old_cell.function:
+            raise ValueError(
+                f"resize must preserve function: {old_cell.function} -> {new_cell.function}"
+            )
+        self._cells[i] = new_cell
         self._res[i] = new_cell.resistance
+        intrinsics = new_cell.intrinsics
         arcs = self._arcs[i]
-        for p, pin in enumerate(new_cell.input_pins):
-            arcs[p] = (arcs[p][0], new_cell.intrinsics[pin])
-            self._update_load(self._net_index[inst.pins[pin]])
+        self._arcs[i] = tuple(
+            [(src, intrinsics[pin]) for pin, (src, _) in zip(new_cell.input_pins, arcs)]
+        )
+        for src, _ in arcs:
+            self._update_load(src)
         self._touch(i)
 
     def swap_pins(self, name: str, pin_a: str, pin_b: str) -> None:
         """Exchange two commutative input pins; re-times both nets' cones."""
-        self.nl.swap_pins(name, pin_a, pin_b)
         i = self._inst_index[name]
-        inst = self.nl.instances[name]
-        cell = inst.cell
-        self._arcs[i] = [
-            (self._net_index[inst.pins[pin]], cell.intrinsics[pin])
-            for pin in cell.input_pins
-        ]
-        self._update_load(self._net_index[inst.pins[pin_a]])
-        self._update_load(self._net_index[inst.pins[pin_b]])
+        cell = self._cells[i]
+        spec = cell.spec
+        if not any(pin_a in g and pin_b in g for g in spec.commutative_groups):
+            raise ValueError(f"{cell.name}: pins {pin_a},{pin_b} are not commutative")
+        pa, pb = spec.inputs.index(pin_a), spec.inputs.index(pin_b)
+        arcs = list(self._arcs[i])
+        (net_a, intr_a), (net_b, intr_b) = arcs[pa], arcs[pb]
+        if net_a == net_b:
+            return
+        arcs[pa] = (net_b, intr_a)
+        arcs[pb] = (net_a, intr_b)
+        self._arcs[i] = tuple(arcs)
+        self._drop_sink(net_a, (name, pin_a, i))
+        self._drop_sink(net_b, (name, pin_b, i))
+        self._add_sink(net_b, (name, pin_a, i))
+        self._add_sink(net_a, (name, pin_b, i))
+        self._update_load(net_a)
+        self._update_load(net_b)
         self._touch(i)
 
-    def add_instance(self, cell: Cell, pins: "dict[str, str]", name: "str | None" = None) -> Instance:
-        """Instantiate a cell (fresh output net) and time it in place."""
-        inst = self.nl.add_instance(cell, pins, name)
+    def add_instance(self, cell: Cell, pins: "dict[str, str]", name: "str | None" = None) -> str:
+        """Instantiate a cell driving a fresh net, time it in place; returns its name."""
+        if name is None:
+            name = self.fresh_net(cell.function.lower())
+        if name in self._inst_index:
+            raise ValueError(f"duplicate instance name {name}")
+        check_pins(name, cell, pins)
+        spec = cell.spec
+        out_name = pins[spec.output]
+        if out_name in self._net_index:
+            raise ValueError(f"net {out_name} already driven")
+        arcs = tuple([(self._net_index[pins[pin]], cell.intrinsics[pin]) for pin in spec.inputs])
+
         i = len(self._inst_names)
-        self._inst_index[inst.name] = i
-        self._inst_names.append(inst.name)
-        self._alive.append(True)
-        out_idx = self._net_index.get(inst.output_net)
-        if out_idx is None:
-            out_idx = len(self._net_names)
-            self._net_index[inst.output_net] = out_idx
-            self._net_names.append(inst.output_net)
-            self._net_alive.append(True)
-            self._net_driver.append(-1)
-            self._net_load.append(0.0)
-            self._net_arrival.append(0.0)
-            self._net_wsrc.append(-1)
-            self._net_sinks.append(set())
-            if self._required is not None:
-                # Fresh net, no sinks yet: unconstrained until a later
-                # rewire gives it fanout (which marks it stale).
-                self._required.append(_INF)
-        self._out_net.append(out_idx)
-        self._net_driver[out_idx] = i
+        out_idx = len(self._net_names)
+        self._net_index[out_name] = out_idx
+        self._net_names.append(out_name)
+        self._net_driver.append(i)
+        self._net_load.append(0.0)
+        self._net_arrival.append(0.0)
+        self._net_wsrc.append(-1)
+        self._net_sinks.append(())
+        if self._required is not None:
+            # Fresh net, no sinks yet: unconstrained until a later
+            # rewire gives it fanout (which marks it stale).
+            self._required.append(_INF)
+        self._inst_index[name] = i
+        self._inst_names.append(name)
+        self._cells.append(cell)
         self._res.append(cell.resistance)
-        arcs = []
+        self._out_net.append(out_idx)
+        self._arcs.append(arcs)
         max_fanin_rank = -1.0
-        for pin in cell.input_pins:
-            src = self._net_index[inst.pins[pin]]
-            arcs.append((src, cell.intrinsics[pin]))
-            self._net_sinks[src].add(i)
+        for pin, (src, _) in zip(spec.inputs, arcs):
+            self._add_sink(src, (name, pin, i))
             drv = self._net_driver[src]
             if drv >= 0 and self._rank[drv] > max_fanin_rank:
                 max_fanin_rank = self._rank[drv]
-        self._arcs.append(arcs)
         # Half-step rank: above every fanin, below the integer-ranked rest.
         # rewire_sink() repairs via _rerank() if a later edit violates it.
         self._rank.append(max_fanin_rank + 0.5)
         for src, _ in arcs:
             self._update_load(src)
-        self._update_load(out_idx)
         self._touch(i)
-        return inst
+        return name
 
     def remove_instance(self, name: str) -> None:
-        """Delete an instance whose output net has no sinks."""
-        inst = self.nl.instances[name]
-        self.nl.remove_instance(name)
-        i = self._inst_index.pop(name)
+        """Delete an instance; its output net must have no sinks and not be a port."""
+        i = self._inst_index[name]
+        out_idx = self._out_net[i]
+        out_name = self._net_names[out_idx]
+        if self._net_sinks[out_idx]:
+            raise ValueError(f"cannot remove {name}: net {out_name} still has sinks")
+        if out_idx in self._out_set:
+            raise ValueError(f"cannot remove {name}: net {out_name} is a primary output")
+        arcs = self._arcs[i]
+        for pin, (src, _) in zip(self._cells[i].input_pins, arcs):
+            self._drop_sink(src, (name, pin, i))
+        del self._inst_index[name]
         self._inst_names[i] = None
-        self._alive[i] = False
+        self._cells[i] = None
+        self._arcs[i] = ()
         self._pending.discard(i)
-        out_idx = self._net_index.pop(inst.output_net)
-        self._net_alive[out_idx] = False
-        self._net_driver[out_idx] = -1
+        del self._net_index[out_name]
         self._net_names[out_idx] = None
-        for src in {s for s, _ in self._arcs[i]}:
-            self._net_sinks[src].discard(i)
+        self._net_driver[out_idx] = -1
+        for src in {s for s, _ in arcs}:
             self._update_load(src)
             if self._required is not None:
                 # Each source net lost a sink candidate from its min.
                 self._req_pending.add(src)
-        self._arcs[i] = []
         self._req_pending.discard(out_idx)
 
     def rewire_sink(self, inst_name: str, pin: str, new_net: str) -> None:
         """Move one input pin to a different net; re-times both cones."""
-        inst = self.nl.instances[inst_name]
-        old_net = inst.pins[pin]
-        self.nl.rewire_sink(inst_name, pin, new_net)
         i = self._inst_index[inst_name]
-        p = inst.cell.input_pins.index(pin)
-        old_idx = self._net_index[old_net]
+        input_pins = self._cells[i].input_pins
+        if pin not in input_pins:
+            raise ValueError("rewire_sink only moves input pins")
+        p = input_pins.index(pin)
         new_idx = self._net_index[new_net]
-        self._arcs[i][p] = (new_idx, self._arcs[i][p][1])
-        if all(src != old_idx for src, _ in self._arcs[i]):
-            self._net_sinks[old_idx].discard(i)
-        self._net_sinks[new_idx].add(i)
+        arcs = self._arcs[i]
+        old_idx, intrinsic = arcs[p]
+        self._arcs[i] = arcs[:p] + ((new_idx, intrinsic),) + arcs[p + 1:]
+        self._drop_sink(old_idx, (inst_name, pin, i))
+        self._add_sink(new_idx, (inst_name, pin, i))
         self._update_load(old_idx)
         self._update_load(new_idx)
         self._touch(i)
@@ -451,6 +546,15 @@ class TimingGraph:
         self._flush()
         return self._net_arrival[self._net_index[net]]
 
+    def arrival_map(self) -> "dict[str, float]":
+        """Arrival of every live net (a snapshot: later moves do not show in it)."""
+        self._flush()
+        return {
+            name: arr
+            for name, arr in zip(self._net_names, self._net_arrival)
+            if name is not None
+        }
+
     def load_of(self, net: str) -> float:
         """Capacitive load of one net (same value as :func:`net_load`)."""
         return self._net_load[self._net_index[net]]
@@ -472,7 +576,7 @@ class TimingGraph:
         driver = self._net_driver
         out_set = self._out_set
         target = self.target
-        alive_net = self._net_alive
+        net_names = self._net_names
         sinks_tab = self._net_sinks
         out_tab = self._out_net
         arcs_tab = self._arcs
@@ -494,10 +598,10 @@ class TimingGraph:
         while heap:
             s = pop(heap)[1]
             queued.discard(s)
-            if not alive_net[s]:
+            if net_names[s] is None:
                 continue
             r = target if s in out_set else _INF
-            for j in sinks_tab[s]:
+            for _, _, j in sinks_tab[s]:
                 out = out_tab[j]
                 rj = req[out]
                 if rj == _INF:
@@ -526,7 +630,7 @@ class TimingGraph:
         required time is final before any of its fanin arcs subtract
         from it — the same min-fixpoint the reference reversed-
         topological traversal reaches. Later queries only repair the
-        nets mutations marked stale (:meth:`_flush_required`).
+        nets moves marked stale (:meth:`_flush_required`).
         """
         self._flush()
         if self._required is not None:
@@ -538,7 +642,7 @@ class TimingGraph:
         req = [_INF] * len(self._net_names)
         for o in self._out_nets:
             req[o] = self.target
-        live = [i for i, a in enumerate(self._alive) if a]
+        live = [i for i, cell in enumerate(self._cells) if cell is not None]
         live.sort(key=self._rank.__getitem__, reverse=True)
         loads = self._net_load
         for i in live:
@@ -564,12 +668,10 @@ class TimingGraph:
     def slack_map(self) -> "dict[str, float]":
         """Slack of every live net (one backward pass, one dict build)."""
         req = self._ensure_required()
-        names = self._net_names
-        arrival = self._net_arrival
         return {
-            names[i]: req[i] - arrival[i]
-            for i, ok in enumerate(self._net_alive)
-            if ok
+            name: r - arr
+            for name, r, arr in zip(self._net_names, req, self._net_arrival)
+            if name is not None
         }
 
     def slack_all(self) -> "dict[str, float]":
@@ -605,17 +707,15 @@ class TimingGraph:
         r_out = req[out]
         if r_out == _INF:
             return False
-        inst = self.nl.instances[name]
-        old_cell = inst.cell
+        old_cell = self._cells[i]
         arrival = self._net_arrival
         driver = self._net_driver
-        net_index = self._net_index
         rl = new_cell.resistance * self._net_load[out]
         best = -_INF
         drop = 0.0
         seen: "set[int]" = set()
-        for pin in new_cell.input_pins:
-            s = net_index[inst.pins[pin]]
+        pin_nets = [(pin, s) for pin, (s, _) in zip(new_cell.input_pins, self._arcs[i])]
+        for pin, s in pin_nets:
             t = arrival[s] + (new_cell.intrinsics[pin] + rl)
             if t > best:
                 best = t
@@ -626,8 +726,8 @@ class TimingGraph:
             if d < 0:
                 continue
             dcap = 0.0
-            for q in old_cell.input_pins:
-                if net_index[inst.pins[q]] == s:
+            for q, qs in pin_nets:
+                if qs == s:
                     dcap += old_cell.input_caps[q] - new_cell.input_caps[q]
             if dcap > 0.0:
                 drop += self._res[d] * dcap
@@ -635,24 +735,18 @@ class TimingGraph:
 
     def report(self) -> TimingReport:
         """Export the full dict-based :class:`TimingReport` (oracle format)."""
-        self._flush()
-        names = self._net_names
-        arrival = {
-            names[i]: self._net_arrival[i]
-            for i, ok in enumerate(self._net_alive)
-            if ok
-        }
+        arrival = self.arrival_map()
         required: "dict[str, float]" = {}
         slack: "dict[str, float]" = {}
         wns = _INF
         if self.target is not None:
             req = self._ensure_required()
-            for i, ok in enumerate(self._net_alive):
-                if not ok:
+            for name, r in zip(self._net_names, req):
+                if name is None:
                     continue
-                if req[i] != _INF:
-                    required[names[i]] = req[i]
-                slack[names[i]] = req[i] - self._net_arrival[i]
+                if r != _INF:
+                    required[name] = r
+                slack[name] = r - arrival[name]
             wns = self.target - self.delay
         return TimingReport(
             delay=self.delay,
@@ -662,7 +756,7 @@ class TimingGraph:
             required=required,
             slack=slack,
             critical_path=self.critical_path(),
-            area=self.nl.area(),
+            area=self.area(),
         )
 
     # ------------------------------------------------------------------
@@ -670,47 +764,49 @@ class TimingGraph:
     # ------------------------------------------------------------------
 
     def fork(self, target: "float | None" = None) -> "TimingGraph":
-        """Independent copy (own netlist clone, own state), optionally retargeted.
+        """Independent branch of the design and its analysis, optionally retargeted.
 
-        The compiled state is reused — forking costs shallow copies, not a
-        recompile — which is what lets :func:`repro.synth.synthesize_curve`
-        compile once and branch per delay target.
+        Costs a copy of each flat table; the arc and sink tuples inside
+        them are immutable and stay shared until a branch replaces one.
+        This is what lets :func:`repro.synth.synthesize_curve` compile
+        once and branch per delay target.
         """
         self._flush()
         other = object.__new__(TimingGraph)
-        other.nl = self.nl.clone()
         other.target = self.target if target is None else target
-        other._input_arrivals = dict(self._input_arrivals)
         other._pending = set()
         if other.target == self.target and self._required is not None:
             # Same target: the backward cache (and its dirty set) stays
             # valid in the branch.
-            other._required = list(self._required)
+            other._required = self._required.copy()
             other._req_pending = set(self._req_pending)
         else:
             other._required = None
             other._req_pending = set()
-        other._inst_index = dict(self._inst_index)
-        other._inst_names = list(self._inst_names)
-        other._alive = list(self._alive)
-        other._out_net = list(self._out_net)
-        other._rank = list(self._rank)
-        other._res = list(self._res)
-        other._arcs = [list(a) for a in self._arcs]
-        other._net_index = dict(self._net_index)
-        other._net_names = list(self._net_names)
-        other._net_alive = list(self._net_alive)
-        other._net_driver = list(self._net_driver)
-        other._net_load = list(self._net_load)
-        other._net_arrival = list(self._net_arrival)
-        other._net_wsrc = list(self._net_wsrc)
-        other._net_sinks = [set(s) for s in self._net_sinks]
-        other._out_nets = list(self._out_nets)
+        other.name = self.name
+        other.library = self.library
+        other._counter = self._counter
+        other._inputs = self._inputs
+        other._out_nets = self._out_nets
         other._out_set = self._out_set
+        other._inst_index = self._inst_index.copy()
+        other._inst_names = self._inst_names.copy()
+        other._cells = self._cells.copy()
+        other._out_net = self._out_net.copy()
+        other._rank = self._rank.copy()
+        other._res = self._res.copy()
+        other._arcs = self._arcs.copy()
+        other._net_index = self._net_index.copy()
+        other._net_names = self._net_names.copy()
+        other._net_driver = self._net_driver.copy()
+        other._net_load = self._net_load.copy()
+        other._net_arrival = self._net_arrival.copy()
+        other._net_wsrc = self._net_wsrc.copy()
+        other._net_sinks = self._net_sinks.copy()
         return other
 
     def __repr__(self) -> str:
         return (
-            f"TimingGraph({self.nl.name!r}, insts={len(self._inst_index)}, "
+            f"TimingGraph({self.name!r}, insts={len(self._inst_index)}, "
             f"nets={len(self._net_index)}, target={self.target})"
         )

@@ -46,7 +46,7 @@ def net_load(netlist: Netlist, net: str) -> float:
     load = lib.wire_cap_per_fanout * len(sinks)
     for inst_name, pin in sinks:
         load += netlist.instances[inst_name].cell.input_caps[pin]
-    if net in netlist.outputs:
+    if netlist.is_output(net):
         load += lib.output_port_cap
     return load
 
@@ -64,11 +64,11 @@ def analyze_timing(
     is given, required times and slacks are computed and ``wns`` reflects
     the worst output.
 
-    Implemented on the array-backed :class:`repro.sta.graph.TimingGraph`
-    engine (level-grouped forward/backward sweeps); bit-identical to the
-    original traversal preserved in ``tests/oracles/sta.py``. Callers
-    that re-analyze after small edits should hold a ``TimingGraph`` and use
-    its incremental mutation methods instead of calling this repeatedly.
+    One compile and one report of :class:`repro.sta.graph.TimingGraph`;
+    bit-identical to the original traversal preserved in
+    ``tests/oracles/sta.py``. The netlist is only read. Callers that
+    re-analyze after small edits should hold a ``TimingGraph`` and make
+    the edits through its move methods instead of calling this repeatedly.
     """
     from repro.sta.graph import TimingGraph
 

@@ -8,10 +8,11 @@ Section IV-D / Fig. 3 describe; ``AreaDelayCurve.w_optimal`` picks the
 scalarization-optimal point that defines the RL reward. ``SynthesisCache``
 reproduces the content-hash design cache of the training system.
 
-The optimizer runs on the incremental :class:`repro.sta.TimingGraph`
-engine: one compile per run, O(cone) accept/reject trials, and one
-compiled+pin-swapped state forked across a curve's delay targets. The
-pre-rewrite full-STA-per-trial path survives in
+The optimizer runs on the incremental :class:`repro.sta.TimingGraph`,
+which is the design while it is optimised: one compile per curve, O(cone)
+accept/reject trials, one pin-swapped graph forked (a dozen list copies)
+across the curve's delay targets, and a ``Netlist`` only when a result's
+``.netlist`` is read. The pre-rewrite full-STA-per-trial path survives in
 ``tests/oracles/synth.py`` and is regression-tested byte-identical.
 
 Where curves come from is the one :mod:`repro.synth.backend` seam:

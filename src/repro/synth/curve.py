@@ -155,8 +155,8 @@ def synthesize_curve(
     if synthesizer is None:
         synthesizer = Synthesizer()
     netlist = prefix_adder_netlist(graph, library)
-    # Compile + pin-swap once; every target forks the prepared state
-    # instead of recloning and re-timing the netlist from scratch.
+    # One compile per curve: the netlist is read into a timing graph and
+    # pin-swapped once; every target forks that graph (table copies only).
     prepared = synthesizer.prepare(netlist)
     return curve_from_prepared(prepared, synthesizer, num_targets=num_targets)
 
@@ -171,7 +171,8 @@ def curve_from_prepared(
     Split out so callers holding an already-built netlist — remote farm
     workers receiving shipped designs (:mod:`repro.net.farm`), ablations
     reusing one compile — skip the graph-to-netlist derivation while
-    producing byte-identical curves.
+    producing byte-identical curves. Only each result's ``delay`` and
+    ``area`` are read, so no optimised ``Netlist`` is ever materialised.
     """
     fast = synthesizer.optimize_prepared(prepared, target=0.0)
     samples = [(fast.delay, fast.area)]

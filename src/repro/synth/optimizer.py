@@ -20,34 +20,59 @@ as greedy, STA-verified moves:
 All moves are deterministic (sorted iteration, name tie-breaks) so synthesis
 results — and therefore RL rewards — are reproducible.
 
-Since the :class:`repro.sta.TimingGraph` rewrite, one run compiles the
-netlist into the array engine once and applies/reverts every candidate
-move incrementally — the accept/reject check costs O(affected cone), not
-O(netlist). :meth:`Synthesizer.prepare` exposes the compiled, pin-swapped
-state so :func:`repro.synth.synthesize_curve` can fork it per delay target
-instead of recompiling; results are byte-identical to the original
-full-STA-per-trial path preserved in ``tests/oracles/synth.py``.
+One run works on one representation: :class:`repro.sta.TimingGraph` holds
+the design (cells, pin nets, sinks, names) *and* its analysis in the same
+integer tables, every pass reads and edits it through the graph's methods,
+and each accept/reject check costs O(affected cone), not O(netlist).
+:meth:`Synthesizer.prepare` reads the netlist once into a pin-swapped graph
+that :func:`repro.synth.synthesize_curve` forks per delay target; no
+``Netlist`` is cloned or built while optimising, and
+:attr:`SynthesisResult.netlist` materialises one only when it is read.
+Results are byte-identical to the original full-STA-per-trial path
+preserved in ``tests/oracles/synth.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.cells.library import Cell
 from repro.netlist.cleanup import remove_dead_logic
 from repro.netlist.ir import Netlist
 from repro.sta.graph import TimingGraph
 
 
-@dataclass
 class SynthesisResult:
-    """Outcome of one optimization run at one delay target."""
+    """Outcome of one optimization run at one delay target.
 
-    area: float
-    delay: float
-    target: float
-    met: bool
-    netlist: Netlist
-    moves: "dict[str, int]" = field(default_factory=dict)
+    ``netlist`` may be given as the optimised :class:`TimingGraph`; the
+    :class:`Netlist` is then built from it the first time it is read, so a
+    caller that only wants ``area`` / ``delay`` / ``met`` / ``moves`` (the
+    curve ladder) never pays for one.
+    """
+
+    def __init__(
+        self,
+        area: float,
+        delay: float,
+        target: float,
+        met: bool,
+        netlist: "Netlist | TimingGraph",
+        moves: "dict[str, int] | None" = None,
+    ):
+        self.area = area
+        self.delay = delay
+        self.target = target
+        self.met = met
+        self.moves = {} if moves is None else moves
+        self._netlist = netlist
+
+    @property
+    def netlist(self) -> Netlist:
+        """The optimised design."""
+        if isinstance(self._netlist, TimingGraph):
+            self._netlist = self._netlist.nl
+        return self._netlist
 
     def __repr__(self) -> str:
         status = "met" if self.met else "VIOLATED"
@@ -59,7 +84,7 @@ class SynthesisResult:
 
 @dataclass
 class PreparedDesign:
-    """A pin-swapped netlist clone with its compiled timing graph.
+    """A design read into a timing graph and pin-swapped.
 
     Produced by :meth:`Synthesizer.prepare`; immutable from the caller's
     point of view — every :meth:`Synthesizer.optimize_prepared` call forks
@@ -111,25 +136,23 @@ class Synthesizer:
     # ------------------------------------------------------------------
 
     def prepare(self, netlist: Netlist) -> PreparedDesign:
-        """Clone, pin-swap and compile ``netlist`` once, for reuse across targets.
+        """Read ``netlist`` into a timing graph and pin-swap it, once for all targets.
 
-        Pin swapping is target-independent, so the swapped + compiled state
-        is shared by every target of a curve; the original netlist is never
-        mutated.
+        Pin swapping is target-independent, so the swapped state is shared
+        by every target of a curve. The netlist is only read: never
+        mutated, never copied.
         """
-        nl = netlist.clone()
-        tg = TimingGraph(nl)
+        tg = TimingGraph(netlist)
         swaps = self._pin_swap_pass(tg) if self.enable_pin_swap else 0
         return PreparedDesign(tg=tg, pin_swaps=swaps)
 
     def optimize(self, netlist: Netlist, target: float) -> SynthesisResult:
-        """Optimize a copy of ``netlist`` toward ``target`` (ns)."""
+        """Optimize ``netlist`` toward ``target`` (ns); the netlist itself is left as it was."""
         return self.optimize_prepared(self.prepare(netlist), target)
 
     def optimize_prepared(self, prepared: PreparedDesign, target: float) -> SynthesisResult:
         """Run the greedy passes against a fork of a prepared design."""
         tg = prepared.tg.fork(target=target)
-        nl = tg.nl
         moves = {
             "pin_swap": prepared.pin_swaps,
             "size_up": 0,
@@ -156,16 +179,15 @@ class Synthesizer:
             if not accepted:
                 break
 
-        # Removing through the graph keeps the analysis live (dropped
-        # sinks lighten their nets, which re-times the fanin cones), so
-        # the final delay/WNS need no recompile.
-        remove_dead_logic(nl, remove=tg.remove_instance)
+        # The sweep's removals lighten the nets the dead logic read, which
+        # re-times their fanin cones: the final delay/WNS are live.
+        remove_dead_logic(tg)
         return SynthesisResult(
-            area=nl.area(),
+            area=tg.area(),
             delay=tg.delay,
             target=target,
             met=tg.wns >= 0,
-            netlist=nl,
+            netlist=tg,
             moves=moves,
         )
 
@@ -180,20 +202,18 @@ class Synthesizer:
         between swaps — same as the reference pass); the engine re-times
         the swapped cones lazily afterwards.
         """
-        nl = tg.nl
-        arrival = tg.report().arrival
+        arrival = tg.arrival_map()
         swaps = 0
-        for name in sorted(nl.instances):
-            inst = nl.instances[name]
-            for group in inst.cell.spec.commutative_groups:
+        for name in sorted(tg.instance_names()):
+            cell = tg.cell_of(name)
+            for group in cell.spec.commutative_groups:
                 if len(group) != 2:
                     continue
                 pin_a, pin_b = group
                 # Fast pin should carry the late net.
-                fast, slow = sorted(group, key=lambda p: inst.cell.intrinsics[p])
-                arr_fast = arrival[inst.pins[fast]]
-                arr_slow = arrival[inst.pins[slow]]
-                if arr_slow > arr_fast:
+                fast, slow = sorted(group, key=cell.intrinsics.__getitem__)
+                pins = dict(tg.input_nets(name))
+                if arrival[pins[slow]] > arrival[pins[fast]]:
                     tg.swap_pins(name, pin_a, pin_b)
                     swaps += 1
         return swaps
@@ -202,43 +222,38 @@ class Synthesizer:
     # Gate sizing
     # ------------------------------------------------------------------
 
-    def _upsize_gain(self, tg: TimingGraph, name: str) -> float:
-        """Analytic benefit estimate of one upsize step (ns saved)."""
-        nl = tg.nl
-        inst = nl.instances[name]
-        bigger = nl.library.next_size_up(inst.cell)
-        if bigger is None:
-            return -1.0
-        load = tg.load_of(inst.output_net)
-        gain = (inst.cell.resistance - bigger.resistance) * load
+    def _upsize_gain(self, tg: TimingGraph, name: str, bigger: Cell) -> float:
+        """Analytic benefit estimate of the upsize step to ``bigger`` (ns saved)."""
+        cell = tg.cell_of(name)
+        load = tg.load_of(tg.output_net(name))
+        gain = (cell.resistance - bigger.resistance) * load
         # Penalty: heavier input pins slow the driver of each input net.
-        for pin, net in inst.input_nets():
-            drv = nl.driver_of(net)
+        for pin, net in tg.input_nets(name):
+            drv = tg.driver_of(net)
             if drv is None:
                 continue
-            extra_cap = bigger.input_caps[pin] - inst.cell.input_caps[pin]
-            gain -= nl.instances[drv].cell.resistance * extra_cap
+            extra_cap = bigger.input_caps[pin] - cell.input_caps[pin]
+            gain -= tg.cell_of(drv).resistance * extra_cap
         return gain
 
     def _sizing_pass(self, tg: TimingGraph) -> int:
         """Greedy critical-path upsizing with incrementally measured accept/revert."""
-        nl = tg.nl
+        library = tg.library
         accepted = 0
         rejected: "set[tuple[str, str]]" = set()
         while accepted < self.max_sizing_moves and tg.wns < 0:
             candidates = []
             for name in tg.critical_path():
-                inst = nl.instances[name]
-                bigger = nl.library.next_size_up(inst.cell)
+                bigger = library.next_size_up(tg.cell_of(name))
                 if bigger is None or (name, bigger.name) in rejected:
                     continue
-                candidates.append((self._upsize_gain(tg, name), name, bigger))
+                candidates.append((self._upsize_gain(tg, name, bigger), name, bigger))
             candidates = [c for c in candidates if c[0] > 0]
             if not candidates:
                 break
             candidates.sort(key=lambda c: (-c[0], c[1]))
             _, name, bigger = candidates[0]
-            old_cell = nl.instances[name].cell
+            old_cell = tg.cell_of(name)
             prev_delay = tg.delay
             tg.replace_cell(name, bigger)
             if tg.delay < prev_delay - 1e-12:
@@ -254,14 +269,13 @@ class Synthesizer:
 
     def _buffering_pass(self, tg: TimingGraph) -> int:
         """Shield non-critical sinks of critical high-fanout nets behind a buffer."""
-        nl = tg.nl
+        library = tg.library
         accepted = 0
         path = tg.critical_path()
         critical_insts = set(path)
-        for name in list(path):
-            inst = nl.instances[name]
-            net = inst.output_net
-            sinks = nl.sinks_of(net)
+        for name in path:
+            net = tg.output_net(name)
+            sinks = tg.sinks_of(net)
             if len(sinks) <= self.fanout_threshold:
                 continue
             # Critical sinks: those feeding critical-path instances.
@@ -269,8 +283,8 @@ class Synthesizer:
             offload = [s for s in sinks if s[0] not in critical_insts]
             if not offload or not critical_sinks:
                 continue
-            buf_cell = nl.library.pick("BUF", min(4, nl.library.variants("BUF")[-1].drive))
-            buf_out = nl.fresh_net("bufnet")
+            buf_cell = library.pick("BUF", min(4, library.variants("BUF")[-1].drive))
+            buf_out = tg.fresh_net("bufnet")
             prev_delay = tg.delay
             buf = tg.add_instance(buf_cell, {"A": net, buf_cell.output_pin: buf_out})
             for sink_name, pin in offload:
@@ -280,7 +294,7 @@ class Synthesizer:
             else:
                 for sink_name, pin in offload:
                     tg.rewire_sink(sink_name, pin, net)
-                tg.remove_instance(buf.name)
+                tg.remove_instance(buf)
             if tg.wns >= 0:
                 break
         return accepted
@@ -291,28 +305,27 @@ class Synthesizer:
 
     def _cloning_pass(self, tg: TimingGraph) -> int:
         """Duplicate critical multi-fanout cells; clone serves non-critical sinks."""
-        nl = tg.nl
         accepted = 0
         path = tg.critical_path()
         critical_insts = set(path)
-        for name in list(path):
-            inst = nl.instances.get(name)
-            if inst is None or inst.cell.function == "BUF":
+        for name in path:
+            cell = tg.cell_of(name)
+            if cell.function == "BUF":
                 continue
-            net = inst.output_net
-            if net in nl.outputs:
+            net = tg.output_net(name)
+            if tg.is_output(net):
                 continue
-            sinks = nl.sinks_of(net)
+            sinks = tg.sinks_of(net)
             if len(sinks) <= self.clone_threshold:
                 continue
             offload = [s for s in sinks if s[0] not in critical_insts]
             if not offload or len(offload) == len(sinks):
                 continue
-            clone_out = nl.fresh_net("clone")
-            pins = dict(inst.pins)
-            pins[inst.cell.output_pin] = clone_out
+            clone_out = tg.fresh_net("clone")
+            pins = tg.pins_of(name)
+            pins[cell.output_pin] = clone_out
             prev_delay = tg.delay
-            clone = tg.add_instance(inst.cell, pins)
+            clone = tg.add_instance(cell, pins)
             for sink_name, pin in offload:
                 tg.rewire_sink(sink_name, pin, clone_out)
             if tg.delay < prev_delay - 1e-12:
@@ -320,7 +333,7 @@ class Synthesizer:
             else:
                 for sink_name, pin in offload:
                     tg.rewire_sink(sink_name, pin, net)
-                tg.remove_instance(clone.name)
+                tg.remove_instance(clone)
             if tg.wns >= 0:
                 break
         return accepted
@@ -351,19 +364,15 @@ class Synthesizer:
         reference oracle move for move (property-tested in
         ``tests/synth/test_recovery_equivalence.py``).
         """
-        nl = tg.nl
+        library = tg.library
         accepted = 0
         baseline_delay = tg.delay
         slacks = tg.slack_map()
-        names = sorted(
-            nl.instances,
-            key=lambda n: -slacks.get(nl.instances[n].output_net, 0.0),
-        )
-        for name in names:
-            inst = nl.instances.get(name)
-            if inst is None:
-                continue
-            smaller = nl.library.next_size_down(inst.cell)
+        # Stable sort over insertion order: ties keep the netlist's order.
+        outputs = sorted(tg.output_nets(), key=lambda pair: -slacks[pair[1]])
+        for name, output_net in outputs:
+            old_cell = tg.cell_of(name)
+            smaller = library.next_size_down(old_cell)
             if smaller is None:
                 continue
             was_met = tg.wns >= 0
@@ -371,11 +380,10 @@ class Synthesizer:
                 # Same gate as the reference: its slack dict is rebuilt on
                 # every accept, so the dict lookup it performs here always
                 # equals the engine's current (incrementally repaired) slack.
-                if tg.slack_of(inst.output_net) <= 0:
+                if tg.slack_of(output_net) <= 0:
                     continue
                 if tg.downsize_rejected(name, smaller):
                     continue
-            old_cell = inst.cell
             tg.replace_cell(name, smaller)
             ok = tg.wns >= 0 if was_met else tg.delay <= baseline_delay + 1e-12
             if ok:

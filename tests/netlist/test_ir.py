@@ -148,3 +148,35 @@ class TestTopology:
         assert cp.instances["u1"].cell.drive == 2
         nl.validate()
         cp.validate()
+
+
+class TestPortMembership:
+    def test_membership_follows_the_port_lists(self, lib):
+        nl = tiny_netlist(lib)
+        assert nl.is_input("a") and not nl.is_input("n1") and not nl.is_input("y")
+        assert nl.is_output("y") and not nl.is_output("n1") and not nl.is_output("a")
+        assert [n for n in nl.nets() if nl.is_input(n)] == nl.inputs
+        with pytest.raises(ValueError, match="already an output"):
+            nl.add_output("y")
+        with pytest.raises(ValueError, match="already driven"):
+            nl.add_input("a")
+
+    def test_clone_and_roundtrip_keep_membership(self, lib):
+        from repro.netlist.serialize import netlist_from_dict, netlist_to_dict
+
+        nl = tiny_netlist(lib)
+        for other in (nl.clone(), netlist_from_dict(netlist_to_dict(nl), lib)):
+            assert other.is_input("a") and other.is_output("y")
+            other.add_input("b")
+            other.add_instance(lib.smallest("INV"), {"A": "b", "ZN": "z"}, name="u3")
+            other.add_output("z")
+            assert other.is_input("b") and other.is_output("z")
+            with pytest.raises(ValueError, match="primary output"):
+                other.remove_instance("u3")
+        assert not nl.is_input("b") and not nl.is_output("z")
+
+    def test_fanout_queries(self, lib):
+        nl = tiny_netlist(lib)
+        assert nl.has_sinks("a") and nl.has_sinks("n1") and not nl.has_sinks("y")
+        assert not nl.has_sinks("never_declared")
+        assert nl.output_nets() == [("u1", "n1"), ("u2", "y")]

@@ -60,7 +60,7 @@ class TestIncrementalSlackAll:
         assert tg.slack_all() == analyze_timing_reference(nl, target).slack
         for step in range(25):
             apply_random_move(tg, rng)
-            want = analyze_timing_reference(nl, target)
+            want = analyze_timing_reference(tg.nl, target)
             assert tg.slack_all() == want.slack, (structure, step)
             assert tg.wns == want.wns, (structure, step)
 
@@ -76,9 +76,9 @@ class TestIncrementalSlackAll:
         for _ in range(10):
             apply_random_move(tg, rng)
         before = tg.slack_all()
-        names = sorted(nl.instances)
+        names = sorted(tg.instance_names())
         name = names[int(rng.integers(len(names)))]
-        old = nl.instances[name].cell
+        old = tg.cell_of(name)
         bigger = LIB.next_size_up(old)
         if bigger is None:
             return
@@ -124,21 +124,20 @@ class TestDownsizePrune:
         rng = np.random.default_rng(seed)
         for name in sorted(nl.instances):
             if rng.integers(2):
-                bigger = nl.library.next_size_up(nl.instances[name].cell)
+                bigger = nl.library.next_size_up(tg.cell_of(name))
                 if bigger is not None:
                     tg.replace_cell(name, bigger)
         # A met-mode state, like recovery sees after the relaxed targets.
         tg.target = tg.delay * relax
         pruned = tried = 0
         for name in sorted(nl.instances):
-            inst = nl.instances[name]
-            smaller = nl.library.next_size_down(inst.cell)
+            old = tg.cell_of(name)
+            smaller = nl.library.next_size_down(old)
             if smaller is None:
                 continue
             tried += 1
             if tg.downsize_rejected(name, smaller):
                 pruned += 1
-                old = inst.cell
                 tg.replace_cell(name, smaller)
                 assert tg.wns < 0, name
                 tg.replace_cell(name, old)
@@ -152,13 +151,13 @@ class TestDownsizePrune:
         nl = make_netlist(16, "sklansky", 0)
         tg = TimingGraph(nl)
         for name in sorted(nl.instances):
-            bigger = nl.library.next_size_up(nl.instances[name].cell)
+            bigger = nl.library.next_size_up(tg.cell_of(name))
             if bigger is not None:
                 tg.replace_cell(name, bigger)
         tg.target = tg.delay * 1.001
         fired = 0
         for name in sorted(nl.instances):
-            smaller = nl.library.next_size_down(nl.instances[name].cell)
+            smaller = nl.library.next_size_down(tg.cell_of(name))
             if smaller is not None and tg.downsize_rejected(name, smaller):
                 fired += 1
         assert fired > 0
@@ -167,10 +166,10 @@ class TestDownsizePrune:
         nl = make_netlist(8, "sklansky", 0)
         tg = TimingGraph(nl, target=1.0)
         name = sorted(nl.instances)[0]
-        bigger = nl.library.next_size_up(nl.instances[name].cell)
+        bigger = nl.library.next_size_up(tg.cell_of(name))
         assert bigger is not None
         tg.replace_cell(name, bigger)
-        smaller = nl.library.next_size_down(nl.instances[name].cell)
+        smaller = nl.library.next_size_down(tg.cell_of(name))
         assert smaller is not None
         # With an absurdly large margin nothing is ever provable.
         assert not tg.downsize_rejected(name, smaller, margin=1e9)

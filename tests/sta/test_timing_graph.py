@@ -68,41 +68,55 @@ class TestFullAnalysis:
         assert tg.critical_path() == []
 
 
-def apply_random_move(tg, rng):
-    """One random optimizer-style move through the TimingGraph API."""
-    nl = tg.nl
-    names = sorted(nl.instances)
+def random_move(tg, rng):
+    """Apply one random optimizer-style move through the TimingGraph API.
+
+    Returns its revert — ``(method name, args)`` calls, valid on any branch
+    that holds the move — or None when the draw had no legal move.
+    """
+    library = tg.library
+    names = sorted(tg.instance_names())
     name = names[int(rng.integers(len(names)))]
-    inst = nl.instances[name]
+    cell = tg.cell_of(name)
     kind = int(rng.integers(4))
-    if kind == 0:
-        bigger = nl.library.next_size_up(inst.cell)
-        if bigger is not None:
-            tg.replace_cell(name, bigger)
-    elif kind == 1:
-        smaller = nl.library.next_size_down(inst.cell)
-        if smaller is not None:
-            tg.replace_cell(name, smaller)
-    elif kind == 2:
-        groups = inst.cell.spec.commutative_groups
-        if groups and len(groups[0]) == 2:
-            tg.swap_pins(name, groups[0][0], groups[0][1])
-    else:
-        net = inst.output_net
-        sinks = nl.sinks_of(net)
-        if net in nl.outputs or len(sinks) < 2:
-            return
-        buf_cell = nl.library.pick("BUF", 1)
-        buf_out = nl.fresh_net("bufnet")
-        buf = tg.add_instance(buf_cell, {"A": net, buf_cell.output_pin: buf_out})
-        offload = sinks[: len(sinks) // 2]
-        for sink_name, pin in offload:
-            tg.rewire_sink(sink_name, pin, buf_out)
-        if rng.integers(2):
-            # Revert, optimizer-style: rewire back, drop the buffer.
-            for sink_name, pin in offload:
-                tg.rewire_sink(sink_name, pin, net)
-            tg.remove_instance(buf.name)
+    if kind < 2:
+        other = (library.next_size_up if kind == 0 else library.next_size_down)(cell)
+        if other is None:
+            return None
+        tg.replace_cell(name, other)
+        return [("replace_cell", (name, cell))]
+    if kind == 2:
+        groups = cell.spec.commutative_groups
+        if not groups or len(groups[0]) != 2:
+            return None
+        tg.swap_pins(name, *groups[0])
+        return [("swap_pins", (name, *groups[0]))]
+    net = tg.output_net(name)
+    sinks = tg.sinks_of(net)
+    if tg.is_output(net) or len(sinks) < 2:
+        return None
+    buf_cell = library.pick("BUF", 1)
+    buf_out = tg.fresh_net("bufnet")
+    buf = tg.add_instance(buf_cell, {"A": net, buf_cell.output_pin: buf_out})
+    offload = sinks[: len(sinks) // 2]
+    for sink_name, pin in offload:
+        tg.rewire_sink(sink_name, pin, buf_out)
+    # Optimizer-style revert: rewire back, drop the buffer.
+    return [("rewire_sink", (sink_name, pin, net)) for sink_name, pin in offload] + [
+        ("remove_instance", (buf,))
+    ]
+
+
+def undo(tg, revert):
+    for method, args in revert:
+        getattr(tg, method)(*args)
+
+
+def apply_random_move(tg, rng):
+    """One random move; a buffer insertion is reverted on a coin flip."""
+    revert = random_move(tg, rng)
+    if revert is not None and revert[-1][0] == "remove_instance" and rng.integers(2):
+        undo(tg, revert)
 
 
 class TestIncremental:
@@ -113,10 +127,11 @@ class TestIncremental:
             for step in range(60):
                 apply_random_move(tg, rng)
                 if step % 6 == 0:
-                    want = analyze_timing_reference(nl, 0.3)
+                    want = analyze_timing_reference(tg.nl, 0.3)
                     assert_reports_identical(tg.report(), want, (nl.name, step))
-            assert_reports_identical(tg.report(), analyze_timing_reference(nl, 0.3))
-            nl.validate()
+            final = tg.nl
+            assert_reports_identical(tg.report(), analyze_timing_reference(final, 0.3))
+            final.validate()
 
     def test_replace_cell_revert_restores_state(self, rng, lib):
         nl = prefix_adder_netlist(REGULAR_STRUCTURES["sklansky"](8), lib)
@@ -134,6 +149,7 @@ class TestIncremental:
         tg = TimingGraph(nl, target=0.4)
         for _ in range(20):
             apply_random_move(tg, rng)
+        nl = tg.nl
         ref = analyze_timing_reference(nl, 0.4)
         assert tg.delay == ref.delay
         assert tg.wns == ref.wns
@@ -164,3 +180,58 @@ class TestIncremental:
         tg = TimingGraph(nl)
         with pytest.raises(ValueError, match="without a target"):
             tg.slack_of(nl.outputs[0])
+
+
+class TestMoveChecks:
+    """The graph is the only design state while optimising, so it performs
+    the structural checks the netlist IR performs — before writing anything."""
+
+    @pytest.fixture
+    def tg(self, lib):
+        from repro.netlist import Netlist
+
+        nl = Netlist("t", lib)
+        for net in ("a", "b", "c"):
+            nl.add_input(net)
+        nl.add_instance(lib.smallest("AOI21"), {"A": "a", "B1": "b", "B2": "c", "ZN": "n1"}, name="u1")
+        nl.add_instance(lib.smallest("INV"), {"A": "n1", "ZN": "y"}, name="u2")
+        nl.add_output("y")
+        return TimingGraph(nl, target=0.2)
+
+    def rejected(self, tg, match, move, *args):
+        before = tg.report(), tg.nl.instances.keys(), tg.sinks_of("n1")
+        with pytest.raises(ValueError, match=match):
+            getattr(tg, move)(*args)
+        after = tg.report(), tg.nl.instances.keys(), tg.sinks_of("n1")
+        assert_reports_identical(after[0], before[0])
+        assert after[1:] == before[1:]
+
+    def test_resize_must_preserve_function(self, tg, lib):
+        self.rejected(tg, "preserve function", "replace_cell", "u1", lib.smallest("INV"))
+
+    def test_swap_needs_commutative_pins(self, tg):
+        self.rejected(tg, "not commutative", "swap_pins", "u1", "A", "B1")
+
+    def test_add_instance_checks_name_pins_and_driver(self, tg, lib):
+        inv = lib.smallest("INV")
+        self.rejected(tg, "duplicate", "add_instance", inv, {"A": "a", "ZN": "z"}, "u1")
+        self.rejected(tg, "do not match", "add_instance", inv, {"A": "a"})
+        self.rejected(tg, "already driven", "add_instance", inv, {"A": "a", "ZN": "n1"})
+        self.rejected(tg, "already driven", "add_instance", inv, {"A": "n1", "ZN": "a"})
+
+    def test_remove_needs_a_dangling_non_port_output(self, tg):
+        self.rejected(tg, "still has sinks", "remove_instance", "u1")
+        self.rejected(tg, "primary output", "remove_instance", "u2")
+
+    def test_rewire_moves_input_pins_only(self, tg):
+        self.rejected(tg, "input pins", "rewire_sink", "u1", "ZN", "a")
+
+    def test_rewire_into_a_cycle_is_detected(self, tg):
+        with pytest.raises(ValueError, match="cycle"):
+            tg.rewire_sink("u1", "A", "y")
+
+    def test_names_come_from_one_counter(self, tg, lib):
+        net = tg.fresh_net("bufnet")
+        inst = tg.add_instance(lib.pick("BUF", 1), {"A": "n1", "Z": net})
+        assert int(inst.rsplit("_", 1)[1]) == int(net.rsplit("_", 1)[1]) + 1
+        assert tg.nl.fresh_net() == tg.fork().fresh_net() == tg.fresh_net()

@@ -7,8 +7,9 @@ change a single decision: over randomized graphs, targets and
 ``recovery_passes``, the *accepted-move sequence* and the final netlist
 must match :class:`tests.oracles.synth.ReferenceSynthesizer` exactly.
 
-Accepted moves are observed by recording every ``Netlist.replace_cell``
-call (both paths funnel through it) and collapsing trial+revert pairs;
+Accepted moves are observed by recording every cell replacement — the
+reference path's on its ``Netlist``, the production path's on the
+``TimingGraph`` that is its design — and collapsing trial+revert pairs;
 pruned trials simply never appear in the production stream, so equality
 of the collapsed streams is exactly "identical accepted-move list, in
 order". Final-curve bit-identity rides the same machinery through
@@ -27,6 +28,7 @@ from repro.cells import nangate45
 from repro.netlist import prefix_adder_netlist
 from repro.netlist.ir import Netlist
 from repro.prefix import REGULAR_STRUCTURES
+from repro.sta import TimingGraph
 from repro.synth import Synthesizer, synthesize_curve
 from tests.oracles.synth import ReferenceSynthesizer, synthesize_curve_reference
 from tests.conftest import random_walk_graph
@@ -40,17 +42,21 @@ STRUCTURES = sorted(REGULAR_STRUCTURES)
 def record_replacements():
     """Capture every cell replacement as (name, old_cell, new_cell)."""
     stream = []
-    orig = Netlist.replace_cell
+    originals = (Netlist.replace_cell, TimingGraph.replace_cell)
 
-    def wrapper(self, name, new_cell):
+    def on_netlist(self, name, new_cell):
         stream.append((name, self.instances[name].cell.name, new_cell.name))
-        return orig(self, name, new_cell)
+        return originals[0](self, name, new_cell)
 
-    Netlist.replace_cell = wrapper
+    def on_graph(self, name, new_cell):
+        stream.append((name, self.cell_of(name).name, new_cell.name))
+        return originals[1](self, name, new_cell)
+
+    Netlist.replace_cell, TimingGraph.replace_cell = on_netlist, on_graph
     try:
         yield stream
     finally:
-        Netlist.replace_cell = orig
+        Netlist.replace_cell, TimingGraph.replace_cell = originals
 
 
 def accepted_moves(stream):
