@@ -29,6 +29,8 @@ COMMANDS=(
     "eval sklansky 64"
     "render kogge_stone 16 --grid"
     "synth sklansky 16"
+    "synth ripple 32"
+    "synth brent_kung 32 --library industrial8nm"
     "train 8 --steps 60 --seed 3"
     "sweep 6 --weights 2 --steps 40 --seed 1"
 )

@@ -10,6 +10,7 @@ simulation and timing all agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -26,6 +27,21 @@ class CellFunction:
     inputs: "tuple[str, ...]"
     output: str
     commutative_groups: "tuple[tuple[str, ...], ...]"
+
+    @cached_property
+    def pin_set(self) -> "frozenset[str]":
+        """Every pin an instance must bind: the inputs and the output."""
+        return frozenset((*self.inputs, self.output))
+
+    @cached_property
+    def swap_pairs(self) -> "tuple[tuple[tuple[int, int], tuple[str, str]], ...]":
+        """Each two-pin commutative group as ``((position, position), (pin, pin))``,
+        positions indexing :attr:`inputs`."""
+        return tuple(
+            ((self.inputs.index(group[0]), self.inputs.index(group[1])), group)
+            for group in self.commutative_groups
+            if len(group) == 2
+        )
 
 
 CELL_FUNCTIONS = {

@@ -46,7 +46,9 @@ class _AdderBuilder:
         self.nl = Netlist(name, library)
         # (msb, lsb, 'g'|'p', form) -> net name
         self._signal: "dict[tuple[int, int, str, int], str]" = {}
-        self._levels = graph.levels()
+        # Nested lists: the builder reads one cell at a time, where numpy
+        # scalar indexing costs more than the lookup it does.
+        self._levels: "list[list[int]]" = graph.levels().tolist()
 
     # -- polarity bookkeeping ------------------------------------------
 
@@ -59,16 +61,17 @@ class _AdderBuilder:
         """
         if msb == lsb:
             return COMP_FORM
-        return (int(self._levels[msb, lsb]) + 1) % 2
+        return (self._levels[msb][lsb] + 1) % 2
 
     # -- netlist helpers -----------------------------------------------
 
     def _gate(self, function: str, pins: "dict[str, str]", hint: str) -> str:
+        """Instantiate the smallest ``function`` cell; ``pins`` (the caller's
+        fresh dict) gains the output pin and is copied once, by the IR."""
         cell = self.lib.smallest(function)
         out = self.nl.fresh_net(hint)
-        pin_map = dict(pins)
-        pin_map[cell.output_pin] = out
-        self.nl.add_instance(cell, pin_map)
+        pins[cell.output_pin] = out
+        self.nl.add_instance(cell, pins)
         return out
 
     def _invert(self, net: str, hint: str) -> str:

@@ -15,8 +15,7 @@ from repro.cells.library import CELL_FUNCTIONS, Cell, CellLibrary
 
 def check_pins(name: str, cell: Cell, pins: "dict[str, str]") -> None:
     """Raise ``ValueError`` unless ``pins`` binds exactly the pins of ``cell``."""
-    spec = CELL_FUNCTIONS[cell.function]
-    expected = {*spec.inputs, spec.output}
+    expected = CELL_FUNCTIONS[cell.function].pin_set
     if pins.keys() != expected:
         raise ValueError(
             f"instance {name}: pins {sorted(pins)} do not match {cell.name} "

@@ -253,7 +253,9 @@ class PrefixGraph:
         """
         if lsb >= msb:
             raise ValueError(f"input node ({msb},{lsb}) has no parents")
-        k = int(self.upper_parent_map()[msb, lsb])
+        # ``item`` reads one Python int without building a numpy scalar:
+        # the netlist builder asks once per gate.
+        k = self.upper_parent_map().item(msb, lsb)
         if k >= self._n and not self._grid[msb, msb]:
             raise AssertionError(f"diagonal node ({msb},{msb}) missing — grid corrupt")
         return (msb, k)

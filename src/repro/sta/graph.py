@@ -289,25 +289,14 @@ class TimingGraph:
             if name is not None
         ]
 
-    def input_nets(self, name: str) -> "list[tuple[str, str]]":
-        """(pin, net) for every input pin of an instance, in function pin order."""
-        i = self._inst_index[name]
-        net_names = self._net_names
-        return [
-            (pin, net_names[src])
-            for pin, (src, _) in zip(self._cells[i].input_pins, self._arcs[i])
-        ]
-
     def pins_of(self, name: str) -> "dict[str, str]":
-        """Pin-to-net map of an instance (input pins, then the output pin)."""
-        pins = dict(self.input_nets(name))
-        pins[self.cell_of(name).output_pin] = self.output_net(name)
+        """Pin-to-net map of an instance (input pins in function order, then the output pin)."""
+        i = self._inst_index[name]
+        cell = self._cells[i]
+        net_names = self._net_names
+        pins = {pin: net_names[src] for pin, (src, _) in zip(cell.input_pins, self._arcs[i])}
+        pins[cell.output_pin] = net_names[self._out_net[i]]
         return pins
-
-    def driver_of(self, net: str) -> "str | None":
-        """Instance name driving ``net`` (None for primary inputs)."""
-        drv = self._net_driver[self._net_index[net]]
-        return self._inst_names[drv] if drv >= 0 else None
 
     def sinks_of(self, net: str) -> "list[tuple[str, str]]":
         """Sorted (instance, pin) sinks of ``net``."""
@@ -324,6 +313,52 @@ class TimingGraph:
     def area(self) -> float:
         """Total cell area (um^2), summed in instance insertion order."""
         return sum(cell.area for cell in self._cells if cell is not None)
+
+    # ------------------------------------------------------------------
+    # The design, read by instance index (the optimiser's inner loops)
+    # ------------------------------------------------------------------
+
+    def instances(self) -> "list[tuple[int, str, Cell]]":
+        """(index, name, cell) of every live instance, in insertion order."""
+        return [
+            (i, name, cell)
+            for i, (name, cell) in enumerate(zip(self._inst_names, self._cells))
+            if name is not None
+        ]
+
+    def name_at(self, i: int) -> str:
+        """Name of instance ``i``."""
+        return self._inst_names[i]
+
+    def cell_at(self, i: int) -> Cell:
+        """Cell instance ``i`` is bound to."""
+        return self._cells[i]
+
+    def arcs_at(self, i: int) -> "tuple[tuple[int, float], ...]":
+        """(source net index, intrinsic) per input pin of instance ``i``, in function pin order."""
+        return self._arcs[i]
+
+    def arrivals(self) -> "list[float]":
+        """Arrival of every net by net index (a snapshot: later moves do not show in it)."""
+        self._flush()
+        return self._net_arrival.copy()
+
+    def resize_gain(self, i: int, new_cell: Cell) -> float:
+        """Analytic delay saved (ns) by resizing instance ``i`` to ``new_cell``.
+
+        The output arc's resistance change times its load, less each input
+        net's driver resistance times the pin-cap change — the reference
+        estimate's terms, in its order.
+        """
+        cell = self._cells[i]
+        gain = (cell.resistance - new_cell.resistance) * self._net_load[self._out_net[i]]
+        driver = self._net_driver
+        res = self._res
+        for pin, (src, _) in zip(new_cell.input_pins, self._arcs[i]):
+            d = driver[src]
+            if d >= 0:
+                gain -= res[d] * (new_cell.input_caps[pin] - cell.input_caps[pin])
+        return gain
 
     @property
     def nl(self) -> Netlist:
@@ -359,6 +394,15 @@ class TimingGraph:
     def _drop_sink(self, net_idx: int, entry: "tuple[str, str, int]") -> None:
         self._net_sinks[net_idx] = tuple(e for e in self._net_sinks[net_idx] if e != entry)
 
+    def _move_sink(self, net_idx: int, old: "tuple[str, str, int]", new: "tuple[str, str, int]") -> None:
+        """Replace one sink entry in place; re-sort only if it left its slot."""
+        sinks = self._net_sinks[net_idx]
+        p = sinks.index(old)
+        sinks = sinks[:p] + (new,) + sinks[p + 1:]
+        if (p and sinks[p - 1] > new) or (p + 1 < len(sinks) and sinks[p + 1] < new):
+            sinks = tuple(sorted(sinks))
+        self._net_sinks[net_idx] = sinks
+
     def replace_cell(self, name: str, new_cell: Cell) -> None:
         """Resize an instance; re-times its fanin drivers and its cone."""
         i = self._inst_index[name]
@@ -393,10 +437,8 @@ class TimingGraph:
         arcs[pa] = (net_b, intr_a)
         arcs[pb] = (net_a, intr_b)
         self._arcs[i] = tuple(arcs)
-        self._drop_sink(net_a, (name, pin_a, i))
-        self._drop_sink(net_b, (name, pin_b, i))
-        self._add_sink(net_b, (name, pin_a, i))
-        self._add_sink(net_a, (name, pin_b, i))
+        self._move_sink(net_a, (name, pin_a, i), (name, pin_b, i))
+        self._move_sink(net_b, (name, pin_b, i), (name, pin_a, i))
         self._update_load(net_a)
         self._update_load(net_b)
         self._touch(i)
@@ -530,30 +572,28 @@ class TimingGraph:
             return _INF
         return self.target - self.delay
 
-    def critical_path(self) -> "list[str]":
-        """Instance names from the path's first gate to the worst output's driver."""
+    def critical_indices(self) -> "list[int]":
+        """Instance indices from the path's first gate to the worst output's driver."""
         self._flush()
-        path: "list[str]" = []
+        path: "list[int]" = []
+        driver = self._net_driver
+        wsrc = self._net_wsrc
         net = self._worst_output()
-        while net >= 0 and self._net_driver[net] >= 0:
-            path.append(self._inst_names[self._net_driver[net]])
-            net = self._net_wsrc[net]
+        while net >= 0 and driver[net] >= 0:
+            path.append(driver[net])
+            net = wsrc[net]
         path.reverse()
         return path
+
+    def critical_path(self) -> "list[str]":
+        """Instance names from the path's first gate to the worst output's driver."""
+        names = self._inst_names
+        return [names[i] for i in self.critical_indices()]
 
     def arrival_of(self, net: str) -> float:
         """Arrival time of one net."""
         self._flush()
         return self._net_arrival[self._net_index[net]]
-
-    def arrival_map(self) -> "dict[str, float]":
-        """Arrival of every live net (a snapshot: later moves do not show in it)."""
-        self._flush()
-        return {
-            name: arr
-            for name, arr in zip(self._net_names, self._net_arrival)
-            if name is not None
-        }
 
     def load_of(self, net: str) -> float:
         """Capacitive load of one net (same value as :func:`net_load`)."""
@@ -674,17 +714,18 @@ class TimingGraph:
             if name is not None
         }
 
-    def slack_all(self) -> "dict[str, float]":
-        """Alias of :meth:`slack_map` (the name used by the optimizer API)."""
-        return self.slack_map()
+    def downsize_rejected(
+        self, name: str, new_cell: Cell, limit: "float | None" = None, margin: float = 1e-9
+    ) -> bool:
+        """Prove that resizing ``name`` to ``new_cell`` must leave ``delay > limit``.
 
-    def downsize_rejected(self, name: str, new_cell: Cell, margin: float = 1e-9) -> bool:
-        """Prove that resizing ``name`` to ``new_cell`` must leave ``wns < 0``.
-
-        Used by slack-pruned area recovery: in met mode a downsize trial
-        is accepted only if ``wns >= 0`` afterwards, and a rejected trial
-        reverts exactly, so skipping a *provably* rejected trial changes
-        nothing observable. The proof is local and conservative:
+        ``limit`` defaults to the target, where the claim is ``wns < 0``.
+        Used by slack-pruned area recovery: a downsize trial is accepted
+        only if the delay stays within a limit afterwards (the target, or
+        the pass's own delay bound while the target is missed), and a
+        rejected trial reverts exactly, so skipping a *provably* rejected
+        trial changes nothing observable. The proof is local and
+        conservative:
 
         - The required time at the instance's output net is invariant
           under the trial (it depends only on downstream arc delays,
@@ -694,11 +735,14 @@ class TimingGraph:
           largest possible upstream improvement: shrinking input-pin caps
           lowers the input nets' loads, which shortens any single path by
           at most the summed ``driver_resistance * cap_drop``.
+        - Against ``limit`` the required time is the target's shifted by
+          ``limit - target``; the shift's rounding (~1e-16) is far inside
+          ``margin``.
 
         If even that lower bound exceeds the required time by more than
         ``margin`` — orders of magnitude above float path-sum noise,
         orders of magnitude below any real timing margin — some output
-        must miss the target. Returns ``False`` whenever the proof does
+        must miss the limit. Returns ``False`` whenever the proof does
         not apply, so a would-be acceptance is never pruned.
         """
         req = self._ensure_required()
@@ -707,6 +751,8 @@ class TimingGraph:
         r_out = req[out]
         if r_out == _INF:
             return False
+        if limit is not None:
+            r_out += limit - self.target
         old_cell = self._cells[i]
         arrival = self._net_arrival
         driver = self._net_driver
@@ -735,7 +781,9 @@ class TimingGraph:
 
     def report(self) -> TimingReport:
         """Export the full dict-based :class:`TimingReport` (oracle format)."""
-        arrival = self.arrival_map()
+        arrival = {
+            name: arr for name, arr in zip(self._net_names, self.arrivals()) if name is not None
+        }
         required: "dict[str, float]" = {}
         slack: "dict[str, float]" = {}
         wns = _INF

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cells.library import Cell
 from repro.netlist.cleanup import remove_dead_logic
 from repro.netlist.ir import Netlist
 from repro.sta.graph import TimingGraph
@@ -200,21 +199,20 @@ class Synthesizer:
 
         Decisions read one arrival snapshot (the pass does not re-analyze
         between swaps — same as the reference pass); the engine re-times
-        the swapped cones lazily afterwards.
+        the swapped cones lazily afterwards. A swap edits only its own
+        instance's pins, so no decision depends on the order instances
+        are visited in: they are read by index, in insertion order.
         """
-        arrival = tg.arrival_map()
+        arrival = tg.arrivals()
         swaps = 0
-        for name in sorted(tg.instance_names()):
-            cell = tg.cell_of(name)
-            for group in cell.spec.commutative_groups:
-                if len(group) != 2:
-                    continue
-                pin_a, pin_b = group
-                # Fast pin should carry the late net.
-                fast, slow = sorted(group, key=cell.intrinsics.__getitem__)
-                pins = dict(tg.input_nets(name))
-                if arrival[pins[slow]] > arrival[pins[fast]]:
-                    tg.swap_pins(name, pin_a, pin_b)
+        for i, name, cell in tg.instances():
+            for (pa, pb), pins in cell.spec.swap_pairs:
+                arcs = tg.arcs_at(i)
+                (src_a, intr_a), (src_b, intr_b) = arcs[pa], arcs[pb]
+                # The fast pin (first of the pair on a tie) should carry the late net.
+                fast, slow = (src_b, src_a) if intr_b < intr_a else (src_a, src_b)
+                if arrival[slow] > arrival[fast]:
+                    tg.swap_pins(name, *pins)
                     swaps += 1
         return swaps
 
@@ -222,38 +220,32 @@ class Synthesizer:
     # Gate sizing
     # ------------------------------------------------------------------
 
-    def _upsize_gain(self, tg: TimingGraph, name: str, bigger: Cell) -> float:
-        """Analytic benefit estimate of the upsize step to ``bigger`` (ns saved)."""
-        cell = tg.cell_of(name)
-        load = tg.load_of(tg.output_net(name))
-        gain = (cell.resistance - bigger.resistance) * load
-        # Penalty: heavier input pins slow the driver of each input net.
-        for pin, net in tg.input_nets(name):
-            drv = tg.driver_of(net)
-            if drv is None:
-                continue
-            extra_cap = bigger.input_caps[pin] - cell.input_caps[pin]
-            gain -= tg.cell_of(drv).resistance * extra_cap
-        return gain
-
     def _sizing_pass(self, tg: TimingGraph) -> int:
-        """Greedy critical-path upsizing with incrementally measured accept/revert."""
+        """Greedy critical-path upsizing with incrementally measured accept/revert.
+
+        Each round walks the critical path once by instance index and
+        trials the largest analytic gain (:meth:`TimingGraph.resize_gain`;
+        ties to the smaller name).
+        """
         library = tg.library
         accepted = 0
         rejected: "set[tuple[str, str]]" = set()
         while accepted < self.max_sizing_moves and tg.wns < 0:
-            candidates = []
-            for name in tg.critical_path():
-                bigger = library.next_size_up(tg.cell_of(name))
-                if bigger is None or (name, bigger.name) in rejected:
+            best = None
+            for i in tg.critical_indices():
+                bigger = library.next_size_up(tg.cell_at(i))
+                if bigger is None:
                     continue
-                candidates.append((self._upsize_gain(tg, name, bigger), name, bigger))
-            candidates = [c for c in candidates if c[0] > 0]
-            if not candidates:
+                name = tg.name_at(i)
+                if (name, bigger.name) in rejected:
+                    continue
+                gain = tg.resize_gain(i, bigger)
+                if gain > 0 and (best is None or (-gain, name) < best[0]):
+                    best = ((-gain, name), i, bigger)
+            if best is None:
                 break
-            candidates.sort(key=lambda c: (-c[0], c[1]))
-            _, name, bigger = candidates[0]
-            old_cell = tg.cell_of(name)
+            (_, name), i, bigger = best
+            old_cell = tg.cell_at(i)
             prev_delay = tg.delay
             tg.replace_cell(name, bigger)
             if tg.delay < prev_delay - 1e-12:
@@ -346,48 +338,51 @@ class Synthesizer:
         """Downsize off-critical cells while the achieved delay holds.
 
         When the target is met, any move keeping WNS >= 0 is accepted; when
-        it is not met (infeasible target), moves must not worsen the delay.
+        it is not met (infeasible target), moves must not worsen the delay
+        past the pass's starting delay (plus 1e-12).
 
-        Slack-driven: candidates are visited in descending slack-margin
-        order (one slack map at pass start, exactly as the reference
-        loop preserved in ``tests/oracles/synth.py`` sorts them), but
-        per-candidate gating reads :meth:`TimingGraph.slack_of` — after
-        an accepted downsize the engine's incremental backward worklist
-        re-examines only the nets whose required time actually changed,
-        instead of the reference's full ``slack_map()`` rebuild per
-        accept. Cells whose positive slack provably cannot absorb the
-        downsize delta are skipped via
-        :meth:`TimingGraph.downsize_rejected` before any trial mutation.
-        Both shortcuts are bit-identity-safe (rejected trials revert
-        exactly; the prune only fires on proofs), so the accept/reject
-        sequence — and therefore the final netlist — matches the
-        reference oracle move for move (property-tested in
+        One proof-gated loop serves both: a move is accepted iff the delay
+        stays within ``limit`` — the target while it is met, else the
+        pass's own bound ``baseline_delay + 1e-12`` — which is exactly the
+        reference's ``wns >= 0`` or ``delay <= baseline + 1e-12``. The
+        limit drops to the target the moment an accepted move meets it
+        (the reference's per-candidate ``was_met``). Candidates are the
+        cells with a smaller variant, visited in descending slack at pass
+        start (a stable sort over insertion order, as the loop preserved
+        in ``tests/oracles/synth.py`` sorts every instance). While the
+        target is met a candidate needs positive slack, read live with
+        :meth:`TimingGraph.slack_of` — after an accept the engine's
+        backward worklist re-examines only the nets whose required time
+        changed, where the reference rebuilds every slack. In either mode
+        a downsize that :meth:`TimingGraph.downsize_rejected` proves must
+        push the delay past ``limit`` is skipped without a trial. Rejected
+        trials revert exactly and the prune only fires on proofs, so the
+        accept/reject sequence — and the final netlist — matches the
+        reference move for move (property-tested in
         ``tests/synth/test_recovery_equivalence.py``).
         """
         library = tg.library
+        met = tg.wns >= 0
+        limit = tg.target if met else tg.delay + 1e-12
+        candidates = []
+        for name, output_net in tg.output_nets():
+            cell = tg.cell_of(name)
+            smaller = library.next_size_down(cell)
+            if smaller is not None:
+                candidates.append((name, output_net, cell, smaller))
+        candidates.sort(key=lambda c: -tg.slack_of(c[1]))
         accepted = 0
-        baseline_delay = tg.delay
-        slacks = tg.slack_map()
-        # Stable sort over insertion order: ties keep the netlist's order.
-        outputs = sorted(tg.output_nets(), key=lambda pair: -slacks[pair[1]])
-        for name, output_net in outputs:
-            old_cell = tg.cell_of(name)
-            smaller = library.next_size_down(old_cell)
-            if smaller is None:
+        for name, output_net, old_cell, smaller in candidates:
+            if met and tg.slack_of(output_net) <= 0:
                 continue
-            was_met = tg.wns >= 0
-            if was_met:
-                # Same gate as the reference: its slack dict is rebuilt on
-                # every accept, so the dict lookup it performs here always
-                # equals the engine's current (incrementally repaired) slack.
-                if tg.slack_of(output_net) <= 0:
-                    continue
-                if tg.downsize_rejected(name, smaller):
-                    continue
+            if tg.downsize_rejected(name, smaller, limit):
+                continue
             tg.replace_cell(name, smaller)
-            ok = tg.wns >= 0 if was_met else tg.delay <= baseline_delay + 1e-12
-            if ok:
+            if tg.delay <= limit:
                 accepted += 1
+                if not met and tg.wns >= 0:
+                    met = True
+                    limit = tg.target
             else:
                 tg.replace_cell(name, old_cell)
         return accepted

@@ -14,9 +14,11 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def random_walk_graph(n: int, steps: int, rng: np.random.Generator) -> PrefixGraph:
-    """Produce a random legal graph by a random add/delete walk from ripple."""
-    g = ripple_carry(n)
+def random_walk_graph(
+    n: int, steps: int, rng: np.random.Generator, start: "PrefixGraph | None" = None
+) -> PrefixGraph:
+    """Produce a random legal graph by a random add/delete walk from ``start`` (ripple)."""
+    g = ripple_carry(n) if start is None else start
     for _ in range(steps):
         actions = [("add", m, l) for m in range(n) for l in range(1, m) if g.can_add(m, l)]
         actions += [("del", m, l) for m in range(n) for l in range(1, m) if g.can_delete(m, l)]

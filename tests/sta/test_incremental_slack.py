@@ -3,7 +3,7 @@
 Randomized move/revert sequences drive every ``TimingGraph`` mutation
 class (resize with exact revert, commutative pin swap, buffer insert +
 sink rewires, rewire-back + removal). After *every single move* the
-incrementally repaired ``slack_all()`` must equal the full backward pass
+incrementally repaired ``slack_map()`` must equal the full backward pass
 of :func:`tests.oracles.sta.analyze_timing_reference` — same keys,
 same float values, including the +inf slacks off the constrained cone.
 Querying after each move is the point: it forces the rank-descending
@@ -12,7 +12,8 @@ required-time worklist (not the cold full sweep) to produce the values.
 The second property pins the area-recovery prune
 (:meth:`TimingGraph.downsize_rejected`): whenever it claims a downsize
 trial must be rejected, actually performing the trial yields ``wns < 0``
-— i.e. the prune can never skip a move the reference would accept.
+(or, given a delay limit, a delay past it) — i.e. the prune can never
+skip a move the reference would accept.
 """
 
 from __future__ import annotations
@@ -42,6 +43,19 @@ def make_netlist(n, structure, walk_seed):
     return prefix_adder_netlist(graph, LIB)
 
 
+def upsized_at_random(nl, seed):
+    """Timing graph of ``nl`` with a random subset upsized, so downsizes
+    exist — the state recovery actually sees is post-sizing-pass."""
+    tg = TimingGraph(nl)
+    rng = np.random.default_rng(seed)
+    for name in sorted(nl.instances):
+        if rng.integers(2):
+            bigger = nl.library.next_size_up(tg.cell_of(name))
+            if bigger is not None:
+                tg.replace_cell(name, bigger)
+    return tg
+
+
 class TestIncrementalSlackAll:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -50,18 +64,18 @@ class TestIncrementalSlackAll:
         target=st.sampled_from([0.05, 0.3, 2.0]),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
-    def test_slack_all_matches_reference_after_every_move(
+    def test_slack_map_matches_reference_after_every_move(
         self, n, structure, target, seed
     ):
         nl = make_netlist(n, structure, seed)
         tg = TimingGraph(nl, target=target)
         rng = np.random.default_rng(seed)
         # Prime the cache so every later query exercises the worklist.
-        assert tg.slack_all() == analyze_timing_reference(nl, target).slack
+        assert tg.slack_map() == analyze_timing_reference(nl, target).slack
         for step in range(25):
             apply_random_move(tg, rng)
             want = analyze_timing_reference(tg.nl, target)
-            assert tg.slack_all() == want.slack, (structure, step)
+            assert tg.slack_map() == want.slack, (structure, step)
             assert tg.wns == want.wns, (structure, step)
 
     @settings(max_examples=15, deadline=None)
@@ -75,7 +89,7 @@ class TestIncrementalSlackAll:
         rng = np.random.default_rng(seed)
         for _ in range(10):
             apply_random_move(tg, rng)
-        before = tg.slack_all()
+        before = tg.slack_map()
         names = sorted(tg.instance_names())
         name = names[int(rng.integers(len(names)))]
         old = tg.cell_of(name)
@@ -83,26 +97,21 @@ class TestIncrementalSlackAll:
         if bigger is None:
             return
         tg.replace_cell(name, bigger)
-        tg.slack_all()  # force the incremental repair of the trial state
+        tg.slack_map()  # force the incremental repair of the trial state
         tg.replace_cell(name, old)
-        assert tg.slack_all() == before
-
-    def test_slack_all_is_slack_map(self):
-        nl = make_netlist(8, "sklansky", 0)
-        tg = TimingGraph(nl, target=0.3)
-        assert tg.slack_all() == tg.slack_map()
+        assert tg.slack_map() == before
 
     def test_fork_carries_backward_cache_for_same_target(self):
         nl = make_netlist(8, "brent_kung", 1)
         tg = TimingGraph(nl, target=0.3)
-        tg.slack_all()
+        tg.slack_map()
         same = tg.fork()
         assert same._required is not None
         retargeted = tg.fork(target=0.7)
         assert retargeted._required is None
-        assert same.slack_all() == analyze_timing_reference(same.nl, 0.3).slack
+        assert same.slack_map() == analyze_timing_reference(same.nl, 0.3).slack
         assert (
-            retargeted.slack_all() == analyze_timing_reference(retargeted.nl, 0.7).slack
+            retargeted.slack_map() == analyze_timing_reference(retargeted.nl, 0.7).slack
         )
 
 
@@ -118,15 +127,7 @@ class TestDownsizePrune:
         """Soundness: downsize_rejected(name, cell) == True implies the
         actual trial leaves wns < 0 (so the reference loop rejects it)."""
         nl = make_netlist(n, structure, seed)
-        tg = TimingGraph(nl)
-        # Upsize a random subset so downsizes exist — the state recovery
-        # actually sees is post-sizing-pass.
-        rng = np.random.default_rng(seed)
-        for name in sorted(nl.instances):
-            if rng.integers(2):
-                bigger = nl.library.next_size_up(tg.cell_of(name))
-                if bigger is not None:
-                    tg.replace_cell(name, bigger)
+        tg = upsized_at_random(nl, seed)
         # A met-mode state, like recovery sees after the relaxed targets.
         tg.target = tg.delay * relax
         pruned = tried = 0
@@ -144,6 +145,44 @@ class TestDownsizePrune:
         # Not a correctness requirement, but if nothing is ever tried the
         # property is vacuous — the library must offer downsizes.
         assert tried > 0
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.sampled_from([8, 16]),
+        structure=st.sampled_from(STRUCTURES + ["random"]),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_prune_against_a_limit_never_claims_an_acceptable_move(self, n, structure, seed):
+        """Soundness at a missed target: downsize_rejected(name, cell, limit)
+        == True implies the actual trial pushes the delay past ``limit`` —
+        the bound recovery holds a pass to while the target is missed."""
+        tg = upsized_at_random(make_netlist(n, structure, seed), seed)
+        tg.target = 0.0
+        limit = tg.delay + 1e-12
+        for name in sorted(tg.instance_names()):
+            old = tg.cell_of(name)
+            smaller = LIB.next_size_down(old)
+            if smaller is not None and tg.downsize_rejected(name, smaller, limit):
+                tg.replace_cell(name, smaller)
+                assert tg.delay > limit, name
+                tg.replace_cell(name, old)
+
+    def test_prune_against_a_limit_fires_at_a_missed_target(self):
+        """Liveness: held to its own delay, a fully upsized design has
+        downsizes the prune proves must slow it down."""
+        nl = make_netlist(16, "sklansky", 0)
+        tg = TimingGraph(nl, target=0.0)
+        for name in sorted(nl.instances):
+            bigger = LIB.next_size_up(tg.cell_of(name))
+            if bigger is not None:
+                tg.replace_cell(name, bigger)
+        limit = tg.delay + 1e-12
+        fired = 0
+        for name in sorted(nl.instances):
+            smaller = LIB.next_size_down(tg.cell_of(name))
+            if smaller is not None and tg.downsize_rejected(name, smaller, limit):
+                fired += 1
+        assert fired > 0
 
     def test_prune_fires_on_tight_met_state(self):
         """Liveness: at a barely-met target the prune proves real

@@ -3,20 +3,21 @@
 The pre-``TimingGraph`` optimizer (full dict STA per candidate trial) is
 preserved in :mod:`tests.oracles.synth`; the production path must make
 the same decisions and produce the same floats — curve samples, accepted
-move counts, final netlists — for the RL reward stream to be unchanged."""
+move counts, final netlists — for the RL reward stream to be unchanged, on
+both libraries."""
 
 import pytest
 
-from repro.cells import nangate45
+from repro.cells import industrial8nm, nangate45
 from repro.prefix import REGULAR_STRUCTURES, sklansky
 from repro.synth import Synthesizer, synthesize_curve
 from tests.oracles.synth import ReferenceSynthesizer, synthesize_curve_reference
 from tests.conftest import random_walk_graph
 
 
-@pytest.fixture(scope="module")
-def lib():
-    return nangate45()
+@pytest.fixture(scope="module", params=[nangate45, industrial8nm], ids=lambda make: make.__name__)
+def lib(request):
+    return request.param()
 
 
 class TestCurveByteIdentity:
