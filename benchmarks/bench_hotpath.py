@@ -146,7 +146,6 @@ RUNTIME_PUBLISH_EVERY = 4
 CLUSTER_WIDTH = 16
 CLUSTER_PROTOCOL_BATCH = 8      # transitions per measured wire frame
 CLUSTER_PROTOCOL_ITERS = 200
-CLUSTER_PREPARED_ROUNDS = 3
 BACKEND_WIDTH = 16
 BACKEND_ROUNDS = 3
 BACKEND_ACTORS = 2              # concurrent clients over one shared cache
@@ -595,59 +594,6 @@ def _bench_protocol() -> dict:
     }
 
 
-def _bench_prepared() -> dict:
-    """Worker-side setup cost of a shipped prepared netlist.
-
-    Rounds against a fresh worker each (prepared cache off, so repeats do
-    not contaminate the number); the worker's own clock separates
-    obtaining the Netlist (deserializing the shipped design) from the
-    optimize ladder. Remote workers are only ever shipped prepared
-    designs, so the comparison leg is what a worker *would* pay to
-    rebuild from graph JSON — parse, validate, build the netlist — timed
-    in-process with the same function the same-host pool's workers run.
-    Best-of per leg. The
-    saving is *worker-side* work moved to the dispatcher — a win when
-    workers are the scarce resource (the paper's farm), not a wall-clock
-    win on this 1-CPU host.
-    """
-    from repro.distributed import SynthesisFarm
-    from repro.distributed.farm import task_netlist
-    from repro.net import FarmWorkerServer
-    from repro.prefix import graph_to_json
-
-    graphs = synthesis_corpus(CLUSTER_WIDTH)
-    lib = nangate45()
-    best = {"prepared": float("inf"), "json": float("inf")}
-    opt_ms = float("inf")
-    for _ in range(CLUSTER_PREPARED_ROUNDS):
-        server = FarmWorkerServer(("127.0.0.1", 0), prepared_cache_entries=0)
-        server.start()
-        farm = SynthesisFarm("nangate45", num_workers=0, remote_workers=[server.address])
-        try:
-            farm.evaluate_curves(graphs)
-            stats = farm.last_stats
-            per_task = stats.worker_setup_seconds / max(stats.dispatched, 1)
-            best["prepared"] = min(best["prepared"], per_task * 1000)
-            opt_ms = min(opt_ms, stats.worker_opt_seconds / max(stats.dispatched, 1) * 1000)
-        finally:
-            farm.close()
-            server.stop()
-        tasks = [{"graph": graph_to_json(g)} for g in {g.key(): g for g in graphs}.values()]
-        start = time.perf_counter()
-        for task in tasks:
-            task_netlist(task, lib)
-        rebuild = (time.perf_counter() - start) / len(tasks)
-        best["json"] = min(best["json"], rebuild * 1000)
-    saved = 1.0 - best["prepared"] / best["json"] if best["json"] > 0 else 0.0
-    return {
-        "corpus_size": len(graphs),
-        "worker_setup_ms_json": best["json"],
-        "worker_setup_ms_prepared": best["prepared"],
-        "worker_opt_ms": opt_ms,
-        "prepared_setup_saved": saved,
-    }
-
-
 def _backend_contention_run(lease: bool) -> "tuple[int, int]":
     """Two clients evaluate the same design set concurrently over one
     shared cache; returns (total syntheses, unique designs).
@@ -780,8 +726,7 @@ def bench_cluster() -> "dict | None":
     core the multi-process cluster *loses* wall-clock to spawn and wire
     overhead (recorded, not hidden) while doing measurably less synthesis
     work through the shared cache service — the steps/sec payoff needs
-    real cores. Plus per-frame protocol costs and the prepared-design
-    worker savings.
+    real cores. Plus per-frame protocol costs.
     """
     if repro_net is None or TrainingRuntime is None:
         return None
@@ -807,7 +752,6 @@ def bench_cluster() -> "dict | None":
         "cluster_over_serial": best["cluster"] / max(best["serial"], 1e-9),
         "cluster_synthesis_work_saved": 1.0 - misses["cluster"] / max(misses["serial"], 1),
         "protocol": _bench_protocol(),
-        "prepared": _bench_prepared(),
     }
     out = {str(RUNTIME_WIDTH): row}
     print(
@@ -816,8 +760,7 @@ def bench_cluster() -> "dict | None":
         f"x{RUNTIME_ENVS_PER_ACTOR}] {best['cluster']:.2f} steps/s "
         f"({misses['cluster']} syntheses) -> {row['cluster_over_serial']:.2f}x wall, "
         f"{row['cluster_synthesis_work_saved']:.0%} less synthesis; "
-        f"frame {row['protocol']['batch_roundtrip_ms']:.2f} ms, "
-        f"prepared saves {row['prepared']['prepared_setup_saved']:.0%} worker setup"
+        f"frame {row['protocol']['batch_roundtrip_ms']:.2f} ms"
     )
     return out
 
@@ -1230,7 +1173,6 @@ def merge(baseline: dict, current: dict, parent: "dict | None" = None) -> dict:
         speedups[f"cluster_{row['actors']}proc_synthesis_saved"] = (
             row["cluster_synthesis_work_saved"]
         )
-        speedups["cluster_prepared_setup_saved"] = row["prepared"]["prepared_setup_saved"]
     for row in current.get("backend", {}).values():
         # Work-reduction fraction (not a wall-clock claim): the claim/lease
         # protocol vs the dedup-only shared cache under actor contention.
@@ -1261,7 +1203,7 @@ def apply_smoke_workload() -> None:
     global STA_WIDTHS, STA_RECOVERY_PASSES, STA_REPEATS, STA_ROUNDS
     global ANALYTICAL_WIDTHS, ANALYTICAL_REPS, ANALYTICAL_RIPPLE_REPS
     global RUNTIME_WIDTH, RUNTIME_STEPS, RUNTIME_ROUNDS, RUNTIME_ENVS_PER_ACTOR
-    global CLUSTER_WIDTH, CLUSTER_PROTOCOL_ITERS, CLUSTER_PREPARED_ROUNDS
+    global CLUSTER_WIDTH, CLUSTER_PROTOCOL_ITERS
     global BACKEND_WIDTH, BACKEND_ROUNDS
     global CHAOS_WIDTH, CHAOS_STEPS, CHAOS_ROUNDS
     global STORE_ENTRIES, STORE_ROUNDS, STORE_SYNTH_WIDTH, STORE_SYNTH_GRAPHS
@@ -1288,7 +1230,6 @@ def apply_smoke_workload() -> None:
     RUNTIME_ENVS_PER_ACTOR = 1
     CLUSTER_WIDTH = 8
     CLUSTER_PROTOCOL_ITERS = 20
-    CLUSTER_PREPARED_ROUNDS = 1
     BACKEND_WIDTH = 8
     BACKEND_ROUNDS = 1
     CHAOS_WIDTH = 8
@@ -1399,7 +1340,6 @@ def run_smoke(output: "str | None") -> dict:
         assert "cluster" in current, "missing bench section 'cluster'"
         expected.append(f"cluster_{RUNTIME_ACTORS}proc_over_serial")
         expected.append(f"cluster_{RUNTIME_ACTORS}proc_synthesis_saved")
-        expected.append("cluster_prepared_setup_saved")
     if BACKEND_AVAILABLE:
         assert "backend" in current, "missing bench section 'backend'"
         expected.append("backend_lease_synthesis_saved")

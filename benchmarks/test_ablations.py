@@ -1,4 +1,4 @@
-"""Ablations of the design choices DESIGN.md section 4 calls out.
+"""Ablations of the reproduction's design choices.
 
 Not paper figures, but the paper's implicit claims:
 

@@ -6,8 +6,7 @@ OpenPhySyn + Nangate45; max area saving 16.0% at matched delay, gains
 largest at tight delay targets.
 
 This bench regenerates every series end-to-end at the CI stand-in width
-(REPRO_SCALE controls widths/steps; see DESIGN.md section 3 for the
-scale-substitution rationale).
+(REPRO_SCALE controls widths/steps; see ``repro.utils.config``).
 """
 
 
@@ -87,13 +86,13 @@ def test_fig4a_pareto_32b(benchmark, rl_sweep_small, scale):
                   f"{best*100:+.1f}% at delay {best_delay:.4f} ns "
                   f"(dominated fraction {fraction_dominated(rl, series[name], eps=1e-9):.2f})")
 
-    # Shape assertions (lenient, per DESIGN.md): the RL frontier's
+    # Shape assertions (lenient at CI scale): the RL frontier's
     # hypervolume must at least match every baseline's, and it must show a
     # positive max area saving against each baseline frontier. PS gets 5%
     # slack at CI scale: at the stand-in width the pruned space is nearly
     # the whole space, so exhaustive PS is close to optimal — the paper's
     # decisive RL-over-PS gap appears at 32b/64b where pruning must cut
-    # away most of the space (see EXPERIMENTS.md).
+    # away most of the space.
     rl_hv = hypervolume_2d(rl, ref)
     for name in ("sklansky", "kogge_stone", "brent_kung", "SA", "PS"):
         base_hv = hypervolume_2d(series[name], ref)

@@ -13,7 +13,7 @@ Quickstart::
     print(evaluate_analytical(g))          # area/delay under the SA model
     g2 = g.add_node(17, 4)                 # take an environment action
 
-See README.md for the full tour and DESIGN.md for the system inventory.
+See README.md for the full tour.
 """
 
 import ctypes

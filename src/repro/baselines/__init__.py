@@ -10,7 +10,7 @@
 
 The published design sets are not available, so each baseline is implemented
 from its paper's algorithm and run on this repo's evaluators — every curve in
-the benchmarks is regenerated end-to-end (see DESIGN.md's substitution table).
+the benchmarks is regenerated end-to-end.
 """
 
 from repro.baselines.sa import simulated_annealing, sa_frontier, SAResult

@@ -1,6 +1,6 @@
 """Standard-cell libraries: the timing/area models synthesis optimizes against.
 
-Two libraries ship with the reproduction (DESIGN.md section 1):
+Two libraries ship with the reproduction:
 
 - :func:`nangate45` — modelled on the open Nangate45/FreePDK45 library the
   paper trains with (cell set, relative areas, drive-strength scaling and
@@ -12,7 +12,7 @@ Two libraries ship with the reproduction (DESIGN.md section 1):
 
 Delay model: each input-pin arc contributes ``intrinsic + resistance * load``
 (a linear approximation of an NLDM table at a nominal slew — slew propagation
-is out of scope and recorded as a simplification in DESIGN.md).
+is out of scope, a simplification of this reproduction).
 """
 
 from repro.cells.library import Cell, CellLibrary, CELL_FUNCTIONS

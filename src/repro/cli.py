@@ -405,7 +405,6 @@ def cmd_actor(args) -> int:
         print(
             f"actor {stats['actor_id']} farm routed: "
             f"dispatched={backend['synthesized']} workers={remote['workers']} "
-            f"elided={remote['shipped_elided']} "
             f"redispatched={remote['redispatched_tasks']}",
             file=sys.stderr,
         )
@@ -526,11 +525,7 @@ def cmd_farm_worker(args) -> int:
     from repro.net import FarmWorkerServer, parse_address
 
     _configure_obs(args, "farm")
-    server = FarmWorkerServer(
-        parse_address(args.listen),
-        prepared_cache_entries=args.prepared_cache,
-        store_dir=args.store_dir,
-    )
+    server = FarmWorkerServer(parse_address(args.listen), store_dir=args.store_dir)
     host, port = server.address
     print(f"farm worker listening on {host}:{port}", flush=True)
     try:

@@ -15,14 +15,13 @@ Tasks ship in ``num_workers`` chunks (one IPC round trip per worker, not
 per task) to a pool that is spawned and warmed once and reused across
 batches. Workers rebuild the library/synthesizer from registry names
 (cell libraries are code, not data, so only names cross the process
-boundary), and curves come back as plain sample points. The payload is
-the farm's choice from its transport: the same-host pool ships graph
-JSON (cheap to pickle; the worker's netlist build is the parallel part),
-while ``remote_workers`` — :class:`repro.net.farm.FarmWorkerServer`
-daemons over the framed socket protocol — are shipped *prepared designs*
-(the built adder netlist, serialized), which removes the graph parse and
-netlist construction from the scarce workers (61% of their per-task
-setup; ``BENCH_hotpath.json`` cluster section).
+boundary), and curves come back as plain sample points. Every transport
+ships the same task, ``{"graph": graph JSON}``: the same-host pool, the
+``remote_workers`` — :class:`repro.net.farm.FarmWorkerServer` daemons
+over the framed socket protocol — and the serial reference all parse it
+(:func:`task_graph`, which checks legality) and run
+:func:`repro.synth.curve.synthesize_curve`, so the adder build is worker
+work and the dispatcher's cost per miss is one small JSON string.
 
 ``num_workers=0`` with no remote workers is the un-optimized reference
 the Sec. V-C speedup is measured against: the plain per-graph loop, each
@@ -37,44 +36,39 @@ from functools import cached_property
 
 from repro import obs
 from repro.cells import library_by_name
-from repro.netlist.adder import prefix_adder_netlist
-from repro.netlist.serialize import netlist_from_dict, netlist_to_dict
 from repro.prefix.graph import PrefixGraph
-from repro.prefix.serialize import graph_digest, graph_from_json, graph_to_json
+from repro.prefix.serialize import graph_from_json, graph_to_json
 from repro.synth.backend import EvaluationBackend
-from repro.synth.curve import AreaDelayCurve, curve_from_prepared
+from repro.synth.curve import AreaDelayCurve, synthesize_curve
 from repro.synth.optimizer import Synthesizer
 
 
-def task_netlist(task: dict, library):
-    """A task's payload as a Netlist: a shipped prepared design is
-    deserialized, graph JSON is parsed, validated and built."""
-    if "netlist" in task:
-        return netlist_from_dict(task["netlist"], library)
-    if "graph" in task:
-        return prefix_adder_netlist(graph_from_json(task["graph"]), library)
-    raise ValueError("task carries neither a netlist nor a graph")
+def task_graph(task) -> PrefixGraph:
+    """The legal prefix graph a farm task carries (``{"graph": graph JSON}``).
 
-
-def synthesize_netlist(netlist, synthesizer) -> AreaDelayCurve:
-    """One full curve synthesis of a built netlist."""
-    return curve_from_prepared(synthesizer.prepare(netlist), synthesizer)
+    Anything else — a missing graph, malformed JSON, an illegal node set —
+    raises ``ValueError`` naming the problem.
+    """
+    if not isinstance(task, dict) or "graph" not in task:
+        got = sorted(task) if isinstance(task, dict) else type(task).__name__
+        raise ValueError(f"farm task carries no graph (got {got})")
+    try:
+        return graph_from_json(task["graph"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"farm task graph is not a legal prefix graph: {exc!r}") from exc
 
 
 def synthesize_tasks(tasks: "list[dict]", library_name: str, synth_kwargs: dict):
     """The worker-side task function: a chunk of tasks in, sample points out.
 
     Pool workers, the serial reference and a remote pool's no-survivor
-    fallback all run this; the farm-worker daemon runs the same two steps
-    per task around its prepared cache. One ladder everywhere
-    (:func:`curve_from_prepared`), so curves are byte-identical wherever a
-    task lands.
+    rescue all run this; the farm-worker daemon runs the same two calls
+    per task around its optional store. One :func:`synthesize_curve`
+    everywhere, so curves are byte-identical wherever a task lands.
     """
     library = library_by_name(library_name)
     synthesizer = Synthesizer(**synth_kwargs)
-    return [
-        synthesize_netlist(task_netlist(t, library), synthesizer).points() for t in tasks
-    ]
+    return [synthesize_curve(task_graph(t), library, synthesizer).points() for t in tasks]
 
 
 def _warm_worker(library_name: str) -> bool:
@@ -94,10 +88,8 @@ class FarmStats:
     cache_hits: int = 0
     dispatched: int = 0
     chunks: int = 0
-    worker_setup_seconds: float = 0.0  # remote only: worker-side netlist obtain time
-    worker_opt_seconds: float = 0.0    # remote only: worker-side prepare+optimize time
-    prepared_hits: int = 0             # remote only: worker prepared-cache hits
-    shipped_elided: int = 0            # remote only: payloads elided (worker had the design)
+    worker_setup_seconds: float = 0.0  # remote only: worker-side task parse time
+    worker_opt_seconds: float = 0.0    # remote only: worker-side curve synthesis time
     redispatched: int = 0              # remote only: tasks re-dispatched off a dead worker
 
     @property
@@ -170,8 +162,6 @@ class SynthesisFarm:
             self.totals = {
                 "worker_setup_seconds": 0.0,
                 "worker_opt_seconds": 0.0,
-                "prepared_hits": 0,
-                "shipped_elided": 0,
                 "redispatched_tasks": 0,
             }
         self._initial_cache = cache
@@ -287,8 +277,6 @@ class SynthesisFarm:
             chunks=moved["chunks"],
             worker_setup_seconds=moved.get("worker_setup_seconds", 0.0),
             worker_opt_seconds=moved.get("worker_opt_seconds", 0.0),
-            prepared_hits=moved.get("prepared_hits", 0),
-            shipped_elided=moved.get("shipped_elided", 0),
             redispatched=moved.get("redispatched_tasks", 0),
         )
         return curves
@@ -299,7 +287,7 @@ class SynthesisFarm:
         The backend's runner face — pure dispatch: the caller has already
         deduped the batch and routed it around the store.
         """
-        tasks = [self._task(g) for g in graphs]
+        tasks = [{"graph": graph_to_json(g)} for g in graphs]
         if not self.active:
             chunk_points = [synthesize_tasks(tasks, self.library_name, self.synth_kwargs)]
         else:
@@ -325,14 +313,6 @@ class SynthesisFarm:
         return [
             AreaDelayCurve.from_points(pts) for points in chunk_points for pts in points
         ]
-
-    def _task(self, graph: PrefixGraph) -> dict:
-        """One work unit, shaped for the transport: remote workers get the
-        prepared design (built here, once), same-host workers graph JSON."""
-        if self.remote_workers is None:
-            return {"graph": graph_to_json(graph)}
-        netlist = prefix_adder_netlist(graph, library_by_name(self.library_name))
-        return {"digest": graph_digest(graph), "netlist": netlist_to_dict(netlist)}
 
     def stats(self) -> dict:
         """Cumulative counters in the unified backend stats schema

@@ -8,7 +8,7 @@ and heartbeats (:mod:`repro.net.protocol`), a threaded framed server base
 weight publication, shared synthesis cache —
 (:mod:`repro.net.learner`), actor *processes* that escape the GIL
 (:mod:`repro.net.actor`), remote synthesis-farm workers fed
-serialized prepared designs (:mod:`repro.net.farm`), a localhost
+prefix graphs as JSON (:mod:`repro.net.farm`), a localhost
 cluster launcher with a crash-respawning fleet supervisor
 (:mod:`repro.net.cluster`), the shared jittered-backoff reconnect policy
 (:mod:`repro.net.backoff`), and a fault-injection layer — a schedulable

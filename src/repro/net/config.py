@@ -49,7 +49,6 @@ class ClusterConfig:
     resume: bool = False
     # caches
     front_cache: int = 50_000
-    prepared_cache: int = 10_000
     # replay-ingest backpressure
     backpressure_lag: int = 64
     throttle_seconds: float = 0.05
@@ -71,7 +70,7 @@ class ClusterConfig:
         "actor": (
             "front_cache", "heartbeat_timeout", "reconnect_attempts", "obs_dir",
         ),
-        "farm-worker": ("listen", "prepared_cache", "store_dir", "obs_dir"),
+        "farm-worker": ("listen", "store_dir", "obs_dir"),
     }
     COMMAND_DEFAULTS = {
         "actor": {"heartbeat_timeout": 300.0},
@@ -175,10 +174,6 @@ _FLAG_SPECS = {
     "front_cache": dict(
         type=int,
         help="actor-local front cache entries over the shared cache",
-    ),
-    "prepared_cache": dict(
-        type=int,
-        help="per-worker prepared-netlist LRU entries (0 disables)",
     ),
     "backpressure_lag": dict(
         type=int,

@@ -4,30 +4,27 @@ The multi-host half of :class:`repro.distributed.SynthesisFarm`: instead of
 a local process pool, curve tasks ship over the framed protocol to
 :class:`FarmWorkerServer` daemons (``repro farm-worker``) running anywhere.
 
-Dispatchers ship *prepared designs*: the adder netlist is built once,
-dispatch-side, and its serialized form
-(:func:`repro.netlist.serialize.netlist_to_dict`) crosses the wire, so the
-worker skips the graph parse/validation and netlist construction entirely
-(a ``graph`` JSON payload is still understood — it is the same-host pool's
-task form and shares the worker-side task functions of
-:mod:`repro.distributed.farm`).
+A task is the same-host pool's: ``{"graph": graph JSON}``, under 1 KB at
+n=32. The worker parses it and checks it is a legal prefix graph
+(:func:`repro.distributed.farm.task_graph`), then runs
+:func:`repro.synth.curve.synthesize_curve`, so curves are byte-identical
+on every path. Building the adder is worker work: shipping a built netlist
+instead cost the dispatcher — the actor's own core — 1.1-2.5 ms and
+13-31 KB per n=32 miss, to save the worker 0.9-1.9 ms. A worker with a
+store keys it by the digest of the graph it parsed, which is the
+dispatcher backend's own key, so no peer can assert a store key.
 
-Workers additionally keep a digest-keyed LRU of built netlists (the
-ROADMAP's "per-worker prepared caches"), time their per-task setup
-(obtaining a Netlist) separately from optimization, and report both — the
-``cluster`` bench section records those timings. Curves are
-byte-identical across all paths: every one ends in the same
-:func:`repro.synth.curve.curve_from_prepared` ladder.
+Workers time each task's parse separately from its synthesis and report
+both.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 
 from repro import obs
 from repro.cells import LOADED_LIBRARIES, library_by_name
-from repro.distributed.farm import synthesize_netlist, synthesize_tasks, task_netlist
+from repro.distributed.farm import synthesize_tasks, task_graph
 from repro.net.protocol import (
     DEFAULT_HEARTBEAT_TIMEOUT,
     DEFAULT_MAX_FRAME_BYTES,
@@ -35,6 +32,8 @@ from repro.net.protocol import (
     connect,
 )
 from repro.net.server import FramedServer
+from repro.prefix.serialize import graph_digest
+from repro.synth.curve import synthesize_curve
 from repro.synth.optimizer import Synthesizer
 
 
@@ -43,9 +42,8 @@ class FarmWorkerServer(FramedServer):
 
     Serves ``synth_batch`` calls from any number of dispatchers; each call
     carries its own library name and synthesizer kwargs, so one worker can
-    serve several experiments. ``prepared_cache_entries`` bounds the
-    digest-keyed netlist LRU (0 disables it — the bench does this so the
-    shipped-vs-rebuilt comparison is not contaminated by cache hits).
+    serve several experiments. A task without a legal graph fails the call
+    with an ERROR reply; the connection stays open.
     """
 
     roles = ("dispatcher",)
@@ -53,7 +51,6 @@ class FarmWorkerServer(FramedServer):
     def __init__(
         self,
         address: "tuple[str, int]" = ("127.0.0.1", 0),
-        prepared_cache_entries: int = 10_000,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
         store_dir: "str | None" = None,
@@ -61,9 +58,6 @@ class FarmWorkerServer(FramedServer):
         super().__init__(
             address, max_frame_bytes=max_frame_bytes, heartbeat_timeout=heartbeat_timeout
         )
-        self.prepared_cache_entries = prepared_cache_entries
-        self._prepared: "OrderedDict[str, object]" = OrderedDict()
-        self._prepared_lock = threading.Lock()
         self.tasks_served = 0
         # Optional durable curve store: a task whose (digest, library,
         # synthesizer) curve is already on disk is served without touching
@@ -77,107 +71,49 @@ class FarmWorkerServer(FramedServer):
             self.store = DiskStore(store_dir)
         self.methods = {"synth_batch": self._synth_batch, "worker_info": self._worker_info}
 
-    # -- prepared-netlist LRU -------------------------------------------
-
-    def _prepared_get(self, digest: "str | None"):
-        if digest is None or not self.prepared_cache_entries:
-            return None
-        with self._prepared_lock:
-            netlist = self._prepared.get(digest)
-            if netlist is not None:
-                self._prepared.move_to_end(digest)
-            return netlist
-
-    def _prepared_put(self, digest: "str | None", netlist) -> None:
-        if digest is None or not self.prepared_cache_entries:
-            return
-        with self._prepared_lock:
-            self._prepared[digest] = netlist
-            self._prepared.move_to_end(digest)
-            while len(self._prepared) > self.prepared_cache_entries:
-                self._prepared.popitem(last=False)
-
-    # -- methods ---------------------------------------------------------
-
-    def _obtain_netlist(self, task: dict, library):
-        """Task payload -> Netlist, via the prepared cache when possible.
-
-        A *digest-only* task (the dispatcher elided the payload because it
-        believes this worker already holds the design) that misses the
-        prepared cache returns ``None`` — the dispatcher must re-ship the
-        full payload. Anything else without a payload is a protocol error.
-        """
-        digest = task.get("digest")
-        cached = self._prepared_get(digest)
-        if cached is not None:
-            return cached.clone(), True
-        if digest is not None and "netlist" not in task and "graph" not in task:
-            return None, False  # elided payload, evicted here: report missing
-        netlist = task_netlist(task, library)
-        self._prepared_put(digest, netlist.clone())
-        return netlist, False
-
-    def _store_key(self, task: dict, params: dict, synthesizer) -> "tuple | None":
-        digest = task.get("digest")
-        if self.store is None or digest is None:
-            return None
-        return (digest, params["library"], synthesizer.name)
-
     def _synth_batch(self, ctx, params: dict) -> dict:
         library = library_by_name(params["library"])
         synthesizer = Synthesizer(**params.get("synth_kwargs", {}))
         points = []
-        missing = []
         setup_seconds = 0.0
         opt_seconds = 0.0
-        prepared_hits = 0
         store_hits = 0
-        for index, task in enumerate(params["tasks"]):
-            key = self._store_key(task, params, synthesizer)
-            if key is not None:
+        for task in params["tasks"]:
+            with obs.span("farm.task_setup") as setup_span:
+                graph = task_graph(task)
+            key = None
+            if self.store is not None:
+                # The dispatcher backend's EvaluationBackend.key(graph).
+                key = (graph_digest(graph), library.name, synthesizer.name)
                 stored = self.store.get(key)
                 if stored is not None:
-                    # Durable hit: no netlist, no optimizer — even a
-                    # digest-only (payload-elided) task is servable.
                     store_hits += 1
                     points.append(stored.points())
                     continue
-            with obs.span("farm.task_setup") as setup_span:
-                netlist, hit = self._obtain_netlist(task, library)
-            if netlist is None:
-                missing.append(index)
-                points.append(None)
-                continue
             with obs.span("farm.task_opt") as opt_span:
-                curve = synthesize_netlist(netlist, synthesizer)
+                curve = synthesize_curve(graph, library, synthesizer)
             setup_seconds += setup_span.seconds
             opt_seconds += opt_span.seconds
             obs.histogram("farm.setup_seconds").observe(setup_span.seconds)
             obs.histogram("farm.opt_seconds").observe(opt_span.seconds)
-            prepared_hits += bool(hit)
             points.append(curve.points())
             if key is not None:
                 self.store.put(key, curve)
         self.store_hits += store_hits
-        self.tasks_served += len(points) - len(missing)
+        self.tasks_served += len(points)
         obs.counter("farm.batches").inc()
-        obs.counter("farm.tasks").inc(len(points) - len(missing))
+        obs.counter("farm.tasks").inc(len(points))
         obs.counter("farm.store_hits").inc(store_hits)
-        obs.counter("farm.prepared_hits").inc(prepared_hits)
         return {
             "points": points,
-            "missing": missing,
             "setup_seconds": setup_seconds,
             "opt_seconds": opt_seconds,
-            "prepared_hits": prepared_hits,
-            "prepared_enabled": bool(self.prepared_cache_entries),
             "store_hits": store_hits,
         }
 
     def _worker_info(self, ctx, params) -> dict:
         return {
             "tasks_served": self.tasks_served,
-            "prepared_cache_entries": len(self._prepared),
             "libraries_loaded": sorted(LOADED_LIBRARIES),
             "store": self.store.stats() if self.store is not None else None,
         }
@@ -196,17 +132,6 @@ class RemoteFarmPool:
     round-robin and each worker's share runs on its own thread, so
     multi-worker dispatch overlaps while one socket stays strictly
     request/response.
-
-    The pool also keeps a per-worker LRU of *shipped* design digests: a
-    task whose digest this worker has already received (and whose prepared
-    LRU is enabled) is sent digest-only, eliding the serialized-netlist
-    payload. The elision is strictly an optimization with two safety
-    valves: a worker that evicted the design answers ``missing`` and the
-    full payload is re-shipped on the spot, and any connection drop
-    (redial-on-use after an idle timeout, worker restart, wire error)
-    clears that worker's shipped LRU *before* the retry payload is built —
-    a reconnect therefore never replays a stale prepared id at a worker
-    that may no longer hold (or be) what the LRU remembered.
     """
 
     def __init__(
@@ -214,26 +139,18 @@ class RemoteFarmPool:
         addresses: "list[tuple[str, int]]",
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         timeout: float = 300.0,
-        shipped_entries: int = 10_000,
     ):
         if not addresses:
             raise ValueError("need at least one worker address")
         self.addresses = list(addresses)
         self.max_frame_bytes = max_frame_bytes
         self.timeout = timeout
-        self.shipped_entries = shipped_entries
         self._conns: "list" = [None] * len(addresses)
-        self._shipped: "list[OrderedDict[str, None]]" = [
-            OrderedDict() for _ in addresses
-        ]
-        self._elidable = [True] * len(addresses)
         # What the latest synth_chunks call cost, worker-side (the
         # farm folds these into its cumulative totals, key for key).
         self.last = {
             "worker_setup_seconds": 0.0,
             "worker_opt_seconds": 0.0,
-            "prepared_hits": 0,
-            "shipped_elided": 0,
             "redispatched_tasks": 0,
         }
 
@@ -250,30 +167,6 @@ class RemoteFarmPool:
             )
             self._conns[i] = conn
         return self._conns[i]
-
-    # -- shipped-digest LRU (per worker, touched only by its drive thread) --
-
-    def _elide_task(self, worker: int, task: dict) -> "tuple[dict, bool]":
-        """The payload to actually send: digest-only when already shipped."""
-        digest = task.get("digest")
-        if (
-            digest is None
-            or not self.shipped_entries
-            or not self._elidable[worker]
-            or digest not in self._shipped[worker]
-        ):
-            return task, False
-        self._shipped[worker].move_to_end(digest)
-        return {"digest": digest}, True
-
-    def _record_shipped(self, worker: int, digest: "str | None") -> None:
-        if digest is None or not self.shipped_entries:
-            return
-        shipped = self._shipped[worker]
-        shipped[digest] = None
-        shipped.move_to_end(digest)
-        while len(shipped) > self.shipped_entries:
-            shipped.popitem(last=False)
 
     def synth_chunks(
         self,
@@ -303,74 +196,17 @@ class RemoteFarmPool:
 
             Workers drop connections idle beyond their heartbeat timeout;
             a dispatcher coming back after a quiet stretch must not fail
-            its first batch on the stale socket. The elided payload is
-            rebuilt *per attempt* — :meth:`_drop` has wiped the shipped
-            LRU by the time the retry runs, so the reconnect ships full
-            payloads instead of replaying now-stale prepared ids.
+            its first batch on the stale socket.
             """
             conn = self._conn(worker)
-            wire_tasks = []
-            elided = 0
-            for task in tasks:
-                sendable, was_elided = self._elide_task(worker, task)
-                wire_tasks.append(sendable)
-                elided += was_elided
-            params = {
-                "library": library,
-                "synth_kwargs": synth_kwargs,
-                "tasks": wire_tasks,
-            }
+            params = {"library": library, "synth_kwargs": synth_kwargs, "tasks": tasks}
             try:
-                reply = conn.call("synth_batch", params)
+                return conn.call("synth_batch", params)
             except ProtocolError:
                 self._drop(worker)
                 if retried:
                     raise
                 return call_worker(worker, tasks, retried=True)
-            missing = reply.get("missing") or []
-            if missing:
-                # The worker evicted designs we elided: forget them and
-                # re-ship the full payloads in one follow-up call. A wire
-                # failure here gets the same one-redial treatment as the
-                # primary call — the whole chunk is resent full-payload
-                # against the wiped LRU.
-                for j in missing:
-                    self._shipped[worker].pop(tasks[j].get("digest"), None)
-                try:
-                    retry = conn.call(
-                        "synth_batch",
-                        {
-                            "library": library,
-                            "synth_kwargs": synth_kwargs,
-                            "tasks": [tasks[j] for j in missing],
-                        },
-                    )
-                except ProtocolError:
-                    self._drop(worker)
-                    if retried:
-                        raise
-                    return call_worker(worker, tasks, retried=True)
-                if retry.get("missing"):
-                    raise ProtocolError(
-                        f"worker {self.addresses[worker]} reported full-payload "
-                        "tasks as missing"
-                    )
-                for j, pts in zip(missing, retry["points"]):
-                    reply["points"][j] = pts
-                reply["setup_seconds"] += retry["setup_seconds"]
-                reply["opt_seconds"] += retry["opt_seconds"]
-                reply["prepared_hits"] += retry["prepared_hits"]
-                elided -= len(missing)
-            if not reply.get("prepared_enabled", True):
-                # The worker runs without a prepared LRU: eliding against it
-                # would bounce every repeat through the missing path.
-                self._elidable[worker] = False
-                self._shipped[worker].clear()
-            else:
-                for task in tasks:
-                    self._record_shipped(worker, task.get("digest"))
-            reply["shipped_elided"] = max(elided, 0)
-            return reply
 
         # Drive threads do not inherit the caller's contextvars: capture
         # the round trace here so every worker CALL (and the farm worker's
@@ -390,9 +226,6 @@ class RemoteFarmPool:
                         results[c] = reply["points"]
                         obs.counter("dispatch.chunks").inc()
                         obs.counter("dispatch.tasks").inc(len(chunks[c]))
-                        obs.counter("dispatch.shipped_elided").inc(
-                            reply["shipped_elided"]
-                        )
                         obs.histogram(
                             f"dispatch.chunk_seconds{label}"
                         ).observe(chunk_span.seconds)
@@ -402,8 +235,6 @@ class RemoteFarmPool:
                         with last_lock:
                             last["worker_setup_seconds"] += reply["setup_seconds"]
                             last["worker_opt_seconds"] += reply["opt_seconds"]
-                            last["prepared_hits"] += reply["prepared_hits"]
-                            last["shipped_elided"] += reply["shipped_elided"]
             except BaseException:
                 self._drop(worker)
                 dead.append(worker)
@@ -444,15 +275,9 @@ class RemoteFarmPool:
         return results
 
     def _drop(self, i: int) -> None:
-        """Sever worker ``i``: close the socket and forget what it holds.
-
-        Clearing the shipped LRU here (not at redial time) is what makes
-        the retry path safe — the next payload is built against an empty
-        set, so nothing digest-only reaches a worker we cannot vouch for.
-        """
+        """Sever worker ``i``: close the socket; the next call redials."""
         conn = self._conns[i]
         self._conns[i] = None
-        self._shipped[i].clear()
         if conn is not None:
             conn.close()
 
@@ -460,6 +285,5 @@ class RemoteFarmPool:
         for i in range(len(self._conns)):
             conn = self._conns[i]
             self._conns[i] = None
-            self._shipped[i].clear()
             if conn is not None:
                 conn.close(bye=True)

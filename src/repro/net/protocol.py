@@ -46,7 +46,8 @@ from repro.rl.checkpoint import flatten_arrays, unflatten_arrays
 
 MAGIC = b"PX"
 # 2: waiting cache_claims always park server-side (no capability marker),
-# remote farm tasks are always prepared designs, actors rely on push_obs.
+# actors rely on push_obs. A farm task is {"graph": graph JSON}; a farm
+# worker answers any other task with an ERROR reply.
 PROTOCOL_VERSION = 2
 
 # Frame types.

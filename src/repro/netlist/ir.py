@@ -3,7 +3,7 @@
 Unlike :class:`repro.prefix.PrefixGraph` this structure is mutable (resize,
 buffer, clone, pin-swap) and maintains driver/sink indices incrementally;
 ``validate()`` checks structural sanity. It is what adders are built as,
-shipped as, simulated and exported from. The synthesis optimizer does not
+simulated and exported from. The synthesis optimizer does not
 edit it: :class:`repro.sta.TimingGraph` reads a netlist once, is the design
 while it is optimised, and hands a fresh ``Netlist`` back on demand.
 """
@@ -253,20 +253,6 @@ class Netlist:
             if net not in self._input_set and net not in self._driver:
                 raise ValueError(f"primary output {net} has no driver")
         self.topological_order()
-
-    def clone(self) -> "Netlist":
-        """Deep copy (optimizer trials mutate the copy)."""
-        other = Netlist(self.name, self.library)
-        other.inputs = list(self.inputs)
-        other.outputs = list(self.outputs)
-        other._input_set = set(self._input_set)
-        other._output_set = set(self._output_set)
-        other._counter = self._counter
-        for name, inst in self.instances.items():
-            other.instances[name] = Instance(name, inst.cell, dict(inst.pins))
-        other._driver = dict(self._driver)
-        other._sinks = {net: set(s) for net, s in self._sinks.items()}
-        return other
 
     def __repr__(self) -> str:
         return (

@@ -1,6 +1,6 @@
 """The :class:`PrefixGraph` data structure.
 
-Design notes (see DESIGN.md section 4.1):
+Design notes:
 
 - The canonical state is the *nodelist* — a boolean ``N x N`` grid where cell
   ``(msb, lsb)`` marks a present node. The paper's ``minlist`` ("nodes that

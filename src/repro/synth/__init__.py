@@ -28,7 +28,6 @@ from repro.synth.leases import LocalServiceClient, SharedCacheService
 from repro.synth.curve import (
     AreaDelayCurve,
     synthesize_curve,
-    curve_from_prepared,
     calibrate_scaling,
     C_AREA,
     C_DELAY,
@@ -47,7 +46,6 @@ __all__ = [
     "LocalServiceClient",
     "AreaDelayCurve",
     "synthesize_curve",
-    "curve_from_prepared",
     "calibrate_scaling",
     "C_AREA",
     "C_DELAY",

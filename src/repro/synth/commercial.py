@@ -1,6 +1,6 @@
 """The commercial-tool stand-in (Fig. 5 setting).
 
-Two pieces, per DESIGN.md's substitution table:
+Two pieces:
 
 - :class:`CommercialSynthesizer` — a stronger optimizer configuration:
   more sizing budget, more rounds, eager buffering/cloning, and extra

@@ -5,8 +5,10 @@ one per timing constraint. The paper samples 4 delay targets, interpolates
 with PCHIP, and defines the reward from the scalarization-optimal point on
 the curve. This module reproduces that pipeline:
 
-- :func:`synthesize_curve` — netlist generation + 4 optimization runs
-  spanning the feasible delay range;
+- :func:`synthesize_curve` — netlist generation, one compile, and 4
+  optimization runs spanning the feasible delay range. It is the one
+  curve path: in-process evaluation, pool and remote farm workers all call
+  it on a graph;
 - :class:`AreaDelayCurve` — monotone PCHIP interpolation plus the
   ``w_optimal`` point selection of Fig. 3c.
 """
@@ -157,23 +159,9 @@ def synthesize_curve(
     netlist = prefix_adder_netlist(graph, library)
     # One compile per curve: the netlist is read into a timing graph and
     # pin-swapped once; every target forks that graph (table copies only).
+    # Only each result's ``delay`` and ``area`` are read, so no optimised
+    # ``Netlist`` is ever materialised.
     prepared = synthesizer.prepare(netlist)
-    return curve_from_prepared(prepared, synthesizer, num_targets=num_targets)
-
-
-def curve_from_prepared(
-    prepared,
-    synthesizer: Synthesizer,
-    num_targets: int = NUM_TARGETS,
-) -> AreaDelayCurve:
-    """The target ladder of :func:`synthesize_curve` over a prepared design.
-
-    Split out so callers holding an already-built netlist — remote farm
-    workers receiving shipped designs (:mod:`repro.net.farm`), ablations
-    reusing one compile — skip the graph-to-netlist derivation while
-    producing byte-identical curves. Only each result's ``delay`` and
-    ``area`` are read, so no optimised ``Netlist`` is ever materialised.
-    """
     fast = synthesizer.optimize_prepared(prepared, target=0.0)
     samples = [(fast.delay, fast.area)]
     relaxed_target = max(fast.delay * 4.0, 1e-3)

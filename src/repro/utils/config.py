@@ -6,7 +6,7 @@ scale profile that sets bit widths, network capacity and step budgets.
 
 ``REPRO_SCALE=ci`` (default) finishes in minutes; ``REPRO_SCALE=paper``
 restores the paper's widths and capacities (days of CPU — provided for
-completeness and documented in DESIGN.md, not exercised in CI).
+completeness, not exercised in CI).
 """
 
 from __future__ import annotations

@@ -62,8 +62,8 @@ class TestFlagContract:
     def test_farm_worker_defaults(self):
         got = self._defaults("farm-worker")
         assert got["listen"] == "127.0.0.1:0"
-        assert got["prepared_cache"] == 10_000
         assert got["store_dir"] is None
+        assert ClusterConfig.COMMAND_FIELDS["farm-worker"] == ("listen", "store_dir", "obs_dir")
 
     def test_unknown_command_rejected(self):
         import argparse

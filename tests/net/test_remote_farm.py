@@ -1,14 +1,26 @@
-"""Remote synthesis farm: byte-identical curves, prepared shipping, caches."""
+"""Remote synthesis farm: graph tasks, byte-identical curves, input checks, store."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.cells import nangate45
+from repro.cells import library_by_name, nangate45
 from repro.distributed import SynthesisFarm
+from repro.distributed.farm import task_graph
 from repro.net import FarmWorkerServer
-from repro.prefix import brent_kung, kogge_stone, sklansky
-from repro.synth import SynthesisCache, SynthesisEvaluator, synthesize_curve
+from repro.net.farm import RemoteFarmPool
+from repro.net.protocol import RemoteError, connect
+from repro.prefix import REGULAR_STRUCTURES, brent_kung, graph_to_json, kogge_stone, sklansky
+from repro.prefix.serialize import graph_digest
+from repro.synth import (
+    EvaluationBackend,
+    SynthesisCache,
+    SynthesisEvaluator,
+    Synthesizer,
+    synthesize_curve,
+)
+from tests.conftest import random_walk_graph
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +43,7 @@ def addr(worker):
 
 
 class TestRemoteCurves:
-    def test_prepared_shipping_matches_local(self, worker, expected):
+    def test_graph_tasks_match_local(self, worker, expected):
         graphs, points = expected
         farm = SynthesisFarm("nangate45", num_workers=0, remote_workers=[addr(worker)])
         try:
@@ -61,25 +73,6 @@ class TestRemoteCurves:
             assert farm.last_stats.cache_hits == 3
         finally:
             farm.close()
-
-    def test_prepared_cache_hits_on_repeats(self, expected):
-        graphs, points = expected
-        server = FarmWorkerServer(("127.0.0.1", 0))
-        server.start()
-        farm = SynthesisFarm(
-            "nangate45",
-            num_workers=0,
-            remote_workers=[f"{server.address[0]}:{server.address[1]}"],
-        )
-        try:
-            farm.evaluate_curves(graphs)
-            assert farm.last_stats.prepared_hits == 0
-            farm.evaluate_curves(graphs)  # no dispatcher cache: re-dispatches
-            assert farm.last_stats.prepared_hits == 3
-            assert [c.points() for c in farm.evaluate_curves(graphs)] == points
-        finally:
-            farm.close()
-            server.stop()
 
     def test_evaluator_routes_through_remote_farm(self, worker, expected):
         graphs, points = expected
@@ -118,10 +111,10 @@ class TestRemoteCurves:
             farm.close()
 
 
-class TestShippedDigestElision:
-    """Dispatcher-side payload elision over the worker's prepared LRU."""
-
-    def test_repeat_batches_ship_digest_only(self, expected):
+class TestWireFailures:
+    def test_redial_after_drop(self, expected):
+        """An idle drop closes the socket; the next batch redials and
+        still matches byte for byte."""
         graphs, points = expected
         server = FarmWorkerServer(("127.0.0.1", 0))
         server.start()
@@ -132,88 +125,16 @@ class TestShippedDigestElision:
         )
         try:
             farm.evaluate_curves(graphs)
-            assert farm.last_stats.shipped_elided == 0
-            # No dispatcher cache: the repeat batch re-dispatches, but the
-            # payloads are elided (the worker already holds the netlists).
+            farm._remote._drop(0)
             curves = farm.evaluate_curves(graphs)
-            assert farm.last_stats.shipped_elided == 3
-            assert farm.last_stats.prepared_hits == 3
             assert [c.points() for c in curves] == points
-            assert farm.stats()["remote"]["shipped_elided"] == 3
+            assert farm.last_stats.redispatched == 0
         finally:
             farm.close()
             server.stop()
 
-    def test_worker_eviction_triggers_full_reship(self, expected):
-        graphs, points = expected
-        server = FarmWorkerServer(("127.0.0.1", 0), prepared_cache_entries=1)
-        server.start()
-        farm = SynthesisFarm(
-            "nangate45",
-            num_workers=0,
-            remote_workers=[f"{server.address[0]}:{server.address[1]}"],
-        )
-        try:
-            farm.evaluate_curves(graphs)
-            # The worker's 1-entry LRU evicted all but the last digest; the
-            # dispatcher's elided repeats bounce off "missing" and are
-            # re-shipped in full — byte-identical results either way.
-            curves = farm.evaluate_curves(graphs)
-            assert [c.points() for c in curves] == points
-        finally:
-            farm.close()
-            server.stop()
-
-    def test_disabled_prepared_cache_disables_elision(self, expected):
-        graphs, points = expected
-        server = FarmWorkerServer(("127.0.0.1", 0), prepared_cache_entries=0)
-        server.start()
-        farm = SynthesisFarm(
-            "nangate45",
-            num_workers=0,
-            remote_workers=[f"{server.address[0]}:{server.address[1]}"],
-        )
-        try:
-            farm.evaluate_curves(graphs)
-            curves = farm.evaluate_curves(graphs)
-            assert farm.last_stats.shipped_elided == 0
-            assert [c.points() for c in curves] == points
-        finally:
-            farm.close()
-            server.stop()
-
-    def test_redial_after_drop_invalidates_shipped_lru(self, expected):
-        """The satellite fix: a dropped connection wipes the per-worker
-        shipped LRU *before* the retry payload is built, so a reconnect
-        (idle drop, worker restart) never replays a stale prepared id."""
-        graphs, points = expected
-        server = FarmWorkerServer(("127.0.0.1", 0))
-        server.start()
-        farm = SynthesisFarm(
-            "nangate45",
-            num_workers=0,
-            remote_workers=[f"{server.address[0]}:{server.address[1]}"],
-        )
-        try:
-            farm.evaluate_curves(graphs)
-            pool = farm._remote
-            assert len(pool._shipped[0]) == 3
-            # Simulate the idle drop the redial-on-use path covers.
-            pool._drop(0)
-            assert len(pool._shipped[0]) == 0
-            # The next batch redials and ships full payloads again (no
-            # digest-only replay) — and still matches byte-for-byte.
-            curves = farm.evaluate_curves(graphs)
-            assert farm.last_stats.shipped_elided == 0
-            assert [c.points() for c in curves] == points
-        finally:
-            farm.close()
-            server.stop()
-
-    def test_mid_flight_drop_rebuilds_payload_on_retry(self, expected):
-        """A wire failure *during* a call retries with payloads rebuilt
-        against the wiped LRU — the worker that answers the retry may be a
-        fresh process that never saw the digests."""
+    def test_mid_flight_drop_retries_on_a_fresh_socket(self, expected):
+        """A wire failure *during* a call redials once and resends the chunk."""
         graphs, points = expected
         server = FarmWorkerServer(("127.0.0.1", 0))
         server.start()
@@ -230,9 +151,95 @@ class TestShippedDigestElision:
             pool._conns[0].sock.close()
             curves = farm.evaluate_curves(graphs)
             assert [c.points() for c in curves] == points
-            assert farm.last_stats.shipped_elided == 0  # retry shipped full
+            assert farm.last_stats.redispatched == 0
         finally:
             farm.close()
+            server.stop()
+
+
+class TestWorkerInputCheck:
+    """A worker synthesizes only what parses as a legal prefix graph."""
+
+    @pytest.mark.parametrize(
+        "task, problem",
+        [
+            ({"digest": "ab" * 32, "netlist": {"version": 1}}, "carries no graph"),
+            ({"digest": "ab" * 32}, "carries no graph"),
+            ({"graph": "{not json"}, "not a legal prefix graph"),
+            ({"graph": '{"n": 4, "interior_nodes": [[9, 1]]}'}, "outside the lower triangle"),
+            ("sklansky", "carries no graph"),
+        ],
+        ids=["netlist", "digest-only", "malformed-json", "illegal-graph", "not-a-dict"],
+    )
+    def test_bad_task_gets_an_error_and_the_connection_serves_on(self, worker, expected, task, problem):
+        graphs, points = expected
+        conn, _ = connect(worker.address, role="dispatcher")
+        params = {"library": "nangate45", "synth_kwargs": {}}
+        try:
+            with pytest.raises(RemoteError, match=problem):
+                conn.call("synth_batch", {**params, "tasks": [task]})
+            reply = conn.call("synth_batch", {**params, "tasks": [{"graph": graph_to_json(graphs[0])}]})
+            assert [[tuple(p) for p in pts] for pts in reply["points"]] == [points[0]]
+        finally:
+            conn.close(bye=True)
+
+
+class TestGraphTask:
+    """The one task payload: graph JSON, parsed back to the same design."""
+
+    @pytest.mark.parametrize("name", sorted(REGULAR_STRUCTURES))
+    def test_wire_roundtrip_keeps_the_graph_and_the_backend_key(self, name):
+        graph = REGULAR_STRUCTURES[name](32)
+        parsed = task_graph({"graph": graph_to_json(graph)})
+        assert parsed.key() == graph.key()
+        backend = EvaluationBackend(nangate45(), Synthesizer())
+        # The key a store-backed worker files the curve under.
+        assert (graph_digest(parsed), "nangate45", Synthesizer().name) == backend.key(graph)
+
+    def test_dispatcher_ships_graph_json_only(self, worker, expected, monkeypatch):
+        graphs, points = expected
+        shipped = []
+        synth_chunks = RemoteFarmPool.synth_chunks
+
+        def recording(pool, chunks, *args, **kwargs):
+            shipped.extend(task for chunk in chunks for task in chunk)
+            return synth_chunks(pool, chunks, *args, **kwargs)
+
+        monkeypatch.setattr(RemoteFarmPool, "synth_chunks", recording)
+        farm = SynthesisFarm("nangate45", num_workers=0, remote_workers=[addr(worker)])
+        try:
+            curves = farm.evaluate_curves(graphs)
+        finally:
+            farm.close()
+        assert [c.points() for c in curves] == points
+        assert shipped == [{"graph": graph_to_json(g)} for g in graphs[:3]]
+
+
+class TestWorkerStore:
+    def test_repeat_design_served_from_disk_under_the_backend_key(self, tmp_path, expected):
+        graphs, points = expected
+        lib = nangate45()
+        backend = EvaluationBackend(lib, Synthesizer())
+        keys = {backend.key(g) for g in graphs}
+        server = FarmWorkerServer(("127.0.0.1", 0), store_dir=str(tmp_path))
+        server.start()
+        address = f"{server.address[0]}:{server.address[1]}"
+        try:
+            for round_ in range(2):
+                # A fresh farm each round: no dispatcher-side cache to hit.
+                farm = SynthesisFarm("nangate45", num_workers=0, remote_workers=[address])
+                try:
+                    curves = farm.evaluate_curves(graphs)
+                finally:
+                    farm.close()
+                assert [c.points() for c in curves] == points
+                assert server.store_hits == 3 * round_
+            store = server.store
+            assert set(store._index) == keys
+            assert store.appends == 3 and store.rewrites == 0
+            for graph, pts in zip(graphs, points):
+                assert store.get(backend.key(graph)).points() == pts
+        finally:
             server.stop()
 
 
@@ -280,3 +287,58 @@ class TestMultiWorker:
         finally:
             farm.close()
             servers[0].stop()
+
+
+def path_corpus():
+    rng = np.random.default_rng(26)
+    graphs = []
+    for n in (8, 32):
+        graphs += [REGULAR_STRUCTURES[name](n) for name in sorted(REGULAR_STRUCTURES)]
+        graphs += [random_walk_graph(n, 2 * n, rng) for _ in range(2)]
+    return graphs
+
+
+@pytest.mark.parametrize("library", ["nangate45", "industrial8nm"])
+def test_every_dispatch_path_returns_synthesize_curve_bytes(library):
+    """Serial, pool, remote with 1 and 2 workers, a mid-flight drop, a dead
+    worker's redispatch and the no-survivor local rescue all return
+    ``synthesize_curve(g, lib).points()`` exactly."""
+    graphs = path_corpus()
+    lib = library_by_name(library)
+    want = [synthesize_curve(g, lib).points() for g in graphs]
+    servers = [FarmWorkerServer(("127.0.0.1", 0)) for _ in range(2)]
+    for s in servers:
+        s.start()
+    addresses = [f"{s.address[0]}:{s.address[1]}" for s in servers]
+
+    def run(farm, before=None):
+        try:
+            if before is not None:
+                before(farm)
+            return [c.points() for c in farm.evaluate_curves(graphs)]
+        finally:
+            farm.close()
+
+    try:
+        assert run(SynthesisFarm(library, num_workers=0)) == want
+        assert run(SynthesisFarm(library, num_workers=1)) == want
+        assert run(SynthesisFarm(library, num_workers=0, remote_workers=addresses[:1])) == want
+        assert run(SynthesisFarm(library, num_workers=0, remote_workers=addresses)) == want
+
+        def poison(farm):
+            farm.evaluate_curves(graphs[:1])
+            farm._remote._conns[0].sock.close()
+
+        assert run(SynthesisFarm(library, num_workers=0, remote_workers=addresses[:1]), poison) == want
+        servers[1].stop()
+        dead_one = SynthesisFarm(library, num_workers=0, remote_workers=addresses, chunk_size=4)
+        assert run(dead_one) == want
+        assert dead_one.last_stats.redispatched > 0
+        servers[0].stop()
+        rescued = SynthesisFarm(library, num_workers=0, remote_workers=addresses)
+        assert run(rescued) == want
+        assert rescued.last_stats.redispatched == rescued.last_stats.dispatched
+    finally:
+        for s in servers:
+            if not s.closing:
+                s.stop()

@@ -140,12 +140,18 @@ class TestTopology:
         with pytest.raises(ValueError, match="no driver"):
             nl.validate()
 
-    def test_clone_independent(self, lib):
+    def test_materialised_copy_independent(self, lib):
+        from repro.sta import TimingGraph
+
         nl = tiny_netlist(lib)
-        cp = nl.clone()
+        graph = TimingGraph(nl)
+        cp = graph.nl
         cp.replace_cell("u1", lib.pick("INV", 2))
         assert nl.instances["u1"].cell.drive == 1
-        assert cp.instances["u1"].cell.drive == 2
+        assert graph.cell_of("u1").drive == 1
+        graph.replace_cell("u2", lib.pick("INV", 2))
+        assert cp.instances["u2"].cell.drive == 1
+        assert nl.instances["u2"].cell.drive == 1
         nl.validate()
         cp.validate()
 
@@ -161,18 +167,18 @@ class TestPortMembership:
         with pytest.raises(ValueError, match="already driven"):
             nl.add_input("a")
 
-    def test_clone_and_roundtrip_keep_membership(self, lib):
-        from repro.netlist.serialize import netlist_from_dict, netlist_to_dict
+    def test_materialised_copy_keeps_membership(self, lib):
+        from repro.sta import TimingGraph
 
         nl = tiny_netlist(lib)
-        for other in (nl.clone(), netlist_from_dict(netlist_to_dict(nl), lib)):
-            assert other.is_input("a") and other.is_output("y")
-            other.add_input("b")
-            other.add_instance(lib.smallest("INV"), {"A": "b", "ZN": "z"}, name="u3")
-            other.add_output("z")
-            assert other.is_input("b") and other.is_output("z")
-            with pytest.raises(ValueError, match="primary output"):
-                other.remove_instance("u3")
+        other = TimingGraph(nl).nl
+        assert other.is_input("a") and other.is_output("y")
+        other.add_input("b")
+        other.add_instance(lib.smallest("INV"), {"A": "b", "ZN": "z"}, name="u3")
+        other.add_output("z")
+        assert other.is_input("b") and other.is_output("z")
+        with pytest.raises(ValueError, match="primary output"):
+            other.remove_instance("u3")
         assert not nl.is_input("b") and not nl.is_output("z")
 
     def test_fanout_queries(self, lib):

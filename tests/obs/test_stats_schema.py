@@ -93,8 +93,6 @@ class TestBackendSchemas:
             "workers",
             "worker_setup_seconds",
             "worker_opt_seconds",
-            "prepared_hits",
-            "shipped_elided",
             "redispatched_tasks",
         }
 

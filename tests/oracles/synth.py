@@ -27,6 +27,19 @@ from repro.synth.curve import NUM_TARGETS, AreaDelayCurve
 from repro.synth.optimizer import SynthesisResult
 
 
+def _copy(netlist: Netlist) -> Netlist:
+    """An independent copy with the same ports, instance order and name counter."""
+    nl = Netlist(netlist.name, netlist.library)
+    for net in netlist.inputs:
+        nl.add_input(net)
+    for name, inst in netlist.instances.items():
+        nl.add_instance(inst.cell, inst.pins, name=name)
+    for net in netlist.outputs:
+        nl.add_output(net)
+    nl._counter = netlist._counter
+    return nl
+
+
 class ReferenceSynthesizer:
     """The original greedy optimizer: full STA per candidate trial.
 
@@ -57,7 +70,7 @@ class ReferenceSynthesizer:
 
     def optimize(self, netlist: Netlist, target: float) -> SynthesisResult:
         """Optimize a copy of ``netlist`` toward ``target`` (ns)."""
-        nl = netlist.clone()
+        nl = _copy(netlist)
         moves = {"pin_swap": 0, "size_up": 0, "buffer": 0, "clone": 0, "size_down": 0}
 
         if self.enable_pin_swap:

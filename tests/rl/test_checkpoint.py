@@ -349,7 +349,7 @@ class TestBackendCountersRideTheCheckpoint:
         finally:
             for farm in farms:
                 farm.close()
-        for key in ("worker_setup_seconds", "worker_opt_seconds", "prepared_hits", "shipped_elided"):
+        for key in ("worker_setup_seconds", "worker_opt_seconds"):
             assert final["remote"][key] == saved["remote"][key], key
         assert final["remote"]["redispatched_tasks"] >= saved["remote"]["redispatched_tasks"]
         assert final["batches"] > saved["batches"]
@@ -397,3 +397,48 @@ class TestBackendCountersRideTheCheckpoint:
         h_res = rt_res.run(resume=True)
         assert_histories_identical(h_full, h_res)
         assert h_res.synthesis_stats == h_full.synthesis_stats
+
+    def test_record_with_retired_farm_counters_still_loads(self, tmp_path):
+        """A remote-farm counter record written while workers kept a
+        prepared-design cache still carries that cache's two counters:
+        they are ignored, the remaining counters are restored, and the run
+        resumes to the uninterrupted run's bytes."""
+        from repro.cells import nangate45
+        from repro.distributed import SynthesisFarm
+        from repro.synth import SynthesisEvaluator
+
+        library = nangate45()
+        farms = []
+
+        def evaluator():
+            # Nobody listens on port 1: every miss is rescued in-process.
+            farms.append(
+                SynthesisFarm("nangate45", num_workers=0, remote_workers=["127.0.0.1:1"])
+            )
+            return SynthesisEvaluator(library, farm=farms[-1])
+
+        try:
+            h_full = make_sync_runtime(steps=30, evaluator=evaluator())[0].run()
+            rt_part, _ = make_sync_runtime(
+                tmp_path, steps=30, evaluator=evaluator(),
+                runtime=RuntimeConfig(mode="sync", stop_after=12),
+            )
+            rt_part.run()
+            state, manifest = rt_part.manager.load()
+            (group,) = state["caches"]
+            (record,) = group["counters"]
+            record.update(prepared_hits=5, shipped_elided=3, worker_setup_seconds=0.25)
+            rt_part.manager.save(state, step=manifest["step"], meta=manifest["meta"])
+
+            rt_res, env_res = make_sync_runtime(tmp_path, steps=30, evaluator=evaluator())
+            h_res = rt_res.run(resume=True)
+            remote = env_res.evaluator.backend.stats()["remote"]
+        finally:
+            for farm in farms:
+                farm.close()
+        assert_histories_identical(h_full, h_res)
+        assert set(remote) == {
+            "workers", "worker_setup_seconds", "worker_opt_seconds", "redispatched_tasks",
+        }
+        assert remote["worker_setup_seconds"] == 0.25
+        assert remote["redispatched_tasks"] > record["redispatched_tasks"] > 0

@@ -14,15 +14,12 @@ each step
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cells import nangate45
-from repro.netlist import prefix_adder_netlist
-from repro.netlist.serialize import netlist_to_dict
+from repro.netlist import prefix_adder_netlist, to_verilog
 from repro.prefix import REGULAR_STRUCTURES
 from repro.sta import TimingGraph
 from tests.conftest import random_walk_graph
@@ -34,8 +31,13 @@ STRUCTURES = sorted(REGULAR_STRUCTURES)
 MAX_BRANCHES = 4
 
 
+def fingerprint(netlist):
+    """Structure plus instance insertion order (which the passes depend on)."""
+    return to_verilog(netlist), list(netlist.instances)
+
+
 def snapshot(tg):
-    return tg.report(), json.dumps(netlist_to_dict(tg.nl))
+    return tg.report(), fingerprint(tg.nl)
 
 
 class TestForkIsolation:
@@ -53,7 +55,7 @@ class TestForkIsolation:
         else:
             graph = REGULAR_STRUCTURES[structure](n)
         netlist = prefix_adder_netlist(graph, LIB)
-        built = json.dumps(netlist_to_dict(netlist))
+        built = fingerprint(netlist)
         # Each branch: the graph and the stack of reverts of the moves it holds.
         branches = [(TimingGraph(netlist, target=target), [])]
         seen = [snapshot(tg) for tg, _ in branches]
@@ -84,7 +86,7 @@ class TestForkIsolation:
                     assert payload == seen[index][1], (step, index)
                 seen[index] = (report, payload)
         # The netlist the parent was compiled from was only ever read.
-        assert json.dumps(netlist_to_dict(netlist)) == built
+        assert fingerprint(netlist) == built
         # Unwinding a branch's whole stack lands back on the built design's timing.
         tg, reverts = branches[0]
         while reverts:

@@ -5,8 +5,7 @@ While a design is optimised it lives only in the ``TimingGraph``'s tables;
 This suite holds that on-demand object to the result it came from — for
 every target of the curve ladder, over a random corpus and both libraries —
 and guards, by counting calls rather than reading a clock, that a whole
-``synthesize_curve`` neither clones a netlist nor builds one beyond the
-adder it starts from.
+``synthesize_curve`` builds no netlist beyond the adder it starts from.
 """
 
 from __future__ import annotations
@@ -77,12 +76,12 @@ class TestOnDemandNetlist:
 
 
 class TestCurveBuildsNoSecondRepresentation:
-    def test_no_clone_one_netlist_one_topological_order(self, monkeypatch):
+    def test_one_netlist_one_topological_order(self, monkeypatch):
         """Deterministic stand-in for a timing regression test: a curve
-        builds exactly one ``Netlist`` (the adder), clones none, and walks
+        builds exactly one ``Netlist`` (the adder) and walks
         ``Netlist.topological_order`` once — inside the build's
         ``validate()``; the graph ranks itself from its own tables."""
-        counts = {"init": 0, "clone": 0, "topological_order": 0, "validate": 0}
+        counts = {"init": 0, "topological_order": 0, "validate": 0}
 
         def counting(name):
             original = getattr(Netlist, name)
@@ -93,23 +92,22 @@ class TestCurveBuildsNoSecondRepresentation:
 
             monkeypatch.setattr(Netlist, name, wrapper)
 
-        for name in ("__init__", "clone", "topological_order", "validate"):
+        for name in ("__init__", "topological_order", "validate"):
             counting(name)
         lib = LIBRARIES["nangate45"]
         for graph in corpus(16, seed=3):
             for key in counts:
                 counts[key] = 0
             synthesize_curve(graph, lib)
-            assert counts == {"init": 1, "clone": 0, "topological_order": 1, "validate": 1}
+            assert counts == {"init": 1, "topological_order": 1, "validate": 1}
 
     def test_optimize_leaves_its_argument_alone(self):
-        from repro.netlist import prefix_adder_netlist
-        from repro.netlist.serialize import netlist_to_dict
+        from repro.netlist import prefix_adder_netlist, to_verilog
 
         lib = LIBRARIES["nangate45"]
         netlist = prefix_adder_netlist(REGULAR_STRUCTURES["kogge_stone"](16), lib)
-        before = netlist_to_dict(netlist)
+        before = to_verilog(netlist), list(netlist.instances)
         result = Synthesizer().optimize(netlist, 0.0)
-        assert netlist_to_dict(netlist) == before
+        assert (to_verilog(netlist), list(netlist.instances)) == before
         assert result.netlist is not netlist
         assert sum(result.moves.values()) > 0
