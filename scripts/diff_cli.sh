@@ -31,6 +31,7 @@ COMMANDS=(
     "synth sklansky 16"
     "synth ripple 32"
     "synth brent_kung 32 --library industrial8nm"
+    "synth kogge_stone 64 --library industrial8nm"
     "train 8 --steps 60 --seed 3"
     "sweep 6 --weights 2 --steps 40 --seed 1"
 )

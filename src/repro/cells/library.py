@@ -132,8 +132,12 @@ class CellLibrary:
                 raise ValueError(f"duplicate cell name {cell.name}")
             self._by_name[cell.name] = cell
             self._by_function.setdefault(cell.function, []).append(cell)
+        # Cell name -> (next-weaker, next-stronger) variant of its function.
+        self._steps: "dict[str, tuple[Cell | None, Cell | None]]" = {}
         for variants in self._by_function.values():
             variants.sort(key=lambda c: c.drive)
+            for down, cell, up in zip([None, *variants], variants, [*variants[1:], None]):
+                self._steps[cell.name] = (down, up)
 
     def cell(self, name: str) -> Cell:
         """Look up a cell by full name (``NAND2_X2``)."""
@@ -156,15 +160,11 @@ class CellLibrary:
 
     def next_size_up(self, cell: Cell) -> "Cell | None":
         """The next-stronger variant, or None at the top of the range."""
-        variants = self._by_function[cell.function]
-        idx = variants.index(cell)
-        return variants[idx + 1] if idx + 1 < len(variants) else None
+        return self._steps[cell.name][1]
 
     def next_size_down(self, cell: Cell) -> "Cell | None":
         """The next-weaker variant, or None at the bottom of the range."""
-        variants = self._by_function[cell.function]
-        idx = variants.index(cell)
-        return variants[idx - 1] if idx > 0 else None
+        return self._steps[cell.name][0]
 
     def functions(self) -> "list[str]":
         """Functions available in this library."""

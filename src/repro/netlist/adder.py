@@ -24,7 +24,8 @@ scheme over an arbitrary legal prefix graph:
 Generation is *demand-driven*: a node's P signal is only materialized if a
 consumer needs it, so the dead P-chains of the output column never exist.
 This mirrors what logic synthesis would sweep away and keeps the area signal
-honest.
+honest. Every gate is emitted after the gates it reads: instance order is
+topological, so the timing graph ranks by it without a sort.
 """
 
 from __future__ import annotations
@@ -245,7 +246,9 @@ def prefix_adder_netlist(
 
     ``style`` selects the carry-logic mapping: ``"aoi"`` (default) is the
     paper's polarity-alternating NAND/NOR + AOI/OAI scheme; ``"naive"`` is
-    textbook AND-OR logic, kept as the ablation baseline.
+    textbook AND-OR logic, kept as the ablation baseline. Not validated
+    here: ``tests/netlist/test_build_invariants.py`` proves every build path
+    (``validate()``, topological order, exhaustive addition).
     """
     if name is None:
         name = f"adder{graph.n}"
@@ -255,6 +258,4 @@ def prefix_adder_netlist(
         builder = _NaiveAdderBuilder(graph, library, name)
     else:
         raise ValueError(f"unknown netlist style {style!r}")
-    netlist = builder.build(with_cout)
-    netlist.validate()
-    return netlist
+    return builder.build(with_cout)

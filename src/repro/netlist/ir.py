@@ -1,9 +1,10 @@
 """Mutable gate-level netlist IR.
 
 Unlike :class:`repro.prefix.PrefixGraph` this structure is mutable (resize,
-buffer, clone, pin-swap) and maintains driver/sink indices incrementally;
-``validate()`` checks structural sanity. It is what adders are built as,
-simulated and exported from. The synthesis optimizer does not
+buffer, clone, pin-swap) and maintains driver/sink indices incrementally.
+It is what adders are built as, simulated and exported from. ``validate()``
+is the full structural audit, for tests and hand-edited netlists; synthesis
+leaves the check to the ``TimingGraph`` compile. The synthesis optimizer does not
 edit it: :class:`repro.sta.TimingGraph` reads a netlist once, is the design
 while it is optimised, and hands a fresh ``Netlist`` back on demand.
 """
@@ -108,26 +109,25 @@ class Netlist:
         self._counter += 1
         return f"{hint}_{self._counter}"
 
-    def fresh_instance_name(self, hint: str = "u") -> str:
-        """Allocate a unique instance name."""
-        self._counter += 1
-        return f"{hint}_{self._counter}"
-
     def add_instance(self, cell: Cell, pins: "dict[str, str]", name: "str | None" = None) -> Instance:
-        """Instantiate ``cell`` with the given pin-to-net map."""
+        """Instantiate ``cell`` (unnamed: ``<function>_<k>`` off the net counter)."""
+        function = cell.function
         if name is None:
-            name = self.fresh_instance_name(cell.function.lower())
+            self._counter += 1
+            name = f"{function.lower()}_{self._counter}"
         if name in self.instances:
             raise ValueError(f"duplicate instance name {name}")
         inst = Instance(name, cell, pins)
-        out = inst.output_net
+        spec = CELL_FUNCTIONS[function]
+        out = pins[spec.output]
         if out in self._driver or out in self._input_set:
             raise ValueError(f"net {out} already driven")
         self.instances[name] = inst
         self._driver[out] = name
-        self._sinks.setdefault(out, set())
-        for pin, net in inst.input_nets():
-            self._sinks.setdefault(net, set()).add((name, pin))
+        sinks = self._sinks
+        sinks.setdefault(out, set())
+        for pin in spec.inputs:
+            sinks.setdefault(pins[pin], set()).add((name, pin))
         return inst
 
     def remove_instance(self, name: str) -> None:
@@ -240,7 +240,9 @@ class Netlist:
         return order
 
     def validate(self) -> None:
-        """Check structural invariants; raises ``ValueError`` on corruption."""
+        """Check structural invariants; raises ``ValueError`` on corruption.
+
+        Builds do not run it; ``tests/netlist/test_build_invariants.py`` does."""
         for name, inst in self.instances.items():
             if self._driver.get(inst.output_net) != name:
                 raise ValueError(f"driver map stale for {name}")

@@ -7,10 +7,13 @@ analysis in the same flat, index-addressed tables:
 - **Compile** reads the netlist (never mutating or copying it) into
   per-instance tables (name, cell, output net, arc tuple, rank — instance
   index is the netlist's *insertion* order) and per-net tables (name,
-  driver, sinks, load, arrival), plus the fresh-name counter. Ranks come
-  from the tables' own topological pass; the first query times every
+  driver, sinks, load, arrival), plus the fresh-name counter; a second
+  driver, an undriven net or a cycle raises ``ValueError``. Ranks come
+  from the tables' own topological pass: the instance index when one
+  comparison per arc proves the insertion order topological (every adder
+  build is), else a Kahn walk. The first query times every
   instance through the same rank-ordered worklist every later edit uses.
-- **Moves** (:meth:`replace_cell`, :meth:`swap_pins`, :meth:`add_instance`,
+- **Moves** (:meth:`replace_cell`, :meth:`swap_pins_at`, :meth:`add_instance`,
   :meth:`remove_instance`, :meth:`rewire_sink`) perform the checks the
   netlist IR performs, write the tables, recompute the loads they touch
   and mark the affected cone: an accept/reject trial costs O(cone), not
@@ -106,9 +109,13 @@ class TimingGraph:
         self._net_driver: "list[int]" = [-1] * num_in + list(range(num_i))
         self._net_arrival: "list[float]" = [0.0] * num_n
         self._net_wsrc: "list[int]" = [-1] * num_n
+        net_index = self._net_index
         for net, val in input_arrivals.items():
-            self._net_arrival[self._net_index[net]] = float(val)
-        self._out_nets: "tuple[int, ...]" = tuple(self._net_index[n] for n in netlist.outputs)
+            self._net_arrival[net_index[net]] = float(val)
+        for net in netlist.outputs:
+            if net not in net_index:
+                raise ValueError(f"{self.name}: primary output {net} has no driver")
+        self._out_nets: "tuple[int, ...]" = tuple(net_index[n] for n in netlist.outputs)
         self._out_set: "frozenset[int]" = frozenset(self._out_nets)
 
         # Instance table, in the netlist's insertion order. A dead entry
@@ -121,14 +128,20 @@ class TimingGraph:
         # Per instance: ((source net, intrinsic), ...) in function pin order.
         self._arcs: "list[tuple[tuple[int, float], ...]]" = []
         sinks: "list[list[tuple[str, str, int]]]" = [[] for _ in range(num_n)]
-        net_index = self._net_index
+        in_order = True  # instance i drives net num_in + i: topological iff every arc reads below it
         for i, (name, inst) in enumerate(instances.items()):
             cell = inst.cell
             pins = inst.pins
             intrinsics = cell.intrinsics
             arcs = []
             for pin in CELL_FUNCTIONS[cell.function].inputs:
-                src = net_index[pins[pin]]
+                net = pins[pin]
+                try:
+                    src = net_index[net]
+                except KeyError:
+                    raise ValueError(f"{self.name}: net {net} (sink of {name}) has no driver") from None
+                if src >= num_in + i:
+                    in_order = False
                 arcs.append((src, intrinsics[pin]))
                 sinks[src].append((name, pin, i))
             self._cells.append(cell)
@@ -139,8 +152,9 @@ class TimingGraph:
         self._net_sinks: "list[tuple[tuple[str, str, int], ...]]" = [tuple(sorted(s)) for s in sinks]
         self._net_load: "list[float]" = [self._load(k) for k in range(num_n)]
 
-        self._rank: "list[float]" = [0.0] * num_i
-        self._rerank()
+        self._rank: "list[float]" = [float(i) for i in range(num_i)]
+        if not in_order:
+            self._rerank()
         self._pending.update(range(num_i))
 
     # ------------------------------------------------------------------
@@ -234,7 +248,7 @@ class TimingGraph:
                         push(heap, (rank[j], j))
 
     def _rerank(self) -> None:
-        """Recompute topological ranks from the tables (compile; rare repairs).
+        """Kahn-walk topological ranks (compile of an out-of-order netlist; rare repairs).
 
         Must run *before* the next flush — pending work is propagated in
         rank order, so ranks are repaired eagerly the moment an edit
@@ -394,15 +408,6 @@ class TimingGraph:
     def _drop_sink(self, net_idx: int, entry: "tuple[str, str, int]") -> None:
         self._net_sinks[net_idx] = tuple(e for e in self._net_sinks[net_idx] if e != entry)
 
-    def _move_sink(self, net_idx: int, old: "tuple[str, str, int]", new: "tuple[str, str, int]") -> None:
-        """Replace one sink entry in place; re-sort only if it left its slot."""
-        sinks = self._net_sinks[net_idx]
-        p = sinks.index(old)
-        sinks = sinks[:p] + (new,) + sinks[p + 1:]
-        if (p and sinks[p - 1] > new) or (p + 1 < len(sinks) and sinks[p + 1] < new):
-            sinks = tuple(sorted(sinks))
-        self._net_sinks[net_idx] = sinks
-
     def replace_cell(self, name: str, new_cell: Cell) -> None:
         """Resize an instance; re-times its fanin drivers and its cone."""
         i = self._inst_index[name]
@@ -429,19 +434,37 @@ class TimingGraph:
         spec = cell.spec
         if not any(pin_a in g and pin_b in g for g in spec.commutative_groups):
             raise ValueError(f"{cell.name}: pins {pin_a},{pin_b} are not commutative")
-        pa, pb = spec.inputs.index(pin_a), spec.inputs.index(pin_b)
-        arcs = list(self._arcs[i])
-        (net_a, intr_a), (net_b, intr_b) = arcs[pa], arcs[pb]
-        if net_a == net_b:
-            return
-        arcs[pa] = (net_b, intr_a)
-        arcs[pb] = (net_a, intr_b)
-        self._arcs[i] = tuple(arcs)
-        self._move_sink(net_a, (name, pin_a, i), (name, pin_b, i))
-        self._move_sink(net_b, (name, pin_b, i), (name, pin_a, i))
-        self._update_load(net_a)
-        self._update_load(net_b)
-        self._touch(i)
+        self.swap_pins_at([(i, spec.inputs.index(pin_a), spec.inputs.index(pin_b))])
+
+    def swap_pins_at(self, swaps: "list[tuple[int, int, int]]") -> None:
+        """Apply pin swaps ``(instance, position, position)`` of commutative pairs
+        (:attr:`CellFunction.swap_pairs` positions) in one table pass: arcs are
+        rewritten in list order, then each touched net's sorted sinks and load
+        are rebuilt once (the same tuple and sum as one :meth:`swap_pins` per
+        swap) and each swapped instance is re-timed."""
+        arcs_tab = self._arcs
+        swapped: "set[int]" = set()
+        nets: "set[int]" = set()
+        for i, pa, pb in swaps:
+            arcs = list(arcs_tab[i])
+            (net_a, intr_a), (net_b, intr_b) = arcs[pa], arcs[pb]
+            if net_a != net_b:
+                arcs[pa], arcs[pb] = (net_b, intr_a), (net_a, intr_b)
+                arcs_tab[i] = tuple(arcs)
+                swapped.add(i)
+                nets.update((net_a, net_b))
+        # A touched net keeps its other sinks and re-reads the swapped instances' arcs.
+        sinks_tab = self._net_sinks
+        fresh = {k: [e for e in sinks_tab[k] if e[2] not in swapped] for k in nets}
+        for i in swapped:
+            name = self._inst_names[i]
+            for pin, (src, _) in zip(self._cells[i].input_pins, arcs_tab[i]):
+                if src in fresh:
+                    fresh[src].append((name, pin, i))
+            self._touch(i)
+        for k, entries in fresh.items():
+            sinks_tab[k] = tuple(sorted(entries))
+            self._update_load(k)
 
     def add_instance(self, cell: Cell, pins: "dict[str, str]", name: "str | None" = None) -> str:
         """Instantiate a cell driving a fresh net, time it in place; returns its name."""

@@ -139,7 +139,7 @@ class Synthesizer:
 
         Pin swapping is target-independent, so the swapped state is shared
         by every target of a curve. The netlist is only read: never
-        mutated, never copied.
+        mutated, never copied, never re-validated: the compile is the check.
         """
         tg = TimingGraph(netlist)
         swaps = self._pin_swap_pass(tg) if self.enable_pin_swap else 0
@@ -200,21 +200,22 @@ class Synthesizer:
         Decisions read one arrival snapshot (the pass does not re-analyze
         between swaps — same as the reference pass); the engine re-times
         the swapped cones lazily afterwards. A swap edits only its own
-        instance's pins, so no decision depends on the order instances
-        are visited in: they are read by index, in insertion order.
+        instance's pins, so no decision depends on visiting order or on
+        another swap: instances are read by index and the whole list lands
+        in one :meth:`TimingGraph.swap_pins_at` table pass.
         """
         arrival = tg.arrivals()
-        swaps = 0
-        for i, name, cell in tg.instances():
-            for (pa, pb), pins in cell.spec.swap_pairs:
-                arcs = tg.arcs_at(i)
+        swaps = []
+        for i, _, cell in tg.instances():
+            arcs = tg.arcs_at(i)
+            for (pa, pb), _ in cell.spec.swap_pairs:
                 (src_a, intr_a), (src_b, intr_b) = arcs[pa], arcs[pb]
                 # The fast pin (first of the pair on a tie) should carry the late net.
                 fast, slow = (src_b, src_a) if intr_b < intr_a else (src_a, src_b)
                 if arrival[slow] > arrival[fast]:
-                    tg.swap_pins(name, *pins)
-                    swaps += 1
-        return swaps
+                    swaps.append((i, pa, pb))
+        tg.swap_pins_at(swaps)
+        return len(swaps)
 
     # ------------------------------------------------------------------
     # Gate sizing

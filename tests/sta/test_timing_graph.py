@@ -58,6 +58,20 @@ class TestFullAnalysis:
         with pytest.raises(ValueError, match="non-input"):
             TimingGraph(nl, input_arrivals={"nope": 1.0})
 
+    def test_out_of_order_netlist_ranks_topologically(self, lib):
+        """A netlist whose insertion order is not topological is ranked by Kahn."""
+        from repro.netlist import Netlist
+
+        nl = Netlist("ooo", lib)
+        nl.add_input("a")
+        inv = lib.smallest("INV")
+        nl.add_instance(inv, {"A": "n1", "ZN": "y"}, name="u1")
+        nl.add_instance(inv, {"A": "a", "ZN": "n1"}, name="u2")
+        nl.add_output("y")
+        tg = TimingGraph(nl, target=0.1)
+        assert tg._rank[1] < tg._rank[0]
+        assert_reports_identical(tg.report(), analyze_timing_reference(nl, 0.1))
+
     def test_empty_netlist(self, lib):
         from repro.netlist import Netlist
 
@@ -66,6 +80,48 @@ class TestFullAnalysis:
         tg = TimingGraph(nl)
         assert tg.delay == 0.0
         assert tg.critical_path() == []
+
+
+class TestCompileRejects:
+    """The compile is the curve path's structural check: a malformed netlist
+    raises ``ValueError`` naming the net or the cycle, from the graph and
+    from the synthesizer alike (``prefix_adder_netlist`` does not validate)."""
+
+    @staticmethod
+    def chain(lib):
+        from repro.netlist import Netlist
+
+        nl = Netlist("bad", lib)
+        nl.add_input("a")
+        inv = lib.smallest("INV")
+        nl.add_instance(inv, {"A": "a", "ZN": "n1"}, name="u1")
+        nl.add_instance(inv, {"A": "n1", "ZN": "y"}, name="u2")
+        nl.add_output("y")
+        return nl
+
+    def assert_rejected(self, nl, match):
+        from repro.synth import Synthesizer
+
+        with pytest.raises(ValueError, match=match):
+            TimingGraph(nl)
+        with pytest.raises(ValueError, match=match):
+            Synthesizer().optimize(nl, 0.5)
+
+    def test_instance_reading_an_undriven_net(self, lib):
+        nl = self.chain(lib)
+        nl.add_instance(lib.smallest("NAND2"), {"A1": "y", "A2": "ghost", "ZN": "z"}, name="u3")
+        nl.add_output("z")
+        self.assert_rejected(nl, "net ghost .*has no driver")
+
+    def test_output_with_no_driver(self, lib):
+        nl = self.chain(lib)
+        nl.add_output("nowhere")
+        self.assert_rejected(nl, "primary output nowhere has no driver")
+
+    def test_combinational_cycle(self, lib):
+        nl = self.chain(lib)
+        nl.rewire_sink("u1", "A", "y")
+        self.assert_rejected(nl, "combinational cycle")
 
 
 def random_move(tg, rng):

@@ -1,12 +1,14 @@
 """Tests for the timing-driven optimizer: every move class, correctness, determinism."""
 
+import numpy as np
 import pytest
 
-from repro.cells import nangate45
+from repro.cells import industrial8nm, nangate45
 from repro.netlist import prefix_adder_netlist, verify_adder
 from repro.prefix import REGULAR_STRUCTURES, sklansky
-from repro.sta import analyze_timing
+from repro.sta import TimingGraph, analyze_timing
 from repro.synth import Synthesizer
+from tests.conftest import random_walk_graph
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +111,38 @@ class TestPasses:
         assert with_rec.area <= no_rec.area + 1e-9
         if with_rec.met and no_rec.met:
             assert with_rec.moves["size_down"] >= 0
+
+
+class TestPinSwapsInOnePass:
+    """The pass hands its whole swap list to one ``swap_pins_at`` call; that
+    must leave the tables exactly as one ``swap_pins`` per swap does, and as
+    a fresh compile of the swapped design does (which catches a touched
+    net's sinks or load rebuilt wrongly even when both sides share the bug)."""
+
+    @pytest.mark.parametrize("library", (nangate45, industrial8nm), ids=lambda make: make.__name__)
+    @pytest.mark.parametrize("n", (8, 16, 32))
+    def test_one_call_equals_one_swap_at_a_time(self, n, library):
+        lib = library()
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            nl = prefix_adder_netlist(random_walk_graph(n, 2 * n, rng), lib)
+            batched = TimingGraph(nl)
+            calls = []
+            apply = batched.swap_pins_at
+            batched.swap_pins_at = lambda swaps: (calls.append(list(swaps)), apply(swaps))
+            count = Synthesizer()._pin_swap_pass(batched)
+            assert len(calls) == 1 and len(calls[0]) == count > 0
+
+            one_by_one = TimingGraph(nl)
+            for i, pa, pb in calls[0]:
+                pins = one_by_one.cell_at(i).input_pins
+                one_by_one.swap_pins(one_by_one.name_at(i), pins[pa], pins[pb])
+            fresh = TimingGraph(batched.nl)
+            for other in (one_by_one, fresh):
+                assert batched._arcs == other._arcs
+                assert batched._net_sinks == other._net_sinks
+                assert batched._net_load == other._net_load
+                assert batched.delay == other.delay
 
 
 class TestOptimizedCircuitQuality:

@@ -40,6 +40,22 @@ class TestLibraryIR:
         top = ng45.variants("INV")[-1]
         assert ng45.next_size_up(top) is None
 
+    @pytest.mark.parametrize("make", (nangate45, industrial8nm), ids=lambda make: make.__name__)
+    def test_size_steps_walk_every_function_in_drive_order(self, make):
+        lib = make()
+        for fn in lib.functions():
+            variants = lib.variants(fn)
+            up, cell = [variants[0]], variants[0]
+            while (cell := lib.next_size_up(cell)) is not None:
+                up.append(cell)
+            down, cell = [variants[-1]], variants[-1]
+            while (cell := lib.next_size_down(cell)) is not None:
+                down.append(cell)
+            assert up == variants == down[::-1], fn
+            assert [c.drive for c in up] == sorted({c.drive for c in up}), fn
+            assert lib.next_size_down(variants[0]) is None
+            assert lib.next_size_up(variants[-1]) is None
+
     def test_cell_lookup_by_name(self, ng45):
         assert ng45.cell("XOR2_X1").function == "XOR2"
 
