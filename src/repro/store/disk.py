@@ -58,7 +58,6 @@ from repro.store.api import CurveStore
 
 MAGIC = b"CRV1"
 _HEADER = struct.Struct("!4sIII")
-_POINT = struct.Struct("!2d")
 
 SEGMENT_SUFFIX = ".crv"
 TMP_SUFFIX = ".crv.tmp"
@@ -78,13 +77,14 @@ def _parse_segment_id(name: str) -> "int | None":
 def encode_record(key: tuple, points: "list[tuple[float, float]]") -> bytes:
     """One self-describing record: header + JSON key + packed points."""
     key_bytes = json.dumps(list(key), separators=(",", ":")).encode("utf-8")
-    payload = b"".join(_POINT.pack(float(d), float(a)) for d, a in points)
+    payload = struct.pack(f"!{2 * len(points)}d", *[float(v) for d, a in points for v in (d, a)])
     crc = zlib.crc32(key_bytes + payload) & 0xFFFFFFFF
     return _HEADER.pack(MAGIC, crc, len(key_bytes), len(payload)) + key_bytes + payload
 
 
 def decode_points(payload: bytes) -> "list[tuple[float, float]]":
-    return [_POINT.unpack_from(payload, off) for off in range(0, len(payload), 16)]
+    flat = struct.unpack(f"!{len(payload) // 16 * 2}d", payload)  # whole points only
+    return list(zip(flat[::2], flat[1::2]))
 
 
 class _Segment:
@@ -235,6 +235,11 @@ class DiskStore(CurveStore):
 
     # -- reads -------------------------------------------------------------
 
+    def _check_open(self) -> None:
+        # A closed store must not pass for an empty one (its misses would be re-synthesised).
+        if self._active_file is None:
+            raise ValueError(f"curve store {self.root!r} is closed")
+
     def _read_points(self, loc: "tuple[int, int, int]"):
         seg_id, offset, record_len = loc
         record = self._segments[seg_id].read(offset, record_len)
@@ -250,17 +255,12 @@ class DiskStore(CurveStore):
         return AreaDelayCurve.from_points(self._read_points(loc))
 
     def get(self, key: tuple):
-        with self._lock:
-            value = self._lookup(key)
-            if value is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            return value
+        return self.get_many([key])[0]
 
     def get_many(self, keys):
         out = []
         with self._lock:
+            self._check_open()
             for key in keys:
                 value = self._lookup(key)
                 if value is None:
@@ -272,10 +272,12 @@ class DiskStore(CurveStore):
 
     def peek_many(self, keys):
         with self._lock:
+            self._check_open()
             return [self._lookup(key) for key in keys]
 
     def __contains__(self, key) -> bool:
         with self._lock:
+            self._check_open()
             return tuple(key) in self._index
 
     def __len__(self) -> int:
@@ -303,11 +305,11 @@ class DiskStore(CurveStore):
             self._roll_segment()
 
     def put(self, key: tuple, value) -> None:
-        with self._lock:
-            self._append(key, value)
+        self.put_many([(key, value)])
 
     def put_many(self, items) -> None:
         with self._lock:
+            self._check_open()
             for key, value in items:
                 self._append(key, value)
 
@@ -333,6 +335,7 @@ class DiskStore(CurveStore):
         reads the compacted segment over any stragglers.
         """
         with self._lock:
+            self._check_open()
             old_ids = sorted(self._segments)
             new_id = self._active_id + 1
             tmp_path = os.path.join(self.root, _segment_name(new_id) + ".tmp")

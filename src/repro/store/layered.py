@@ -31,6 +31,12 @@ class LayeredStore(CurveStore):
         self.disk = disk
         self.hits = 0
         self.misses = 0
+        self._closed = False
+
+    def _check_open(self) -> None:
+        # Checked here, not left to the disk: front hits never reach it.
+        if self._closed:
+            raise ValueError(f"curve store {self.disk.root!r} is closed")
 
     # -- reads -------------------------------------------------------------
 
@@ -38,6 +44,7 @@ class LayeredStore(CurveStore):
         return self.get_many([key])[0]
 
     def get_many(self, keys):
+        self._check_open()
         keys = [tuple(k) for k in keys]
         out = self.front.get_many(keys)
         missing = [i for i, v in enumerate(out) if v is None]
@@ -58,6 +65,7 @@ class LayeredStore(CurveStore):
         return out
 
     def peek_many(self, keys):
+        self._check_open()
         keys = [tuple(k) for k in keys]
         out = self.front.peek_many(keys)
         missing = [i for i, v in enumerate(out) if v is None]
@@ -73,6 +81,7 @@ class LayeredStore(CurveStore):
         self.put_many([(key, value)])
 
     def put_many(self, items) -> None:
+        self._check_open()
         items = [(tuple(k), v) for k, v in items]
         self.front.put_many(items)
         # Promotion already put read-side copies in the front; only keys
@@ -121,6 +130,7 @@ class LayeredStore(CurveStore):
             self.put_many(decode_entries(entries))
 
     def close(self) -> None:
+        self._closed = True
         self.front.close()
         self.disk.close()
 

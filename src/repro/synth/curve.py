@@ -10,7 +10,8 @@ the curve. This module reproduces that pipeline:
   curve path: in-process evaluation, pool and remote farm workers all call
   it on a graph;
 - :class:`AreaDelayCurve` — monotone PCHIP interpolation plus the
-  ``w_optimal`` point selection of Fig. 3c.
+  ``w_optimal`` point selection of Fig. 3c. Construction validates the
+  samples; the interpolator is built on first read.
 """
 
 from __future__ import annotations
@@ -64,6 +65,11 @@ class AreaDelayCurve:
     larger circuit), duplicate delays deduped to their best area. PCHIP
     (shape-preserving, no overshoot) interpolates between samples — the
     paper's choice, for the same reason.
+
+    Construction validates the cleaned samples (``ValueError`` on a NaN or
+    infinite delay or area); the interpolator itself is built on the first
+    :meth:`area_at` / :meth:`w_optimal` that needs it and then kept, so a
+    curve that is only stored or shipped never pays for it.
     """
 
     def __init__(self, samples: "list[tuple[float, float]]"):
@@ -81,10 +87,16 @@ class AreaDelayCurve:
             areas.append(best)
         self.delays = np.asarray(delays, dtype=float)
         self.areas = np.asarray(areas, dtype=float)
-        if len(self.delays) >= 2:
-            self._interp = PchipInterpolator(self.delays, self.areas, extrapolate=False)
-        else:
-            self._interp = None
+        # Cleaning makes delays strictly increasing; PCHIP also needs finite
+        # samples, checked here so bad wire or disk input fails on arrival.
+        if not (np.isfinite(self.delays).all() and np.isfinite(self.areas).all()):
+            raise ValueError(f"curve samples must be finite, got {samples!r}")
+        self._pchip = None
+
+    def _interp(self, delay):
+        if self._pchip is None:
+            self._pchip = PchipInterpolator(self.delays, self.areas, extrapolate=False)
+        return self._pchip(delay)
 
     @classmethod
     def from_points(cls, points) -> "AreaDelayCurve":

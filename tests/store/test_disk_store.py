@@ -7,18 +7,22 @@ exactly as written, and only a torn tail may be lost.
 
 from __future__ import annotations
 
+import json
+import math
 import os
 import signal
+import struct
 import subprocess
 import sys
 import textwrap
+import zlib
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.store import DiskStore
-from repro.store.disk import _HEADER, encode_record
+from repro.store.disk import _HEADER, decode_points, encode_record
 from repro.synth import AreaDelayCurve
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -107,6 +111,42 @@ class TestRoundTrip:
         for i in range(100):
             assert reopened.get(key(i)).points() == curve(i, n_points=8).points()
         reopened.close()
+
+
+def per_point_record(key: tuple, points) -> bytes:
+    """The record codec as first written, one ``struct`` call per point: the
+    byte-level oracle the batched codec must match."""
+    key_bytes = json.dumps(list(key), separators=(",", ":")).encode("utf-8")
+    payload = b"".join(struct.pack("!2d", float(d), float(a)) for d, a in points)
+    crc = zlib.crc32(key_bytes + payload) & 0xFFFFFFFF
+    return struct.pack("!4sIII", b"CRV1", crc, len(key_bytes), len(payload)) + key_bytes + payload
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestCodec:
+    @given(
+        key=st.lists(st.text(max_size=12), min_size=1, max_size=3).map(tuple),
+        points=st.lists(st.tuples(finite, finite), max_size=12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_record_bytes_and_points_match_the_per_point_codec(self, key, points):
+        record = encode_record(key, points)
+        assert record == per_point_record(key, points)
+        key_len = _HEADER.unpack_from(record)[2]
+        payload = record[_HEADER.size + key_len :]
+        decoded = decode_points(payload)
+        want = [struct.unpack_from("!2d", payload, off) for off in range(0, len(payload), 16)]
+        assert type(decoded) is list and all(type(p) is tuple for p in decoded)
+        # Float for float by bit pattern, so -0.0 stays -0.0.
+        assert [struct.pack("!2d", *p) for p in decoded] == [struct.pack("!2d", *p) for p in want]
+        assert [struct.pack("!2d", *p) for p in decoded] == [struct.pack("!2d", d, a) for d, a in points]
+
+    def test_negative_zero_survives(self):
+        payload = encode_record(key(0), [(-0.0, 1.0)])[-16:]
+        ((d, a),) = decode_points(payload)
+        assert math.copysign(1.0, d) == -1.0 and a == 1.0
 
 
 class TestCompaction:

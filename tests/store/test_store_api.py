@@ -8,6 +8,8 @@ builds for ``--store-dir`` runs, plus the layering rules themselves.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.store import (
@@ -98,6 +100,50 @@ class TestProtocolConformance:
         store.get(key(9))
         store.reset_stats()
         assert (store.hits, store.misses) == (0, 0)
+
+
+CLOSED_CALLS = {
+    "get": lambda s: s.get(key(0)),
+    "get_many": lambda s: s.get_many([key(0), key(1)]),
+    "peek_many": lambda s: s.peek_many([key(0)]),
+    "put": lambda s: s.put(key(2), curve(2)),
+    "put_many": lambda s: s.put_many([(key(3), curve(3))]),
+    "contains": lambda s: key(0) in s,
+    "compact": lambda s: s.compact(),
+}
+
+
+def closed_store(kind: str, root):
+    built = DiskStore(root) if kind == "disk" else make_store(root)
+    built.put(key(0), curve(0))
+    built.get(key(0))
+    built.close()
+    # A layered store's front still holds key(0): its get must not be a hit.
+    assert kind == "disk" or built.front.peek_many([key(0)])[0] is not None
+    return built
+
+
+class TestClosedStore:
+    """A closed durable store refuses every read and write by name: passing
+    for an empty one would turn hits into re-syntheses and skew the hit rate."""
+
+    @pytest.mark.parametrize(
+        "kind, call",
+        [("disk", call) for call in CLOSED_CALLS]
+        + [("layered", call) for call in ("get", "get_many", "peek_many", "put", "put_many")],
+    )
+    def test_every_read_and_write_raises_naming_the_root(self, kind, call, tmp_path):
+        store = closed_store(kind, tmp_path)
+        with pytest.raises(ValueError, match=f"{re.escape(str(tmp_path))}.*is closed"):
+            CLOSED_CALLS[call](store)
+
+    @pytest.mark.parametrize("kind", ["disk", "layered"])
+    def test_close_is_idempotent_and_stats_still_answer(self, kind, tmp_path):
+        store = closed_store(kind, tmp_path)
+        store.close()
+        stats = store.stats()
+        assert (stats["hits"], stats["misses"]) == (1, 0)
+        repr(store)
 
 
 class TestFactory:

@@ -13,6 +13,7 @@ from repro.synth import (
     calibrate_scaling,
     synthesize_curve,
 )
+from repro.synth.curve import C_AREA, C_DELAY
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +72,133 @@ class TestAreaDelayCurve:
     def test_interpolation_passes_through_samples(self, sk8_curve):
         for d, a in sk8_curve.points():
             assert sk8_curve.area_at(d) == pytest.approx(a, rel=1e-9)
+
+
+def staircase(n: int) -> "list[tuple[float, float]]":
+    return [(0.5 * (j + 1), 100.0 - 10.0 * j) for j in range(n)]
+
+
+class TestFiniteSamples:
+    """Construction rejects what PCHIP would: at any sample count, so a bad
+    wire or disk curve fails where it arrives rather than inside a reward."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("coord", [0, 1], ids=["delay", "area"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+    def test_non_finite_sample_rejected(self, n, coord, bad):
+        samples = staircase(n)
+        # The fastest sample: its area survives the running-minimum cleaning.
+        fastest = list(samples[0])
+        fastest[coord] = bad
+        samples[0] = tuple(fastest)
+        with pytest.raises(ValueError, match="finite"):
+            AreaDelayCurve(samples)
+        with pytest.raises(ValueError, match="finite"):
+            AreaDelayCurve.from_points([list(p) for p in samples])
+
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            [(1.0, 10.0)],
+            staircase(4),
+            [(1.0, 2.0), (2.0, float("inf"))],  # the running minimum replaces the inf
+            [(1.0, 100.0), (1.0, 90.0), (2.0, 50.0)],
+        ],
+    )
+    def test_finite_cleaned_samples_still_construct(self, samples):
+        curve = AreaDelayCurve(samples)
+        assert np.isfinite(curve.w_optimal(0.5, 0.5)).all()
+
+
+@pytest.fixture
+def pchip_builds(monkeypatch):
+    """Counts every interpolator :class:`AreaDelayCurve` builds."""
+    import repro.synth.curve as curve_module
+
+    builds = []
+    real = curve_module.PchipInterpolator
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(curve_module, "PchipInterpolator", counting)
+    return builds
+
+
+def store_key(i: int) -> tuple:
+    return (f"digest-{i:04d}", "nangate45", "openphysyn")
+
+
+class TestLazyInterpolator:
+    def test_store_hits_and_decodes_build_none(self, tmp_path, pchip_builds):
+        from repro.store import DiskStore, LayeredStore, decode_entries, encode_entries
+
+        items = [(store_key(i), AreaDelayCurve(staircase(4))) for i in range(3)]
+        disk = DiskStore(tmp_path / "disk")
+        disk.put_many(items)
+        pchip_builds.clear()
+        assert all(v is not None for v in disk.get_many([k for k, _ in items]))
+        disk.close()
+        layered = LayeredStore(SynthesisCache(), DiskStore(tmp_path / "disk"))
+        assert all(v is not None for v in layered.get_many([k for k, _ in items]))
+        assert layered.stats()["disk"]["hits"] == 3 and len(layered.front) == 3  # promoted
+        layered.close()
+        assert len(decode_entries(encode_entries(items))) == 3
+        AreaDelayCurve.from_points([list(p) for p in staircase(4)])
+        assert pchip_builds == []
+
+    def test_one_build_per_curve_however_often_read(self, pchip_builds):
+        curve = AreaDelayCurve(staircase(4))
+        assert pchip_builds == []
+        for w in np.linspace(0.1, 0.9, 5):
+            curve.w_optimal(w, 1 - w)
+            curve.area_at(0.5 + w)
+        assert len(pchip_builds) == 1
+
+    @given(
+        samples=st.lists(
+            st.tuples(
+                st.floats(min_value=0.01, max_value=10.0),
+                st.floats(min_value=1.0, max_value=1000.0),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        delays=st.lists(st.floats(min_value=0.0, max_value=11.0), min_size=1, max_size=5),
+        weights=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_reads_bit_identical_to_an_eager_pchip(self, tmp_path_factory, samples, delays, weights):
+        from scipy.interpolate import PchipInterpolator
+
+        from repro.store import DiskStore
+
+        fresh = AreaDelayCurve(samples)
+        root = tmp_path_factory.mktemp("lazy")
+        store = DiskStore(root)
+        store.put(store_key(0), fresh)
+        store.close()
+        store = DiskStore(root)
+        reread = store.get(store_key(0))
+        store.close()
+        assert reread.points() == fresh.points()
+        for curve in (fresh, reread):
+            ds, areas = curve.delays, curve.areas
+            if len(ds) == 1:
+                assert all(curve.area_at(d) == areas[0] for d in delays)
+                assert all(curve.w_optimal(w, 1 - w) == (areas[0], ds[0]) for w in weights)
+                continue
+            oracle = PchipInterpolator(ds, areas, extrapolate=False)
+            for d in delays:
+                want = float(areas[0]) if d <= ds[0] else float(areas[-1]) if d >= ds[-1] else float(oracle(d))
+                assert curve.area_at(d).hex() == want.hex()
+            grid = np.linspace(ds[0], ds[-1], 64)
+            grid_areas = oracle(grid)
+            for w in weights:
+                idx = int(np.argmin(w * C_AREA * grid_areas + (1 - w) * C_DELAY * grid))
+                want = (float(grid_areas[idx]), float(grid[idx]))
+                assert [v.hex() for v in curve.w_optimal(w, 1 - w)] == [v.hex() for v in want]
 
 
 class TestWOptimal:
