@@ -15,7 +15,7 @@ writes the numbers to JSON:
    incremental required-time worklist and the downsize prune exist for;
 5. ``analytical``: raw analytical-delay evals/sec over the feature
    corpus plus the deep-ripple worst case (depth-bound fixpoint in old
-   trees vs the level-bucketed sweep);
+   trees vs the one-pass topological sweep);
 6. ``SynthesisFarm`` pool-vs-serial speedup on the Section V-C workload;
 7. when the running tree has it: ``chaos``
    (failure-recovery cost: a severed actor link absorbed by the
@@ -317,11 +317,11 @@ def bench_sta_backward() -> "dict | None":
 def bench_analytical() -> "dict | None":
     """Raw analytical-delay sweeps, including the deep-ripple worst case.
 
-    Measured on *warm* graph instances: in the training loop the env
-    computes ``graph_features`` (which populates the per-instance
-    level/parent caches) on the same ``PrefixGraph`` the evaluator then
-    scores, so the marginal cost of ``analytical_delay`` is the sweep
-    itself, not the cached precomputation.
+    Measured on *warm* graph instances: the first call populates the
+    per-instance walk (node table) and fanout caches off the clock, so the
+    timed loop is the arrival sweep itself. In the env loop the evaluator
+    scores a fresh successor first and pays the walk that
+    ``graph_features`` and the legal mask then reuse.
     """
     if analytical_delay is None:
         return None

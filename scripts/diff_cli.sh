@@ -34,6 +34,8 @@ COMMANDS=(
     "synth kogge_stone 64 --library industrial8nm"
     "train 8 --steps 60 --seed 3"
     "sweep 6 --weights 2 --steps 40 --seed 1"
+    "eval han_carlson 65"
+    "sweep 33 --weights 2 --steps 40 --seed 2"
 )
 
 status=0

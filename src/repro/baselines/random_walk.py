@@ -9,6 +9,8 @@ mechanism alone.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.env.actions import ActionSpace
 from repro.pareto.front import ParetoArchive
 from repro.prefix.structures import ripple_carry, sklansky
@@ -40,7 +42,7 @@ def random_walk_frontier(
             graph = starts[(step // restart_every) % 2](n)
         metrics = evaluator.evaluate(graph)
         archive.add(metrics.area, metrics.delay, payload=graph)
-        legal = space.legal_actions(graph)
-        graph = space.apply(graph, legal[int(gen.integers(len(legal)))])
+        legal = np.flatnonzero(space.legal_mask(graph))
+        graph = space.apply(graph, space.action(int(legal[gen.integers(legal.size)])))
 
     return archive

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.env.actions import ActionSpace
 from repro.pareto.front import ParetoArchive
 from repro.prefix.graph import PrefixGraph
@@ -68,9 +70,8 @@ def simulated_annealing(
     accepted = 0
 
     for _ in range(iterations):
-        legal = space.legal_actions(current)
-        action = legal[int(gen.integers(len(legal)))]
-        candidate = space.apply(current, action)
+        legal = np.flatnonzero(space.legal_mask(current))
+        candidate = space.apply(current, space.action(int(legal[gen.integers(legal.size)])))
         candidate_cost = cost_of(candidate)
         delta = candidate_cost - current_cost
         if delta <= 0 or gen.random() < math.exp(-delta / max(temp, 1e-12)):

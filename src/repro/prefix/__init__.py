@@ -9,9 +9,10 @@ parent derived from it.
 
 This package provides:
 
-- :class:`PrefixGraph` — immutable grid representation with legality checks,
-  level/fanout analysis and the paper's add/delete/legalize action semantics
-  (Algorithm 1);
+- :class:`PrefixGraph` — an immutable grid plus its bit rows (one int per
+  MSB); legality checks, parents, levels, fanouts and the minlist come from
+  one walk over the rows, and the paper's add/delete/legalize action
+  semantics (Algorithm 1) run on rows (:mod:`repro.prefix.legalize`);
 - regular constructions (ripple-carry, Sklansky, Kogge-Stone, Brent-Kung,
   Han-Carlson, Ladner-Fischer) used as baselines and episode start states;
 - serialization and ASCII rendering (used to reproduce Fig. 7).

@@ -10,6 +10,11 @@ Design notes:
   parent through legalization of an unrelated action); deriving the set from
   the definition makes "deletes are never undone by legalization" an actual
   invariant, which the test suite property-checks.
+- Beside the read-only grid, each graph holds its *bit rows* (one Python int
+  per MSB, bit ``l`` = node ``(m, l)``). Parents, levels, fanouts, the
+  minlist and validation all come from one cached topological walk over the
+  rows (:func:`repro.prefix.legalize.walk_rows`), and add/delete legalize on
+  rows, so the cost of a step follows the node count, not the grid size.
 - Graphs are immutable: actions return new graphs. This keeps the RL
   environment functional and makes synthesis caching by content hash safe.
 """
@@ -25,108 +30,6 @@ class IllegalActionError(ValueError):
     """Raised when an add/delete action violates the environment rules."""
 
 
-def relax_max_plus(
-    values: np.ndarray,
-    ms: np.ndarray,
-    ls: np.ndarray,
-    ups: np.ndarray,
-    weights,
-    max_sweeps: "int | None" = None,
-) -> bool:
-    """In-place max-plus longest-path fixpoint over a prefix-graph grid.
-
-    For every non-input cell ``(ms, ls)`` with upper-parent LSB ``ups``,
-    iterates ``value = weight + max(value[upper], value[lower])`` until
-    stable. Values only increase toward the fixpoint and every node of
-    true depth <= k is settled after ``k`` sweeps, so the loop runs
-    depth(graph) + 1 times with whole-array gathers per sweep. Used for
-    node levels (weight 1) and fanout-loaded arrival times (per-node
-    delays); ``values`` must be C-contiguous with parents pre-seeded
-    (diagonal) and is modified in place.
-
-    ``max_sweeps`` bounds the sweep count; the return value reports
-    whether the fixpoint was reached. Deep (ripple-like) graphs that blow
-    the bound are finished by :func:`policy_doubling_longest_path`, whose
-    sweep count is logarithmic in depth instead of linear.
-    """
-    n = values.shape[0]
-    flat = values.ravel()
-    own = ms * n + ls
-    iup = ms * n + ups
-    ilo = (ups - 1) * n + ls
-    cur = flat[own]
-    sweeps = 0
-    while True:
-        new = weights + np.maximum(flat[iup], flat[ilo])
-        if np.array_equal(new, cur):
-            return True
-        cur = new
-        flat[own] = new
-        sweeps += 1
-        if max_sweeps is not None and sweeps >= max_sweeps:
-            return False
-
-
-def policy_doubling_longest_path(
-    values: np.ndarray, ms: np.ndarray, ls: np.ndarray, ups: np.ndarray, weights
-) -> None:
-    """Longest path by policy iteration with pointer-doubling evaluation.
-
-    The relaxation in :func:`relax_max_plus` needs depth(graph)+1 sweeps —
-    its worst case is the ripple-like chain, depth O(n). This routine
-    instead guesses, per cell, *which* parent carries the longest path
-    (the policy), evaluates all chain lengths under that guess by pointer
-    doubling (``value += value[jump]; jump = jump[jump]`` — O(log depth)
-    sweeps, since every parent pointer is acyclic), then switches any cell
-    whose other parent now looks longer. A result is accepted only when it
-    satisfies the Bellman condition ``value = weight + max(up, lo)``
-    everywhere — the recurrence's unique fixpoint — so the answer is exact
-    regardless of how policy iteration behaved; a bounded-round safety
-    valve falls back to plain relaxation seeded with the (lower-bound)
-    policy values.
-
-    Integer weights only: pointer doubling reassociates the additions
-    along a chain, which is exact for ints but would change float
-    rounding vs the sequential relaxation.
-    """
-    n = values.shape[0]
-    flat = values.ravel()
-    m = ms.size
-    own = ms * n + ls
-    # Compact to non-input cells: 0..m-1, plus one sentinel "settled" node
-    # (index m, value 0) standing in for every input/absent parent cell —
-    # deep graphs are sparse, so sweeps run on m elements, not n*n.
-    comp = np.full(n * n, m, dtype=np.int64)
-    comp[own] = np.arange(m)
-    cup = comp[ms * n + ups]
-    clo = comp[(ups - 1) * n + ls]
-    w = np.broadcast_to(np.asarray(weights, dtype=values.dtype), (m,))
-    policy = cup
-    val = None
-    for _ in range(32):
-        # Evaluate: chain length under the current policy, doubling jumps.
-        val = np.zeros(m + 1, dtype=values.dtype)
-        val[:m] = w
-        jump = np.append(policy, m)
-        while True:
-            njump = jump[jump]
-            if np.array_equal(njump, jump):
-                break
-            val += val[jump]
-            jump = njump
-        # Improve / verify: accept only at the Bellman fixpoint.
-        cand_up = val[cup]
-        cand_lo = val[clo]
-        if np.array_equal(w + np.maximum(cand_up, cand_lo), val[:m]):
-            flat[own] = val[:m]
-            return
-        policy = np.where(cand_lo > cand_up, clo, cup)
-    # Safety valve (not expected to trigger): policy values are true path
-    # lengths, hence lower bounds — finish monotonically by relaxation.
-    flat[own] = np.maximum(flat[own], val[:m])
-    relax_max_plus(values, ms, ls, ups, weights)
-
-
 class PrefixGraph:
     """A legal N-input parallel prefix graph on the (MSB, LSB) grid.
 
@@ -138,16 +41,17 @@ class PrefixGraph:
       upper parent always exists because the diagonal is always populated.
     """
 
-    __slots__ = ("_n", "_grid", "_up", "_levels", "_fanouts", "_minlist", "_derived")
+    __slots__ = ("_n", "_grid", "_rows", "_walk", "_levels", "_fanouts", "_minlist", "_derived")
 
-    def __init__(self, grid: np.ndarray, _validated: bool = False):
+    def __init__(self, grid: np.ndarray, _validated: bool = False, _rows: "tuple[int, ...] | None" = None):
         grid = np.asarray(grid, dtype=bool)
         if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
             raise ValueError(f"grid must be square, got shape {grid.shape}")
         self._n = grid.shape[0]
         self._grid = grid
         self._grid.setflags(write=False)
-        self._up = None
+        self._rows = _legalize.rows_from_grid(grid) if _rows is None else _rows
+        self._walk: "tuple[np.ndarray, tuple[int, ...]] | None" = None
         self._levels = None
         self._fanouts = None
         self._minlist = None
@@ -220,15 +124,6 @@ class PrefixGraph:
         """
         return self.num_nodes - self._n
 
-    def upper_parent_map(self) -> np.ndarray:
-        """Cached ``N x N`` int32 map of upper-parent LSBs (see
-        :func:`repro.prefix.legalize.upper_parent_map`)."""
-        if self._up is None:
-            up = _legalize.upper_parent_map(self._grid)
-            up.setflags(write=False)
-            self._up = up
-        return self._up
-
     def cached(self, key, compute):
         """Memoize ``compute(self)`` under ``key`` for this (immutable) graph.
 
@@ -248,17 +143,16 @@ class PrefixGraph:
     def upper_parent(self, msb: int, lsb: int) -> "tuple[int, int]":
         """The existing node in row ``msb`` with the next-highest LSB.
 
-        Defined for non-input nodes (``lsb < msb``). Always exists because
-        the diagonal node ``(msb, msb)`` is always present.
+        Defined for non-input nodes (``lsb < msb``): the lowest set bit of
+        the row above ``lsb``. Always exists because the diagonal node
+        ``(msb, msb)`` is always present.
         """
         if lsb >= msb:
             raise ValueError(f"input node ({msb},{lsb}) has no parents")
-        # ``item`` reads one Python int without building a numpy scalar:
-        # the netlist builder asks once per gate.
-        k = self.upper_parent_map().item(msb, lsb)
-        if k >= self._n and not self._grid[msb, msb]:
+        above = self._rows[msb] >> (lsb + 1)
+        if not above:
             raise AssertionError(f"diagonal node ({msb},{msb}) missing — grid corrupt")
-        return (msb, k)
+        return (msb, lsb + (above & -above).bit_length())
 
     def lower_parent(self, msb: int, lsb: int) -> "tuple[int, int]":
         """The lower parent ``(k - 1, lsb)`` where ``(msb, k)`` is the upper parent."""
@@ -271,60 +165,48 @@ class PrefixGraph:
         return (m, k), (k - 1, lsb)
 
     def children(self, msb: int, lsb: int) -> "list[tuple[int, int]]":
-        """All present nodes that use ``(msb, lsb)`` as a parent.
-
-        Two vectorized lookups against the upper-parent map replace the
-        full-grid parent scan: upper children live in row ``msb`` (present
-        cells whose next occupied column is ``lsb``), lower children live
-        in column ``lsb`` below rows ``lsb`` (present cells whose upper
-        parent LSB is ``msb + 1``). Row-major output order is preserved —
-        upper children share row ``msb`` while lower children sit strictly
-        below it.
-        """
-        up = self.upper_parent_map()
-        grid = self._grid
-        row_cols = np.nonzero(grid[msb, :msb] & (up[msb, :msb] == lsb))[0]
-        out = [(msb, int(l)) for l in row_cols]
-        lo = lsb + 1
-        col_rows = np.nonzero(grid[lo:, lsb] & (up[lo:, lsb] == msb + 1))[0]
-        out.extend((int(m) + lo, lsb) for m in col_rows)
-        return out
+        """All present nodes that use ``(msb, lsb)`` as a parent, in row-major order."""
+        n = self._n
+        table = self.node_table()
+        cell = msb * n + lsb
+        hits = table[(table[:, 1] == cell) | (table[:, 2] == cell), 0]
+        return [divmod(i, n) for i in sorted(hits.tolist())]
 
     # ------------------------------------------------------------------
     # Derived analyses (cached; the grid is immutable)
     # ------------------------------------------------------------------
 
-    def _noninput_nodes(self) -> "tuple[np.ndarray, np.ndarray]":
-        """Row/col arrays of present non-input cells (row-major order)."""
-        return self.cached(
-            "_noninput_nodes", lambda g: np.nonzero(np.tril(g._grid, k=-1))
-        )
+    def _walked(self) -> "tuple[np.ndarray, tuple[int, ...]]":
+        """The cached :func:`~repro.prefix.legalize.walk_rows` pass."""
+        if self._walk is None:
+            table, minlist_rows = _legalize.walk_rows(self._rows)
+            table.setflags(write=False)
+            self._walk = (table, minlist_rows)
+        return self._walk
+
+    def node_table(self) -> np.ndarray:
+        """Read-only ``(C, 4)`` int32 table of the non-input nodes.
+
+        Row ``i`` is ``(node, upper, lower, level)``: the flat cell indices
+        (``msb * n + lsb``) of a node and of its upper and lower parents, and
+        the node's level. Rows run MSB ascending, LSB descending — a
+        topological order, so both parents of a node precede it.
+        """
+        return self._walked()[0]
 
     def levels(self) -> np.ndarray:
         """Topological depth of every node; inputs are level 0, absent cells -1.
 
         The level of a non-input node is ``1 + max(level(up), level(lp))``,
-        a max-plus longest path. Shallow graphs (the common case) settle
-        within a few whole-grid relaxation sweeps; deep ripple-like graphs
-        would need depth(graph) sweeps, so past a sweep budget the
-        computation switches to :func:`policy_doubling_longest_path`,
-        which needs only O(log depth) sweeps.
+        settled for every node by the one walk behind :meth:`node_table`.
         """
         if self._levels is None:
             n = self._n
             lv = np.full((n, n), -1, dtype=np.int32)
-            idx = np.arange(n)
-            lv[idx, idx] = 0
-            ms, ls = self._noninput_nodes()
-            if ms.size:
-                ups = self.upper_parent_map()[ms, ls]
-                lv[ms, ls] = 0
-                # Depth is at most n-1, so narrow graphs always settle
-                # within the relaxation budget; wide deep ones switch to
-                # the logarithmic doubling path once the budget blows.
-                budget = n if n <= 16 else 12
-                if not relax_max_plus(lv, ms, ls, ups, np.int32(1), max_sweeps=budget):
-                    policy_doubling_longest_path(lv, ms, ls, ups, np.int32(1))
+            flat = lv.reshape(-1)
+            flat[:: n + 1] = 0
+            table = self.node_table()
+            flat[table[:, 0]] = table[:, 3]
             lv.setflags(write=False)
             self._levels = lv
         return self._levels
@@ -338,10 +220,7 @@ class PrefixGraph:
         """
         if self._fanouts is None:
             n = self._n
-            ms, ls = self._noninput_nodes()
-            ups = self.upper_parent_map()[ms, ls]
-            counts = np.bincount(ms * n + ups, minlength=n * n)
-            counts += np.bincount((ups - 1) * n + ls, minlength=n * n)
+            counts = np.bincount(self.node_table()[:, 1:3].ravel(), minlength=n * n)
             fo = counts.reshape(n, n).astype(np.int32)
             fo.setflags(write=False)
             self._fanouts = fo
@@ -363,7 +242,7 @@ class PrefixGraph:
         such a node is never undone by legalization.
         """
         if self._minlist is None:
-            ml = _legalize.derive_minlist(self._grid, up=self.upper_parent_map())
+            ml = _legalize.grid_from_rows(self._walked()[1])
             ml.setflags(write=False)
             self._minlist = ml
         return self._minlist
@@ -381,18 +260,14 @@ class PrefixGraph:
             raise ValueError("missing output node(s) in column 0")
         if np.triu(grid, k=1).any():
             raise ValueError("node(s) above the diagonal (lsb > msb)")
-        ms, ls = self._noninput_nodes()
-        ups = self.upper_parent_map()[ms, ls]
-        missing = ~grid[ups - 1, ls]
-        if missing.any():
-            # Report the first offender in the original scan order
-            # (ascending MSB, descending LSB within a row).
-            bad = np.nonzero(missing)[0]
-            first_row = ms[bad].min()
-            in_row = bad[ms[bad] == first_row]
-            i = in_row[np.argmax(ls[in_row])]
-            m, l, k = int(ms[i]), int(ls[i]), int(ups[i])
-            raise ValueError(f"node ({m},{l}) has missing lower parent ({k - 1},{l})")
+        # The walk visits nodes in the scan order that names the first
+        # offender: ascending MSB, descending LSB within a row.
+        rows = self._rows
+        for node, _, lower, _ in self.node_table().tolist():
+            lm, ll = divmod(lower, n)
+            if not rows[lm] >> ll & 1:
+                m, l = divmod(node, n)
+                raise ValueError(f"node ({m},{l}) has missing lower parent ({lm},{ll})")
 
     def is_legal(self) -> bool:
         """True if :meth:`validate` passes."""
@@ -410,13 +285,13 @@ class PrefixGraph:
         """An add targets an absent interior cell (redundant adds forbidden)."""
         if not (0 < lsb < msb < self._n):
             return False
-        return not self._grid[msb, lsb]
+        return not self._rows[msb] >> lsb & 1
 
     def can_delete(self, msb: int, lsb: int) -> bool:
         """A delete targets a minlist node (so legalization cannot undo it)."""
         if not (0 < lsb < msb < self._n):
             return False
-        return bool(self.minlist()[msb, lsb])
+        return bool(self._walked()[1][msb] >> lsb & 1)
 
     def add_node(self, msb: int, lsb: int) -> "PrefixGraph":
         """Add node ``(msb, lsb)`` and legalize; returns the new graph.
@@ -428,19 +303,22 @@ class PrefixGraph:
         """
         if not self.can_add(msb, lsb):
             raise IllegalActionError(f"cannot add node ({msb},{lsb})")
-        min_grid = np.array(self.minlist())
-        min_grid[msb, lsb] = True
-        new_grid = _legalize.legalize_minlist(min_grid)
-        return PrefixGraph(new_grid, _validated=True)
+        min_rows = list(self._walked()[1])
+        min_rows[msb] |= 1 << lsb
+        return self._legalized(min_rows)
 
     def delete_node(self, msb: int, lsb: int) -> "PrefixGraph":
         """Delete minlist node ``(msb, lsb)`` and legalize; returns the new graph."""
         if not self.can_delete(msb, lsb):
             raise IllegalActionError(f"cannot delete node ({msb},{lsb})")
-        min_grid = np.array(self.minlist())
-        min_grid[msb, lsb] = False
-        new_grid = _legalize.legalize_minlist(min_grid)
-        return PrefixGraph(new_grid, _validated=True)
+        min_rows = list(self._walked()[1])
+        min_rows[msb] ^= 1 << lsb
+        return self._legalized(min_rows)
+
+    @staticmethod
+    def _legalized(min_rows: "list[int]") -> "PrefixGraph":
+        rows = _legalize.legalize_rows(min_rows)
+        return PrefixGraph(_legalize.grid_from_rows(rows), _validated=True, _rows=rows)
 
     # ------------------------------------------------------------------
     # Identity
@@ -453,7 +331,7 @@ class PrefixGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PrefixGraph):
             return NotImplemented
-        return self._n == other._n and bool(np.array_equal(self._grid, other._grid))
+        return self._n == other._n and self._rows == other._rows
 
     def __hash__(self) -> int:
         return hash((self._n, self.key()))

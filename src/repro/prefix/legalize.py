@@ -1,11 +1,15 @@
-"""Legalization (Algorithm 1 of the paper) over minlist grids.
+"""Legalization (Algorithm 1 of the paper) and analysis over bit rows.
 
-Two implementations live here:
+A graph's *rows* are one Python int per MSB: bit ``l`` of ``rows[m]`` is
+node ``(m, l)``. Every analytic is a walk over set bits, so the work is
+proportional to the node count, not to the ``N x N`` grid:
 
-- :func:`legalize_minlist` / :func:`derive_minlist` — the library's canonical
-  semantics: the nodelist is rebuilt from a minlist grid in a single
-  (descending MSB, descending LSB) pass, and the minlist is *derived* from
+- :func:`legalize_rows` / :func:`walk_rows` — the library's canonical
+  semantics: the nodelist is rebuilt from minlist rows in a single
+  (descending MSB, descending LSB) sweep, and the minlist is *derived* from
   the nodelist as "interior nodes that are not lower parents".
+  :func:`legalize_minlist` / :func:`derive_minlist` are grid-in/grid-out
+  wrappers over the same row code.
 - :class:`Algorithm1State` — a literal transcription of the paper's
   Algorithm 1 with its persistent, incrementally-maintained minlist.
 
@@ -24,87 +28,95 @@ from __future__ import annotations
 import numpy as np
 
 
-def _upper_parent_lsb(row: np.ndarray, msb: int, lsb: int) -> int:
-    """LSB of the upper parent of ``(msb, lsb)`` given row occupancy."""
-    for k in range(lsb + 1, msb + 1):
-        if row[k]:
-            return k
-    raise AssertionError(f"diagonal node ({msb},{msb}) missing from row")
-
-
-def upper_parent_map(grid: np.ndarray) -> np.ndarray:
-    """Per-cell LSB of the nearest occupied column strictly above, as int32.
-
-    ``up[m, l]`` is the smallest ``k > l`` with ``grid[m, k]`` — the upper
-    parent LSB of any (present or hypothetical) node at ``(m, l)`` — or
-    ``n`` when no such column exists (only possible at or above the
-    diagonal of a legal grid). One suffix-scan over columns computes the
-    whole map; every other analytic (levels, fanouts, minlist, children,
-    validation) derives from it with numpy sweeps.
-    """
-    grid = np.asarray(grid, dtype=bool)
+def rows_from_grid(grid: np.ndarray) -> "tuple[int, ...]":
+    """The bit rows of a boolean ``N x N`` grid (one ``packbits`` call)."""
     n = grid.shape[0]
-    col = np.arange(n, dtype=np.int32)
-    # Smallest occupied column index >= l, scanned right-to-left; shift by
-    # one column to make the relation strict (> l).
-    cand = np.where(grid, col, np.int32(n))
-    suffix_min = np.minimum.accumulate(cand[:, ::-1], axis=1)[:, ::-1]
-    up = np.full((n, n), n, dtype=np.int32)
-    if n > 1:
-        up[:, :-1] = suffix_min[:, 1:]
-    return up
+    packed = np.packbits(grid, axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    return tuple(int.from_bytes(data[i : i + width], "little") for i in range(0, n * width, width))
+
+
+def grid_from_rows(rows) -> np.ndarray:
+    """The boolean ``N x N`` grid of ``N`` bit rows (a new, writable array)."""
+    n = len(rows)
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
+
+
+def legalize_rows(min_rows) -> "tuple[int, ...]":
+    """Rebuild legal nodelist rows from minlist rows (Algorithm 1's ``Legalize``).
+
+    Start from the minlist plus all input/output nodes, then sweep rows from
+    MSB ``N-1`` down: within a row, nodes are visited by descending LSB, so
+    each node's upper parent is the previously visited bit, and its lower
+    parent's bit is ORed into row ``k - 1``. That row is strictly lower and
+    visited later, so each row is settled by the time it is scanned. Output
+    nodes are skipped: their lower parents sit in column 0, always present.
+    """
+    rows = [(r & ((1 << m) - 1)) | (1 << m) | 1 for m, r in enumerate(min_rows)]
+    for m in range(len(rows) - 1, 1, -1):
+        rest = rows[m] & ((1 << m) - 2)
+        k = m
+        while rest:
+            l = rest.bit_length() - 1
+            rest ^= 1 << l
+            rows[k - 1] |= 1 << l
+            k = l
+    return tuple(rows)
+
+
+def walk_rows(rows) -> "tuple[np.ndarray, tuple[int, ...]]":
+    """One topological pass over a graph's bit rows.
+
+    Visits every non-input node in MSB-ascending, LSB-descending order — a
+    topological order, since the upper parent ``(m, k)`` is the previously
+    visited bit of the same row and the lower parent ``(k - 1, l)`` lies in
+    an earlier row. Returns ``(table, minlist_rows)``:
+
+    - ``table`` — ``(C, 4)`` int32, one row per node in visiting order:
+      the flat cell indices (``msb * N + lsb``) of the node, its upper
+      parent and its lower parent, then the node's level
+      (``1 + max`` of its parents' levels; inputs are level 0);
+    - ``minlist_rows`` — the interior nodes that are no node's lower parent.
+
+    The walk reads the rows as given; on an illegal grid a missing lower
+    parent shows up as a table entry naming an absent cell.
+    """
+    n = len(rows)
+    level = [0] * (n * n)
+    lower = [0] * n
+    flat: "list[int]" = []
+    for m in range(1, n):
+        rest = rows[m] & ((1 << m) - 1)
+        k, base = m, m * n
+        while rest:
+            l = rest.bit_length() - 1
+            rest ^= 1 << l
+            node, up, lo = base + l, base + k, (k - 1) * n + l
+            a, b = level[up], level[lo]
+            level[node] = depth = (a if a > b else b) + 1
+            flat += (node, up, lo, depth)
+            lower[k - 1] |= 1 << l
+            k = l
+    table = np.array(flat, dtype=np.int32).reshape(-1, 4)
+    minlist = tuple(r & ~lp & ((1 << m) - 1) & ~1 for m, (r, lp) in enumerate(zip(rows, lower)))
+    return table, minlist
 
 
 def legalize_minlist(min_grid: np.ndarray) -> np.ndarray:
-    """Rebuild a legal nodelist grid from a minlist grid.
-
-    Mirrors Algorithm 1's ``Legalize``: start from the minlist plus all
-    input/output nodes, then sweep rows from MSB ``N-1`` down to ``0``,
-    adding every present node's lower parent. A node's upper parent lies in
-    the same row at a higher LSB and its lower parent lies in a strictly
-    lower row (visited later, since MSB descends), so each row is settled
-    by the time it is scanned and all of its lower parents can be placed
-    with one vectorized suffix-min scan instead of a per-cell column walk.
-    """
-    min_grid = np.asarray(min_grid, dtype=bool)
-    n = min_grid.shape[0]
-    grid = np.array(min_grid)
-    idx = np.arange(n)
-    grid[idx, idx] = True
-    grid[idx, 0] = True
-    grid &= ~np.triu(np.ones((n, n), dtype=bool), k=1)
-    col = np.arange(n, dtype=np.int32)
-    for m in range(n - 1, 0, -1):
-        row = grid[m]
-        ls = np.nonzero(row[:m])[0]
-        # Upper-parent LSB per present cell: nearest occupied column above.
-        cand = np.where(row, col, np.int32(n))
-        suffix_min = np.minimum.accumulate(cand[::-1])[::-1]
-        ups = suffix_min[ls + 1]
-        grid[ups - 1, ls] = True
-    return grid
+    """Rebuild a legal nodelist grid from a minlist grid (see :func:`legalize_rows`)."""
+    return grid_from_rows(legalize_rows(rows_from_grid(np.asarray(min_grid, dtype=bool))))
 
 
-def derive_minlist(grid: np.ndarray, up: "np.ndarray | None" = None) -> np.ndarray:
+def derive_minlist(grid: np.ndarray) -> np.ndarray:
     """Interior nodes of ``grid`` that are not the lower parent of any node.
 
     This is the paper's prose definition of ``minlist`` (Section IV-A):
-    exactly the nodes whose deletion legalization cannot undo. Pass a
-    precomputed ``up`` map (see :func:`upper_parent_map`) to reuse a
-    graph instance's cache.
+    exactly the nodes whose deletion legalization cannot undo.
     """
-    grid = np.asarray(grid, dtype=bool)
-    n = grid.shape[0]
-    if up is None:
-        up = upper_parent_map(grid)
-    noninput = np.tril(grid, k=-1)
-    ms, ls = np.nonzero(noninput)
-    is_lower_parent = np.zeros((n, n), dtype=bool)
-    is_lower_parent[up[ms, ls] - 1, ls] = True
-    minlist = noninput
-    minlist[:, 0] = False
-    minlist &= ~is_lower_parent
-    return minlist
+    return grid_from_rows(walk_rows(rows_from_grid(np.asarray(grid, dtype=bool)))[1])
 
 
 class Algorithm1State:

@@ -1,12 +1,12 @@
 """Pure-Python reference implementations of the graph analytics.
 
-This module preserves the original (pre-vectorization) implementations of
-the :class:`repro.prefix.PrefixGraph` analytics and the legalization
-sweeps, verbatim, as executable specifications. :class:`LoopAnalytics`
-mirrors the seed's method structure (per-cell ``parents()`` scans) so that
+This module preserves the seed's nested-loop implementations of the
+:class:`repro.prefix.PrefixGraph` analytics and the legalization sweeps,
+verbatim, as executable specifications. :class:`LoopAnalytics` mirrors the
+seed's method structure (per-cell ``parents()`` scans) so that
 
-- the property tests in ``tests/prefix/test_vectorized_analytics.py`` can
-  check the vectorized code is bit-identical to the old behavior, and
+- the property tests in ``tests/prefix/test_row_analytics.py`` can check
+  the bit-row code is bit-identical to the old behavior, and
 - ``benchmarks/bench_hotpath.py`` can measure the speedup against the code
   that actually shipped before, not a strawman.
 
@@ -24,8 +24,7 @@ class LoopAnalytics:
 
     Wraps a legal nodelist grid and exposes ``levels`` / ``fanouts`` /
     ``minlist`` / ``children`` / ``validate`` with the original nested-loop
-    bodies (including the per-call ``parents()`` row scans the vectorized
-    implementation replaced).
+    bodies (including the per-call ``parents()`` row scans).
     """
 
     def __init__(self, grid: np.ndarray):

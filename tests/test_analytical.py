@@ -10,6 +10,8 @@ from tests.oracles.analytical import analytical_delay_reference
 from repro.prefix import REGULAR_STRUCTURES, brent_kung, kogge_stone, ripple_carry, sklansky
 from tests.conftest import random_walk_graph
 
+WIDTHS = (2, 3, 5, 13, 16, 32, 33, 64, 65)
+
 
 class TestArea:
     def test_area_is_compute_node_count(self):
@@ -63,26 +65,26 @@ class TestDelay:
         assert analytical_delay(ripple_carry(32)) > analytical_delay(kogge_stone(32))
 
 
-class TestLevelBucketedMatchesReference:
-    """The level-bucketed sweep must be *bit-identical* to the preserved
+class TestOnePassMatchesReference:
+    """The one-pass topological sweep must be *bit-identical* to the preserved
     fixpoint-relaxation oracle — same per-node float op, applied once per
     node from settled parents, so not a single ulp of drift is allowed."""
 
-    @pytest.mark.parametrize("n", (4, 8, 16, 32, 64))
+    @pytest.mark.parametrize("n", WIDTHS)
     def test_regular_structures(self, n):
         for ctor in REGULAR_STRUCTURES.values():
             g = ctor(n)
             assert analytical_delay(g) == analytical_delay_reference(g)
 
     def test_deep_ripple_is_the_worst_case(self):
-        # depth 63: the reference pays 64 whole-grid sweeps, the bucketed
-        # sweep one gather per level — values must still agree exactly.
+        # depth 63: the reference pays 64 whole-grid sweeps, the one-pass
+        # sweep one visit per node — values must still agree exactly.
         g = ripple_carry(64)
         assert analytical_delay(g) == analytical_delay_reference(g)
 
     @settings(max_examples=40, deadline=None)
     @given(
-        n=st.sampled_from([4, 8, 12, 16, 24]),
+        n=st.sampled_from(WIDTHS),
         steps=st.integers(min_value=0, max_value=40),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )

@@ -1,5 +1,7 @@
 """Baseline algorithm tests: SA, PS, CL and the random-walk control."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -146,3 +148,47 @@ class TestRandomWalk:
         archive = random_walk_frontier(8, evaluator, steps=70, restart_every=16, rng=1)
         # Ripple (area 7) must appear among seen points via restarts.
         assert any(a == 7.0 for a, _ in archive.points()) or archive.num_seen == 70
+
+
+class TestControlTrajectoriesPinned:
+    """The controls draw from the legal mask's indices with the same
+    ``gen.integers(count)`` call as drawing from a list of every legal
+    ``Action``, so a seed walks the same path: archive points, Pareto
+    payloads and SA's acceptance record are pinned to recorded values."""
+
+    RANDOM_WALK = {
+        8: ([(12.0, 7.5), (11.0, 8.5), (9.0, 9.5), (7.0, 11.5)], "500c690a45046c2c"),
+        16: (
+            [(33.0, 12.0), (32.0, 12.5), (27.0, 15.0), (25.0, 15.5), (21.0, 17.5), (15.0, 23.5)],
+            "c07cc64ee428643b",
+        ),
+    }
+    ANNEALING = {
+        8: ([(11.0, 8.0), (10.0, 8.5), (9.0, 9.0), (8.0, 10.5), (7.0, 11.5)], "aa0e127d8adaab88", 48, 8.9),
+        16: (
+            [(29.0, 12.0), (28.0, 13.0), (27.0, 14.0), (23.0, 14.5), (17.0, 21.0), (16.0, 22.5), (15.0, 23.5)],
+            "ef05418a740fdfdb",
+            37,
+            17.05,
+        ),
+    }
+
+    @staticmethod
+    def payload_digest(archive):
+        return hashlib.sha256(b"".join(graph.key() for _, _, graph in archive.entries())).hexdigest()[:16]
+
+    @pytest.mark.parametrize("n", (8, 16))
+    def test_random_walk_archive(self, n):
+        archive = random_walk_frontier(n, AnalyticalEvaluator(), steps=150, restart_every=40, rng=7)
+        points, digest = self.RANDOM_WALK[n]
+        assert archive.points() == points
+        assert self.payload_digest(archive) == digest
+
+    @pytest.mark.parametrize("n", (8, 16))
+    def test_annealing_archive(self, n):
+        res = simulated_annealing(n, AnalyticalEvaluator(0.3, 0.7), iterations=250, rng=11)
+        points, digest, accepted, best_cost = self.ANNEALING[n]
+        assert res.archive.points() == points
+        assert self.payload_digest(res.archive) == digest
+        assert res.accepted == accepted
+        assert res.best_cost == pytest.approx(best_cost, abs=1e-12)
