@@ -429,81 +429,6 @@ def _runtime_serial_throughput() -> "tuple[float, int]":
     return steps / wall, cache.misses
 
 
-def _runtime_async_throughput() -> "tuple[float, int]":
-    """The actor-learner runtime on the same workload and env count."""
-    from repro.synth import SynthesisCache, SynthesisEvaluator
-
-    n = RUNTIME_WIDTH
-    lib = nangate45()
-    cache = SynthesisCache()
-    config = TrainerConfig(steps=RUNTIME_STEPS, **RUNTIME_CONFIG)
-    agent = ScalarizedDoubleDQN(n, rng=0, **RUNTIME_NET)
-    envs = [
-        VectorPrefixEnv.make(
-            n, lambda: SynthesisEvaluator(lib, cache=cache),
-            num_envs=RUNTIME_ENVS_PER_ACTOR, horizon=RUNTIME_HORIZON,
-            seed=i * RUNTIME_ENVS_PER_ACTOR,
-        )
-        for i in range(RUNTIME_ACTORS)
-    ]
-    runtime = TrainingRuntime(
-        envs, agent, config,
-        RuntimeConfig(
-            mode="async", num_actors=RUNTIME_ACTORS,
-            publish_every=RUNTIME_PUBLISH_EVERY,
-        ),
-        rng=0,
-    )
-    start = time.perf_counter()
-    history = runtime.run()
-    wall = time.perf_counter() - start
-    return history.env_steps / wall, cache.misses
-
-
-def bench_runtime() -> "dict | None":
-    """Async actor-learner runtime vs the serial synchronous path.
-
-    Interleaved rounds (serial, async, serial, async, ...), best-of per
-    mode — the host drifts, so only interleaved measurements are
-    comparable. Both modes step the same number of environments on the
-    same synthesis-in-the-loop workload; the async side additionally
-    reports its synthesis-miss count (batched ``evaluate_many`` dedup and
-    cross-actor cache sharing do strictly less synthesis work). On this
-    1-CPU container there is no latency to hide, so wall-clock lands at
-    parity — the async payoff in steps/sec needs parallel hardware
-    (multi-host actors, see ROADMAP).
-    """
-    if TrainingRuntime is None or VectorPrefixEnv is None:
-        return None
-    best = {"serial": 0.0, "async": 0.0}
-    misses = {}
-    for _ in range(RUNTIME_ROUNDS):
-        for mode, fn in (("serial", _runtime_serial_throughput),
-                         ("async", _runtime_async_throughput)):
-            sps, miss = fn()
-            best[mode] = max(best[mode], sps)
-            misses[mode] = min(misses.get(mode, miss), miss)
-    row = {
-        "steps": RUNTIME_STEPS,
-        "actors": RUNTIME_ACTORS,
-        "envs_per_actor": RUNTIME_ENVS_PER_ACTOR,
-        "rounds": RUNTIME_ROUNDS,
-        "serial_steps_per_sec": best["serial"],
-        "async_steps_per_sec": best["async"],
-        "serial_synthesis_misses": misses["serial"],
-        "async_synthesis_misses": misses["async"],
-        "async_over_serial": best["async"] / max(best["serial"], 1e-9),
-        "async_synthesis_work_saved": 1.0 - misses["async"] / max(misses["serial"], 1),
-    }
-    out = {str(RUNTIME_WIDTH): row}
-    print(f"runtime n={RUNTIME_WIDTH}: serial {best['serial']:.2f} steps/s "
-          f"({misses['serial']} misses), "
-          f"async[{RUNTIME_ACTORS}x{RUNTIME_ENVS_PER_ACTOR}] {best['async']:.2f} "
-          f"steps/s ({misses['async']} misses) -> {row['async_over_serial']:.2f}x "
-          f"wall, {row['async_synthesis_work_saved']:.0%} less synthesis")
-    return out
-
-
 def _bench_protocol() -> dict:
     """Per-frame wire overhead over a real loopback socket.
 
@@ -652,7 +577,7 @@ def bench_backend() -> dict:
     """Claim/lease dedup: synthesis work saved under actor contention.
 
     Honest 1-CPU work-reduction numbers (interleaved best-of rounds, like
-    the runtime/cluster sections): both modes do the same useful work;
+    the cluster section): both modes do the same useful work;
     the recorded quantity is synthesis *runs*, not wall-clock — no
     speedup claim is made or implied on this host. The dedup-only
     baseline's count is scheduling-dependent (between 1x and 2x unique),
@@ -706,7 +631,6 @@ def _cluster_train_throughput() -> "tuple[float, int]":
         agent,
         config,
         RuntimeConfig(
-            mode="cluster",
             num_actors=RUNTIME_ACTORS,
             publish_every=RUNTIME_PUBLISH_EVERY,
         ),
@@ -722,7 +646,7 @@ def _cluster_train_throughput() -> "tuple[float, int]":
 def bench_cluster() -> "dict | None":
     """The network subsystem's honest 1-CPU numbers.
 
-    Interleaved serial-vs-cluster rounds like ``bench_runtime``; on one
+    Interleaved serial-vs-cluster rounds, best-of per mode; on one
     core the multi-process cluster *loses* wall-clock to spawn and wire
     overhead (recorded, not hidden) while doing measurably less synthesis
     work through the shared cache service — the steps/sec payoff needs
@@ -799,7 +723,7 @@ def _chaos_train_run(sever: bool) -> "tuple[float, dict, dict]":
         agent,
         config,
         RuntimeConfig(
-            mode="cluster", num_actors=1, publish_every=RUNTIME_PUBLISH_EVERY
+            num_actors=1, publish_every=RUNTIME_PUBLISH_EVERY
         ),
         rng=0,
         cluster=spec,
@@ -1088,9 +1012,6 @@ def measure() -> dict:
     analytical_rows = bench_analytical()
     if analytical_rows is not None:
         out["analytical"] = analytical_rows
-    runtime = bench_runtime()
-    if runtime is not None:
-        out["runtime"] = runtime
     cluster = bench_cluster()
     if cluster is not None:
         out["cluster"] = cluster
@@ -1159,12 +1080,6 @@ def merge(baseline: dict, current: dict, parent: "dict | None" = None) -> dict:
     """
     speedups = _section_speedups(baseline, current)
     speedups["farm_pool_over_serial"] = current["synthesis_farm"]["pool_speedup"]
-    for row in current.get("runtime", {}).values():
-        # Within-run ratios (interleaved best-of), like the farm number.
-        speedups[f"runtime_async{row['actors']}_over_serial"] = row["async_over_serial"]
-        speedups[f"runtime_async{row['actors']}_synthesis_saved"] = (
-            row["async_synthesis_work_saved"]
-        )
     for row in current.get("cluster", {}).values():
         # Honest within-run ratios: on 1 CPU cluster_over_serial is a
         # *cost* record (spawn + wire overhead), not a speedup claim; the
@@ -1332,10 +1247,6 @@ def run_smoke(output: "str | None") -> dict:
         assert "analytical" in current, "missing bench section 'analytical'"
         expected.append(f"analytical_n{ANALYTICAL_WIDTHS[0]}")
         expected.append(f"analytical_ripple_n{ANALYTICAL_WIDTHS[0]}")
-    if TrainingRuntime is not None:
-        assert "runtime" in current, "missing bench section 'runtime'"
-        expected.append(f"runtime_async{RUNTIME_ACTORS}_over_serial")
-        expected.append(f"runtime_async{RUNTIME_ACTORS}_synthesis_saved")
     if repro_net is not None and TrainingRuntime is not None:
         assert "cluster" in current, "missing bench section 'cluster'"
         expected.append(f"cluster_{RUNTIME_ACTORS}proc_over_serial")
@@ -1373,7 +1284,6 @@ def profile_sections() -> dict:
         "sta_backward": bench_sta_backward,
         "analytical": bench_analytical,
         "synthesis_farm": bench_farm,
-        "runtime": bench_runtime,
         "cluster": bench_cluster,
         "backend": (lambda: bench_backend() if BACKEND_AVAILABLE else None),
         "chaos": bench_chaos,

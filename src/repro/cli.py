@@ -146,14 +146,27 @@ def _make_agent(args):
     )
 
 
+def _runtime_config(**knobs):
+    """A :class:`RuntimeConfig` from parsed flags; an out-of-range value
+    exits with the message naming its field."""
+    from repro.rl import RuntimeConfig
+
+    try:
+        return RuntimeConfig(**knobs)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+
+
 def cmd_train(args) -> int:
     from repro.env import PrefixEnv
-    from repro.pareto.front import ParetoArchive
-    from repro.rl import RuntimeConfig, TrainerConfig, TrainingRuntime
+    from repro.rl import TrainerConfig, TrainingRuntime
     from repro.store import make_store
     from repro.synth import SynthesisEvaluator
 
     _require_checkpoint_dir(args)
+    runtime_config = _runtime_config(
+        checkpoint_every=args.checkpoint_every, stop_after=args.stop_after
+    )
 
     library = _library(args.library)
     c_area, c_delay = _calibrated_scaling(library, args.width)
@@ -161,38 +174,14 @@ def cmd_train(args) -> int:
     # --store-dir: a memory front over a durable DiskStore, so a rerun
     # against the same directory starts warm.
     cache = make_store(args.store_dir)
-
-    def make_evaluator():
-        return SynthesisEvaluator(
-            library, w_area=args.w_area, w_delay=1 - args.w_area,
-            cache=cache, c_area=c_area, c_delay=c_delay,
-        )
-
+    evaluator = SynthesisEvaluator(
+        library, w_area=args.w_area, w_delay=1 - args.w_area,
+        cache=cache, c_area=c_area, c_delay=c_delay,
+    )
+    env = PrefixEnv(args.width, evaluator, horizon=24, rng=args.seed)
     config = TrainerConfig(steps=args.steps, batch_size=8, warmup_steps=16)
-
-    if args.runtime == "sync":
-        envs = PrefixEnv(args.width, make_evaluator(), horizon=24, rng=args.seed)
-        archive_envs = [envs]
-    else:
-        from repro.env import VectorPrefixEnv
-
-        envs = [
-            VectorPrefixEnv.make(
-                args.width, make_evaluator, num_envs=args.envs_per_actor,
-                horizon=24, seed=args.seed + i * args.envs_per_actor,
-            )
-            for i in range(args.actors)
-        ]
-        archive_envs = [e for venv in envs for e in venv.envs]
     runtime = TrainingRuntime(
-        envs, _make_agent(args), config,
-        RuntimeConfig(
-            mode=args.runtime,
-            num_actors=args.actors,
-            publish_every=args.publish_every,
-            checkpoint_every=args.checkpoint_every,
-            stop_after=args.stop_after,
-        ),
+        env, _make_agent(args), config, runtime_config,
         checkpoint_dir=args.checkpoint_dir, rng=args.seed,
     )
     history = runtime.run(
@@ -205,15 +194,7 @@ def cmd_train(args) -> int:
     print(f"trained {history.env_steps} steps ({history.gradient_steps} gradient steps)")
     print(f"cache: {cache}")
     print("frontier (area um2, delay ns):")
-    if len(archive_envs) == 1:
-        entries = archive_envs[0].archive.entries()
-    else:
-        merged = ParetoArchive()
-        for env in archive_envs:
-            for area, delay, payload in env.archive.entries():
-                merged.add(area, delay, payload=payload)
-        entries = merged.entries()
-    for area, delay, _ in entries:
+    for area, delay, _ in env.archive.entries():
         print(f"  {area:10.2f}  {delay:.4f}")
     return 0
 
@@ -227,7 +208,7 @@ def _cluster_pieces(args):
     """
     from repro.net import ClusterSpec
     from repro.net.config import ClusterConfig
-    from repro.rl import RuntimeConfig, TrainerConfig
+    from repro.rl import TrainerConfig
 
     library = _library(args.library)
     c_area, c_delay = _calibrated_scaling(library, args.width)
@@ -245,8 +226,7 @@ def _cluster_pieces(args):
         config=cluster_config,
     )
     config = TrainerConfig(steps=args.steps, batch_size=8, warmup_steps=16)
-    runtime_config = RuntimeConfig(
-        mode="cluster",
+    runtime_config = _runtime_config(
         num_actors=cluster_config.actors,
         publish_every=cluster_config.publish_every,
         checkpoint_every=cluster_config.checkpoint_every,
@@ -649,21 +629,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channels", type=int, default=8)
     p.add_argument("--library", default="nangate45")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--runtime", choices=("sync", "async"), default="sync",
-                   help="the deterministic single-process runtime (default) or the "
-                        "async actor-learner runtime (--actors threads)")
-    p.add_argument("--actors", type=int, default=2,
-                   help="async runtime: actor thread count")
-    p.add_argument("--envs-per-actor", type=int, default=4,
-                   help="async runtime: lockstep env replicas per actor")
-    p.add_argument("--publish-every", type=int, default=1,
-                   help="async runtime: gradient steps between weight publications")
     p.add_argument("--checkpoint-dir", default=None,
                    help="checkpoint root (enables checkpointing)")
     p.add_argument("--checkpoint-every", type=int, default=0,
                    help="env steps between checkpoints (0: only at halt/completion)")
     p.add_argument("--stop-after", type=int, default=None,
-                   help="checkpoint and halt at this env step (simulated preemption)")
+                   help="checkpoint and halt at this env step (simulated preemption); "
+                        "exact for train's one env, while a runtime over E lockstep "
+                        "replicas halts at the first round boundary at or past it, "
+                        "the point a resume continues from bit-identically")
     p.add_argument("--resume", action="store_true",
                    help="resume from the latest checkpoint in --checkpoint-dir")
     p.add_argument("--store-dir", default=None,

@@ -9,7 +9,7 @@ reproduces the mechanisms and their measurable effects:
 - :class:`BatchedActor` — many environment copies stepped with one batched
   Q-network forward per round (the pipeline-parallel experience generator);
 - :class:`LearnerCore` / :class:`ActorLoop` — the off-policy actor/learner
-  split itself: one core, one loop, threads or sockets in between;
+  split itself: one core, one loop, sockets in between (:mod:`repro.net`);
 - the shared :class:`repro.synth.SynthesisCache` provides the cache-hit
   statistics the paper reports (50% at 32b, 10% at 64b).
 """
@@ -17,7 +17,6 @@ reproduces the mechanisms and their measurable effects:
 from repro.distributed.farm import SynthesisFarm, FarmStats
 from repro.distributed.pipeline import (
     ActorLoop,
-    ActorWorker,
     BatchedActor,
     CollectStats,
     LearnerCore,
@@ -30,7 +29,6 @@ __all__ = [
     "BatchedActor",
     "CollectStats",
     "ActorLoop",
-    "ActorWorker",
     "LearnerCore",
     "PolicyHub",
 ]

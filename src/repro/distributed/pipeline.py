@@ -13,11 +13,11 @@ the repo scales that with, at every deployment size:
   the step budget) and the two things an actor may ask of it:
   :meth:`~LearnerCore.pull` (weights, if newer) and
   :meth:`~LearnerCore.ingest` (one acting round in, next orders out);
+  :class:`repro.net.learner.LearnerState` serves it over sockets;
 - :class:`ActorLoop` — refresh → acting round → push → obey, over any
   *link* with ``pull(have_version, have_digest)`` and ``push(round,
-  epsilon)``. :class:`ActorWorker` is that loop on a thread with the core
-  itself behind the link; :class:`repro.net.actor.RemoteActorWorker` is
-  the same loop with a socket behind it.
+  epsilon)``; :class:`repro.net.actor.RemoteActorWorker` runs it with a
+  socket behind the link.
 """
 
 from __future__ import annotations
@@ -186,9 +186,9 @@ class LearnerCore:
 
     The history, the sharded replay buffer, the published policy, the
     epsilon schedule and the step budget live here, whatever carries the
-    actors' rounds in (a method call from a thread, a frame off a
-    socket). :meth:`ingest` is the only writer of the history's env-step
-    side, so three properties hold for every runtime by construction:
+    actors' rounds in (a direct call, a frame off a socket). :meth:`ingest`
+    is the only writer of the history's env-step side, so three properties
+    hold by construction:
     ingest never records past ``limit = min(total, stop_after)`` (a
     preemption snapshot lands exactly on its step), nothing is recorded
     once :attr:`stop` is set, and an actor that outruns the gradient
@@ -197,9 +197,7 @@ class LearnerCore:
 
     ``lock`` guards the history and per-shard bookkeeping;
     ``ingest_lock`` additionally serializes whole rounds, so holding it
-    parks every actor at its next round boundary (checkpoints do).
-    ``parked`` counts the actors waiting there — an in-process snapshot
-    of actor-owned environments waits for it to reach the live count.
+    keeps every round out (a checkpoint does, for a consistent snapshot).
     """
 
     def __init__(
@@ -226,7 +224,6 @@ class LearnerCore:
         self.lock = threading.Lock()
         self.ingest_lock = threading.RLock()
         self.stop = False
-        self.parked = 0
         self.returns: "dict[int, list[float]]" = {}  # per shard, per replica: in-flight episode returns
         self.throttled_batches = 0
 
@@ -268,11 +265,8 @@ class LearnerCore:
         The budget may truncate the round; only the kept prefix enters
         the replay shard.
         """
-        with self.lock:
-            self.parked += 1
         with self.ingest_lock:
             with self.lock:
-                self.parked -= 1
                 kept = 0
                 if not self.stop:
                     # The replica count is the actor's to choose.
@@ -357,31 +351,3 @@ class ActorLoop:
                 # cadence — yield briefly.
                 obslib.counter("actor.throttled_rounds").inc()
                 time.sleep(reply["throttle"])
-
-
-class ActorWorker(threading.Thread):
-    """An in-process actor: a thread that runs :class:`ActorLoop` with the
-    core itself behind the link, and captures its error for the learner."""
-
-    def __init__(self, index: int, venv: VectorPrefixEnv, core: LearnerCore, rng):
-        super().__init__(name=f"actor-{index}", daemon=True)
-        self.index = index
-        self.core = core
-        self.loop = ActorLoop(
-            venv, core.agent.snapshot_network(), core.hub.actions, core.hub.w, ensure_rng(rng), actor=index
-        )
-        self.error: "BaseException | None" = None
-
-    def pull(self, have_version, have_digest):
-        return self.core.pull(have_version, have_digest)
-
-    def push(self, round_: dict, epsilon: float) -> dict:
-        return self.core.ingest(self.index, round_, epsilon)
-
-    def run(self) -> None:
-        try:
-            orders = self.core.orders()
-            if not orders["stop"]:
-                self.loop.run(self, orders["epsilon"])
-        except BaseException as exc:  # surfaced by the learner thread
-            self.error = exc

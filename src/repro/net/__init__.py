@@ -17,7 +17,7 @@ TCP chaos proxy plus kill/wait helpers — for the chaos test suite
 
 Entry points: ``repro serve-learner``, ``repro actor --connect``,
 ``repro cluster --actors N``, ``repro farm-worker`` — and
-``TrainingRuntime(mode="cluster")`` as the library API.
+``TrainingRuntime(None, agent, cluster=spec)`` as the library API.
 """
 
 from repro.net.backoff import Backoff

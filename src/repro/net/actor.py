@@ -1,9 +1,8 @@
 """The remote actor: experience generation in its own OS process.
 
-:class:`RemoteActorWorker` is the process-shaped sibling of the threaded
-:class:`repro.distributed.ActorWorker`: the same
-:class:`~repro.distributed.pipeline.ActorLoop`, with a socket behind the
-link instead of the learner's memory (and its GIL). It dials a
+:class:`RemoteActorWorker` runs the one
+:class:`~repro.distributed.pipeline.ActorLoop` with a socket behind the
+link, in its own process (and with its own GIL). It dials a
 :class:`repro.net.learner.LearnerServer`, receives the
 :class:`~repro.net.learner.ClusterSpec` on ``join``, rebuilds the vector
 environment and an inference-only Q-network locally, and runs the loop

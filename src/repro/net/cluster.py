@@ -3,8 +3,8 @@
 ``repro cluster --actors N`` is the zero-config proof of the network
 subsystem: it binds the learner server on a loopback port, spawns ``N``
 ``repro actor --connect`` *subprocesses* (real OS processes — each with
-its own interpreter and GIL, which is the payoff the threaded runtime
-could not reach), drives the learner loop to the step budget, and reaps
+its own interpreter and GIL, so the actors' Q-network passes run beside
+the learner's instead of queueing for one GIL), drives the learner loop to the step budget, and reaps
 the actors. The same actor command pointed at a routable address is the
 multi-host deployment; nothing here is loopback-specific except the
 default bind.

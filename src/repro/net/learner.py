@@ -1,9 +1,8 @@
 """The learner's network face: replay ingest, weight publication, shared cache.
 
-:class:`LearnerServer` is what ``repro serve-learner`` (and
-``TrainingRuntime(mode="cluster")``) listens with. It exposes the existing
-in-process services of the asynchronous runtime to remote actor
-*processes*:
+:class:`LearnerServer` is what ``repro serve-learner`` (and a
+``TrainingRuntime`` built with a :class:`ClusterSpec`) listens with. It
+exposes the learner's in-process services to remote actor *processes*:
 
 - ``join`` — an actor registers, is assigned a replay shard, and receives
   the :class:`ClusterSpec` (environment + network architecture) so the
@@ -14,18 +13,16 @@ in-process services of the asynchronous runtime to remote actor
   digest are both stale (digest-keyed pulls answer "unchanged" without
   re-shipping the npz);
 - ``push_batch`` — one acting round's transitions, handed to
-  :meth:`repro.distributed.pipeline.LearnerCore.ingest` (the same call an
-  in-process actor thread makes), which answers with the next epsilon, the
-  stop flag and a throttle hint — so pausing ingest (checkpoint at a
-  round boundary) and stopping the run are ordinary replies, not extra
-  machinery;
+  :meth:`repro.distributed.pipeline.LearnerCore.ingest`, which answers
+  with the next epsilon, the stop flag and a throttle hint — so pausing
+  ingest (checkpoint at a round boundary) and stopping the run are
+  ordinary replies, not extra machinery;
 - ``cache_put`` / ``cache_claim`` — a shared
   :class:`repro.synth.SynthesisCache` service behind a
   :class:`repro.synth.leases.SharedCacheService`: actors route synthesis
   lookups through the learner, which is what makes cache sharing work
-  *across processes* (the threaded runtime got it for free from shared
-  memory) and lets cluster checkpoints capture the cache. ``cache_claim``
-  adds the claim/lease protocol: a miss is answered with the value, a
+  *across processes* and lets cluster checkpoints capture the cache.
+  ``cache_claim`` adds the claim/lease protocol: a miss is answered with the value, a
   granted lease ("you synthesize it") or "wait" (someone else already is),
   so concurrent actors never synthesize the same digest twice. Leases die
   with their connection (the per-connection owner token is released on
@@ -78,8 +75,8 @@ class ClusterSpec:
 
     Cell libraries and synthesizers are code, not data: only names and
     scalars cross the wire. ``seed`` is the base environment seed; actor
-    ``k`` gets ``seed + k * envs_per_actor`` (matching the CLI's threaded
-    async layout) plus a derived exploration stream.
+    ``k`` gets ``seed + k * envs_per_actor`` plus a derived exploration
+    stream.
     """
 
     width: int

@@ -197,13 +197,13 @@ class ScalarizedDoubleDQN:
         self.target.eval()
 
     # ------------------------------------------------------------------
-    # Policy publication (async actor-learner runtime)
+    # Policy publication (cluster actors)
     # ------------------------------------------------------------------
 
     def snapshot_network(self) -> QNetwork:
         """A detached inference copy of the local network.
 
-        Actors in the asynchronous runtime act on snapshots like this
+        Cluster actors act on snapshots like this
         (refreshed whenever the learner publishes weights) instead of
         racing the learner's in-place gradient updates.
         """

@@ -11,7 +11,7 @@ up to 4x10^5 elements"). Two implementations share one storage scheme:
   the historical list-backed buffer so trained trajectories are preserved
   bit for bit.
 - :class:`ShardedReplayBuffer` — ``K`` independent rings, each behind its
-  own lock, for the asynchronous actor–learner runtime: actors push to
+  own lock, for the cluster's actor–learner split: actors push to
   their own shard (no cross-actor contention) while the learner samples
   uniformly over the union, touching each shard's lock only for the
   vectorized gather of the indices that landed in it.
@@ -148,7 +148,7 @@ class ReplayBuffer:
 class ShardedReplayBuffer:
     """``K`` ring shards behind per-shard locks, sampled as one buffer.
 
-    The asynchronous runtime's shared buffer: each actor pushes to its own
+    The cluster learner's buffer: each actor pushes to its own
     shard (``push(t, shard=actor_index)``), so concurrent actors never
     contend on a lock, and the learner's :meth:`sample` draws uniformly
     over the union of shards — the global index space is split by a

@@ -10,36 +10,30 @@ its one-replica case) and one statement of the gradient cadence
 The paper's headline scale comes from decoupling experience generation
 from learning (Section IV-D): actors step synthesis-evaluated environments
 against delayed policy snapshots while one learner consumes a shared
-replay buffer. :class:`TrainingRuntime` runs that at three sizes:
+replay buffer. :class:`TrainingRuntime` runs one of two shapes, chosen by
+its inputs (a :class:`repro.net.ClusterSpec` makes a cluster run):
 
-- ``mode="sync"`` — no actors at all: the :mod:`repro.rl.trainer` stepper
-  driven tick by tick with checkpoint hooks in between. Deterministic
-  (save -> resume -> continue is bit-identical to an uninterrupted run);
-  ``repro train``'s default and what :class:`~repro.rl.trainer.Trainer`
-  wraps.
-- ``mode="async"`` — ``num_actors`` threads
-  (:class:`repro.distributed.ActorWorker`), each running the actor loop
-  against the in-process :class:`repro.distributed.pipeline.LearnerCore`
-  and filling its own shard of a
-  :class:`repro.rl.replay.ShardedReplayBuffer`. On a single CPU the win
-  is batching and cross-actor cache sharing, not parallel compute — see
-  ``benchmarks/bench_hotpath.py``'s ``runtime`` section.
-- ``mode="cluster"`` — the same core served over a
+- **sync** — no actors at all: the :mod:`repro.rl.trainer` stepper driven
+  tick by tick with checkpoint hooks in between. Deterministic (save ->
+  resume -> continue is bit-identical to an uninterrupted run);
+  ``repro train`` and what :class:`~repro.rl.trainer.Trainer` wraps. A
+  :class:`~repro.env.VectorPrefixEnv` gives batched acting and a shared
+  synthesis cache inside the one process.
+- **cluster** — the learner core
+  (:class:`repro.distributed.pipeline.LearnerCore`) served over a
   :class:`repro.net.learner.LearnerServer` to
   :class:`repro.net.actor.RemoteActorWorker` *processes* (``repro actor
-  --connect``), which run the same loop and is where the actor/learner
-  split escapes the GIL. Environments live in (and are rebuilt by) the
-  actors, so a cluster checkpoint carries the learner-owned state only.
+  --connect``, ``repro cluster``), each filling its own shard of a
+  :class:`repro.rl.replay.ShardedReplayBuffer`. The learner takes
+  gradient steps whenever ``gradient_due`` says so (the sync stepper's
+  predicate) and publishes weights every ``publish_every`` of them.
+  Environments live in (and are rebuilt by) the actors, so a cluster
+  checkpoint carries the learner-owned state only.
 
-``async`` and ``cluster`` share one learner loop: gradient steps whenever
-``gradient_due`` says so (the sync stepper's predicate), weights
-published every ``publish_every`` of them. Every mode checkpoints through
-:class:`repro.rl.checkpoint.CheckpointManager`: Q-net weights, optimizer
-moments, replay shards, every RNG stream, schedule position, environment
-and archive state, synthesis-cache contents and the accumulated
-:class:`~repro.rl.trainer.TrainingHistory`. With actors a resume restores
-exact component state, but thread interleaving is, by nature, not
-replayed.
+Both checkpoint through :class:`repro.rl.checkpoint.CheckpointManager`:
+Q-net weights, optimizer moments, replay shards, every RNG stream,
+schedule position, environment and archive state, synthesis-cache
+contents and the accumulated :class:`~repro.rl.trainer.TrainingHistory`.
 """
 
 from __future__ import annotations
@@ -48,7 +42,6 @@ import time
 from dataclasses import asdict, dataclass
 
 from repro import obs
-from repro.env.environment import PrefixEnv
 from repro.rl.agent import ScalarizedDoubleDQN
 from repro.rl.checkpoint import CheckpointError, CheckpointManager
 from repro.rl.replay import ReplayBuffer, ShardedReplayBuffer
@@ -61,41 +54,51 @@ from repro.rl.trainer import (
     synthesis_stats,
 )
 from repro.store.api import make_store
-from repro.utils.rng import ensure_rng, rng_state, set_rng_state, spawn_rngs
+from repro.utils.rng import ensure_rng
 
 
 @dataclass
 class RuntimeConfig:
-    """Knobs of the runtime that are not :class:`TrainerConfig` knobs."""
+    """Knobs of the runtime that are not :class:`TrainerConfig` knobs.
 
-    mode: str = "sync"             # "sync" (deterministic), "async" or "cluster"
-    num_actors: int = 2            # async/cluster: actor (thread/process) count
-    publish_every: int = 1         # async/cluster: gradient steps between weight publications
+    Whether a run is a cluster run is not a knob: it is one exactly when
+    :class:`TrainingRuntime` is handed a ``ClusterSpec``.
+
+    ``stop_after`` halts where the run can be resumed. A sync run on a
+    vector env of ``E`` replicas steps all of them per tick, so it halts
+    at the first round boundary at or past the step (``stop_after=25``
+    with E=3 halts at 27) — the point a resume continues bit-identically
+    from. A cluster run halts exactly: ingest keeps at most
+    ``min(total, stop_after)`` steps.
+    """
+
+    num_actors: int = 2            # cluster: actor process slots (replay shards)
+    publish_every: int = 1         # cluster: gradient steps between weight publications
     checkpoint_every: int = 0      # env steps between checkpoints (0: only stop/final)
-    keep_checkpoints: int = 3      # snapshots retained on disk
+    keep_checkpoints: int = 3      # snapshots retained on disk (0 keeps all)
     stop_after: "int | None" = None  # checkpoint and halt at this env step (preemption)
-    listen: str = "127.0.0.1:0"    # cluster only: learner bind address
-    heartbeat_timeout: float = 60.0  # cluster only: dead-peer cutoff (seconds);
+    listen: str = "127.0.0.1:0"    # cluster: learner bind address
+    heartbeat_timeout: float = 60.0  # cluster: dead-peer cutoff (seconds);
     #   must exceed an actor's worst acting round (synthesis included) —
     #   the actor is wire-silent while it steps its environments
-    cluster_wait: float = 60.0     # cluster only: max seconds with zero actors
-    backpressure_lag: int = 64     # async/cluster: gradient-cadence deficit
+    cluster_wait: float = 60.0     # cluster: max seconds with zero actors
+    backpressure_lag: int = 64     # cluster: gradient-cadence deficit
     #   beyond which an ingest reply carries a throttle hint (0 disables)
-    throttle_seconds: float = 0.05  # async/cluster: the hint's pause length
-    store_dir: "str | None" = None  # cluster only: persistent curve store
+    throttle_seconds: float = 0.05  # cluster: the hint's pause length
+    store_dir: "str | None" = None  # cluster: persistent curve store
     #   directory behind the shared cache (None: in-memory only)
 
     def __post_init__(self):
-        if self.mode not in ("sync", "async", "cluster"):
-            raise ValueError(
-                f"mode must be 'sync', 'async' or 'cluster', got {self.mode!r}"
-            )
         if self.num_actors < 1:
             raise ValueError("num_actors must be positive")
         if self.publish_every < 1:
             raise ValueError("publish_every must be positive")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be nonnegative")
+        if self.keep_checkpoints < 0:
+            raise ValueError(f"keep_checkpoints must be nonnegative, got {self.keep_checkpoints}")
+        if self.stop_after is not None and self.stop_after < 1:
+            raise ValueError(f"stop_after must be a positive env step, got {self.stop_after}")
         if self.backpressure_lag < 0:
             raise ValueError("backpressure_lag must be nonnegative")
         if self.throttle_seconds < 0:
@@ -106,21 +109,20 @@ class TrainingRuntime:
     """Actor-learner training with checkpoint/resume.
 
     Args:
-        env: the collection environment(s). Sync mode takes one
-            :class:`PrefixEnv` or :class:`VectorPrefixEnv`. Async mode
-            takes a list with one entry per actor. Either way a bare env
-            is held as a one-replica vector env.
+        env: a sync run's collection environment — one :class:`PrefixEnv`
+            (held as a one-replica vector env) or :class:`VectorPrefixEnv`.
+            None for a cluster run: environments live in the actor
+            processes.
         agent: the learner's agent.
         config: :class:`TrainerConfig` (steps, batch size, cadences).
-        runtime: :class:`RuntimeConfig` (mode, actors, checkpoint cadence).
+        runtime: :class:`RuntimeConfig` (checkpoint cadence, preemption,
+            cluster knobs).
         checkpoint_dir: root directory for snapshots (required for
             checkpointing/resume; optional otherwise).
-        rng: seed or generator for replay sampling; async mode
-            additionally derives per-actor exploration streams from it.
-        cluster: cluster mode only — the :class:`repro.net.ClusterSpec`
-            actors receive on join (env shape, library, scalarization,
-            network architecture). ``env`` must be None: environments
-            live in the actor processes.
+        rng: seed or generator for replay sampling.
+        cluster: the :class:`repro.net.ClusterSpec` actors receive on join
+            (env shape, library, scalarization, network architecture);
+            passing one makes this a cluster run.
     """
 
     def __init__(
@@ -141,80 +143,51 @@ class TrainingRuntime:
             if checkpoint_dir is not None
             else None
         )
-        if cluster is not None and self.runtime.mode != "cluster":
-            raise ValueError("a ClusterSpec only makes sense with mode='cluster'")
-        if self.runtime.mode == "cluster":
+        if cluster is not None:
             if env is not None:
                 raise ValueError(
-                    "cluster mode takes env=None: environments live in the "
+                    "a cluster run takes env=None: environments live in the "
                     "remote actor processes"
                 )
-            if cluster is None:
-                raise ValueError("cluster mode needs a ClusterSpec (cluster=...)")
             if cluster.width != agent.n:
                 raise ValueError(
                     f"ClusterSpec width {cluster.width} != agent width {agent.n}"
                 )
             self.env = None
-            self.actor_envs = None
-            self.cluster = cluster
             self.buffer = ShardedReplayBuffer(
                 self.config.buffer_capacity,
                 num_shards=self.runtime.num_actors,
                 rng=ensure_rng(rng),
             )
-            self._actor_rngs = None
-            self._server = None
-            self._state = None
             # In-memory by default; with store_dir, a memory front over a
             # durable DiskStore — a restarted cluster starts warm.
             self._cluster_cache = make_store(self.runtime.store_dir)
-        elif self.runtime.mode == "sync":
-            if isinstance(env, (list, tuple)):
-                raise ValueError("sync mode takes a single environment, not a list")
-            self.env = as_vector(env)
-            self.actor_envs = None
-            self.buffer = ReplayBuffer(self.config.buffer_capacity, rng=rng)
-            self._actor_rngs = None
         else:
-            if isinstance(env, (list, tuple)):
-                envs = list(env)
-            else:
-                envs = [env]
-            if len(envs) != self.runtime.num_actors:
+            if env is None:
                 raise ValueError(
-                    f"async mode with num_actors={self.runtime.num_actors} needs "
-                    f"{self.runtime.num_actors} environments, got {len(envs)}"
+                    "env=None is a cluster run, which needs a ClusterSpec (cluster=...)"
                 )
-            self.actor_envs = [as_vector(e) for e in envs]
-            self.env = None
-            base = ensure_rng(rng)
-            self.buffer = ShardedReplayBuffer(
-                self.config.buffer_capacity,
-                num_shards=self.runtime.num_actors,
-                rng=base,
-            )
-            self._actor_rngs = spawn_rngs(base, self.runtime.num_actors)
-        if self.runtime.mode != "cluster":
-            self.cluster = None
-            self._server = None
-            self._state = None
+            if isinstance(env, (list, tuple)):
+                raise ValueError("the runtime takes a single environment, not a list")
+            self.env = as_vector(env)
+            self.buffer = ReplayBuffer(self.config.buffer_capacity, rng=rng)
+        self.cluster = cluster
+        self._server = None
+        self._state = None
         self.preempted = False
         self.membership_stats: "dict | None" = None
         # Fleet-obs totals restored from a checkpoint, applied to the
-        # LearnerState once cluster mode creates it.
+        # LearnerState once a cluster run creates it.
         self._restored_fleet_obs: "dict | None" = None
+
+    @property
+    def mode(self) -> str:
+        """``"sync"``, or ``"cluster"`` when built with a ``ClusterSpec``."""
+        return "sync" if self.cluster is None else "cluster"
 
     # ------------------------------------------------------------------
     # Checkpoint assembly
     # ------------------------------------------------------------------
-
-    def _all_envs(self) -> "list[PrefixEnv]":
-        if self.runtime.mode == "cluster":
-            return []  # environments live in the actor processes
-        if self.runtime.mode == "sync":
-            return self.env.envs
-        return [e for venv in self.actor_envs for e in venv.envs]
 
     def _collect_backend_groups(self) -> "list[list]":
         """Distinct evaluation backends, grouped by shared state token.
@@ -227,7 +200,7 @@ class TrainingRuntime:
         """
         groups: "list[list]" = []
         tokens: "list" = []
-        for env in self._all_envs():
+        for env in self.env.envs:
             backend = getattr(env.evaluator, "backend", None)
             if backend is None:
                 continue
@@ -243,7 +216,7 @@ class TrainingRuntime:
         return groups
 
     def _cache_states(self) -> "list[dict]":
-        if self.runtime.mode == "cluster":
+        if self.cluster is not None:
             # The learner-owned shared cache service is the only evaluation
             # state a cluster checkpoint can (and needs to) capture; lease
             # bookkeeping is transient — actors reconnect and re-claim.
@@ -256,7 +229,7 @@ class TrainingRuntime:
         return states
 
     def _restore_caches(self, states: "list[dict]") -> None:
-        if self.runtime.mode == "cluster":
+        if self.cluster is not None:
             if len(states) != 1:
                 raise CheckpointError(
                     f"cluster checkpoint has {len(states)} synthesis caches, expected 1"
@@ -311,7 +284,7 @@ class TrainingRuntime:
 
     def _snapshot(self, total: int, history: TrainingHistory, loop_state: dict) -> dict:
         state = {
-            "mode": self.runtime.mode,
+            "mode": self.mode,
             "total": total,
             "trainer_config": asdict(self.config),
             "loop": loop_state,
@@ -320,20 +293,16 @@ class TrainingRuntime:
             "buffer": self.buffer.state_dict(),
             "caches": self._cache_states(),
         }
-        if self.runtime.mode == "cluster":
+        if self.cluster is not None:
             # Remote env state lives in (and is rebuilt by) the actor
             # processes; the snapshot carries only what the learner owns.
             state["env_kind"] = "cluster"
             state["env"] = {"num_actors": self.runtime.num_actors}
-        elif self.runtime.mode == "sync":
+        else:
             state["env_kind"] = "vector"
             state["env"] = self.env.state_dict()
-        else:
-            state["env_kind"] = "actors"
-            state["env"] = {"actors": [v.state_dict() for v in self.actor_envs]}
-            state["actor_rngs"] = [rng_state(r) for r in self._actor_rngs]
         # Metrics survive checkpoint/resume: the learner's own registry
-        # plus (cluster mode) the merged fleet totals pushed by workers.
+        # plus (a cluster run) the merged fleet totals pushed by workers.
         obs_state = {"metrics": obs.REGISTRY.state_dict()}
         if self._state is not None:
             obs_state["fleet"] = self._state.fleet_obs.state_dict()
@@ -349,7 +318,7 @@ class TrainingRuntime:
             self._snapshot(total, history, loop_state),
             step=history.env_steps,
             meta={
-                "mode": self.runtime.mode,
+                "mode": self.mode,
                 "env_steps": history.env_steps,
                 "gradient_steps": history.gradient_steps,
                 "total": total,
@@ -362,10 +331,15 @@ class TrainingRuntime:
                 "cannot resume: TrainingRuntime was built without a checkpoint_dir"
             )
         state, _manifest = self.manager.load()
-        if state["mode"] != self.runtime.mode:
+        if state["mode"] == "async":
+            raise CheckpointError(
+                "checkpoint was taken by the retired 'async' thread-actor runtime, "
+                "which cannot be resumed; multi-actor training is `repro cluster`"
+            )
+        if state["mode"] != self.mode:
             raise CheckpointError(
                 f"checkpoint was taken in {state['mode']!r} mode, "
-                f"runtime is configured for {self.runtime.mode!r}"
+                f"this is a {self.mode!r} run"
             )
         saved_cfg = state["trainer_config"]
         live_cfg = asdict(self.config)
@@ -388,23 +362,11 @@ class TrainingRuntime:
         self.agent.load_state_dict(state["agent"])
         self.buffer.load_state_dict(state["buffer"])
         self._restore_caches(state["caches"])
-        if self.runtime.mode == "cluster":
-            pass  # no env state: actors rebuild environments on reconnect
-        elif self.runtime.mode == "sync":
+        # A cluster's actors rebuild their environments on reconnect.
+        if self.cluster is None:
             # Releases with a separate one-env stepper saved the bare env.
             single = state.get("env_kind") == "single"
             self.env.load_state_dict({"envs": [state["env"]]} if single else state["env"])
-        else:
-            actors = state["env"]["actors"]
-            if len(actors) != len(self.actor_envs):
-                raise CheckpointError(
-                    f"checkpoint has {len(actors)} actors, runtime has "
-                    f"{len(self.actor_envs)}"
-                )
-            for venv, snap in zip(self.actor_envs, actors):
-                venv.load_state_dict(snap)
-            for rng, snap in zip(self._actor_rngs, state["actor_rngs"]):
-                set_rng_state(rng, snap)
         obs_state = state.get("obs")  # absent in pre-obs checkpoints
         if isinstance(obs_state, dict):
             if isinstance(obs_state.get("metrics"), dict):
@@ -426,9 +388,9 @@ class TrainingRuntime:
         completion from preemption.
         """
         self.preempted = False
-        if self.runtime.mode == "sync":
+        if self.cluster is None:
             return self._run_sync(steps, resume)
-        return self._run_learner(steps, resume)
+        return self._run_cluster(steps, resume)
 
     def _begin(self, steps: "int | None", resume: bool):
         """``(total, history, loop_state)`` of a fresh or a resumed run."""
@@ -473,80 +435,31 @@ class TrainingRuntime:
         return history
 
     # ------------------------------------------------------------------
-    # The learner loop (async: actor threads; cluster: repro.net)
+    # The cluster learner loop (actors: repro.net)
     # ------------------------------------------------------------------
 
-    def _run_learner(self, steps: "int | None", resume: bool) -> TrainingHistory:
-        """Gradient steps at the synchronous cadence while actors ingest.
-
-        ``async`` and ``cluster`` differ only in how actors are brought up
-        (threads over the core | a server in front of it), in who notices
-        that none are left, and in what a snapshot can say about their
-        environments.
-        """
-        from repro.distributed.pipeline import ActorWorker, LearnerCore
-
+    def _run_cluster(self, steps: "int | None", resume: bool) -> TrainingHistory:
+        """Gradient steps at the synchronous cadence while actors ingest."""
         rt, cfg = self.runtime, self.config
-        cluster = rt.mode == "cluster"
-        if cluster:
-            self.bind()
-        core, actors = None, []
-
-        def halt():
-            # Rounds in flight once stop is set are discarded (kept=0): the
-            # final snapshot is exactly the state at the halt step.
-            core.stop = True
-            for actor in actors:
-                actor.join(timeout=60.0)
-
+        self.bind()
+        core = None
         try:
-            total, history, loop_state = self._begin(steps, resume)
-            core_args = dict(
+            total, history, _loop_state = self._begin(steps, resume)
+            core = self._attach_cluster(dict(
                 agent=self.agent, buffer=self.buffer, history=history, config=cfg, total=total,
                 stop_after=rt.stop_after,
                 backpressure_lag=rt.backpressure_lag, throttle_seconds=rt.throttle_seconds,
-            )
-            if cluster:
-                core = self._attach_cluster(core_args)
-            else:
-                core = LearnerCore(**core_args)
-                if loop_state is None:
-                    for venv in self.actor_envs:
-                        venv.reset()
-                # The per-replica in-flight episode returns ride the
-                # checkpoint, so episodes spanning a preemption report
-                # their full accumulated return.
-                saved = (loop_state or {}).get("episode_returns")
-                for i, venv in enumerate(self.actor_envs):
-                    returns = saved[i] if saved else [0.0] * venv.num_envs
-                    if len(returns) != venv.num_envs:
-                        raise CheckpointError(
-                            f"checkpoint has {len(returns)} replica returns for actor "
-                            f"{i}, env has {venv.num_envs}"
-                        )
-                    core.returns[i] = [float(r) for r in returns]
-                actors = [
-                    ActorWorker(i, venv, core, self._actor_rngs[i])
-                    for i, venv in enumerate(self.actor_envs)
-                ]
-                for actor in actors:
-                    actor.start()
+            ))
 
             def save():
-                # Holding the ingest lock parks every actor at its next
-                # round boundary; actor threads own environments the
-                # snapshot reads, so wait until each has arrived there.
+                # Holding the ingest lock keeps every round out until the
+                # snapshot is written: it sees no half-folded round.
                 with core.ingest_lock:
-                    while core.parked < sum(a.is_alive() for a in actors):
-                        time.sleep(0.001)
-                    state = {"kind": rt.mode}
-                    if not cluster:
-                        state["episode_returns"] = [list(core.returns[i]) for i in range(len(actors))]
-                    self._save(total, history, state)
+                    self._save(total, history, {"kind": "cluster"})
 
             last_saved = history.env_steps
             idle_since = time.monotonic()
-            while not (any(a.error for a in actors) or self._stop_requested(history)):
+            while not self._stop_requested(history):
                 env_steps = core.env_steps()
                 if gradient_due(len(self.buffer), core.gradient_steps(), env_steps, cfg):
                     loss = self.agent.train_step(self.buffer.sample(cfg.batch_size))
@@ -557,7 +470,7 @@ class TrainingRuntime:
                 elif env_steps >= total:
                     break
                 else:
-                    if not cluster or (core.ever_joined and core.connected_actors()):
+                    if core.ever_joined and core.connected_actors():
                         idle_since = time.monotonic()
                     elif time.monotonic() - idle_since > rt.cluster_wait:
                         host, port = self._server.address
@@ -571,34 +484,28 @@ class TrainingRuntime:
                     save()
                     last_saved = history.env_steps
 
-            halt()
-            for actor in actors:
-                if actor.error is not None:
-                    raise RuntimeError(f"actor {actor.index} failed: {actor.error!r}") from actor.error
-            if cluster:
-                # Drain: let connected actors see the stop reply and leave.
-                deadline = time.monotonic() + rt.heartbeat_timeout
-                while core.connected_actors() and time.monotonic() < deadline:
-                    time.sleep(0.01)
+            # Rounds in flight once stop is set are discarded (kept=0): the
+            # final snapshot is exactly the state at the halt step. Drain:
+            # let connected actors see the stop reply and leave.
+            core.stop = True
+            deadline = time.monotonic() + rt.heartbeat_timeout
+            while core.connected_actors() and time.monotonic() < deadline:
+                time.sleep(0.01)
             if self.manager is not None:
                 # Like the sync path: a checkpoint_dir always gets a final (or
                 # halt-point) snapshot, so --resume can extend any run.
                 save()
             self.preempted = history.env_steps < total
-            if cluster:
-                history.synthesis_stats = self._cluster_synthesis_stats(core)
-                self.membership_stats = core.membership_dict()
-            else:
-                history.synthesis_stats = synthesis_stats(self.actor_envs)
+            history.synthesis_stats = self._cluster_synthesis_stats(core)
+            self.membership_stats = core.membership_dict()
             return history
         finally:
             if core is not None:
-                halt()
-            if cluster:
-                self._detach_cluster()
+                core.stop = True
+            self._detach_cluster()
 
     # ------------------------------------------------------------------
-    # Cluster mode (repro.net)
+    # The cluster's server (repro.net)
     # ------------------------------------------------------------------
 
     def bind(self) -> "tuple[str, int]":
@@ -608,8 +515,8 @@ class TrainingRuntime:
         address to actor subprocesses first — connections made before the
         training state exists wait on the server's ready gate.
         """
-        if self.runtime.mode != "cluster":
-            raise RuntimeError("bind() is only meaningful in cluster mode")
+        if self.cluster is None:
+            raise RuntimeError("bind() is only meaningful for a cluster run (one built with a ClusterSpec)")
         if self._server is None:
             from repro.net.learner import LearnerServer
             from repro.net.protocol import parse_address

@@ -26,7 +26,7 @@ class LinearSchedule:
 
         This is the one place the paper's "annealed over a fraction of
         training" convention is turned into a duration, shared by the
-        trainer and the async runtime so both resolve identical epsilon
+        trainer and the cluster learner so both resolve identical epsilon
         values for the same step index — a resumed run rebuilds its
         schedule from the checkpointed total, not the remaining steps.
         """

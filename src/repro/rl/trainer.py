@@ -93,8 +93,7 @@ class TrainingHistory:
 def synthesis_stats(env) -> "dict | None":
     """Evaluation-backend observability snapshot for a run's environments.
 
-    ``env`` may be a :class:`PrefixEnv`, a :class:`VectorPrefixEnv`, or a
-    list of either (the async runtime's per-actor environments).
+    ``env`` may be a :class:`PrefixEnv` or a :class:`VectorPrefixEnv`.
     Aggregates the distinct :class:`repro.synth.backend.EvaluationBackend`
     objects behind the run's evaluators (replicas usually share one
     backend, or several backends over one cache) into the unified
@@ -103,10 +102,7 @@ def synthesis_stats(env) -> "dict | None":
     resolved through one shared token). Returns None for backend-less
     (e.g. analytical) evaluators.
     """
-    tops = list(env) if isinstance(env, (list, tuple)) else [env]
-    envs = []
-    for top in tops:
-        envs.extend(top.envs if isinstance(top, VectorPrefixEnv) else [top])
+    envs = env.envs if isinstance(env, VectorPrefixEnv) else [env]
     backends = []
     tokens = []
     for e in envs:

@@ -1,6 +1,6 @@
 """Claim/lease dedup over a shared :class:`repro.synth.SynthesisCache`.
 
-Several evaluation clients (cluster actor processes, async actor threads)
+Several evaluation clients (cluster actor processes, in-process actors)
 routinely miss the shared cache on the *same* design at the same time —
 epsilon-greedy exploration revisits the same neighborhoods — and each
 miss then pays a full synthesis. :class:`SharedCacheService` turns the

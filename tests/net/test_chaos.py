@@ -230,7 +230,7 @@ def make_runtime(steps=20, num_actors=1, **runtime_kwargs):
     config = TrainerConfig(steps=steps, batch_size=8, warmup_steps=8)
     runtime_kwargs.setdefault("cluster_wait", 30.0)
     runtime_config = RuntimeConfig(
-        mode="cluster", num_actors=num_actors, **runtime_kwargs
+        num_actors=num_actors, **runtime_kwargs
     )
     return TrainingRuntime(
         None, agent, config, runtime_config, rng=0, cluster=spec

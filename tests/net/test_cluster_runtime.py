@@ -1,4 +1,4 @@
-"""TrainingRuntime(mode="cluster"): end-to-end training over sockets.
+"""TrainingRuntime(cluster=spec): end-to-end training over sockets.
 
 Actors run as in-process threads here (each with its own Connection, so
 the full wire path is exercised); the true multi-process shape is covered
@@ -22,15 +22,16 @@ from repro.rl import (
 from repro.rl.checkpoint import CheckpointError
 
 
-def make_runtime(steps=20, num_actors=2, checkpoint_dir=None, **runtime_kwargs):
+def make_runtime(steps=20, num_actors=2, checkpoint_dir=None, config=None, **runtime_kwargs):
     agent = ScalarizedDoubleDQN(4, blocks=0, channels=4, lr=3e-4, rng=0)
     spec = ClusterSpec.for_agent(
         agent, horizon=6, envs_per_actor=2, library="nangate45", seed=0
     )
-    config = TrainerConfig(steps=steps, batch_size=8, warmup_steps=8)
+    if config is None:
+        config = TrainerConfig(steps=steps, batch_size=8, warmup_steps=8)
     runtime_kwargs.setdefault("cluster_wait", 30.0)
     runtime_config = RuntimeConfig(
-        mode="cluster", num_actors=num_actors, **runtime_kwargs
+        num_actors=num_actors, **runtime_kwargs
     )
     return TrainingRuntime(
         None,
@@ -77,26 +78,19 @@ class TestClusterTraining:
     def test_construction_contracts(self):
         agent = ScalarizedDoubleDQN(4, blocks=0, channels=4, rng=0)
         with pytest.raises(ValueError, match="needs a ClusterSpec"):
-            TrainingRuntime(None, agent, runtime=RuntimeConfig(mode="cluster"))
+            TrainingRuntime(None, agent, runtime=RuntimeConfig())
         with pytest.raises(ValueError, match="env=None"):
             TrainingRuntime(
                 object(),
                 agent,
-                runtime=RuntimeConfig(mode="cluster"),
-                cluster=ClusterSpec.for_agent(agent),
-            )
-        with pytest.raises(ValueError, match="only makes sense"):
-            TrainingRuntime(
-                None,
-                agent,
-                runtime=RuntimeConfig(mode="sync"),
+                runtime=RuntimeConfig(),
                 cluster=ClusterSpec.for_agent(agent),
             )
         spec = ClusterSpec.for_agent(agent)
         spec.width = 8
         with pytest.raises(ValueError, match="width"):
             TrainingRuntime(
-                None, agent, runtime=RuntimeConfig(mode="cluster"), cluster=spec
+                None, agent, runtime=RuntimeConfig(), cluster=spec
             )
 
     @pytest.mark.parametrize("stale", [{}, {"fast_conv": False}, {"fast_conv": True}])
@@ -125,6 +119,21 @@ class TestClusterTraining:
         assert history.env_steps == 12
         assert sum(s["env_steps_kept"] for s in stats.values()) == 12
         assert all("inference" not in s for s in stats.values())
+
+    def test_sparse_learning_takes_the_sync_gradient_steps(self):
+        """warmup_steps not a multiple of learn_every: the learner loop fires
+        on the sync stepper's predicate, so it lands on the same count."""
+        from repro.env import PrefixEnv
+        from repro.rl import Trainer
+        from repro.rl.trainer import grads_allowed
+        from repro.synth import AnalyticalEvaluator
+
+        config = TrainerConfig(steps=40, batch_size=4, warmup_steps=16, learn_every=8)
+        agent = ScalarizedDoubleDQN(4, blocks=0, channels=4, rng=0)
+        h_sync = Trainer(PrefixEnv(4, AnalyticalEvaluator(), horizon=6, rng=0), agent, config, rng=0).run()
+        history, _stats = run_with_actors(make_runtime(config=config))
+        assert history.env_steps == 40
+        assert history.gradient_steps == h_sync.gradient_steps == grads_allowed(40, config)
 
     def test_no_actors_is_a_clear_timeout(self):
         runtime = make_runtime(steps=8, cluster_wait=0.5)
@@ -184,7 +193,10 @@ class TestClusterCheckpoint:
         runtime = make_runtime(steps=20, checkpoint_dir=ckpt, stop_after=10)
         history, _stats = run_with_actors(runtime)
         assert runtime.preempted
-        assert history.env_steps >= 10
+        # Ingest clamps at min(total, stop_after): however the two actors
+        # race the learner, the halt snapshot lands on the step.
+        assert history.env_steps == 10 and len(history.areas) == 10
+        assert runtime.manager.steps() == [10]
         saved_steps = history.env_steps
 
         resumed = make_runtime(steps=20, checkpoint_dir=ckpt)
@@ -194,6 +206,24 @@ class TestClusterCheckpoint:
         # The resumed history extends the checkpointed one.
         assert history2.areas[:saved_steps] == history.areas[:saved_steps]
         assert history2.epsilon_trace[:saved_steps] == history.epsilon_trace[:saved_steps]
+
+    def test_periodic_checkpoints_are_consistent_snapshots(self, tmp_path):
+        """Each save holds the ingest lock, so no kept snapshot catches a
+        half-folded round: its history counts, step and telemetry agree. A
+        tight backpressure lag makes the actors yield to the learner, so its
+        loop comes round to due checkpoints while they still run."""
+        ckpt = tmp_path / "ckpt"
+        runtime = make_runtime(
+            steps=24, checkpoint_dir=ckpt, checkpoint_every=5, keep_checkpoints=0,
+            backpressure_lag=2, throttle_seconds=0.005,
+        )
+        history, _stats = run_with_actors(runtime)
+        assert history.env_steps == 24
+        steps = runtime.manager.steps()
+        assert len(steps) >= 2 and steps[-1] == 24
+        for step in steps:
+            state, _ = runtime.manager.load(step=step)
+            assert state["history"]["env_steps"] == step == len(state["history"]["areas"])
 
     def test_resume_restores_shared_cache(self, tmp_path):
         ckpt = tmp_path / "ckpt"
@@ -239,7 +269,7 @@ class TestClusterCheckpoint:
             env,
             agent,
             TrainerConfig(steps=12, batch_size=8, warmup_steps=8),
-            RuntimeConfig(mode="sync"),
+            RuntimeConfig(),
             checkpoint_dir=ckpt,
             rng=0,
         )

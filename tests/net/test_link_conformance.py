@@ -1,7 +1,7 @@
 """Link conformance: the in-process link and the wire are one ingest.
 
-The same scripted rounds go through ``LearnerCore.ingest`` directly (what
-an actor thread calls) and through ``push_batch`` frames to a loopback
+The same scripted rounds go through ``LearnerCore.ingest`` directly (the
+reference) and through ``push_batch`` frames to a loopback
 ``LearnerServer`` (what an actor process sends). History, shard contents,
 per-shard in-flight returns and the reply sequence must come out the same:
 the wire adds a trace to each reply and nothing else.
@@ -87,8 +87,8 @@ def test_in_process_link_and_wire_agree(name):
     rounds = script(seed=len(name), rounds=rounds)
 
     local = LearnerCore(**core_args(**kwargs))
-    # Both bring-ups seed a shard's in-flight returns before its first
-    # round: the async runtime when it starts the threads, join on the wire.
+    # On the wire, join seeds a shard's in-flight returns before its first
+    # round; the direct core gets the same seed by hand.
     local.returns = {0: [0.0] * 4, 1: [0.0] * 4}
     local_replies = []
     for i, (shard, round_, epsilon) in enumerate(rounds):

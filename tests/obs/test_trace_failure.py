@@ -39,7 +39,7 @@ def make_runtime(steps=20):
         agent, horizon=6, envs_per_actor=2, library="nangate45", seed=0
     )
     config = TrainerConfig(steps=steps, batch_size=8, warmup_steps=8)
-    runtime_config = RuntimeConfig(mode="cluster", num_actors=1, cluster_wait=30.0)
+    runtime_config = RuntimeConfig(num_actors=1, cluster_wait=30.0)
     return TrainingRuntime(None, agent, config, runtime_config, rng=0, cluster=spec)
 
 

@@ -29,9 +29,21 @@ def make_sync_runtime(tmp_path=None, seed=3, steps=60, runtime=None, evaluator=N
     cfg = TrainerConfig(steps=steps, batch_size=4, warmup_steps=8)
     return TrainingRuntime(
         env, agent, cfg,
-        runtime if runtime is not None else RuntimeConfig(mode="sync"),
+        runtime if runtime is not None else RuntimeConfig(),
         checkpoint_dir=tmp_path, rng=seed,
     ), env
+
+
+def cluster_runtime(tmp_path):
+    """A cluster-shaped runtime over ``tmp_path`` (resumes fail before any actor is needed)."""
+    from repro.net import ClusterSpec
+
+    agent = ScalarizedDoubleDQN(6, 0.5, 0.5, blocks=0, channels=4, lr=1e-3, rng=3)
+    return TrainingRuntime(
+        None, agent, TrainerConfig(steps=60, batch_size=4, warmup_steps=8),
+        RuntimeConfig(cluster_wait=5.0), checkpoint_dir=tmp_path, rng=3,
+        cluster=ClusterSpec.for_agent(agent),
+    )
 
 
 def assert_histories_identical(a, b):
@@ -176,7 +188,7 @@ class TestTrainingRoundTrip:
 
         rt_part, _ = make_sync_runtime(
             tmp_path, steps=30, evaluator=evaluator(),
-            runtime=RuntimeConfig(mode="sync", stop_after=12),
+            runtime=RuntimeConfig(stop_after=12),
         )
         rt_part.run()
 
@@ -192,12 +204,12 @@ class TestTrainingRoundTrip:
         h_full = rt_full.run()
 
         rt, _ = make_sync_runtime(
-            tmp_path, runtime=RuntimeConfig(mode="sync", stop_after=10)
+            tmp_path, runtime=RuntimeConfig(stop_after=10)
         )
         rt.run()
         for stop in (20, 40):
             rt, _ = make_sync_runtime(
-                tmp_path, runtime=RuntimeConfig(mode="sync", stop_after=stop)
+                tmp_path, runtime=RuntimeConfig(stop_after=stop)
             )
             h = rt.run(resume=True)
             assert h.env_steps == stop
@@ -207,45 +219,39 @@ class TestTrainingRoundTrip:
 
     def test_periodic_checkpoints_written(self, tmp_path):
         rt, _ = make_sync_runtime(
-            tmp_path, runtime=RuntimeConfig(mode="sync", checkpoint_every=20,
-                                            keep_checkpoints=10)
+            tmp_path, runtime=RuntimeConfig(checkpoint_every=20, keep_checkpoints=10)
         )
         rt.run()
         assert rt.manager.steps() == [20, 40, 60]
 
     def test_config_drift_rejected(self, tmp_path):
         rt, _ = make_sync_runtime(
-            tmp_path, runtime=RuntimeConfig(mode="sync", stop_after=10)
+            tmp_path, runtime=RuntimeConfig(stop_after=10)
         )
         rt.run()
         env = PrefixEnv(6, AnalyticalEvaluator(0.5, 0.5), horizon=12, rng=3)
         agent = ScalarizedDoubleDQN(6, 0.5, 0.5, blocks=0, channels=4, rng=3)
         drifted = TrainerConfig(steps=60, batch_size=8, warmup_steps=8)
         rt2 = TrainingRuntime(
-            env, agent, drifted, RuntimeConfig(mode="sync"),
+            env, agent, drifted, RuntimeConfig(),
             checkpoint_dir=tmp_path, rng=3,
         )
         with pytest.raises(CheckpointError, match="drifted"):
             rt2.run(resume=True)
 
     def test_mode_mismatch_rejected(self, tmp_path):
-        rt, _ = make_sync_runtime(
-            tmp_path, runtime=RuntimeConfig(mode="sync", stop_after=10)
-        )
+        rt, _ = make_sync_runtime(tmp_path, runtime=RuntimeConfig(stop_after=10))
         rt.run()
-        envs = [PrefixEnv(6, AnalyticalEvaluator(0.5, 0.5), horizon=12, rng=i) for i in range(2)]
-        agent = ScalarizedDoubleDQN(6, 0.5, 0.5, blocks=0, channels=4, rng=3)
-        rt2 = TrainingRuntime(
-            envs, agent, TrainerConfig(steps=60, batch_size=4, warmup_steps=8),
-            RuntimeConfig(mode="async", num_actors=2), checkpoint_dir=tmp_path, rng=3,
-        )
-        with pytest.raises(CheckpointError, match="mode"):
-            rt2.run(resume=True)
+        with pytest.raises(CheckpointError, match="'sync' mode"):
+            cluster_runtime(tmp_path).run(resume=True)
 
-    def test_parent_format_async_checkpoint_still_loads(self, tmp_path):
-        """An async state as written before the actor/learner core merged,
+    @pytest.mark.parametrize("shape", ["sync", "cluster"])
+    def test_retired_async_checkpoint_is_refused(self, tmp_path, shape):
+        """An async state as the retired thread-actor runtime wrote it,
         built by hand: ``loop`` of kind ``async`` with per-actor
-        ``episode_returns``, ``env_kind`` ``actors``, ``actor_rngs``."""
+        ``episode_returns``, ``env_kind`` ``actors``, ``actor_rngs``. No
+        runtime shape resumes it; the error names the mode and its
+        successor."""
         from dataclasses import asdict
 
         from repro.env import VectorPrefixEnv
@@ -253,17 +259,12 @@ class TestTrainingRoundTrip:
         from repro.utils.rng import ensure_rng, rng_state, spawn_rngs
 
         cfg = TrainerConfig(steps=40, batch_size=4, warmup_steps=8)
-
-        def envs():
-            return [PrefixEnv(6, AnalyticalEvaluator(0.5, 0.5), horizon=12, rng=s) for s in (0, 10)]
-
-        def agent():
-            return ScalarizedDoubleDQN(6, 0.5, 0.5, blocks=0, channels=4, lr=1e-3, rng=3)
-
-        venvs = [VectorPrefixEnv([env]) for env in envs()]
+        venvs = [
+            VectorPrefixEnv([PrefixEnv(6, AnalyticalEvaluator(0.5, 0.5), horizon=12, rng=s)])
+            for s in (0, 10)
+        ]
         for venv in venvs:
             venv.reset()
-        actor_rngs = [rng_state(r) for r in spawn_rngs(ensure_rng(11), 2)]
         state = {
             "mode": "async",
             "total": 40,
@@ -273,32 +274,21 @@ class TestTrainingRoundTrip:
                 "losses": [], "episode_returns": [], "areas": [], "delays": [],
                 "epsilon_trace": [], "env_steps": 0, "gradient_steps": 0,
             },
-            "agent": agent().state_dict(),
+            "agent": ScalarizedDoubleDQN(6, 0.5, 0.5, blocks=0, channels=4, rng=3).state_dict(),
             "buffer": ShardedReplayBuffer(cfg.buffer_capacity, num_shards=2, rng=5).state_dict(),
             "caches": [],
             "env_kind": "actors",
             "env": {"actors": [venv.state_dict() for venv in venvs]},
-            "actor_rngs": actor_rngs,
+            "actor_rngs": [rng_state(r) for r in spawn_rngs(ensure_rng(11), 2)],
         }
         CheckpointManager(tmp_path).save(state, step=0, meta={"mode": "async"})
 
-        def runtime(**kwargs):
-            return TrainingRuntime(
-                envs(), agent(), cfg, RuntimeConfig(mode="async", num_actors=2, **kwargs),
-                checkpoint_dir=tmp_path, rng=0,
-            )
-
-        # Halting at once re-saves what was restored: the loop state and
-        # the exploration streams round-trip untouched.
-        halted = runtime(stop_after=0)
-        assert halted.run(resume=True).env_steps == 0 and halted.preempted
-        resaved, _ = halted.manager.load()
-        assert resaved["loop"] == state["loop"]
-        assert resaved["actor_rngs"] == actor_rngs
-        assert resaved["env_kind"] == "actors" and len(resaved["env"]["actors"]) == 2
-
-        history = runtime().run(resume=True)
-        assert history.env_steps == 40 and len(history.areas) == 40
+        if shape == "sync":
+            runtime, _ = make_sync_runtime(tmp_path, steps=40)
+        else:
+            runtime = cluster_runtime(tmp_path)
+        with pytest.raises(CheckpointError, match="'async'.*repro cluster"):
+            runtime.run(resume=True)
 
     def test_resume_without_checkpoint_dir_fails(self):
         rt, _ = make_sync_runtime()
@@ -332,7 +322,7 @@ class TestBackendCountersRideTheCheckpoint:
         try:
             rt_part, env_part = make_sync_runtime(
                 tmp_path, steps=20, evaluator=evaluator(),
-                runtime=RuntimeConfig(mode="sync", stop_after=10),
+                runtime=RuntimeConfig(stop_after=10),
             )
             rt_part.run()
             saved = env_part.evaluator.backend.stats()
@@ -372,7 +362,7 @@ class TestBackendCountersRideTheCheckpoint:
 
         rt_part, _ = make_sync_runtime(
             tmp_path, steps=30, evaluator=evaluator(),
-            runtime=RuntimeConfig(mode="sync", stop_after=12),
+            runtime=RuntimeConfig(stop_after=12),
         )
         rt_part.run()
         state, manifest = rt_part.manager.load()
@@ -421,7 +411,7 @@ class TestBackendCountersRideTheCheckpoint:
             h_full = make_sync_runtime(steps=30, evaluator=evaluator())[0].run()
             rt_part, _ = make_sync_runtime(
                 tmp_path, steps=30, evaluator=evaluator(),
-                runtime=RuntimeConfig(mode="sync", stop_after=12),
+                runtime=RuntimeConfig(stop_after=12),
             )
             rt_part.run()
             state, manifest = rt_part.manager.load()

@@ -66,7 +66,7 @@ class TestCliRuntime:
              "--blocks", "0", "--channels", "4"]
 
     def test_preempt_then_resume_matches_uninterrupted(self, tmp_path, capsys):
-        # The default runtime is the deterministic one: no --runtime flag.
+        # `train` is the one deterministic stepper.
         assert main(self.TRAIN) == 0
         expected = capsys.readouterr().out
 
@@ -79,10 +79,17 @@ class TestCliRuntime:
         assert main(self.TRAIN + ["--checkpoint-dir", ckpt, "--resume"]) == 0
         assert capsys.readouterr().out == expected
 
-    def test_runtime_choices_are_sync_and_async(self, capsys):
-        with pytest.raises(SystemExit):
-            main(self.TRAIN + ["--runtime", "trainer"])
-        assert "invalid choice: 'trainer'" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flag", [["--runtime", "async"], ["--actors", "2"], ["--envs-per-actor", "2"], ["--publish-every", "1"]],
+        ids=lambda flag: flag[0],
+    )
+    def test_async_runtime_flags_are_gone(self, flag, capsys):
+        """``train`` is the one deterministic stepper; multi-actor training
+        on one host is ``repro cluster``, which keeps its own fleet flags."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.TRAIN + flag)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["train", "cluster"])
     def test_fast_conv_flag_is_gone(self, command, capsys):
@@ -119,19 +126,18 @@ class TestCliRuntime:
         assert main(command) == 0
         assert capsys.readouterr().out == first and "frontier" in first
 
-    def test_async_runtime_trains(self, capsys):
-        assert main(self.TRAIN + ["--runtime", "async", "--actors", "2",
-                                  "--envs-per-actor", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "trained 40 steps" in out
-        assert "frontier" in out
-
     def test_checkpoint_flags_require_dir(self):
         with pytest.raises(SystemExit, match="checkpoint-dir"):
             main(self.TRAIN + ["--stop-after", "10"])
         with pytest.raises(SystemExit, match="checkpoint-dir"):
             # 0 is falsy but still a request to stop.
             main(self.TRAIN + ["--stop-after", "0"])
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_stop_after_before_the_first_step_exits(self, value, tmp_path):
+        with pytest.raises(SystemExit, match="stop_after must be a positive env step"):
+            main(self.TRAIN + ["--checkpoint-dir", str(tmp_path), "--stop-after", value])
+        assert not any(tmp_path.iterdir())
 
     def test_resume_without_checkpoint_fails_clearly(self, tmp_path):
         from repro.rl import CheckpointError
