@@ -615,30 +615,24 @@ def _cluster_train_throughput() -> "tuple[float, int]":
     synthesis runs performed across all actor processes (the claim/lease
     protocol makes every synthesis a lease).
     """
-    from repro.net import ClusterSpec, run_local_cluster
+    from repro.net import ClusterConfig, ClusterSpec, run_local_cluster
 
     config = TrainerConfig(steps=RUNTIME_STEPS, **RUNTIME_CONFIG)
     agent = ScalarizedDoubleDQN(RUNTIME_WIDTH, rng=0, **RUNTIME_NET)
     spec = ClusterSpec.for_agent(
         agent,
         horizon=RUNTIME_HORIZON,
-        envs_per_actor=RUNTIME_ENVS_PER_ACTOR,
         library="nangate45",
         seed=0,
-    )
-    runtime = TrainingRuntime(
-        None,
-        agent,
-        config,
-        RuntimeConfig(
-            num_actors=RUNTIME_ACTORS,
+        config=ClusterConfig(
+            actors=RUNTIME_ACTORS,
+            envs_per_actor=RUNTIME_ENVS_PER_ACTOR,
             publish_every=RUNTIME_PUBLISH_EVERY,
         ),
-        rng=0,
-        cluster=spec,
     )
+    runtime = TrainingRuntime(None, agent, config, RuntimeConfig(), rng=0, cluster=spec)
     start = time.perf_counter()
-    history, _codes = run_local_cluster(runtime, num_actors=RUNTIME_ACTORS)
+    history, _codes = run_local_cluster(runtime)
     wall = time.perf_counter() - start
     return history.env_steps / wall, history.synthesis_stats["synthesized"]
 
@@ -707,27 +701,20 @@ def _chaos_train_run(sever: bool) -> "tuple[float, dict, dict]":
     """
     import threading
 
-    from repro.net import ChaosProxy, ClusterSpec, RemoteActorWorker, wait_until
+    from repro.net import ChaosProxy, ClusterConfig, ClusterSpec, RemoteActorWorker, wait_until
 
     config = TrainerConfig(steps=CHAOS_STEPS, **RUNTIME_CONFIG)
     agent = ScalarizedDoubleDQN(CHAOS_WIDTH, rng=0, **RUNTIME_NET)
     spec = ClusterSpec.for_agent(
         agent,
         horizon=RUNTIME_HORIZON,
-        envs_per_actor=RUNTIME_ENVS_PER_ACTOR,
         library="nangate45",
         seed=0,
-    )
-    runtime = TrainingRuntime(
-        None,
-        agent,
-        config,
-        RuntimeConfig(
-            num_actors=1, publish_every=RUNTIME_PUBLISH_EVERY
+        config=ClusterConfig(
+            actors=1, envs_per_actor=RUNTIME_ENVS_PER_ACTOR, publish_every=RUNTIME_PUBLISH_EVERY
         ),
-        rng=0,
-        cluster=spec,
     )
+    runtime = TrainingRuntime(None, agent, config, RuntimeConfig(), rng=0, cluster=spec)
     address = runtime.bind()
     proxy = ChaosProxy(address).start()
     worker = RemoteActorWorker(proxy.address, reconnect_base=0.05, reconnect_cap=0.2)

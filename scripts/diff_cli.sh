@@ -36,6 +36,13 @@ COMMANDS=(
     "sweep 6 --weights 2 --steps 40 --seed 1"
     "eval han_carlson 65"
     "sweep 33 --weights 2 --steps 40 --seed 2"
+    # Flag names, defaults and help of the training and cluster commands
+    # (argparse wraps at 80 columns when stdout is not a terminal).
+    "train --help"
+    "serve-learner --help"
+    "cluster --help"
+    "actor --help"
+    "farm-worker --help"
 )
 
 status=0

@@ -30,16 +30,16 @@ import sys
 from pathlib import Path
 
 
-def _configure_obs(args, role: str) -> None:
+def _configure_obs(fleet, role: str) -> None:
     """Open this process's JSONL event log when ``--obs-dir`` was given.
 
     A no-op without the flag — the default CLI surface (stdout included)
     stays byte-identical with observability off.
     """
-    if getattr(args, "obs_dir", None):
+    if fleet.obs_dir:
         from repro import obs
 
-        obs.configure(args.obs_dir, role)
+        obs.configure(fleet.obs_dir, role)
 
 
 def _fleet_event(message: str) -> None:
@@ -146,13 +146,24 @@ def _make_agent(args):
     )
 
 
-def _runtime_config(**knobs):
-    """A :class:`RuntimeConfig` from parsed flags; an out-of-range value
-    exits with the message naming its field."""
+def _runtime_config(args):
+    """The :class:`RuntimeConfig` of ``train`` and the cluster learners; an
+    out-of-range value exits with the message naming its field."""
     from repro.rl import RuntimeConfig
 
     try:
-        return RuntimeConfig(**knobs)
+        return RuntimeConfig(checkpoint_every=args.checkpoint_every, stop_after=args.stop_after)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+
+
+def _cluster_config(args):
+    """A cluster command's :class:`ClusterConfig`, built once from its flags;
+    an out-of-range value exits with the message naming its field."""
+    from repro.net.config import ClusterConfig
+
+    try:
+        return ClusterConfig.from_args(args)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
 
@@ -164,9 +175,7 @@ def cmd_train(args) -> int:
     from repro.synth import SynthesisEvaluator
 
     _require_checkpoint_dir(args)
-    runtime_config = _runtime_config(
-        checkpoint_every=args.checkpoint_every, stop_after=args.stop_after
-    )
+    runtime_config = _runtime_config(args)
 
     library = _library(args.library)
     c_area, c_delay = _calibrated_scaling(library, args.width)
@@ -199,26 +208,25 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _cluster_pieces(args):
+def _cluster_pieces(args, cluster_config):
     """Shared setup of the cluster-side learner (serve-learner/cluster).
 
     Shares ``cmd_train``'s calibration and agent so a cluster learner and a
     local ``train`` run score designs identically; the resulting constants
-    ride to actors inside the ClusterSpec instead of being recomputed there.
+    ride to actors inside the ClusterSpec instead of being recomputed there,
+    beside ``cluster_config`` — where the learner reads its fleet knobs.
     """
     from repro.net import ClusterSpec
-    from repro.net.config import ClusterConfig
     from repro.rl import TrainerConfig
 
+    runtime_config = _runtime_config(args)
     library = _library(args.library)
     c_area, c_delay = _calibrated_scaling(library, args.width)
 
     agent = _make_agent(args)
-    cluster_config = ClusterConfig.from_args(args)
     spec = ClusterSpec.for_agent(
         agent,
         horizon=24,
-        envs_per_actor=cluster_config.envs_per_actor,
         library=args.library,
         c_area=c_area,
         c_delay=c_delay,
@@ -226,18 +234,6 @@ def _cluster_pieces(args):
         config=cluster_config,
     )
     config = TrainerConfig(steps=args.steps, batch_size=8, warmup_steps=16)
-    runtime_config = _runtime_config(
-        num_actors=cluster_config.actors,
-        publish_every=cluster_config.publish_every,
-        checkpoint_every=cluster_config.checkpoint_every,
-        stop_after=cluster_config.stop_after,
-        listen=cluster_config.listen,
-        heartbeat_timeout=cluster_config.heartbeat_timeout,
-        cluster_wait=cluster_config.cluster_wait,
-        store_dir=cluster_config.store_dir,
-        backpressure_lag=cluster_config.backpressure_lag,
-        throttle_seconds=cluster_config.throttle_seconds,
-    )
     return agent, spec, config, runtime_config
 
 
@@ -305,9 +301,10 @@ def _print_fleet_summary(runtime, supervisor=None) -> None:
 def cmd_serve_learner(args) -> int:
     from repro.rl import TrainingRuntime
 
+    fleet = _cluster_config(args)
     _require_checkpoint_dir(args)
-    _configure_obs(args, "learner")
-    agent, spec, config, runtime_config = _cluster_pieces(args)
+    _configure_obs(fleet, "learner")
+    agent, spec, config, runtime_config = _cluster_pieces(args, fleet)
     runtime = TrainingRuntime(
         None, agent, config, runtime_config,
         checkpoint_dir=args.checkpoint_dir, rng=args.seed, cluster=spec,
@@ -339,7 +336,8 @@ def cmd_actor(args) -> int:
         parse_address,
     )
 
-    _configure_obs(args, "actor")
+    fleet = _cluster_config(args)
+    _configure_obs(fleet, "actor")
     farm_workers = [
         address
         for spec in (args.farm or [])
@@ -348,10 +346,10 @@ def cmd_actor(args) -> int:
     ]
     worker = RemoteActorWorker(
         parse_address(args.connect),
-        front_cache_entries=args.front_cache,
+        front_cache_entries=fleet.front_cache,
         farm_workers=farm_workers or None,
-        heartbeat_timeout=args.heartbeat_timeout,
-        reconnect_attempts=args.reconnect_attempts,
+        heartbeat_timeout=fleet.heartbeat_timeout,
+        reconnect_attempts=fleet.reconnect_attempts,
     )
     try:
         stats = worker.run()
@@ -401,37 +399,38 @@ def cmd_cluster(args) -> int:
     )
     from repro.rl import TrainingRuntime
 
+    fleet = _cluster_config(args)
     _require_checkpoint_dir(args)
-    _configure_obs(args, "learner")
-    agent, spec, config, runtime_config = _cluster_pieces(args)
+    _configure_obs(fleet, "learner")
+    agent, spec, config, runtime_config = _cluster_pieces(args, fleet)
     runtime = TrainingRuntime(
         None, agent, config, runtime_config,
         checkpoint_dir=args.checkpoint_dir, rng=args.seed, cluster=spec,
     )
     supervisor = FleetSupervisor(
-        restart_budget=args.restart_budget,
+        restart_budget=fleet.restart_budget,
         on_event=_fleet_event,
     )
     farm_procs: list = []
     farm_addresses: list = []
     actor_args: list = []
-    if args.obs_dir:
+    if fleet.obs_dir:
         # Spawned actors and farm workers write their own JSONL files
         # into the same directory; REPRO_OBS_RUN (exported by
         # _configure_obs above) stamps them all with this run's id.
-        actor_args += ["--obs-dir", args.obs_dir]
+        actor_args += ["--obs-dir", fleet.obs_dir]
 
     def farm_store_args(j):
         # A DiskStore directory has exactly one writer, so each worker
         # gets its own subdirectory — stable across respawns and reruns
         # (worker j always reopens farm-<j>, restarting warm).
-        extra = ["--obs-dir", args.obs_dir] if args.obs_dir else []
-        if not args.store_dir:
+        extra = ["--obs-dir", fleet.obs_dir] if fleet.obs_dir else []
+        if not fleet.store_dir:
             return extra or None
-        return ["--store-dir", str(Path(args.store_dir) / f"farm-{j}"), *extra]
+        return ["--store-dir", str(Path(fleet.store_dir) / f"farm-{j}"), *extra]
 
-    if args.farm_workers:
-        for j in range(args.farm_workers):
+    if fleet.farm_workers:
+        for j in range(fleet.farm_workers):
             procs_j, addresses_j = launch_farm_workers(
                 1, extra_args=farm_store_args(j)
             )
@@ -456,7 +455,6 @@ def cmd_cluster(args) -> int:
     try:
         history, codes = run_local_cluster(
             runtime,
-            num_actors=args.actors,
             steps=None if args.resume else args.steps,
             resume=args.resume,
             actor_args=actor_args or None,
@@ -504,8 +502,9 @@ def cmd_cluster(args) -> int:
 def cmd_farm_worker(args) -> int:
     from repro.net import FarmWorkerServer, parse_address
 
-    _configure_obs(args, "farm")
-    server = FarmWorkerServer(parse_address(args.listen), store_dir=args.store_dir)
+    fleet = _cluster_config(args)
+    _configure_obs(fleet, "farm")
+    server = FarmWorkerServer(parse_address(fleet.listen), store_dir=fleet.store_dir)
     host, port = server.address
     print(f"farm worker listening on {host}:{port}", flush=True)
     try:

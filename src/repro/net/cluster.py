@@ -321,7 +321,6 @@ def reap_actors(
 
 def run_local_cluster(
     runtime,
-    num_actors: int,
     steps: "int | None" = None,
     resume: bool = False,
     actor_args: "list[str] | None" = None,
@@ -331,7 +330,8 @@ def run_local_cluster(
     """Bind, spawn actors, train, reap; returns ``(history, exit_codes)``.
 
     ``runtime`` must be a :class:`repro.rl.runtime.TrainingRuntime` in
-    cluster mode. Actors that outlive the learner (it stops serving once
+    cluster mode; one actor is spawned per slot of its spec's
+    ``config.actors``. Actors that outlive the learner (it stops serving once
     the budget is met) exit on their next round's stop reply; stragglers
     are terminated after ``reap_timeout``. With a ``supervisor`` the
     actors are watched and respawned on crash until training completes
@@ -339,7 +339,7 @@ def run_local_cluster(
     are not treated as crashes).
     """
     address = runtime.bind()
-    procs = launch_actors(address, num_actors, extra_args=actor_args)
+    procs = launch_actors(address, runtime.cluster.config.actors, extra_args=actor_args)
     if supervisor is not None:
         env = _actor_env()
         for i, proc in enumerate(procs):

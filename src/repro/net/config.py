@@ -12,7 +12,8 @@ defaults and help (asserted by the differential-CLI gate).
 
 The learner carries its config inside the :class:`~repro.net.learner.ClusterSpec`
 it ships to joining actors, so fleet-wide knobs (heartbeat window, store
-location) are observable wherever the spec travels.
+location) are observable wherever the spec travels, and the cluster
+:class:`~repro.rl.runtime.TrainingRuntime` reads its fleet knobs there.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ class ClusterConfig:
     learner-side dead-peer cutoff; the standalone ``repro actor`` command
     overrides its own flag default to 300 s (an actor is wire-silent for
     a whole acting round, synthesis included).
+    An out-of-range value raises ``ValueError`` naming its field, so a bad
+    flag stops the CLI before it binds a socket or spawns a process.
     """
 
     # fleet shape
@@ -54,6 +57,16 @@ class ClusterConfig:
     throttle_seconds: float = 0.05
     # observability
     obs_dir: "str | None" = None
+
+    def __post_init__(self):
+        for name in ("actors", "envs_per_actor", "publish_every", "front_cache"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.heartbeat_timeout <= 0:
+            raise ValueError(f"heartbeat_timeout must be positive, got {self.heartbeat_timeout}")
+        for name in ("farm_workers", "backpressure_lag", "throttle_seconds"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
     # Which fields each command exposes as flags (plus per-command default
     # overrides). The launcher commands share the full learner block; the

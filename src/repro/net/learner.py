@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -90,14 +90,18 @@ class ClusterSpec:
     seed: int = 0
     blocks: int = 2
     channels: int = 16
-    # Fleet-wide knobs (heartbeat window, store location). ``asdict``
-    # flattens the nested dataclass to a plain dict on the wire; actors
-    # read named keys.
-    config: "ClusterConfig | None" = None
+    # The learner's fleet knobs (actor slots, publication cadence, bind
+    # address, heartbeat window, store location, backpressure): the
+    # cluster TrainingRuntime reads them here. ``asdict`` flattens the
+    # nested dataclass to a plain dict on the wire; actors ignore it.
+    config: ClusterConfig = field(default_factory=ClusterConfig)
 
     @classmethod
     def for_agent(cls, agent, **kwargs) -> "ClusterSpec":
-        """Derive width/architecture/scalarization from a live agent."""
+        """Derive width/architecture/scalarization from a live agent; with a
+        ``config``, ``envs_per_actor`` defaults to the config's."""
+        if "config" in kwargs:
+            kwargs.setdefault("envs_per_actor", kwargs["config"].envs_per_actor)
         return cls(
             width=agent.n,
             w_area=float(agent.w[0]),

@@ -49,6 +49,7 @@ from repro.rl.trainer import (
     TrainerConfig,
     TrainingHistory,
     as_vector,
+    backend_groups,
     gradient_due,
     make_loop,
     synthesis_stats,
@@ -59,10 +60,13 @@ from repro.utils.rng import ensure_rng
 
 @dataclass
 class RuntimeConfig:
-    """Knobs of the runtime that are not :class:`TrainerConfig` knobs.
+    """The checkpoint knobs both shapes read.
 
     Whether a run is a cluster run is not a knob: it is one exactly when
-    :class:`TrainingRuntime` is handed a ``ClusterSpec``.
+    :class:`TrainingRuntime` is handed a ``ClusterSpec``. A cluster run's
+    fleet knobs (actor slots, weight publication, bind address, heartbeat
+    window, actor wait, backpressure, curve store) live on that spec's
+    :class:`repro.net.ClusterConfig`; the learner reads them there.
 
     ``stop_after`` halts where the run can be resumed. A sync run on a
     vector env of ``E`` replicas steps all of them per tick, so it halts
@@ -72,37 +76,17 @@ class RuntimeConfig:
     ``min(total, stop_after)`` steps.
     """
 
-    num_actors: int = 2            # cluster: actor process slots (replay shards)
-    publish_every: int = 1         # cluster: gradient steps between weight publications
     checkpoint_every: int = 0      # env steps between checkpoints (0: only stop/final)
     keep_checkpoints: int = 3      # snapshots retained on disk (0 keeps all)
     stop_after: "int | None" = None  # checkpoint and halt at this env step (preemption)
-    listen: str = "127.0.0.1:0"    # cluster: learner bind address
-    heartbeat_timeout: float = 60.0  # cluster: dead-peer cutoff (seconds);
-    #   must exceed an actor's worst acting round (synthesis included) —
-    #   the actor is wire-silent while it steps its environments
-    cluster_wait: float = 60.0     # cluster: max seconds with zero actors
-    backpressure_lag: int = 64     # cluster: gradient-cadence deficit
-    #   beyond which an ingest reply carries a throttle hint (0 disables)
-    throttle_seconds: float = 0.05  # cluster: the hint's pause length
-    store_dir: "str | None" = None  # cluster: persistent curve store
-    #   directory behind the shared cache (None: in-memory only)
 
     def __post_init__(self):
-        if self.num_actors < 1:
-            raise ValueError("num_actors must be positive")
-        if self.publish_every < 1:
-            raise ValueError("publish_every must be positive")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be nonnegative")
         if self.keep_checkpoints < 0:
             raise ValueError(f"keep_checkpoints must be nonnegative, got {self.keep_checkpoints}")
         if self.stop_after is not None and self.stop_after < 1:
             raise ValueError(f"stop_after must be a positive env step, got {self.stop_after}")
-        if self.backpressure_lag < 0:
-            raise ValueError("backpressure_lag must be nonnegative")
-        if self.throttle_seconds < 0:
-            raise ValueError("throttle_seconds must be nonnegative")
 
 
 class TrainingRuntime:
@@ -115,14 +99,16 @@ class TrainingRuntime:
             processes.
         agent: the learner's agent.
         config: :class:`TrainerConfig` (steps, batch size, cadences).
-        runtime: :class:`RuntimeConfig` (checkpoint cadence, preemption,
-            cluster knobs).
+        runtime: :class:`RuntimeConfig` (checkpoint cadence, retention,
+            preemption). A cluster run's fleet knobs are not here: they are
+            the ``config`` of its ``cluster`` spec.
         checkpoint_dir: root directory for snapshots (required for
             checkpointing/resume; optional otherwise).
         rng: seed or generator for replay sampling.
         cluster: the :class:`repro.net.ClusterSpec` actors receive on join
-            (env shape, library, scalarization, network architecture);
-            passing one makes this a cluster run.
+            (env shape, library, scalarization, network architecture, and
+            the learner's fleet knobs as its ``config``); passing one makes
+            this a cluster run.
     """
 
     def __init__(
@@ -156,12 +142,12 @@ class TrainingRuntime:
             self.env = None
             self.buffer = ShardedReplayBuffer(
                 self.config.buffer_capacity,
-                num_shards=self.runtime.num_actors,
+                num_shards=cluster.config.actors,
                 rng=ensure_rng(rng),
             )
             # In-memory by default; with store_dir, a memory front over a
             # durable DiskStore — a restarted cluster starts warm.
-            self._cluster_cache = make_store(self.runtime.store_dir)
+            self._cluster_cache = make_store(cluster.config.store_dir)
         else:
             if env is None:
                 raise ValueError(
@@ -189,32 +175,6 @@ class TrainingRuntime:
     # Checkpoint assembly
     # ------------------------------------------------------------------
 
-    def _collect_backend_groups(self) -> "list[list]":
-        """Distinct evaluation backends, grouped by shared state token.
-
-        Each group shares one ``share_token()`` (typically one
-        :class:`SynthesisCache`): its state is checkpointed once, with one
-        counter record per member backend (deterministic env order) — every
-        cumulative counter, a farm runner's dispatch totals included — so a
-        resumed run's telemetry continues bit-for-bit.
-        """
-        groups: "list[list]" = []
-        tokens: "list" = []
-        for env in self.env.envs:
-            backend = getattr(env.evaluator, "backend", None)
-            if backend is None:
-                continue
-            token = backend.share_token()
-            for i, seen in enumerate(tokens):
-                if seen is token:
-                    if all(backend is not b for b in groups[i]):
-                        groups[i].append(backend)
-                    break
-            else:
-                tokens.append(token)
-                groups.append([backend])
-        return groups
-
     def _cache_states(self) -> "list[dict]":
         if self.cluster is not None:
             # The learner-owned shared cache service is the only evaluation
@@ -222,7 +182,11 @@ class TrainingRuntime:
             # bookkeeping is transient — actors reconnect and re-claim.
             return [{"cache": self._cluster_cache.state_dict(), "counters": []}]
         states = []
-        for group in self._collect_backend_groups():
+        # Each backend group's state is checkpointed once, with one counter
+        # record per member backend (every cumulative counter, a farm
+        # runner's dispatch totals included), so a resumed run's telemetry
+        # continues bit-for-bit.
+        for group in backend_groups(self.env.envs):
             state = group[0].state_dict()
             state["counters"] = [backend.counters_dict() for backend in group]
             states.append(state)
@@ -236,7 +200,7 @@ class TrainingRuntime:
                 )
             self._cluster_cache.load_state_dict(states[0]["cache"])
             return
-        groups = self._collect_backend_groups()
+        groups = backend_groups(self.env.envs)
         if len(states) != len(groups):
             raise CheckpointError(
                 f"checkpoint has {len(states)} evaluation-backend groups, "
@@ -297,7 +261,7 @@ class TrainingRuntime:
             # Remote env state lives in (and is rebuilt by) the actor
             # processes; the snapshot carries only what the learner owns.
             state["env_kind"] = "cluster"
-            state["env"] = {"num_actors": self.runtime.num_actors}
+            state["env"] = {"num_actors": self.cluster.config.actors}
         else:
             state["env_kind"] = "vector"
             state["env"] = self.env.state_dict()
@@ -440,15 +404,15 @@ class TrainingRuntime:
 
     def _run_cluster(self, steps: "int | None", resume: bool) -> TrainingHistory:
         """Gradient steps at the synchronous cadence while actors ingest."""
-        rt, cfg = self.runtime, self.config
+        fleet, cfg = self.cluster.config, self.config
         self.bind()
         core = None
         try:
             total, history, _loop_state = self._begin(steps, resume)
             core = self._attach_cluster(dict(
                 agent=self.agent, buffer=self.buffer, history=history, config=cfg, total=total,
-                stop_after=rt.stop_after,
-                backpressure_lag=rt.backpressure_lag, throttle_seconds=rt.throttle_seconds,
+                stop_after=self.runtime.stop_after,
+                backpressure_lag=fleet.backpressure_lag, throttle_seconds=fleet.throttle_seconds,
             ))
 
             def save():
@@ -464,7 +428,7 @@ class TrainingRuntime:
                 if gradient_due(len(self.buffer), core.gradient_steps(), env_steps, cfg):
                     loss = self.agent.train_step(self.buffer.sample(cfg.batch_size))
                     core.record_loss(loss)
-                    if history.gradient_steps % rt.publish_every == 0:
+                    if history.gradient_steps % fleet.publish_every == 0:
                         core.hub.publish()
                     idle_since = time.monotonic()
                 elif env_steps >= total:
@@ -472,10 +436,10 @@ class TrainingRuntime:
                 else:
                     if core.ever_joined and core.connected_actors():
                         idle_since = time.monotonic()
-                    elif time.monotonic() - idle_since > rt.cluster_wait:
+                    elif time.monotonic() - idle_since > fleet.cluster_wait:
                         host, port = self._server.address
                         raise RuntimeError(
-                            f"no actors connected for {rt.cluster_wait:.0f}s "
+                            f"no actors connected for {fleet.cluster_wait:.0f}s "
                             f"at env step {env_steps}/{total}; is anything dialing "
                             f"{host}:{port}?"
                         )
@@ -488,7 +452,7 @@ class TrainingRuntime:
             # final snapshot is exactly the state at the halt step. Drain:
             # let connected actors see the stop reply and leave.
             core.stop = True
-            deadline = time.monotonic() + rt.heartbeat_timeout
+            deadline = time.monotonic() + fleet.heartbeat_timeout
             while core.connected_actors() and time.monotonic() < deadline:
                 time.sleep(0.01)
             if self.manager is not None:
@@ -521,10 +485,11 @@ class TrainingRuntime:
             from repro.net.learner import LearnerServer
             from repro.net.protocol import parse_address
 
+            fleet = self.cluster.config
             self._server = LearnerServer(
-                parse_address(self.runtime.listen),
-                heartbeat_timeout=self.runtime.heartbeat_timeout,
-                state_wait=self.runtime.cluster_wait,
+                parse_address(fleet.listen),
+                heartbeat_timeout=fleet.heartbeat_timeout,
+                state_wait=fleet.cluster_wait,
             )
             self._server.start()
         return self._server.address
@@ -539,7 +504,7 @@ class TrainingRuntime:
             # Lease reclamation rides the same dead-peer budget as the
             # connection teardown: a wedged holder is reclaimable the
             # moment the heartbeat would have declared it dead.
-            lease_timeout=self.runtime.heartbeat_timeout,
+            lease_timeout=self.cluster.config.heartbeat_timeout,
             **core_args,
         )
         if self._restored_fleet_obs is not None:

@@ -90,32 +90,40 @@ class TrainingHistory:
     synthesis_stats: "dict | None" = None  # unified backend stats (synthesis evaluators only)
 
 
+def backend_groups(envs) -> "list[list]":
+    """The distinct evaluation backends behind ``envs`` (replicas), grouped
+    by ``share_token()`` — typically one :class:`SynthesisCache` per group.
+
+    Groups come in the order their token is first seen, members in replica
+    order: the order a checkpoint records them in. Backend-less (e.g.
+    analytical) evaluators contribute nothing.
+    """
+    groups: "dict[int, list]" = {}
+    for env in envs:
+        backend = getattr(env.evaluator, "backend", None)
+        if backend is not None:
+            group = groups.setdefault(id(backend.share_token()), [])
+            if all(backend is not b for b in group):
+                group.append(backend)
+    return list(groups.values())
+
+
 def synthesis_stats(env) -> "dict | None":
     """Evaluation-backend observability snapshot for a run's environments.
 
     ``env`` may be a :class:`PrefixEnv` or a :class:`VectorPrefixEnv`.
-    Aggregates the distinct :class:`repro.synth.backend.EvaluationBackend`
-    objects behind the run's evaluators (replicas usually share one
-    backend, or several backends over one cache) into the unified
-    :data:`repro.synth.backend.STATS_KEYS` schema, adding a ``shared``
-    flag to the nested cache counters (True when every environment
-    resolved through one shared token). Returns None for backend-less
-    (e.g. analytical) evaluators.
+    Aggregates the :func:`backend_groups` behind the run's evaluators
+    (replicas usually share one backend, or several backends over one
+    cache) into the unified :data:`repro.synth.backend.STATS_KEYS` schema,
+    adding a ``shared`` flag to the nested cache counters (True when every
+    environment resolved through one shared token). Returns None for
+    backend-less (e.g. analytical) evaluators.
     """
     envs = env.envs if isinstance(env, VectorPrefixEnv) else [env]
-    backends = []
-    tokens = []
-    for e in envs:
-        backend = getattr(e.evaluator, "backend", None)
-        if backend is None:
-            continue
-        if all(backend is not b for b in backends):
-            backends.append(backend)
-        token = backend.share_token()
-        if all(token is not t for t in tokens):
-            tokens.append(token)
-    if not backends:
+    groups = backend_groups(envs)
+    if not groups:
         return None
+    backends = [backend for group in groups for backend in group]
     if len(backends) == 1:
         stats = dict(backends[0].stats())
         if stats.get("cache") is not None:
@@ -131,15 +139,10 @@ def synthesis_stats(env) -> "dict | None":
             "cache_hits", "cache_misses", "synthesized",
         ):
             stats[key] = sum(s[key] for s in per_backend)
-        caches = [s["cache"] for s in per_backend if s.get("cache") is not None]
-        if caches:
-            # Deduplicate by share token: N backends over one cache must
-            # not count its entries N times.
-            seen = []
-            for backend, s in zip(backends, per_backend):
-                token = backend.share_token()
-                if s.get("cache") is not None and all(token is not t for t in seen):
-                    seen.append(token)
+        # One count per share token: N backends over one cache must not
+        # count its entries N times.
+        seen = [g[0].share_token() for g in groups if any(b.store is not None for b in g)]
+        if seen:
             hits = sum(getattr(t, "hits", 0) for t in seen)
             misses = sum(getattr(t, "misses", 0) for t in seen)
             stats["cache"] = {
@@ -151,7 +154,7 @@ def synthesis_stats(env) -> "dict | None":
         else:
             stats["cache"] = None
     if stats.get("cache") is not None:
-        stats["cache"]["shared"] = len(tokens) == 1 and len(envs) > 1
+        stats["cache"]["shared"] = len(groups) == 1 and len(envs) > 1
     return stats
 
 

@@ -20,6 +20,7 @@ import pytest
 
 from repro.net import (
     ChaosProxy,
+    ClusterConfig,
     ClusterSpec,
     FleetSupervisor,
     RemoteActorWorker,
@@ -29,7 +30,7 @@ from repro.net import (
 )
 from repro.net.protocol import PeerTimeout, ProtocolError
 from repro.net.server import FramedServer
-from repro.rl import RuntimeConfig, ScalarizedDoubleDQN, TrainerConfig, TrainingRuntime
+from repro.rl import ScalarizedDoubleDQN, TrainerConfig, TrainingRuntime
 
 
 class _EchoServer(FramedServer):
@@ -222,19 +223,14 @@ class TestFleetSupervisor:
 # ----------------------------------------------------------------------
 
 
-def make_runtime(steps=20, num_actors=1, **runtime_kwargs):
+def make_runtime(steps=20):
     agent = ScalarizedDoubleDQN(4, blocks=0, channels=4, lr=3e-4, rng=0)
     spec = ClusterSpec.for_agent(
-        agent, horizon=6, envs_per_actor=2, library="nangate45", seed=0
+        agent, horizon=6, library="nangate45", seed=0,
+        config=ClusterConfig(actors=1, envs_per_actor=2, cluster_wait=30.0),
     )
     config = TrainerConfig(steps=steps, batch_size=8, warmup_steps=8)
-    runtime_kwargs.setdefault("cluster_wait", 30.0)
-    runtime_config = RuntimeConfig(
-        num_actors=num_actors, **runtime_kwargs
-    )
-    return TrainingRuntime(
-        None, agent, config, runtime_config, rng=0, cluster=spec
-    )
+    return TrainingRuntime(None, agent, config, rng=0, cluster=spec)
 
 
 class TestElasticRecovery:

@@ -12,7 +12,7 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.net import ClusterSpec, RemoteActorWorker
+from repro.net import ClusterConfig, ClusterSpec, RemoteActorWorker
 from repro.rl import (
     RuntimeConfig,
     ScalarizedDoubleDQN,
@@ -22,17 +22,15 @@ from repro.rl import (
 from repro.rl.checkpoint import CheckpointError
 
 
-def make_runtime(steps=20, num_actors=2, checkpoint_dir=None, config=None, **runtime_kwargs):
+def make_runtime(steps=20, checkpoint_dir=None, config=None, runtime_config=None, **fleet_kwargs):
     agent = ScalarizedDoubleDQN(4, blocks=0, channels=4, lr=3e-4, rng=0)
+    fleet_kwargs.setdefault("cluster_wait", 30.0)
     spec = ClusterSpec.for_agent(
-        agent, horizon=6, envs_per_actor=2, library="nangate45", seed=0
+        agent, horizon=6, library="nangate45", seed=0,
+        config=ClusterConfig(envs_per_actor=2, **fleet_kwargs),
     )
     if config is None:
         config = TrainerConfig(steps=steps, batch_size=8, warmup_steps=8)
-    runtime_kwargs.setdefault("cluster_wait", 30.0)
-    runtime_config = RuntimeConfig(
-        num_actors=num_actors, **runtime_kwargs
-    )
     return TrainingRuntime(
         None,
         agent,
@@ -44,7 +42,8 @@ def make_runtime(steps=20, num_actors=2, checkpoint_dir=None, config=None, **run
     )
 
 
-def run_with_actors(runtime, num_actors=2, steps=None, resume=False):
+def run_with_actors(runtime, steps=None, resume=False):
+    """One actor thread per slot of the runtime's ``config.actors``."""
     address = runtime.bind()
     stats = {}
 
@@ -53,7 +52,7 @@ def run_with_actors(runtime, num_actors=2, steps=None, resume=False):
 
     threads = [
         threading.Thread(target=actor, args=(i,), daemon=True)
-        for i in range(num_actors)
+        for i in range(runtime.cluster.config.actors)
     ]
     for t in threads:
         t.start()
@@ -104,17 +103,23 @@ class TestClusterTraining:
         loop, _backend = RemoteActorWorker(("127.0.0.1", 1))._build(join, cache_client=None)
         assert sorted(loop.net.state_arrays()) == sorted(agent.local.state_arrays())
 
-    def test_actors_join_a_learner_whose_spec_config_carries_retired_keys(self):
+    def test_actors_join_a_learner_whose_spec_config_carries_retired_keys(self, monkeypatch):
         """A ``serve-learner`` built before the shared inference server was
         removed still ships its three ``inference*`` knobs in the spec's
         ``config`` dict; actors read named keys and train against it."""
-        from repro.net import ClusterConfig
+        from repro.net.learner import LearnerState
 
+        join_reply = LearnerState._join_reply
+
+        def with_retired_keys(self, *args, **kwargs):
+            reply = join_reply(self, *args, **kwargs)
+            reply["spec"]["config"].update(
+                inference=True, inference_max_batch=256, inference_max_wait=0.005
+            )
+            return reply
+
+        monkeypatch.setattr(LearnerState, "_join_reply", with_retired_keys)
         runtime = make_runtime(steps=12)
-        runtime.cluster.config = {
-            **asdict(ClusterConfig()),
-            "inference": True, "inference_max_batch": 256, "inference_max_wait": 0.005,
-        }
         history, stats = run_with_actors(runtime)
         assert history.env_steps == 12
         assert sum(s["env_steps_kept"] for s in stats.values()) == 12
@@ -164,7 +169,7 @@ class TestClusterTraining:
         from repro.net import FarmWorkerServer
 
         with FarmWorkerServer(("127.0.0.1", 0)) as worker:
-            runtime = make_runtime(steps=12, num_actors=1)
+            runtime = make_runtime(steps=12, actors=1)
             address = runtime.bind()
             stats = {}
 
@@ -190,7 +195,7 @@ class TestClusterTraining:
 class TestClusterCheckpoint:
     def test_preempt_then_resume_completes(self, tmp_path):
         ckpt = tmp_path / "ckpt"
-        runtime = make_runtime(steps=20, checkpoint_dir=ckpt, stop_after=10)
+        runtime = make_runtime(steps=20, checkpoint_dir=ckpt, runtime_config=RuntimeConfig(stop_after=10))
         history, _stats = run_with_actors(runtime)
         assert runtime.preempted
         # Ingest clamps at min(total, stop_after): however the two actors
@@ -214,7 +219,8 @@ class TestClusterCheckpoint:
         loop comes round to due checkpoints while they still run."""
         ckpt = tmp_path / "ckpt"
         runtime = make_runtime(
-            steps=24, checkpoint_dir=ckpt, checkpoint_every=5, keep_checkpoints=0,
+            steps=24, checkpoint_dir=ckpt,
+            runtime_config=RuntimeConfig(checkpoint_every=5, keep_checkpoints=0),
             backpressure_lag=2, throttle_seconds=0.005,
         )
         history, _stats = run_with_actors(runtime)
@@ -246,7 +252,7 @@ class TestClusterCheckpoint:
         runtime = make_runtime(steps=12, checkpoint_dir=ckpt)
         run_with_actors(runtime)
 
-        mismatched = make_runtime(steps=12, num_actors=3, checkpoint_dir=ckpt)
+        mismatched = make_runtime(steps=12, actors=3, checkpoint_dir=ckpt)
         mismatched.bind()
         try:
             with pytest.raises(ValueError, match="layout mismatch"):

@@ -112,9 +112,42 @@ class TestSpecCarriage:
         assert wire["config"]["heartbeat_timeout"] == 7.0
         assert wire["config"]["store_dir"] == "/tmp/x"
 
-    def test_config_defaults_to_absent(self):
+    def test_config_defaults_to_the_field_defaults(self):
         from repro.rl import ScalarizedDoubleDQN
 
         agent = ScalarizedDoubleDQN(4, blocks=0, channels=4, rng=0)
         spec = ClusterSpec.for_agent(agent, envs_per_actor=1, seed=0)
-        assert asdict(spec)["config"] is None
+        assert spec.config == ClusterConfig()
+        assert asdict(spec)["config"] == asdict(ClusterConfig())
+
+    def test_for_agent_takes_the_replica_count_from_the_config(self):
+        from repro.rl import ScalarizedDoubleDQN
+
+        agent = ScalarizedDoubleDQN(4, blocks=0, channels=4, rng=0)
+        assert ClusterSpec.for_agent(agent, config=ClusterConfig(envs_per_actor=3)).envs_per_actor == 3
+        assert ClusterSpec.for_agent(
+            agent, envs_per_actor=1, config=ClusterConfig(envs_per_actor=3)
+        ).envs_per_actor == 1
+
+
+class TestRangeChecks:
+    """An out-of-range knob fails where the config is built, naming its
+    field — not in an actor after it joins, nor as a launcher hang."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("actors", 0), ("publish_every", 0), ("backpressure_lag", -1), ("throttle_seconds", -0.5),
+            ("envs_per_actor", 0), ("front_cache", 0), ("farm_workers", -1),
+            ("heartbeat_timeout", 0.0), ("heartbeat_timeout", -1.0),
+        ],
+    )
+    def test_rejects_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ClusterConfig(**{field: value})
+
+    def test_boundary_values_are_accepted(self):
+        ClusterConfig(
+            actors=1, envs_per_actor=1, publish_every=1, front_cache=1, farm_workers=0,
+            heartbeat_timeout=0.001, backpressure_lag=0, throttle_seconds=0.0,
+        )

@@ -16,10 +16,10 @@ import threading
 import pytest
 
 from repro import obs
-from repro.net import ChaosProxy, ClusterSpec, RemoteActorWorker, wait_until
+from repro.net import ChaosProxy, ClusterConfig, ClusterSpec, RemoteActorWorker, wait_until
 from repro.obs.events import RUN_ENV
 from repro.obs.report import load_events, span_problems
-from repro.rl import RuntimeConfig, ScalarizedDoubleDQN, TrainerConfig, TrainingRuntime
+from repro.rl import ScalarizedDoubleDQN, TrainerConfig, TrainingRuntime
 
 
 @pytest.fixture(autouse=True)
@@ -36,11 +36,11 @@ def clean_obs():
 def make_runtime(steps=20):
     agent = ScalarizedDoubleDQN(4, blocks=0, channels=4, lr=3e-4, rng=0)
     spec = ClusterSpec.for_agent(
-        agent, horizon=6, envs_per_actor=2, library="nangate45", seed=0
+        agent, horizon=6, library="nangate45", seed=0,
+        config=ClusterConfig(actors=1, envs_per_actor=2, cluster_wait=30.0),
     )
     config = TrainerConfig(steps=steps, batch_size=8, warmup_steps=8)
-    runtime_config = RuntimeConfig(num_actors=1, cluster_wait=30.0)
-    return TrainingRuntime(None, agent, config, runtime_config, rng=0, cluster=spec)
+    return TrainingRuntime(None, agent, config, rng=0, cluster=spec)
 
 
 class TestTraceSurvivesASever:

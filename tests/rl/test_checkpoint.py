@@ -36,13 +36,13 @@ def make_sync_runtime(tmp_path=None, seed=3, steps=60, runtime=None, evaluator=N
 
 def cluster_runtime(tmp_path):
     """A cluster-shaped runtime over ``tmp_path`` (resumes fail before any actor is needed)."""
-    from repro.net import ClusterSpec
+    from repro.net import ClusterConfig, ClusterSpec
 
     agent = ScalarizedDoubleDQN(6, 0.5, 0.5, blocks=0, channels=4, lr=1e-3, rng=3)
     return TrainingRuntime(
         None, agent, TrainerConfig(steps=60, batch_size=4, warmup_steps=8),
-        RuntimeConfig(cluster_wait=5.0), checkpoint_dir=tmp_path, rng=3,
-        cluster=ClusterSpec.for_agent(agent),
+        checkpoint_dir=tmp_path, rng=3,
+        cluster=ClusterSpec.for_agent(agent, config=ClusterConfig(cluster_wait=5.0)),
     )
 
 
@@ -198,6 +198,40 @@ class TestTrainingRoundTrip:
         # Cache counters and archive ride along exactly.
         assert h_res.synthesis_stats == h_full.synthesis_stats
         assert env_res.archive.points() == env_full.archive.points()
+
+    def test_resume_with_a_cache_per_replica(self, tmp_path):
+        """Two replicas over two caches checkpoint as two backend groups, and
+        the resumed run's synthesis stats equal the uninterrupted run's."""
+        from repro.cells import nangate45
+        from repro.env import VectorPrefixEnv
+        from repro.synth import SynthesisCache, SynthesisEvaluator
+
+        library = nangate45()
+
+        def runtime(checkpoint_dir=None, **knobs):
+            venv = VectorPrefixEnv.make(
+                6, lambda: SynthesisEvaluator(library, cache=SynthesisCache()),
+                num_envs=2, horizon=12, seed=3,
+            )
+            agent = ScalarizedDoubleDQN(6, 0.5, 0.5, blocks=0, channels=4, lr=1e-3, rng=3)
+            cfg = TrainerConfig(steps=24, batch_size=4, warmup_steps=8)
+            return TrainingRuntime(
+                venv, agent, cfg, RuntimeConfig(**knobs), checkpoint_dir=checkpoint_dir, rng=3
+            )
+
+        h_full = runtime().run()
+        assert h_full.synthesis_stats["cache"]["shared"] is False
+
+        rt_part = runtime(tmp_path, stop_after=10)
+        rt_part.run()
+        assert rt_part.preempted
+        state, _ = rt_part.manager.load()
+        assert len(state["caches"]) == 2
+        assert [len(group["counters"]) for group in state["caches"]] == [1, 1]
+
+        h_res = runtime(tmp_path).run(resume=True)
+        assert_histories_identical(h_full, h_res)
+        assert h_res.synthesis_stats == h_full.synthesis_stats
 
     def test_resume_through_multiple_preemptions(self, tmp_path):
         rt_full, _ = make_sync_runtime()

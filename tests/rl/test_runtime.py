@@ -1,5 +1,7 @@
 """The training runtime's sync shape: one stepper, checkpoints, its config."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -107,20 +109,18 @@ class TestRuntimeConfigValidation:
         with pytest.raises(TypeError, match="mode"):
             RuntimeConfig(mode="sync")
 
-    def test_bad_actor_count(self):
-        with pytest.raises(ValueError, match="num_actors"):
-            RuntimeConfig(num_actors=0)
-
-    def test_bad_publish_cadence(self):
-        with pytest.raises(ValueError, match="publish_every"):
-            RuntimeConfig(publish_every=0)
+    def test_only_the_checkpoint_knobs(self):
+        """A cluster run reads its fleet knobs from its ClusterSpec's config."""
+        assert [f.name for f in fields(RuntimeConfig)] == [
+            "checkpoint_every", "keep_checkpoints", "stop_after",
+        ]
 
     @pytest.mark.parametrize(
         "field, value",
         [
             ("stop_after", 0), ("stop_after", -3),  # a halt before the first step
             ("keep_checkpoints", -1),
-            ("checkpoint_every", -1), ("backpressure_lag", -1), ("throttle_seconds", -0.5),
+            ("checkpoint_every", -1),
         ],
     )
     def test_runtime_config_rejects_out_of_range(self, field, value):

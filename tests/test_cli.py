@@ -144,3 +144,33 @@ class TestCliRuntime:
 
         with pytest.raises(CheckpointError, match="no checkpoint found"):
             main(self.TRAIN + ["--resume", "--checkpoint-dir", str(tmp_path / "empty")])
+
+
+class TestClusterKnobRanges:
+    """A fleet knob out of range stops a cluster command before it binds a
+    socket or spawns a process, with a message naming the field."""
+
+    @pytest.mark.parametrize(
+        "command, field",
+        [
+            (["cluster", "4", "--actors", "1", "--envs-per-actor", "0"], "envs_per_actor"),
+            (["cluster", "4", "--farm-workers", "-1"], "farm_workers"),
+            (["cluster", "4", "--heartbeat-timeout", "0"], "heartbeat_timeout"),
+            (["serve-learner", "4", "--actors", "0"], "actors"),
+            (["serve-learner", "4", "--publish-every", "0"], "publish_every"),
+            (["actor", "--connect", "127.0.0.1:1", "--front-cache", "0"], "front_cache"),
+            (["actor", "--connect", "127.0.0.1:1", "--heartbeat-timeout", "-1"], "heartbeat_timeout"),
+        ],
+        ids=lambda item: " ".join(item) if isinstance(item, list) else item,
+    )
+    def test_exits_naming_the_field_and_spawns_nothing(self, command, field, monkeypatch):
+        import socket
+        import subprocess
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a rejected knob must not reach the network or a subprocess")
+
+        monkeypatch.setattr(socket, "socket", forbidden)
+        monkeypatch.setattr(subprocess, "Popen", forbidden)
+        with pytest.raises(SystemExit, match=f"^{field} must be"):
+            main(command)
