@@ -1,14 +1,16 @@
-"""Hot-path throughput benchmark: features, trainer, synthesis, farm.
+"""Hot-path throughput benchmark: features, trainer, synthesis, farm, fleet.
 
 Measures the layers this repo's training loop touches per step and
-writes the numbers to JSON:
+writes the numbers to JSON, one section each (the names ``--profile``
+takes):
 
-1. ``graph_features`` throughput (graphs/sec) at n in {16, 32, 64} over a
-   fixed corpus of regular structures and random-walk graphs;
-2. ``Trainer.run`` environment-steps/sec at n in {16, 32} (plus, when the
-   running tree supports it, the 8-env vectorized variant);
-3. ``synthesize_curve`` throughput (graphs/sec) at n in {16, 32} — the
-   paper's true cost center, the target of the incremental-STA engine;
+1. ``graph_features``: throughput (graphs/sec) at n in {16, 32, 64} over
+   a fixed corpus of regular structures and random-walk graphs;
+2. ``trainer``: ``Trainer.run`` environment-steps/sec at n in {16, 32}
+   (plus, when the running tree supports it, the 8-env vectorized variant);
+3. ``synthesis``: ``synthesize_curve`` throughput (graphs/sec) at n in
+   {16, 32} — the paper's true cost center, the target of the
+   incremental-STA engine;
 4. ``sta_backward``: the same curves under a recovery-heavy synthesizer
    (``recovery_passes`` cranked up) so area recovery — slack queries
    after every trial downsize — dominates; this is the workload the
@@ -16,15 +18,29 @@ writes the numbers to JSON:
 5. ``analytical``: raw analytical-delay evals/sec over the feature
    corpus plus the deep-ripple worst case (depth-bound fixpoint in old
    trees vs the one-pass topological sweep);
-6. ``SynthesisFarm`` pool-vs-serial speedup on the Section V-C workload;
-7. when the running tree has it: ``chaos``
-   (failure-recovery cost: a severed actor link absorbed by the
-   supervised reconnect loop vs an undisturbed run, plus the supervisor's
-   respawn-dispatch overhead — recovery records, not speedup claims).
+6. ``synthesis_farm``: the Section V-C workload through a backend whose
+   runner is a warm ``SynthesisFarm`` pool, against the plain per-graph
+   ``synthesize_curve`` loop;
 
-The script is deliberately restricted to APIs that exist in the seed tree
-so the *same* workload can be measured before and after the optimization
-PRs::
+and, when the running tree has them — 1-CPU work and cost records, not
+speedup claims:
+
+7. ``cluster``: serial trainer vs a multi-process ``repro cluster`` run,
+   plus per-frame protocol costs;
+8. ``backend``: synthesis runs saved by claim/lease dedup under actor
+   contention;
+9. ``chaos``: failure-recovery cost — a severed actor link absorbed by
+   the supervised reconnect loop vs an undisturbed run, plus the
+   supervisor's respawn-dispatch overhead;
+10. ``store``: curve-store append, cold reopen and warm-hit latency
+    against the synthesis a warm hit replaces;
+11. ``obs``: the observability layer's overhead with events off.
+
+Sections 1-5 are restricted to APIs that exist in the seed tree, and the
+newer ones skip themselves in trees without their API, so the *same*
+workload can be measured before and after the optimization PRs (except
+``synthesis_farm``, which needs a backend with a ``runner``: older trees
+keep their recorded numbers)::
 
     # at the seed commit (e.g. in a worktree)
     PYTHONPATH=<seed>/src python benchmarks/bench_hotpath.py --output seed.json
@@ -35,9 +51,9 @@ PRs::
         --baseline seed.json --parent-baseline parent.json \
         --output BENCH_hotpath.json
 
-``--smoke`` runs a seconds-scale version (tiny widths, one trainer run,
-no farm) for CI: it asserts the sections and speedup keys exist without
-producing publishable numbers.
+``--smoke`` runs a seconds-scale version of every section (tiny widths,
+one trainer run, a 2-worker farm) for CI: it asserts the sections and
+speedup keys exist without producing publishable numbers.
 
 ``--profile <section>`` runs one bench section under ``cProfile``
 (stdlib only) and prints the top functions by cumulative time — the
@@ -356,25 +372,37 @@ def bench_analytical() -> "dict | None":
 
 
 def bench_farm() -> dict:
+    """Sec. V-C: a warm process pool behind a backend (dedup + chunked
+    dispatch) vs the plain per-graph ``synthesize_curve`` loop."""
+    from repro.distributed.farm import chunk_tasks
+    from repro.synth import EvaluationBackend
+
+    lib = nangate45()
     graphs = [ctor(FARM_WIDTH) for ctor in REGULAR_STRUCTURES.values()] * FARM_REPEATS
-    serial = SynthesisFarm("nangate45", num_workers=0)
-    serial.evaluate_curves(graphs)
+    start = time.perf_counter()
+    for g in graphs:
+        synthesize_curve(g, lib)
+    serial_seconds = time.perf_counter() - start
     with SynthesisFarm("nangate45", num_workers=FARM_WORKERS) as farm:
-        farm.evaluate_curves(graphs)
-        pool_stats = farm.last_stats
-    speedup = serial.last_stats.wall_seconds / max(pool_stats.wall_seconds, 1e-9)
+        backend = EvaluationBackend(lib, runner=farm)
+        start = time.perf_counter()
+        backend.evaluate_many(graphs)
+        pool_seconds = time.perf_counter() - start
+    stats = backend.stats()
+    unique = list({g.key(): g for g in graphs}.values())
+    speedup = serial_seconds / max(pool_seconds, 1e-9)
     out = {
         "num_graphs": len(graphs),
-        "serial_seconds": serial.last_stats.wall_seconds,
-        "pool_seconds": pool_stats.wall_seconds,
-        "pool_mode": pool_stats.mode,
+        "serial_seconds": serial_seconds,
+        "pool_seconds": pool_seconds,
+        "pool_mode": farm.name.removeprefix("farm-"),
         "pool_speedup": speedup,
-        "unique_graphs": getattr(pool_stats, "unique_graphs", None),
-        "dispatched": getattr(pool_stats, "dispatched", None),
-        "chunks": getattr(pool_stats, "chunks", None),
+        "unique_graphs": stats["unique_designs"],
+        "dispatched": stats["synthesized"],
+        "chunks": len(chunk_tasks(unique, farm.width)),
     }
-    print(f"farm n={FARM_WIDTH}: serial {serial.last_stats.wall_seconds:.2f}s, "
-          f"pool {pool_stats.wall_seconds:.2f}s -> {speedup:.2f}x")
+    print(f"farm n={FARM_WIDTH}: serial {serial_seconds:.2f}s, "
+          f"pool {pool_seconds:.2f}s -> {speedup:.2f}x")
     return out
 
 
@@ -1335,10 +1363,7 @@ def main() -> None:
         "--profile", default=None, metavar="SECTION",
         help="run one bench section under cProfile and print the hottest "
              "functions instead of measuring; combine with --smoke for a "
-             "fast workload (sections: "
-             "graph_features, trainer, synthesis, sta_backward, analytical, "
-             "synthesis_farm, runtime, cluster, backend, "
-             "chaos, store, obs)",
+             f"fast workload (sections: {', '.join(profile_sections())})",
     )
     parser.add_argument(
         "--profile-top", type=int, default=30,

@@ -51,15 +51,36 @@ def _fleet_event(message: str) -> None:
     print(message, file=sys.stderr, flush=True)
 
 
+def _require(ok: bool, argument: str, value, need: str) -> None:
+    """Exit with one line naming a bad command-line argument and its value."""
+    if not ok:
+        raise SystemExit(f"argument {argument}: {need}, got {value!r}")
+
+
 def _load_graph(spec: str, width: int):
     from repro.prefix import REGULAR_STRUCTURES, graph_from_json
 
     if spec.endswith(".json"):
-        return graph_from_json(Path(spec).read_text())
+        try:
+            return graph_from_json(Path(spec).read_text())
+        except (OSError, KeyError, TypeError, ValueError, IndexError) as exc:
+            raise SystemExit(
+                f"argument structure: cannot load design file {spec!r}: {exc!r}"
+            ) from None
     if spec not in REGULAR_STRUCTURES:
         known = ", ".join(sorted(REGULAR_STRUCTURES))
         raise SystemExit(f"unknown structure {spec!r}; known: {known} (or a .json file)")
+    _require(width >= 2, "width", width, "prefix structures need width >= 2")
     return REGULAR_STRUCTURES[spec](width)
+
+
+def _check_training_args(args) -> None:
+    """Range checks for the flags ``train``, ``sweep`` and the cluster
+    learners share, run before anything is built or written."""
+    _require(args.width >= 3, "width", args.width, "the action space needs width >= 3")
+    _require(args.steps >= 0, "--steps", args.steps, "must be >= 0")
+    w_area = getattr(args, "w_area", 0.5)
+    _require(0.0 <= w_area <= 1.0, "--w-area", w_area, "must be in [0, 1]")
 
 
 def _library(name: str):
@@ -174,6 +195,7 @@ def cmd_train(args) -> int:
     from repro.store import make_store
     from repro.synth import SynthesisEvaluator
 
+    _check_training_args(args)
     _require_checkpoint_dir(args)
     runtime_config = _runtime_config(args)
 
@@ -301,6 +323,7 @@ def _print_fleet_summary(runtime, supervisor=None) -> None:
 def cmd_serve_learner(args) -> int:
     from repro.rl import TrainingRuntime
 
+    _check_training_args(args)
     fleet = _cluster_config(args)
     _require_checkpoint_dir(args)
     _configure_obs(fleet, "learner")
@@ -399,6 +422,7 @@ def cmd_cluster(args) -> int:
     )
     from repro.rl import TrainingRuntime
 
+    _check_training_args(args)
     fleet = _cluster_config(args)
     _require_checkpoint_dir(args)
     _configure_obs(fleet, "learner")
@@ -568,6 +592,8 @@ def cmd_sweep(args) -> int:
     from repro.rl.sweep import pareto_sweep, weight_grid
     from repro.synth import AnalyticalEvaluator
 
+    _check_training_args(args)
+    _require(args.weights >= 1, "--weights", args.weights, "must be >= 1")
     result = pareto_sweep(
         n=args.width,
         evaluator_factory=lambda wa, wd: AnalyticalEvaluator(wa, wd),

@@ -4,8 +4,9 @@ The paper hides multi-second synthesis latency behind 192 worker processes
 and an off-policy actor/learner split. At laptop scale this package
 reproduces the mechanisms and their measurable effects:
 
-- :class:`SynthesisFarm` — a process pool evaluating prefix graphs in
-  parallel, with a serial mode so the Sec. V-C speedup is measurable;
+- :class:`SynthesisFarm` — a warm process pool that runs an
+  :class:`repro.synth.EvaluationBackend`'s synthesis misses in parallel
+  (its ``runner``; the remote twin is :class:`repro.net.RemoteFarmPool`);
 - :class:`BatchedActor` — many environment copies stepped with one batched
   Q-network forward per round (the pipeline-parallel experience generator);
 - :class:`LearnerCore` / :class:`ActorLoop` — the off-policy actor/learner
@@ -14,7 +15,7 @@ reproduces the mechanisms and their measurable effects:
   statistics the paper reports (50% at 32b, 10% at 64b).
 """
 
-from repro.distributed.farm import SynthesisFarm, FarmStats
+from repro.distributed.farm import SynthesisFarm
 from repro.distributed.pipeline import (
     ActorLoop,
     BatchedActor,
@@ -25,7 +26,6 @@ from repro.distributed.pipeline import (
 
 __all__ = [
     "SynthesisFarm",
-    "FarmStats",
     "BatchedActor",
     "CollectStats",
     "ActorLoop",

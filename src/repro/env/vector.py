@@ -16,9 +16,9 @@ When there are several replicas and every one's evaluator exposes
 closure over a shared cache to :meth:`VectorPrefixEnv.make`), :meth:`step`
 routes the whole round through **one batched evaluation**: all successor
 states (and all auto-reset start states) are deduplicated and synthesized
-in a single ``evaluate_many`` call — optionally fanned out through a
-:class:`repro.distributed.SynthesisFarm` — instead of each replica paying
-for synthesis serially inside its own ``env.step``. Rewards and RL
+in a single ``evaluate_many`` call — optionally fanned out to a farm
+``runner`` of the shared :class:`repro.synth.EvaluationBackend` — instead
+of each replica paying for synthesis serially inside its own ``env.step``. Rewards and RL
 trajectories are unchanged (synthesis is deterministic); only the latency
 overlaps. A single replica steps itself (``env.step`` / ``env.reset``):
 that is how the trainer runs a bare :class:`PrefixEnv`.

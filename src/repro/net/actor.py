@@ -172,22 +172,19 @@ class RemoteActorWorker:
     def _build(self, join: dict, cache_client: RemoteCacheClient):
         spec = join["spec"]
         library = library_by_name(spec["library"])
-        farm = None
+        # Leased misses run on the farm workers, if any, else in-process.
+        runner = None
         if self.farm_workers:
-            from repro.distributed.farm import SynthesisFarm
+            from repro.net.farm import RemoteFarmPool
 
-            # Pure dispatch for this actor's leases: the learner's shared
-            # service is the cache, so the farm's own backend stays unused.
-            farm = SynthesisFarm(
-                spec["library"], num_workers=0, remote_workers=self.farm_workers
-            )
+            runner = RemoteFarmPool(self.farm_workers, spec["library"])
         # A bounded front store absorbs this actor's own repeats before
         # they reach the wire.
         backend = EvaluationBackend(
             library,
             store=make_store(max_entries=self.front_cache_entries),
             service=cache_client,
-            runner=farm,
+            runner=runner,
         )
 
         def make_evaluator():

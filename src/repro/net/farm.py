@@ -1,8 +1,11 @@
-"""Remote synthesis farm: worker daemons and the dispatch-side pool.
+"""Remote synthesis farm: worker daemons and the dispatch-side runner.
 
-The multi-host half of :class:`repro.distributed.SynthesisFarm`: instead of
+The multi-host twin of :class:`repro.distributed.SynthesisFarm`: instead of
 a local process pool, curve tasks ship over the framed protocol to
-:class:`FarmWorkerServer` daemons (``repro farm-worker``) running anywhere.
+:class:`FarmWorkerServer` daemons (``repro farm-worker``) running anywhere,
+and :class:`RemoteFarmPool` is the ``runner`` an
+:class:`repro.synth.backend.EvaluationBackend` dispatches its misses to
+(``repro actor --farm``).
 
 A task is the same-host pool's: ``{"graph": graph JSON}``, under 1 KB at
 n=32. The worker parses it and checks it is a legal prefix graph
@@ -24,12 +27,13 @@ import threading
 
 from repro import obs
 from repro.cells import LOADED_LIBRARIES, library_by_name
-from repro.distributed.farm import synthesize_tasks, task_graph
+from repro.distributed.farm import chunk_curves, chunk_tasks, synthesize_tasks, task_graph
 from repro.net.protocol import (
     DEFAULT_HEARTBEAT_TIMEOUT,
     DEFAULT_MAX_FRAME_BYTES,
     ProtocolError,
     connect,
+    parse_address,
 )
 from repro.net.server import FramedServer
 from repro.prefix.serialize import graph_digest
@@ -125,37 +129,65 @@ class FarmWorkerServer(FramedServer):
 
 
 class RemoteFarmPool:
-    """Dispatch-side view of a set of :class:`FarmWorkerServer` daemons.
+    """Run synthesis misses on :class:`FarmWorkerServer` daemons.
+
+    Args:
+        addresses: ``host:port`` strings (or ``(host, port)`` tuples), one
+            per worker; the runner's ``width`` is their count.
+        library_name / synth_kwargs: what every task is synthesized with;
+            must match the backend's library and synthesizer name.
+        max_frame_bytes / timeout: per-connection wire limits.
 
     Owns one connection per worker (dialed lazily, redialed after a drop)
-    and fans a list of task chunks across them — chunks are assigned
-    round-robin and each worker's share runs on its own thread, so
-    multi-worker dispatch overlaps while one socket stays strictly
-    request/response.
+    and fans a batch's chunks across them — chunks are assigned round-robin
+    and each worker's share runs on its own thread, so multi-worker
+    dispatch overlaps while one socket stays strictly request/response.
     """
 
     def __init__(
         self,
-        addresses: "list[tuple[str, int]]",
+        addresses: list,
+        library_name: str = "nangate45",
+        synth_kwargs: "dict | None" = None,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         timeout: float = 300.0,
     ):
         if not addresses:
             raise ValueError("need at least one worker address")
-        self.addresses = list(addresses)
+        self.addresses = [parse_address(a) if isinstance(a, str) else tuple(a) for a in addresses]
+        self.library_name = library_name
+        self.synth_kwargs = dict(synth_kwargs or {})
         self.max_frame_bytes = max_frame_bytes
         self.timeout = timeout
-        self._conns: "list" = [None] * len(addresses)
-        # What the latest synth_chunks call cost, worker-side (the
-        # farm folds these into its cumulative totals, key for key).
+        self._conns: "list" = [None] * len(self.addresses)
+        # What the latest synth_chunks call cost, worker-side, and the
+        # cumulative sums the backend checkpoints and reports as "remote".
         self.last = {
             "worker_setup_seconds": 0.0,
             "worker_opt_seconds": 0.0,
             "redispatched_tasks": 0,
         }
+        self.totals = dict(self.last)
 
-    def __len__(self) -> int:
+    @property
+    def width(self) -> int:
+        """Designs in flight at once: the worker count."""
         return len(self.addresses)
+
+    @property
+    def name(self) -> str:
+        return f"farm-remote[{self.width}]"
+
+    def run(self, graphs) -> "list":
+        """Synthesize ``graphs`` on the workers; order matches the input.
+
+        Pure dispatch: the backend has already deduped the batch and
+        routed it around the store. One chunk per worker.
+        """
+        chunk_points = self.synth_chunks(chunk_tasks(graphs, self.width))
+        for key, value in self.last.items():
+            self.totals[key] += value
+        return chunk_curves(chunk_points)
 
     def _conn(self, i: int):
         if self._conns[i] is None:
@@ -168,12 +200,7 @@ class RemoteFarmPool:
             self._conns[i] = conn
         return self._conns[i]
 
-    def synth_chunks(
-        self,
-        chunks: "list[list[dict]]",
-        library: str,
-        synth_kwargs: dict,
-    ) -> "list[list[list[tuple[float, float]]]]":
+    def synth_chunks(self, chunks: "list[list[dict]]") -> "list[list[list[tuple[float, float]]]]":
         """Run every chunk of tasks; returns per-chunk curve point lists.
 
         Dispatch is supervised: a worker whose chunk dies terminally (the
@@ -183,8 +210,9 @@ class RemoteFarmPool:
         lease-reclamation idea applied to dispatch. With no survivors the
         leftovers run through local synthesis (byte-identical curves, just
         slower); tasks are never silently dropped — that would corrupt the
-        farm's order contract.
+        runner's order contract.
         """
+        library, synth_kwargs = self.library_name, self.synth_kwargs
         results: "list" = [None] * len(chunks)
         last = self.last = dict.fromkeys(self.last, 0)
         last_lock = threading.Lock()
@@ -282,6 +310,7 @@ class RemoteFarmPool:
             conn.close()
 
     def close(self) -> None:
+        """Say goodbye on every open worker connection; idempotent."""
         for i in range(len(self._conns)):
             conn = self._conns[i]
             self._conns[i] = None

@@ -18,8 +18,10 @@ across the curve's delay targets, and a ``Netlist`` only when a result's
 Where curves come from is the one :mod:`repro.synth.backend` seam:
 ``SynthesisEvaluator`` delegates to an :class:`EvaluationBackend` — a
 store, optionally a claim/lease cache service (:mod:`repro.synth.leases`)
-and optionally a :class:`repro.distributed.SynthesisFarm` to run misses
-on — byte-identical curves and one stats schema however it is built.
+and optionally a runner to run misses on (a same-host
+:class:`repro.distributed.SynthesisFarm` or a remote
+:class:`repro.net.farm.RemoteFarmPool`) — byte-identical curves and one
+stats schema however it is built.
 """
 
 from repro.synth.optimizer import Synthesizer, SynthesisResult

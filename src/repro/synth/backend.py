@@ -3,27 +3,27 @@
 Every consumer of area-delay curves — :class:`repro.synth.SynthesisEvaluator`,
 :class:`repro.env.VectorPrefixEnv`, :class:`repro.rl.Trainer`,
 :class:`repro.rl.runtime.TrainingRuntime`,
-:class:`repro.distributed.SynthesisFarm`,
 :class:`repro.net.actor.RemoteActorWorker` — resolves them through an
 :class:`EvaluationBackend`, and the resolution loop (dedup a batch, look up
 the store, claim or run the misses, write back, count) lives here, once.
 
-A backend is a **store**, an optional **lease service** and a place to
-**run misses**; the deployments differ only in how it is constructed:
+A backend is a **store**, an optional **lease service** and an optional
+**runner** to run misses on, and it is built one way:
+``EvaluationBackend(library, synthesizer, store, service=..., runner=...)``.
 
-- ``EvaluationBackend(library, synthesizer, store)`` — store lookup plus
-  in-process synthesis (what ``repro train`` and plain evaluators get);
-- ``EvaluationBackend(..., store, runner=farm)`` — misses dispatch to a
-  :class:`repro.distributed.SynthesisFarm` (a warm process pool or remote
-  ``repro farm-worker`` daemons); ``farm.backend`` is this construction;
-- ``EvaluationBackend(..., front_store, service=client)`` — misses are
-  *claimed* at a learner's :class:`repro.synth.leases.SharedCacheService`,
-  so concurrent clients never synthesize the same digest twice; with
-  ``runner=farm`` the leased designs fan out to farm workers
-  (``repro actor --farm``).
+- without a service, every store miss is this backend's to run; with one
+  (``repro actor``) misses are *claimed* at a learner's
+  :class:`repro.synth.leases.SharedCacheService`, so concurrent clients
+  never synthesize the same digest twice and ``store`` is a transient
+  front;
+- without a runner, misses are synthesized in this process (what
+  ``repro train`` and plain evaluators get); with one they go to a
+  :class:`repro.distributed.SynthesisFarm` (a warm same-host process
+  pool) or a :class:`repro.net.farm.RemoteFarmPool` (``repro
+  farm-worker`` daemons — ``repro actor --farm``).
 
-All constructions produce byte-identical curves for the same designs
-(every path bottoms out in the same synthesis ladder) and report the same
+Every construction produces byte-identical curves for the same designs
+(every path bottoms out in the same synthesis ladder) and reports the same
 :data:`STATS_KEYS` counter schema from :meth:`~EvaluationBackend.stats`.
 """
 
@@ -36,8 +36,8 @@ from repro.prefix.serialize import graph_digest
 from repro.synth.curve import AreaDelayCurve, synthesize_curve
 from repro.synth.optimizer import Synthesizer
 
-# The unified stats() schema every construction (and SynthesisFarm.stats(),
-# and TrainingHistory.synthesis_stats) reports. "cache" is the store's own
+# The unified stats() schema every construction (and
+# TrainingHistory.synthesis_stats) reports. "cache" is the store's own
 # counters ({"entries", "hits", "misses", "hit_rate"}) or None for a
 # storeless backend. Extension sub-dicts ("lease" with a service, "remote"
 # with a remote runner) may be added; these keys are never renamed.
@@ -105,8 +105,12 @@ class EvaluationBackend:
             object with ``run(graphs) -> curves``, ``width`` (designs it
             runs at once), ``name``, ``totals`` (cumulative dispatch
             counters, checkpointed here and reported as ``"remote"``;
-            empty for a same-host pool) and ``close()``; in practice a
-            :class:`repro.distributed.SynthesisFarm`.
+            empty for a same-host pool), ``close()``, and the
+            ``library_name`` / ``synth_kwargs`` it synthesizes with, which
+            must name this backend's library and synthesizer (else
+            ``ValueError``: its curves would be stored under the wrong
+            keys): a :class:`repro.distributed.SynthesisFarm` or a
+            :class:`repro.net.farm.RemoteFarmPool`.
         wait_timeout: seconds to wait on other clients' leases before
             giving up on a batch.
 
@@ -136,6 +140,17 @@ class EvaluationBackend:
     ):
         self.library = library
         self.synthesizer = synthesizer if synthesizer is not None else Synthesizer()
+        if runner is not None:
+            if runner.library_name != library.name:
+                raise ValueError(
+                    f"runner library {runner.library_name!r} != backend library {library.name!r}"
+                )
+            runner_synth = Synthesizer(**runner.synth_kwargs).name
+            if runner_synth != self.synthesizer.name:
+                raise ValueError(
+                    f"runner synthesizer {runner_synth!r} != backend synthesizer "
+                    f"{self.synthesizer.name!r}"
+                )
         self.store = store
         self.service = service
         self.runner = runner

@@ -4,7 +4,10 @@ The paper: "we cache synthesized state designs to reduce redundant
 calculations and find that as the exploration parameter epsilon diminishes,
 the cache hit percentage becomes 50% in the 32b case and 10% in the 64b
 case." Keys combine the graph digest with the library/tool identity so one
-cache can serve several experiments. Thread-safe for the worker pool.
+cache can serve several experiments. Thread-safe: one lock guards the
+entries and counters, so threads of one process (concurrent lease clients,
+a server's handlers) may share it; farm workers are other processes and
+never see it.
 
 This is the canonical in-memory implementation of the
 :class:`repro.store.CurveStore` protocol; the durable tiers live in
@@ -54,8 +57,8 @@ class SynthesisCache(CurveStore):
         """Batched :meth:`get` under one lock acquisition.
 
         Returns a value-or-None list aligned with ``keys``; hit/miss
-        statistics count every key. Used by the synthesis farm to route a
-        whole batch before dispatching the misses.
+        statistics count every key. Used by the evaluation backend to route
+        a whole batch before running the misses.
         """
         out = []
         with self._lock:
@@ -98,27 +101,6 @@ class SynthesisCache(CurveStore):
             self.hits = 0
             self.misses = 0
 
-    def snapshot(self) -> "tuple[list[tuple[tuple, object]], int, int]":
-        """``(entries, hits, misses)`` in LRU order (oldest first).
-
-        Values are returned as stored; the checkpoint layer is
-        responsible for serializing them (e.g. an
-        :class:`repro.synth.AreaDelayCurve` via its ``points()``).
-        """
-        with self._lock:
-            return list(self._data.items()), self.hits, self.misses
-
-    def restore(
-        self, entries: "list[tuple[tuple, object]]", hits: int = 0, misses: int = 0
-    ) -> None:
-        """Replace contents and counters with a :meth:`snapshot` (order kept)."""
-        with self._lock:
-            self._data = OrderedDict((tuple(k), v) for k, v in entries)
-            while len(self._data) > self.max_entries:
-                self._data.popitem(last=False)
-            self.hits = int(hits)
-            self.misses = int(misses)
-
     def state_dict(self) -> dict:
         """Checkpoint-ready snapshot (JSON-safe curve points).
 
@@ -128,7 +110,8 @@ class SynthesisCache(CurveStore):
         """
         from repro.store.api import encode_entries
 
-        entries, hits, misses = self.snapshot()
+        with self._lock:
+            entries, hits, misses = list(self._data.items()), self.hits, self.misses
         return {
             "max_entries": self.max_entries,
             "hits": hits,
@@ -142,16 +125,18 @@ class SynthesisCache(CurveStore):
         from repro.store.api import decode_entries
 
         entries = state.get("entries")
-        if entries is None:
-            with self._lock:
-                self.hits = int(state.get("hits", 0))
-                self.misses = int(state.get("misses", 0))
-            return
-        self.restore(
-            decode_entries(entries),
-            hits=state.get("hits", 0),
-            misses=state.get("misses", 0),
-        )
+        data = None
+        if entries is not None:
+            # LRU order (oldest first) is kept; an over-full state drops
+            # its oldest entries.
+            data = OrderedDict((tuple(k), v) for k, v in decode_entries(entries))
+            while len(data) > self.max_entries:
+                data.popitem(last=False)
+        with self._lock:
+            if data is not None:
+                self._data = data
+            self.hits = int(state.get("hits", 0))
+            self.misses = int(state.get("misses", 0))
 
     def __repr__(self) -> str:
         return (

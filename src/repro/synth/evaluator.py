@@ -7,8 +7,8 @@ scalarization-dependent (area, delay) pair. Two implementations:
   synthesis at 4 targets, PCHIP curve, w-optimal point (Fig. 3). *Where*
   the curves come from is delegated to a
   :class:`repro.synth.backend.EvaluationBackend` (a store, optionally a
-  farm to run misses on or a cluster's claim/lease cache service) — the
-  evaluator itself only owns the scalarization.
+  cluster's claim/lease cache service and a farm runner to run misses
+  on) — the evaluator itself only owns the scalarization.
 - :class:`AnalyticalEvaluator` — the Moto-Kaneko model, used to train
   "Analytical-PrefixRL" for the Fig. 6 study (no curve; the metrics are
   target-independent).
@@ -51,17 +51,9 @@ class SynthesisEvaluator:
             (store + in-process synthesis) backend; one is created if
             omitted. Mutually exclusive with ``backend``.
         c_area / c_delay: the paper's scaling constants.
-        farm: optional :class:`repro.distributed.SynthesisFarm`; an
-            *active* farm (pool or remote workers) lends its own backend
-            (``farm.backend``), so all evaluations route through its
-            dispatch layer. The farm must target the same library and
-            synthesizer identity; it adopts this evaluator's cache if it
-            has none of its own. A serial (``num_workers=0``) farm is the
-            deliberately-naive benchmark reference and is never routed
-            through — the evaluator builds the default backend.
-        backend: an explicit :class:`EvaluationBackend` (e.g. a cluster
-            actor's lease-service construction); mutually exclusive with
-            ``cache``/``farm``.
+        backend: an explicit :class:`EvaluationBackend` — e.g. one with a
+            farm ``runner`` or a cluster actor's lease-service
+            construction; mutually exclusive with ``cache``.
     """
 
     def __init__(
@@ -73,7 +65,6 @@ class SynthesisEvaluator:
         cache=None,
         c_area: float = C_AREA,
         c_delay: float = C_DELAY,
-        farm=None,
         backend: "EvaluationBackend | None" = None,
     ):
         if w_area < 0 or w_delay < 0:
@@ -84,36 +75,16 @@ class SynthesisEvaluator:
         self.w_delay = w_delay
         self.c_area = c_area
         self.c_delay = c_delay
-        if backend is not None:
-            if cache is not None or farm is not None:
-                raise ValueError(
-                    "pass either backend= or cache=/farm=, not both: an "
-                    "explicit backend already owns the cache and routing"
-                )
-            self.backend = backend
-            return
-        if farm is not None:
-            if farm.library_name != self.library.name:
-                raise ValueError(
-                    f"farm targets library {farm.library_name!r}, "
-                    f"evaluator uses {self.library.name!r}"
-                )
-            farm_synth = farm.synth_kwargs.get("name", "openphysyn")
-            if farm_synth != self.synthesizer.name:
-                raise ValueError(
-                    f"farm synthesizer {farm_synth!r} != evaluator "
-                    f"synthesizer {self.synthesizer.name!r} (cache keys would diverge)"
-                )
-        if farm is not None and farm.active:
-            if farm.cache is None:
-                farm.cache = cache if cache is not None else make_store()
-            self.backend = farm.backend
-        else:
-            self.backend = EvaluationBackend(
-                self.library,
-                self.synthesizer,
-                cache if cache is not None else make_store(),
+        if backend is None:
+            backend = EvaluationBackend(
+                self.library, self.synthesizer, cache if cache is not None else make_store()
             )
+        elif cache is not None:
+            raise ValueError(
+                "pass either backend= or cache=, not both: an explicit "
+                "backend already owns its store"
+            )
+        self.backend = backend
 
     # -- backend views ----------------------------------------------------
 
@@ -121,11 +92,6 @@ class SynthesisEvaluator:
     def cache(self):
         """The backend's curve store (None for a storeless backend)."""
         return self.backend.store
-
-    @property
-    def farm(self):
-        """The synthesis farm misses run on, when the backend has one."""
-        return self.backend.runner
 
     # -- evaluation -------------------------------------------------------
 

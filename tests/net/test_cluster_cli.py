@@ -180,11 +180,11 @@ def test_farm_worker_cli_serves(tmp_path):
         address = line.strip().rsplit(" ", 1)[-1]
 
         sys.path.insert(0, SRC)
-        from repro.distributed import SynthesisFarm
+        from repro.net import RemoteFarmPool
         from repro.prefix import sklansky
 
-        farm = SynthesisFarm("nangate45", num_workers=0, remote_workers=[address])
-        curves = farm.evaluate_curves([sklansky(8)])
+        farm = RemoteFarmPool([address], "nangate45")
+        curves = farm.run([sklansky(8)])
         assert len(curves) == 1 and len(curves[0].points()) >= 2
         farm.close()
     finally:

@@ -42,73 +42,91 @@ def addr(worker):
     return f"{worker.address[0]}:{worker.address[1]}"
 
 
+def remote_backend(addresses, store=None, library="nangate45"):
+    """A backend whose misses run on the farm workers at ``addresses``."""
+    return EvaluationBackend(
+        library_by_name(library), store=store, runner=RemoteFarmPool(addresses, library)
+    )
+
+
 class TestRemoteCurves:
     def test_graph_tasks_match_local(self, worker, expected):
         graphs, points = expected
-        farm = SynthesisFarm("nangate45", num_workers=0, remote_workers=[addr(worker)])
+        backend = remote_backend([addr(worker)])
         try:
-            curves = farm.evaluate_curves(graphs)
+            curves = backend.evaluate_many(graphs)
             assert [c.points() for c in curves] == points
-            stats = farm.last_stats
-            assert stats.mode == "remote[1]"
-            assert stats.unique_graphs == 3  # duplicate sklansky deduped
-            assert stats.dispatched == 3
-            assert stats.worker_opt_seconds > 0
-            assert farm.stats()["remote"]["workers"] == 1
+            stats = backend.stats()
+            assert stats["backend"] == "farm-remote[1]"
+            assert stats["unique_designs"] == 3  # duplicate sklansky deduped
+            assert stats["synthesized"] == 3
+            assert stats["remote"]["worker_opt_seconds"] > 0
+            assert stats["remote"]["workers"] == 1
         finally:
-            farm.close()
+            backend.close()
 
     def test_cache_routes_around_the_wire(self, worker, expected):
         graphs, points = expected
-        cache = SynthesisCache()
-        farm = SynthesisFarm(
-            "nangate45", num_workers=0, remote_workers=[addr(worker)], cache=cache
-        )
+        backend = remote_backend([addr(worker)], store=SynthesisCache())
         try:
-            farm.evaluate_curves(graphs)
-            first_dispatched = farm.last_stats.dispatched
-            farm.evaluate_curves(graphs)
+            backend.evaluate_many(graphs)
+            first_dispatched = backend.synthesized
+            backend.evaluate_many(graphs)
             assert first_dispatched == 3
-            assert farm.last_stats.dispatched == 0  # all hits, nothing crossed
-            assert farm.last_stats.cache_hits == 3
+            assert backend.synthesized == 3  # all hits, nothing crossed
+            assert backend.cache_hits == 3
         finally:
-            farm.close()
+            backend.close()
 
     def test_evaluator_routes_through_remote_farm(self, worker, expected):
         graphs, points = expected
-        farm = SynthesisFarm("nangate45", num_workers=0, remote_workers=[addr(worker)])
-        evaluator = SynthesisEvaluator(nangate45(), farm=farm)
+        backend = remote_backend([addr(worker)], store=SynthesisCache())
+        evaluator = SynthesisEvaluator(nangate45(), backend=backend)
         try:
             metrics = evaluator.evaluate_many(graphs)
             assert len(metrics) == len(graphs)
-            assert evaluator.backend is farm.backend
-            stats = farm.stats()
+            stats = backend.stats()
             assert stats["backend"] == "farm-remote[1]" and stats["synthesized"] == 3
-            # The farm adopted the evaluator's cache: a repeat batch stays local.
+            # The backend's store keeps a repeat batch local.
             evaluator.evaluate_many(graphs)
-            stats = farm.stats()
+            stats = backend.stats()
             assert stats["synthesized"] == 3 and stats["cache_hits"] == 3
         finally:
-            farm.close()
+            backend.close()
 
-    def test_remote_conflicts_with_local_pool(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            SynthesisFarm("nangate45", num_workers=2, remote_workers=["h:1"])
+    def test_runner_face(self):
+        pool = RemoteFarmPool(["127.0.0.1:1", ("127.0.0.1", 2)], "industrial8nm")
+        assert pool.addresses == [("127.0.0.1", 1), ("127.0.0.1", 2)]
+        assert (pool.width, pool.name) == (2, "farm-remote[2]")
+        assert pool.totals == {
+            "worker_setup_seconds": 0.0, "worker_opt_seconds": 0.0, "redispatched_tasks": 0,
+        }
+        pool.close()  # never dialed: nothing to close
+        with pytest.raises(ValueError, match="at least one"):
+            RemoteFarmPool([], "nangate45")
+
+    def test_mismatched_remote_pool_rejected(self):
+        with pytest.raises(ValueError, match="library 'industrial8nm' != backend library 'nangate45'"):
+            EvaluationBackend(nangate45(), runner=RemoteFarmPool(["h:1"], "industrial8nm"))
+        with pytest.raises(ValueError, match="synthesizer 'other' != backend synthesizer 'openphysyn'"):
+            EvaluationBackend(
+                nangate45(), runner=RemoteFarmPool(["h:1"], "nangate45", {"name": "other"})
+            )
 
     def test_dead_worker_falls_back_to_local_synthesis(self, expected):
         graphs, points = expected
         server = FarmWorkerServer(("127.0.0.1", 0))
         server.start()
-        dead = f"{server.address[0]}:{server.address[1]}"
+        dead = addr(server)
         server.stop()
-        farm = SynthesisFarm("nangate45", num_workers=0, remote_workers=[dead])
+        backend = remote_backend([dead])
         try:
-            curves = farm.evaluate_curves(graphs)
+            curves = backend.evaluate_many(graphs)
             assert [c.points() for c in curves] == points  # byte-identical
-            assert farm.last_stats.redispatched == 3
-            assert farm.stats()["remote"]["redispatched_tasks"] == 3
+            assert backend.runner.last["redispatched_tasks"] == 3
+            assert backend.stats()["remote"]["redispatched_tasks"] == 3
         finally:
-            farm.close()
+            backend.close()
 
 
 class TestWireFailures:
@@ -118,19 +136,15 @@ class TestWireFailures:
         graphs, points = expected
         server = FarmWorkerServer(("127.0.0.1", 0))
         server.start()
-        farm = SynthesisFarm(
-            "nangate45",
-            num_workers=0,
-            remote_workers=[f"{server.address[0]}:{server.address[1]}"],
-        )
+        backend = remote_backend([addr(server)])
         try:
-            farm.evaluate_curves(graphs)
-            farm._remote._drop(0)
-            curves = farm.evaluate_curves(graphs)
+            backend.evaluate_many(graphs)
+            backend.runner._drop(0)
+            curves = backend.evaluate_many(graphs)
             assert [c.points() for c in curves] == points
-            assert farm.last_stats.redispatched == 0
+            assert backend.runner.last["redispatched_tasks"] == 0
         finally:
-            farm.close()
+            backend.close()
             server.stop()
 
     def test_mid_flight_drop_retries_on_a_fresh_socket(self, expected):
@@ -138,22 +152,18 @@ class TestWireFailures:
         graphs, points = expected
         server = FarmWorkerServer(("127.0.0.1", 0))
         server.start()
-        farm = SynthesisFarm(
-            "nangate45",
-            num_workers=0,
-            remote_workers=[f"{server.address[0]}:{server.address[1]}"],
-        )
+        backend = remote_backend([addr(server)])
         try:
-            farm.evaluate_curves(graphs)
-            pool = farm._remote
+            backend.evaluate_many(graphs)
+            pool = backend.runner
             # Poison the live socket so the next call fails mid-flight and
             # takes the drop-then-redial path.
             pool._conns[0].sock.close()
-            curves = farm.evaluate_curves(graphs)
+            curves = backend.evaluate_many(graphs)
             assert [c.points() for c in curves] == points
-            assert farm.last_stats.redispatched == 0
+            assert pool.last["redispatched_tasks"] == 0
         finally:
-            farm.close()
+            backend.close()
             server.stop()
 
 
@@ -201,16 +211,16 @@ class TestGraphTask:
         shipped = []
         synth_chunks = RemoteFarmPool.synth_chunks
 
-        def recording(pool, chunks, *args, **kwargs):
+        def recording(pool, chunks):
             shipped.extend(task for chunk in chunks for task in chunk)
-            return synth_chunks(pool, chunks, *args, **kwargs)
+            return synth_chunks(pool, chunks)
 
         monkeypatch.setattr(RemoteFarmPool, "synth_chunks", recording)
-        farm = SynthesisFarm("nangate45", num_workers=0, remote_workers=[addr(worker)])
+        backend = remote_backend([addr(worker)])
         try:
-            curves = farm.evaluate_curves(graphs)
+            curves = backend.evaluate_many(graphs)
         finally:
-            farm.close()
+            backend.close()
         assert [c.points() for c in curves] == points
         assert shipped == [{"graph": graph_to_json(g)} for g in graphs[:3]]
 
@@ -226,12 +236,12 @@ class TestWorkerStore:
         address = f"{server.address[0]}:{server.address[1]}"
         try:
             for round_ in range(2):
-                # A fresh farm each round: no dispatcher-side cache to hit.
-                farm = SynthesisFarm("nangate45", num_workers=0, remote_workers=[address])
+                # A fresh runner each round: no dispatcher-side cache to hit.
+                remote = remote_backend([address])
                 try:
-                    curves = farm.evaluate_curves(graphs)
+                    curves = remote.evaluate_many(graphs)
                 finally:
-                    farm.close()
+                    remote.close()
                 assert [c.points() for c in curves] == points
                 assert server.store_hits == 3 * round_
             store = server.store
@@ -249,43 +259,34 @@ class TestMultiWorker:
         servers = [FarmWorkerServer(("127.0.0.1", 0)) for _ in range(2)]
         for s in servers:
             s.start()
-        farm = SynthesisFarm(
-            "nangate45",
-            num_workers=0,
-            remote_workers=[f"{s.address[0]}:{s.address[1]}" for s in servers],
-        )
+        backend = remote_backend([addr(s) for s in servers])
         try:
-            curves = farm.evaluate_curves(graphs)
+            curves = backend.evaluate_many(graphs)
             assert [c.points() for c in curves] == points
-            assert farm.last_stats.chunks == 2
-            assert all(s.tasks_served > 0 for s in servers)
+            # 3 unique designs in one chunk per worker: 2 + 1.
+            assert [s.tasks_served for s in servers] == [2, 1]
         finally:
-            farm.close()
+            backend.close()
             for s in servers:
                 s.stop()
 
     def test_dead_worker_redispatches_to_survivor(self, expected):
-        """One of two workers dies before dispatch: its chunks are
+        """One of two workers dies before dispatch: its chunk is
         re-dispatched to the survivor and the batch still completes with
         byte-identical curves — the dispatch half of lease reclamation."""
         graphs, points = expected
         servers = [FarmWorkerServer(("127.0.0.1", 0)) for _ in range(2)]
         for s in servers:
             s.start()
-        farm = SynthesisFarm(
-            "nangate45",
-            num_workers=0,
-            remote_workers=[f"{s.address[0]}:{s.address[1]}" for s in servers],
-            chunk_size=1,
-        )
+        backend = remote_backend([addr(s) for s in servers])
         try:
             servers[1].stop()  # dies before its first chunk
-            curves = farm.evaluate_curves(graphs)
+            curves = backend.evaluate_many(graphs)
             assert [c.points() for c in curves] == points
-            assert farm.last_stats.redispatched > 0
+            assert backend.runner.last["redispatched_tasks"] == 1
             assert servers[0].tasks_served == 3  # the survivor did it all
         finally:
-            farm.close()
+            backend.close()
             servers[0].stop()
 
 
@@ -300,44 +301,49 @@ def path_corpus():
 
 @pytest.mark.parametrize("library", ["nangate45", "industrial8nm"])
 def test_every_dispatch_path_returns_synthesize_curve_bytes(library):
-    """Serial, pool, remote with 1 and 2 workers, a mid-flight drop, a dead
-    worker's redispatch and the no-survivor local rescue all return
-    ``synthesize_curve(g, lib).points()`` exactly."""
+    """In-process synthesis, the pool runner, the remote runner with 1 and
+    2 workers, a mid-flight drop, a dead worker's redispatch and the
+    no-survivor local rescue all return ``synthesize_curve(g, lib).points()``
+    exactly."""
     graphs = path_corpus()
     lib = library_by_name(library)
     want = [synthesize_curve(g, lib).points() for g in graphs]
     servers = [FarmWorkerServer(("127.0.0.1", 0)) for _ in range(2)]
     for s in servers:
         s.start()
-    addresses = [f"{s.address[0]}:{s.address[1]}" for s in servers]
+    addresses = [addr(s) for s in servers]
 
-    def run(farm, before=None):
+    def run(runner, before=None):
+        backend = EvaluationBackend(lib, runner=runner)
         try:
             if before is not None:
-                before(farm)
-            return [c.points() for c in farm.evaluate_curves(graphs)]
+                before(backend)
+            return [c.points() for c in backend.evaluate_many(graphs)]
         finally:
-            farm.close()
+            backend.close()
+
+    def remote(workers):
+        return RemoteFarmPool(workers, library)
 
     try:
-        assert run(SynthesisFarm(library, num_workers=0)) == want
+        assert run(None) == want
         assert run(SynthesisFarm(library, num_workers=1)) == want
-        assert run(SynthesisFarm(library, num_workers=0, remote_workers=addresses[:1])) == want
-        assert run(SynthesisFarm(library, num_workers=0, remote_workers=addresses)) == want
+        assert run(remote(addresses[:1])) == want
+        assert run(remote(addresses)) == want
 
-        def poison(farm):
-            farm.evaluate_curves(graphs[:1])
-            farm._remote._conns[0].sock.close()
+        def poison(backend):
+            backend.evaluate_many(graphs[:1])
+            backend.runner._conns[0].sock.close()
 
-        assert run(SynthesisFarm(library, num_workers=0, remote_workers=addresses[:1]), poison) == want
+        assert run(remote(addresses[:1]), poison) == want
         servers[1].stop()
-        dead_one = SynthesisFarm(library, num_workers=0, remote_workers=addresses, chunk_size=4)
+        dead_one = remote(addresses)
         assert run(dead_one) == want
-        assert dead_one.last_stats.redispatched > 0
+        assert dead_one.totals["redispatched_tasks"] > 0
         servers[0].stop()
-        rescued = SynthesisFarm(library, num_workers=0, remote_workers=addresses)
+        rescued = remote(addresses)
         assert run(rescued) == want
-        assert rescued.last_stats.redispatched == rescued.last_stats.dispatched
+        assert rescued.totals["redispatched_tasks"] == len({g.key() for g in graphs})
     finally:
         for s in servers:
             if not s.closing:

@@ -15,7 +15,7 @@ import pytest
 
 from repro.cells import nangate45
 from repro.distributed import SynthesisFarm
-from repro.net import MEMBERSHIP_KEYS, ClusterSpec, LearnerState
+from repro.net import MEMBERSHIP_KEYS, ClusterSpec, LearnerState, RemoteFarmPool
 from repro.rl import ScalarizedDoubleDQN, TrainerConfig
 from repro.rl.replay import ShardedReplayBuffer
 from repro.rl.trainer import TrainingHistory
@@ -75,19 +75,16 @@ class TestBackendSchemas:
         assert_backend_schema(stats)
         assert stats["cache"] is None
 
-    def test_serial_farm(self):
-        assert_backend_schema(SynthesisFarm(num_workers=0).stats())
-
-    def test_pool_farm_backend(self):
+    def test_pool_farm_backend(self, lib):
         farm = SynthesisFarm(num_workers=1)  # pool is lazy: nothing spawns
         try:
-            assert_backend_schema(farm.backend.stats())
+            assert_backend_schema(EvaluationBackend(lib, runner=farm).stats())
         finally:
             farm.close()
 
-    def test_remote_farm_adds_the_remote_extension(self):
-        farm = SynthesisFarm(num_workers=0, remote_workers=["127.0.0.1:1"])
-        stats = farm.stats()
+    def test_remote_farm_adds_the_remote_extension(self, lib):
+        runner = RemoteFarmPool(["127.0.0.1:1"])
+        stats = EvaluationBackend(lib, runner=runner).stats()
         assert_backend_schema(stats, extensions=("remote",))
         assert set(stats["remote"]) == {
             "workers",
@@ -111,9 +108,9 @@ class TestBackendSchemas:
     def test_lease_service_with_remote_farm_adds_both_extensions(self, lib):
         # The `repro actor --farm` construction (dialing is lazy: no I/O).
         service = LocalServiceClient(SharedCacheService(), owner="schema-test")
-        farm = SynthesisFarm(num_workers=0, remote_workers=["127.0.0.1:1"])
+        runner = RemoteFarmPool(["127.0.0.1:1"])
         stats = EvaluationBackend(
-            lib, store=SynthesisCache(), service=service, runner=farm
+            lib, store=SynthesisCache(), service=service, runner=runner
         ).stats()
         assert_backend_schema(stats, extensions=("lease", "remote"))
         assert stats["remote"]["workers"] == 1
@@ -121,9 +118,10 @@ class TestBackendSchemas:
     def test_counters_dict_carries_every_cumulative_counter(self, lib):
         from repro.synth.backend import COUNTER_KEYS
 
-        farm = SynthesisFarm(num_workers=0, remote_workers=["127.0.0.1:1"])
-        assert set(farm.backend.counters_dict()) == set(COUNTER_KEYS) | set(farm.totals)
-        assert set(farm.totals) == set(farm.stats()["remote"]) - {"workers"}
+        runner = RemoteFarmPool(["127.0.0.1:1"])
+        backend = EvaluationBackend(lib, runner=runner)
+        assert set(backend.counters_dict()) == set(COUNTER_KEYS) | set(runner.totals)
+        assert set(runner.totals) == set(backend.stats()["remote"]) - {"workers"}
 
 
 class TestLeaseServiceSchema:

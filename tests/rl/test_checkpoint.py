@@ -339,9 +339,9 @@ class TestBackendCountersRideTheCheckpoint:
         cumulative counters, so ``stats()["remote"]`` silently reset on
         resume while ``batches``/``designs`` continued."""
         from repro.cells import nangate45
-        from repro.distributed import SynthesisFarm
-        from repro.net import FarmWorkerServer
-        from repro.synth import SynthesisEvaluator
+        from repro.net import FarmWorkerServer, RemoteFarmPool
+        from repro.store import make_store
+        from repro.synth import EvaluationBackend, SynthesisEvaluator
 
         library = nangate45()
         worker = FarmWorkerServer(("127.0.0.1", 0))
@@ -350,8 +350,9 @@ class TestBackendCountersRideTheCheckpoint:
         farms = []
 
         def evaluator():
-            farms.append(SynthesisFarm("nangate45", num_workers=0, remote_workers=[address]))
-            return SynthesisEvaluator(library, farm=farms[-1])
+            farms.append(RemoteFarmPool([address], "nangate45"))
+            backend = EvaluationBackend(library, store=make_store(), runner=farms[-1])
+            return SynthesisEvaluator(library, backend=backend)
 
         try:
             rt_part, env_part = make_sync_runtime(
@@ -428,18 +429,18 @@ class TestBackendCountersRideTheCheckpoint:
         they are ignored, the remaining counters are restored, and the run
         resumes to the uninterrupted run's bytes."""
         from repro.cells import nangate45
-        from repro.distributed import SynthesisFarm
-        from repro.synth import SynthesisEvaluator
+        from repro.net import RemoteFarmPool
+        from repro.store import make_store
+        from repro.synth import EvaluationBackend, SynthesisEvaluator
 
         library = nangate45()
         farms = []
 
         def evaluator():
             # Nobody listens on port 1: every miss is rescued in-process.
-            farms.append(
-                SynthesisFarm("nangate45", num_workers=0, remote_workers=["127.0.0.1:1"])
-            )
-            return SynthesisEvaluator(library, farm=farms[-1])
+            farms.append(RemoteFarmPool(["127.0.0.1:1"], "nangate45"))
+            backend = EvaluationBackend(library, store=make_store(), runner=farms[-1])
+            return SynthesisEvaluator(library, backend=backend)
 
         try:
             h_full = make_sync_runtime(steps=30, evaluator=evaluator())[0].run()

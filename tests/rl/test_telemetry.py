@@ -69,10 +69,13 @@ def test_vector_env_separate_caches_sum_per_cache():
 
 def test_farm_backed_run_reports_farm_backend_stats():
     from repro.distributed import SynthesisFarm
+    from repro.store import make_store
+    from repro.synth import EvaluationBackend
 
     lib = nangate45()
     with SynthesisFarm("nangate45", num_workers=1) as farm:
-        env = PrefixEnv(8, SynthesisEvaluator(lib, farm=farm), horizon=3, rng=0)
+        backend = EvaluationBackend(lib, store=make_store(), runner=farm)
+        env = PrefixEnv(8, SynthesisEvaluator(lib, backend=backend), horizon=3, rng=0)
         agent = ScalarizedDoubleDQN(8, blocks=0, channels=4, rng=0)
         hist = Trainer(env, agent, TrainerConfig(steps=3, warmup_steps=1000), rng=0).run()
     stats = hist.synthesis_stats

@@ -1,7 +1,8 @@
 """EvaluationBackend seam: byte-identical curves and one stats schema.
 
-One class, several constructions (store only, store + pool farm, store +
-remote farm, front store + lease service with and without contention):
+One class, several constructions (store only, store + pool runner, store +
+remote runner, front store + lease service with and without contention,
+and with a runner as ``repro actor --farm`` builds it):
 each must return byte-identical curves for the same design set — they all
 bottom out in the same synthesis ladder — and must report the unified
 ``STATS_KEYS`` counter schema.
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import repro.synth.backend as backend_module
 from repro.cells import nangate45
 from repro.distributed import SynthesisFarm
+from repro.net.farm import RemoteFarmPool
 from repro.prefix import PrefixGraph, brent_kung, kogge_stone, sklansky
 from repro.synth import (
     STATS_KEYS,
@@ -105,14 +107,12 @@ def construction(request, lib, worker):
     if kind == "store":
         backend = EvaluationBackend(lib, store=SynthesisCache())
     elif kind == "store+pool-farm":
-        backend = SynthesisFarm("nangate45", num_workers=2, cache=SynthesisCache()).backend
+        backend = EvaluationBackend(
+            lib, store=SynthesisCache(), runner=SynthesisFarm("nangate45", num_workers=2)
+        )
     elif kind == "store+remote-farm":
-        backend = SynthesisFarm(
-            "nangate45",
-            num_workers=0,
-            remote_workers=[f"{worker.address[0]}:{worker.address[1]}"],
-            cache=SynthesisCache(),
-        ).backend
+        runner = RemoteFarmPool([f"{worker.address[0]}:{worker.address[1]}"], "nangate45")
+        backend = EvaluationBackend(lib, store=SynthesisCache(), runner=runner)
     else:
         backend = lease_backend(lib, SharedCacheService(SynthesisCache()), "a")
     yield backend, CONSTRUCTIONS[kind]
@@ -265,6 +265,71 @@ class TestLeaseContention:
         assert service.leases_granted == 3
 
 
+class RecordingClient(LocalServiceClient):
+    def __init__(self, service, owner):
+        super().__init__(service, owner)
+        self.put_sizes = []
+
+    def put(self, items, lease_ids=None):
+        self.put_sizes.append(len(items))
+        return super().put(items, lease_ids=lease_ids)
+
+
+@pytest.fixture(scope="module")
+def pool_runner():
+    with SynthesisFarm("nangate45", 2) as farm:
+        yield farm
+
+
+class TestActorFarmConstruction:
+    """What ``repro actor --farm`` builds: a front store, a lease service
+    and a runner, here a same-host pool of width 2."""
+
+    def actor_backend(self, lib, service, owner, runner):
+        return EvaluationBackend(
+            lib,
+            store=SynthesisCache(),
+            service=RecordingClient(service, owner),
+            runner=runner,
+        )
+
+    def test_curves_match_synthesize_curve(self, lib, expected, pool_runner):
+        graphs, points = expected
+        backend = self.actor_backend(lib, SharedCacheService(SynthesisCache()), "a", pool_runner)
+        assert [c.points() for c in backend.evaluate_many(graphs)] == points
+        assert backend.synthesized == 3
+
+    def test_two_threaded_clients_synthesize_each_design_once(self, lib, expected, pool_runner):
+        graphs, points = expected
+        service = SharedCacheService(SynthesisCache())
+        backends = [self.actor_backend(lib, service, f"c{i}", pool_runner) for i in range(2)]
+        results = {}
+        barrier = threading.Barrier(2)
+
+        def run(i):
+            barrier.wait()
+            results[i] = [c.points() for c in backends[i].evaluate_many(graphs)]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert results == {0: points, 1: points}
+        assert sum(b.synthesized for b in backends) == 3
+        assert service.leases_granted == 3
+
+    def test_leased_results_publish_in_runner_width_slices(self, lib, pool_runner):
+        graphs = [random_walk(8, seed) for seed in range(5)]
+        assert len({g.key() for g in graphs}) == 5
+        backend = self.actor_backend(lib, SharedCacheService(SynthesisCache()), "a", pool_runner)
+        backend.evaluate_many(graphs)
+        sizes = backend.service.put_sizes
+        assert sum(sizes) == 5
+        assert max(sizes) <= pool_runner.width == 2
+        assert sizes == [2, 2, 1]
+
+
 class TestStatsSchema:
     """One schema (STATS_KEYS) across every curve source — pinned here."""
 
@@ -276,16 +341,12 @@ class TestStatsSchema:
         assert stats["backend"] == "local"
         assert stats["designs"] == 2 and stats["unique_designs"] == 1
 
-    def test_farm_stats_are_its_backends(self, lib):
+    def test_runner_names_the_backend(self, lib):
         with SynthesisFarm("nangate45", num_workers=1) as farm:
-            farm.backend.evaluate_many([sklansky(8)])
-            assert_schema(farm.stats())
-            assert farm.stats() == farm.backend.stats()
-            assert farm.stats()["backend"] == "farm-pool[1]"
-        serial = SynthesisFarm("nangate45", num_workers=0)
-        serial.evaluate_curves([sklansky(8)])
-        assert_schema(serial.stats())
-        assert serial.stats()["backend"] == "farm-serial"
+            backend = EvaluationBackend(lib, runner=farm)
+            backend.evaluate_many([sklansky(8)])
+            assert_schema(backend.stats())
+            assert backend.stats()["backend"] == "farm-pool[1]"
 
     def test_lease_extension(self, lib):
         backend = lease_backend(lib, SharedCacheService(SynthesisCache()), "s")
@@ -314,20 +375,7 @@ class TestEvaluatorBackendWiring:
         evaluator = SynthesisEvaluator(lib, cache=cache)
         assert evaluator.backend.store is cache
         assert evaluator.cache is cache
-        assert evaluator.farm is None
-
-    def test_active_farm_kwarg_adopts_the_farms_backend(self, lib):
-        with SynthesisFarm("nangate45", num_workers=1) as farm:
-            evaluator = SynthesisEvaluator(lib, farm=farm)
-            assert evaluator.backend is farm.backend
-            assert evaluator.farm is farm
-            assert evaluator.cache is farm.cache is not None
-
-    def test_serial_farm_is_never_routed_through(self, lib):
-        farm = SynthesisFarm("nangate45", num_workers=0)
-        evaluator = SynthesisEvaluator(lib, farm=farm)
-        assert evaluator.backend is not farm.backend
-        assert evaluator.farm is None
+        assert evaluator.backend.runner is None
 
     def test_backend_and_cache_kwargs_are_exclusive(self, lib):
         with pytest.raises(ValueError, match="not both"):

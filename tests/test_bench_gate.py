@@ -1,7 +1,11 @@
 """The bench-regression gate's comparison logic (no measuring involved)."""
 
 import importlib.util
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 
 SPEC = importlib.util.spec_from_file_location(
@@ -102,3 +106,13 @@ class TestCheckAgainst:
         path = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
         data = json.loads(path.read_text())
         assert bench.check_against(data, data, tolerance=0.2) == []
+
+
+class TestProfileHelp:
+    def test_help_names_exactly_the_profile_sections(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["bench_hotpath.py", "--help"])
+        with pytest.raises(SystemExit):
+            bench.main()
+        help_text = " ".join(capsys.readouterr().out.split())
+        listed = re.search(r"\(sections: ([^)]*)\)", help_text).group(1)
+        assert listed.split(", ") == list(bench.profile_sections())

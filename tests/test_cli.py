@@ -1,6 +1,10 @@
 """CLI smoke tests (every subcommand exercised through main())."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -174,3 +178,76 @@ class TestClusterKnobRanges:
         monkeypatch.setattr(subprocess, "Popen", forbidden)
         with pytest.raises(SystemExit, match=f"^{field} must be"):
             main(command)
+
+
+class TestInputErrors:
+    """A bad argument exits with one line naming it and its value — no
+    traceback — before anything is built or written."""
+
+    @pytest.mark.parametrize(
+        "argv, argument, value",
+        [
+            (["build", "sklansky", "0"], "width", "0"),
+            (["eval", "sklansky", "1"], "width", "1"),
+            (["synth", "sklansky", "-3"], "width", "-3"),
+            (["render", "kogge_stone", "1"], "width", "1"),
+            (["train", "1"], "width", "1"),
+            (["train", "2"], "width", "2"),
+            (["sweep", "1"], "width", "1"),
+            (["train", "--steps", "-5"], "--steps", "-5"),
+            (["train", "--w-area", "1.5"], "--w-area", "1.5"),
+            (["train", "--w-area", "-0.25"], "--w-area", "-0.25"),
+            (["sweep", "--weights", "0"], "--weights", "0"),
+        ],
+    )
+    def test_out_of_range_argument_exits_naming_it(self, argv, argument, value, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        if argv[0] == "build":
+            argv = argv + ["--out", "design.json"]
+        if argv[0] == "train":
+            argv = argv + ["--checkpoint-dir", "ckpt", "--store-dir", "store"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(f"argument {argument}:") and message.endswith(f"got {value}")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "content, problem",
+        [
+            (None, "No such file"),
+            ("{not json", "JSONDecodeError"),
+            ("[]", "TypeError"),
+            ('{"n": 4}', "KeyError"),
+            ('{"n": 4, "interior_nodes": [[9, 1]]}', "outside the lower triangle"),
+            ('{"n": 4, "interior_nodes": [[3, 1.5]]}', "IndexError"),
+        ],
+        ids=["missing", "malformed", "not-an-object", "no-nodes", "illegal-node", "float-node"],
+    )
+    def test_unloadable_design_file_exits_naming_it(self, content, problem, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        if content is not None:
+            (tmp_path / "d.json").write_text(content)
+        before = sorted(tmp_path.iterdir())
+        for command in ("build", "eval", "synth", "render"):
+            argv = [command, "d.json"] + (["--out", "out.json"] if command == "build" else [])
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            message = exc.value.code
+            assert isinstance(message, str) and "\n" not in message
+            assert message.startswith("argument structure: cannot load design file 'd.json'")
+            assert problem in message
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_the_process_prints_one_stderr_line_and_fails(self, tmp_path):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "build", "missing.json"],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("argument structure: cannot load design file 'missing.json'")

@@ -4,47 +4,49 @@ import numpy as np
 import pytest
 
 from repro.distributed import BatchedActor, SynthesisFarm
+from repro.distributed.farm import chunk_tasks, task_graph
 from repro.env import PrefixEnv
 from repro.prefix import brent_kung, ripple_carry, sklansky
 from repro.rl import ReplayBuffer, ScalarizedDoubleDQN
-from repro.synth import AnalyticalEvaluator, synthesize_curve
+from repro.synth import (
+    AnalyticalEvaluator,
+    EvaluationBackend,
+    SynthesisCache,
+    SynthesisEvaluator,
+    Synthesizer,
+    synthesize_curve,
+)
 from repro.cells import nangate45
 
 
-class TestSynthesisFarm:
-    def test_serial_matches_direct_synthesis(self):
-        farm = SynthesisFarm("nangate45", num_workers=0)
-        graphs = [sklansky(8), brent_kung(8)]
-        curves = farm.evaluate_curves(graphs)
-        lib = nangate45()
-        for graph, curve in zip(graphs, curves):
-            direct = synthesize_curve(graph, lib)
-            assert np.allclose(curve.areas, direct.areas)
-            assert np.allclose(curve.delays, direct.delays)
+def direct_points(graphs, lib=None):
+    lib = lib or nangate45()
+    return [synthesize_curve(g, lib).points() for g in graphs]
 
+
+class TestSynthesisFarm:
     def test_pool_matches_serial(self):
         graphs = [sklansky(8), brent_kung(8), ripple_carry(8)]
-        serial = SynthesisFarm("nangate45", num_workers=0).evaluate_curves(graphs)
         with SynthesisFarm("nangate45", num_workers=2) as farm:
-            parallel = farm.evaluate_curves(graphs)
-        for s, p in zip(serial, parallel):
-            assert np.allclose(s.areas, p.areas)
+            parallel = farm.run(graphs)
+        assert [c.points() for c in parallel] == direct_points(graphs)
 
-    def test_stats_recorded(self):
-        farm = SynthesisFarm("nangate45", num_workers=0)
-        farm.evaluate_curves([sklansky(8)])
-        assert farm.last_stats.num_graphs == 1
-        assert farm.last_stats.mode == "serial"
-        assert farm.last_stats.graphs_per_second > 0
+    @pytest.mark.parametrize("workers", [-1, 0])
+    def test_bad_workers(self, workers):
+        with pytest.raises(ValueError, match="num_workers"):
+            SynthesisFarm(num_workers=workers)
 
-    def test_unknown_library_rejected(self):
-        farm = SynthesisFarm("no_such_lib", num_workers=0)
-        with pytest.raises(KeyError):
-            farm.evaluate_curves([sklansky(8)])
+    def test_runner_face(self):
+        farm = SynthesisFarm("nangate45", num_workers=3)
+        assert (farm.width, farm.name, farm.totals) == (3, "farm-pool[3]", {})
+        farm.close()  # never started: nothing to shut down
 
-    def test_bad_workers(self):
-        with pytest.raises(ValueError):
-            SynthesisFarm(num_workers=-1)
+    def test_chunks_keep_order_one_per_worker(self):
+        graphs = [sklansky(8), brent_kung(8), ripple_carry(8)]
+        for width, sizes in [(1, [3]), (2, [2, 1]), (3, [1, 1, 1]), (8, [1, 1, 1])]:
+            chunks = chunk_tasks(graphs, width)
+            assert [len(c) for c in chunks] == sizes
+            assert [task_graph(t).key() for c in chunks for t in c] == [g.key() for g in graphs]
 
 
 class TestBatchedActor:
@@ -95,17 +97,17 @@ class TestBatchedActor:
 
 
 class TestFarmDispatchLayer:
-    """Dedup, cache routing, chunked submission and pool reuse."""
+    """Dedup, cache routing and pool reuse of a pool-backed backend."""
 
     def test_pool_dedups_duplicate_graphs(self):
         graphs = [sklansky(8), brent_kung(8)] * 3
         with SynthesisFarm("nangate45", num_workers=2) as farm:
-            curves = farm.evaluate_curves(graphs)
-        stats = farm.last_stats
-        assert stats.num_graphs == 6
-        assert stats.unique_graphs == 2
-        assert stats.dispatched == 2
-        assert stats.chunks >= 1
+            backend = EvaluationBackend(nangate45(), runner=farm)
+            curves = backend.evaluate_many(graphs)
+        stats = backend.stats()
+        assert stats["designs"] == 6
+        assert stats["unique_designs"] == 2
+        assert stats["synthesized"] == 2
         # Duplicates map to the deduped result, order preserved.
         assert curves[0] is curves[2] is curves[4]
         assert curves[1] is curves[3] is curves[5]
@@ -113,83 +115,64 @@ class TestFarmDispatchLayer:
 
     def test_pool_dedup_matches_serial_results(self):
         graphs = [sklansky(8), sklansky(8), brent_kung(8), sklansky(8)]
-        serial = SynthesisFarm("nangate45", num_workers=0).evaluate_curves(graphs)
         with SynthesisFarm("nangate45", num_workers=2) as farm:
-            pooled = farm.evaluate_curves(graphs)
-        for s, p in zip(serial, pooled):
-            assert np.allclose(s.areas, p.areas)
-            assert np.allclose(s.delays, p.delays)
+            pooled = EvaluationBackend(nangate45(), runner=farm).evaluate_many(graphs)
+        assert [c.points() for c in pooled] == direct_points(graphs)
 
     def test_cache_routing_skips_dispatch(self):
-        from repro.synth import SynthesisCache
-
         cache = SynthesisCache()
         graphs = [sklansky(8), brent_kung(8)]
-        with SynthesisFarm("nangate45", num_workers=2, cache=cache) as farm:
-            first = farm.evaluate_curves(graphs)
-            assert farm.last_stats.dispatched == 2
-            assert farm.last_stats.cache_hits == 0
-            second = farm.evaluate_curves(graphs)
-        assert farm.last_stats.dispatched == 0
-        assert farm.last_stats.cache_hits == 2
+        with SynthesisFarm("nangate45", num_workers=2) as farm:
+            backend = EvaluationBackend(nangate45(), store=cache, runner=farm)
+            first = backend.evaluate_many(graphs)
+            assert (backend.synthesized, backend.cache_hits) == (2, 0)
+            second = backend.evaluate_many(graphs)
+        assert (backend.synthesized, backend.cache_hits) == (2, 2)
         assert len(cache) == 2
-        for a, b in zip(first, second):
-            assert np.allclose(a.areas, b.areas)
+        assert [c.points() for c in first] == [c.points() for c in second]
 
     def test_cache_shared_with_evaluator(self):
-        from repro.synth import SynthesisCache, SynthesisEvaluator
-
         cache = SynthesisCache()
         lib = nangate45()
         evaluator = SynthesisEvaluator(lib, cache=cache)
         evaluator.evaluate(sklansky(8))
-        with SynthesisFarm("nangate45", num_workers=2, cache=cache) as farm:
-            farm.evaluate_curves([sklansky(8)])
-        # The farm reused the evaluator's cached curve: nothing dispatched.
-        assert farm.last_stats.cache_hits == 1
-        assert farm.last_stats.dispatched == 0
+        with SynthesisFarm("nangate45", num_workers=2) as farm:
+            backend = EvaluationBackend(lib, store=cache, runner=farm)
+            backend.evaluate_many([sklansky(8)])
+        # The backend reused the evaluator's cached curve: nothing dispatched.
+        assert (backend.cache_hits, backend.synthesized) == (1, 0)
 
     def test_pool_reused_across_batches(self):
         with SynthesisFarm("nangate45", num_workers=2) as farm:
-            farm.evaluate_curves([sklansky(8)])
+            farm.run([sklansky(8)])
             pool = farm._pool
-            farm.evaluate_curves([brent_kung(8)])
+            farm.run([brent_kung(8)])
             assert farm._pool is pool
 
     def test_pool_created_lazily_without_context_manager(self):
         farm = SynthesisFarm("nangate45", num_workers=2)
         try:
             assert farm._pool is None
-            curves = farm.evaluate_curves([sklansky(8)])
+            curves = farm.run([sklansky(8)])
             assert farm._pool is not None
-            assert farm.last_stats.mode == "pool[2]"
             assert len(curves) == 1
         finally:
             farm.close()
 
-    def test_chunk_size_override(self):
-        graphs = [sklansky(8), brent_kung(8), ripple_carry(8)]
-        with SynthesisFarm("nangate45", num_workers=2, chunk_size=1) as farm:
-            farm.evaluate_curves(graphs)
-        assert farm.last_stats.chunks == 3
-        with pytest.raises(ValueError):
-            SynthesisFarm(chunk_size=0)
-
     def test_unknown_library_rejected_in_pool_mode(self):
         with SynthesisFarm("no_such_lib", num_workers=1) as farm:
             with pytest.raises(KeyError):
-                farm.evaluate_curves([sklansky(8)])
+                farm.run([sklansky(8)])
 
 
-class TestFarmStatsObservability:
+class TestPoolBackendCounters:
     def test_cumulative_counters_across_batches(self):
-        from repro.synth import SynthesisCache
-
         cache = SynthesisCache()
-        with SynthesisFarm("nangate45", num_workers=2, cache=cache) as farm:
-            farm.evaluate_curves([sklansky(8), sklansky(8), brent_kung(8)])
-            farm.evaluate_curves([sklansky(8)])
-        stats = farm.stats()
+        with SynthesisFarm("nangate45", num_workers=2) as farm:
+            backend = EvaluationBackend(nangate45(), store=cache, runner=farm)
+            backend.evaluate_many([sklansky(8), sklansky(8), brent_kung(8)])
+            backend.evaluate_many([sklansky(8)])
+        stats = backend.stats()
         assert stats["backend"] == "farm-pool[2]"
         assert stats["batches"] == 2
         assert stats["designs"] == 4
@@ -201,52 +184,33 @@ class TestFarmStatsObservability:
         assert stats["cache"]["entries"] == 2
         assert stats["cache"]["hits"] == cache.hits
         assert 0.0 <= stats["cache"]["hit_rate"] <= 1.0
-
-    def test_serial_mode_counts_without_cache_section(self):
-        farm = SynthesisFarm("nangate45", num_workers=0)
-        farm.evaluate_curves([sklansky(8), sklansky(8)])
-        stats = farm.stats()
-        assert stats["backend"] == "farm-serial"
-        assert stats["designs"] == 2
-        assert stats["dedup_saved"] == 0  # serial reference mode never dedups
-        assert stats["cache"] is None
+        assert "remote" not in stats  # a same-host pool has no totals
 
 
 class TestEvaluatorFarmRouting:
     def test_curve_many_routes_through_pooled_farm(self):
-        from repro.synth import SynthesisEvaluator
-
         lib = nangate45()
         with SynthesisFarm("nangate45", num_workers=2) as farm:
-            evaluator = SynthesisEvaluator(lib, farm=farm)
-            assert farm.cache is evaluator.cache  # farm adopted the cache
+            backend = EvaluationBackend(lib, store=SynthesisCache(), runner=farm)
+            evaluator = SynthesisEvaluator(lib, backend=backend)
             metrics = evaluator.evaluate_many([sklansky(8), sklansky(8), brent_kung(8)])
-            assert farm.stats()["batches"] == 1
-            assert farm.stats()["unique_designs"] == 2
+            assert backend.stats()["batches"] == 1
+            assert backend.stats()["unique_designs"] == 2
         assert metrics[0] == metrics[1]
         # Results agree with the local (farmless) path.
         local = SynthesisEvaluator(lib)
         assert metrics == local.evaluate_many([sklansky(8), sklansky(8), brent_kung(8)])
 
-    def test_serial_farm_not_used_for_evaluator_traffic(self):
-        from repro.synth import SynthesisEvaluator
-
-        farm = SynthesisFarm("nangate45", num_workers=0)
-        evaluator = SynthesisEvaluator(nangate45(), farm=farm)
-        evaluator.evaluate_many([sklansky(8)])
-        assert farm.stats()["batches"] == 0
-        assert evaluator.cache.misses == 1  # went through the cached local path
-
     def test_mismatched_farm_rejected(self):
-        from repro.synth import SynthesisEvaluator
-
-        with pytest.raises(ValueError, match="library"):
-            SynthesisEvaluator(nangate45(), farm=SynthesisFarm("industrial8nm"))
-        with pytest.raises(ValueError, match="synthesizer"):
-            SynthesisEvaluator(
+        with pytest.raises(ValueError, match="library 'industrial8nm' != backend library 'nangate45'"):
+            EvaluationBackend(nangate45(), runner=SynthesisFarm("industrial8nm", 1))
+        with pytest.raises(ValueError, match="synthesizer 'other' != backend synthesizer 'openphysyn'"):
+            EvaluationBackend(
                 nangate45(),
-                farm=SynthesisFarm("nangate45", synth_kwargs={"name": "other"}),
+                runner=SynthesisFarm("nangate45", 1, synth_kwargs={"name": "other"}),
             )
+        matching = SynthesisFarm("nangate45", 1, synth_kwargs={"name": "other"})
+        EvaluationBackend(nangate45(), Synthesizer(name="other"), runner=matching)
 
 
 class TestEvaluatorBatching:
