@@ -169,9 +169,10 @@ def make_store(
       against the same directory re-serves every previously synthesized
       design without paying synthesis again.
 
-    ``sync=True`` makes the disk store fsync every append (crash-durable
-    at put granularity; the default flushes to the OS, which survives
-    process kills — the chaos-tested case — but not power loss).
+    ``sync=True`` makes the disk store fsync once per ``put_many``, before
+    it returns (crash-durable at batch granularity; the default flushes
+    to the OS, which survives process kills — the chaos-tested case — but
+    not power loss).
     """
     from repro.synth.cache import SynthesisCache
 

@@ -86,8 +86,10 @@ class LayeredStore(CurveStore):
         self.front.put_many(items)
         # Promotion already put read-side copies in the front; only keys
         # the disk has never seen are appended, keeping its `rewrites`
-        # counter an exact duplicate-synthesis detector.
-        fresh = [(k, v) for k, v in items if k not in self.disk]
+        # counter an exact duplicate-synthesis detector. The filter runs
+        # before the append, so a key twice in one batch lands twice.
+        known = self.disk.contains_many([k for k, _ in items])
+        fresh = [item for item, on_disk in zip(items, known) if not on_disk]
         if fresh:
             self.disk.put_many(fresh)
 

@@ -16,6 +16,8 @@ the curve. This module reproduces that pipeline:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
@@ -85,12 +87,12 @@ class AreaDelayCurve:
                 continue
             delays.append(d)
             areas.append(best)
-        self.delays = np.asarray(delays, dtype=float)
-        self.areas = np.asarray(areas, dtype=float)
         # Cleaning makes delays strictly increasing; PCHIP also needs finite
         # samples, checked here so bad wire or disk input fails on arrival.
-        if not (np.isfinite(self.delays).all() and np.isfinite(self.areas).all()):
+        if not (all(map(math.isfinite, delays)) and all(map(math.isfinite, areas))):
             raise ValueError(f"curve samples must be finite, got {samples!r}")
+        self.delays = np.array(delays, dtype=float)
+        self.areas = np.array(areas, dtype=float)
         self._pchip = None
 
     def _interp(self, delay):

@@ -21,9 +21,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.store import DiskStore
+from repro.store import DiskStore, LayeredStore
 from repro.store.disk import _HEADER, decode_points, encode_record
-from repro.synth import AreaDelayCurve
+from repro.synth import AreaDelayCurve, SynthesisCache
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -103,6 +103,16 @@ class TestRoundTrip:
         store = DiskStore(tmp_path, max_segment_bytes=4096)
         store.put_many([(key(i), curve(i, n_points=8)) for i in range(100)])
         assert len(segment_files(tmp_path)) > 1
+        # One batch rolls where record-at-a-time appends would: the same
+        # segment files, byte for byte.
+        single = tmp_path / "single"
+        one_by_one = DiskStore(single, max_segment_bytes=4096)
+        for i in range(100):
+            one_by_one.put(key(i), curve(i, n_points=8))
+        one_by_one.close()
+        assert [(p.name, p.read_bytes()) for p in segment_files(single)] == [
+            (p.name, p.read_bytes()) for p in segment_files(tmp_path)
+        ]
         for i in range(100):
             assert store.get(key(i)).points() == curve(i, n_points=8).points()
         store.close()
@@ -123,6 +133,44 @@ def per_point_record(key: tuple, points) -> bytes:
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestSync:
+    """``sync=True`` costs one fsync per batch, and nothing it need not."""
+
+    @pytest.fixture
+    def fsyncs(self, monkeypatch):
+        calls = []
+        real = os.fsync
+
+        def counting(fd):
+            calls.append(fd)
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        return calls
+
+    @pytest.mark.parametrize("sync", [True, False])
+    def test_one_fsync_per_non_empty_put_many(self, tmp_path, fsyncs, sync):
+        store = DiskStore(tmp_path, sync=sync)
+        store.put_many([(key(i), curve(i)) for i in range(8)])
+        store.put(key(8), curve(8))
+        store.put_many([])
+        assert len(fsyncs) == (2 if sync else 0)
+        store.close()
+        reopened = DiskStore(tmp_path)
+        assert len(reopened) == 9
+        reopened.close()
+
+    def test_a_layered_batch_already_on_disk_never_fsyncs(self, tmp_path, fsyncs):
+        layered = LayeredStore(SynthesisCache(), DiskStore(tmp_path, sync=True))
+        items = [(key(i), curve(i)) for i in range(8)]
+        layered.put_many(items)
+        assert len(fsyncs) == 1
+        layered.put_many(items)
+        assert len(fsyncs) == 1
+        assert layered.disk.appends == 8 and layered.disk.rewrites == 0
+        layered.close()
 
 
 class TestCodec:
@@ -232,9 +280,11 @@ class TestTornTail:
 
 
 class TestCrashRecovery:
-    def test_sigkill_mid_write_preserves_a_byte_identical_prefix(self, tmp_path):
-        """Chaos: SIGKILL a writer process mid-append; reopen must keep a
-        clean prefix of its deterministic record stream, byte-identical."""
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_sigkill_mid_write_preserves_a_byte_identical_prefix(self, tmp_path, batch):
+        """Chaos: SIGKILL a writer process mid-append (``put``, or a
+        ``put_many`` of 8 records); reopen must keep a clean prefix of whole
+        records of its deterministic record stream, byte-identical."""
         from repro.net import kill_process, wait_until
 
         root = tmp_path / "killed"
@@ -245,17 +295,21 @@ class TestCrashRecovery:
             from repro.synth import AreaDelayCurve
 
             store = DiskStore(sys.argv[1])
-            i = 0
+            batch = int(sys.argv[2])
+            start = 0
             while True:  # write until killed
-                k = (f"digest-{i:04d}", "nangate45", "openphysyn")
-                c = AreaDelayCurve(
-                    [(0.1 * (j + 1) + i * 1e-3, 100.0 - 10.0 * j + i)
-                     for j in range(3)]
-                )
-                store.put(k, c)
-                if i == 0:
+                items = []
+                for i in range(start, start + batch):
+                    k = (f"digest-{i:04d}", "nangate45", "openphysyn")
+                    c = AreaDelayCurve(
+                        [(0.1 * (j + 1) + i * 1e-3, 100.0 - 10.0 * j + i)
+                         for j in range(3)]
+                    )
+                    items.append((k, c))
+                store.put_many(items)
+                if start == 0:
                     print("started", flush=True)
-                i += 1
+                start += batch
             """
         )
         env = dict(os.environ)
@@ -263,7 +317,7 @@ class TestCrashRecovery:
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
         proc = subprocess.Popen(
-            [sys.executable, "-c", script, str(root)],
+            [sys.executable, "-c", script, str(root), str(batch)],
             stdout=subprocess.PIPE, text=True, env=env,
         )
         try:

@@ -201,6 +201,19 @@ class TestLayering:
         assert layered.disk.rewrites == 0
         layered.close()
 
+    def test_a_key_twice_in_one_batch_lands_twice_and_the_later_wins(self, tmp_path):
+        # Known keys are filtered before the append, so both copies of a key
+        # new to the disk land: one append, one (counted) rewrite.
+        layered = LayeredStore(SynthesisCache(), DiskStore(tmp_path))
+        layered.put_many([(key(0), curve(0)), (key(0), curve(7))])
+        assert layered.disk.appends == 1 and layered.disk.rewrites == 1
+        assert layered.get(key(0)).points() == curve(7).points()
+        layered.close()
+        reopened = LayeredStore(SynthesisCache(), DiskStore(tmp_path))
+        assert len(reopened) == 1
+        assert reopened.get(key(0)).points() == curve(7).points()
+        reopened.close()
+
     def test_memory_checkpoint_restores_onto_a_layered_store(self, tmp_path):
         # An old in-memory checkpoint (entries inline) restored onto a
         # --store-dir run: the curves must land in both tiers.
