@@ -249,7 +249,7 @@ def bench_trainer() -> dict:
         row["single_env_steps_per_sec"] = _trainer_throughput(n, env)
         if VectorPrefixEnv is not None:
             venv = VectorPrefixEnv.make(
-                n, AnalyticalEvaluator, num_envs=NUM_VECTOR_ENVS, horizon=24, seed=0
+                n, AnalyticalEvaluator(), num_envs=NUM_VECTOR_ENVS, horizon=24, seed=0
             )
             row["vector8_steps_per_sec"] = _trainer_throughput(n, venv)
         out[str(n)] = row

@@ -11,17 +11,20 @@ Episodes auto-reset: when a replica's episode ends, :meth:`step` returns
 the terminal transition and the replica starts a fresh episode, so the
 stacked observation always reflects ``E`` live states.
 
-When there are several replicas and every one's evaluator exposes
-``evaluate_many`` and shares one :class:`repro.synth.SynthesisCache` (the recommended setup — pass a
-closure over a shared cache to :meth:`VectorPrefixEnv.make`), :meth:`step`
-routes the whole round through **one batched evaluation**: all successor
-states (and all auto-reset start states) are deduplicated and synthesized
-in a single ``evaluate_many`` call — optionally fanned out to a farm
-``runner`` of the shared :class:`repro.synth.EvaluationBackend` — instead
-of each replica paying for synthesis serially inside its own ``env.step``. Rewards and RL
-trajectories are unchanged (synthesis is deterministic); only the latency
-overlaps. A single replica steps itself (``env.step`` / ``env.reset``):
-that is how the trainer runs a bare :class:`PrefixEnv`.
+Synthesis replicas share one evaluator — the paper's one cache that every
+actor hits (Section IV-D) — so the env resolves through at most one
+:class:`repro.synth.EvaluationBackend`, exposed as :attr:`VectorPrefixEnv.backend`.
+When there are several replicas and that shared evaluator exposes
+``evaluate_many``, :meth:`step` routes the whole round through **one
+batched evaluation**: all successor states (and all auto-reset start
+states) are deduplicated and synthesized in a single ``evaluate_many``
+call — optionally fanned out to the backend's farm ``runner`` — instead
+of each replica paying for synthesis serially inside its own ``env.step``.
+Rewards and RL trajectories are unchanged (synthesis is deterministic);
+only the latency overlaps. A single replica steps itself (``env.step`` /
+``env.reset``): that is how the trainer runs a bare :class:`PrefixEnv`.
+Backend-less (e.g. analytical) replicas may hold evaluators of their own;
+they step themselves too.
 """
 
 from __future__ import annotations
@@ -37,8 +40,9 @@ class VectorPrefixEnv:
 
     Args:
         envs: non-empty list of environments of equal bit width. Replicas
-            should use independent RNG streams (and, for synthesis-backed
-            evaluators, may share one cache).
+            should use independent RNG streams; synthesis-backed replicas
+            must all hold the same evaluator object (``ValueError``
+            otherwise).
     """
 
     def __init__(self, envs: "list[PrefixEnv]"):
@@ -47,65 +51,29 @@ class VectorPrefixEnv:
         widths = {env.n for env in envs}
         if len(widths) != 1:
             raise ValueError(f"environments must share one width, got {sorted(widths)}")
+        first = envs[0].evaluator
+        shared = all(env.evaluator is first for env in envs)
+        if not shared and any(getattr(env.evaluator, "backend", None) is not None for env in envs):
+            raise ValueError(
+                "synthesis replicas must hold one evaluator: pass one evaluator "
+                "to VectorPrefixEnv.make (or the same object to every PrefixEnv)"
+            )
         self.envs = list(envs)
         self.n = envs[0].n
         self.action_space = envs[0].action_space
+        self.backend = getattr(first, "backend", None)
         self._states = [env.state for env in self.envs]  # None until reset
-        self._batch_evaluator = self._shared_batch_evaluator(self.envs)
-
-    @staticmethod
-    def _shared_batch_evaluator(envs):
-        """The evaluator to batch through, or None for per-replica stepping.
-
-        Batching is only safe when every replica resolves a graph to the
-        same metrics through the same state: all evaluators must expose
-        ``evaluate_many``, share one evaluation-backend token
-        (:meth:`repro.synth.backend.EvaluationBackend.share_token` — for
-        cache-backed backends the cache object itself, so per-replica
-        evaluators over one cache still batch), and agree on the
-        scalarization (``w_area``/``w_delay``/``c_area``/``c_delay``) —
-        a weight-sweep setup with per-replica weights must step serially,
-        since each replica picks a different point on the shared curve.
-        """
-
-        def token(evaluator):
-            backend = getattr(evaluator, "backend", None)
-            if backend is not None:
-                return backend.share_token()
-            return getattr(evaluator, "cache", None)
-
-        first = envs[0].evaluator
-        if len(envs) == 1 or not hasattr(first, "evaluate_many"):
-            return None  # a batch of one is not a batch: the replica steps itself
-        shared = token(first)
-        if shared is None:
-            return None
-        scalarization = [
-            getattr(first, attr, None) for attr in ("w_area", "w_delay", "c_area", "c_delay")
-        ]
-        for env in envs[1:]:
-            ev = env.evaluator
-            if token(ev) is not shared:
-                return None
-            if [
-                getattr(ev, attr, None) for attr in ("w_area", "w_delay", "c_area", "c_delay")
-            ] != scalarization:
-                return None
-        return first
+        # A batch of one is not a batch: a lone replica steps itself.
+        batched = shared and len(envs) > 1 and hasattr(first, "evaluate_many")
+        self._batch_evaluator = first if batched else None
 
     @classmethod
-    def make(cls, n: int, evaluator_factory, num_envs: int, horizon: int = 64, seed: int = 0) -> "VectorPrefixEnv":
-        """Build ``num_envs`` replicas with independent RNG streams.
-
-        ``evaluator_factory()`` is called once per replica; pass a closure
-        over a shared cache to reproduce the paper's shared-cache setup.
-        """
+    def make(cls, n: int, evaluator, num_envs: int, horizon: int = 64, seed: int = 0) -> "VectorPrefixEnv":
+        """Build ``num_envs`` replicas with independent RNG streams, every
+        one holding ``evaluator``."""
         if num_envs < 1:
             raise ValueError("num_envs must be positive")
-        envs = [
-            PrefixEnv(n, evaluator_factory(), horizon=horizon, rng=seed + i)
-            for i in range(num_envs)
-        ]
+        envs = [PrefixEnv(n, evaluator, horizon=horizon, rng=seed + i) for i in range(num_envs)]
         return cls(envs)
 
     @property

@@ -187,21 +187,19 @@ class RemoteActorWorker:
             runner=runner,
         )
 
-        def make_evaluator():
-            # All replicas share the one backend: the vector env batches
-            # every round's evaluations through it (share_token identity).
-            return SynthesisEvaluator(
-                library,
-                w_area=spec["w_area"],
-                w_delay=spec["w_delay"],
-                backend=backend,
-                c_area=spec["c_area"],
-                c_delay=spec["c_delay"],
-            )
-
+        # All replicas hold the one evaluator: the vector env batches every
+        # round's evaluations through its backend.
+        evaluator = SynthesisEvaluator(
+            library,
+            w_area=spec["w_area"],
+            w_delay=spec["w_delay"],
+            backend=backend,
+            c_area=spec["c_area"],
+            c_delay=spec["c_delay"],
+        )
         venv = VectorPrefixEnv.make(
             spec["width"],
-            make_evaluator,
+            evaluator,
             num_envs=spec["envs_per_actor"],
             horizon=spec["horizon"],
             seed=join["env_seed"],

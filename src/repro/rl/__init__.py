@@ -17,7 +17,6 @@ from repro.rl.trainer import (
     TrainerConfig,
     TrainingHistory,
     make_loop,
-    synthesis_stats,
 )
 from repro.rl.checkpoint import CheckpointError, CheckpointManager
 from repro.rl.runtime import RuntimeConfig, TrainingRuntime
@@ -36,7 +35,6 @@ __all__ = [
     "epsilon_greedy",
     "CollectionLoop",
     "make_loop",
-    "synthesis_stats",
     "Trainer",
     "TrainerConfig",
     "TrainingHistory",

@@ -49,10 +49,8 @@ from repro.rl.trainer import (
     TrainerConfig,
     TrainingHistory,
     as_vector,
-    backend_groups,
     gradient_due,
     make_loop,
-    synthesis_stats,
 )
 from repro.store.api import make_store
 from repro.utils.rng import ensure_rng
@@ -181,16 +179,11 @@ class TrainingRuntime:
             # state a cluster checkpoint can (and needs to) capture; lease
             # bookkeeping is transient — actors reconnect and re-claim.
             return [{"cache": self._cluster_cache.state_dict(), "counters": []}]
-        states = []
-        # Each backend group's state is checkpointed once, with one counter
-        # record per member backend (every cumulative counter, a farm
-        # runner's dispatch totals included), so a resumed run's telemetry
-        # continues bit-for-bit.
-        for group in backend_groups(self.env.envs):
-            state = group[0].state_dict()
-            state["counters"] = [backend.counters_dict() for backend in group]
-            states.append(state)
-        return states
+        # The env's one backend: store contents plus every cumulative
+        # counter (a farm runner's dispatch totals included), so a resumed
+        # run's telemetry continues bit-for-bit.
+        backend = self.env.backend
+        return [] if backend is None else [backend.state_dict()]
 
     def _restore_caches(self, states: "list[dict]") -> None:
         if self.cluster is not None:
@@ -200,28 +193,27 @@ class TrainingRuntime:
                 )
             self._cluster_cache.load_state_dict(states[0]["cache"])
             return
-        groups = backend_groups(self.env.envs)
-        if len(states) != len(groups):
+        backend = self.env.backend
+        expected = 0 if backend is None else 1
+        if len(states) != expected:
             raise CheckpointError(
-                f"checkpoint has {len(states)} evaluation-backend groups, "
-                f"live evaluators expose {len(groups)}"
+                f"checkpoint has {len(states)} evaluation-backend records, "
+                f"the live environment resolves through {expected}"
             )
-        for group, state in zip(groups, states):
-            if state.get("cache") is not None:
-                if group[0].store is None:
-                    raise CheckpointError(
-                        "checkpoint carries cache contents for a backend "
-                        f"({group[0].name}) that has no local store"
-                    )
-                group[0].store.load_state_dict(state["cache"])
-            counters = state.get("counters") or []
-            if len(counters) != len(group):
-                raise CheckpointError(
-                    f"checkpoint has {len(counters)} backend counter records "
-                    f"for a group of {len(group)} backends"
-                )
-            for backend, record in zip(group, counters):
-                backend.load_counters(record)
+        if backend is None:
+            return
+        (state,) = states
+        counters = state.get("counters") or []
+        if len(counters) != 1:
+            raise CheckpointError(
+                f"checkpoint has {len(counters)} backend counter records, expected 1"
+            )
+        if state.get("cache") is not None and backend.store is None:
+            raise CheckpointError(
+                "checkpoint carries cache contents for a backend "
+                f"({backend.name}) that has no local store"
+            )
+        backend.load_state_dict(state)
 
     def _history_state(self, history: TrainingHistory) -> dict:
         return {
@@ -395,7 +387,8 @@ class TrainingRuntime:
 
         if self.manager is not None:
             self._save(total, history, loop.state_dict())
-        history.synthesis_stats = synthesis_stats(self.env)
+        backend = self.env.backend
+        history.synthesis_stats = None if backend is None else backend.stats()
         return history
 
     # ------------------------------------------------------------------
@@ -541,7 +534,6 @@ class TrainingRuntime:
         service = state.cache_service
         lease = service.stats()
         cache = cache_counters(service.cache)
-        cache["shared"] = True
         out = {
             "backend": "cluster-service",
             "batches": lease["claim_batches"],

@@ -65,7 +65,7 @@ class TrainerConfig:
                 f"buffer_capacity {self.buffer_capacity} can never reach "
                 f"warmup_steps {self.warmup_steps}: no gradient step would run"
             )
-        for name in ("epsilon_start", "epsilon_end"):
+        for name in ("epsilon_start", "epsilon_end", "epsilon_anneal_frac"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
 
@@ -87,75 +87,7 @@ class TrainingHistory:
     epsilon_trace: "list[float]" = field(default_factory=list)
     env_steps: int = 0
     gradient_steps: int = 0
-    synthesis_stats: "dict | None" = None  # unified backend stats (synthesis evaluators only)
-
-
-def backend_groups(envs) -> "list[list]":
-    """The distinct evaluation backends behind ``envs`` (replicas), grouped
-    by ``share_token()`` — typically one :class:`SynthesisCache` per group.
-
-    Groups come in the order their token is first seen, members in replica
-    order: the order a checkpoint records them in. Backend-less (e.g.
-    analytical) evaluators contribute nothing.
-    """
-    groups: "dict[int, list]" = {}
-    for env in envs:
-        backend = getattr(env.evaluator, "backend", None)
-        if backend is not None:
-            group = groups.setdefault(id(backend.share_token()), [])
-            if all(backend is not b for b in group):
-                group.append(backend)
-    return list(groups.values())
-
-
-def synthesis_stats(env) -> "dict | None":
-    """Evaluation-backend observability snapshot for a run's environments.
-
-    ``env`` may be a :class:`PrefixEnv` or a :class:`VectorPrefixEnv`.
-    Aggregates the :func:`backend_groups` behind the run's evaluators
-    (replicas usually share one backend, or several backends over one
-    cache) into the unified :data:`repro.synth.backend.STATS_KEYS` schema,
-    adding a ``shared`` flag to the nested cache counters (True when every
-    environment resolved through one shared token). Returns None for
-    backend-less (e.g. analytical) evaluators.
-    """
-    envs = env.envs if isinstance(env, VectorPrefixEnv) else [env]
-    groups = backend_groups(envs)
-    if not groups:
-        return None
-    backends = [backend for group in groups for backend in group]
-    if len(backends) == 1:
-        stats = dict(backends[0].stats())
-        if stats.get("cache") is not None:
-            stats["cache"] = dict(stats["cache"])
-    else:
-        per_backend = [b.stats() for b in backends]
-        names = {s["backend"] for s in per_backend}
-        stats = {
-            "backend": names.pop() if len(names) == 1 else "mixed",
-        }
-        for key in (
-            "batches", "designs", "unique_designs", "dedup_saved",
-            "cache_hits", "cache_misses", "synthesized",
-        ):
-            stats[key] = sum(s[key] for s in per_backend)
-        # One count per share token: N backends over one cache must not
-        # count its entries N times.
-        seen = [g[0].share_token() for g in groups if any(b.store is not None for b in g)]
-        if seen:
-            hits = sum(getattr(t, "hits", 0) for t in seen)
-            misses = sum(getattr(t, "misses", 0) for t in seen)
-            stats["cache"] = {
-                "entries": sum(len(t) if hasattr(t, "__len__") else 0 for t in seen),
-                "hits": hits,
-                "misses": misses,
-                "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
-            }
-        else:
-            stats["cache"] = None
-    if stats.get("cache") is not None:
-        stats["cache"]["shared"] = len(groups) == 1 and len(envs) > 1
-    return stats
+    synthesis_stats: "dict | None" = None  # the env's backend stats (synthesis evaluators only)
 
 
 def grads_allowed(env_steps: int, cfg: TrainerConfig) -> int:

@@ -25,6 +25,13 @@ A backend is a **store**, an optional **lease service** and an optional
 Every construction produces byte-identical curves for the same designs
 (every path bottoms out in the same synthesis ladder) and reports the same
 :data:`STATS_KEYS` counter schema from :meth:`~EvaluationBackend.stats`.
+
+A training run resolves through one backend: the replicas of a
+:class:`repro.env.VectorPrefixEnv` hold one evaluator over it (the env
+exposes it as ``env.backend``), so its :meth:`~EvaluationBackend.stats` are
+the run's ``TrainingHistory.synthesis_stats`` and its
+:meth:`~EvaluationBackend.state_dict` is the run checkpoint's one
+evaluation record.
 """
 
 from __future__ import annotations
@@ -291,19 +298,6 @@ class EvaluationBackend:
         if self.runner is not None:
             return self.runner.run(graphs)
         return [synthesize_curve(g, self.library, self.synthesizer) for g in graphs]
-
-    # -- identity ---------------------------------------------------------
-
-    def share_token(self):
-        """Identity of the state this backend resolves curves through.
-
-        Two backends with the *same* token (``is``) serve byte-identical
-        curves from shared state, so a vector environment may batch all
-        replicas' evaluations through either one of them.
-        """
-        if self.service is not None:
-            return self.service
-        return self.store if self.store is not None else self
 
     # -- telemetry / persistence ------------------------------------------
 

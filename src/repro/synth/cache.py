@@ -37,21 +37,11 @@ class SynthesisCache(CurveStore):
 
     def get(self, key: tuple):
         """Return the cached value or None; updates hit/miss statistics."""
-        with self._lock:
-            if key in self._data:
-                self._data.move_to_end(key)
-                self.hits += 1
-                return self._data[key]
-            self.misses += 1
-            return None
+        return self.get_many([key])[0]
 
     def put(self, key: tuple, value) -> None:
         """Insert (evicting the least recently used entry when full)."""
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.max_entries:
-                self._data.popitem(last=False)
+        self.put_many([(key, value)])
 
     def get_many(self, keys: "list[tuple]") -> "list":
         """Batched :meth:`get` under one lock acquisition.

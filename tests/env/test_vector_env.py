@@ -11,7 +11,7 @@ from repro.synth import AnalyticalEvaluator, SynthesisCache, SynthesisEvaluator
 
 def make_vector(n=6, num_envs=3, horizon=8):
     return VectorPrefixEnv.make(
-        n, lambda: AnalyticalEvaluator(), num_envs=num_envs, horizon=horizon, seed=0
+        n, AnalyticalEvaluator(), num_envs=num_envs, horizon=horizon, seed=0
     )
 
 
@@ -91,115 +91,106 @@ class CountingEvaluator(SynthesisEvaluator):
         return super().evaluate_many(graphs)
 
 
+def first_legal(masks):
+    return [int(np.nonzero(m)[0][0]) for m in masks]
+
+
 class TestBatchedSynthesisEvaluation:
     """The tentpole contract: replicas do not serialize on synthesis."""
 
     def _synthesis_vector(self, n=8, num_envs=3, horizon=3):
-        lib = nangate45()
-        cache = SynthesisCache()
-        evaluators = [CountingEvaluator(lib, cache=cache) for _ in range(num_envs)]
-        it = iter(evaluators)
-        venv = VectorPrefixEnv.make(
-            n, lambda: next(it), num_envs=num_envs, horizon=horizon, seed=0
-        )
-        return venv, evaluators
+        evaluator = CountingEvaluator(nangate45(), cache=SynthesisCache())
+        venv = VectorPrefixEnv.make(n, evaluator, num_envs=num_envs, horizon=horizon, seed=0)
+        return venv, evaluator
 
-    def test_shared_cache_evaluators_are_batched(self):
-        venv, evaluators = self._synthesis_vector()
-        assert venv._batch_evaluator is evaluators[0]
+    def test_one_evaluator_batches_each_round(self):
+        venv, evaluator = self._synthesis_vector()
+        assert venv._batch_evaluator is evaluator
+        assert venv.backend is evaluator.backend
         venv.reset()
-        before_many = evaluators[0].evaluate_many_calls
-        per_replica_before = [ev.evaluate_calls for ev in evaluators]
-        masks = venv.legal_masks()
-        venv.step([int(np.nonzero(m)[0][0]) for m in masks])
+        before_many, before_single = evaluator.evaluate_many_calls, evaluator.evaluate_calls
+        venv.step(first_legal(venv.legal_masks()))
         # One batched call for the round's successors, zero serial calls.
-        assert evaluators[0].evaluate_many_calls == before_many + 1
-        assert [ev.evaluate_calls for ev in evaluators] == per_replica_before
+        assert evaluator.evaluate_many_calls == before_many + 1
+        assert evaluator.evaluate_calls == before_single
 
     def test_auto_reset_starts_are_batched_too(self):
-        venv, evaluators = self._synthesis_vector(horizon=1)
+        venv, evaluator = self._synthesis_vector(horizon=1)
         venv.reset()
-        before = evaluators[0].evaluate_many_calls
-        masks = venv.legal_masks()
-        results = venv.step([int(np.nonzero(m)[0][0]) for m in masks])
+        before = evaluator.evaluate_many_calls
+        results = venv.step(first_legal(venv.legal_masks()))
         assert all(r.done for r in results)
         # Successor batch + reset-start batch.
-        assert evaluators[0].evaluate_many_calls == before + 2
-
-    def test_private_caches_fall_back_to_serial(self):
-        lib = nangate45()
-        evaluators = [CountingEvaluator(lib) for _ in range(2)]
-        it = iter(evaluators)
-        venv = VectorPrefixEnv.make(8, lambda: next(it), num_envs=2, horizon=3, seed=0)
-        assert venv._batch_evaluator is None
-        venv.reset()
-        masks = venv.legal_masks()
-        venv.step([int(np.nonzero(m)[0][0]) for m in masks])
-        assert evaluators[0].evaluate_many_calls == 0
-        assert all(ev.evaluate_calls > 0 for ev in evaluators)
+        assert evaluator.evaluate_many_calls == before + 2
 
     def test_one_replica_steps_itself(self):
         """A batch of one is not a batch: the trainer's bare-env case goes
         through ``env.step`` / ``env.reset``, never ``evaluate_many``."""
-        venv, evaluators = self._synthesis_vector(num_envs=1, horizon=1)
+        venv, evaluator = self._synthesis_vector(num_envs=1, horizon=1)
         assert venv._batch_evaluator is None
+        assert venv.backend is evaluator.backend
         venv.reset()
-        (result,) = venv.step([int(np.nonzero(venv.legal_masks()[0])[0][0])])
+        (result,) = venv.step(first_legal(venv.legal_masks()))
         assert result.done and venv.states[0] is venv.envs[0].state
-        assert evaluators[0].evaluate_many_calls == 0 and evaluators[0].evaluate_calls > 0
+        assert evaluator.evaluate_many_calls == 0 and evaluator.evaluate_calls > 0
+
+    def test_a_cache_per_replica_is_refused(self):
+        lib = nangate45()
+        envs = [PrefixEnv(8, SynthesisEvaluator(lib), horizon=3, rng=s) for s in range(2)]
+        with pytest.raises(ValueError, match="one evaluator"):
+            VectorPrefixEnv(envs)
+
+    def test_mixed_weights_over_one_cache_are_refused(self):
+        # A weight sweep over one cache is one evaluator per weight, so one
+        # vector env per weight.
+        lib = nangate45()
+        cache = SynthesisCache()
+        envs = [
+            PrefixEnv(8, SynthesisEvaluator(lib, w_area=wa, w_delay=1 - wa, cache=cache), rng=s)
+            for s, wa in enumerate((0.8, 0.2))
+        ]
+        with pytest.raises(ValueError, match="one evaluator"):
+            VectorPrefixEnv(envs)
+
+    def test_distinct_analytical_evaluators_step_themselves(self):
+        envs = [PrefixEnv(6, AnalyticalEvaluator(), horizon=3, rng=s) for s in range(2)]
+        venv = VectorPrefixEnv(envs)
+        assert venv._batch_evaluator is None and venv.backend is None
+        venv.reset()
+        assert len(venv.step(first_legal(venv.legal_masks()))) == 2
 
     def test_analytical_evaluator_not_batched(self):
         venv = make_vector()
-        assert venv._batch_evaluator is None
+        assert venv._batch_evaluator is None and venv.backend is None
 
-    def test_mixed_scalarization_weights_fall_back_to_serial(self):
-        # A weight sweep over one shared cache must NOT batch: each
-        # replica picks a different w-optimal point on the shared curve.
-        lib = nangate45()
-        cache = SynthesisCache()
-        weights = iter(((0.8, 0.2), (0.2, 0.8)))
-
-        def factory():
-            wa, wd = next(weights)
-            return SynthesisEvaluator(lib, w_area=wa, w_delay=wd, cache=cache)
-
-        venv = VectorPrefixEnv.make(8, factory, num_envs=2, horizon=3, seed=0)
-        assert venv._batch_evaluator is None
-        # Serial stepping still works and respects per-replica weights.
-        venv.reset()
-        masks = venv.legal_masks()
-        results = venv.step([int(np.nonzero(m)[0][0]) for m in masks])
-        assert len(results) == 2
-
-    def test_batched_trajectory_matches_serial(self):
+    def test_batched_trajectory_matches_bare_envs(self):
         # Same seeds, same actions: batched evaluation must not change
         # rewards, infos, or auto-reset states — only how synthesis is
         # dispatched.
-        def rollout(shared_cache):
-            lib = nangate45()
-            cache = SynthesisCache()
-            if shared_cache:
-                venv = VectorPrefixEnv.make(
-                    8, lambda: SynthesisEvaluator(lib, cache=cache),
-                    num_envs=2, horizon=2, seed=0,
-                )
-            else:
-                venv = VectorPrefixEnv.make(
-                    8, lambda: SynthesisEvaluator(lib),
-                    num_envs=2, horizon=2, seed=0,
-                )
-            venv.reset()
-            trace = []
-            for _ in range(4):
-                masks = venv.legal_masks()
-                results = venv.step([int(np.nonzero(m)[0][0]) for m in masks])
-                trace.append(
-                    [(tuple(r.reward), r.done, r.info["area"], r.info["delay"]) for r in results]
-                )
-            trace.append([s.key() for s in venv.states])
-            return trace
+        lib = nangate45()
 
-        assert rollout(shared_cache=True) == rollout(shared_cache=False)
+        def record(results, states):
+            return [(tuple(r.reward), r.done, r.info["area"], r.info["delay"]) for r in results], [
+                s.key() for s in states
+            ]
+
+        venv = VectorPrefixEnv.make(8, SynthesisEvaluator(lib), num_envs=2, horizon=2, seed=0)
+        venv.reset()
+        batched = []
+        for _ in range(4):
+            results = venv.step(first_legal(venv.legal_masks()))
+            batched.append(record(results, venv.states))
+
+        envs = [PrefixEnv(8, SynthesisEvaluator(lib), horizon=2, rng=s) for s in range(2)]
+        states = [env.reset() for env in envs]
+        serial = []
+        for _ in range(4):
+            actions = first_legal([env.action_space.legal_mask(s) for env, s in zip(envs, states)])
+            results = [env.step(env.action_space.action(a)) for env, a in zip(envs, actions)]
+            states = [env.reset() if r.done else r.next_state for env, r in zip(envs, results)]
+            serial.append(record(results, states))
+
+        assert batched == serial
 
 
 class TestActBatch:

@@ -72,7 +72,7 @@ class TestClusterTraining:
         assert len(history.areas) == 20 and len(history.losses) > 0
         assert sorted(s["actor_id"] for s in stats.values()) == [0, 1]
         assert sum(s["env_steps_kept"] for s in stats.values()) == 20
-        assert history.synthesis_stats["cache"]["shared"] is True
+        assert history.synthesis_stats["backend"] == "cluster-service"
 
     def test_construction_contracts(self):
         agent = ScalarizedDoubleDQN(4, blocks=0, channels=4, rng=0)

@@ -199,39 +199,55 @@ class TestTrainingRoundTrip:
         assert h_res.synthesis_stats == h_full.synthesis_stats
         assert env_res.archive.points() == env_full.archive.points()
 
-    def test_resume_with_a_cache_per_replica(self, tmp_path):
-        """Two replicas over two caches checkpoint as two backend groups, and
-        the resumed run's synthesis stats equal the uninterrupted run's."""
+    @staticmethod
+    def _vector_synthesis_runtime(checkpoint_dir=None, **knobs):
+        """Two replicas over one synthesis evaluator, as ``make`` builds them."""
         from repro.cells import nangate45
         from repro.env import VectorPrefixEnv
         from repro.synth import SynthesisCache, SynthesisEvaluator
 
-        library = nangate45()
+        evaluator = SynthesisEvaluator(nangate45(), cache=SynthesisCache())
+        venv = VectorPrefixEnv.make(6, evaluator, num_envs=2, horizon=12, seed=3)
+        agent = ScalarizedDoubleDQN(6, 0.5, 0.5, blocks=0, channels=4, lr=1e-3, rng=3)
+        cfg = TrainerConfig(steps=24, batch_size=4, warmup_steps=8)
+        return TrainingRuntime(
+            venv, agent, cfg, RuntimeConfig(**knobs), checkpoint_dir=checkpoint_dir, rng=3
+        )
 
-        def runtime(checkpoint_dir=None, **knobs):
-            venv = VectorPrefixEnv.make(
-                6, lambda: SynthesisEvaluator(library, cache=SynthesisCache()),
-                num_envs=2, horizon=12, seed=3,
-            )
-            agent = ScalarizedDoubleDQN(6, 0.5, 0.5, blocks=0, channels=4, lr=1e-3, rng=3)
-            cfg = TrainerConfig(steps=24, batch_size=4, warmup_steps=8)
-            return TrainingRuntime(
-                venv, agent, cfg, RuntimeConfig(**knobs), checkpoint_dir=checkpoint_dir, rng=3
-            )
+    def test_resume_vector_synthesis_run(self, tmp_path):
+        """Two replicas over one evaluator checkpoint their backend as one
+        record, and the resumed run's synthesis stats equal the
+        uninterrupted run's."""
+        h_full = self._vector_synthesis_runtime().run()
 
-        h_full = runtime().run()
-        assert h_full.synthesis_stats["cache"]["shared"] is False
-
-        rt_part = runtime(tmp_path, stop_after=10)
+        rt_part = self._vector_synthesis_runtime(tmp_path, stop_after=10)
         rt_part.run()
         assert rt_part.preempted
         state, _ = rt_part.manager.load()
-        assert len(state["caches"]) == 2
-        assert [len(group["counters"]) for group in state["caches"]] == [1, 1]
+        (record,) = state["caches"]
+        assert record == json.loads(json.dumps(rt_part.env.backend.state_dict()))
+        assert len(record["counters"]) == 1
 
-        h_res = runtime(tmp_path).run(resume=True)
+        h_res = self._vector_synthesis_runtime(tmp_path).run(resume=True)
         assert_histories_identical(h_full, h_res)
         assert h_res.synthesis_stats == h_full.synthesis_stats
+
+    @pytest.mark.parametrize("where", ["records", "counters"])
+    def test_two_backend_records_are_refused(self, tmp_path, where):
+        """The retired per-replica-backend layout wrote a record per cache
+        and a counter set per backend; a one-backend env resumes neither."""
+        rt_part = self._vector_synthesis_runtime(tmp_path, stop_after=10)
+        rt_part.run()
+        state, manifest = rt_part.manager.load()
+        (record,) = state["caches"]
+        if where == "records":
+            state["caches"] = [record, record]
+        else:
+            record["counters"] = record["counters"] * 2
+        rt_part.manager.save(state, step=manifest["step"], meta=manifest["meta"])
+
+        with pytest.raises(CheckpointError, match="has 2 "):
+            self._vector_synthesis_runtime(tmp_path).run(resume=True)
 
     def test_resume_through_multiple_preemptions(self, tmp_path):
         rt_full, _ = make_sync_runtime()

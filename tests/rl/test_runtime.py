@@ -36,7 +36,7 @@ def assert_histories_identical(a, b):
 
 def make_venv():
     return VectorPrefixEnv.make(
-        6, lambda: AnalyticalEvaluator(0.5, 0.5), num_envs=3, horizon=12, seed=0
+        6, AnalyticalEvaluator(0.5, 0.5), num_envs=3, horizon=12, seed=0
     )
 
 
@@ -132,9 +132,17 @@ class TestRuntimeConfigValidation:
         [
             ("learn_every", 0), ("batch_size", 0), ("warmup_steps", 0), ("steps", -1),
             ("epsilon_start", 1.5), ("epsilon_end", -0.1),
+            # Above 1 epsilon never reaches epsilon_end; NaN died in int().
+            ("epsilon_anneal_frac", 1.5), ("epsilon_anneal_frac", -0.5),
+            ("epsilon_anneal_frac", float("nan")),
             ("buffer_capacity", 8),  # below warmup_steps: no gradient step could ever run
         ],
     )
     def test_trainer_config_rejects_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainerConfig(**{field: value})
+
+    @pytest.mark.parametrize("frac", [0.0, 1.0])
+    def test_anneal_frac_endpoints_reach_epsilon_end(self, frac):
+        schedule = TrainerConfig(epsilon_anneal_frac=frac).schedule(100)
+        assert schedule(100) == 0.0

@@ -366,7 +366,7 @@ class TestStatsSchema:
         agent = ScalarizedDoubleDQN(8, blocks=0, channels=4, rng=0)
         hist = Trainer(env, agent, TrainerConfig(steps=4, warmup_steps=1000), rng=0).run()
         assert_schema(hist.synthesis_stats)
-        assert "shared" in hist.synthesis_stats["cache"]
+        assert hist.synthesis_stats == env.evaluator.backend.stats()
 
 
 class TestEvaluatorBackendWiring:
@@ -380,14 +380,3 @@ class TestEvaluatorBackendWiring:
     def test_backend_and_cache_kwargs_are_exclusive(self, lib):
         with pytest.raises(ValueError, match="not both"):
             SynthesisEvaluator(lib, cache=SynthesisCache(), backend=EvaluationBackend(lib))
-
-    def test_backend_share_tokens(self, lib):
-        cache = SynthesisCache()
-        a = EvaluationBackend(lib, store=cache)
-        b = EvaluationBackend(lib, store=cache)
-        assert a.share_token() is b.share_token()
-        assert EvaluationBackend(lib, store=SynthesisCache()).share_token() is not cache
-        service = LocalServiceClient(SharedCacheService(), "t")
-        assert EvaluationBackend(lib, store=cache, service=service).share_token() is service
-        storeless = EvaluationBackend(lib)
-        assert storeless.share_token() is storeless

@@ -291,6 +291,24 @@ class TestSynthesisCache:
         with pytest.raises(ValueError):
             SynthesisCache(max_entries=0)
 
+    def test_get_and_put_are_one_item_batches(self):
+        """Counters, LRU order and checkpoint bytes do not depend on whether
+        a key went through get/put or get_many/put_many."""
+        import json
+
+        curves = {k: AreaDelayCurve([(1.0, 10.0 + i), (2.0, 5.0)]) for i, k in enumerate("abcd")}
+        ops = [("put", "a"), ("put", "b"), ("get", "a"), ("put", "c"), ("get", "b"),
+               ("put", "d"), ("get", "c"), ("get", "a"), ("put", "b"), ("get", "d")]
+        single, batched = SynthesisCache(max_entries=3), SynthesisCache(max_entries=3)
+        for op, k in ops:
+            if op == "put":
+                single.put((k,), curves[k])
+                batched.put_many([((k,), curves[k])])
+            else:
+                assert single.get((k,)) is batched.get_many([(k,)])[0]
+        assert (single.hits, single.misses) == (batched.hits, batched.misses) == (4, 1)
+        assert json.dumps(single.state_dict()) == json.dumps(batched.state_dict())
+
 
 class TestSynthesisEvaluator:
     def test_caching_across_calls(self, lib):
