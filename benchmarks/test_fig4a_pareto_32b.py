@@ -10,7 +10,7 @@ This bench regenerates every series end-to-end at the CI stand-in width
 """
 
 
-from repro.baselines import pruned_search, sa_frontier
+from repro.baselines import pruned_designs, sa_frontier
 from repro.pareto import (
     area_savings_at_matched_delay,
     bin_by_delay,
@@ -48,9 +48,9 @@ def build_series(bundle, scale):
     series["SA"] = pareto_front(sa_points)
 
     # PS baseline: pruned exhaustive enumeration, all survivors synthesized.
-    ps = pruned_search(n, AnalyticalEvaluator(), max_designs=60)
+    ps_designs, _ = pruned_designs(n, max_designs=60)
     ps_points = []
-    for graph in sorted(ps.designs, key=lambda g: g.key())[:30]:
+    for graph in sorted(ps_designs, key=lambda g: g.key())[:30]:
         curve = synthesize_curve(graph, bundle["library"], bundle["synthesizer"])
         ps_points.extend(curve_series(curve, num_points))
     series["PS"] = pareto_front(ps_points)

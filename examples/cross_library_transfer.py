@@ -14,12 +14,11 @@ import sys
 
 import numpy as np
 
-from repro.baselines import pruned_search
+from repro.baselines import pruned_designs
 from repro.cells import industrial8nm, nangate45
 from repro.pareto import bin_by_delay, fraction_dominated, pareto_front
 from repro.prefix import REGULAR_STRUCTURES
 from repro.synth import (
-    AnalyticalEvaluator,
     CommercialSynthesizer,
     commercial_adder_family,
     synthesize_curve,
@@ -33,7 +32,7 @@ def main(n: int = 8):
 
     print(f"Selecting {n}b designs on the open library (nangate45-like)...")
     open_lib = nangate45()
-    candidates = pruned_search(n, AnalyticalEvaluator(), max_designs=40).designs
+    candidates, _ = pruned_designs(n, max_designs=40)
     scored = []
     for graph in candidates:
         curve = synthesize_curve(graph, open_lib)

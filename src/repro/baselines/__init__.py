@@ -10,11 +10,13 @@
 
 The published design sets are not available, so each baseline is implemented
 from its paper's algorithm and run on this repo's evaluators — every curve in
-the benchmarks is regenerated end-to-end.
+the benchmarks is regenerated end-to-end. Each records what it evaluates
+through :func:`repro.pareto.archiving`; PS's enumeration
+(:func:`pruned_designs`) evaluates nothing.
 """
 
 from repro.baselines.sa import simulated_annealing, sa_frontier, SAResult
-from repro.baselines.ps import pruned_search, PrunedSearchResult, PruningRules
+from repro.baselines.ps import pruned_designs, pruned_search, PrunedSearchResult, PruningRules
 from repro.baselines.cl import cross_layer_optimization, CrossLayerResult
 from repro.baselines.random_walk import random_walk_frontier
 
@@ -22,6 +24,7 @@ __all__ = [
     "simulated_annealing",
     "sa_frontier",
     "SAResult",
+    "pruned_designs",
     "pruned_search",
     "PrunedSearchResult",
     "PruningRules",

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.ps import PruningRules, pruned_search
-from repro.pareto.front import ParetoArchive, pareto_front
+from repro.baselines.ps import PruningRules, pruned_designs
+from repro.pareto.front import ParetoArchive, archiving, pareto_front
 from repro.prefix.graph import PrefixGraph
 from repro.utils.rng import ensure_rng
 
@@ -110,36 +110,22 @@ def cross_layer_optimization(
     it: ``sample_size`` training calls plus ``select_size`` verification
     calls of the predicted frontier.
     """
+    if sample_size < 1:
+        raise ValueError("sample_size must be positive")
+    if select_size < 0:
+        raise ValueError("select_size must be nonnegative")
     gen = ensure_rng(rng)
     if rules is None:
         rules = PruningRules(level_slack=3, max_fanout=8, size_slack=3.0)
-
-    class _FreeEvaluator:
-        """Zero-cost stand-in so enumeration doesn't touch synthesis."""
-
-        c_area = 1.0
-        c_delay = 1.0
-
-        def evaluate(self, graph):
-            from repro.synth.evaluator import CircuitMetrics
-
-            return CircuitMetrics(area=0.0, delay=0.0)
-
-        def scalarize(self, metrics):
-            return 0.0
-
-    pool = pruned_search(
-        n, _FreeEvaluator(), rules=rules, max_designs=max_candidates
-    ).designs
+    pool, _ = pruned_designs(n, rules, max_designs=max_candidates)
     features = np.stack([graph_feature_vector(g) for g in pool])
 
+    evaluator = archiving(evaluator)
     sample_size = min(sample_size, len(pool))
     sample_idx = gen.choice(len(pool), size=sample_size, replace=False)
-    archive = ParetoArchive()
     targets = []
     for i in sample_idx:
         metrics = evaluator.evaluate(pool[i])
-        archive.add(metrics.area, metrics.delay, payload=pool[i])
         targets.append([metrics.area, metrics.delay])
     predictor = RidgePredictor()
     predictor.fit(features[sample_idx], np.array(targets))
@@ -158,12 +144,11 @@ def cross_layer_optimization(
             break
         if int(i) in sampled:
             continue
-        metrics = evaluator.evaluate(pool[int(i)])
-        archive.add(metrics.area, metrics.delay, payload=pool[int(i)])
+        evaluator.evaluate(pool[int(i)])
         synthesized += 1
 
     return CrossLayerResult(
-        archive=archive,
+        archive=evaluator.archive,
         candidates=len(pool),
         synthesized=synthesized + sample_size,
         predictor_r2=r2,

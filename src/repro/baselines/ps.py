@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from repro.env.actions import ActionSpace
-from repro.pareto.front import ParetoArchive
+from repro.pareto.front import ParetoArchive, archiving
 from repro.prefix.graph import PrefixGraph
 from repro.prefix.structures import REGULAR_STRUCTURES
 
@@ -66,20 +66,21 @@ class PrunedSearchResult:
     admitted: int
 
 
-def pruned_search(
+def pruned_designs(
     n: int,
-    evaluator,
     rules: "PruningRules | None" = None,
     max_designs: int = 300,
     max_frontier_rounds: int = 4,
-) -> PrunedSearchResult:
-    """Enumerate and exhaustively evaluate the pruned design space.
+) -> "tuple[list[PrefixGraph], int]":
+    """Enumerate the pruned design space; returns ``(designs, explored)``.
 
     Breadth-first over single-action neighbourhoods starting from the
     regular structures; stops after ``max_frontier_rounds`` expansion
-    rounds or once ``max_designs`` admitted designs exist. Every admitted
-    design is evaluated with ``evaluator`` and offered to the archive.
+    rounds or once ``max_designs`` admitted designs exist (never more).
+    ``explored`` counts every candidate looked at. Nothing is evaluated.
     """
+    if max_designs < 1:
+        raise ValueError("max_designs must be positive")
     if rules is None:
         rules = PruningRules()
     space = ActionSpace(n)
@@ -113,15 +114,19 @@ def pruned_search(
                 break
         frontier = next_frontier
 
-    archive = ParetoArchive()
-    designs = list(seen.values())
-    for graph in designs:
-        metrics = evaluator.evaluate(graph)
-        archive.add(metrics.area, metrics.delay, payload=graph)
+    return list(seen.values())[:max_designs], explored
 
-    return PrunedSearchResult(
-        designs=designs,
-        archive=archive,
-        explored=explored,
-        admitted=len(designs),
-    )
+
+def pruned_search(
+    n: int,
+    evaluator,
+    rules: "PruningRules | None" = None,
+    max_designs: int = 300,
+    max_frontier_rounds: int = 4,
+) -> PrunedSearchResult:
+    """Evaluate (and archive) every design :func:`pruned_designs` admits."""
+    designs, explored = pruned_designs(n, rules, max_designs, max_frontier_rounds)
+    evaluator = archiving(evaluator)
+    for graph in designs:
+        evaluator.evaluate(graph)
+    return PrunedSearchResult(designs=designs, archive=evaluator.archive, explored=explored, admitted=len(designs))

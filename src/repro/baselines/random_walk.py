@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.env.actions import ActionSpace
-from repro.pareto.front import ParetoArchive
+from repro.pareto.front import ParetoArchive, archiving
 from repro.prefix.structures import ripple_carry, sklansky
 from repro.utils.rng import ensure_rng
 
@@ -31,18 +31,19 @@ def random_walk_frontier(
     """
     if steps < 1:
         raise ValueError("steps must be positive")
+    if restart_every < 1:
+        raise ValueError("restart_every must be positive")
     gen = ensure_rng(rng)
     space = ActionSpace(n)
-    archive = ParetoArchive()
+    evaluator = archiving(evaluator)
     starts = (ripple_carry, sklansky)
     graph = starts[0](n)
 
     for step in range(steps):
         if step % restart_every == 0:
             graph = starts[(step // restart_every) % 2](n)
-        metrics = evaluator.evaluate(graph)
-        archive.add(metrics.area, metrics.delay, payload=graph)
+        evaluator.evaluate(graph)
         legal = np.flatnonzero(space.legal_mask(graph))
         graph = space.apply(graph, space.action(int(legal[gen.integers(legal.size)])))
 
-    return archive
+    return evaluator.archive

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.env.actions import ActionSpace
-from repro.pareto.front import ParetoArchive
+from repro.pareto.front import ArchivingEvaluator, ParetoArchive, archiving
 from repro.prefix.graph import PrefixGraph
 from repro.prefix.structures import ripple_carry
 from repro.utils.rng import ensure_rng
@@ -41,27 +41,27 @@ def simulated_annealing(
     initial_temp: float = 1.0,
     final_temp: float = 1e-3,
     start: "PrefixGraph | None" = None,
-    archive: "ParetoArchive | None" = None,
     rng=None,
 ) -> SAResult:
     """Anneal one scalarized objective; returns the best design found.
 
     Temperature follows a geometric schedule from ``initial_temp`` to
     ``final_temp`` over ``iterations`` steps. Every evaluated design is
-    offered to ``archive`` so multi-weight runs can merge frontiers.
+    archived; pass an :class:`ArchivingEvaluator` to share its archive
+    (multi-weight runs merge frontiers that way).
     """
     if iterations < 1:
         raise ValueError("iterations must be positive")
+    for name, temp in (("initial_temp", initial_temp), ("final_temp", final_temp)):
+        if not (math.isfinite(temp) and temp > 0):
+            raise ValueError(f"{name} must be finite and positive, got {temp}")
     gen = ensure_rng(rng)
     space = ActionSpace(n)
     current = start if start is not None else ripple_carry(n)
-    if archive is None:
-        archive = ParetoArchive()
+    evaluator = archiving(evaluator)
 
     def cost_of(graph: PrefixGraph) -> float:
-        metrics = evaluator.evaluate(graph)
-        archive.add(metrics.area, metrics.delay, payload=graph)
-        return evaluator.scalarize(metrics)
+        return evaluator.scalarize(evaluator.evaluate(graph))
 
     current_cost = cost_of(current)
     best, best_cost = current, current_cost
@@ -84,7 +84,7 @@ def simulated_annealing(
     return SAResult(
         best_graph=best,
         best_cost=best_cost,
-        archive=archive,
+        archive=evaluator.archive,
         accepted=accepted,
         iterations=iterations,
     )
@@ -105,12 +105,6 @@ def sa_frontier(
     archive = ParetoArchive()
     gen = ensure_rng(seed)
     for w_area in weights:
-        evaluator = evaluator_factory(w_area, 1.0 - w_area)
-        simulated_annealing(
-            n,
-            evaluator,
-            iterations=iterations_per_weight,
-            archive=archive,
-            rng=int(gen.integers(2**62)),
-        )
+        evaluator = ArchivingEvaluator(evaluator_factory(w_area, 1.0 - w_area), archive)
+        simulated_annealing(n, evaluator, iterations=iterations_per_weight, rng=int(gen.integers(2**62)))
     return archive

@@ -259,22 +259,9 @@ def _cluster_pieces(args, cluster_config):
     return agent, spec, config, runtime_config
 
 
-def _history_frontier(history):
-    """The Pareto frontier of every (area, delay) the run evaluated.
-
-    Cluster actors keep their archives in their own processes, so the
-    learner summarizes from the telemetry it ingested — same designs,
-    minus any actor-local evaluations the budget truncated away.
-    """
-    from repro.pareto.front import ParetoArchive
-
-    archive = ParetoArchive()
-    for area, delay in zip(history.areas, history.delays):
-        archive.add(area, delay)
-    return archive.entries()
-
-
 def _print_cluster_summary(history) -> None:
+    from repro.pareto import pareto_front
+
     print(f"trained {history.env_steps} steps ({history.gradient_steps} gradient steps)")
     stats = history.synthesis_stats or {}
     cache = stats.get("cache")
@@ -298,8 +285,10 @@ def _print_cluster_summary(history) -> None:
             f"bytes={store['bytes']}",
             file=sys.stderr,
         )
+    # Cluster actors keep their archives in their own processes, so the
+    # learner summarizes the (area, delay) telemetry it ingested.
     print("history frontier (area um2, delay ns):")
-    for area, delay, _ in _history_frontier(history):
+    for area, delay in pareto_front(list(zip(history.areas, history.delays))):
         print(f"  {area:10.2f}  {delay:.4f}")
 
 

@@ -7,10 +7,10 @@ analytical) and the reward definition:
            c_delay * (delay(s_t) - delay(s_{t+1}))]
 
 Episodes start from the ripple-carry or Sklansky graph (chosen uniformly —
-the paper's two extreme start states) and run for a fixed horizon; the
-environment also maintains a Pareto archive of every design it evaluates,
-which is how a training run yields a frontier (Section V-A bins all visited
-designs).
+the paper's two extreme start states) and run for a fixed horizon. The
+environment evaluates through a :class:`repro.pareto.ArchivingEvaluator`, so
+its ``archive`` holds every design it evaluated, which is how a training run
+yields a frontier (Section V-A bins all visited designs).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.env.actions import Action, ActionSpace
 from repro.env.features import graph_features
-from repro.pareto.front import ParetoArchive
+from repro.pareto.front import ParetoArchive, archiving
 from repro.prefix.graph import PrefixGraph
 from repro.prefix.structures import ripple_carry, sklansky
 from repro.utils.rng import ensure_rng
@@ -46,7 +46,8 @@ class PrefixEnv:
         n: bit width.
         evaluator: object with ``evaluate(graph) -> CircuitMetrics`` and
             scaling attributes ``c_area``/``c_delay`` (see
-            :mod:`repro.synth.evaluator`).
+            :mod:`repro.synth.evaluator`); an ``ArchivingEvaluator`` lends
+            the env its archive. ``env.evaluator`` is the inner evaluator.
         horizon: steps per episode.
         start_states: iterable of constructors; episodes sample uniformly.
             Defaults to (ripple_carry, sklansky) per Section IV-B.
@@ -64,12 +65,11 @@ class PrefixEnv:
         if horizon < 1:
             raise ValueError("horizon must be positive")
         self.n = n
-        self.evaluator = evaluator
+        self._archiving = archiving(evaluator)
         self.horizon = horizon
         self.action_space = ActionSpace(n)
         self._start_ctors = tuple(start_states) if start_states else (ripple_carry, sklansky)
         self._rng = ensure_rng(rng)
-        self.archive = ParetoArchive()
         self.state: "PrefixGraph | None" = None
         self._metrics = None
         self._steps = 0
@@ -95,15 +95,24 @@ class PrefixEnv:
         state's already-computed evaluator metrics so they are recorded
         without a second evaluation.
         """
-        if start is not None:
-            if start.n != self.n:
-                raise ValueError(f"start state width {start.n} != env width {self.n}")
-            self.state = start
-        else:
-            self.state = self.sample_start()
+        if start is None:
+            start = self.sample_start()
+        elif start.n != self.n:
+            raise ValueError(f"start state width {start.n} != env width {self.n}")
+        self.state = start
         self._steps = 0
-        self._metrics = self._evaluate(self.state, _metrics)
-        return self.state
+        self._metrics = self._evaluate(start, _metrics)
+        return start
+
+    @property
+    def evaluator(self):
+        """The inner evaluator (not the archiving wrapper around it)."""
+        return self._archiving.evaluator
+
+    @property
+    def archive(self) -> ParetoArchive:
+        """Pareto archive of every design this env evaluated."""
+        return self._archiving.archive
 
     def observe(self, graph: "PrefixGraph | None" = None) -> np.ndarray:
         """Feature tensor of ``graph`` (default: current state)."""
@@ -167,9 +176,9 @@ class PrefixEnv:
     # ------------------------------------------------------------------
 
     def _evaluate(self, graph: PrefixGraph, precomputed=None):
-        metrics = self.evaluator.evaluate(graph) if precomputed is None else precomputed
-        self.archive.add(metrics.area, metrics.delay, payload=graph)
-        return metrics
+        if precomputed is None:
+            return self._archiving.evaluate(graph)
+        return self._archiving.record(graph, precomputed)
 
     # -- persistence -----------------------------------------------------
 

@@ -232,9 +232,10 @@ def batchnorm_forward(
     cache is marked accordingly for the backward pass.
 
     The batch mean and backward's two sums accumulate in float64 whatever
-    ``x`` is — ``dgamma`` subtracts ``mean * sum(dy)`` from ``sum(dy * x)``,
-    and in float32 a channel with |mean| = 10 sigma left the tolerance. They
-    are C numbers; every pass over ``x`` or ``dy`` stays in its own dtype.
+    ``x`` is, and backward forms ``dy * (x - mean)`` rather than ``dy * x``:
+    in float32 the uncentred products round at the size of |mean|, and a
+    channel with |mean| = 10 sigma left the tolerance. The sums are C
+    numbers; every pass over ``x`` or ``dy`` stays in its own dtype.
     """
     if training:
         mean = x.mean(axis=(0, 2, 3), dtype=np.float64)
@@ -267,10 +268,14 @@ def batchnorm_backward(dy: np.ndarray, cache):
     x, mean, inv_std, gamma, training = cache
     m = x.size // x.shape[1]
     dbeta = dy.sum(axis=(0, 2, 3), dtype=np.float64)
-    # dgamma = sum(dy * xhat) expanded through xhat = (x - mean)*inv_std,
-    # so xhat is never materialized.
-    term = np.multiply(dy, x, out=empty(x.shape, x.dtype))
-    dgamma = inv_std * (term.sum(axis=(0, 2, 3), dtype=np.float64) - mean * dbeta)
+    # dgamma = sum(dy * xhat) with xhat = (x - mean)*inv_std, centred on the
+    # mean rounded to x's dtype: the products then round at the size of
+    # x - centre, not of |mean|, and (mean - centre) * dbeta puts the
+    # rounding back in float64. xhat itself is never materialized.
+    centre = mean.astype(x.dtype)
+    term = np.subtract(x, _per_channel(centre, x), out=empty(x.shape, x.dtype))
+    term *= dy
+    dgamma = inv_std * (term.sum(axis=(0, 2, 3), dtype=np.float64) - (mean - centre) * dbeta)
     scale = gamma * inv_std
     dx = np.multiply(dy, _per_channel(scale, dy), out=empty(dy.shape, dy.dtype))
     if training:

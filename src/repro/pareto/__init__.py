@@ -4,13 +4,17 @@ Everything the paper's evaluation protocol needs: dominance tests, frontier
 extraction, the delay-binning used to present results ("we bin all adder
 circuits for an approach and present the area-delay Pareto front"), 2-D
 hypervolume, and the matched-delay area-savings metric behind headline
-numbers like "16.0% lower area for the same delay".
+numbers like "16.0% lower area for the same delay". Every search evaluates
+through an :class:`ArchivingEvaluator`, whose archive holds every design it
+evaluated (``num_seen`` is the search's evaluation count).
 """
 
 from repro.pareto.front import (
     dominates,
     pareto_front,
     ParetoArchive,
+    ArchivingEvaluator,
+    archiving,
     bin_by_delay,
     hypervolume_2d,
     area_savings_at_matched_delay,
@@ -21,6 +25,8 @@ __all__ = [
     "dominates",
     "pareto_front",
     "ParetoArchive",
+    "ArchivingEvaluator",
+    "archiving",
     "bin_by_delay",
     "hypervolume_2d",
     "area_savings_at_matched_delay",

@@ -104,6 +104,37 @@ class ParetoArchive:
         return f"ParetoArchive(frontier={len(self)}, seen={self.num_seen})"
 
 
+class ArchivingEvaluator:
+    """An evaluator that offers every design it evaluates to an archive.
+
+    The one place a search records what it evaluated: ``archive.num_seen``
+    is the search's evaluation count and ``archive`` its frontier (the
+    paper bins *all* evaluated designs, Sec. V-A). Several searches share
+    a frontier by sharing the archive.
+    """
+
+    def __init__(self, evaluator, archive: "ParetoArchive | None" = None):
+        self.evaluator = evaluator
+        self.archive = archive if archive is not None else ParetoArchive()
+
+    def evaluate(self, graph):
+        """The inner evaluator's metrics, after archiving ``graph``."""
+        return self.record(graph, self.evaluator.evaluate(graph))
+
+    def record(self, graph, metrics):
+        """Archive ``graph`` with metrics evaluated elsewhere (a batch)."""
+        self.archive.add(metrics.area, metrics.delay, payload=graph)
+        return metrics
+
+    def scalarize(self, metrics) -> float:
+        return self.evaluator.scalarize(metrics)
+
+
+def archiving(evaluator) -> ArchivingEvaluator:
+    """``evaluator`` if it already archives, else a wrapper with a fresh archive."""
+    return evaluator if isinstance(evaluator, ArchivingEvaluator) else ArchivingEvaluator(evaluator)
+
+
 def bin_by_delay(
     points: "list[tuple[float, float]]", num_bins: int
 ) -> "list[tuple[float, float]]":

@@ -21,11 +21,10 @@ from repro.rl.trainer import (
 from repro.rl.checkpoint import CheckpointError, CheckpointManager
 from repro.rl.runtime import RuntimeConfig, TrainingRuntime
 from repro.rl.sweep import pareto_sweep, SweepResult
-from repro.rl.evaluation import greedy_rollout, evaluate_policy, RolloutResult
+from repro.rl.evaluation import greedy_rollout, RolloutResult
 
 __all__ = [
     "greedy_rollout",
-    "evaluate_policy",
     "RolloutResult",
     "ReplayBuffer",
     "ShardedReplayBuffer",

@@ -3,7 +3,9 @@
 The paper: "epsilon ... is always zero when doing evaluation." Training
 archives capture everything *visited*; these rollouts answer the separate
 question of what the trained policy *prefers*, which is how final designs
-are extracted from a trained agent.
+are extracted from a trained agent. A rollout evaluates each state once,
+through the environment, so a fresh env's ``archive`` is the rollout's
+frontier.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.env.environment import PrefixEnv
-from repro.pareto.front import ParetoArchive
 from repro.prefix.graph import PrefixGraph
 from repro.rl.agent import ScalarizedDoubleDQN
 
@@ -67,18 +68,3 @@ def greedy_rollout(
         best_graph=best_graph,
         best_cost=best_cost,
     )
-
-
-def evaluate_policy(
-    env: PrefixEnv,
-    agent: ScalarizedDoubleDQN,
-    episodes: int = 2,
-) -> ParetoArchive:
-    """Greedy episodes from every configured start state; merged frontier."""
-    archive = ParetoArchive()
-    for _ in range(episodes):
-        rollout = greedy_rollout(env, agent)
-        for graph in rollout.states:
-            metrics = env.evaluator.evaluate(graph)
-            archive.add(metrics.area, metrics.delay, payload=graph)
-    return archive

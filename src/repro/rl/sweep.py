@@ -2,8 +2,8 @@
 
 "Multiple PrefixRL agents were trained with 15 area-delay scalarization
 weights w in the range [0.10, 0.99]" — :func:`pareto_sweep` reproduces that
-protocol: one agent per weight, a shared synthesis cache, and a merged
-Pareto archive over every design any agent visited.
+protocol: one agent per weight, a shared synthesis cache, and one Pareto
+archive that every agent's environment records into.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.env.environment import PrefixEnv
-from repro.pareto.front import ParetoArchive
+from repro.pareto.front import ArchivingEvaluator, ParetoArchive
 from repro.rl.agent import ScalarizedDoubleDQN
 from repro.rl.trainer import Trainer, TrainerConfig, TrainingHistory
 from repro.utils.rng import spawn_rngs
@@ -77,7 +77,7 @@ def pareto_sweep(
 
     for i, w_area in enumerate(weights):
         w_delay = 1.0 - w_area
-        evaluator = evaluator_factory(w_area, w_delay)
+        evaluator = ArchivingEvaluator(evaluator_factory(w_area, w_delay), archive)
         env = PrefixEnv(n, evaluator, horizon=horizon, rng=rngs[2 * i])
         agent = ScalarizedDoubleDQN(
             n, w_area=w_area, w_delay=w_delay, rng=rngs[2 * i + 1], **agent_kwargs
@@ -85,7 +85,5 @@ def pareto_sweep(
         cfg = trainer_config if trainer_config is not None else TrainerConfig()
         trainer = Trainer(env, agent, cfg, rng=rngs[2 * i + 1])
         histories[w_area] = trainer.run(steps_per_weight)
-        for area, delay, payload in env.archive.entries():
-            archive.add(area, delay, payload=payload)
 
     return SweepResult(archive=archive, histories=histories, weights=list(weights))

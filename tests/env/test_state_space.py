@@ -2,7 +2,8 @@
 
 A breadth-first search from ``ripple_carry(n)`` over the environment's own
 actions (``ActionSpace.legal_mask`` / ``apply``), deduplicated by
-``PrefixGraph.key()``, reaches every legal prefix graph: the counts are
+``PrefixGraph.key()`` (``tests.oracles.qstar.reachable``, the enumeration the
+exact-Q* oracle runs on), reaches every legal prefix graph: the counts are
 pinned, a brute force over every interior-cell grid finds the same set,
 every regular structure reaches the same set (the action graph is
 connected), and every legal graph at n = 6 adds correctly on every
@@ -12,43 +13,19 @@ to the whole space.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 import numpy as np
 import pytest
 
 from repro.cells import industrial8nm, nangate45
-from repro.env.actions import ActionSpace
 from repro.netlist import prefix_adder_netlist
-from repro.prefix import REGULAR_STRUCTURES, PrefixGraph, ripple_carry
+from repro.prefix import REGULAR_STRUCTURES, PrefixGraph
 from tests.netlist.test_build_invariants import exhaustive_add_ok
+from tests.oracles.qstar import from_ripple, reachable
 
 # Legal n-input prefix graphs, n = 3..7.
 REACHABLE_COUNTS = {3: 2, 4: 7, 5: 43, 6: 471, 7: 9296}
-
-
-def reachable(start: PrefixGraph) -> "dict[bytes, PrefixGraph]":
-    """Every graph reachable from ``start`` by legal actions, by key."""
-    space = ActionSpace(start.n)
-    seen = {start.key(): start}
-    frontier = [start]
-    while frontier:
-        successors = []
-        for graph in frontier:
-            for index in np.flatnonzero(space.legal_mask(graph)):
-                succ = space.apply(graph, space.action(int(index)))
-                key = succ.key()
-                if key not in seen:
-                    seen[key] = succ
-                    successors.append(succ)
-        frontier = successors
-    return seen
-
-
-@functools.cache
-def from_ripple(n: int) -> "dict[bytes, PrefixGraph]":
-    return reachable(ripple_carry(n))
 
 
 def brute_force_legal(n: int) -> "set[bytes]":

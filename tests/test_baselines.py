@@ -8,6 +8,7 @@ import pytest
 from repro.baselines import (
     PruningRules,
     cross_layer_optimization,
+    pruned_designs,
     pruned_search,
     random_walk_frontier,
     sa_frontier,
@@ -46,6 +47,12 @@ class TestSimulatedAnnealing:
     def test_bad_iterations(self, evaluator):
         with pytest.raises(ValueError):
             simulated_annealing(8, evaluator, iterations=0)
+
+    @pytest.mark.parametrize("knob", ["initial_temp", "final_temp"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_temperatures(self, evaluator, knob, value):
+        with pytest.raises(ValueError, match=knob):
+            simulated_annealing(8, evaluator, iterations=10, **{knob: value})
 
     def test_best_graph_is_legal(self, evaluator):
         res = simulated_annealing(8, evaluator, iterations=300, rng=3)
@@ -95,6 +102,22 @@ class TestPrunedSearch:
         res = pruned_search(8, evaluator, max_designs=25)
         assert res.admitted <= 25
 
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    def test_budget_below_the_seed_count(self, evaluator, budget):
+        res = pruned_search(8, evaluator, max_designs=budget)
+        assert res.admitted == res.archive.num_seen == budget
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_bad_budget(self, evaluator, budget):
+        with pytest.raises(ValueError, match="max_designs"):
+            pruned_search(8, evaluator, max_designs=budget)
+
+    def test_search_evaluates_exactly_the_enumeration(self, evaluator):
+        designs, explored = pruned_designs(8, max_designs=50)
+        res = pruned_search(8, evaluator, max_designs=50)
+        assert [g.key() for g in designs] == [g.key() for g in res.designs]
+        assert explored == res.explored
+
     def test_explored_at_least_admitted(self, evaluator):
         res = pruned_search(8, evaluator, max_designs=50)
         assert res.explored >= res.admitted
@@ -134,6 +157,11 @@ class TestCrossLayer:
         assert res.predictor_r2 > 0.2  # structure features predict the model
         assert len(res.archive.points()) >= 1
 
+    @pytest.mark.parametrize("knobs", [{"sample_size": 0}, {"sample_size": -2}, {"select_size": -1}])
+    def test_bad_sizes(self, evaluator, knobs):
+        with pytest.raises(ValueError, match=next(iter(knobs))):
+            cross_layer_optimization(8, evaluator, max_candidates=40, rng=0, **knobs)
+
 
 class TestRandomWalk:
     def test_collects_requested_steps(self, evaluator):
@@ -143,6 +171,11 @@ class TestRandomWalk:
     def test_bad_steps(self, evaluator):
         with pytest.raises(ValueError):
             random_walk_frontier(8, evaluator, steps=0)
+
+    @pytest.mark.parametrize("restart_every", [0, -3])
+    def test_bad_restart_every(self, evaluator, restart_every):
+        with pytest.raises(ValueError, match="restart_every"):
+            random_walk_frontier(8, evaluator, steps=10, restart_every=restart_every)
 
     def test_restarts_cover_both_seeds(self, evaluator):
         archive = random_walk_frontier(8, evaluator, steps=70, restart_every=16, rng=1)
@@ -154,7 +187,9 @@ class TestControlTrajectoriesPinned:
     """The controls draw from the legal mask's indices with the same
     ``gen.integers(count)`` call as drawing from a list of every legal
     ``Action``, so a seed walks the same path: archive points, Pareto
-    payloads and SA's acceptance record are pinned to recorded values."""
+    payloads and SA's acceptance record are pinned to recorded values.
+    Multi-weight SA, PS and CL fronts are pinned too: recording through
+    ``ArchivingEvaluator`` must archive the same designs in the same order."""
 
     RANDOM_WALK = {
         8: ([(12.0, 7.5), (11.0, 8.5), (9.0, 9.5), (7.0, 11.5)], "500c690a45046c2c"),
@@ -172,6 +207,13 @@ class TestControlTrajectoriesPinned:
             17.05,
         ),
     }
+
+    SA_FRONTIER = (
+        [(14.0, 7.0), (13.0, 7.5), (10.0, 8.0), (9.0, 9.0), (8.0, 10.5), (7.0, 11.5)],
+        "a0c92cc1eedee531",
+        1203,
+    )
+    PS_FRONT = [(13.0, 7.0), (12.0, 7.5), (11.0, 8.5), (9.0, 9.5)]
 
     @staticmethod
     def payload_digest(archive):
@@ -192,3 +234,30 @@ class TestControlTrajectoriesPinned:
         assert self.payload_digest(res.archive) == digest
         assert res.accepted == accepted
         assert res.best_cost == pytest.approx(best_cost, abs=1e-12)
+
+    def test_sa_frontier_archive(self):
+        archive = sa_frontier(
+            8,
+            lambda wa, wd: AnalyticalEvaluator(wa, wd),
+            weights=[0.2, 0.5, 0.8],
+            iterations_per_weight=400,
+            seed=0,
+        )
+        points, digest, seen = self.SA_FRONTIER
+        assert archive.points() == points
+        assert self.payload_digest(archive) == digest
+        assert archive.num_seen == seen
+
+    def test_pruned_search_archive(self):
+        res = pruned_search(8, AnalyticalEvaluator(), max_designs=80)
+        assert res.archive.points() == self.PS_FRONT
+        assert self.payload_digest(res.archive) == "dbfa35af239c7601"
+        assert res.explored == 89
+
+    def test_cross_layer_archive(self):
+        evaluator = AnalyticalEvaluator()
+        res = cross_layer_optimization(8, evaluator, sample_size=12, select_size=8, max_candidates=80, rng=0)
+        assert res.archive.points() == self.PS_FRONT
+        assert self.payload_digest(res.archive) == "c0d3d6cf49d123be"
+        assert res.synthesized == 20
+        assert res.predictor_r2 == pytest.approx(0.940989237413, abs=1e-12)

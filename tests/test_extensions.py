@@ -7,7 +7,8 @@ from repro.cells import industrial8nm, nangate45
 from repro.env import PrefixEnv
 from repro.netlist import prefix_adder_netlist, to_verilog
 from repro.prefix import brent_kung, kogge_stone, ripple_carry, sklansky
-from repro.rl import ScalarizedDoubleDQN, Trainer, TrainerConfig, evaluate_policy, greedy_rollout
+from repro.pareto import pareto_front
+from repro.rl import ScalarizedDoubleDQN, Trainer, TrainerConfig, greedy_rollout
 from repro.sta import analyze_timing, estimate_power
 from repro.synth import AnalyticalEvaluator
 
@@ -147,9 +148,11 @@ class TestGreedyEvaluation:
         start_cost = agent.w[0] * start_metrics.area + agent.w[1] * start_metrics.delay
         assert rollout.best_cost <= start_cost + 1e-9
 
-    def test_evaluate_policy_archive(self):
+    def test_rollout_on_fresh_env_archives_each_state_once(self):
         env, agent = self._trained()
-        archive = evaluate_policy(env, agent, episodes=2)
-        assert len(archive) >= 1
-        for _, _, graph in archive.entries():
-            assert graph.n == 6
+        fresh = PrefixEnv(6, env.evaluator, horizon=env.horizon, rng=1)
+        rollout = greedy_rollout(fresh, agent)
+        assert fresh.archive.num_seen == len(rollout.states)
+        metrics = [env.evaluator.evaluate(graph) for graph in rollout.states]
+        assert fresh.archive.points() == pareto_front([(m.area, m.delay) for m in metrics])
+        assert {graph.key() for _, _, graph in fresh.archive.entries()} <= {s.key() for s in rollout.states}

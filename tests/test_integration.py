@@ -9,14 +9,13 @@ frontier designs survive serialization round-trips into other libraries.
 import numpy as np
 import pytest
 
-from repro.baselines import pruned_search
+from repro.baselines import pruned_designs
 from repro.cells import industrial8nm, nangate45
 from repro.env import PrefixEnv
 from repro.netlist import prefix_adder_netlist, verify_adder
 from repro.prefix import graph_from_json, graph_to_json, sklansky
 from repro.rl import ScalarizedDoubleDQN, Trainer, TrainerConfig
 from repro.synth import (
-    AnalyticalEvaluator,
     CommercialSynthesizer,
     SynthesisCache,
     SynthesisEvaluator,
@@ -69,7 +68,7 @@ class TestOptimizedDesignsStayCorrect:
     @pytest.mark.parametrize("tool", [Synthesizer(), CommercialSynthesizer()])
     def test_pruned_designs_after_optimization(self, tool):
         library = industrial8nm()
-        designs = pruned_search(6, AnalyticalEvaluator(), max_designs=12).designs
+        designs, _ = pruned_designs(6, max_designs=12)
         for graph in designs[:6]:
             netlist = prefix_adder_netlist(graph, library)
             result = tool.optimize(netlist, target=0.05)
