@@ -54,8 +54,9 @@ def run_rl_ablations(steps=250):
                 # Blend the two reward channels into one identical signal.
                 original_step = env.step
 
-                def blended_step(action, _orig=original_step, _w=(w_area, 1 - w_area)):
-                    result = _orig(action)
+                # The vector env hands its replicas their successors (``_next_state=``).
+                def blended_step(action, _orig=original_step, _w=(w_area, 1 - w_area), **internal):
+                    result = _orig(action, **internal)
                     blend = _w[0] * result.reward[0] + _w[1] * result.reward[1]
                     result.reward = np.array([blend, blend])
                     return result

@@ -7,6 +7,8 @@
 # in every optimization PR, promoted to a CI job: the train command's cache
 # stats + frontier output is a sensitive fingerprint of RL-trajectory
 # equivalence, and eval/synth cover the analytical and synthesis stacks.
+# The e2e benchmark's smoke digests ride along, for the lockstep-replica
+# acting path.
 #
 # Usage: scripts/diff_cli.sh <base-commit>   (run from the repo root)
 set -euo pipefail
@@ -67,6 +69,30 @@ for cmd in "${COMMANDS[@]}"; do
         status=1
     fi
 done
+
+# The e2e smoke's four workload digests (one traced round each, ~15 s a
+# side). collect_vec8_n32 acts over eight lockstep replicas, a path none of
+# the commands above runs.
+smoke_digests() {
+    (cd "$1" && python3 benchmarks/e2e/run.py --smoke 2>/dev/null) |
+        sed -n 's/^\([a-z0-9_]*\) .*\(digest=[0-9a-f]*\).*/\1 \2/p'
+}
+if [ ! -f "$WT/benchmarks/e2e/run.py" ]; then
+    echo "SKIP (no e2e benchmark at base $BASE): e2e smoke digests"
+else
+    smoke_digests "$WT" > "$OUT/base.out" || true
+    smoke_digests "$ROOT" > "$OUT/head.out" || true
+    if [ ! -s "$OUT/head.out" ]; then
+        echo "FAIL e2e smoke digests (none printed at HEAD)"
+        status=1
+    elif diff -u "$OUT/base.out" "$OUT/head.out" > "$OUT/delta"; then
+        echo "OK  e2e smoke digests"
+    else
+        echo "DIFF e2e smoke digests (HEAD differs from $BASE):"
+        cat "$OUT/delta"
+        status=1
+    fi
+fi
 
 if [ "$status" -ne 0 ]; then
     echo

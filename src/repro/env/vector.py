@@ -113,25 +113,34 @@ class VectorPrefixEnv:
             raise ValueError(
                 f"got {len(action_indices)} actions for {len(self.envs)} environments"
             )
+        actions, successors = self._successors(action_indices)
         if self._batch_evaluator is not None:
-            return self._step_batched(action_indices)
+            return self._step_batched(actions, successors)
         results = []
-        for i, (env, idx) in enumerate(zip(self.envs, action_indices)):
-            result = env.step(env.action_space.action(int(idx)))
+        for i, (env, action, nxt) in enumerate(zip(self.envs, actions, successors)):
+            result = env.step(action, _next_state=nxt)
             self._states[i] = env.reset() if result.done else result.next_state
             results.append(result)
         return results
 
-    def _step_batched(self, action_indices) -> "list[StepResult]":
+    def _successors(self, action_indices):
+        """Each replica's action and successor, applied once per distinct
+        (state, action): replicas that coincide share one graph object, and
+        with it the features, mask and levels memoized on it."""
+        shared = {}
+        actions, successors = [], []
+        for env, idx in zip(self.envs, map(int, action_indices)):
+            action = env.action_space.action(idx)
+            key = (env.state.key(), idx)
+            if key not in shared:
+                shared[key] = env.action_space.apply(env.state, action)
+            actions.append(action)
+            successors.append(shared[key])
+        return actions, successors
+
+    def _step_batched(self, actions, successors) -> "list[StepResult]":
         """One evaluator batch for all successors, one for all reset starts."""
         envs = self.envs
-        actions = [
-            env.action_space.action(int(idx)) for env, idx in zip(envs, action_indices)
-        ]
-        successors = [
-            env.action_space.apply(env.state, action)
-            for env, action in zip(envs, actions)
-        ]
         metrics = self._batch_evaluator.evaluate_many(successors)
         results = [
             env.step(action, _next_state=nxt, _metrics=m)

@@ -47,6 +47,9 @@ class Adam:
     ):
         if lr <= 0:
             raise ValueError("learning rate must be positive")
+        if grad_clip is not None and not (np.isfinite(grad_clip) and grad_clip > 0):
+            # 0 would zero every gradient; a negative bound inverts np.clip's and sets every element to it.
+            raise ValueError(f"grad_clip must be None or a finite positive number, got {grad_clip}")
         self.params = list(params)
         self.lr = lr
         self.beta1 = beta1

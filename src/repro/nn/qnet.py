@@ -63,12 +63,16 @@ class QNetwork(Module):
         ``x`` (and ``dy`` in :meth:`backward`) is cast to the parameters' dtype on the way in: every op
         computes in the dtype it is handed, and a float64 batch would carry the whole pass in float64.
         """
-        x = np.asarray(x, dtype=self.dtype)
-        if x.ndim != 4 or x.shape[1] != NUM_INPUT_PLANES or x.shape[2] != self.n:
-            raise ValueError(f"expected (B,4,{self.n},{self.n}) input, got {x.shape}")
+        x = self._input(x)
         self._workspace.cursor = 0
         with self._workspace:  # the copy is the caller's; the workspace's array is the next pass's
             return self.head(self.body(x)).copy()
+
+    def _input(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=self.dtype)
+        if x.ndim != 4 or x.shape[1] != NUM_INPUT_PLANES or x.shape[2] != self.n:
+            raise ValueError(f"expected (B,4,{self.n},{self.n}) input, got {x.shape}")
+        return x
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         with self._workspace:
@@ -77,15 +81,32 @@ class QNetwork(Module):
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Inference-mode forward that leaves no layer holding a backward cache.
 
+        Each distinct input row runs once: rows are keyed by their bytes in
+        the network dtype (float64 rows that round to one float32 row are one
+        row), ``forward`` sees the distinct rows in first-seen order, and
+        their Q maps are gathered back into the caller's row order. This is
+        exact because an inference pass is row-independent bit for bit:
+        every convolution is the same per-row GEMM whatever the batch size,
+        and eval-mode batchnorm, LeakyReLU and the residual add are
+        elementwise. Lockstep replicas that start from the same two graphs
+        send many equal rows; a training ``forward`` never deduplicates
+        (batch statistics and per-row gradients need every row).
+
         The caches of a training ``forward`` still awaiting its ``backward``
         are dropped too, so that ``backward`` raises instead of
         differentiating this input. The arrays stay with the workspace, for
         the next pass to compute in.
         """
+        x = self._input(x)
+        seen: "dict[bytes, int]" = {}
+        firsts = [seen.setdefault(row.tobytes(), i) for i, row in enumerate(x)]
         was_training = self.training
         self.eval()
         try:
-            return self.forward(x)
+            if len(seen) == len(x):  # all distinct: copying rows in and out would cost ~1% of the pass
+                return self.forward(x)
+            first, inverse = np.unique(np.array(firsts, dtype=np.intp), return_inverse=True)
+            return self.forward(x[first])[inverse]
         finally:
             self.drop_caches()
             if was_training:

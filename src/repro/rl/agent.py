@@ -89,6 +89,8 @@ class ScalarizedDoubleDQN:
             raise ValueError("weights must be nonnegative and not both zero")
         if not 0.0 <= gamma <= 1.0:
             raise ValueError("gamma must be in [0, 1]")
+        if target_sync_every < 1:
+            raise ValueError(f"target_sync_every must be >= 1 gradient step, got {target_sync_every}")
         self._rng = ensure_rng(rng)
         self.n = n
         self.actions = ActionSpace(n)

@@ -1,11 +1,15 @@
 """VectorPrefixEnv, act_batch and the trainer's batched-collection path."""
 
+import json
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.cells import nangate45
 from repro.env import PrefixEnv, VectorPrefixEnv
 from repro.rl import ScalarizedDoubleDQN, Trainer, TrainerConfig
+from repro.rl.checkpoint import flatten_arrays
 from repro.synth import AnalyticalEvaluator, SynthesisCache, SynthesisEvaluator
 
 
@@ -191,6 +195,79 @@ class TestBatchedSynthesisEvaluation:
             serial.append(record(results, states))
 
         assert batched == serial
+
+
+def two_choices(masks):
+    """Replica i takes its first or second legal action by parity, so
+    replicas at one state mostly coincide and sometimes part."""
+    picks = []
+    for i, mask in enumerate(masks):
+        legal = np.nonzero(mask)[0]
+        picks.append(int(legal[i % min(2, legal.size)]))
+    return picks
+
+
+def state_bytes(state):
+    """A state_dict as the checkpoint writes it: JSON plus raw array bytes."""
+    arrays = {}
+    payload = json.dumps(flatten_arrays(state, arrays), sort_keys=True)
+    return payload, {k: (a.dtype.str, a.shape, a.tobytes()) for k, a in arrays.items()}
+
+
+class TestSharedSuccessors:
+    """A round applies each distinct (state, action) once: replicas that
+    coincide share one successor object, and nothing a replica records moves."""
+
+    E = 8
+
+    def _replicas(self, path):
+        """The vector env, and same-seeded bare envs holding an evaluator each."""
+        if path == "self-stepping":  # distinct analytical evaluators step themselves
+            n, make = 6, AnalyticalEvaluator
+            evaluators = [make() for _ in range(self.E)]
+        else:  # one synthesis evaluator batches the round
+            n, make = 5, partial(SynthesisEvaluator, nangate45())
+            evaluators = [make()] * self.E
+        vector = VectorPrefixEnv([PrefixEnv(n, e, horizon=3, rng=s) for s, e in enumerate(evaluators)])
+        bare = [PrefixEnv(n, make(), horizon=3, rng=s) for s in range(self.E)]
+        return vector, bare
+
+    @pytest.mark.parametrize("path", ["self-stepping", "batched"])
+    def test_one_successor_per_distinct_state_action(self, path):
+        venv, _ = self._replicas(path)
+        assert (venv._batch_evaluator is None) == (path == "self-stepping")
+        venv.reset()
+        for round_ in range(5):
+            states = venv.states
+            actions = two_choices(venv.legal_masks())
+            results = venv.step(actions)
+            successors = {}
+            for state, action, result in zip(states, actions, results):
+                successors.setdefault((state.key(), action), set()).add(id(result.next_state))
+            assert all(len(ids) == 1 for ids in successors.values())
+            assert len({id(r.next_state) for r in results}) == len(successors)
+            if round_ == 0:  # two start states and two choices: duplicates are forced
+                assert len(successors) < self.E
+
+    @pytest.mark.parametrize("path", ["self-stepping", "batched"])
+    def test_replicas_record_what_bare_envs_record(self, path):
+        venv, bare = self._replicas(path)
+        venv.reset()
+        states = [env.reset() for env in bare]
+        for _ in range(5):
+            actions = two_choices(venv.legal_masks())
+            assert actions == two_choices([env.legal_mask(s) for env, s in zip(bare, states)])
+            got = venv.step(actions)
+            want = [env.step(env.action_space.action(a)) for env, a in zip(bare, actions)]
+            states = [env.reset() if r.done else r.next_state for env, r in zip(bare, want)]
+            for g, w in zip(got, want):
+                assert g.reward.tobytes() == w.reward.tobytes()
+                assert (g.done, g.info, g.next_state.key()) == (w.done, w.info, w.next_state.key())
+            assert [s.key() for s in venv.states] == [s.key() for s in states]
+        for vector_env, env in zip(venv.envs, bare):
+            assert vector_env.archive.num_seen == env.archive.num_seen
+            assert vector_env.archive.points() == env.archive.points()
+        assert state_bytes(venv.state_dict()) == state_bytes({"envs": [env.state_dict() for env in bare]})
 
 
 class TestActBatch:

@@ -215,6 +215,17 @@ class TestOptimizers:
         with pytest.raises(ValueError):
             SGD([], lr=-1.0)
 
+    @pytest.mark.parametrize("clip", [0.0, -1.0, float("inf"), float("nan")])
+    def test_grad_clip_must_be_finite_positive(self, clip):
+        # 0 would clip every gradient to 0; np.clip(g, 1, -1) sets every element to -1.
+        with pytest.raises(ValueError, match="grad_clip"):
+            Adam([Parameter(np.zeros(3))], grad_clip=clip)
+
+    def test_grad_clip_none_or_positive_builds(self):
+        p = Parameter(np.zeros(3))
+        assert Adam([p], grad_clip=None).grad_clip is None
+        assert Adam([p], grad_clip=1e-3).grad_clip == 1e-3
+
     def test_training_reduces_loss(self, gen):
         net = QNetwork(n=6, blocks=1, channels=8, rng=3)
         opt = Adam(net.parameters(), lr=1e-3)

@@ -120,6 +120,13 @@ class TestLearning:
         losses = [agent.train_step(batch) for _ in range(30)]
         assert np.mean(losses[-5:]) < np.mean(losses[:5])
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_target_sync_every_below_one_is_refused(self, k):
+        # 0 used to build and then divide by zero at the first gradient step;
+        # -3 silently synced every 3 steps.
+        with pytest.raises(ValueError, match="target_sync_every"):
+            make_agent(target_sync_every=k)
+
     def test_target_sync_cadence(self):
         agent = make_agent(target_sync_every=3, lr=1e-2)
         batch = make_batch(agent, size=4)
