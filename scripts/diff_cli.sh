@@ -41,6 +41,7 @@ COMMANDS=(
     # Flag names, defaults and help of the training and cluster commands
     # (argparse wraps at 80 columns when stdout is not a terminal).
     "train --help"
+    "sweep --help"
     "serve-learner --help"
     "cluster --help"
     "actor --help"

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 
@@ -157,14 +159,20 @@ def _calibrated_scaling(library, width: int):
     return calibrate_scaling(calib)
 
 
-def _make_agent(args):
-    """The agent ``train``, ``serve-learner`` and ``cluster`` all train."""
-    from repro.rl import ScalarizedDoubleDQN
+# The episode length every training command runs; fixed, not a flag.
+_HORIZON = 24
 
-    return ScalarizedDoubleDQN(
-        args.width, w_area=args.w_area, w_delay=1 - args.w_area,
-        blocks=args.blocks, channels=args.channels, lr=3e-4, rng=args.seed,
-    )
+
+def _agent_kwargs(args) -> dict:
+    """The network shape and learning rate every training command's agents get."""
+    return dict(blocks=args.blocks, channels=args.channels, lr=3e-4)
+
+
+def _trainer_config(args):
+    """Every training command's trainer config; only the step budget is a flag."""
+    from repro.rl import TrainerConfig
+
+    return TrainerConfig(steps=args.steps, batch_size=8, warmup_steps=16)
 
 
 def _runtime_config(args):
@@ -179,28 +187,42 @@ def _runtime_config(args):
 
 
 def _cluster_config(args):
-    """A cluster command's :class:`ClusterConfig`, built once from its flags;
-    an out-of-range value exits with the message naming its field."""
+    """A fleet command's :class:`ClusterConfig`, built once from the flags
+    named after its fields; an out-of-range value exits with the message
+    naming its field."""
     from repro.net.config import ClusterConfig
 
     try:
-        return ClusterConfig.from_args(args)
+        return ClusterConfig(**{f.name: getattr(args, f.name) for f in fields(ClusterConfig) if hasattr(args, f.name)})
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
 
 
+def _training_setup(args):
+    """What ``train`` and the cluster learners build alike, so a cluster
+    learner and a local ``train`` run score designs identically: the
+    runtime config, the library and its calibrated ``(c_area, c_delay)``,
+    the agent and the trainer config."""
+    from repro.rl import ScalarizedDoubleDQN
+
+    runtime_config = _runtime_config(args)
+    library = _library(args.library)
+    scaling = _calibrated_scaling(library, args.width)
+    agent = ScalarizedDoubleDQN(
+        args.width, w_area=args.w_area, w_delay=1 - args.w_area, rng=args.seed, **_agent_kwargs(args)
+    )
+    return runtime_config, library, scaling, agent, _trainer_config(args)
+
+
 def cmd_train(args) -> int:
     from repro.env import PrefixEnv
-    from repro.rl import TrainerConfig, TrainingRuntime
+    from repro.rl import TrainingRuntime
     from repro.store import make_store
     from repro.synth import SynthesisEvaluator
 
     _check_training_args(args)
     _require_checkpoint_dir(args)
-    runtime_config = _runtime_config(args)
-
-    library = _library(args.library)
-    c_area, c_delay = _calibrated_scaling(library, args.width)
+    runtime_config, library, (c_area, c_delay), agent, config = _training_setup(args)
     # Default: the in-memory SynthesisCache (repr unchanged). With
     # --store-dir: a memory front over a durable DiskStore, so a rerun
     # against the same directory starts warm.
@@ -209,11 +231,9 @@ def cmd_train(args) -> int:
         library, w_area=args.w_area, w_delay=1 - args.w_area,
         cache=cache, c_area=c_area, c_delay=c_delay,
     )
-    env = PrefixEnv(args.width, evaluator, horizon=24, rng=args.seed)
-    config = TrainerConfig(steps=args.steps, batch_size=8, warmup_steps=16)
+    env = PrefixEnv(args.width, evaluator, horizon=_HORIZON, rng=args.seed)
     runtime = TrainingRuntime(
-        env, _make_agent(args), config, runtime_config,
-        checkpoint_dir=args.checkpoint_dir, rng=args.seed,
+        env, agent, config, runtime_config, checkpoint_dir=args.checkpoint_dir, rng=args.seed,
     )
     history = runtime.run(
         steps=None if args.resume else args.steps, resume=args.resume
@@ -230,33 +250,27 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _cluster_pieces(args, cluster_config):
-    """Shared setup of the cluster-side learner (serve-learner/cluster).
-
-    Shares ``cmd_train``'s calibration and agent so a cluster learner and a
-    local ``train`` run score designs identically; the resulting constants
-    ride to actors inside the ClusterSpec instead of being recomputed there,
-    beside ``cluster_config`` — where the learner reads its fleet knobs.
-    """
+def _learner(args):
+    """The fleet config and cluster learner runtime of ``serve-learner`` and
+    ``cluster``: every flag is checked before anything is built. The
+    calibration constants ride to actors inside the ClusterSpec instead of
+    being recomputed there, beside the fleet config the learner reads."""
     from repro.net import ClusterSpec
-    from repro.rl import TrainerConfig
+    from repro.rl import TrainingRuntime
 
-    runtime_config = _runtime_config(args)
-    library = _library(args.library)
-    c_area, c_delay = _calibrated_scaling(library, args.width)
-
-    agent = _make_agent(args)
+    _check_training_args(args)
+    fleet = _cluster_config(args)
+    _require_checkpoint_dir(args)
+    _configure_obs(fleet, "learner")
+    runtime_config, _lib, (c_area, c_delay), agent, config = _training_setup(args)
     spec = ClusterSpec.for_agent(
-        agent,
-        horizon=24,
-        library=args.library,
-        c_area=c_area,
-        c_delay=c_delay,
-        seed=args.seed,
-        config=cluster_config,
+        agent, horizon=_HORIZON, library=args.library, c_area=c_area, c_delay=c_delay,
+        seed=args.seed, config=fleet,
     )
-    config = TrainerConfig(steps=args.steps, batch_size=8, warmup_steps=16)
-    return agent, spec, config, runtime_config
+    runtime = TrainingRuntime(
+        None, agent, config, runtime_config, checkpoint_dir=args.checkpoint_dir, rng=args.seed, cluster=spec,
+    )
+    return fleet, runtime
 
 
 def _print_cluster_summary(history) -> None:
@@ -310,17 +324,7 @@ def _print_fleet_summary(runtime, supervisor=None) -> None:
 
 
 def cmd_serve_learner(args) -> int:
-    from repro.rl import TrainingRuntime
-
-    _check_training_args(args)
-    fleet = _cluster_config(args)
-    _require_checkpoint_dir(args)
-    _configure_obs(fleet, "learner")
-    agent, spec, config, runtime_config = _cluster_pieces(args, fleet)
-    runtime = TrainingRuntime(
-        None, agent, config, runtime_config,
-        checkpoint_dir=args.checkpoint_dir, rng=args.seed, cluster=spec,
-    )
+    _fleet, runtime = _learner(args)
     host, port = runtime.bind()
     print(f"learner listening on {host}:{port}", flush=True)
     # 0.0.0.0 accepts from anywhere but is not a dialable address.
@@ -409,17 +413,8 @@ def cmd_cluster(args) -> int:
         run_local_cluster,
         stop_farm_workers,
     )
-    from repro.rl import TrainingRuntime
 
-    _check_training_args(args)
-    fleet = _cluster_config(args)
-    _require_checkpoint_dir(args)
-    _configure_obs(fleet, "learner")
-    agent, spec, config, runtime_config = _cluster_pieces(args, fleet)
-    runtime = TrainingRuntime(
-        None, agent, config, runtime_config,
-        checkpoint_dir=args.checkpoint_dir, rng=args.seed, cluster=spec,
-    )
+    fleet, runtime = _learner(args)
     supervisor = FleetSupervisor(
         restart_budget=fleet.restart_budget,
         on_event=_fleet_event,
@@ -543,6 +538,7 @@ def cmd_stats(args) -> int:
     from repro.net.protocol import ProtocolError, RemoteError, connect, parse_address
     from repro.obs.report import render_fleet
 
+    _require(0 < args.interval < math.inf, "--interval", args.interval, "must be finite and > 0")
     address = parse_address(args.connect)
     try:
         conn, _welcome = connect(address, role="observer")
@@ -569,6 +565,7 @@ def cmd_stats(args) -> int:
 def cmd_obs_report(args) -> int:
     from repro.obs.report import render_report
 
+    _require(args.rounds >= 0, "--rounds", args.rounds, "must be >= 0")
     if not Path(args.obs_dir).is_dir():
         print(f"obs report: no such directory: {args.obs_dir}", file=sys.stderr)
         return 1
@@ -577,7 +574,6 @@ def cmd_obs_report(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from repro.rl import TrainerConfig
     from repro.rl.sweep import pareto_sweep, weight_grid
     from repro.synth import AnalyticalEvaluator
 
@@ -588,9 +584,9 @@ def cmd_sweep(args) -> int:
         evaluator_factory=lambda wa, wd: AnalyticalEvaluator(wa, wd),
         weights=weight_grid(args.weights),
         steps_per_weight=args.steps,
-        agent_kwargs=dict(blocks=args.blocks, channels=args.channels, lr=3e-4),
-        trainer_config=TrainerConfig(batch_size=8, warmup_steps=16),
-        horizon=24,
+        agent_kwargs=_agent_kwargs(args),
+        trainer_config=_trainer_config(args),
+        horizon=_HORIZON,
         seed=args.seed,
     )
     print("merged analytical frontier (area, delay):")
@@ -607,6 +603,120 @@ def cmd_render(args) -> int:
     if args.grid:
         print(render_grid(graph))
     return 0
+
+
+# Every flag of the training and fleet commands, declared once: dest name ->
+# argparse keywords, with the help text the CLI ships. A flag named after a
+# ClusterConfig field takes the field's default. ``width`` is positional.
+_FLAGS = {
+    "width": dict(type=int, nargs="?", default=8),
+    "weights": dict(type=int, default=3),
+    "steps": dict(type=int, default=150, help="env-step budget (ignored with --resume)"),
+    "w_area": dict(type=float, default=0.5),
+    "blocks": dict(type=int, default=1),
+    "channels": dict(type=int, default=8),
+    "library": dict(default="nangate45"),
+    "seed": dict(type=int, default=0),
+    "connect": dict(required=True, metavar="HOST:PORT", help="learner address (printed by serve-learner)"),
+    "farm": dict(
+        action="append", metavar="HOST:PORT[,HOST:PORT...]",
+        help="route this actor's leased synthesis to farm-worker daemons (repeat or comma-separate for several)",
+    ),
+    "actors": dict(type=int, help="actor process slots (replay shards)"),
+    "envs_per_actor": dict(type=int, help="lockstep env replicas per actor process"),
+    "publish_every": dict(type=int, help="gradient steps between weight publications"),
+    "farm_workers": dict(
+        type=int,
+        help="also spawn this many farm-worker daemons and point every actor's synthesis at them",
+    ),
+    "restart_budget": dict(
+        type=int,
+        help="crash respawns allowed per fleet child before its death counts as a launcher failure",
+    ),
+    "listen": dict(help="learner bind address (default: loopback, ephemeral port)"),
+    "heartbeat_timeout": dict(
+        type=float,
+        help="drop an actor silent this long (seconds); must exceed one acting round's synthesis time",
+    ),
+    "cluster_wait": dict(type=float, help="abort if no actor is connected for this long (seconds)"),
+    "reconnect_attempts": dict(
+        type=int,
+        help="consecutive failed redials tolerated before the supervised reconnect loop gives up",
+    ),
+    "store_dir": dict(
+        help="persistent content-addressed curve store directory: synthesized curves are durable across "
+             "restarts, so a rerun against the same dir starts warm (default: in-memory only)",
+    ),
+    "checkpoint_dir": dict(help="checkpoint root (cluster checkpoints capture the learner state)"),
+    "checkpoint_every": dict(type=int, default=0, help="env steps between checkpoints (0: only at halt/completion)"),
+    "stop_after": dict(type=int, help="checkpoint and halt at this env step (simulated preemption)"),
+    "resume": dict(action="store_true", help="resume from the latest checkpoint in --checkpoint-dir"),
+    "front_cache": dict(type=int, help="actor-local front cache entries over the shared cache"),
+    "backpressure_lag": dict(
+        type=int,
+        help="gradient-cadence deficit beyond which push replies carry a throttle hint (0 disables backpressure)",
+    ),
+    "throttle_seconds": dict(
+        type=float, help="seconds an actor pauses when the learner signals backpressure",
+    ),
+    "obs_dir": dict(
+        help="write structured observability events (JSONL, one file per process) under this directory; "
+             "cluster mode forwards the flag to every spawned actor and farm worker (default: off)",
+    ),
+}
+
+_TRAINING = ("width", "steps", "w_area", "blocks", "channels", "library", "seed")
+_LEARNER = _TRAINING + (
+    "actors", "envs_per_actor", "publish_every", "listen", "heartbeat_timeout", "cluster_wait", "store_dir",
+    "checkpoint_dir", "checkpoint_every", "stop_after", "resume", "backpressure_lag", "throttle_seconds", "obs_dir",
+)
+
+# Each command's flags in ``--help`` order, and the keywords where its
+# shipped flag differs from the table's.
+_COMMANDS = {
+    "train": (
+        _TRAINING + ("checkpoint_dir", "checkpoint_every", "stop_after", "resume", "store_dir"),
+        {
+            "steps": dict(help="env-step budget (ignored with --resume: the checkpoint's budget is used)"),
+            "checkpoint_dir": dict(help="checkpoint root (enables checkpointing)"),
+            "stop_after": dict(
+                help="checkpoint and halt at this env step (simulated preemption); exact for train's one env, "
+                     "while a runtime over E lockstep replicas halts at the first round boundary at or past it, "
+                     "the point a resume continues from bit-identically",
+            ),
+        },
+    ),
+    "sweep": (("width", "weights", "steps", "blocks", "channels", "seed"), {"steps": dict(default=300, help=None)}),
+    "serve-learner": (_LEARNER, {}),
+    "cluster": (_LEARNER + ("farm_workers", "restart_budget"), {}),
+    "actor": (
+        ("connect", "farm", "front_cache", "heartbeat_timeout", "reconnect_attempts", "obs_dir"),
+        {"heartbeat_timeout": dict(default=300.0, help="give up if the learner is silent this long (seconds)")},
+    ),
+    "farm-worker": (
+        ("listen", "store_dir", "obs_dir"),
+        {
+            "listen": dict(help="bind address (default: loopback, ephemeral port)"),
+            "store_dir": dict(
+                help="persistent curve store directory: serve synth_batch tasks from the store when the curve "
+                     "is already known, append fresh curves for future runs",
+            ),
+        },
+    ),
+}
+
+
+def _add_flags(parser, command: str) -> None:
+    """Register ``command``'s flags from the table."""
+    from repro.net.config import ClusterConfig
+
+    field_defaults = {f.name: f.default for f in fields(ClusterConfig)}
+    names, overrides = _COMMANDS[command]
+    for name in names:
+        kwargs = {**_FLAGS[name], **overrides.get(name, {})}
+        if name in field_defaults:
+            kwargs.setdefault("default", field_defaults[name])
+        parser.add_argument(name if name == "width" else "--" + name.replace("_", "-"), **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -634,73 +744,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--library", default="nangate45")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="synthesis-in-the-loop RL training")
-    p.add_argument("width", type=int, nargs="?", default=8)
-    p.add_argument("--steps", type=int, default=150,
-                   help="env-step budget (ignored with --resume: the checkpoint's budget is used)")
-    p.add_argument("--w-area", type=float, default=0.5)
-    p.add_argument("--blocks", type=int, default=1)
-    p.add_argument("--channels", type=int, default=8)
-    p.add_argument("--library", default="nangate45")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--checkpoint-dir", default=None,
-                   help="checkpoint root (enables checkpointing)")
-    p.add_argument("--checkpoint-every", type=int, default=0,
-                   help="env steps between checkpoints (0: only at halt/completion)")
-    p.add_argument("--stop-after", type=int, default=None,
-                   help="checkpoint and halt at this env step (simulated preemption); "
-                        "exact for train's one env, while a runtime over E lockstep "
-                        "replicas halts at the first round boundary at or past it, "
-                        "the point a resume continues from bit-identically")
-    p.add_argument("--resume", action="store_true",
-                   help="resume from the latest checkpoint in --checkpoint-dir")
-    p.add_argument("--store-dir", default=None,
-                   help="persistent content-addressed curve store directory: "
-                        "synthesized curves are durable across restarts, so a rerun "
-                        "against the same dir starts warm (default: in-memory only)")
-    p.set_defaults(func=cmd_train)
-
-    from repro.net.config import ClusterConfig
-
-    def add_cluster_common(p, command):
-        p.add_argument("width", type=int, nargs="?", default=8)
-        p.add_argument("--steps", type=int, default=150,
-                       help="env-step budget (ignored with --resume)")
-        p.add_argument("--w-area", type=float, default=0.5)
-        p.add_argument("--blocks", type=int, default=1)
-        p.add_argument("--channels", type=int, default=8)
-        p.add_argument("--library", default="nangate45")
-        p.add_argument("--seed", type=int, default=0)
-        # Fleet knobs live on the ClusterConfig dataclass; the CLI is a
-        # thin parser over it (field defaults ARE the flag defaults).
-        ClusterConfig.add_arguments(p, command)
-
-    p = sub.add_parser(
-        "serve-learner",
-        help="run a cluster learner server and wait for remote actors",
-    )
-    add_cluster_common(p, "serve-learner")
-    p.set_defaults(func=cmd_serve_learner)
-
-    p = sub.add_parser("actor", help="run one remote actor against a learner")
-    p.add_argument("--connect", required=True, metavar="HOST:PORT",
-                   help="learner address (printed by serve-learner)")
-    p.add_argument("--farm", action="append", metavar="HOST:PORT[,HOST:PORT...]",
-                   help="route this actor's leased synthesis to farm-worker "
-                        "daemons (repeat or comma-separate for several)")
-    ClusterConfig.add_arguments(p, "actor")
-    p.set_defaults(func=cmd_actor)
-
-    p = sub.add_parser(
-        "cluster",
-        help="localhost cluster: learner + N actor subprocesses",
-    )
-    add_cluster_common(p, "cluster")
-    p.set_defaults(func=cmd_cluster)
-
-    p = sub.add_parser("farm-worker", help="run a remote synthesis-farm worker")
-    ClusterConfig.add_arguments(p, "farm-worker")
-    p.set_defaults(func=cmd_farm_worker)
+    for command, func, help_text in (
+        ("train", cmd_train, "synthesis-in-the-loop RL training"),
+        ("serve-learner", cmd_serve_learner, "run a cluster learner server and wait for remote actors"),
+        ("actor", cmd_actor, "run one remote actor against a learner"),
+        ("cluster", cmd_cluster, "localhost cluster: learner + N actor subprocesses"),
+        ("farm-worker", cmd_farm_worker, "run a remote synthesis-farm worker"),
+    ):
+        p = sub.add_parser(command, help=help_text)
+        _add_flags(p, command)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("stats", help="live fleet metrics from a learner")
     p.add_argument("--connect", required=True, metavar="HOST:PORT",
@@ -722,12 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
     rp.set_defaults(func=cmd_obs_report)
 
     p = sub.add_parser("sweep", help="multi-weight analytical sweep")
-    p.add_argument("width", type=int, nargs="?", default=8)
-    p.add_argument("--weights", type=int, default=3)
-    p.add_argument("--steps", type=int, default=300)
-    p.add_argument("--blocks", type=int, default=1)
-    p.add_argument("--channels", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    _add_flags(p, "sweep")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("render", help="render a design")

@@ -1,17 +1,20 @@
-"""ClusterConfig: one dataclass behind the four cluster commands' flags.
+"""ClusterConfig and the CLI flag table that exposes it.
 
-The dataclass is the source of truth (field defaults ARE the CLI
-defaults); these tests pin the flag names and defaults each command has
-always shipped, so the consolidation cannot drift the CLI — the same
-contract the differential-CLI gate checks end to end.
+The dataclass holds each fleet knob's default and range check; ``cli.py``'s
+one flag table declares every flag and takes a field's default from the
+dataclass. These tests pin the flag names and defaults each command has
+always shipped, so the table cannot drift the CLI — the same contract the
+differential-CLI gate checks end to end.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict
+import math
+from dataclasses import asdict, fields
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser
 from repro.net import ClusterConfig, ClusterSpec
 
@@ -63,16 +66,34 @@ class TestFlagContract:
         got = self._defaults("farm-worker")
         assert got["listen"] == "127.0.0.1:0"
         assert got["store_dir"] is None
-        assert ClusterConfig.COMMAND_FIELDS["farm-worker"] == ("listen", "store_dir", "obs_dir")
-
-    def test_unknown_command_rejected(self):
-        import argparse
-
-        with pytest.raises(ValueError, match="unknown cluster command"):
-            ClusterConfig.add_arguments(argparse.ArgumentParser(), "nonsense")
+        assert set(got) == {"command", "func", "listen", "store_dir", "obs_dir"}
 
 
-class TestFromArgs:
+class TestFlagTable:
+    def test_every_command_flag_is_declared(self):
+        for command, (names, overrides) in cli._COMMANDS.items():
+            assert set(names) <= set(cli._FLAGS), command
+            assert set(overrides) <= set(names), command
+
+    def test_every_field_is_a_flag_with_the_field_default(self):
+        """Each ClusterConfig field is settable from at least one command,
+        and every command that exposes it defaults to the field's default —
+        except the standalone actor's longer heartbeat."""
+        parser = build_parser()
+        required = {"actor": ["--connect", "h:1"]}
+        parsed = {
+            command: vars(parser.parse_args([command, *required.get(command, [])]))
+            for command in cli._COMMANDS
+        }
+        for field in fields(ClusterConfig):
+            exposing = [command for command, got in parsed.items() if field.name in got]
+            assert exposing, field.name
+            for command in exposing:
+                want = 300.0 if (command, field.name) == ("actor", "heartbeat_timeout") else field.default
+                assert parsed[command][field.name] == want, (command, field.name)
+
+
+class TestClusterConfigFromFlags:
     def test_parsed_flags_land_on_the_dataclass(self):
         parser = build_parser()
         args = parser.parse_args(
@@ -84,7 +105,7 @@ class TestFromArgs:
                 "--farm-workers", "2",
             ]
         )
-        cfg = ClusterConfig.from_args(args)
+        cfg = cli._cluster_config(args)
         assert cfg.actors == 3
         assert cfg.heartbeat_timeout == 12.5
         assert cfg.store_dir == "/tmp/curves"
@@ -92,11 +113,11 @@ class TestFromArgs:
         # Flags the command does not expose keep their field defaults.
         assert cfg.front_cache == 50_000
 
-    def test_missing_attrs_fall_back_to_field_defaults(self):
-        class Empty:
-            pass
-
-        assert ClusterConfig.from_args(Empty()) == ClusterConfig()
+    def test_flags_a_command_lacks_keep_their_field_defaults(self):
+        farm = cli._cluster_config(build_parser().parse_args(["farm-worker"]))
+        assert farm == ClusterConfig()
+        actor = cli._cluster_config(build_parser().parse_args(["actor", "--connect", "h:1"]))
+        assert actor == ClusterConfig(heartbeat_timeout=300.0)
 
 
 class TestSpecCarriage:
@@ -140,6 +161,10 @@ class TestRangeChecks:
             ("actors", 0), ("publish_every", 0), ("backpressure_lag", -1), ("throttle_seconds", -0.5),
             ("envs_per_actor", 0), ("front_cache", 0), ("farm_workers", -1),
             ("heartbeat_timeout", 0.0), ("heartbeat_timeout", -1.0),
+            ("restart_budget", -1), ("reconnect_attempts", -3),
+            ("cluster_wait", 0.0), ("cluster_wait", -1.0), ("cluster_wait", math.nan), ("cluster_wait", math.inf),
+            ("heartbeat_timeout", math.nan), ("heartbeat_timeout", math.inf),
+            ("throttle_seconds", math.nan), ("throttle_seconds", math.inf),
         ],
     )
     def test_rejects_out_of_range(self, field, value):
@@ -150,4 +175,5 @@ class TestRangeChecks:
         ClusterConfig(
             actors=1, envs_per_actor=1, publish_every=1, front_cache=1, farm_workers=0,
             heartbeat_timeout=0.001, backpressure_lag=0, throttle_seconds=0.0,
+            restart_budget=0, reconnect_attempts=0, cluster_wait=0.001,
         )

@@ -160,6 +160,8 @@ class TestClusterKnobRanges:
             (["cluster", "4", "--actors", "1", "--envs-per-actor", "0"], "envs_per_actor"),
             (["cluster", "4", "--farm-workers", "-1"], "farm_workers"),
             (["cluster", "4", "--heartbeat-timeout", "0"], "heartbeat_timeout"),
+            (["cluster", "4", "--restart-budget", "-1"], "restart_budget"),
+            (["serve-learner", "4", "--cluster-wait", "nan"], "cluster_wait"),
             (["serve-learner", "4", "--actors", "0"], "actors"),
             (["serve-learner", "4", "--publish-every", "0"], "publish_every"),
             (["actor", "--connect", "127.0.0.1:1", "--front-cache", "0"], "front_cache"),
@@ -198,6 +200,10 @@ class TestInputErrors:
             (["train", "--w-area", "1.5"], "--w-area", "1.5"),
             (["train", "--w-area", "-0.25"], "--w-area", "-0.25"),
             (["sweep", "--weights", "0"], "--weights", "0"),
+            (["stats", "--connect", "127.0.0.1:1", "--interval", "-1"], "--interval", "-1.0"),
+            (["stats", "--connect", "127.0.0.1:1", "--interval", "0"], "--interval", "0.0"),
+            (["stats", "--connect", "127.0.0.1:1", "--interval", "nan"], "--interval", "nan"),
+            (["obs", "report", "runs", "--rounds", "-1"], "--rounds", "-1"),
         ],
     )
     def test_out_of_range_argument_exits_naming_it(self, argv, argument, value, tmp_path, monkeypatch):
