@@ -8,7 +8,7 @@ the repo scales that with, at every deployment size:
   with one batched Q-network forward serving all of them per round
   (:class:`CollectStats` reports the steps/second achieved so the speedup
   over one-env acting is measurable); collection without a learner;
-- :class:`LearnerCore` — what one learner owns (history, sharded replay,
+- :class:`LearnerCore` — what one learner owns (history, the replay ring,
   the published policy in a :class:`PolicyHub`, the epsilon schedule and
   the step budget) and the two things an actor may ask of it:
   :meth:`~LearnerCore.pull` (weights, if newer) and
@@ -184,7 +184,7 @@ class PolicyHub:
 class LearnerCore:
     """What one learner owns, and the two things an actor may ask of it.
 
-    The history, the sharded replay buffer, the published policy, the
+    The history, the replay buffer, the published policy, the
     epsilon schedule and the step budget live here, whatever carries the
     actors' rounds in (a direct call, a frame off a socket). :meth:`ingest`
     is the only writer of the history's env-step side, so three properties
@@ -196,8 +196,9 @@ class LearnerCore:
     to yield for ``throttle_seconds``.
 
     ``lock`` guards the history and per-shard bookkeeping;
-    ``ingest_lock`` additionally serializes whole rounds, so holding it
-    keeps every round out (a checkpoint does, for a consistent snapshot).
+    ``ingest_lock`` additionally serializes whole rounds and guards the
+    one replay ring: every push runs under it, the learner samples under
+    it, and a checkpoint holds it for a consistent snapshot.
     """
 
     def __init__(
@@ -263,7 +264,7 @@ class LearnerCore:
         orders: ``{kept, env_steps, epsilon, stop, throttle}``.
 
         The budget may truncate the round; only the kept prefix enters
-        the replay shard.
+        the replay buffer.
         """
         with self.ingest_lock:
             with self.lock:
@@ -279,7 +280,7 @@ class LearnerCore:
                     if lag > self.backpressure_lag:
                         reply["throttle"] = self.throttle_seconds
                         self.throttled_batches += 1
-            push_round(self.buffer, round_, kept, shard)
+            push_round(self.buffer, round_, kept)
         obslib.counter("learner.push_batches").inc()
         obslib.counter("learner.transitions_kept").inc(kept)
         if reply["throttle"]:

@@ -4,7 +4,7 @@
 ``TrainingRuntime`` built with a :class:`ClusterSpec`) listens with. It
 exposes the learner's in-process services to remote actor *processes*:
 
-- ``join`` — an actor registers, is assigned a replay shard, and receives
+- ``join`` — an actor registers, is assigned an actor slot, and receives
   the :class:`ClusterSpec` (environment + network architecture) so the
   actor CLI needs nothing but ``--connect``;
 - ``pull_weights`` — versioned snapshots from the learner's
@@ -12,7 +12,8 @@ exposes the learner's in-process services to remote actor *processes*:
   publication), shipped only when the actor's version *and* content
   digest are both stale (digest-keyed pulls answer "unchanged" without
   re-shipping the npz);
-- ``push_batch`` — one acting round's transitions, handed to
+- ``push_batch`` — one acting round's transitions, checked against the
+  spec's shapes and action count, then handed to
   :meth:`repro.distributed.pipeline.LearnerCore.ingest`, which answers
   with the next epsilon, the stop flag and a throttle hint — so pausing
   ingest (checkpoint at a round boundary) and stopping the run are
@@ -67,6 +68,30 @@ _ROUND_LAYOUT = {
     "delays": np.float64,
     "dones": bool,
 }
+
+
+def _pin_round(batch: dict, n: int, num_actions: int) -> "tuple[dict, float]":
+    """A peer's round in :data:`_ROUND_LAYOUT` and its epsilon, or ``ValueError``
+    unless every field holds the same ``k >= 1`` rows at the width-``n`` shapes,
+    actions are in ``[0, num_actions)``, rewards finite and epsilon in [0, 1]."""
+    epsilon = float(batch["epsilon"])
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"malformed round: epsilon {epsilon} is outside [0, 1]")
+    round_ = {key: np.asarray(batch[key], dtype=dtype) for key, dtype in _ROUND_LAYOUT.items()}
+    k = len(round_["actions"]) if round_["actions"].ndim else 0
+    if k < 1:
+        raise ValueError("malformed round: it holds no transitions")
+    rows = {"states": (4, n, n), "next_states": (4, n, n), "next_masks": (num_actions,), "rewards": (2,)}
+    for key, value in round_.items():
+        want = (k, *rows.get(key, ()))
+        if value.shape != want:
+            raise ValueError(f"malformed round: {key} has shape {value.shape}, expected {want}")
+    actions = round_["actions"]
+    if not np.issubdtype(actions.dtype, np.integer) or actions.min() < 0 or actions.max() >= num_actions:
+        raise ValueError(f"malformed round: actions must be integers in [0, {num_actions}), got {actions.tolist()}")
+    if not np.isfinite(round_["rewards"]).all():
+        raise ValueError("malformed round: rewards must be finite")
+    return round_, epsilon
 
 
 @dataclass
@@ -148,7 +173,7 @@ class LearnerState(LearnerCore):
     # -- join / leave ----------------------------------------------------
 
     def join(self, session: "str | None" = None) -> "tuple[int, dict]":
-        """Assign (or reassign) a replay shard; elastic membership.
+        """Assign (or reassign) an actor slot ("shard"); elastic membership.
 
         An actor presenting the ``session`` token from an earlier join
         reclaims its own shard — episode-return accumulators survive the
@@ -180,7 +205,7 @@ class LearnerState(LearnerCore):
                 # Unknown token (learner restarted, or we were evicted):
                 # fall through to a fresh assignment.
             shard = None
-            for candidate in range(self.buffer.num_shards):
+            for candidate in range(self.spec.config.actors):
                 if candidate not in self.actors:
                     shard = candidate
                     break
@@ -190,7 +215,7 @@ class LearnerState(LearnerCore):
                     break
             if shard is None:
                 raise RuntimeError(
-                    f"cluster is full: all {self.buffer.num_shards} actor "
+                    f"cluster is full: all {self.spec.config.actors} actor "
                     "slots are taken"
                 )
             actor = {
@@ -252,10 +277,10 @@ class LearnerState(LearnerCore):
     def push_batch(
         self, actor_id: int, batch: dict, session: "str | None" = None
     ) -> dict:
-        """One remote acting round into :meth:`ingest`, for the session
-        that owns the shard; the reply adds the next round's trace."""
-        # The batch is outside input: pin the layout ingest relies on.
-        round_ = {key: np.asarray(batch[key], dtype=dtype) for key, dtype in _ROUND_LAYOUT.items()}
+        """One remote acting round into :meth:`ingest`, for the session that
+        owns the shard (a malformed round is refused whole, before any of it
+        is folded); the reply adds the next round's trace."""
+        round_, epsilon = _pin_round(batch, self.spec.width, self.agent.actions.size)
         with self.ingest_lock:
             with self.lock:
                 actor = self.actors.get(actor_id)
@@ -268,7 +293,7 @@ class LearnerState(LearnerCore):
                         f"stale session for actor {actor_id}: the shard was "
                         "reassigned (rejoin with your session token)"
                     )
-            reply = self.ingest(actor_id, round_, float(batch["epsilon"]))
+            reply = self.ingest(actor_id, round_, epsilon)
         reply["trace"] = self._mint_round_trace()
         return reply
 

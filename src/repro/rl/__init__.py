@@ -8,7 +8,7 @@ sweeps one scalarization weight; a Pareto frontier comes from sweeping
 several (Section V-A trains 15 agents with w in [0.10, 0.99]).
 """
 
-from repro.rl.replay import ReplayBuffer, ShardedReplayBuffer, Transition
+from repro.rl.replay import ReplayBuffer, Transition
 from repro.rl.schedule import LinearSchedule
 from repro.rl.agent import ScalarizedDoubleDQN, epsilon_greedy
 from repro.rl.trainer import (
@@ -27,7 +27,6 @@ __all__ = [
     "greedy_rollout",
     "RolloutResult",
     "ReplayBuffer",
-    "ShardedReplayBuffer",
     "Transition",
     "LinearSchedule",
     "ScalarizedDoubleDQN",

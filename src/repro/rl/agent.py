@@ -202,18 +202,6 @@ class ScalarizedDoubleDQN:
     # Policy publication (cluster actors)
     # ------------------------------------------------------------------
 
-    def snapshot_network(self) -> QNetwork:
-        """A detached inference copy of the local network.
-
-        Cluster actors act on snapshots like this
-        (refreshed whenever the learner publishes weights) instead of
-        racing the learner's in-place gradient updates.
-        """
-        net = QNetwork(self.n, blocks=self.local.blocks, channels=self.local.channels)
-        net.copy_from(self.local)
-        net.eval()
-        return net
-
     def publish_weights(self) -> "dict[str, np.ndarray]":
         """Detached copies of the local network's weights and buffers."""
         return {k: v.copy() for k, v in self.local.state_arrays().items()}

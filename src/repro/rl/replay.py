@@ -1,28 +1,22 @@
-"""Experience replay: array-backed ring buffers, optionally sharded.
+"""Experience replay: one array-backed ring buffer.
 
 Stores dense feature tensors plus next-state legal masks (needed for the
 masked double-DQN argmax) — the paper's setup ("an experience buffer with
-up to 4x10^5 elements"). Two implementations share one storage scheme:
+up to 4x10^5 elements"). :class:`ReplayBuffer` is one ring of preallocated
+arrays with fully vectorized sampling (a batch is one fancy-index per
+field, no Python loop over transitions); its RNG consumption is identical
+to the historical list-backed buffer, so trained trajectories are
+preserved bit for bit.
 
-- :class:`ReplayBuffer` — one ring of preallocated arrays with fully
-  vectorized sampling (a batch is one fancy-index per field, no Python
-  loop over transitions). Single-threaded; this is what the synchronous
-  :class:`repro.rl.Trainer` uses, and its RNG consumption is identical to
-  the historical list-backed buffer so trained trajectories are preserved
-  bit for bit.
-- :class:`ShardedReplayBuffer` — ``K`` independent rings, each behind its
-  own lock, for the cluster's actor–learner split: actors push to
-  their own shard (no cross-actor contention) while the learner samples
-  uniformly over the union, touching each shard's lock only for the
-  vectorized gather of the indices that landed in it.
-
-Both expose ``state_dict``/``load_state_dict`` so a checkpoint can capture
-the exact buffer contents, ring position and sampling-RNG stream.
+The buffer takes no lock of its own: a sync run is single-threaded, and
+the cluster learner pushes every round and samples every batch under
+:attr:`repro.distributed.LearnerCore.ingest_lock`. ``state_dict`` /
+``load_state_dict`` let a checkpoint capture the exact buffer contents,
+ring position and sampling-RNG stream.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,108 +138,3 @@ class ReplayBuffer:
         for name in _FIELDS:
             self._arrays[name][: self._size] = arrays[name]
 
-
-class ShardedReplayBuffer:
-    """``K`` ring shards behind per-shard locks, sampled as one buffer.
-
-    The cluster learner's buffer: each actor pushes to its own
-    shard (``push(t, shard=actor_index)``), so concurrent actors never
-    contend on a lock, and the learner's :meth:`sample` draws uniformly
-    over the union of shards — the global index space is split by a
-    cumulative-size ``searchsorted``, then each shard is gathered with one
-    vectorized fancy-index under its own lock.
-
-    Args:
-        capacity: total capacity, split evenly across shards (the first
-            ``capacity % num_shards`` shards get one extra slot).
-        num_shards: shard count (typically the number of actors).
-        rng: seed or generator for the learner's sampling draws.
-    """
-
-    def __init__(self, capacity: int, num_shards: int = 2, rng=None):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        if num_shards < 1:
-            raise ValueError("num_shards must be positive")
-        if capacity < num_shards:
-            raise ValueError(
-                f"capacity {capacity} cannot be split over {num_shards} shards"
-            )
-        self.capacity = capacity
-        self.num_shards = num_shards
-        self._rng = ensure_rng(rng)
-        base, extra = divmod(capacity, num_shards)
-        self.shards = [
-            ReplayBuffer(base + (1 if i < extra else 0)) for i in range(num_shards)
-        ]
-        self._locks = [threading.Lock() for _ in range(num_shards)]
-        self._round_robin = 0
-
-    def push(self, transition: Transition, shard: "int | None" = None) -> None:
-        """Insert into ``shard`` (actors pass their index) or round-robin."""
-        if shard is None:
-            shard = self._round_robin
-            self._round_robin = (shard + 1) % self.num_shards
-        i = shard % self.num_shards
-        with self._locks[i]:
-            self.shards[i].push(transition)
-
-    def __len__(self) -> int:
-        return sum(len(s) for s in self.shards)
-
-    def sample(self, batch_size: int) -> "dict[str, np.ndarray]":
-        """Uniform vectorized sample over the union of all shards."""
-        sizes = np.array([len(s) for s in self.shards], dtype=np.int64)
-        total = int(sizes.sum())
-        if not total:
-            raise ValueError("cannot sample from an empty buffer")
-        bounds = np.cumsum(sizes)
-        flat = self._rng.integers(total, size=batch_size)
-        owner = np.searchsorted(bounds, flat, side="right")
-        local = flat - (bounds - sizes)[owner]
-        batch: "dict[str, np.ndarray] | None" = None
-        for i in np.unique(owner):
-            pick = owner == i
-            with self._locks[i]:
-                part = self.shards[i].gather(local[pick])
-            if batch is None:
-                batch = {
-                    name: np.empty((batch_size, *arr.shape[1:]), dtype=arr.dtype)
-                    for name, arr in part.items()
-                }
-            for name, arr in part.items():
-                batch[name][pick] = arr
-        return batch
-
-    # -- persistence -----------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Snapshot of every shard plus the routing and sampling state."""
-        shards = []
-        for lock, shard in zip(self._locks, self.shards):
-            with lock:
-                shards.append(shard.state_dict())
-        return {
-            "capacity": self.capacity,
-            "num_shards": self.num_shards,
-            "round_robin": self._round_robin,
-            "rng": rng_state(self._rng),
-            "shards": shards,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot (layout must match)."""
-        if (
-            state["capacity"] != self.capacity
-            or state["num_shards"] != self.num_shards
-        ):
-            raise ValueError(
-                "sharded buffer layout mismatch: checkpoint has "
-                f"capacity={state['capacity']} shards={state['num_shards']}, live "
-                f"buffer has capacity={self.capacity} shards={self.num_shards}"
-            )
-        self._round_robin = int(state["round_robin"])
-        set_rng_state(self._rng, state["rng"])
-        for lock, shard, snap in zip(self._locks, self.shards, state["shards"]):
-            with lock:
-                shard.load_state_dict(snap)

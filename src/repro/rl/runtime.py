@@ -23,15 +23,16 @@ its inputs (a :class:`repro.net.ClusterSpec` makes a cluster run):
   (:class:`repro.distributed.pipeline.LearnerCore`) served over a
   :class:`repro.net.learner.LearnerServer` to
   :class:`repro.net.actor.RemoteActorWorker` *processes* (``repro actor
-  --connect``, ``repro cluster``), each filling its own shard of a
-  :class:`repro.rl.replay.ShardedReplayBuffer`. The learner takes
-  gradient steps whenever ``gradient_due`` says so (the sync stepper's
-  predicate) and publishes weights every ``publish_every`` of them.
+  --connect``, ``repro cluster``), whose rounds land in the same
+  :class:`repro.rl.replay.ReplayBuffer` ring a sync run fills. The
+  learner takes gradient steps whenever ``gradient_due`` says so (the
+  sync stepper's predicate), sampling under the ingest lock every push
+  holds, and publishes weights every ``publish_every`` of them.
   Environments live in (and are rebuilt by) the actors, so a cluster
   checkpoint carries the learner-owned state only.
 
 Both checkpoint through :class:`repro.rl.checkpoint.CheckpointManager`:
-Q-net weights, optimizer moments, replay shards, every RNG stream,
+Q-net weights, optimizer moments, the replay ring, every RNG stream,
 schedule position, environment and archive state, synthesis-cache
 contents and the accumulated :class:`~repro.rl.trainer.TrainingHistory`.
 """
@@ -44,7 +45,7 @@ from dataclasses import asdict, dataclass
 from repro import obs
 from repro.rl.agent import ScalarizedDoubleDQN
 from repro.rl.checkpoint import CheckpointError, CheckpointManager
-from repro.rl.replay import ReplayBuffer, ShardedReplayBuffer
+from repro.rl.replay import ReplayBuffer
 from repro.rl.trainer import (
     TrainerConfig,
     TrainingHistory,
@@ -53,7 +54,6 @@ from repro.rl.trainer import (
     make_loop,
 )
 from repro.store.api import make_store
-from repro.utils.rng import ensure_rng
 
 
 @dataclass
@@ -138,11 +138,6 @@ class TrainingRuntime:
                     f"ClusterSpec width {cluster.width} != agent width {agent.n}"
                 )
             self.env = None
-            self.buffer = ShardedReplayBuffer(
-                self.config.buffer_capacity,
-                num_shards=cluster.config.actors,
-                rng=ensure_rng(rng),
-            )
             # In-memory by default; with store_dir, a memory front over a
             # durable DiskStore — a restarted cluster starts warm.
             self._cluster_cache = make_store(cluster.config.store_dir)
@@ -154,7 +149,7 @@ class TrainingRuntime:
             if isinstance(env, (list, tuple)):
                 raise ValueError("the runtime takes a single environment, not a list")
             self.env = as_vector(env)
-            self.buffer = ReplayBuffer(self.config.buffer_capacity, rng=rng)
+        self.buffer = ReplayBuffer(self.config.buffer_capacity, rng=rng)
         self.cluster = cluster
         self._server = None
         self._state = None
@@ -297,6 +292,11 @@ class TrainingRuntime:
                 f"checkpoint was taken in {state['mode']!r} mode, "
                 f"this is a {self.mode!r} run"
             )
+        if "shards" in state["buffer"]:
+            raise CheckpointError(
+                "checkpoint holds the retired sharded replay layout (one ring per "
+                "actor slot); the cluster learner now keeps one ring and cannot resume it"
+            )
         saved_cfg = state["trainer_config"]
         live_cfg = asdict(self.config)
         drift = {
@@ -419,7 +419,9 @@ class TrainingRuntime:
             while not self._stop_requested(history):
                 env_steps = core.env_steps()
                 if gradient_due(len(self.buffer), core.gradient_steps(), env_steps, cfg):
-                    loss = self.agent.train_step(self.buffer.sample(cfg.batch_size))
+                    with core.ingest_lock:
+                        batch = self.buffer.sample(cfg.batch_size)
+                    loss = self.agent.train_step(batch)
                     core.record_loss(loss)
                     if history.gradient_steps % fleet.publish_every == 0:
                         core.hub.publish()

@@ -183,9 +183,9 @@ def fold_round(history: TrainingHistory, returns: list, w, round_: dict, epsilon
     return kept
 
 
-def push_round(buffer, round_: dict, kept: int, *shard) -> None:
-    """Push the first ``kept`` transitions of a round into ``buffer``
-    (``shard``: the target shard of a sharded buffer)."""
+def push_round(buffer: ReplayBuffer, round_: dict, kept: int) -> None:
+    """Push the first ``kept`` transitions of a round into ``buffer`` (the
+    cluster learner pushes, samples and checkpoints under ``ingest_lock``)."""
     for i in range(kept):
         buffer.push(
             Transition(
@@ -195,8 +195,7 @@ def push_round(buffer, round_: dict, kept: int, *shard) -> None:
                 next_state=round_["next_states"][i],
                 next_mask=round_["next_masks"][i],
                 done=bool(round_["dones"][i]),
-            ),
-            *shard,
+            )
         )
 
 

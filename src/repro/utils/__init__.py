@@ -7,7 +7,6 @@ ad-hoc environment probing (all scale knobs go through :func:`run_scale`).
 
 from repro.utils.rng import (
     ensure_rng,
-    rng_from_state,
     rng_state,
     set_rng_state,
     spawn_rngs,
@@ -19,7 +18,6 @@ __all__ = [
     "ensure_rng",
     "rng_state",
     "set_rng_state",
-    "rng_from_state",
     "spawn_rngs",
     "RunScale",
     "run_scale",

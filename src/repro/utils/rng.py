@@ -51,11 +51,6 @@ def set_rng_state(rng: np.random.Generator, state: dict) -> np.random.Generator:
     return rng
 
 
-def rng_from_state(state: dict) -> np.random.Generator:
-    """Build a fresh generator positioned at a :func:`rng_state` snapshot."""
-    return set_rng_state(np.random.default_rng(0), state)
-
-
 def spawn_rngs(rng: "int | np.random.Generator | None", count: int) -> list:
     """Split ``rng`` into ``count`` independent child generators.
 

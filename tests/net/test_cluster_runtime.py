@@ -10,6 +10,7 @@ from __future__ import annotations
 import threading
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from repro.net import ClusterConfig, ClusterSpec, RemoteActorWorker
@@ -247,19 +248,25 @@ class TestClusterCheckpoint:
             resumed._server.stop()
             resumed._server = None
 
-    def test_resume_with_different_actor_count_rejected(self, tmp_path):
+    def test_resume_with_different_actor_count_keeps_the_ring(self, tmp_path):
+        """The replay is one ring whatever the slot count: a learner with
+        three actor slots resumes a two-slot run's checkpoint whole."""
         ckpt = tmp_path / "ckpt"
         runtime = make_runtime(steps=12, checkpoint_dir=ckpt)
         run_with_actors(runtime)
 
-        mismatched = make_runtime(steps=12, actors=3, checkpoint_dir=ckpt)
-        mismatched.bind()
+        resized = make_runtime(steps=12, actors=3, checkpoint_dir=ckpt)
+        resized.bind()
         try:
-            with pytest.raises(ValueError, match="layout mismatch"):
-                mismatched._load(None)
+            resized._load(None)
         finally:
-            mismatched._server.stop()
-            mismatched._server = None
+            resized._server.stop()
+            resized._server = None
+        assert len(resized.buffer) == len(runtime.buffer) == 12
+        rows = np.arange(12)
+        saved, loaded = runtime.buffer.gather(rows), resized.buffer.gather(rows)
+        for key in saved:
+            np.testing.assert_array_equal(loaded[key], saved[key])
 
     def test_mode_mismatch_rejected(self, tmp_path):
         ckpt = tmp_path / "ckpt"

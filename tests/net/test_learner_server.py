@@ -1,4 +1,4 @@
-"""LearnerServer services: join/shards, weight versioning, ingest, cache.
+"""LearnerServer services: join/slots, weight versioning, ingest, cache.
 
 Exercises the server through real sockets (loopback) but with hand-rolled
 clients, so each service's contract is pinned independently of the actor
@@ -7,13 +7,19 @@ loop that normally drives them.
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from dataclasses import asdict
 
+from repro.env.actions import ActionSpace
 from repro.net import (
     MEMBERSHIP_KEYS,
+    ClusterConfig,
     ClusterSpec,
     LearnerServer,
     LearnerState,
@@ -24,7 +30,7 @@ from repro.net import (
 from repro.net.protocol import decode_payload, encode_payload
 from repro.nn import QNetwork
 from repro.rl import ScalarizedDoubleDQN, TrainerConfig
-from repro.rl.replay import ShardedReplayBuffer
+from repro.rl.replay import ReplayBuffer
 from repro.rl.trainer import TrainingHistory
 from repro.synth.curve import AreaDelayCurve
 
@@ -35,7 +41,7 @@ def server():
     config = TrainerConfig(steps=10, batch_size=4, warmup_steps=4)
     state = LearnerState(
         agent=agent,
-        buffer=ShardedReplayBuffer(100, num_shards=2, rng=0),
+        buffer=ReplayBuffer(100, rng=0),
         history=TrainingHistory(),
         config=config,
         total=10,
@@ -54,11 +60,11 @@ def dial(srv):
 
 
 def make_batch(k: int, n: int = 4, done=None):
-    A = 2 * n * n
+    A = ActionSpace(n).size  # the agent's action count (agent.actions.size)
     return {
         "epsilon": 0.5,
         "states": np.zeros((k, 4, n, n)),
-        "actions": np.arange(k),
+        "actions": np.arange(k) % A,
         "rewards": np.ones((k, 2)) * 0.25,
         "next_states": np.zeros((k, 4, n, n)),
         "next_masks": np.ones((k, A), dtype=bool),
@@ -169,6 +175,26 @@ class TestWeights:
         conn.close(bye=True)
 
 
+def _with(batch: dict, **fields) -> dict:
+    return {**batch, **fields}
+
+
+# A well-formed round (n=4, A=6, k=4) with one flaw each.
+MALFORMED = {
+    "rewards_one_row_short": lambda: _with(make_batch(4), rewards=np.ones((3, 2))),
+    "width_8_round": lambda: make_batch(4, n=8),
+    "action_index_40": lambda: _with(make_batch(4), actions=np.array([0, 1, 40, 2])),
+    "negative_action": lambda: _with(make_batch(4), actions=np.array([0, -1, 2, 3])),
+    "fractional_actions": lambda: _with(make_batch(4), actions=np.arange(4) + 0.5),
+    "masks_of_another_action_count": lambda: _with(make_batch(4), next_masks=np.ones((4, 32), dtype=bool)),
+    "areas_one_row_long": lambda: _with(make_batch(4), areas=np.full(5, 7.0)),
+    "empty_round": lambda: make_batch(0),
+    "infinite_reward": lambda: _with(make_batch(4), rewards=np.full((4, 2), np.inf)),
+    "nan_epsilon": lambda: _with(make_batch(4), epsilon=float("nan")),
+    "epsilon_above_one": lambda: _with(make_batch(4), epsilon=1.5),
+}
+
+
 class TestIngest:
     def test_push_records_history_and_buffer(self, server):
         srv, state = server
@@ -179,7 +205,7 @@ class TestIngest:
         assert reply["stop"] is False
         assert state.history.areas == [7.0, 7.0]
         assert len(state.history.episode_returns) == 1
-        assert len(state.buffer.shards[actor_id]) == 2
+        assert len(state.buffer) == 2
         conn.close(bye=True)
 
     def test_states_from_a_float64_peer_are_ingested_as_float32(self, server):
@@ -187,17 +213,36 @@ class TestIngest:
         to float32 as it pins rewards to float64, whatever the peer sent."""
         srv, state = server
         conn = dial(srv)
-        actor_id = conn.call("join")["actor_id"]
+        conn.call("join")
         batch = make_batch(2)
         batch["states"] = np.full((2, 4, 4, 4), 1 / 3)  # float64, and not a float32 value
         batch["rewards"] = batch["rewards"].astype(np.float32)
         assert batch["states"].dtype == batch["next_states"].dtype == np.float64
         assert conn.call("push_batch", batch)["kept"] == 2
         conn.close(bye=True)
-        held = state.buffer.shards[actor_id].gather(np.arange(2))
+        held = state.buffer.gather(np.arange(2))
         assert held["states"].dtype == held["next_states"].dtype == np.float32
         assert held["rewards"].dtype == np.float64
         assert np.array_equal(held["states"], batch["states"].astype(np.float32))
+
+    @pytest.mark.parametrize("flaw", MALFORMED)
+    def test_a_malformed_round_is_refused_whole(self, server, flaw):
+        """A round whose fields disagree on k, whose shapes are another
+        width's, whose actions leave [0, A), or whose rewards or epsilon
+        are out of range gets one error reply; the history, the in-flight
+        returns and the replay stay untouched, and the next well-formed
+        round is ingested as usual."""
+        srv, state = server
+        conn = dial(srv)
+        actor_id = conn.call("join")["actor_id"]
+        with pytest.raises(RemoteError, match="malformed round"):
+            conn.call("push_batch", MALFORMED[flaw]())
+        assert state.history.env_steps == 0 and state.history.areas == []
+        assert state.returns[actor_id] == [0.0, 0.0]
+        assert len(state.buffer) == 0
+        assert conn.call("push_batch", make_batch(2))["kept"] == 2
+        assert state.buffer.gather(np.arange(2))["states"].shape == (2, 4, 4, 4)
+        conn.close(bye=True)
 
     def test_budget_truncates_and_stops(self, server):
         srv, state = server
@@ -437,11 +482,11 @@ class TestDeadPeer:
         config = TrainerConfig(steps=10, batch_size=4, warmup_steps=4)
         state = LearnerState(
             agent=agent,
-            buffer=ShardedReplayBuffer(100, num_shards=1, rng=0),
+            buffer=ReplayBuffer(100, rng=0),
             history=TrainingHistory(),
             config=config,
             total=10,
-            spec=ClusterSpec.for_agent(agent, envs_per_actor=1, seed=0),
+            spec=ClusterSpec.for_agent(agent, envs_per_actor=1, seed=0, config=ClusterConfig(actors=1)),
         )
         srv = LearnerServer(("127.0.0.1", 0), heartbeat_timeout=0.3)
         srv.attach(state)
@@ -545,11 +590,11 @@ class TestBackpressure:
         # so an idle learner accrues lag at ingest speed.
         return LearnerState(
             agent=agent,
-            buffer=ShardedReplayBuffer(100, num_shards=1, rng=0),
+            buffer=ReplayBuffer(100, rng=0),
             history=TrainingHistory(),
             config=TrainerConfig(steps=100, batch_size=4, warmup_steps=1),
             total=100,
-            spec=ClusterSpec.for_agent(agent, envs_per_actor=2, seed=0),
+            spec=ClusterSpec.for_agent(agent, envs_per_actor=2, seed=0, config=ClusterConfig(actors=1)),
             backpressure_lag=lag,
             throttle_seconds=0.07,
         )
@@ -570,3 +615,71 @@ class TestBackpressure:
             reply = state.push_batch(aid, make_batch(2), session=join["session"])
             assert reply["throttle"] == 0.0
         assert state.membership_dict()["throttled_batches"] == 0
+
+
+class TestOneRing:
+    def test_concurrent_pushes_and_cluster_samples(self):
+        """Actor threads push into one ``LearnerState`` while the learner
+        samples under ``ingest_lock``, as the cluster loop does: nothing
+        raises, the ring holds every kept transition, and every sampled
+        row is one a thread pushed, whole."""
+        slots, rounds, k = 3, 40, 2
+        total = slots * rounds * k
+        agent = ScalarizedDoubleDQN(4, blocks=0, channels=4, rng=0)
+        num_actions = agent.actions.size
+        state = LearnerState(
+            agent=agent,
+            buffer=ReplayBuffer(total, rng=0),
+            history=TrainingHistory(),
+            config=TrainerConfig(steps=total, batch_size=8, warmup_steps=1),
+            total=total,
+            spec=ClusterSpec.for_agent(agent, envs_per_actor=k, seed=0, config=ClusterConfig(actors=slots)),
+        )
+        joins = [state.join() for _ in range(slots)]
+        kept = [0] * slots
+        errors = []
+
+        def actor(slot):
+            actor_id, join = joins[slot]
+            try:
+                for r in range(rounds):
+                    tag = 1000 * (slot + 1) + k * r + np.arange(k)  # one tag per pushed row
+                    batch = _with(
+                        make_batch(k),
+                        states=np.broadcast_to(tag[:, None, None, None], (k, 4, 4, 4)).astype(float),
+                        actions=tag % num_actions,
+                        rewards=np.stack([tag, -tag], axis=1).astype(float),
+                    )
+                    kept[slot] += state.push_batch(actor_id, batch, session=join["session"])["kept"]
+            except BaseException as exc:  # pragma: no cover
+                errors.append(exc)
+
+        threads = [threading.Thread(target=actor, args=(slot,)) for slot in range(slots)]
+        samples = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often: interleave pushes with samples
+        try:
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + 30.0
+            while any(t.is_alive() for t in threads) and time.monotonic() < deadline:
+                with state.ingest_lock:
+                    if len(state.buffer):
+                        samples.append(state.buffer.sample(8))
+                time.sleep(0.0005)
+            for t in threads:
+                t.join(timeout=5.0)
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert sum(kept) == total == len(state.buffer) == state.history.env_steps
+        samples.append(state.buffer.sample(8))
+        pushed = {1000 * (slot + 1) + i for slot in range(slots) for i in range(rounds * k)}
+        for batch in samples:
+            tags = batch["states"][:, 0, 0, 0].astype(int)
+            assert set(tags.tolist()) <= pushed
+            assert (batch["states"] == tags[:, None, None, None]).all()
+            np.testing.assert_array_equal(batch["actions"], tags % num_actions)
+            np.testing.assert_array_equal(batch["rewards"], np.stack([tags, -tags], axis=1))

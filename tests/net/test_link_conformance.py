@@ -2,9 +2,9 @@
 
 The same scripted rounds go through ``LearnerCore.ingest`` directly (the
 reference) and through ``push_batch`` frames to a loopback
-``LearnerServer`` (what an actor process sends). History, shard contents,
-per-shard in-flight returns and the reply sequence must come out the same:
-the wire adds a trace to each reply and nothing else.
+``LearnerServer`` (what an actor process sends). History, the replay
+ring's contents, per-shard in-flight returns and the reply sequence must
+come out the same: the wire adds a trace to each reply and nothing else.
 """
 
 from __future__ import annotations
@@ -13,22 +13,24 @@ import numpy as np
 import pytest
 
 from repro.distributed import LearnerCore
+from repro.env.actions import ActionSpace
 from repro.net import ClusterSpec, LearnerServer, LearnerState, connect
 from repro.rl import ScalarizedDoubleDQN, TrainerConfig
-from repro.rl.replay import ShardedReplayBuffer
+from repro.rl.replay import ReplayBuffer
 from repro.rl.trainer import TrainingHistory
 
 N = 4
+A = ActionSpace(N).size  # the agent's action count (agent.actions.size)
 HISTORY_FIELDS = ("env_steps", "areas", "delays", "epsilon_trace", "episode_returns")
 
 
 def make_round(rng, k: int) -> dict:
     return {
         "states": rng.random((k, 4, N, N)),
-        "actions": rng.integers(0, 2 * N * N, size=k),
+        "actions": rng.integers(0, A, size=k),
         "rewards": rng.normal(size=(k, 2)),
         "next_states": rng.random((k, 4, N, N)),
-        "next_masks": rng.random((k, 2 * N * N)) < 0.5,
+        "next_masks": rng.random((k, A)) < 0.5,
         "dones": rng.random(k) < 0.3,
         "areas": rng.random(k) * 10,
         "delays": rng.random(k),
@@ -59,7 +61,7 @@ def core_args(total, **kwargs):
     agent = ScalarizedDoubleDQN(N, blocks=0, channels=4, rng=0)
     return dict(
         agent=agent,
-        buffer=ShardedReplayBuffer(100, num_shards=2, rng=0),
+        buffer=ReplayBuffer(100, rng=0),
         history=TrainingHistory(),
         config=TrainerConfig(steps=total, batch_size=4, warmup_steps=1),
         total=total,
@@ -68,13 +70,10 @@ def core_args(total, **kwargs):
 
 
 def observed(core, replies):
-    shards = []
-    for shard in core.buffer.shards:
-        data = shard.gather(np.arange(len(shard))) if len(shard) else {}
-        shards.append({key: value.tolist() for key, value in data.items()})
+    ring = core.buffer.gather(np.arange(len(core.buffer))) if len(core.buffer) else {}
     return {
         "history": {f: getattr(core.history, f) for f in HISTORY_FIELDS},
-        "shards": shards,
+        "ring": {key: value.tolist() for key, value in ring.items()},
         "returns": core.returns,
         "replies": replies,
         "throttled_batches": core.throttled_batches,

@@ -17,7 +17,7 @@ from repro.cells import nangate45
 from repro.distributed import SynthesisFarm
 from repro.net import MEMBERSHIP_KEYS, ClusterSpec, LearnerState, RemoteFarmPool
 from repro.rl import ScalarizedDoubleDQN, TrainerConfig
-from repro.rl.replay import ShardedReplayBuffer
+from repro.rl.replay import ReplayBuffer
 from repro.rl.trainer import TrainingHistory
 from repro.store.api import STATS_BASE_KEYS
 from repro.store.disk import DiskStore
@@ -168,7 +168,7 @@ class TestMembershipSchema:
         config = TrainerConfig(steps=10, batch_size=4, warmup_steps=4)
         state = LearnerState(
             agent=agent,
-            buffer=ShardedReplayBuffer(100, num_shards=2, rng=0),
+            buffer=ReplayBuffer(100, rng=0),
             history=TrainingHistory(),
             config=config,
             total=10,

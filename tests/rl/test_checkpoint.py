@@ -46,6 +46,29 @@ def cluster_runtime(tmp_path):
     )
 
 
+def sharded_buffer_state(capacity: int, num_shards: int = 2) -> dict:
+    """A ``buffer`` record in the retired sharded layout, built by hand:
+    one ring per actor slot (capacity split over them), the round-robin
+    cursor and the learner's sampling stream."""
+    from repro.rl import ReplayBuffer
+    from repro.utils.rng import ensure_rng, rng_state
+
+    base, extra = divmod(capacity, num_shards)
+    return {
+        "capacity": capacity,
+        "num_shards": num_shards,
+        "round_robin": 0,
+        "rng": rng_state(ensure_rng(5)),
+        "shards": [ReplayBuffer(base + (i < extra)).state_dict() for i in range(num_shards)],
+    }
+
+
+EMPTY_HISTORY = {
+    "losses": [], "episode_returns": [], "areas": [], "delays": [],
+    "epsilon_trace": [], "env_steps": 0, "gradient_steps": 0,
+}
+
+
 def assert_histories_identical(a, b):
     assert a.env_steps == b.env_steps
     assert a.gradient_steps == b.gradient_steps
@@ -305,7 +328,6 @@ class TestTrainingRoundTrip:
         from dataclasses import asdict
 
         from repro.env import VectorPrefixEnv
-        from repro.rl import ShardedReplayBuffer
         from repro.utils.rng import ensure_rng, rng_state, spawn_rngs
 
         cfg = TrainerConfig(steps=40, batch_size=4, warmup_steps=8)
@@ -320,12 +342,9 @@ class TestTrainingRoundTrip:
             "total": 40,
             "trainer_config": asdict(cfg),
             "loop": {"kind": "async", "episode_returns": [[0.25], [-1.5]]},
-            "history": {
-                "losses": [], "episode_returns": [], "areas": [], "delays": [],
-                "epsilon_trace": [], "env_steps": 0, "gradient_steps": 0,
-            },
+            "history": EMPTY_HISTORY,
             "agent": ScalarizedDoubleDQN(6, 0.5, 0.5, blocks=0, channels=4, rng=3).state_dict(),
-            "buffer": ShardedReplayBuffer(cfg.buffer_capacity, num_shards=2, rng=5).state_dict(),
+            "buffer": sharded_buffer_state(cfg.buffer_capacity),
             "caches": [],
             "env_kind": "actors",
             "env": {"actors": [venv.state_dict() for venv in venvs]},
@@ -339,6 +358,31 @@ class TestTrainingRoundTrip:
             runtime = cluster_runtime(tmp_path)
         with pytest.raises(CheckpointError, match="'async'.*repro cluster"):
             runtime.run(resume=True)
+
+    def test_sharded_cluster_checkpoint_is_refused(self, tmp_path):
+        """A cluster state as the sharded-replay learner wrote it, built by
+        hand: its ``buffer`` is per-slot rings. The one-ring learner refuses
+        it with a ``CheckpointError`` naming the layout, not a ``KeyError``."""
+        from dataclasses import asdict
+
+        from repro.store import make_store
+
+        cfg = TrainerConfig(steps=60, batch_size=4, warmup_steps=8)
+        state = {
+            "mode": "cluster",
+            "total": 60,
+            "trainer_config": asdict(cfg),
+            "loop": {"kind": "cluster"},
+            "history": EMPTY_HISTORY,
+            "agent": ScalarizedDoubleDQN(6, 0.5, 0.5, blocks=0, channels=4, rng=3).state_dict(),
+            "buffer": sharded_buffer_state(cfg.buffer_capacity),
+            "caches": [{"cache": make_store().state_dict(), "counters": []}],
+            "env_kind": "cluster",
+            "env": {"num_actors": 2},
+        }
+        CheckpointManager(tmp_path).save(state, step=0, meta={"mode": "cluster"})
+        with pytest.raises(CheckpointError, match="sharded replay layout"):
+            cluster_runtime(tmp_path).run(resume=True)
 
     def test_resume_without_checkpoint_dir_fails(self):
         rt, _ = make_sync_runtime()

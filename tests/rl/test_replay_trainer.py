@@ -62,6 +62,92 @@ class TestReplayBuffer:
             ReplayBuffer(0)
 
 
+class TestVectorizedRing:
+    def test_sample_matches_reference_stacking(self):
+        """The fancy-index gather returns exactly what per-item stacking did."""
+        transitions = [dummy_transition(i) for i in range(9)]
+        buf = ReplayBuffer(20, rng=5)
+        for t in transitions:
+            buf.push(t)
+        idx = np.random.default_rng(5).integers(9, size=6)
+        batch = buf.sample(6)
+        np.testing.assert_array_equal(
+            batch["states"], np.stack([transitions[i].state for i in idx])
+        )
+        np.testing.assert_array_equal(
+            batch["actions"], np.array([transitions[i].action for i in idx])
+        )
+        np.testing.assert_array_equal(
+            batch["rewards"], np.stack([transitions[i].reward for i in idx])
+        )
+        np.testing.assert_array_equal(
+            batch["dones"], np.array([transitions[i].done for i in idx])
+        )
+
+    def test_rng_stream_matches_historical_buffer(self):
+        """Same seed -> same sampled indices as the list-backed original."""
+        buf = ReplayBuffer(10, rng=42)
+        for i in range(7):
+            buf.push(dummy_transition(i))
+        batch = buf.sample(5)
+        expected_idx = np.random.default_rng(42).integers(7, size=5)
+        np.testing.assert_array_equal(batch["states"][:, 0, 0, 0], expected_idx.astype(float))
+
+    def test_push_copies_data(self):
+        buf = ReplayBuffer(4)
+        t = dummy_transition(1)
+        buf.push(t)
+        t.state[...] = 99.0
+        batch = buf.sample(1)
+        assert batch["states"].max() <= 1.5
+
+    def test_state_dict_round_trip(self):
+        buf = ReplayBuffer(5, rng=1)
+        for i in range(8):  # wraps: ring position matters
+            buf.push(dummy_transition(i))
+        buf.sample(3)  # advance the RNG stream
+        snap = buf.state_dict()
+
+        other = ReplayBuffer(5, rng=999)
+        other.load_state_dict(snap)
+        assert len(other) == len(buf)
+        a, b = buf.sample(4), other.sample(4)
+        for key in a:
+            np.testing.assert_array_equal(a[key], b[key])
+
+    def test_state_dict_empty_buffer(self):
+        buf = ReplayBuffer(5)
+        other = ReplayBuffer(5)
+        other.load_state_dict(buf.state_dict())
+        assert len(other) == 0
+        with pytest.raises(ValueError):
+            other.sample(1)
+
+    def test_capacity_mismatch_rejected(self):
+        buf = ReplayBuffer(5)
+        buf.push(dummy_transition(0))
+        with pytest.raises(ValueError, match="capacity mismatch"):
+            ReplayBuffer(6).load_state_dict(buf.state_dict())
+
+    def test_a_float64_snapshot_loads_into_the_float32_ring(self):
+        """What a float64 release's checkpoint holds: the ring is this tree's
+        dtypes whatever the snapshot's, and the values load by cast."""
+        buf = ReplayBuffer(12, rng=2)
+        for i in range(20):
+            buf.push(dummy_transition(i))
+        snap = buf.state_dict()
+        for key in ("states", "next_states"):
+            assert snap["arrays"][key].dtype == np.float32
+            snap["arrays"][key] = snap["arrays"][key].astype(np.float64)
+        other = ReplayBuffer(12)
+        other.load_state_dict(snap)
+        a, b = buf.sample(8), other.sample(8)
+        for key in a:
+            assert a[key].dtype == b[key].dtype and np.array_equal(a[key], b[key]), key
+        assert b["states"].dtype == b["next_states"].dtype == np.float32 and b["rewards"].dtype == np.float64
+
+
+
 class TestSchedule:
     def test_endpoints(self):
         s = LinearSchedule(1.0, 0.0, 100)
