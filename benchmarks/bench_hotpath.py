@@ -1,4 +1,4 @@
-"""Hot-path throughput benchmark: features, trainer, synthesis, farm, fleet.
+"""Hot-path throughput benchmark: features, trainer, synthesis, farm, store.
 
 Measures the layers this repo's training loop touches per step and
 writes the numbers to JSON, one section each (the names ``--profile``
@@ -25,16 +25,9 @@ takes):
 and, when the running tree has them — 1-CPU work and cost records, not
 speedup claims:
 
-7. ``cluster``: serial trainer vs a multi-process ``repro cluster`` run,
-   plus per-frame protocol costs;
-8. ``backend``: synthesis runs saved by claim/lease dedup under actor
-   contention;
-9. ``chaos``: failure-recovery cost — a severed actor link absorbed by
-   the supervised reconnect loop vs an undisturbed run, plus the
-   supervisor's respawn-dispatch overhead;
-10. ``store``: curve-store append, cold reopen and warm-hit latency
-    against the synthesis a warm hit replaces;
-11. ``obs``: the observability layer's overhead with events off.
+7. ``store``: curve-store append, cold reopen and warm-hit latency
+   against the synthesis a warm hit replaces;
+8. ``obs``: the observability layer's overhead with events off.
 
 Sections 1-5 are restricted to APIs that exist in the seed tree, and the
 newer ones skip themselves in trees without their API, so the *same*
@@ -89,23 +82,6 @@ try:
 except ImportError:  # seed tree: no vectorized environment yet
     VectorPrefixEnv = None
 
-try:
-    from repro.rl import RuntimeConfig, TrainingRuntime
-except ImportError:  # seed/parent trees: no actor-learner runtime yet
-    TrainingRuntime = None
-
-try:
-    import repro.net as repro_net
-except ImportError:  # seed/parent trees: no network subsystem yet
-    repro_net = None
-
-try:  # seed/parent trees: no evaluation-backend layer yet
-    from repro.synth import EvaluationBackend  # noqa: F401
-
-    BACKEND_AVAILABLE = True
-except ImportError:
-    BACKEND_AVAILABLE = False
-
 try:  # seed/parent trees: no persistent curve store yet
     from repro.store import DiskStore
     from repro.synth import AreaDelayCurve
@@ -148,32 +124,12 @@ ANALYTICAL_RIPPLE_REPS = 100    # deep-ripple worst-case calls
 FARM_WIDTH = 16
 FARM_WORKERS = 4
 FARM_REPEATS = 3
-RUNTIME_WIDTH = 16
-RUNTIME_STEPS = 96
-RUNTIME_ROUNDS = 3
-RUNTIME_ACTORS = 2
-RUNTIME_ENVS_PER_ACTOR = 4
-RUNTIME_HORIZON = 8
-RUNTIME_NET = dict(blocks=2, channels=16)
-RUNTIME_CONFIG = dict(
-    batch_size=16, warmup_steps=16, learn_every=8, epsilon_anneal_frac=0.3
-)
-RUNTIME_PUBLISH_EVERY = 4
-CLUSTER_WIDTH = 16
-CLUSTER_PROTOCOL_BATCH = 8      # transitions per measured wire frame
-CLUSTER_PROTOCOL_ITERS = 200
-BACKEND_WIDTH = 16
-BACKEND_ROUNDS = 3
-BACKEND_ACTORS = 2              # concurrent clients over one shared cache
-CHAOS_WIDTH = 16
-CHAOS_STEPS = 96
-CHAOS_ROUNDS = 2                # interleaved clean/severed run pairs
 STORE_ENTRIES = 512             # curves per store round
 STORE_POINTS = 8                # frontier points per stored curve
 STORE_ROUNDS = 3
 STORE_SYNTH_WIDTH = 16
 STORE_SYNTH_GRAPHS = 4          # synthesize_curve calls timed for the ratio
-OBS_ROUNDS = 4000               # synthetic actor rounds per repeat
+OBS_ROUNDS = 4000               # synthetic acting rounds per repeat
 OBS_REPEATS = 5                 # interleaved bare/instrumented repeats
 
 
@@ -406,451 +362,6 @@ def bench_farm() -> dict:
     return out
 
 
-def _runtime_serial_throughput() -> "tuple[float, int]":
-    """The synchronous path: the same env count stepped one at a time.
-
-    This is the loop a user writes without the vector/runtime machinery —
-    per-env acting (one network forward per step), per-env synthesis
-    through a shared cache, learner inline on the synchronous cadence.
-    Uses only seed-tree APIs so it runs on every commit.
-    """
-    from repro.synth import SynthesisCache, SynthesisEvaluator
-    from repro.rl import ReplayBuffer, Transition
-
-    n = RUNTIME_WIDTH
-    lib = nangate45()
-    cache = SynthesisCache()
-    num_envs = RUNTIME_ACTORS * RUNTIME_ENVS_PER_ACTOR
-    config = TrainerConfig(steps=RUNTIME_STEPS, **RUNTIME_CONFIG)
-    agent = ScalarizedDoubleDQN(n, rng=0, **RUNTIME_NET)
-    envs = [
-        PrefixEnv(n, SynthesisEvaluator(lib, cache=cache), horizon=RUNTIME_HORIZON, rng=i)
-        for i in range(num_envs)
-    ]
-    buf = ReplayBuffer(config.buffer_capacity, rng=0)
-    anneal = max(int(RUNTIME_STEPS * config.epsilon_anneal_frac), 1)
-    start = time.perf_counter()
-    obs = [env.observe(env.reset()) for env in envs]
-    masks = [env.legal_mask() for env in envs]
-    steps = 0
-    while steps < RUNTIME_STEPS:
-        frac = min(steps / anneal, 1.0)
-        epsilon = config.epsilon_start + (config.epsilon_end - config.epsilon_start) * frac
-        for i, env in enumerate(envs):
-            if steps >= RUNTIME_STEPS:
-                break
-            action_idx = agent.act(obs[i], masks[i], epsilon=epsilon)
-            result = env.step(env.action_space.action(action_idx))
-            next_obs = env.observe(result.next_state)
-            next_mask = env.legal_mask(result.next_state)
-            buf.push(Transition(obs[i], action_idx, result.reward,
-                                next_obs, next_mask, result.done))
-            if result.done:
-                state = env.reset()
-                obs[i], masks[i] = env.observe(state), env.legal_mask(state)
-            else:
-                obs[i], masks[i] = next_obs, next_mask
-            steps += 1
-            if len(buf) >= config.warmup_steps and (steps - 1) % config.learn_every == 0:
-                agent.train_step(buf.sample(config.batch_size))
-    wall = time.perf_counter() - start
-    return steps / wall, cache.misses
-
-
-def _bench_protocol() -> dict:
-    """Per-frame wire overhead over a real loopback socket.
-
-    Measures the protocol's own cost (encode + frame + TCP loopback
-    round trip + decode), for a PING and for a realistic transition-batch
-    CALL, as best-of medians — this is pure overhead a cluster pays per
-    round, reported as milliseconds (absolute, host-specific; no speedup
-    claims).
-    """
-    import socket
-    import threading
-
-    from repro.net.protocol import CALL, REPLY, Connection, decode_payload, encode_payload
-
-    n = CLUSTER_WIDTH
-    k = CLUSTER_PROTOCOL_BATCH
-    rng = np.random.default_rng(0)
-    batch = {
-        "epsilon": 0.5,
-        "states": rng.random((k, 4, n, n)),
-        "actions": np.arange(k),
-        "rewards": rng.random((k, 2)),
-        "next_states": rng.random((k, 4, n, n)),
-        "next_masks": np.ones((k, 2 * n * n), dtype=bool),
-        "dones": np.zeros(k, dtype=bool),
-        "areas": rng.random(k),
-        "delays": rng.random(k),
-    }
-    payload = encode_payload(batch)
-
-    start = time.perf_counter()
-    for _ in range(CLUSTER_PROTOCOL_ITERS):
-        encode_payload(batch)
-    encode_ms = (time.perf_counter() - start) / CLUSTER_PROTOCOL_ITERS * 1000
-    start = time.perf_counter()
-    for _ in range(CLUSTER_PROTOCOL_ITERS):
-        decode_payload(payload)
-    decode_ms = (time.perf_counter() - start) / CLUSTER_PROTOCOL_ITERS * 1000
-
-    listener = socket.socket()
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(1)
-
-    def echo():
-        sock, _ = listener.accept()
-        conn = Connection(sock, timeout=30.0)
-        try:
-            while True:
-                ftype, _body = conn.recv()
-                if ftype == CALL:
-                    conn.send(REPLY, {"ok": True})
-                elif ftype == 4:  # PING
-                    conn.send(5)  # PONG
-                else:
-                    return
-        except Exception:
-            pass
-        finally:
-            conn.close()
-
-    thread = threading.Thread(target=echo, daemon=True)
-    thread.start()
-    client = Connection(socket.create_connection(listener.getsockname()), timeout=30.0)
-
-    client.ping()  # warm the path
-    start = time.perf_counter()
-    for _ in range(CLUSTER_PROTOCOL_ITERS):
-        client.ping()
-    ping_ms = (time.perf_counter() - start) / CLUSTER_PROTOCOL_ITERS * 1000
-
-    client.call("noop", batch)
-    iters = max(CLUSTER_PROTOCOL_ITERS // 4, 1)
-    start = time.perf_counter()
-    for _ in range(iters):
-        client.call("noop", batch)
-    batch_ms = (time.perf_counter() - start) / iters * 1000
-
-    client.close(bye=True)
-    listener.close()
-    thread.join(timeout=5)
-    return {
-        "batch_transitions": k,
-        "batch_payload_bytes": len(payload),
-        "payload_encode_ms": encode_ms,
-        "payload_decode_ms": decode_ms,
-        "ping_roundtrip_ms": ping_ms,
-        "batch_roundtrip_ms": batch_ms,
-    }
-
-
-def _backend_contention_run(lease: bool) -> "tuple[int, int]":
-    """Two clients evaluate the same design set concurrently over one
-    shared cache; returns (total syntheses, unique designs).
-
-    ``lease=False`` is the dedup-only baseline (PR 4's shape): both
-    clients look up, both miss, both synthesize — the duplicate work the
-    shared cache alone cannot prevent. ``lease=True`` routes the same
-    batches through the claim/lease service: one client wins each lease,
-    the other waits for the value, so cluster-wide work is exactly one
-    synthesis per unique digest regardless of interleaving.
-    """
-    import threading
-
-    from repro.synth import (
-        EvaluationBackend,
-        LocalServiceClient,
-        SharedCacheService,
-        SynthesisCache,
-    )
-
-    lib = nangate45()
-    graphs = synthesis_corpus(BACKEND_WIDTH)
-    unique = len({g.key() for g in graphs})
-    if lease:
-        service = SharedCacheService(SynthesisCache())
-        backends = [
-            EvaluationBackend(
-                lib, store=SynthesisCache(), service=LocalServiceClient(service, i)
-            )
-            for i in range(BACKEND_ACTORS)
-        ]
-    else:
-        cache = SynthesisCache()
-        backends = [EvaluationBackend(lib, store=cache) for _ in range(BACKEND_ACTORS)]
-    barrier = threading.Barrier(BACKEND_ACTORS)
-    errors = []
-
-    def run(backend):
-        try:
-            barrier.wait()
-            backend.evaluate_many(list(graphs))
-        except Exception as exc:  # pragma: no cover - surfaced below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=(b,), daemon=True) for b in backends]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-    return sum(b.synthesized for b in backends), unique
-
-
-def bench_backend() -> dict:
-    """Claim/lease dedup: synthesis work saved under actor contention.
-
-    Honest 1-CPU work-reduction numbers (interleaved best-of rounds, like
-    the cluster section): both modes do the same useful work;
-    the recorded quantity is synthesis *runs*, not wall-clock — no
-    speedup claim is made or implied on this host. The dedup-only
-    baseline's count is scheduling-dependent (between 1x and 2x unique),
-    so its best (lowest) round makes the saving a conservative floor.
-    """
-    best = {"dedup": float("inf"), "lease": float("inf")}
-    unique = 0
-    for _ in range(BACKEND_ROUNDS):
-        for mode, lease in (("dedup", False), ("lease", True)):
-            synths, unique = _backend_contention_run(lease)
-            best[mode] = min(best[mode], synths)
-    row = {
-        "actors": BACKEND_ACTORS,
-        "rounds": BACKEND_ROUNDS,
-        "unique_designs": unique,
-        "dedup_only_synthesized": best["dedup"],
-        "lease_synthesized": best["lease"],
-        "lease_synthesis_saved": 1.0 - best["lease"] / max(best["dedup"], 1),
-    }
-    out = {str(BACKEND_WIDTH): row}
-    print(
-        f"backend n={BACKEND_WIDTH}: {BACKEND_ACTORS} clients x {unique} unique "
-        f"designs -> dedup-only {best['dedup']} syntheses, lease {best['lease']} "
-        f"({row['lease_synthesis_saved']:.0%} less work)"
-    )
-    return out
-
-
-def _cluster_train_throughput() -> "tuple[float, int]":
-    """One cluster training run: learner + actor *subprocesses* on loopback.
-
-    Same workload/env count as the serial reference. Wall clock includes
-    actor-process spawn (honest: a cluster pays it); the synthesis-work
-    number is the learner-side fulfilled-lease count, which equals the
-    synthesis runs performed across all actor processes (the claim/lease
-    protocol makes every synthesis a lease).
-    """
-    from repro.net import ClusterConfig, ClusterSpec, run_local_cluster
-
-    config = TrainerConfig(steps=RUNTIME_STEPS, **RUNTIME_CONFIG)
-    agent = ScalarizedDoubleDQN(RUNTIME_WIDTH, rng=0, **RUNTIME_NET)
-    spec = ClusterSpec.for_agent(
-        agent,
-        horizon=RUNTIME_HORIZON,
-        library="nangate45",
-        seed=0,
-        config=ClusterConfig(
-            actors=RUNTIME_ACTORS,
-            envs_per_actor=RUNTIME_ENVS_PER_ACTOR,
-            publish_every=RUNTIME_PUBLISH_EVERY,
-        ),
-    )
-    runtime = TrainingRuntime(None, agent, config, RuntimeConfig(), rng=0, cluster=spec)
-    start = time.perf_counter()
-    history, _codes = run_local_cluster(runtime)
-    wall = time.perf_counter() - start
-    return history.env_steps / wall, history.synthesis_stats["synthesized"]
-
-
-def bench_cluster() -> "dict | None":
-    """The network subsystem's honest 1-CPU numbers.
-
-    Interleaved serial-vs-cluster rounds, best-of per mode; on one
-    core the multi-process cluster *loses* wall-clock to spawn and wire
-    overhead (recorded, not hidden) while doing measurably less synthesis
-    work through the shared cache service — the steps/sec payoff needs
-    real cores. Plus per-frame protocol costs.
-    """
-    if repro_net is None or TrainingRuntime is None:
-        return None
-    best = {"serial": 0.0, "cluster": 0.0}
-    misses = {}
-    for _ in range(RUNTIME_ROUNDS):
-        for mode, fn in (
-            ("serial", _runtime_serial_throughput),
-            ("cluster", _cluster_train_throughput),
-        ):
-            sps, miss = fn()
-            best[mode] = max(best[mode], sps)
-            misses[mode] = min(misses.get(mode, miss), miss)
-    row = {
-        "steps": RUNTIME_STEPS,
-        "actors": RUNTIME_ACTORS,
-        "envs_per_actor": RUNTIME_ENVS_PER_ACTOR,
-        "rounds": RUNTIME_ROUNDS,
-        "serial_steps_per_sec": best["serial"],
-        "cluster_steps_per_sec": best["cluster"],
-        "serial_synthesis_misses": misses["serial"],
-        "cluster_synthesized": misses["cluster"],
-        "cluster_over_serial": best["cluster"] / max(best["serial"], 1e-9),
-        "cluster_synthesis_work_saved": 1.0 - misses["cluster"] / max(misses["serial"], 1),
-        "protocol": _bench_protocol(),
-    }
-    out = {str(RUNTIME_WIDTH): row}
-    print(
-        f"cluster n={RUNTIME_WIDTH}: serial {best['serial']:.2f} steps/s "
-        f"({misses['serial']} misses), cluster[{RUNTIME_ACTORS}proc"
-        f"x{RUNTIME_ENVS_PER_ACTOR}] {best['cluster']:.2f} steps/s "
-        f"({misses['cluster']} syntheses) -> {row['cluster_over_serial']:.2f}x wall, "
-        f"{row['cluster_synthesis_work_saved']:.0%} less synthesis; "
-        f"frame {row['protocol']['batch_roundtrip_ms']:.2f} ms"
-    )
-    return out
-
-
-CHAOS_AVAILABLE = (
-    repro_net is not None
-    and hasattr(repro_net, "ChaosProxy")
-    and TrainingRuntime is not None
-)
-
-
-def _chaos_train_run(sever: bool) -> "tuple[float, dict, dict]":
-    """One in-process cluster run with the actor behind a chaos proxy.
-
-    Returns ``(wall_seconds, actor_stats, membership_stats)``. With
-    ``sever`` the proxy cuts every link once the actor has a couple of
-    rounds in flight; the supervised reconnect loop redials through the
-    proxy and rejoins its session — the run reaches the full step budget
-    either way (recovery never costs steps, only wall-clock).
-    """
-    import threading
-
-    from repro.net import ChaosProxy, ClusterConfig, ClusterSpec, RemoteActorWorker, wait_until
-
-    config = TrainerConfig(steps=CHAOS_STEPS, **RUNTIME_CONFIG)
-    agent = ScalarizedDoubleDQN(CHAOS_WIDTH, rng=0, **RUNTIME_NET)
-    spec = ClusterSpec.for_agent(
-        agent,
-        horizon=RUNTIME_HORIZON,
-        library="nangate45",
-        seed=0,
-        config=ClusterConfig(
-            actors=1, envs_per_actor=RUNTIME_ENVS_PER_ACTOR, publish_every=RUNTIME_PUBLISH_EVERY
-        ),
-    )
-    runtime = TrainingRuntime(None, agent, config, RuntimeConfig(), rng=0, cluster=spec)
-    address = runtime.bind()
-    proxy = ChaosProxy(address).start()
-    worker = RemoteActorWorker(proxy.address, reconnect_base=0.05, reconnect_cap=0.2)
-    stats = {}
-    thread = threading.Thread(
-        target=lambda: stats.update(a=worker.run()), daemon=True
-    )
-    thread.start()
-    saboteur = None
-    if sever:
-
-        def chaos():
-            wait_until(
-                lambda: worker.rounds >= 2,
-                timeout=300.0,
-                message="the actor to complete two rounds",
-            )
-            proxy.sever()
-
-        saboteur = threading.Thread(target=chaos, daemon=True)
-        saboteur.start()
-    start = time.perf_counter()
-    history = runtime.run()
-    wall = time.perf_counter() - start
-    thread.join(timeout=60)
-    if saboteur is not None:
-        saboteur.join(timeout=60)
-    proxy.stop()
-    assert history.env_steps == CHAOS_STEPS, "chaos run lost steps"
-    return wall, stats["a"], runtime.membership_stats
-
-
-def _bench_respawn_dispatch() -> float:
-    """Supervisor overhead: notice a dead child and launch its successor.
-
-    One ``poll_once`` pass over an already-dead child — death detection
-    plus the replacement ``Popen``; the milliseconds a crash costs the
-    fleet on top of the replacement's own startup.
-    """
-    import subprocess
-    import sys
-
-    from repro.net import FleetSupervisor
-
-    crashed = subprocess.Popen([sys.executable, "-c", "raise SystemExit(1)"])
-    crashed.wait()
-    sup = FleetSupervisor(restart_budget=1)
-    sup.watch(
-        "child",
-        crashed,
-        respawn=lambda: subprocess.Popen([sys.executable, "-c", "raise SystemExit(0)"]),
-    )
-    start = time.perf_counter()
-    sup.poll_once()
-    dispatch_ms = (time.perf_counter() - start) * 1000
-    replacement = sup.procs()[0]
-    replacement.wait()
-    return dispatch_ms
-
-
-def bench_chaos() -> "dict | None":
-    """Failure-recovery cost: a severed actor link vs an undisturbed run.
-
-    Interleaved clean/severed pairs (both through the same chaos proxy,
-    so the proxy's forwarding cost cancels), best-of per mode. The
-    recorded quantities are *recovery* records, not speedups: the
-    wall-clock ratio severed-over-clean (backoff + redial + the lost
-    round's re-generation), the actor's own reconnect accounting, and the
-    learner-side rejoin count proving the session actually resumed. All
-    runs must reach the full step budget — recovery that drops steps
-    would be a correctness bug, not a slow run.
-    """
-    if not CHAOS_AVAILABLE:
-        return None
-    best = {"clean": float("inf"), "severed": float("inf")}
-    recovery = None
-    for _ in range(CHAOS_ROUNDS):
-        for mode, sever in (("clean", False), ("severed", True)):
-            wall, stats, membership = _chaos_train_run(sever)
-            if wall < best[mode]:
-                best[mode] = wall
-                if sever:
-                    recovery = (stats, membership)
-    stats, membership = recovery
-    row = {
-        "steps": CHAOS_STEPS,
-        "envs_per_actor": RUNTIME_ENVS_PER_ACTOR,
-        "rounds": CHAOS_ROUNDS,
-        "clean_wall_seconds": best["clean"],
-        "severed_wall_seconds": best["severed"],
-        "severed_over_clean_wall": best["severed"] / max(best["clean"], 1e-9),
-        "reconnects": stats["reconnects"],
-        "rounds_lost": stats["rounds_lost"],
-        "reconnect_backoff_seconds": stats["reconnect_seconds"],
-        "learner_rejoins": membership["rejoins"],
-        "respawn_dispatch_ms": _bench_respawn_dispatch(),
-    }
-    out = {str(CHAOS_WIDTH): row}
-    print(
-        f"chaos n={CHAOS_WIDTH}: clean {best['clean']:.2f}s, severed "
-        f"{best['severed']:.2f}s -> {row['severed_over_clean_wall']:.2f}x wall "
-        f"({stats['reconnects']} reconnects, {stats['rounds_lost']} rounds lost, "
-        f"{stats['reconnect_seconds']:.2f}s backoff); respawn dispatch "
-        f"{row['respawn_dispatch_ms']:.1f} ms"
-    )
-    return out
-
-
 def _store_corpus() -> "list[tuple[tuple, AreaDelayCurve]]":
     entries = []
     for i in range(STORE_ENTRIES):
@@ -868,7 +379,7 @@ def bench_store() -> "dict | None":
 
     Best-of rounds over a throwaway store directory: append (write-
     through cost on the training path), cold reopen (segment replay a
-    restarted cluster pays once), and warm ``get_many`` (the per-design
+    restarted trainer pays once), and warm ``get_many`` (the per-design
     cost of *not* re-synthesizing). The headline ratio is one warm disk
     hit against one ``synthesize_curve`` call on this host — a
     work-avoidance record, not a parallelism claim.
@@ -929,9 +440,9 @@ def bench_store() -> "dict | None":
 
 
 def bench_obs() -> "dict | None":
-    """Overhead of the observability layer with ``--obs-dir`` off.
+    """Overhead of the observability layer with event logging off.
 
-    A synthetic actor round carrying exactly the instrumentation the real
+    A synthetic acting round carrying exactly the instrumentation the real
     one does — one outer span, three inner spans, two counter bumps, four
     histogram observes — against the same round with no obs calls at all.
     Events are unconfigured (the default), so spans only pay their
@@ -1027,14 +538,6 @@ def measure() -> dict:
     analytical_rows = bench_analytical()
     if analytical_rows is not None:
         out["analytical"] = analytical_rows
-    cluster = bench_cluster()
-    if cluster is not None:
-        out["cluster"] = cluster
-    if BACKEND_AVAILABLE:
-        out["backend"] = bench_backend()
-    chaos = bench_chaos()
-    if chaos is not None:
-        out["chaos"] = chaos
     store = bench_store()
     if store is not None:
         out["store"] = store
@@ -1095,29 +598,13 @@ def merge(baseline: dict, current: dict, parent: "dict | None" = None) -> dict:
     """
     speedups = _section_speedups(baseline, current)
     speedups["farm_pool_over_serial"] = current["synthesis_farm"]["pool_speedup"]
-    for row in current.get("cluster", {}).values():
-        # Honest within-run ratios: on 1 CPU cluster_over_serial is a
-        # *cost* record (spawn + wire overhead), not a speedup claim; the
-        # work-saved fractions are the real wins at this core count.
-        speedups[f"cluster_{row['actors']}proc_over_serial"] = row["cluster_over_serial"]
-        speedups[f"cluster_{row['actors']}proc_synthesis_saved"] = (
-            row["cluster_synthesis_work_saved"]
-        )
-    for row in current.get("backend", {}).values():
-        # Work-reduction fraction (not a wall-clock claim): the claim/lease
-        # protocol vs the dedup-only shared cache under actor contention.
-        speedups["backend_lease_synthesis_saved"] = row["lease_synthesis_saved"]
-    for row in current.get("chaos", {}).values():
-        # A recovery-cost record, not a speedup: wall-clock of a run that
-        # absorbed a severed actor link over an undisturbed run.
-        speedups["chaos_severed_over_clean_wall"] = row["severed_over_clean_wall"]
     for row in current.get("store", {}).values():
         # Work-avoidance ratio: one warm disk hit vs the synthesize_curve
         # call it replaces after a restart.
         speedups["store_warm_read_over_synthesis"] = row["warm_read_over_synthesis"]
     for row in current.get("obs", {}).values():
         # A cost ceiling, not a speedup: bare-over-instrumented wall-clock
-        # of a synthetic actor round with events off (1.0 = free).
+        # of a synthetic acting round with events off (1.0 = free).
         speedups["obs_disabled_over_bare"] = row["disabled_over_bare"]
     result = {"seed_baseline": baseline, "optimized": current, "speedups": speedups}
     if parent is not None:
@@ -1132,10 +619,6 @@ def apply_smoke_workload() -> None:
     global SYNTHESIS_WIDTHS, SYNTHESIS_REPEATS, FARM_WIDTH, FARM_WORKERS, FARM_REPEATS
     global STA_WIDTHS, STA_RECOVERY_PASSES, STA_REPEATS, STA_ROUNDS
     global ANALYTICAL_WIDTHS, ANALYTICAL_REPS, ANALYTICAL_RIPPLE_REPS
-    global RUNTIME_WIDTH, RUNTIME_STEPS, RUNTIME_ROUNDS, RUNTIME_ENVS_PER_ACTOR
-    global CLUSTER_WIDTH, CLUSTER_PROTOCOL_ITERS
-    global BACKEND_WIDTH, BACKEND_ROUNDS
-    global CHAOS_WIDTH, CHAOS_STEPS, CHAOS_ROUNDS
     global STORE_ENTRIES, STORE_ROUNDS, STORE_SYNTH_WIDTH, STORE_SYNTH_GRAPHS
     global OBS_ROUNDS, OBS_REPEATS
     FEATURE_WIDTHS = (8, 16)
@@ -1154,17 +637,6 @@ def apply_smoke_workload() -> None:
     FARM_WIDTH = 8
     FARM_WORKERS = 2
     FARM_REPEATS = 1
-    RUNTIME_WIDTH = 8
-    RUNTIME_STEPS = 16
-    RUNTIME_ROUNDS = 1
-    RUNTIME_ENVS_PER_ACTOR = 1
-    CLUSTER_WIDTH = 8
-    CLUSTER_PROTOCOL_ITERS = 20
-    BACKEND_WIDTH = 8
-    BACKEND_ROUNDS = 1
-    CHAOS_WIDTH = 8
-    CHAOS_STEPS = 16
-    CHAOS_ROUNDS = 1
     STORE_ENTRIES = 64
     STORE_ROUNDS = 1
     STORE_SYNTH_WIDTH = 8
@@ -1262,16 +734,6 @@ def run_smoke(output: "str | None") -> dict:
         assert "analytical" in current, "missing bench section 'analytical'"
         expected.append(f"analytical_n{ANALYTICAL_WIDTHS[0]}")
         expected.append(f"analytical_ripple_n{ANALYTICAL_WIDTHS[0]}")
-    if repro_net is not None and TrainingRuntime is not None:
-        assert "cluster" in current, "missing bench section 'cluster'"
-        expected.append(f"cluster_{RUNTIME_ACTORS}proc_over_serial")
-        expected.append(f"cluster_{RUNTIME_ACTORS}proc_synthesis_saved")
-    if BACKEND_AVAILABLE:
-        assert "backend" in current, "missing bench section 'backend'"
-        expected.append("backend_lease_synthesis_saved")
-    if CHAOS_AVAILABLE:
-        assert "chaos" in current, "missing bench section 'chaos'"
-        expected.append("chaos_severed_over_clean_wall")
     if STORE_AVAILABLE:
         assert "store" in current, "missing bench section 'store'"
         expected.append("store_warm_read_over_synthesis")
@@ -1299,9 +761,6 @@ def profile_sections() -> dict:
         "sta_backward": bench_sta_backward,
         "analytical": bench_analytical,
         "synthesis_farm": bench_farm,
-        "cluster": bench_cluster,
-        "backend": (lambda: bench_backend() if BACKEND_AVAILABLE else None),
-        "chaos": bench_chaos,
         "store": bench_store,
         "obs": bench_obs,
     }

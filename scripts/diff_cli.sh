@@ -35,17 +35,14 @@ COMMANDS=(
     "synth brent_kung 32 --library industrial8nm"
     "synth kogge_stone 64 --library industrial8nm"
     "train 8 --steps 60 --seed 3"
+    "train 8 --steps 60 --seed 3 --envs 3"
     "sweep 6 --weights 2 --steps 40 --seed 1"
     "eval han_carlson 65"
     "sweep 33 --weights 2 --steps 40 --seed 2"
-    # Flag names, defaults and help of the training and cluster commands
-    # (argparse wraps at 80 columns when stdout is not a terminal).
+    # Flag names, defaults and help of the training commands (argparse
+    # wraps at 80 columns when stdout is not a terminal).
     "train --help"
     "sweep --help"
-    "serve-learner --help"
-    "cluster --help"
-    "actor --help"
-    "farm-worker --help"
 )
 
 status=0
@@ -72,8 +69,8 @@ for cmd in "${COMMANDS[@]}"; do
 done
 
 # The e2e smoke's four workload digests (one traced round each, ~15 s a
-# side). collect_vec8_n32 acts over eight lockstep replicas, a path none of
-# the commands above runs.
+# side). collect_vec8_n32 acts over eight lockstep replicas with no
+# learner, a path none of the commands above runs.
 smoke_digests() {
     (cd "$1" && python3 benchmarks/e2e/run.py --smoke 2>/dev/null) |
         sed -n 's/^\([a-z0-9_]*\) .*\(digest=[0-9a-f]*\).*/\1 \2/p'

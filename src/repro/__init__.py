@@ -42,8 +42,8 @@ __version__ = "1.0.0"
 def _blas_on_the_calling_thread() -> None:
     """Default numpy's OpenBLAS to one thread, unless ``OPENBLAS_NUM_THREADS`` says otherwise.
 
-    The program's parallelism is processes (and, in tests, in-process actor
-    threads), each computing on its own thread. Left to itself OpenBLAS splits every Q-network GEMM
+    The program's parallelism is processes (the synthesis farm pool), each
+    computing on its own thread. Left to itself OpenBLAS splits every Q-network GEMM
     over all cores and its workers spin between calls, so a pass takes as long
     as the slower core and a second CPU burns through the Python in between.
     On the 2-vCPU reference host that bought ``collect_vec8_n32`` 20% (nothing

@@ -4,20 +4,17 @@ A :class:`SynthesisFarm` is a *place to run misses*: the ``runner`` of an
 :class:`repro.synth.backend.EvaluationBackend`, which does everything else
 the paper's 192-worker farm needs to survive its synthesis budget
 (Sections IV-D / V-C) — digest-level dedup of a batch's duplicate graphs,
-store routing so only misses reach a runner, write-back, leases and
-cumulative counters. Its remote twin is :class:`repro.net.farm.RemoteFarmPool`
-(``repro farm-worker`` daemons over the framed socket protocol); both
-runners have the same face: ``run(graphs)``, ``width``, ``name``,
-``totals``, ``close()``, ``library_name`` and ``synth_kwargs``.
+store routing so only misses reach a runner, write-back and cumulative
+counters. Its face is ``run(graphs)``, ``width``, ``name``, ``close()``,
+``library_name`` and ``synth_kwargs``.
 
 Each batch ships as at most ``width`` chunks (:func:`chunk_tasks`: one IPC
 round trip per worker, not per task) to a pool that is spawned and warmed
 once and reused across batches. Workers rebuild the library/synthesizer
 from registry names (cell libraries are code, not data, so only names
 cross the process boundary), and curves come back as plain sample points.
-Every transport ships the same task, ``{"graph": graph JSON}``: pool
-workers, remote workers and a remote pool's no-survivor rescue all parse
-it (:func:`task_graph`, which checks legality) and run
+The task is ``{"graph": graph JSON}``: workers parse it
+(:func:`task_graph`, which checks legality) and run
 :func:`repro.synth.curve.synthesize_curve`, so the adder build is worker
 work and the dispatcher's cost per miss is one small JSON string.
 """
@@ -64,10 +61,8 @@ def chunk_curves(chunk_points) -> "list[AreaDelayCurve]":
 def synthesize_tasks(tasks: "list[dict]", library_name: str, synth_kwargs: dict):
     """The worker-side task function: a chunk of tasks in, sample points out.
 
-    Pool workers and a remote pool's no-survivor rescue run this; the
-    farm-worker daemon runs the same two calls per task around its
-    optional store. One :func:`synthesize_curve` everywhere, so curves are
-    byte-identical wherever a task lands.
+    One :func:`synthesize_curve`, so a worker's curves are byte-identical
+    to in-process synthesis.
     """
     library = library_by_name(library_name)
     synthesizer = Synthesizer(**synth_kwargs)
@@ -106,8 +101,6 @@ class SynthesisFarm:
         self.library_name = library_name
         self.num_workers = num_workers
         self.synth_kwargs = dict(synth_kwargs or {})
-        # A same-host pool has no worker-side accounting to checkpoint.
-        self.totals: dict = {}
         self._pool: "ProcessPoolExecutor | None" = None
 
     @property

@@ -3,9 +3,10 @@
 :class:`VectorPrefixEnv` advances ``E`` independent :class:`PrefixEnv`
 replicas in lockstep so the acting layer can serve all of them with one
 stacked ``(E, 4, N, N)`` Q-network forward per round — the paper hides
-synthesis latency behind 256 actors (here: ``repro cluster`` processes); at
-single-process scale the same engineering win is amortizing the convolution
-cost over many environments (the Section V-C "batched acting" mechanism).
+synthesis latency behind 256 actors; here one process runs ``E`` replicas
+(``repro train --envs E``) and the engineering win is amortizing the
+convolution cost over many environments (the Section V-C "batched acting"
+mechanism).
 
 Episodes auto-reset: when a replica's episode ends, :meth:`step` returns
 the terminal transition and the replica starts a fresh episode, so the

@@ -1,13 +1,13 @@
 """Append-only structured event log (JSONL, one file per process).
 
-The log is opt-in: until :func:`configure` is called (``--obs-dir``),
+The log is opt-in: until :func:`configure` is called,
 :func:`emit` is one ``None`` check and :func:`span` still measures its
 body (callers use ``span.seconds`` in place of ad-hoc ``perf_counter``
 pairs) but writes nothing — that is the <2%-overhead-off contract the
 ``obs`` bench section records.
 
 Every line carries ``ts`` (wall clock), ``mono`` (monotonic, for
-in-process duration math), ``run`` (fleet run id, shared across
+in-process duration math), ``run`` (run id, shared across
 processes via ``REPRO_OBS_RUN``), ``pid``, ``role`` and ``event``.
 Span events come in ``begin``/``end`` pairs sharing a ``span`` id; the
 ``end`` line carries the monotonic duration ``dur``. Both attach the
@@ -25,8 +25,7 @@ import time
 
 from repro.obs import trace as _trace
 
-#: Environment variable the fleet launcher uses to share one run id with
-#: actor / farm-worker subprocesses.
+#: Environment variable that shares one run id with child processes.
 RUN_ENV = "REPRO_OBS_RUN"
 
 _LOG: "EventLog | None" = None

@@ -6,12 +6,11 @@ and then bumped lock-free — correct under the GIL because a single
 ``cell[i] += x`` on a thread-private object never races. Reads
 (``snapshot()``) take the registration lock and fold the cells.
 
-Snapshots are plain JSON-able dicts, so they travel over the wire
-(actors push them to the learner), merge across processes
+Snapshots are plain JSON-able dicts, so they merge across processes
 (:func:`merge_snapshots`) and round-trip through checkpoints
 (:meth:`MetricsRegistry.state_dict` / ``load_state_dict``) — the
 restored totals land in a ``_base`` term that live cells add onto, which
-is how metrics survive respawns.
+is how metrics survive a resume.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
-"""Render obs data: post-run JSONL reports and the live fleet table.
+"""Render obs data: post-run JSONL reports.
 
-``repro obs report <dir>`` reads every ``*.jsonl`` the fleet wrote under
-``--obs-dir``, checks span well-formedness (every ``begin`` must have an
-``end``), stitches spans back into per-trace trees across processes and
-prints a round-latency breakdown. ``repro stats --connect`` renders the
-learner's ``stats`` RPC reply — including the merged fleet metric
-snapshot — as a table.
+``repro obs report <dir>`` reads every ``*.jsonl`` event log under a
+directory written through :func:`repro.obs.configure`, checks span
+well-formedness (every ``begin`` must have an ``end``), stitches spans
+back into per-trace trees across processes and prints a round-latency
+breakdown. No command writes such a directory today; a training run that
+calls :func:`repro.obs.configure` does.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from __future__ import annotations
 import glob
 import json
 import os
-
-from repro.obs.metrics import quantile
 
 
 def load_events(obs_dir: str) -> "list[dict]":
@@ -145,59 +143,4 @@ def render_report(obs_dir: str, max_rounds: int = 5) -> str:
                 parts.items(), key=lambda kv: -kv[1]
             ):
                 lines.append(f"      {role}:{name:<24} {dur * 1000:8.2f} ms")
-    return "\n".join(lines)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.4g}"
-    return str(value)
-
-
-def render_fleet(stats: dict, address: "str | None" = None) -> str:
-    """The live fleet table for ``repro stats`` from a stats RPC reply."""
-    where = f" @ {address}" if address else ""
-    lines = [
-        f"fleet{where}: env_steps={stats.get('env_steps', 0)}"
-        f"/{stats.get('total', 0)}"
-        f" gradient_steps={stats.get('gradient_steps', 0)}"
-        f" actors={stats.get('actors_connected', 0)}"
-        f" buffer={stats.get('buffer_size', 0)}",
-        f"  membership: joins={stats.get('joins', 0)}"
-        f" rejoins={stats.get('rejoins', 0)}"
-        f" evictions={stats.get('evictions', 0)}"
-        f" throttled_batches={stats.get('throttled_batches', 0)}",
-        f"  cache: entries={stats.get('cache_entries', 0)}"
-        f" active_leases={stats.get('active_leases', 0)}",
-    ]
-    obs = stats["obs"]
-    sources = obs.get("sources", {})
-    lines.append(
-        f"  obs sources: live={sources.get('live_sources', 0)}"
-        f" retired={sources.get('retired_sources', 0)}"
-    )
-    from repro.obs.metrics import merge_snapshots
-
-    merged = merge_snapshots(obs.get("learner"), obs.get("fleet"))
-    counters = merged.get("counters", {})
-    if counters:
-        lines.append("  counters:")
-        width = max(len(name) for name in counters)
-        for name, value in sorted(counters.items()):
-            lines.append(f"    {name:<{width}}  {_fmt(value)}")
-    gauges = merged.get("gauges", {})
-    if gauges:
-        lines.append("  gauges:")
-        width = max(len(name) for name in gauges)
-        for name, value in sorted(gauges.items()):
-            lines.append(f"    {name:<{width}}  {_fmt(value)}")
-    histograms = merged.get("histograms", {})
-    if histograms:
-        lines.append("  histograms (p50/p90 seconds, count):")
-        width = max(len(name) for name in histograms)
-        for name, data in sorted(histograms.items()):
-            lines.append(
-                f"    {name:<{width}}  p50={quantile(data, 0.5):.4g}"
-                f" p90={quantile(data, 0.9):.4g} n={data['count']}"
-            )
     return "\n".join(lines)

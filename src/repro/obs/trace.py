@@ -1,18 +1,12 @@
 """Cross-process trace propagation via contextvars.
 
-A *trace* is a dict ``{"id": hex, "run": run-id}`` minted by the learner
-at round start and handed to the actor in join/push replies; the actor
-installs it for the duration of the round, and every framed CALL made
-under it carries a ``trace`` payload field (a sibling of ``method`` /
-``params``, so peers that predate obs simply ignore it). The server side
-re-installs the wire context around handler execution, which is what
-lets one round's RPC tree — learner round, actor act/push, farm
-synthesis, lease and store events — be stitched back together from the
-merged JSONL of every process.
-
-Span parenting rides the same wire dict: :func:`wire_context` adds the
-caller's current span id as ``parent``, so a server-side span opened
-while serving the call nests under the client span that issued it.
+A *trace* is a dict ``{"id": hex, "run": run-id}``. :func:`scope`
+installs one for the duration of a unit of work (a round), and every span
+opened under it carries its id, so one round's spans can be stitched back
+together from the merged JSONL of every process that took part. A trace
+crosses a process boundary as :func:`wire_context`, which adds the
+caller's current span id as ``parent``, so a span the receiver opens
+under :func:`scope` nests under the span that sent the work.
 """
 
 from __future__ import annotations

@@ -198,14 +198,6 @@ class ScalarizedDoubleDQN:
         self.target.copy_from(self.local)
         self.target.eval()
 
-    # ------------------------------------------------------------------
-    # Policy publication (cluster actors)
-    # ------------------------------------------------------------------
-
-    def publish_weights(self) -> "dict[str, np.ndarray]":
-        """Detached copies of the local network's weights and buffers."""
-        return {k: v.copy() for k, v in self.local.state_arrays().items()}
-
     # -- persistence -----------------------------------------------------
 
     def state_dict(self) -> dict:

@@ -22,10 +22,6 @@ dict/list structure of plain scalars and numpy arrays round-trips exactly
 bit-generator states are 128-bit — and floats via JSON's shortest
 round-trip repr). What *goes into* a training snapshot is assembled by
 :class:`repro.rl.runtime.TrainingRuntime`; this module is only the format.
-
-The split is exposed as :func:`flatten_arrays` / :func:`unflatten_arrays`
-so other byte-exact transports can reuse it — :mod:`repro.net.protocol`
-encodes the same structures into wire frames with it.
 """
 
 from __future__ import annotations
@@ -96,17 +92,6 @@ def _unflatten(obj, arrays: "dict[str, np.ndarray]"):
     if isinstance(obj, list):
         return [_unflatten(v, arrays) for v in obj]
     return obj
-
-
-def flatten_arrays(obj, arrays: "dict[str, np.ndarray]", path: str = ""):
-    """Public entry to the JSON/array split: returns the JSON-safe
-    structure and fills ``arrays`` with every extracted numpy array."""
-    return _flatten(obj, path, arrays)
-
-
-def unflatten_arrays(obj, arrays: "dict[str, np.ndarray]"):
-    """Inverse of :func:`flatten_arrays`."""
-    return _unflatten(obj, arrays)
 
 
 def _sha256(path: Path) -> str:

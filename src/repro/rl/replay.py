@@ -8,9 +8,8 @@ field, no Python loop over transitions); its RNG consumption is identical
 to the historical list-backed buffer, so trained trajectories are
 preserved bit for bit.
 
-The buffer takes no lock of its own: a sync run is single-threaded, and
-the cluster learner pushes every round and samples every batch under
-:attr:`repro.distributed.LearnerCore.ingest_lock`. ``state_dict`` /
+The buffer takes no lock of its own: a training run is single-threaded.
+``state_dict`` /
 ``load_state_dict`` let a checkpoint capture the exact buffer contents,
 ring position and sampling-RNG stream.
 """

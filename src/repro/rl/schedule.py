@@ -25,10 +25,9 @@ class LinearSchedule:
         """The run-level anneal: ramp over ``frac`` of ``total_steps``.
 
         This is the one place the paper's "annealed over a fraction of
-        training" convention is turned into a duration, shared by the
-        trainer and the cluster learner so both resolve identical epsilon
-        values for the same step index — a resumed run rebuilds its
-        schedule from the checkpointed total, not the remaining steps.
+        training" convention is turned into a duration — a resumed run
+        rebuilds its schedule from the checkpointed total, not the
+        remaining steps, so it resolves the same epsilon for each step.
         """
         return cls(start, end, max(int(total_steps * frac), 1))
 

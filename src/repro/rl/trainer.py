@@ -14,14 +14,12 @@ is one round; :class:`repro.rl.runtime.TrainingRuntime` drives the ticks
 with checkpoint hooks in between, and :class:`Trainer` is that runtime
 without a checkpoint directory.
 
-The stepper is built from the three functions every lockstep collector in
-the repo shares — :func:`acting_round` (act, step, fix the terminal
-successors), :func:`fold_round` (account a round in the history under the
-step budget) and :func:`push_round` (the kept prefix into a replay buffer)
-— so the in-process and remote actors (:mod:`repro.distributed.pipeline`)
-produce and ingest rounds exactly the way this loop does, and from the one
-statement of the gradient cadence, :func:`gradient_due`, that the
-actor-learner loop fires on too.
+The stepper is built from three functions — :func:`acting_round` (act,
+step, fix the terminal successors; :class:`repro.distributed.BatchedActor`
+collects with it too), :func:`fold_round` (account a round in the history
+under the step budget) and :func:`push_round` (the kept prefix into a
+replay buffer) — and from the one statement of the gradient cadence,
+:func:`gradient_due`.
 """
 
 from __future__ import annotations
@@ -103,8 +101,7 @@ def grads_allowed(env_steps: int, cfg: TrainerConfig) -> int:
 def gradient_due(buffered: int, gradient_steps: int, env_steps: int, cfg: TrainerConfig) -> bool:
     """The gradient cadence, stated once: a step is due while the replay
     buffer holds ``warmup_steps`` transitions and fewer steps were taken
-    than :func:`grads_allowed`. The sync stepper and the actor-learner
-    loop both fire on this, so every runtime trains at one cadence.
+    than :func:`grads_allowed`.
     """
     return buffered >= cfg.warmup_steps and gradient_steps < grads_allowed(env_steps, cfg)
 
@@ -121,9 +118,9 @@ def acting_round(venv: VectorPrefixEnv, obs: np.ndarray, masks: np.ndarray, act)
     (carried out of the previous round, or ``venv.observe()`` /
     ``venv.legal_masks()`` after a reset or restore) and ``act(obs,
     masks)`` picks one flat action per replica. Returns ``(round,
-    next_obs, next_masks)``: ``round`` holds the stacked transition fields
-    under their ``push_batch`` wire names, and ``next_obs`` /
-    ``next_masks`` are the post-reset stacks the next round acts on.
+    next_obs, next_masks)``: ``round`` holds the stacked transition
+    fields, and ``next_obs`` / ``next_masks`` are the post-reset stacks
+    the next round acts on.
     """
     with obslib.span("actor.act") as act_span:
         actions = act(obs, masks)
@@ -164,8 +161,8 @@ def fold_round(history: TrainingHistory, returns: list, w, round_: dict, epsilon
     ``limit``; the rest of the round is dropped (those replicas did
     advance — their archives keep the evaluations). ``returns`` holds the
     caller's running per-replica episode returns, scalarized by ``w``.
-    Returns how many transitions were kept. Every runtime's env-step
-    history is written here, nowhere else.
+    Returns how many transitions were kept. A run's env-step history is
+    written here, nowhere else.
     """
     kept = 0
     for i, done in enumerate(round_["dones"]):
@@ -184,8 +181,7 @@ def fold_round(history: TrainingHistory, returns: list, w, round_: dict, epsilon
 
 
 def push_round(buffer: ReplayBuffer, round_: dict, kept: int) -> None:
-    """Push the first ``kept`` transitions of a round into ``buffer`` (the
-    cluster learner pushes, samples and checkpoints under ``ingest_lock``)."""
+    """Push the first ``kept`` transitions of a round into ``buffer``."""
     for i in range(kept):
         buffer.push(
             Transition(

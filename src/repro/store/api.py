@@ -24,16 +24,16 @@ Every implementation provides::
 
     get(key) / put(key, value)            # single-key
     get_many(keys) / put_many(items)      # batched, one lock acquisition
-    peek_many(keys)                       # stat-free lookup (lease layer)
+    peek_many(keys)                       # stat-free lookup
     hits / misses / hit_rate              # lookup accounting
     stats()                               # uniform counters dict
     state_dict() / load_state_dict()      # checkpoint face
     __len__ / reset_stats / close
 
 :func:`make_store` is the one factory every curve consumer constructs
-through (:mod:`repro.synth.backend`, the learner's shared cache service,
-farm-worker daemons): ``store_dir=None`` gives the classic in-memory
-cache, a path gives a layered memory-over-disk store.
+through (:mod:`repro.synth.backend`, ``repro train --store-dir``):
+``store_dir=None`` gives the classic in-memory cache, a path gives a
+layered memory-over-disk store.
 """
 
 from __future__ import annotations
@@ -74,11 +74,8 @@ class CurveStore:
         raise NotImplementedError
 
     def peek_many(self, keys: "list[tuple]") -> "list":
-        """Batched lookup touching neither counters nor recency.
-
-        The claim/lease layer re-checks waited-on keys through here, so
-        waiting must never skew cache telemetry.
-        """
+        """Batched lookup touching neither counters nor recency, so
+        inspecting a store never skews its cache telemetry."""
         raise NotImplementedError
 
     def __len__(self) -> int:

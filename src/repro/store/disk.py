@@ -2,8 +2,8 @@
 
 The durable tier of the curve-store stack: a directory of append-only
 segment files mapping content keys to area-delay curves, built so a
-cluster (or a single trainer) restarted against the same ``--store-dir``
-starts warm and never re-pays synthesis for a design it has seen.
+trainer restarted against the same ``--store-dir`` starts warm and never
+re-pays synthesis for a design it has seen.
 
 On-disk layout::
 
@@ -17,7 +17,7 @@ Each segment is a sequence of self-describing records::
     payload bytes  big-endian float64 pairs: (delay, area) * n_points
 
 The crc covers key + payload, so every record is independently
-verifiable. That buys the three durability properties the cluster needs:
+verifiable. That buys three durability properties:
 
 - **torn-tail recovery** — a process killed mid-``put_many`` leaves a
   partial batch (whole records, then at most one partial one) at the end
@@ -54,7 +54,7 @@ import struct
 import threading
 import zlib
 
-try:  # single-writer guard; POSIX only (the platforms the cluster runs on)
+try:  # single-writer guard; POSIX only
     import fcntl
 except ImportError:  # pragma: no cover
     fcntl = None

@@ -17,16 +17,13 @@ across the curve's delay targets, and a ``Netlist`` only when a result's
 
 Where curves come from is the one :mod:`repro.synth.backend` seam:
 ``SynthesisEvaluator`` delegates to an :class:`EvaluationBackend` — a
-store, optionally a claim/lease cache service (:mod:`repro.synth.leases`)
-and optionally a runner to run misses on (a same-host
-:class:`repro.distributed.SynthesisFarm` or a remote
-:class:`repro.net.farm.RemoteFarmPool`) — byte-identical curves and one
+store and optionally a runner to run misses on (a same-host
+:class:`repro.distributed.SynthesisFarm`) — byte-identical curves and one
 stats schema however it is built.
 """
 
 from repro.synth.optimizer import Synthesizer, SynthesisResult
 from repro.synth.backend import STATS_KEYS, EvaluationBackend
-from repro.synth.leases import LocalServiceClient, SharedCacheService
 from repro.synth.curve import (
     AreaDelayCurve,
     synthesize_curve,
@@ -44,8 +41,6 @@ __all__ = [
     "SynthesisResult",
     "STATS_KEYS",
     "EvaluationBackend",
-    "SharedCacheService",
-    "LocalServiceClient",
     "AreaDelayCurve",
     "synthesize_curve",
     "calibrate_scaling",

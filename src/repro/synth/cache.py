@@ -5,9 +5,8 @@ calculations and find that as the exploration parameter epsilon diminishes,
 the cache hit percentage becomes 50% in the 32b case and 10% in the 64b
 case." Keys combine the graph digest with the library/tool identity so one
 cache can serve several experiments. Thread-safe: one lock guards the
-entries and counters, so threads of one process (concurrent lease clients,
-a server's handlers) may share it; farm workers are other processes and
-never see it.
+entries and counters, so threads of one process may share it; farm
+workers are other processes and never see it.
 
 This is the canonical in-memory implementation of the
 :class:`repro.store.CurveStore` protocol; the durable tiers live in
@@ -63,12 +62,7 @@ class SynthesisCache(CurveStore):
         return out
 
     def peek_many(self, keys: "list[tuple]") -> "list":
-        """Batched lookup that touches neither counters nor LRU order.
-
-        Used by the claim/lease layer's wait-polling: a waiter re-checking
-        whether the lease holder delivered must not inflate the miss
-        statistics or refresh recency for entries it is not yet using.
-        """
+        """Batched lookup that touches neither counters nor LRU order."""
         with self._lock:
             return [self._data.get(key) for key in keys]
 

@@ -7,8 +7,8 @@ the curve. This module reproduces that pipeline:
 
 - :func:`synthesize_curve` — netlist generation, one compile, and 4
   optimization runs spanning the feasible delay range. It is the one
-  curve path: in-process evaluation, pool and remote farm workers all call
-  it on a graph;
+  curve path: in-process evaluation and farm pool workers both call it on
+  a graph;
 - :class:`AreaDelayCurve` — monotone PCHIP interpolation plus the
   ``w_optimal`` point selection of Fig. 3c. Construction validates the
   samples; the interpolator is built on first read.
@@ -105,8 +105,8 @@ class AreaDelayCurve:
         """Rebuild from a :meth:`points` list (JSON round-trip safe).
 
         The single owner of the serialized-curve convention: checkpoints
-        and every ``repro.net`` wire message ship curves as
-        ``[[delay, area], ...]`` and rebuild through here.
+        and farm workers ship curves as ``[[delay, area], ...]`` and
+        rebuild through here.
         """
         return cls([tuple(p) for p in points])
 

@@ -7,8 +7,8 @@ scalarization-dependent (area, delay) pair. Two implementations:
   synthesis at 4 targets, PCHIP curve, w-optimal point (Fig. 3). *Where*
   the curves come from is delegated to a
   :class:`repro.synth.backend.EvaluationBackend` (a store, optionally a
-  cluster's claim/lease cache service and a farm runner to run misses
-  on) — the evaluator itself only owns the scalarization.
+  farm runner to run misses on) — the evaluator itself only owns the
+  scalarization.
 - :class:`AnalyticalEvaluator` — the Moto-Kaneko model, used to train
   "Analytical-PrefixRL" for the Fig. 6 study (no curve; the metrics are
   target-independent).
@@ -52,8 +52,7 @@ class SynthesisEvaluator:
             omitted. Mutually exclusive with ``backend``.
         c_area / c_delay: the paper's scaling constants.
         backend: an explicit :class:`EvaluationBackend` — e.g. one with a
-            farm ``runner`` or a cluster actor's lease-service
-            construction; mutually exclusive with ``cache``.
+            farm ``runner``; mutually exclusive with ``cache``.
     """
 
     def __init__(
@@ -111,8 +110,8 @@ class SynthesisEvaluator:
 
         Duplicate graphs in one batch (the common case in RL collection)
         resolve to a single evaluation; order matches the input. The
-        backend decides where misses are synthesized — in-process, on a
-        farm, or under a cluster lease.
+        backend decides where misses are synthesized — in-process or on a
+        farm.
         """
         return self.backend.evaluate_many(list(graphs))
 

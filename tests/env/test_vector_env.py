@@ -9,7 +9,7 @@ import pytest
 from repro.cells import nangate45
 from repro.env import PrefixEnv, VectorPrefixEnv
 from repro.rl import ScalarizedDoubleDQN, Trainer, TrainerConfig
-from repro.rl.checkpoint import flatten_arrays
+from repro.rl.checkpoint import _flatten
 from repro.synth import AnalyticalEvaluator, SynthesisCache, SynthesisEvaluator
 
 
@@ -210,7 +210,7 @@ def two_choices(masks):
 def state_bytes(state):
     """A state_dict as the checkpoint writes it: JSON plus raw array bytes."""
     arrays = {}
-    payload = json.dumps(flatten_arrays(state, arrays), sort_keys=True)
+    payload = json.dumps(_flatten(state, "", arrays), sort_keys=True)
     return payload, {k: (a.dtype.str, a.shape, a.tobytes()) for k, a in arrays.items()}
 
 
@@ -343,3 +343,81 @@ class TestVectorTrainer:
         trainer.run()
         loss = agent.train_step(trainer.buffer.sample(8))
         assert np.isfinite(loss)
+
+
+class TestReplicaCounts:
+    """``VectorPrefixEnv.make`` at the counts ``repro train --envs`` builds."""
+
+    @pytest.mark.parametrize("num_envs", [0, -1])
+    def test_make_refuses_a_count_below_one(self, num_envs):
+        with pytest.raises(ValueError, match="num_envs must be positive"):
+            make_vector(num_envs=num_envs)
+
+    @pytest.mark.parametrize("num_envs", [1, 2, 5, 8])
+    def test_every_stack_has_one_row_per_replica(self, num_envs):
+        venv = make_vector(n=6, num_envs=num_envs)
+        assert venv.num_envs == num_envs and len(venv.reset()) == num_envs
+        assert venv.observe().shape == (num_envs, 4, 6, 6)
+        assert venv.legal_masks().shape == (num_envs, venv.action_space.size)
+        assert len(venv.step(first_legal(venv.legal_masks()))) == num_envs
+
+    def test_mixed_widths_are_refused_naming_them(self):
+        envs = [PrefixEnv(n, AnalyticalEvaluator(), rng=0) for n in (6, 8, 6)]
+        with pytest.raises(ValueError, match=r"share one width, got \[6, 8\]"):
+            VectorPrefixEnv(envs)
+
+
+class TestPersistence:
+    """What a checkpoint stores of the env: every replica, mid-episode."""
+
+    @staticmethod
+    def advance(venv, rounds):
+        records = []
+        for _ in range(rounds):
+            results = venv.step(two_choices(venv.legal_masks()))
+            records.append(
+                ([(tuple(r.reward), r.done, r.info["steps"]) for r in results], [s.key() for s in venv.states])
+            )
+        return records
+
+    @pytest.mark.parametrize("num_envs", [1, 2, 3, 5])
+    def test_a_restored_env_continues_as_the_original(self, num_envs):
+        """Restored onto a freshly built env of the same count, the
+        replicas continue through episode ends and auto-resets exactly as
+        the originals do."""
+        original = make_vector(num_envs=num_envs, horizon=3)
+        original.reset()
+        self.advance(original, 4)  # mid-episode, after one auto-reset
+        snapshot = original.state_dict()
+        restored = make_vector(num_envs=num_envs, horizon=3)
+        restored.load_state_dict(snapshot)
+        assert [s.key() for s in restored.states] == [s.key() for s in original.states]
+        np.testing.assert_array_equal(restored.observe(), original.observe())
+        assert self.advance(restored, 5) == self.advance(original, 5)
+
+    @pytest.mark.parametrize("saved, live", [(2, 3), (3, 2), (1, 4), (4, 1)])
+    def test_another_replica_count_is_refused(self, saved, live):
+        source = make_vector(num_envs=saved)
+        source.reset()
+        target = make_vector(num_envs=live)
+        with pytest.raises(ValueError, match=f"checkpoint has {saved} replicas, vector env has {live}"):
+            target.load_state_dict(source.state_dict())
+        assert target.states == [None] * live
+
+    @pytest.mark.parametrize("num_envs", [2, 3])
+    def test_a_shared_archive_restores_to_the_original_frontier(self, num_envs):
+        """Replicas over one archiving evaluator share one archive; each
+        replica's snapshot carries it and a restore leaves it as it was."""
+        from repro.pareto import ArchivingEvaluator
+
+        def build():
+            evaluator = ArchivingEvaluator(SynthesisEvaluator(nangate45(), cache=SynthesisCache()))
+            return VectorPrefixEnv.make(6, evaluator, num_envs, horizon=3, seed=0), evaluator
+
+        (original, evaluator), (restored, restored_evaluator) = build(), build()
+        original.reset()
+        self.advance(original, 4)
+        restored.load_state_dict(original.state_dict())
+        assert all(env.archive is restored_evaluator.archive for env in restored.envs)
+        assert restored_evaluator.archive.entries() == evaluator.archive.entries()
+        assert restored_evaluator.archive.num_seen == evaluator.archive.num_seen

@@ -1,4 +1,4 @@
-"""The report layer: JSONL loading, span health, trace stitching, tables."""
+"""The report layer: JSONL loading, span health, trace stitching, the report."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import json
 from repro.obs.report import (
     cross_process_traces,
     load_events,
-    render_fleet,
     render_report,
     span_problems,
     traces,
@@ -88,30 +87,3 @@ class TestRenderReport:
             ev("begin", ts=1.0, span="s1", name="actor.round"),
         ])
         assert "span problems: 1" in render_report(str(tmp_path))
-
-
-class TestRenderFleet:
-    def test_header_line_names_the_learner_and_progress(self):
-        text = render_fleet({"env_steps": 3, "total": 10, "obs": {}}, "h:1")
-        assert "fleet @ h:1: env_steps=3/10" in text
-        assert "obs sources: live=0 retired=0" in text
-
-    def test_merged_counters_and_quantiles_render(self):
-        stats = {
-            "env_steps": 5, "total": 10, "joins": 1, "cache_entries": 2,
-            "obs": {
-                "run": "r1",
-                "sources": {"live_sources": 1, "retired_sources": 2},
-                "learner": {"counters": {"learner.push_batches": 4},
-                            "gauges": {"buffer.depth": 9}, "histograms": {}},
-                "fleet": {"counters": {"actor.rounds": 6}, "gauges": {},
-                          "histograms": {"actor.round_seconds": {
-                              "buckets": [0.1, 1.0], "counts": [3, 2, 1],
-                              "sum": 2.0, "count": 6}}},
-            },
-        }
-        text = render_fleet(stats, "h:1")
-        assert "obs sources: live=1 retired=2" in text
-        assert "actor.rounds" in text and "learner.push_batches" in text
-        assert "buffer.depth" in text
-        assert "p50=0.1" in text and "n=6" in text

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.env import PrefixEnv
-from repro.net.learner import ClusterSpec
 from repro.nn import BatchNorm2d, Conv2d, Parameter, QNetwork, ResidualBlock
 from repro.prefix import ripple_carry
 from repro.rl import ReplayBuffer, ScalarizedDoubleDQN, Transition
@@ -206,7 +205,7 @@ class TestOneDtype:
             assert array.dtype == np.float32, name
 
     def test_nothing_selects_a_dtype(self, tmp_path):
-        for build in (QNetwork, ScalarizedDoubleDQN, Conv2d, BatchNorm2d, ResidualBlock, Parameter, ClusterSpec):
+        for build in (QNetwork, ScalarizedDoubleDQN, Conv2d, BatchNorm2d, ResidualBlock, Parameter):
             assert "dtype" not in inspect.signature(build).parameters, build.__name__
         with pytest.raises(AttributeError):
             make_agent().local.dtype = np.float64  # read off the parameters, not settable

@@ -34,18 +34,6 @@ def make_sync_runtime(tmp_path=None, seed=3, steps=60, runtime=None, evaluator=N
     ), env
 
 
-def cluster_runtime(tmp_path):
-    """A cluster-shaped runtime over ``tmp_path`` (resumes fail before any actor is needed)."""
-    from repro.net import ClusterConfig, ClusterSpec
-
-    agent = ScalarizedDoubleDQN(6, 0.5, 0.5, blocks=0, channels=4, lr=1e-3, rng=3)
-    return TrainingRuntime(
-        None, agent, TrainerConfig(steps=60, batch_size=4, warmup_steps=8),
-        checkpoint_dir=tmp_path, rng=3,
-        cluster=ClusterSpec.for_agent(agent, config=ClusterConfig(cluster_wait=5.0)),
-    )
-
-
 def sharded_buffer_state(capacity: int, num_shards: int = 2) -> dict:
     """A ``buffer`` record in the retired sharded layout, built by hand:
     one ring per actor slot (capacity split over them), the round-robin
@@ -312,19 +300,20 @@ class TestTrainingRoundTrip:
         with pytest.raises(CheckpointError, match="drifted"):
             rt2.run(resume=True)
 
-    def test_mode_mismatch_rejected(self, tmp_path):
+    def test_unknown_mode_rejected(self, tmp_path):
         rt, _ = make_sync_runtime(tmp_path, runtime=RuntimeConfig(stop_after=10))
         rt.run()
-        with pytest.raises(CheckpointError, match="'sync' mode"):
-            cluster_runtime(tmp_path).run(resume=True)
+        state, manifest = rt.manager.load()
+        state["mode"] = "bogus"
+        rt.manager.save(state, step=manifest["step"], meta=manifest["meta"])
+        with pytest.raises(CheckpointError, match="unknown mode 'bogus'"):
+            make_sync_runtime(tmp_path)[0].run(resume=True)
 
-    @pytest.mark.parametrize("shape", ["sync", "cluster"])
-    def test_retired_async_checkpoint_is_refused(self, tmp_path, shape):
+    def test_retired_async_checkpoint_is_refused(self, tmp_path):
         """An async state as the retired thread-actor runtime wrote it,
         built by hand: ``loop`` of kind ``async`` with per-actor
-        ``episode_returns``, ``env_kind`` ``actors``, ``actor_rngs``. No
-        runtime shape resumes it; the error names the mode and its
-        successor."""
+        ``episode_returns``, ``env_kind`` ``actors``, ``actor_rngs``. The
+        runtime refuses it; the error names the mode and its successor."""
         from dataclasses import asdict
 
         from repro.env import VectorPrefixEnv
@@ -352,37 +341,48 @@ class TestTrainingRoundTrip:
         }
         CheckpointManager(tmp_path).save(state, step=0, meta={"mode": "async"})
 
-        if shape == "sync":
-            runtime, _ = make_sync_runtime(tmp_path, steps=40)
-        else:
-            runtime = cluster_runtime(tmp_path)
-        with pytest.raises(CheckpointError, match="'async'.*repro cluster"):
+        runtime, _ = make_sync_runtime(tmp_path, steps=40)
+        with pytest.raises(CheckpointError, match="'async'.*repro train --envs"):
             runtime.run(resume=True)
 
-    def test_sharded_cluster_checkpoint_is_refused(self, tmp_path):
-        """A cluster state as the sharded-replay learner wrote it, built by
-        hand: its ``buffer`` is per-slot rings. The one-ring learner refuses
-        it with a ``CheckpointError`` naming the layout, not a ``KeyError``."""
+    @pytest.mark.parametrize("layout", ["one-ring", "sharded"])
+    def test_retired_cluster_checkpoint_is_refused(self, tmp_path, layout):
+        """A state as the retired socket-fleet learner wrote it, built by
+        hand: no environments (they lived in the actor processes), the
+        shared cache as its one record, and its replay in either layout it
+        ever used. The runtime refuses it with a ``CheckpointError`` naming
+        the mode and its successor, before restoring anything."""
         from dataclasses import asdict
 
+        from repro.rl import ReplayBuffer
         from repro.store import make_store
 
         cfg = TrainerConfig(steps=60, batch_size=4, warmup_steps=8)
+        buffer = (
+            ReplayBuffer(cfg.buffer_capacity, rng=5).state_dict()
+            if layout == "one-ring"
+            else sharded_buffer_state(cfg.buffer_capacity)
+        )
         state = {
             "mode": "cluster",
             "total": 60,
             "trainer_config": asdict(cfg),
             "loop": {"kind": "cluster"},
             "history": EMPTY_HISTORY,
-            "agent": ScalarizedDoubleDQN(6, 0.5, 0.5, blocks=0, channels=4, rng=3).state_dict(),
-            "buffer": sharded_buffer_state(cfg.buffer_capacity),
+            "agent": ScalarizedDoubleDQN(6, 0.5, 0.5, blocks=0, channels=4, rng=9).state_dict(),
+            "buffer": buffer,
             "caches": [{"cache": make_store().state_dict(), "counters": []}],
             "env_kind": "cluster",
             "env": {"num_actors": 2},
+            "obs": {"metrics": {}, "fleet": {}},
         }
         CheckpointManager(tmp_path).save(state, step=0, meta={"mode": "cluster"})
-        with pytest.raises(CheckpointError, match="sharded replay layout"):
-            cluster_runtime(tmp_path).run(resume=True)
+        runtime, _ = make_sync_runtime(tmp_path)
+        before = runtime.agent.state_dict()["local"]
+        with pytest.raises(CheckpointError, match="'cluster' socket-fleet learner.*repro train --envs"):
+            runtime.run(resume=True)
+        for key, value in runtime.agent.state_dict()["local"].items():
+            np.testing.assert_array_equal(value, before[key])
 
     def test_resume_without_checkpoint_dir_fails(self):
         rt, _ = make_sync_runtime()
@@ -393,52 +393,6 @@ class TestTrainingRoundTrip:
 class TestBackendCountersRideTheCheckpoint:
     """Every cumulative evaluation counter lives in the one backend's
     ``counters_dict()`` and rides the backend-group record."""
-
-    def test_remote_farm_counters_survive_resume(self, tmp_path):
-        """Regression: the runtime used to checkpoint 5 of the farm's 10
-        cumulative counters, so ``stats()["remote"]`` silently reset on
-        resume while ``batches``/``designs`` continued."""
-        from repro.cells import nangate45
-        from repro.net import FarmWorkerServer, RemoteFarmPool
-        from repro.store import make_store
-        from repro.synth import EvaluationBackend, SynthesisEvaluator
-
-        library = nangate45()
-        worker = FarmWorkerServer(("127.0.0.1", 0))
-        worker.start()
-        address = f"{worker.address[0]}:{worker.address[1]}"
-        farms = []
-
-        def evaluator():
-            farms.append(RemoteFarmPool([address], "nangate45"))
-            backend = EvaluationBackend(library, store=make_store(), runner=farms[-1])
-            return SynthesisEvaluator(library, backend=backend)
-
-        try:
-            rt_part, env_part = make_sync_runtime(
-                tmp_path, steps=20, evaluator=evaluator(),
-                runtime=RuntimeConfig(stop_after=10),
-            )
-            rt_part.run()
-            saved = env_part.evaluator.backend.stats()
-            assert saved["remote"]["worker_opt_seconds"] > 0
-        finally:
-            # The resumed run's farm finds nobody home and synthesizes
-            # in-process, so every worker-side number it reports afterwards
-            # is the restored one.
-            worker.stop()
-        try:
-            rt_res, env_res = make_sync_runtime(tmp_path, steps=20, evaluator=evaluator())
-            rt_res.run(resume=True)
-            final = env_res.evaluator.backend.stats()
-        finally:
-            for farm in farms:
-                farm.close()
-        for key in ("worker_setup_seconds", "worker_opt_seconds"):
-            assert final["remote"][key] == saved["remote"][key], key
-        assert final["remote"]["redispatched_tasks"] >= saved["remote"]["redispatched_tasks"]
-        assert final["batches"] > saved["batches"]
-        assert final["synthesized"] >= saved["synthesized"] > 0
 
     def test_pre_unification_checkpoint_state_still_loads(self, tmp_path):
         """A state written before the backends merged carries a partial
@@ -483,47 +437,41 @@ class TestBackendCountersRideTheCheckpoint:
         assert_histories_identical(h_full, h_res)
         assert h_res.synthesis_stats == h_full.synthesis_stats
 
-    def test_record_with_retired_farm_counters_still_loads(self, tmp_path):
-        """A remote-farm counter record written while workers kept a
-        prepared-design cache still carries that cache's two counters:
-        they are ignored, the remaining counters are restored, and the run
-        resumes to the uninterrupted run's bytes."""
+    def test_record_with_retired_lease_and_farm_counters_still_loads(self, tmp_path):
+        """A counter record written while backends counted lease traffic
+        (``lease_*``, ``wait_hits``, ``reclaimed_grants``) and remote-farm
+        dispatch (``worker_*``, ``redispatched_tasks``, the prepared-design
+        cache's two) loads: those keys are ignored, the rest are restored,
+        and the run resumes to the uninterrupted run's bytes."""
         from repro.cells import nangate45
-        from repro.net import RemoteFarmPool
         from repro.store import make_store
-        from repro.synth import EvaluationBackend, SynthesisEvaluator
+        from repro.synth import SynthesisEvaluator
+        from repro.synth.backend import COUNTER_KEYS, STATS_KEYS
 
         library = nangate45()
-        farms = []
 
         def evaluator():
-            # Nobody listens on port 1: every miss is rescued in-process.
-            farms.append(RemoteFarmPool(["127.0.0.1:1"], "nangate45"))
-            backend = EvaluationBackend(library, store=make_store(), runner=farms[-1])
-            return SynthesisEvaluator(library, backend=backend)
+            return SynthesisEvaluator(library, cache=make_store())
 
-        try:
-            h_full = make_sync_runtime(steps=30, evaluator=evaluator())[0].run()
-            rt_part, _ = make_sync_runtime(
-                tmp_path, steps=30, evaluator=evaluator(),
-                runtime=RuntimeConfig(stop_after=12),
-            )
-            rt_part.run()
-            state, manifest = rt_part.manager.load()
-            (group,) = state["caches"]
-            (record,) = group["counters"]
-            record.update(prepared_hits=5, shipped_elided=3, worker_setup_seconds=0.25)
-            rt_part.manager.save(state, step=manifest["step"], meta=manifest["meta"])
+        h_full = make_sync_runtime(steps=30, evaluator=evaluator())[0].run()
+        rt_part, _ = make_sync_runtime(
+            tmp_path, steps=30, evaluator=evaluator(),
+            runtime=RuntimeConfig(stop_after=12),
+        )
+        rt_part.run()
+        state, manifest = rt_part.manager.load()
+        (group,) = state["caches"]
+        (record,) = group["counters"]
+        assert set(record) == set(COUNTER_KEYS)
+        record.update(
+            lease_granted=4, lease_waited=2, wait_hits=1, reclaimed_grants=1,
+            worker_setup_seconds=0.25, worker_opt_seconds=1.5, redispatched_tasks=3,
+            prepared_hits=5, shipped_elided=3,
+        )
+        rt_part.manager.save(state, step=manifest["step"], meta=manifest["meta"])
 
-            rt_res, env_res = make_sync_runtime(tmp_path, steps=30, evaluator=evaluator())
-            h_res = rt_res.run(resume=True)
-            remote = env_res.evaluator.backend.stats()["remote"]
-        finally:
-            for farm in farms:
-                farm.close()
+        rt_res, env_res = make_sync_runtime(tmp_path, steps=30, evaluator=evaluator())
+        h_res = rt_res.run(resume=True)
         assert_histories_identical(h_full, h_res)
-        assert set(remote) == {
-            "workers", "worker_setup_seconds", "worker_opt_seconds", "redispatched_tasks",
-        }
-        assert remote["worker_setup_seconds"] == 0.25
-        assert remote["redispatched_tasks"] > record["redispatched_tasks"] > 0
+        assert h_res.synthesis_stats == h_full.synthesis_stats
+        assert set(env_res.evaluator.backend.stats()) == set(STATS_KEYS)

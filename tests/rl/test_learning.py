@@ -21,7 +21,7 @@ random policy's on every seed, and the median below half of it.
 import numpy as np
 import pytest
 
-from repro.env import PrefixEnv
+from repro.env import VectorPrefixEnv
 from repro.prefix import ripple_carry, sklansky
 from repro.rl import ScalarizedDoubleDQN, Trainer, TrainerConfig
 from repro.synth import AnalyticalEvaluator
@@ -81,12 +81,13 @@ class TestOracle:
         assert uniform_regret(value_iteration(5, 0.5)) == pytest.approx(0.3253, abs=1e-4)
 
 
-def train(n, seed, steps, flip_rewards=False):
+def train(n, seed, steps, flip_rewards=False, envs=1):
+    """An agent trained on ``envs`` lockstep replicas (``repro train --envs``)."""
     agent = ScalarizedDoubleDQN(n, rng=seed)
     if flip_rewards:
         step = agent.train_step
         agent.train_step = lambda batch: step({**batch, "rewards": -batch["rewards"]})
-    env = PrefixEnv(n, AnalyticalEvaluator(), horizon=24, rng=seed)
+    env = VectorPrefixEnv.make(n, AnalyticalEvaluator(), envs, horizon=24, seed=seed)
     Trainer(env, agent, TrainerConfig(steps=steps), rng=seed).run()
     return agent
 
@@ -110,9 +111,12 @@ def trained_n5():
 
 
 class TestLearning:
-    def test_trained_agent_beats_random(self, trained_n5):
+    @pytest.mark.parametrize("envs", [1, 4])
+    def test_trained_agent_beats_random(self, trained_n5, envs):
+        """The band holds for one env and for E lockstep replicas alike."""
+        agents = trained_n5 if envs == 1 else {seed: train(5, seed, steps=600, envs=envs) for seed in SEEDS}
         features = state_graph(5).features()
-        regrets = [regret(agent, features, 5) for agent in trained_n5.values()]
+        regrets = [regret(agent, features, 5) for agent in agents.values()]
         assert in_band(regrets, 5), regrets
 
     def test_shuffled_features_cost_regret(self, trained_n5):

@@ -1,5 +1,6 @@
 """The training runtime's sync shape: one stepper, checkpoints, its config."""
 
+import inspect
 from dataclasses import fields
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from repro.env import PrefixEnv, VectorPrefixEnv
 from repro.rl import (
+    CheckpointError,
     RuntimeConfig,
     ScalarizedDoubleDQN,
     Trainer,
@@ -77,9 +79,32 @@ class TestSyncMode:
             assert_histories_identical(h_trainer, history)
             assert_weights_identical(a_trainer, agent)
 
-    def test_rejects_env_list(self):
+    @pytest.mark.parametrize("env", [None, [make_env()]], ids=["none", "list"])
+    def test_rejects_anything_but_one_env(self, env):
         with pytest.raises(ValueError, match="single environment"):
-            TrainingRuntime([make_env()], make_agent(), CFG, RuntimeConfig())
+            TrainingRuntime(env, make_agent(), CFG, RuntimeConfig())
+
+    def test_one_shape(self):
+        """Every multi-replica run is this runtime over a vector env."""
+        params = inspect.signature(TrainingRuntime).parameters
+        assert list(params) == ["env", "agent", "config", "runtime", "checkpoint_dir", "rng"]
+
+    def test_another_replica_count_is_refused_before_anything_is_restored(self, tmp_path):
+        """A checkpoint of E=3 replicas resumed on E=2 fails naming both
+        counts, and the agent and the replay buffer are left as built."""
+        TrainingRuntime(
+            make_venv(), make_agent(), CFG, RuntimeConfig(stop_after=12),
+            checkpoint_dir=tmp_path, rng=0,
+        ).run()
+        fresh = make_agent(seed=5)
+        before = {k: v.copy() for k, v in fresh.local.state_arrays().items()}
+        two = VectorPrefixEnv.make(6, AnalyticalEvaluator(0.5, 0.5), num_envs=2, horizon=12, seed=0)
+        runtime = TrainingRuntime(two, fresh, CFG, RuntimeConfig(), checkpoint_dir=tmp_path, rng=0)
+        with pytest.raises(CheckpointError, match="3 env replicas, this run steps 2"):
+            runtime.run(resume=True)
+        for key, value in fresh.local.state_arrays().items():
+            np.testing.assert_array_equal(value, before[key])
+        assert fresh.gradient_steps == 0 and len(runtime.buffer) == 0
 
     def test_vector_env_halts_at_the_round_boundary_past_stop_after(self, tmp_path):
         """E=3 replicas step together, so ``stop_after=25`` halts at 27, the
@@ -105,12 +130,11 @@ class TestSyncMode:
 
 class TestRuntimeConfigValidation:
     def test_mode_is_not_a_knob(self):
-        """A run is a cluster run exactly when it is handed a ClusterSpec."""
+        """The runtime has one shape."""
         with pytest.raises(TypeError, match="mode"):
             RuntimeConfig(mode="sync")
 
     def test_only_the_checkpoint_knobs(self):
-        """A cluster run reads its fleet knobs from its ClusterSpec's config."""
         assert [f.name for f in fields(RuntimeConfig)] == [
             "checkpoint_every", "keep_checkpoints", "stop_after",
         ]

@@ -285,7 +285,7 @@ class TestCrashRecovery:
         """Chaos: SIGKILL a writer process mid-append (``put``, or a
         ``put_many`` of 8 records); reopen must keep a clean prefix of whole
         records of its deterministic record stream, byte-identical."""
-        from repro.net import kill_process, wait_until
+        from tests.processes import kill_process, wait_until
 
         root = tmp_path / "killed"
         script = textwrap.dedent(

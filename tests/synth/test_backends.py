@@ -1,16 +1,14 @@
 """EvaluationBackend seam: byte-identical curves and one stats schema.
 
-One class, several constructions (store only, store + pool runner, store +
-remote runner, front store + lease service with and without contention,
-and with a runner as ``repro actor --farm`` builds it):
-each must return byte-identical curves for the same design set — they all
-bottom out in the same synthesis ladder — and must report the unified
-``STATS_KEYS`` counter schema.
+One class, several constructions (store only, storeless, store + pool
+runner): each must return byte-identical curves for the same design set —
+they all bottom out in the same synthesis ladder — and must report the
+unified ``STATS_KEYS`` counter schema.
 """
 
 from __future__ import annotations
 
-import threading
+import inspect
 
 import numpy as np
 import pytest
@@ -19,13 +17,10 @@ from hypothesis import given, settings, strategies as st
 import repro.synth.backend as backend_module
 from repro.cells import nangate45
 from repro.distributed import SynthesisFarm
-from repro.net.farm import RemoteFarmPool
 from repro.prefix import PrefixGraph, brent_kung, kogge_stone, sklansky
 from repro.synth import (
     STATS_KEYS,
     EvaluationBackend,
-    LocalServiceClient,
-    SharedCacheService,
     SynthesisCache,
     SynthesisEvaluator,
     synthesize_curve,
@@ -50,16 +45,6 @@ def expected(lib):
     return graphs, [synthesize_curve(g, lib).points() for g in graphs]
 
 
-@pytest.fixture(scope="module")
-def worker():
-    from repro.net import FarmWorkerServer
-
-    server = FarmWorkerServer(("127.0.0.1", 0))
-    server.start()
-    yield server
-    server.stop()
-
-
 def random_walk(n: int, seed: int) -> PrefixGraph:
     rng = np.random.default_rng(seed)
     g = sklansky(n)
@@ -75,15 +60,6 @@ def random_walk(n: int, seed: int) -> PrefixGraph:
     return g
 
 
-def lease_backend(lib, service, owner, **kwargs):
-    return EvaluationBackend(
-        lib,
-        store=SynthesisCache(),
-        service=LocalServiceClient(service, owner),
-        **kwargs,
-    )
-
-
 def assert_schema(stats):
     for key in STATS_KEYS:
         assert key in stats, f"missing stats key {key!r}"
@@ -95,26 +71,19 @@ def assert_schema(stats):
 CONSTRUCTIONS = {
     "store": "local",
     "store+pool-farm": "farm-pool[2]",
-    "store+remote-farm": "farm-remote[1]",
-    "front-store+lease-service": "cluster",
 }
 
 
 @pytest.fixture(params=list(CONSTRUCTIONS))
-def construction(request, lib, worker):
+def construction(request, lib):
     """(backend, expected stats name) for each way to build the one class."""
     kind = request.param
     if kind == "store":
         backend = EvaluationBackend(lib, store=SynthesisCache())
-    elif kind == "store+pool-farm":
+    else:
         backend = EvaluationBackend(
             lib, store=SynthesisCache(), runner=SynthesisFarm("nangate45", num_workers=2)
         )
-    elif kind == "store+remote-farm":
-        runner = RemoteFarmPool([f"{worker.address[0]}:{worker.address[1]}"], "nangate45")
-        backend = EvaluationBackend(lib, store=SynthesisCache(), runner=runner)
-    else:
-        backend = lease_backend(lib, SharedCacheService(SynthesisCache()), "a")
     yield backend, CONSTRUCTIONS[kind]
     backend.close()
 
@@ -144,10 +113,10 @@ class TestConformance:
         @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
         def check(seed):
             graph = random_walk(8, seed)
-            local = EvaluationBackend(lib, store=SynthesisCache())
-            leased = lease_backend(lib, SharedCacheService(SynthesisCache()), "p")
-            a = local.evaluate_many([graph])[0]
-            b = leased.evaluate_many([graph])[0]
+            stored = EvaluationBackend(lib, store=SynthesisCache())
+            storeless = EvaluationBackend(lib)
+            a = stored.evaluate_many([graph])[0]
+            b = storeless.evaluate_many([graph])[0]
             assert a.points() == b.points()
             assert a.points() == synthesize_curve(graph, lib).points()
 
@@ -164,13 +133,49 @@ class TestConformance:
 
     def test_evaluator_metrics_agree_across_constructions(self, lib, expected):
         graphs, _points = expected
-        service = SharedCacheService(SynthesisCache())
-        evaluators = [
-            SynthesisEvaluator(lib),
-            SynthesisEvaluator(lib, backend=lease_backend(lib, service, "x")),
-        ]
-        metrics = [e.evaluate_many(graphs) for e in evaluators]
+        with SynthesisFarm("nangate45", num_workers=2) as farm:
+            evaluators = [
+                SynthesisEvaluator(lib),
+                SynthesisEvaluator(lib, backend=EvaluationBackend(lib, store=SynthesisCache(), runner=farm)),
+            ]
+            metrics = [e.evaluate_many(graphs) for e in evaluators]
         assert metrics[0] == metrics[1]
+
+    def test_a_store_and_a_runner_are_the_whole_construction(self):
+        params = inspect.signature(EvaluationBackend).parameters
+        assert list(params) == ["library", "synthesizer", "store", "runner"]
+
+    def test_counters_with_retired_lease_keys_load(self, lib):
+        """Records from releases that counted lease traffic keep loading:
+        the six live counters are restored, the rest are ignored."""
+        backend = EvaluationBackend(lib, store=SynthesisCache())
+        counters = dict(
+            batches=2, designs=9, unique_designs=7, cache_hits=3, cache_misses=4, synthesized=4,
+            lease_granted=4, lease_waited=1, wait_hits=1, reclaimed_grants=0,
+        )
+        backend.load_state_dict({"cache": None, "counters": [counters]})
+        assert backend.counters_dict() == {k: counters[k] for k in backend.counters_dict()}
+        assert set(backend.stats()) == set(STATS_KEYS)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            dict(batches=3, lease_granted=4, lease_waited=1, wait_hits=1, reclaimed_grants=2),
+            dict(designs=8, worker_setup_seconds=0.5, worker_opt_seconds=2.0, redispatched_tasks=1,
+                 prepared_hits=3, shipped_elided=2),
+            dict(batches=2, designs=5),
+            dict(synthesized=4, a_counter_from_a_later_release=9),
+        ],
+        ids=["lease-service", "remote-farm", "partial", "unknown-key"],
+    )
+    def test_a_record_restores_the_live_counters_it_carries(self, lib, record):
+        """Whatever a record carries, the live counters it names are
+        restored and every other live counter keeps its value."""
+        backend = EvaluationBackend(lib, store=SynthesisCache())
+        backend.evaluate_many(design_set())
+        before = backend.counters_dict()
+        backend.load_counters(record)
+        assert backend.counters_dict() == {k: record.get(k, v) for k, v in before.items()}
 
 
 class RecordingStore(SynthesisCache):
@@ -231,105 +236,6 @@ class TestStoreOnlyTraffic:
         assert len(seen) == 1
 
 
-class TestLeaseContention:
-    def test_without_contention_everything_is_leased_once(self, lib, expected):
-        graphs, points = expected
-        service = SharedCacheService(SynthesisCache())
-        backend = lease_backend(lib, service, "a")
-        assert [c.points() for c in backend.evaluate_many(graphs)] == points
-        # Everything was leased to the only client and synthesized once.
-        assert backend.synthesized == 3
-        assert service.leases_fulfilled == 3
-
-    @pytest.mark.parametrize("clients", [2, 4])
-    def test_n_threads_synthesize_each_unique_design_once(self, lib, expected, clients):
-        graphs, points = expected
-        service = SharedCacheService(SynthesisCache())
-        backends = [lease_backend(lib, service, f"c{i}") for i in range(clients)]
-        results = {}
-        barrier = threading.Barrier(clients)
-
-        def run(i):
-            barrier.wait()
-            results[i] = [c.points() for c in backends[i].evaluate_many(graphs)]
-
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(clients)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert all(results[i] == points for i in range(clients))
-        # The lease protocol eliminated duplicate cross-client synthesis:
-        # 3 unique designs, 3 syntheses total no matter the interleaving.
-        assert sum(b.synthesized for b in backends) == 3
-        assert service.leases_granted == 3
-
-
-class RecordingClient(LocalServiceClient):
-    def __init__(self, service, owner):
-        super().__init__(service, owner)
-        self.put_sizes = []
-
-    def put(self, items, lease_ids=None):
-        self.put_sizes.append(len(items))
-        return super().put(items, lease_ids=lease_ids)
-
-
-@pytest.fixture(scope="module")
-def pool_runner():
-    with SynthesisFarm("nangate45", 2) as farm:
-        yield farm
-
-
-class TestActorFarmConstruction:
-    """What ``repro actor --farm`` builds: a front store, a lease service
-    and a runner, here a same-host pool of width 2."""
-
-    def actor_backend(self, lib, service, owner, runner):
-        return EvaluationBackend(
-            lib,
-            store=SynthesisCache(),
-            service=RecordingClient(service, owner),
-            runner=runner,
-        )
-
-    def test_curves_match_synthesize_curve(self, lib, expected, pool_runner):
-        graphs, points = expected
-        backend = self.actor_backend(lib, SharedCacheService(SynthesisCache()), "a", pool_runner)
-        assert [c.points() for c in backend.evaluate_many(graphs)] == points
-        assert backend.synthesized == 3
-
-    def test_two_threaded_clients_synthesize_each_design_once(self, lib, expected, pool_runner):
-        graphs, points = expected
-        service = SharedCacheService(SynthesisCache())
-        backends = [self.actor_backend(lib, service, f"c{i}", pool_runner) for i in range(2)]
-        results = {}
-        barrier = threading.Barrier(2)
-
-        def run(i):
-            barrier.wait()
-            results[i] = [c.points() for c in backends[i].evaluate_many(graphs)]
-
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-        assert results == {0: points, 1: points}
-        assert sum(b.synthesized for b in backends) == 3
-        assert service.leases_granted == 3
-
-    def test_leased_results_publish_in_runner_width_slices(self, lib, pool_runner):
-        graphs = [random_walk(8, seed) for seed in range(5)]
-        assert len({g.key() for g in graphs}) == 5
-        backend = self.actor_backend(lib, SharedCacheService(SynthesisCache()), "a", pool_runner)
-        backend.evaluate_many(graphs)
-        sizes = backend.service.put_sizes
-        assert sum(sizes) == 5
-        assert max(sizes) <= pool_runner.width == 2
-        assert sizes == [2, 2, 1]
-
-
 class TestStatsSchema:
     """One schema (STATS_KEYS) across every curve source — pinned here."""
 
@@ -347,16 +253,6 @@ class TestStatsSchema:
             backend.evaluate_many([sklansky(8)])
             assert_schema(backend.stats())
             assert backend.stats()["backend"] == "farm-pool[1]"
-
-    def test_lease_extension(self, lib):
-        backend = lease_backend(lib, SharedCacheService(SynthesisCache()), "s")
-        backend.evaluate_many([sklansky(8)])
-        stats = backend.stats()
-        assert_schema(stats)
-        assert stats["backend"] == "cluster"
-        assert {"granted", "waited", "wait_hits", "reclaimed_grants"} <= set(
-            stats["lease"]
-        )
 
     def test_history_synthesis_stats_schema(self, lib):
         from repro.env import PrefixEnv

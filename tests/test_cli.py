@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 
 
@@ -88,39 +89,27 @@ class TestCliRuntime:
         ids=lambda flag: flag[0],
     )
     def test_async_runtime_flags_are_gone(self, flag, capsys):
-        """``train`` is the one deterministic stepper; multi-actor training
-        on one host is ``repro cluster``, which keeps its own fleet flags."""
+        """``train`` is the one deterministic stepper; multi-replica
+        training is its ``--envs``."""
         with pytest.raises(SystemExit) as exit_info:
             main(self.TRAIN + flag)
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["train", "cluster"])
-    def test_fast_conv_flag_is_gone(self, command, capsys):
+    def test_fast_conv_flag_is_gone(self, capsys):
         """The Q-network has one numeric path; there is nothing to opt into."""
         with pytest.raises(SystemExit) as exit_info:
-            main([command, "8", "--fast-conv"])
+            main(["train", "8", "--fast-conv"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --fast-conv" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "command",
-        [
-            ["cluster", "8", "--inference"],
-            ["serve-learner", "8", "--inference"],
-            ["cluster", "8", "--inference-max-batch", "64"],
-            ["serve-learner", "8", "--inference-max-wait", "0.01"],
-            ["actor", "--connect", "127.0.0.1:1", "--inference", "127.0.0.1:2"],
-        ],
-        ids=lambda command: " ".join(command[:1] + command[-2:]),
-    )
-    def test_inference_flags_are_gone(self, command, capsys):
-        """Every actor runs the one policy on its own snapshot network; the
-        shared inference server (2.5x slower per request) left with its flags."""
+    @pytest.mark.parametrize("command", ["serve-learner", "cluster", "actor", "farm-worker", "stats"])
+    def test_fleet_commands_are_gone(self, command, capsys):
+        """One process trains at every size: the socket fleet went."""
         with pytest.raises(SystemExit) as exit_info:
-            main(command)
+            main([command])
         assert exit_info.value.code == 2
-        assert "unrecognized arguments: --inference" in capsys.readouterr().err
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
     def test_same_seed_twice_prints_the_same_bytes(self, capsys):
         """The differential-CLI fingerprint command is a function of its seed."""
@@ -129,6 +118,36 @@ class TestCliRuntime:
         first = capsys.readouterr().out
         assert main(command) == 0
         assert capsys.readouterr().out == first and "frontier" in first
+
+    def test_envs_run_twice_prints_the_same_bytes(self, capsys):
+        """E lockstep replicas are as deterministic as one env."""
+        command = ["train", "8", "--steps", "60", "--seed", "3", "--envs", "3"]
+        assert main(command) == 0
+        first = capsys.readouterr().out
+        assert main(command) == 0
+        assert capsys.readouterr().out == first and "trained 60 steps" in first
+
+    def test_envs_preempt_then_resume_matches_uninterrupted(self, tmp_path, capsys):
+        """Over E=3 replicas ``--stop-after 25`` halts at the round boundary
+        (step 27) and the resume finishes with the uninterrupted bytes."""
+        command = self.TRAIN + ["--envs", "3"]
+        assert main(command) == 0
+        expected = capsys.readouterr().out
+
+        ckpt = str(tmp_path / "ckpt")
+        assert main(command + ["--checkpoint-dir", ckpt, "--stop-after", "25"]) == 0
+        assert "checkpointed at step 27" in capsys.readouterr().err
+        assert main(command + ["--checkpoint-dir", ckpt, "--resume"]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_resume_with_another_replica_count_is_refused(self, tmp_path, capsys):
+        from repro.rl import CheckpointError
+
+        ckpt = str(tmp_path / "ckpt")
+        assert main(self.TRAIN + ["--envs", "3", "--checkpoint-dir", ckpt, "--stop-after", "9"]) == 0
+        capsys.readouterr()
+        with pytest.raises(CheckpointError, match="holds 3 env replicas, this run steps 2; resume with --envs 3"):
+            main(self.TRAIN + ["--envs", "2", "--checkpoint-dir", ckpt, "--resume"])
 
     def test_checkpoint_flags_require_dir(self):
         with pytest.raises(SystemExit, match="checkpoint-dir"):
@@ -150,36 +169,96 @@ class TestCliRuntime:
             main(self.TRAIN + ["--resume", "--checkpoint-dir", str(tmp_path / "empty")])
 
 
-class TestClusterKnobRanges:
-    """A fleet knob out of range stops a cluster command before it binds a
-    socket or spawns a process, with a message naming the field."""
+class TestEnvsFlag:
+    """``train --envs E``: E lockstep replicas in one process."""
+
+    TRAIN = TestCliRuntime.TRAIN
+
+    def run(self, argv, capsys):
+        assert main(argv) == 0
+        return capsys.readouterr()
+
+    @pytest.mark.parametrize("envs", ["1", "2", "4", "6"])
+    def test_a_seed_prints_the_same_bytes_twice(self, envs, capsys):
+        command = self.TRAIN + ["--envs", envs]
+        first = self.run(command, capsys).out
+        assert self.run(command, capsys).out == first
+        assert first.startswith("trained 40 steps (")
+
+    @pytest.mark.parametrize("seed", ["0", "3", "7"])
+    def test_one_replica_is_the_default_run(self, seed, capsys):
+        command = ["train", "6", "--steps", "30", "--seed", seed, "--blocks", "0", "--channels", "4"]
+        assert self.run(command + ["--envs", "1"], capsys).out == self.run(command, capsys).out
+
+    @pytest.mark.parametrize("stop", [1, 13, 30])
+    @pytest.mark.parametrize("envs", [2, 4])
+    def test_preempt_then_resume_matches_uninterrupted(self, envs, stop, tmp_path, capsys):
+        command = self.TRAIN + ["--envs", str(envs)]
+        expected = self.run(command, capsys).out
+        ckpt = ["--checkpoint-dir", str(tmp_path / "ckpt")]
+        halted = self.run(command + ckpt + ["--stop-after", str(stop)], capsys)
+        boundary = -(-stop // envs) * envs
+        assert halted.out == ""
+        assert halted.err.startswith(f"checkpointed at step {boundary} into ")
+        assert self.run(command + ckpt + ["--resume"], capsys).out == expected
+
+    def test_more_replicas_than_the_budget_still_trains_the_budget(self, capsys):
+        out = self.run(["train", "6", "--steps", "5", "--seed", "1", "--blocks", "0", "--channels", "4",
+                        "--envs", "8"], capsys).out
+        assert out.startswith("trained 5 steps (0 gradient steps)\n")
+
+    @pytest.mark.parametrize("value", ["x", "1.5", "", "2e0"])
+    def test_a_non_integer_count_is_a_usage_error(self, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.TRAIN + ["--envs", value])
+        assert exit_info.value.code == 2
+        assert f"argument --envs: invalid int value: '{value}'" in capsys.readouterr().err
+
+    def test_a_warm_store_rerun_pays_zero_misses(self, tmp_path, capsys):
+        command = self.TRAIN + ["--envs", "3", "--store-dir", str(tmp_path / "store")]
+        cold = self.run(command, capsys).out
+        warm = self.run(command, capsys).out
+        cold_lines, warm_lines = cold.splitlines(), warm.splitlines()
+        # Same training, same frontier; only the cache line differs.
+        assert cold_lines[0] == warm_lines[0] and cold_lines[2:] == warm_lines[2:]
+        assert "misses=0" not in cold_lines[1] and "misses=0" in warm_lines[1]
 
     @pytest.mark.parametrize(
-        "command, field",
+        "flag",
         [
-            (["cluster", "4", "--actors", "1", "--envs-per-actor", "0"], "envs_per_actor"),
-            (["cluster", "4", "--farm-workers", "-1"], "farm_workers"),
-            (["cluster", "4", "--heartbeat-timeout", "0"], "heartbeat_timeout"),
-            (["cluster", "4", "--restart-budget", "-1"], "restart_budget"),
-            (["serve-learner", "4", "--cluster-wait", "nan"], "cluster_wait"),
-            (["serve-learner", "4", "--actors", "0"], "actors"),
-            (["serve-learner", "4", "--publish-every", "0"], "publish_every"),
-            (["actor", "--connect", "127.0.0.1:1", "--front-cache", "0"], "front_cache"),
-            (["actor", "--connect", "127.0.0.1:1", "--heartbeat-timeout", "-1"], "heartbeat_timeout"),
+            ["--connect", "127.0.0.1:1"], ["--farm", "127.0.0.1:2"], ["--farm-workers", "2"],
+            ["--restart-budget", "1"], ["--listen", "127.0.0.1:0"], ["--heartbeat-timeout", "5"],
+            ["--cluster-wait", "5"], ["--reconnect-attempts", "3"], ["--front-cache", "64"],
+            ["--backpressure-lag", "4"], ["--throttle-seconds", "0.5"], ["--obs-dir", "obs"],
         ],
-        ids=lambda item: " ".join(item) if isinstance(item, list) else item,
+        ids=lambda flag: flag[0],
     )
-    def test_exits_naming_the_field_and_spawns_nothing(self, command, field, monkeypatch):
-        import socket
-        import subprocess
+    def test_fleet_knobs_are_gone(self, flag, capsys):
+        """The fleet's rows left the flag table with the fleet."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.TRAIN + flag)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a rejected knob must not reach the network or a subprocess")
 
-        monkeypatch.setattr(socket, "socket", forbidden)
-        monkeypatch.setattr(subprocess, "Popen", forbidden)
-        with pytest.raises(SystemExit, match=f"^{field} must be"):
-            main(command)
+class TestFlagTable:
+    def test_every_command_flag_is_declared(self):
+        for command, (names, overrides) in cli._COMMANDS.items():
+            assert set(names) <= set(cli._FLAGS), command
+            assert set(overrides) <= set(names), command
+
+    def test_every_declared_flag_has_a_command(self):
+        """A row no command registers is dead."""
+        used = {name for names, _overrides in cli._COMMANDS.values() for name in names}
+        assert used == set(cli._FLAGS)
+
+    def test_train_defaults(self):
+        got = vars(cli.build_parser().parse_args(["train"]))
+        names = ("width", "steps", "envs", "checkpoint_every", "stop_after", "resume", "store_dir")
+        assert {k: got[k] for k in names} == {
+            "width": 8, "steps": 150, "envs": 1, "checkpoint_every": 0, "stop_after": None, "resume": False,
+            "store_dir": None,
+        }
 
 
 class TestInputErrors:
@@ -199,10 +278,9 @@ class TestInputErrors:
             (["train", "--steps", "-5"], "--steps", "-5"),
             (["train", "--w-area", "1.5"], "--w-area", "1.5"),
             (["train", "--w-area", "-0.25"], "--w-area", "-0.25"),
+            (["train", "--envs", "0"], "--envs", "0"),
+            (["train", "--envs", "-2"], "--envs", "-2"),
             (["sweep", "--weights", "0"], "--weights", "0"),
-            (["stats", "--connect", "127.0.0.1:1", "--interval", "-1"], "--interval", "-1.0"),
-            (["stats", "--connect", "127.0.0.1:1", "--interval", "0"], "--interval", "0.0"),
-            (["stats", "--connect", "127.0.0.1:1", "--interval", "nan"], "--interval", "nan"),
             (["obs", "report", "runs", "--rounds", "-1"], "--rounds", "-1"),
         ],
     )

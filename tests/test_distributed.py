@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.cells import library_by_name, nangate45
 from repro.distributed import BatchedActor, SynthesisFarm
 from repro.distributed.farm import chunk_tasks, task_graph
 from repro.env import PrefixEnv
-from repro.prefix import brent_kung, ripple_carry, sklansky
+from repro.prefix import REGULAR_STRUCTURES, brent_kung, graph_to_json, ripple_carry, sklansky
+from repro.prefix.serialize import graph_digest
 from repro.rl import ReplayBuffer, ScalarizedDoubleDQN
 from repro.synth import (
     AnalyticalEvaluator,
@@ -16,7 +18,7 @@ from repro.synth import (
     Synthesizer,
     synthesize_curve,
 )
-from repro.cells import nangate45
+from tests.conftest import random_walk_graph
 
 
 def direct_points(graphs, lib=None):
@@ -38,8 +40,48 @@ class TestSynthesisFarm:
 
     def test_runner_face(self):
         farm = SynthesisFarm("nangate45", num_workers=3)
-        assert (farm.width, farm.name, farm.totals) == (3, "farm-pool[3]", {})
+        assert (farm.width, farm.name) == (3, "farm-pool[3]")
         farm.close()  # never started: nothing to shut down
+
+    @pytest.mark.parametrize("name", sorted(REGULAR_STRUCTURES))
+    def test_task_roundtrip_keeps_the_graph_and_the_backend_key(self, name):
+        graph = REGULAR_STRUCTURES[name](32)
+        parsed = task_graph({"graph": graph_to_json(graph)})
+        assert parsed.key() == graph.key()
+        backend = EvaluationBackend(nangate45(), Synthesizer())
+        assert (graph_digest(parsed), "nangate45", Synthesizer().name) == backend.key(graph)
+
+    @pytest.mark.parametrize(
+        "task, problem",
+        [
+            ({"digest": "ab" * 32, "netlist": {"version": 1}}, "carries no graph"),
+            ({"digest": "ab" * 32}, "carries no graph"),
+            ({"graph": "{not json"}, "not a legal prefix graph"),
+            ({"graph": '{"n": 4, "interior_nodes": [[9, 1]]}'}, "outside the lower triangle"),
+            ("sklansky", "carries no graph"),
+        ],
+        ids=["netlist", "digest-only", "malformed-json", "illegal-graph", "not-a-dict"],
+    )
+    def test_a_task_without_a_legal_graph_is_refused_naming_it(self, task, problem):
+        with pytest.raises(ValueError, match=problem):
+            task_graph(task)
+
+    @pytest.mark.parametrize("library", ["nangate45", "industrial8nm"])
+    def test_in_process_and_pool_return_synthesize_curve_bytes(self, library):
+        """Both dispatch paths return ``synthesize_curve(g, lib).points()`` exactly."""
+        rng = np.random.default_rng(0)
+        graphs = []
+        for n in (8, 32):
+            graphs += [REGULAR_STRUCTURES[name](n) for name in sorted(REGULAR_STRUCTURES)]
+            graphs += [random_walk_graph(n, 2 * n, rng) for _ in range(2)]
+        lib = library_by_name(library)
+        want = [synthesize_curve(g, lib).points() for g in graphs]
+        for runner in (None, SynthesisFarm(library, num_workers=1)):
+            backend = EvaluationBackend(lib, runner=runner)
+            try:
+                assert [c.points() for c in backend.evaluate_many(graphs)] == want
+            finally:
+                backend.close()
 
     def test_chunks_keep_order_one_per_worker(self):
         graphs = [sklansky(8), brent_kung(8), ripple_carry(8)]
