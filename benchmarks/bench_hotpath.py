@@ -26,8 +26,7 @@ and, when the running tree has them — 1-CPU work and cost records, not
 speedup claims:
 
 7. ``store``: curve-store append, cold reopen and warm-hit latency
-   against the synthesis a warm hit replaces;
-8. ``obs``: the observability layer's overhead with events off.
+   against the synthesis a warm hit replaces.
 
 Sections 1-5 are restricted to APIs that exist in the seed tree, and the
 newer ones skip themselves in trees without their API, so the *same*
@@ -90,13 +89,6 @@ try:  # seed/parent trees: no persistent curve store yet
 except ImportError:
     STORE_AVAILABLE = False
 
-try:  # seed/parent trees: no observability layer yet
-    from repro import obs as repro_obs
-
-    OBS_AVAILABLE = True
-except ImportError:
-    OBS_AVAILABLE = False
-
 try:  # older trees: no configurable synthesizer (recovery_passes) yet
     from repro.synth import Synthesizer
 except ImportError:
@@ -129,8 +121,6 @@ STORE_POINTS = 8                # frontier points per stored curve
 STORE_ROUNDS = 3
 STORE_SYNTH_WIDTH = 16
 STORE_SYNTH_GRAPHS = 4          # synthesize_curve calls timed for the ratio
-OBS_ROUNDS = 4000               # synthetic acting rounds per repeat
-OBS_REPEATS = 5                 # interleaved bare/instrumented repeats
 
 
 def random_walk_grid(n: int, steps: int, rng: np.random.Generator) -> np.ndarray:
@@ -439,80 +429,6 @@ def bench_store() -> "dict | None":
     return {str(n): row}
 
 
-def bench_obs() -> "dict | None":
-    """Overhead of the observability layer with event logging off.
-
-    A synthetic acting round carrying exactly the instrumentation the real
-    one does — one outer span, three inner spans, two counter bumps, four
-    histogram observes — against the same round with no obs calls at all.
-    Events are unconfigured (the default), so spans only pay their
-    perf_counter bookkeeping and metrics their per-thread cell bumps.
-    Interleaved best-of; the recorded ratio is bare-over-instrumented
-    wall-clock (1.0 = free; the target is > 0.98, under 2% overhead, on a
-    round doing any real work at all — the synthetic work here is a few
-    small matmuls, far cheaper than one synthesis call, so this is the
-    overhead ceiling, not the typical case).
-    """
-    if not OBS_AVAILABLE:
-        return None
-    work = np.random.default_rng(0).standard_normal((48, 48))
-
-    def round_bare() -> float:
-        acc = float((work @ work).sum())
-        acc += float((work @ work).sum())
-        acc += float((work @ work).sum())
-        acc += float((work @ work).sum())
-        return acc
-
-    def round_instrumented() -> float:
-        with repro_obs.span("bench.round") as round_span:
-            with repro_obs.span("bench.act") as act_span:
-                acc = float((work @ work).sum())
-            with repro_obs.span("bench.step") as step_span:
-                acc += float((work @ work).sum())
-                acc += float((work @ work).sum())
-            with repro_obs.span("bench.push") as push_span:
-                acc += float((work @ work).sum())
-        repro_obs.counter("bench.rounds").inc()
-        repro_obs.counter("bench.env_steps").inc(2)
-        repro_obs.histogram("bench.round_seconds").observe(round_span.seconds)
-        repro_obs.histogram("bench.act_seconds").observe(act_span.seconds)
-        repro_obs.histogram("bench.step_seconds").observe(step_span.seconds)
-        repro_obs.histogram("bench.push_seconds").observe(push_span.seconds)
-        return acc
-
-    round_bare(), round_instrumented()  # warm caches off the clock
-    best = {"bare": float("inf"), "instrumented": float("inf")}
-    for _ in range(OBS_REPEATS):
-        start = time.perf_counter()
-        for _ in range(OBS_ROUNDS):
-            round_bare()
-        best["bare"] = min(best["bare"], time.perf_counter() - start)
-        start = time.perf_counter()
-        for _ in range(OBS_ROUNDS):
-            round_instrumented()
-        best["instrumented"] = min(
-            best["instrumented"], time.perf_counter() - start
-        )
-    bare_us = best["bare"] / OBS_ROUNDS * 1e6
-    instr_us = best["instrumented"] / OBS_ROUNDS * 1e6
-    row = {
-        "rounds": OBS_ROUNDS,
-        "repeats": OBS_REPEATS,
-        "bare_us_per_round": bare_us,
-        "instrumented_us_per_round": instr_us,
-        "overhead_us_per_round": max(0.0, instr_us - bare_us),
-        "disabled_over_bare": bare_us / instr_us if instr_us > 0 else 1.0,
-    }
-    print(
-        f"obs rounds={OBS_ROUNDS}: bare {bare_us:.2f} us/round, "
-        f"instrumented {instr_us:.2f} us/round "
-        f"-> {row['overhead_us_per_round']:.2f} us overhead "
-        f"({row['disabled_over_bare']:.3f}x)"
-    )
-    return {str(OBS_ROUNDS): row}
-
-
 def measure() -> dict:
     out = {
         "machine": {
@@ -541,9 +457,6 @@ def measure() -> dict:
     store = bench_store()
     if store is not None:
         out["store"] = store
-    obs_section = bench_obs()
-    if obs_section is not None:
-        out["obs"] = obs_section
     return out
 
 
@@ -602,10 +515,6 @@ def merge(baseline: dict, current: dict, parent: "dict | None" = None) -> dict:
         # Work-avoidance ratio: one warm disk hit vs the synthesize_curve
         # call it replaces after a restart.
         speedups["store_warm_read_over_synthesis"] = row["warm_read_over_synthesis"]
-    for row in current.get("obs", {}).values():
-        # A cost ceiling, not a speedup: bare-over-instrumented wall-clock
-        # of a synthetic acting round with events off (1.0 = free).
-        speedups["obs_disabled_over_bare"] = row["disabled_over_bare"]
     result = {"seed_baseline": baseline, "optimized": current, "speedups": speedups}
     if parent is not None:
         result["parent_baseline"] = parent
@@ -620,7 +529,6 @@ def apply_smoke_workload() -> None:
     global STA_WIDTHS, STA_RECOVERY_PASSES, STA_REPEATS, STA_ROUNDS
     global ANALYTICAL_WIDTHS, ANALYTICAL_REPS, ANALYTICAL_RIPPLE_REPS
     global STORE_ENTRIES, STORE_ROUNDS, STORE_SYNTH_WIDTH, STORE_SYNTH_GRAPHS
-    global OBS_ROUNDS, OBS_REPEATS
     FEATURE_WIDTHS = (8, 16)
     TRAINER_WIDTHS = (8,)
     TRAINER_STEPS = 24
@@ -641,8 +549,6 @@ def apply_smoke_workload() -> None:
     STORE_ROUNDS = 1
     STORE_SYNTH_WIDTH = 8
     STORE_SYNTH_GRAPHS = 2
-    OBS_ROUNDS = 400
-    OBS_REPEATS = 2
 
 
 _HIGHER_IS_BETTER = ("graphs_per_sec", "steps_per_sec")
@@ -737,9 +643,6 @@ def run_smoke(output: "str | None") -> dict:
     if STORE_AVAILABLE:
         assert "store" in current, "missing bench section 'store'"
         expected.append("store_warm_read_over_synthesis")
-    if OBS_AVAILABLE:
-        assert "obs" in current, "missing bench section 'obs'"
-        expected.append("obs_disabled_over_bare")
     missing = [k for k in expected if k not in speedups]
     assert not missing, f"missing speedup keys: {missing}"
     assert "synthesize_curve_n8" in result["speedups_vs_parent"]
@@ -762,7 +665,6 @@ def profile_sections() -> dict:
         "analytical": bench_analytical,
         "synthesis_farm": bench_farm,
         "store": bench_store,
-        "obs": bench_obs,
     }
 
 

@@ -39,8 +39,9 @@ COMMANDS=(
     "sweep 6 --weights 2 --steps 40 --seed 1"
     "eval han_carlson 65"
     "sweep 33 --weights 2 --steps 40 --seed 2"
-    # Flag names, defaults and help of the training commands (argparse
-    # wraps at 80 columns when stdout is not a terminal).
+    # The command list, then flag names, defaults and help of the training
+    # commands (argparse wraps at 80 columns when stdout is not a terminal).
+    "--help"
     "train --help"
     "sweep --help"
 )

@@ -8,8 +8,6 @@ Subcommands mirror the library's main entry points:
 - ``train``   — run a small synthesis-in-the-loop training
 - ``sweep``   — multi-weight analytical sweep and frontier dump
 - ``render``  — network/grid diagrams of a design
-- ``obs report`` — post-run trace/latency report over a directory of
-  :mod:`repro.obs` JSONL event logs
 """
 
 from __future__ import annotations
@@ -189,17 +187,6 @@ def cmd_train(args) -> int:
         cache.close()
 
 
-def cmd_obs_report(args) -> int:
-    from repro.obs.report import render_report
-
-    _require(args.rounds >= 0, "--rounds", args.rounds, "must be >= 0")
-    if not Path(args.obs_dir).is_dir():
-        print(f"obs report: no such directory: {args.obs_dir}", file=sys.stderr)
-        return 1
-    print(render_report(args.obs_dir, max_rounds=args.rounds))
-    return 0
-
-
 def cmd_sweep(args) -> int:
     from repro.rl.sweep import pareto_sweep, weight_grid
     from repro.synth import AnalyticalEvaluator
@@ -313,16 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="synthesis-in-the-loop RL training")
     _add_flags(p, "train")
     p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("obs", help="observability utilities")
-    obs_sub = p.add_subparsers(dest="obs_command", required=True)
-    rp = obs_sub.add_parser(
-        "report", help="post-run trace/latency report over a directory of obs event logs"
-    )
-    rp.add_argument("obs_dir", help="directory of per-process JSONL event logs")
-    rp.add_argument("--rounds", type=int, default=5,
-                    help="slowest traced rounds to break down (default 5)")
-    rp.set_defaults(func=cmd_obs_report)
 
     p = sub.add_parser("sweep", help="multi-weight analytical sweep")
     _add_flags(p, "sweep")

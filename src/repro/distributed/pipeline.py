@@ -12,10 +12,9 @@ learner. Training over ``E`` lockstep replicas is
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
-
-from repro import obs as obslib
 from repro.env.environment import PrefixEnv
 from repro.env.vector import VectorPrefixEnv
 from repro.rl.agent import ScalarizedDoubleDQN
@@ -77,13 +76,12 @@ class BatchedActor:
             return self.agent.act_batch(obs, masks, epsilon=epsilon, rng=self._rng)
 
         steps = 0
-        with obslib.span("pipeline.collect", rounds=rounds, envs=len(self.envs)) as sp:
-            for _ in range(rounds):
-                round_, self._obs, self._masks = acting_round(self._venv, self._obs, self._masks, act)
-                if buffer is not None:
-                    push_round(buffer, round_, len(self.envs))
-                steps += len(self.envs)
-        obslib.counter("pipeline.collect_steps").inc(steps)
+        start = time.perf_counter()
+        for _ in range(rounds):
+            round_, self._obs, self._masks = acting_round(self._venv, self._obs, self._masks, act)
+            if buffer is not None:
+                push_round(buffer, round_, len(self.envs))
+            steps += len(self.envs)
         return CollectStats(
-            env_steps=steps, wall_seconds=sp.seconds, num_envs=len(self.envs)
+            env_steps=steps, wall_seconds=time.perf_counter() - start, num_envs=len(self.envs)
         )

@@ -182,24 +182,17 @@ class PrefixEnv:
 
     # -- persistence -----------------------------------------------------
 
-    def state_dict(self) -> dict:
+    def state_dict(self, archive: bool = True) -> dict:
         """Everything a checkpoint needs to resume the MDP bit-for-bit:
         the current graph, episode/lifetime step counters, the current
         metrics (reward baselines), the start-state RNG stream and the
-        Pareto archive with its design payloads."""
+        Pareto archive with its design payloads. ``archive=False`` leaves
+        the archive out, for replicas that share one and write it once
+        (:meth:`repro.env.VectorPrefixEnv.state_dict`)."""
         from repro.prefix.serialize import graph_to_dict
         from repro.utils.rng import rng_state
 
-        def encode(payload):
-            if payload is None:
-                return None
-            if isinstance(payload, PrefixGraph):
-                return graph_to_dict(payload)
-            raise TypeError(
-                f"cannot checkpoint archive payload of type {type(payload).__name__}"
-            )
-
-        return {
+        state = {
             "n": self.n,
             "horizon": self.horizon,
             "graph": graph_to_dict(self.state) if self.state is not None else None,
@@ -211,11 +204,29 @@ class PrefixEnv:
                 else None
             ),
             "rng": rng_state(self._rng),
-            "archive": self.archive.state_dict(encode_payload=encode),
         }
+        if archive:
+            state["archive"] = self.archive_state()
+        return state
+
+    def archive_state(self) -> dict:
+        """The Pareto archive with its design payloads."""
+        from repro.prefix.serialize import graph_to_dict
+
+        def encode(payload):
+            if payload is None:
+                return None
+            if isinstance(payload, PrefixGraph):
+                return graph_to_dict(payload)
+            raise TypeError(
+                f"cannot checkpoint archive payload of type {type(payload).__name__}"
+            )
+
+        return self.archive.state_dict(encode_payload=encode)
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot onto a same-width env."""
+        """Restore a :meth:`state_dict` snapshot onto a same-width env
+        (its archive too, when the snapshot carries one)."""
         from repro.prefix.serialize import graph_from_dict
         from repro.synth.evaluator import CircuitMetrics
         from repro.utils.rng import set_rng_state
@@ -235,7 +246,13 @@ class PrefixEnv:
             else None
         )
         set_rng_state(self._rng, state["rng"])
+        if "archive" in state:
+            self.load_archive_state(state["archive"])
+
+    def load_archive_state(self, state: dict) -> None:
+        """Restore an :meth:`archive_state` snapshot."""
+        from repro.prefix.serialize import graph_from_dict
+
         self.archive.load_state_dict(
-            state["archive"],
-            decode_payload=lambda p: graph_from_dict(p) if p is not None else None,
+            state, decode_payload=lambda p: graph_from_dict(p) if p is not None else None
         )

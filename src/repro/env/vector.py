@@ -164,17 +164,36 @@ class VectorPrefixEnv:
 
     # -- persistence -----------------------------------------------------
 
+    def _shared_archive(self) -> bool:
+        first = self.envs[0].archive
+        return all(env.archive is first for env in self.envs)
+
     def state_dict(self) -> dict:
-        """Per-replica snapshots (see :meth:`PrefixEnv.state_dict`)."""
-        return {"envs": [env.state_dict() for env in self.envs]}
+        """Per-replica snapshots (see :meth:`PrefixEnv.state_dict`).
+        Replicas that record into one archive — every replica of
+        :meth:`make` over an ``ArchivingEvaluator`` — write it once, beside
+        them, rather than once per replica."""
+        if not self._shared_archive():
+            return {"envs": [env.state_dict() for env in self.envs]}
+        return {
+            "envs": [env.state_dict(archive=False) for env in self.envs],
+            "archive": self.envs[0].archive_state(),
+        }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore every replica and re-derive the lockstep state list."""
+        """Restore every replica and re-derive the lockstep state list.
+
+        Reads both layouts: one shared archive record, and (as older
+        checkpoints wrote) a copy of it in every replica's snapshot."""
         snaps = state["envs"]
         if len(snaps) != len(self.envs):
             raise ValueError(
                 f"checkpoint has {len(snaps)} replicas, vector env has {len(self.envs)}"
             )
+        if "archive" in state and not self._shared_archive():
+            raise ValueError("checkpoint holds one shared archive, but the replicas record into several")
         for env, snap in zip(self.envs, snaps):
             env.load_state_dict(snap)
+        if "archive" in state:
+            self.envs[0].load_archive_state(state["archive"])
         self._states = [env.state for env in self.envs]

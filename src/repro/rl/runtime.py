@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from repro import obs
 from repro.rl.agent import ScalarizedDoubleDQN
 from repro.rl.checkpoint import CheckpointError, CheckpointManager
 from repro.rl.replay import ReplayBuffer
@@ -47,14 +46,11 @@ class RuntimeConfig:
     """
 
     checkpoint_every: int = 0      # env steps between checkpoints (0: only stop/final)
-    keep_checkpoints: int = 3      # snapshots retained on disk (0 keeps all)
     stop_after: "int | None" = None  # checkpoint and halt at this env step (preemption)
 
     def __post_init__(self):
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be nonnegative")
-        if self.keep_checkpoints < 0:
-            raise ValueError(f"keep_checkpoints must be nonnegative, got {self.keep_checkpoints}")
         if self.stop_after is not None and self.stop_after < 1:
             raise ValueError(f"stop_after must be a positive env step, got {self.stop_after}")
 
@@ -67,10 +63,10 @@ class TrainingRuntime:
             a one-replica vector env) or a :class:`VectorPrefixEnv`.
         agent: the agent to train.
         config: :class:`TrainerConfig` (steps, batch size, cadences).
-        runtime: :class:`RuntimeConfig` (checkpoint cadence, retention,
-            preemption).
+        runtime: :class:`RuntimeConfig` (checkpoint cadence, preemption).
         checkpoint_dir: root directory for snapshots (required for
-            checkpointing/resume; optional otherwise).
+            checkpointing/resume; optional otherwise). The three newest
+            snapshots are kept.
         rng: seed or generator for replay sampling.
     """
 
@@ -88,11 +84,7 @@ class TrainingRuntime:
         self.agent = agent
         self.config = config if config is not None else TrainerConfig()
         self.runtime = runtime if runtime is not None else RuntimeConfig()
-        self.manager = (
-            CheckpointManager(checkpoint_dir, keep_last=self.runtime.keep_checkpoints)
-            if checkpoint_dir is not None
-            else None
-        )
+        self.manager = CheckpointManager(checkpoint_dir) if checkpoint_dir is not None else None
         self.env = as_vector(env)
         self.buffer = ReplayBuffer(self.config.buffer_capacity, rng=rng)
         self.preempted = False
@@ -165,8 +157,6 @@ class TrainingRuntime:
             "caches": self._cache_states(),
             "env_kind": "vector",
             "env": self.env.state_dict(),
-            # Metrics survive checkpoint/resume.
-            "obs": {"metrics": obs.REGISTRY.state_dict()},
         }
 
     def _save(self, total: int, history: TrainingHistory, loop_state: dict) -> None:
@@ -232,9 +222,6 @@ class TrainingRuntime:
         self.buffer.load_state_dict(state["buffer"])
         self._restore_caches(state["caches"])
         self.env.load_state_dict(env_state)
-        obs_state = state.get("obs")  # absent in pre-obs checkpoints
-        if isinstance(obs_state, dict) and isinstance(obs_state.get("metrics"), dict):
-            obs.REGISTRY.load_state_dict(obs_state["metrics"])
         history = self._history_from_state(state["history"])
         return total, history, state["loop"]
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import obs as obslib
 from repro.env.environment import PrefixEnv
 from repro.env.vector import VectorPrefixEnv
 from repro.rl.agent import ScalarizedDoubleDQN
@@ -122,25 +121,21 @@ def acting_round(venv: VectorPrefixEnv, obs: np.ndarray, masks: np.ndarray, act)
     fields, and ``next_obs`` / ``next_masks`` are the post-reset stacks
     the next round acts on.
     """
-    with obslib.span("actor.act") as act_span:
-        actions = act(obs, masks)
-    with obslib.span("actor.step") as step_span:
-        results = venv.step(actions)
-        # The per-graph feature/mask memo makes these stacks cheap for
-        # replicas whose state was already observed.
-        next_obs, next_masks = venv.observe(), venv.legal_masks()
-        t_obs, t_masks = next_obs, next_masks
-        ended = [i for i, result in enumerate(results) if result.done]
-        if ended:
-            # The vector env has already reset these replicas; their
-            # transition's successor is the terminal state, not the new
-            # episode, so featurize it directly.
-            t_obs, t_masks = next_obs.copy(), next_masks.copy()
-            for i in ended:
-                t_obs[i] = venv.envs[i].observe(results[i].next_state)
-                t_masks[i] = venv.envs[i].legal_mask(results[i].next_state)
-    obslib.histogram("actor.act_seconds").observe(act_span.seconds)
-    obslib.histogram("actor.step_seconds").observe(step_span.seconds)
+    actions = act(obs, masks)
+    results = venv.step(actions)
+    # The per-graph feature/mask memo makes these stacks cheap for
+    # replicas whose state was already observed.
+    next_obs, next_masks = venv.observe(), venv.legal_masks()
+    t_obs, t_masks = next_obs, next_masks
+    ended = [i for i, result in enumerate(results) if result.done]
+    if ended:
+        # The vector env has already reset these replicas; their
+        # transition's successor is the terminal state, not the new
+        # episode, so featurize it directly.
+        t_obs, t_masks = next_obs.copy(), next_masks.copy()
+        for i in ended:
+            t_obs[i] = venv.envs[i].observe(results[i].next_state)
+            t_masks[i] = venv.envs[i].legal_mask(results[i].next_state)
     round_ = {
         "states": obs,
         "actions": np.asarray(actions),
@@ -269,7 +264,6 @@ class CollectionLoop:
             loss = self.agent.train_step(self.buffer.sample(cfg.batch_size))
             history.losses.append(loss)
             history.gradient_steps += 1
-            obslib.counter("trainer.gradient_steps").inc()
 
     # -- persistence -----------------------------------------------------
 

@@ -24,7 +24,6 @@ Every implementation provides::
 
     get(key) / put(key, value)            # single-key
     get_many(keys) / put_many(items)      # batched, one lock acquisition
-    peek_many(keys)                       # stat-free lookup
     hits / misses / hit_rate              # lookup accounting
     stats()                               # uniform counters dict
     state_dict() / load_state_dict()      # checkpoint face
@@ -40,7 +39,7 @@ from __future__ import annotations
 
 #: Base keys every :meth:`CurveStore.stats` reports (schema pin —
 #: implementations extend, never rename; see the conformance test in
-#: ``tests/obs/test_stats_schema.py``).
+#: ``tests/synth/test_stats_schema.py``).
 STATS_BASE_KEYS = ("entries", "hits", "misses", "hit_rate")
 
 
@@ -71,11 +70,6 @@ class CurveStore:
 
     def put_many(self, items: "list[tuple]") -> None:
         """Batched :meth:`put` of ``(key, value)`` pairs."""
-        raise NotImplementedError
-
-    def peek_many(self, keys: "list[tuple]") -> "list":
-        """Batched lookup touching neither counters nor recency, so
-        inspecting a store never skews its cache telemetry."""
         raise NotImplementedError
 
     def __len__(self) -> int:

@@ -279,11 +279,6 @@ class DiskStore(CurveStore):
                 out.append(value)
         return out
 
-    def peek_many(self, keys):
-        with self._lock:
-            self._check_open()
-            return [self._lookup(key) for key in keys]
-
     def __contains__(self, key) -> bool:
         return self.contains_many([key])[0]
 

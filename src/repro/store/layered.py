@@ -64,17 +64,6 @@ class LayeredStore(CurveStore):
                 self.hits += 1
         return out
 
-    def peek_many(self, keys):
-        self._check_open()
-        keys = [tuple(k) for k in keys]
-        out = self.front.peek_many(keys)
-        missing = [i for i, v in enumerate(out) if v is None]
-        if missing:
-            from_disk = self.disk.peek_many([keys[i] for i in missing])
-            for i, value in zip(missing, from_disk):
-                out[i] = value
-        return out
-
     # -- writes ------------------------------------------------------------
 
     def put(self, key: tuple, value) -> None:

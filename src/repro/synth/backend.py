@@ -26,7 +26,6 @@ evaluation record.
 
 from __future__ import annotations
 
-from repro import obs
 from repro.prefix.serialize import graph_digest
 from repro.synth.curve import AreaDelayCurve, synthesize_curve
 from repro.synth.optimizer import Synthesizer
@@ -137,9 +136,6 @@ class EvaluationBackend:
         self.batches += 1
         self.designs += len(order)
         self.unique_designs += len(unique)
-        obs.counter("backend.batches").inc()
-        obs.counter("backend.designs").inc(len(order))
-        obs.counter("backend.dedup_saved").inc(len(order) - len(unique))
         curves = self._resolve(unique) if unique else []
         return [curves[slot] for slot in order]
 
@@ -152,13 +148,11 @@ class EvaluationBackend:
         curves = store.get_many(keys) if store is not None else [None] * len(keys)
         pending = [i for i, curve in enumerate(curves) if curve is None]
         self.cache_hits += len(keys) - len(pending)
-        obs.counter("backend.cache_hits").inc(len(keys) - len(pending))
         if not pending:
             return curves
         self.cache_misses += len(pending)
         fresh = self._run([graphs[i] for i in pending])
         self.synthesized += len(fresh)
-        obs.counter("backend.synthesized").inc(len(fresh))
         if store is not None:
             store.put_many([(keys[i], curve) for i, curve in zip(pending, fresh)])
         for i, curve in zip(pending, fresh):

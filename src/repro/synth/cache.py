@@ -61,11 +61,6 @@ class SynthesisCache(CurveStore):
                     out.append(None)
         return out
 
-    def peek_many(self, keys: "list[tuple]") -> "list":
-        """Batched lookup that touches neither counters nor LRU order."""
-        with self._lock:
-            return [self._data.get(key) for key in keys]
-
     def put_many(self, items: "list[tuple]") -> None:
         """Batched :meth:`put` of ``(key, value)`` pairs under one lock."""
         with self._lock:

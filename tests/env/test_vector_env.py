@@ -404,20 +404,70 @@ class TestPersistence:
             target.load_state_dict(source.state_dict())
         assert target.states == [None] * live
 
-    @pytest.mark.parametrize("num_envs", [2, 3])
-    def test_a_shared_archive_restores_to_the_original_frontier(self, num_envs):
-        """Replicas over one archiving evaluator share one archive; each
-        replica's snapshot carries it and a restore leaves it as it was."""
+    @staticmethod
+    def shared(n, num_envs):
+        """Replicas over one archiving evaluator, and that evaluator."""
         from repro.pareto import ArchivingEvaluator
 
-        def build():
-            evaluator = ArchivingEvaluator(SynthesisEvaluator(nangate45(), cache=SynthesisCache()))
-            return VectorPrefixEnv.make(6, evaluator, num_envs, horizon=3, seed=0), evaluator
+        evaluator = ArchivingEvaluator(SynthesisEvaluator(nangate45(), cache=SynthesisCache()))
+        return VectorPrefixEnv.make(n, evaluator, num_envs, horizon=3, seed=0), evaluator
 
-        (original, evaluator), (restored, restored_evaluator) = build(), build()
+    @pytest.mark.parametrize("num_envs", [2, 3, 4])
+    def test_a_shared_archive_restores_to_the_original_frontier(self, num_envs):
+        """Replicas over one archiving evaluator share one archive; the
+        snapshot holds it once and a restore leaves it as it was."""
+        (original, evaluator), (restored, restored_evaluator) = self.shared(8, num_envs), self.shared(8, num_envs)
         original.reset()
         self.advance(original, 4)
-        restored.load_state_dict(original.state_dict())
+        snapshot = original.state_dict()
+        assert "archive" in snapshot
+        assert not any("archive" in snap for snap in snapshot["envs"])
+        restored.load_state_dict(snapshot)
         assert all(env.archive is restored_evaluator.archive for env in restored.envs)
         assert restored_evaluator.archive.entries() == evaluator.archive.entries()
         assert restored_evaluator.archive.num_seen == evaluator.archive.num_seen
+        assert self.advance(restored, 3) == self.advance(original, 3)
+
+    @staticmethod
+    def archive_records(snapshot):
+        """How many archive records a snapshot holds, at any depth."""
+        if isinstance(snapshot, dict):
+            return ("archive" in snapshot) + sum(TestPersistence.archive_records(v) for v in snapshot.values())
+        if isinstance(snapshot, list):
+            return sum(TestPersistence.archive_records(v) for v in snapshot)
+        return 0
+
+    @pytest.mark.parametrize("num_envs", [1, 2, 4, 6])
+    def test_replicas_sharing_an_archive_write_it_once(self, num_envs):
+        venv, evaluator = self.shared(8, num_envs)
+        venv.reset()
+        self.advance(venv, 2)
+        snapshot = venv.state_dict()
+        assert self.archive_records(snapshot) == 1
+        assert snapshot["archive"]["num_seen"] == evaluator.archive.num_seen == 3 * num_envs
+
+    @pytest.mark.parametrize("num_envs", [2, 3, 5])
+    def test_replicas_with_their_own_archives_write_one_each(self, num_envs):
+        venv = make_vector(num_envs=num_envs)
+        venv.reset()
+        snapshot = venv.state_dict()
+        assert self.archive_records(snapshot) == num_envs and "archive" not in snapshot
+
+    def test_a_copy_per_replica_still_restores(self):
+        """Older checkpoints carry the shared archive in every replica's
+        snapshot; they restore to the same frontier."""
+        (original, evaluator), (restored, restored_evaluator) = self.shared(6, 3), self.shared(6, 3)
+        original.reset()
+        self.advance(original, 4)
+        restored.load_state_dict({"envs": [env.state_dict() for env in original.envs]})
+        assert restored_evaluator.archive.entries() == evaluator.archive.entries()
+        assert restored_evaluator.archive.num_seen == evaluator.archive.num_seen
+        assert self.advance(restored, 3) == self.advance(original, 3)
+
+    def test_a_shared_archive_is_refused_by_replicas_that_keep_their_own(self):
+        source, _ = self.shared(6, 2)
+        source.reset()
+        target = make_vector(num_envs=2)
+        with pytest.raises(ValueError, match="one shared archive"):
+            target.load_state_dict(source.state_dict())
+        assert target.states == [None] * 2

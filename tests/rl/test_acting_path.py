@@ -170,6 +170,42 @@ class TestEarlierReleases:
         assert main(["train", "8", "--seed", "3", "--checkpoint-dir", str(ckpt), "--resume"]) == 0
         assert capsys.readouterr().out == (FLOAT32_CHECKPOINT / "uninterrupted.stdout").read_text()
 
+    # What each fixture's retired ``obs.metrics.counters`` entry counted,
+    # read back from the records a checkpoint still keeps.
+    RETIRED_COUNTERS = {
+        "backend.batches": lambda stats, history: stats["batches"],
+        "backend.designs": lambda stats, history: stats["designs"],
+        "backend.dedup_saved": lambda stats, history: stats["dedup_saved"],
+        "backend.cache_hits": lambda stats, history: stats["cache_hits"],
+        "backend.synthesized": lambda stats, history: stats["synthesized"],
+        "trainer.gradient_steps": lambda stats, history: history["gradient_steps"],
+    }
+
+    @pytest.mark.parametrize("counter", sorted(RETIRED_COUNTERS))
+    @pytest.mark.parametrize("fixture", [PARENT_CHECKPOINT, FLOAT32_CHECKPOINT], ids=lambda path: path.name)
+    def test_the_retired_metrics_record_repeats_what_the_checkpoint_keeps(self, fixture, counter):
+        """Each count the fixtures' ``"obs"`` record held is the restored
+        backend's ``stats()`` or the history's: dropping it loses nothing."""
+        from repro.cells import nangate45
+        from repro.synth import EvaluationBackend, SynthesisCache
+
+        state, _ = CheckpointManager(str(fixture)).load()
+        backend = EvaluationBackend(nangate45(), store=SynthesisCache())
+        (record,) = state["caches"]
+        backend.load_state_dict(record)
+        expected = state["obs"]["metrics"]["counters"][counter]
+        assert self.RETIRED_COUNTERS[counter](backend.stats(), state["history"]) == expected
+
+    @pytest.mark.parametrize("fixture", [PARENT_CHECKPOINT, FLOAT32_CHECKPOINT], ids=lambda path: path.name)
+    def test_a_resumed_fixture_writes_no_metrics_record(self, fixture, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(fixture, ckpt)
+        assert main(["train", "8", "--seed", "3", "--checkpoint-dir", str(ckpt), "--resume"]) == 0
+        capsys.readouterr()
+        state, manifest = CheckpointManager(str(ckpt)).load()
+        assert manifest["step"] == 60 and "obs" not in state
+        assert state["history"]["env_steps"] == 60
+
     def test_a_float64_checkpoint_restores_a_float32_ring(self):
         """The ring was re-allocated in the checkpoint's dtype: a resumed parent
         run held float64 states to its end — twice the memory, a cast on every

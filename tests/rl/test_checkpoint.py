@@ -120,6 +120,28 @@ class TestCheckpointManager:
             mgr.save({"v": step}, step=step)
         assert mgr.steps() == [3, 4]
 
+    @pytest.mark.parametrize("keep_last, kept", [(None, 6), (0, 6), (1, 1), (2, 2), (3, 3), (5, 5), (8, 6)])
+    def test_retention_keeps_the_newest_snapshots(self, keep_last, kept, tmp_path):
+        """``None`` and 0 keep every snapshot; otherwise the newest
+        ``keep_last`` stay, and the newest always loads."""
+        mgr = CheckpointManager(tmp_path, keep_last=keep_last)
+        steps = [4, 8, 12, 16, 20, 24]
+        for step in steps:
+            mgr.save({"v": step}, step=step)
+        assert mgr.steps() == steps[-kept:]
+        state, manifest = mgr.load()
+        assert state["v"] == manifest["step"] == 24
+
+    def test_the_default_keeps_three(self, tmp_path):
+        mgr = CheckpointManager(tmp_path)
+        for step in range(1, 6):
+            mgr.save({"v": step}, step=step)
+        assert mgr.keep_last == 3 and mgr.steps() == [3, 4, 5]
+
+    def test_negative_retention_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="keep_last must be nonnegative or None"):
+            CheckpointManager(tmp_path, keep_last=-1)
+
     def test_empty_dir_raises(self, tmp_path):
         with pytest.raises(CheckpointError, match="no checkpoint found"):
             CheckpointManager(tmp_path).load()
@@ -280,7 +302,7 @@ class TestTrainingRoundTrip:
 
     def test_periodic_checkpoints_written(self, tmp_path):
         rt, _ = make_sync_runtime(
-            tmp_path, runtime=RuntimeConfig(checkpoint_every=20, keep_checkpoints=10)
+            tmp_path, runtime=RuntimeConfig(checkpoint_every=20)
         )
         rt.run()
         assert rt.manager.steps() == [20, 40, 60]
@@ -475,3 +497,84 @@ class TestBackendCountersRideTheCheckpoint:
         assert_histories_identical(h_full, h_res)
         assert h_res.synthesis_stats == h_full.synthesis_stats
         assert set(env_res.evaluator.backend.stats()) == set(STATS_KEYS)
+
+
+def make_replica_runtime(checkpoint_dir=None, num_envs=1, synthesis=True, **knobs):
+    """``repro train``'s shape, small: ``num_envs`` replicas over one
+    archiving evaluator (synthesis or analytical)."""
+    from repro.cells import nangate45
+    from repro.env import VectorPrefixEnv
+    from repro.pareto import ArchivingEvaluator
+    from repro.synth import SynthesisCache, SynthesisEvaluator
+
+    inner = SynthesisEvaluator(nangate45(), cache=SynthesisCache()) if synthesis else AnalyticalEvaluator(0.5, 0.5)
+    venv = VectorPrefixEnv.make(6, ArchivingEvaluator(inner), num_envs, horizon=12, seed=3)
+    agent = ScalarizedDoubleDQN(6, 0.5, 0.5, blocks=0, channels=4, lr=1e-3, rng=3)
+    cfg = TrainerConfig(steps=24, batch_size=4, warmup_steps=8)
+    return TrainingRuntime(venv, agent, cfg, RuntimeConfig(**knobs), checkpoint_dir=checkpoint_dir, rng=3)
+
+
+SNAPSHOT_KEYS = {"mode", "total", "trainer_config", "loop", "history", "agent", "buffer", "caches", "env_kind", "env"}
+
+
+class TestASnapshotHoldsOnlyItsRun:
+    """A checkpoint is a function of its run: nothing process-global (an
+    earlier run in the same interpreter, a metrics registry) reaches it."""
+
+    @staticmethod
+    def files(root):
+        return {
+            path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()
+        }
+
+    @pytest.mark.parametrize("synthesis", [True, False], ids=["synthesis", "analytical"])
+    @pytest.mark.parametrize("num_envs", [1, 2, 3])
+    def test_two_runs_in_one_process_write_the_same_bytes(self, num_envs, synthesis, tmp_path):
+        written = []
+        for name in ("first", "second"):
+            runtime = make_replica_runtime(tmp_path / name, num_envs, synthesis, checkpoint_every=8)
+            runtime.run()
+            written.append(self.files(tmp_path / name))
+        assert len(written[0]) >= 3 * 3  # state.json, arrays.npz and manifest.json per kept snapshot
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("num_envs", [1, 2, 4])
+    def test_a_snapshot_holds_the_runtime_record_and_nothing_else(self, num_envs, tmp_path):
+        runtime = make_replica_runtime(tmp_path, num_envs, stop_after=10)
+        runtime.run()
+        state, _ = runtime.manager.load()
+        assert set(state) == SNAPSHOT_KEYS
+        (record,) = state["caches"]
+        assert record["counters"] == [runtime.env.backend.counters_dict()]
+        assert state["history"]["gradient_steps"] == runtime.manager.load()[1]["meta"]["gradient_steps"]
+
+    @pytest.mark.parametrize(
+        "obs",
+        [
+            {"metrics": {"counters": {"backend.batches": 10, "trainer.gradient_steps": 2}, "gauges": {},
+                         "histograms": {}}},
+            {"metrics": {"counters": {"backend.batches": 10**9, "trainer.gradient_steps": -4}}},
+            {},
+            None,
+            "not a record",
+        ],
+        ids=["matching", "contradicting", "empty", "null", "string"],
+    )
+    def test_an_older_metrics_record_is_ignored(self, obs, tmp_path):
+        """Releases that kept a process-global metrics registry wrote it
+        under ``"obs"``: a resume reads past it, whatever it holds, and the
+        run ends as the uninterrupted one does."""
+        h_full = make_replica_runtime(num_envs=2).run()
+        halted = make_replica_runtime(tmp_path, num_envs=2, stop_after=10)
+        halted.run()
+        state, manifest = halted.manager.load()
+        state["obs"] = obs
+        halted.manager.save(state, step=manifest["step"], meta=manifest["meta"])
+
+        resumed = make_replica_runtime(tmp_path, num_envs=2)
+        h_res = resumed.run(resume=True)
+        assert_histories_identical(h_full, h_res)
+        assert h_res.synthesis_stats == h_full.synthesis_stats
+        final, _ = resumed.manager.load()
+        assert set(final) == SNAPSHOT_KEYS

@@ -19,6 +19,7 @@ from repro.env import PrefixEnv, VectorPrefixEnv
 from repro.pareto import ArchivingEvaluator, dominates
 from repro.rl import (
     CheckpointError,
+    CheckpointManager,
     RuntimeConfig,
     ScalarizedDoubleDQN,
     Trainer,
@@ -259,39 +260,41 @@ class TestPreemption:
         assert_same_run(h_full, full_agent, h_last, last_agent)
 
 
+def due_snapshots(num_envs, every):
+    """The steps a run of ``CFG`` checkpoints at: once ``every`` env steps
+    passed since the last snapshot, checked after each round, and once
+    more when the run completes."""
+    expected, last, step = [], 0, 0
+    while step < CFG.steps:
+        step = min(step + num_envs, CFG.steps)
+        if step - last >= every:
+            expected.append(step)
+            last = step
+    if expected[-1] != CFG.steps:
+        expected.append(CFG.steps)
+    return expected
+
+
 class TestPeriodicCheckpoints:
     @pytest.mark.parametrize("every", [5, 16])
     @pytest.mark.parametrize("num_envs", [1, 2, 3, 4])
     def test_snapshots_land_on_round_boundaries(self, num_envs, every, tmp_path):
-        """A snapshot is due once ``every`` env steps passed since the last
-        one, checked after each round; the completed run saves once more."""
         runtime = TrainingRuntime(
-            make_venv(num_envs), make_agent(), CFG,
-            RuntimeConfig(checkpoint_every=every, keep_checkpoints=0),
+            make_venv(num_envs), make_agent(), CFG, RuntimeConfig(checkpoint_every=every),
             checkpoint_dir=tmp_path, rng=0,
         )
+        runtime.manager = CheckpointManager(tmp_path, keep_last=None)  # every snapshot stays to be counted
         runtime.run()
-        expected, last, step = [], 0, 0
-        while step < CFG.steps:
-            step = min(step + num_envs, CFG.steps)
-            if step - last >= every:
-                expected.append(step)
-                last = step
-        if expected[-1] != CFG.steps:
-            expected.append(CFG.steps)
-        assert runtime.manager.steps() == expected
+        assert runtime.manager.steps() == due_snapshots(num_envs, every)
 
-    @pytest.mark.parametrize("keep", [1, 2])
     @pytest.mark.parametrize("num_envs", [1, 3])
-    def test_retention_keeps_the_newest_snapshots(self, num_envs, keep, tmp_path):
+    def test_retention_keeps_the_three_newest_snapshots(self, num_envs, tmp_path):
         runtime = TrainingRuntime(
-            make_venv(num_envs), make_agent(), CFG,
-            RuntimeConfig(checkpoint_every=6, keep_checkpoints=keep),
+            make_venv(num_envs), make_agent(), CFG, RuntimeConfig(checkpoint_every=6),
             checkpoint_dir=tmp_path, rng=0,
         )
         runtime.run()
-        steps = runtime.manager.steps()
-        assert len(steps) == keep and steps[-1] == CFG.steps
+        assert runtime.manager.steps() == due_snapshots(num_envs, 6)[-3:]
 
 
 RESUME_PAIRS = [(saved, live) for saved in (1, 2, 3, 4) for live in (1, 2, 3, 4) if saved != live]

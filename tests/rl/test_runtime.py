@@ -136,14 +136,13 @@ class TestRuntimeConfigValidation:
 
     def test_only_the_checkpoint_knobs(self):
         assert [f.name for f in fields(RuntimeConfig)] == [
-            "checkpoint_every", "keep_checkpoints", "stop_after",
+            "checkpoint_every", "stop_after",
         ]
 
     @pytest.mark.parametrize(
         "field, value",
         [
             ("stop_after", 0), ("stop_after", -3),  # a halt before the first step
-            ("keep_checkpoints", -1),
             ("checkpoint_every", -1),
         ],
     )

@@ -1,6 +1,6 @@
 """CurveStore protocol conformance across all three implementations.
 
-One behavioral contract — get/put/get_many/put_many/peek_many/len/stats/
+One behavioral contract — get/put/get_many/put_many/len/stats/
 state_dict — checked against the in-memory :class:`SynthesisCache`, the
 durable :class:`DiskStore`, and the :class:`LayeredStore` the factory
 builds for ``--store-dir`` runs, plus the layering rules themselves.
@@ -63,12 +63,6 @@ class TestProtocolConformance:
         assert out[2].points() == curve(2).points()
         assert (store.hits, store.misses) == (2, 1)
 
-    def test_peek_many_is_stat_free(self, store):
-        store.put(key(0), curve(0))
-        out = store.peek_many([key(0), key(1)])
-        assert out[0].points() == curve(0).points() and out[1] is None
-        assert (store.hits, store.misses) == (0, 0)
-
     def test_stats_schema(self, store):
         store.put(key(0), curve(0))
         store.get(key(0))
@@ -105,7 +99,6 @@ class TestProtocolConformance:
 CLOSED_CALLS = {
     "get": lambda s: s.get(key(0)),
     "get_many": lambda s: s.get_many([key(0), key(1)]),
-    "peek_many": lambda s: s.peek_many([key(0)]),
     "put": lambda s: s.put(key(2), curve(2)),
     "put_many": lambda s: s.put_many([(key(3), curve(3))]),
     "contains": lambda s: key(0) in s,
@@ -119,7 +112,7 @@ def closed_store(kind: str, root):
     built.get(key(0))
     built.close()
     # A layered store's front still holds key(0): its get must not be a hit.
-    assert kind == "disk" or built.front.peek_many([key(0)])[0] is not None
+    assert kind == "disk" or len(built.front) == 1
     return built
 
 
@@ -130,7 +123,7 @@ class TestClosedStore:
     @pytest.mark.parametrize(
         "kind, call",
         [("disk", call) for call in CLOSED_CALLS]
-        + [("layered", call) for call in ("get", "get_many", "peek_many", "put", "put_many")],
+        + [("layered", call) for call in ("get", "get_many", "put", "put_many")],
     )
     def test_every_read_and_write_raises_naming_the_root(self, kind, call, tmp_path):
         store = closed_store(kind, tmp_path)
@@ -222,7 +215,7 @@ class TestLayering:
         state = memory.state_dict()
         layered = LayeredStore(SynthesisCache(), DiskStore(tmp_path))
         layered.load_state_dict(state)
-        assert layered.peek_many([key(0)])[0].points() == curve(0).points()
+        assert layered.get_many([key(0)])[0].points() == curve(0).points()
         assert len(layered.disk) == 1
         layered.close()
 

@@ -27,6 +27,7 @@ from repro.synth import (
 )
 
 CACHE_KEYS = {"entries", "hits", "misses", "hit_rate"}
+COUNTS = ("batches", "designs", "unique_designs", "dedup_saved", "cache_hits", "cache_misses", "synthesized")
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +247,40 @@ class TestStatsSchema:
         assert_schema(stats)
         assert stats["backend"] == "local"
         assert stats["designs"] == 2 and stats["unique_designs"] == 1
+
+    @pytest.mark.parametrize(
+        "batches",
+        [[[0, 0, 1], [1, 2], [0, 1, 2, 2]], [[0], [1], [], [2, 1, 0]]],
+        ids=["repeats", "disjoint"],
+    )
+    @pytest.mark.parametrize("store", ["storeless", "memory", "layered"])
+    def test_each_batch_moves_the_counters_by_its_own_counts(self, lib, store, batches, tmp_path):
+        """Per ``evaluate_many``: one batch, its designs, its in-batch
+        duplicates as ``dedup_saved``, its stored designs as hits and the
+        rest synthesized — the counts a run reports, for every store."""
+        from repro.store import make_store
+
+        pool = [sklansky(8), brent_kung(8), kogge_stone(8)]  # three distinct designs
+        made = {"storeless": lambda: None, "memory": SynthesisCache, "layered": lambda: make_store(tmp_path)}[store]()
+        backend = EvaluationBackend(lib, store=made)
+        stored: "set[int]" = set()
+        try:
+            for batch in batches:
+                before = backend.stats()
+                backend.evaluate_many([pool[i] for i in batch])
+                after = backend.stats()
+                unique = set(batch)
+                hits = len(unique & stored) if made is not None else 0
+                moved = {key: after[key] - before[key] for key in COUNTS}
+                assert moved == {
+                    "batches": 1, "designs": len(batch), "unique_designs": len(unique),
+                    "dedup_saved": len(batch) - len(unique), "cache_hits": hits,
+                    "cache_misses": len(unique) - hits, "synthesized": len(unique) - hits,
+                }
+                stored |= unique
+        finally:
+            if made is not None:
+                made.close()
 
     def test_runner_names_the_backend(self, lib):
         with SynthesisFarm("nangate45", num_workers=1) as farm:

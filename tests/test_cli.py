@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -103,9 +104,10 @@ class TestCliRuntime:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --fast-conv" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["serve-learner", "cluster", "actor", "farm-worker", "stats"])
+    @pytest.mark.parametrize("command", ["serve-learner", "cluster", "actor", "farm-worker", "stats", "obs"])
     def test_fleet_commands_are_gone(self, command, capsys):
-        """One process trains at every size: the socket fleet went."""
+        """One process trains at every size: the socket fleet went, and
+        with it ``obs``, which reported the event ledgers fleet processes wrote."""
         with pytest.raises(SystemExit) as exit_info:
             main([command])
         assert exit_info.value.code == 2
@@ -118,6 +120,16 @@ class TestCliRuntime:
         first = capsys.readouterr().out
         assert main(command) == 0
         assert capsys.readouterr().out == first and "frontier" in first
+
+    def test_same_run_twice_writes_the_same_checkpoint(self, tmp_path, capsys):
+        """A snapshot holds only its own run's state: a run earlier in the
+        same process leaves no trace in its bytes."""
+        snapshots = []
+        for name in ("first", "second"):
+            command = ["train", "8", "--steps", "40", "--seed", "3", "--checkpoint-dir", str(tmp_path / name)]
+            assert main(command) == 0
+            snapshots.append((tmp_path / name / "step-00000040" / "state.json").read_bytes())
+        assert snapshots[0] == snapshots[1]
 
     def test_envs_run_twice_prints_the_same_bytes(self, capsys):
         """E lockstep replicas are as deterministic as one env."""
@@ -241,6 +253,42 @@ class TestEnvsFlag:
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
+COMMANDS = ["build", "eval", "synth", "train", "sweep", "render"]
+
+
+class TestCommandList:
+    """The top-level ``--help``, which ``scripts/diff_cli.sh`` pins, names
+    every command; nothing else is one."""
+
+    def test_help_lists_exactly_the_commands(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert f"{{{','.join(COMMANDS)}}}" in out
+        assert re.findall(r"^    (\S+) ", out, flags=re.MULTILINE) == COMMANDS
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_listed_command_has_its_own_help(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: prefixrl {command} ")
+
+    @pytest.mark.parametrize(
+        "argv", [["obs", "report", "x"], ["obs", "report", "--rounds", "-1"]], ids=["report-dir", "report-rounds"]
+    )
+    def test_obs_report_is_an_invalid_choice(self, argv, tmp_path, monkeypatch, capsys):
+        """Whatever follows it, ``obs`` is refused by argparse before
+        anything is read or written."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'obs'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestFlagTable:
     def test_every_command_flag_is_declared(self):
         for command, (names, overrides) in cli._COMMANDS.items():
@@ -281,7 +329,6 @@ class TestInputErrors:
             (["train", "--envs", "0"], "--envs", "0"),
             (["train", "--envs", "-2"], "--envs", "-2"),
             (["sweep", "--weights", "0"], "--weights", "0"),
-            (["obs", "report", "runs", "--rounds", "-1"], "--rounds", "-1"),
         ],
     )
     def test_out_of_range_argument_exits_naming_it(self, argv, argument, value, tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from repro.cells import library_by_name, nangate45
 from repro.distributed import BatchedActor, SynthesisFarm
 from repro.distributed.farm import chunk_tasks, task_graph
+from repro.distributed.pipeline import CollectStats
 from repro.env import PrefixEnv
 from repro.prefix import REGULAR_STRUCTURES, brent_kung, graph_to_json, ripple_carry, sklansky
 from repro.prefix.serialize import graph_digest
@@ -130,6 +131,27 @@ class TestBatchedActor:
         agent = ScalarizedDoubleDQN(6, blocks=0, channels=4, rng=0)
         with pytest.raises(ValueError):
             BatchedActor([], agent)
+
+    @pytest.mark.parametrize("num_envs, rounds", [(1, 3), (3, 5), (4, 0)])
+    def test_collect_reads_the_clock_once_at_each_end(self, num_envs, rounds, monkeypatch):
+        """``wall_seconds`` is one ``perf_counter`` pair around the rounds;
+        nothing on the acting path reads the clock in between."""
+        envs, agent = self._setup(num_envs)
+        actor = BatchedActor(envs, agent, rng=0)
+        reads = []
+
+        def clock():
+            reads.append(None)
+            return 2.5 * len(reads)
+
+        monkeypatch.setattr("repro.distributed.pipeline.time.perf_counter", clock)
+        stats = actor.collect(rounds=rounds)
+        assert len(reads) == 2
+        assert stats.wall_seconds == 2.5
+        assert stats.steps_per_second == num_envs * rounds / 2.5
+
+    def test_no_elapsed_time_is_no_throughput(self):
+        assert CollectStats(env_steps=12, wall_seconds=0.0, num_envs=3).steps_per_second == 0.0
 
     def test_archives_accumulate_across_envs(self):
         envs, agent = self._setup()
