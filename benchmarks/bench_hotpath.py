@@ -221,7 +221,7 @@ def bench_synthesis() -> dict:
     for n in SYNTHESIS_WIDTHS:
         graphs = synthesis_corpus(n)
         reps = SYNTHESIS_REPEATS[n]
-        synthesize_curve(graphs[0], lib)  # warm scipy/library build off the clock
+        synthesize_curve(graphs[0], lib)  # warm library build off the clock
         start = time.perf_counter()
         for _ in range(reps):
             for g in graphs:
@@ -401,7 +401,7 @@ def bench_store() -> "dict | None":
             assert all(value is not None for value in got)
     lib = nangate45()
     graphs = synthesis_corpus(STORE_SYNTH_WIDTH)[:STORE_SYNTH_GRAPHS]
-    synthesize_curve(graphs[0], lib)  # warm scipy/library build off the clock
+    synthesize_curve(graphs[0], lib)  # warm library build off the clock
     start = time.perf_counter()
     for g in graphs:
         synthesize_curve(g, lib)

@@ -264,15 +264,14 @@ class TrainingRuntime:
         while not loop.done:
             loop.tick()
             if self._stop_requested(history) and not loop.done:
-                self._save(total, history, loop.state_dict())
-                self.preempted = True
-                return history
+                break
             if self._checkpoint_due(history, last_saved):
                 self._save(total, history, loop.state_dict())
                 last_saved = history.env_steps
 
-        if self.manager is not None:
+        if self.manager is not None or not loop.done:
             self._save(total, history, loop.state_dict())
+        self.preempted = not loop.done
         backend = self.env.backend
         history.synthesis_stats = None if backend is None else backend.stats()
         return history

@@ -11,7 +11,8 @@ the curve. This module reproduces that pipeline:
   a graph;
 - :class:`AreaDelayCurve` — monotone PCHIP interpolation plus the
   ``w_optimal`` point selection of Fig. 3c. Construction validates the
-  samples; the interpolator is built on first read.
+  samples; the interpolator (numpy, read for read scipy's PCHIP) is
+  built on first read.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from repro.cells.library import CellLibrary
 from repro.netlist.adder import prefix_adder_netlist
@@ -37,6 +37,52 @@ C_AREA = 0.001
 C_DELAY = 10.0
 
 NUM_TARGETS = 4
+
+
+def _end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, clamped to keep the end monotone."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cubic coefficients ``c[k, i]`` of ``(x - x[i])**(3 - k)`` on segment ``i``
+    of the PCHIP through ``(x, y)``, ``x`` strictly increasing, two knots or more.
+
+    The operations and their order are scipy's ``PchipInterpolator``
+    (Fritsch-Butland slopes, then ``CubicHermiteSpline``'s coefficients), so
+    :func:`_pchip_read` is bit-identical to it; the curve tests hold it there.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.zeros_like(y)
+    if len(x) == 2:
+        d[:] = m[0]
+    else:
+        # Weighted harmonic mean of the secants, 0 where they change sign or one is 0.
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d[1:-1][~flat] = 1.0 / whmean[~flat]
+        d[0] = _end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    # scipy's evaluation starts its sum from 0.0, which reads a -0.0 knot as +0.0.
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1] + 0.0))
+
+
+def _pchip_read(x: np.ndarray, c: np.ndarray, at):
+    """The PCHIP with knots ``x`` and coefficients ``c`` at ``at`` (scalar or
+    array) inside ``[x[0], x[-1]]``; the last segment is closed on the right."""
+    i = np.minimum(np.searchsorted(x, at, side="right") - 1, len(x) - 2)
+    s = at - x[i]
+    s2 = s * s
+    return ((c[3, i] + c[2, i] * s) + c[1, i] * s2) + c[0, i] * (s2 * s)
 
 
 def calibrate_scaling(points: "list[tuple[float, float]]") -> "tuple[float, float]":
@@ -97,8 +143,8 @@ class AreaDelayCurve:
 
     def _interp(self, delay):
         if self._pchip is None:
-            self._pchip = PchipInterpolator(self.delays, self.areas, extrapolate=False)
-        return self._pchip(delay)
+            self._pchip = _pchip_coefficients(self.delays, self.areas)
+        return _pchip_read(self.delays, self._pchip, delay)
 
     @classmethod
     def from_points(cls, points) -> "AreaDelayCurve":

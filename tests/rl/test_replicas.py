@@ -419,6 +419,26 @@ class TestSynthesisReplicas:
         assert h_resumed.synthesis_stats == h_full.synthesis_stats
         assert resumed_eval.archive.entries() == full_eval.archive.entries()
 
+    def test_a_preempted_run_reports_its_synthesis_counts(self, lib, tmp_path):
+        """A halted run's history carries the counts it synthesized; the
+        checkpoint does not hold them, so the resumed run's stats are the
+        uninterrupted run's."""
+        venv = make_venv(2, evaluator=synthesis_evaluator(lib), n=6)
+        part = TrainingRuntime(
+            venv, make_agent(), self.SCFG, RuntimeConfig(stop_after=10), checkpoint_dir=tmp_path, rng=0,
+        )
+        halted = part.run()
+        assert part.preempted
+        assert halted.synthesis_stats == venv.backend.stats() and halted.synthesis_stats["synthesized"] > 0
+        state, _ = part.manager.load()
+        assert "synthesis_stats" not in state["history"]
+        h_full = Trainer(make_venv(2, evaluator=synthesis_evaluator(lib)), make_agent(), self.SCFG, rng=0).run()
+        h_resumed = TrainingRuntime(
+            make_venv(2, evaluator=synthesis_evaluator(lib)), make_agent(), self.SCFG,
+            checkpoint_dir=tmp_path, rng=0,
+        ).run(resume=True)
+        assert h_resumed.synthesis_stats == h_full.synthesis_stats
+
     @pytest.mark.parametrize("num_envs", [1, 2, 4])
     def test_stats_carry_the_one_schema(self, lib, num_envs):
         history = Trainer(make_venv(num_envs, evaluator=synthesis_evaluator(lib)), make_agent(), self.SCFG, rng=0).run()

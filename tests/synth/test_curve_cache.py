@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.cells import nangate45
-from repro.prefix import brent_kung, sklansky
+from repro.cells import library_by_name, nangate45
+from repro.prefix import REGULAR_STRUCTURES, brent_kung, sklansky
 from repro.synth import (
     AreaDelayCurve,
     SynthesisCache,
@@ -13,7 +13,7 @@ from repro.synth import (
     calibrate_scaling,
     synthesize_curve,
 )
-from repro.synth.curve import C_AREA, C_DELAY
+from repro.synth.curve import C_AREA, C_DELAY, _pchip_coefficients, _pchip_read
 
 
 @pytest.fixture(scope="module")
@@ -116,13 +116,13 @@ def pchip_builds(monkeypatch):
     import repro.synth.curve as curve_module
 
     builds = []
-    real = curve_module.PchipInterpolator
+    real = curve_module._pchip_coefficients
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         builds.append(args)
-        return real(*args, **kwargs)
+        return real(*args)
 
-    monkeypatch.setattr(curve_module, "PchipInterpolator", counting)
+    monkeypatch.setattr(curve_module, "_pchip_coefficients", counting)
     return builds
 
 
@@ -199,6 +199,68 @@ class TestLazyInterpolator:
                 idx = int(np.argmin(w * C_AREA * grid_areas + (1 - w) * C_DELAY * grid))
                 want = (float(grid_areas[idx]), float(grid[idx]))
                 assert [v.hex() for v in curve.w_optimal(w, 1 - w)] == [v.hex() for v in want]
+
+
+def hexes(values) -> "list[str]":
+    return [float(v).hex() for v in np.atleast_1d(values)]
+
+
+@st.composite
+def knots(draw):
+    """2-10 strictly increasing knots with arbitrary (non-monotone, repeated,
+    signed-zero) values."""
+    k = draw(st.integers(min_value=2, max_value=10))
+    start = draw(st.floats(min_value=-100.0, max_value=100.0))
+    gaps = draw(st.lists(st.floats(min_value=1e-3, max_value=10.0), min_size=k - 1, max_size=k - 1))
+    y = draw(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=k, max_size=k))
+    return start + np.concatenate(([0.0], np.cumsum(gaps))), np.array(y)
+
+
+class TestPchipMatchesScipy:
+    """The in-repo PCHIP reads bit-identically to scipy's, the test-side oracle."""
+
+    @given(
+        data=knots(),
+        fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=8),
+    )
+    # Every term at a -0.0 knot is -0.0; scipy's sum starts from 0.0 and reads +0.0.
+    @example(data=(np.array([0.0, 8.0, 23.0]), np.array([-0.0, -1.0, -3.0])), fractions=[])
+    @settings(max_examples=300, deadline=None)
+    # A subnormal secant overflows the harmonic mean's w / m, in scipy and here alike.
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+    def test_reads_hex_equal_to_scipy(self, data, fractions):
+        from scipy.interpolate import PchipInterpolator
+
+        x, y = data
+        oracle = PchipInterpolator(x, y, extrapolate=False)
+        c = _pchip_coefficients(x, y)
+        inside = [min(x[0] + f * (x[-1] - x[0]), x[-1]) for f in fractions]
+        for reads in (x, np.linspace(x[0], x[-1], 64), np.array(inside)):
+            assert hexes(_pchip_read(x, c, reads)) == hexes(oracle(reads))
+        for at in [*x, *inside]:  # one scalar at a time, as area_at reads; x[-1] is the right end point
+            assert hexes(_pchip_read(x, c, at)) == hexes(oracle(at))
+
+    @pytest.mark.parametrize("library", ["nangate45", "industrial8nm"])
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_regular_structure_curves_read_as_scipy(self, library, n):
+        from scipy.interpolate import PchipInterpolator
+
+        lib = library_by_name(library)
+        for name, build in REGULAR_STRUCTURES.items():
+            curve = synthesize_curve(build(n), lib)
+            ds, areas = curve.delays, curve.areas
+            assert len(ds) >= 2, name
+            oracle = PchipInterpolator(ds, areas, extrapolate=False)
+            grid = np.linspace(ds[0] - 0.01, ds[-1] + 0.01, 257)
+            want = np.where(grid <= ds[0], areas[0], np.where(grid >= ds[-1], areas[-1], oracle(grid)))
+            assert hexes([curve.area_at(float(d)) for d in grid]) == hexes(want), name
+            c_area, c_delay = calibrate_scaling([(a, d) for d, a in curve.points()])
+            grid64 = np.linspace(ds[0], ds[-1], 64)
+            grid64_areas = oracle(grid64)
+            for w in np.linspace(0.02, 0.98, 15):
+                idx = int(np.argmin(w * c_area * grid64_areas + (1 - w) * c_delay * grid64))
+                want_point = (grid64_areas[idx], grid64[idx])
+                assert hexes(curve.w_optimal(w, 1 - w, c_area, c_delay)) == hexes(want_point), (name, w)
 
 
 class TestWOptimal:
