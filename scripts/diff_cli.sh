@@ -69,6 +69,40 @@ for cmd in "${COMMANDS[@]}"; do
     fi
 done
 
+# Preempt, then resume, each side in its own checkpoint directory: the
+# resumed stdout must equal the base's. The base may write another
+# checkpoint format than HEAD, so a format change that moves a resumed
+# trajectory shows here.
+RESUMES=(
+    "train 8 --steps 60 --seed 3"
+    "train 8 --steps 60 --seed 3 --envs 3"
+)
+resumed_stdout() {  # <src-dir> <command>
+    local ckpt
+    ckpt="$(mktemp -d "$OUT/ckpt.XXXXXX")"
+    # shellcheck disable=SC2086
+    PYTHONPATH="$1" python -m repro $2 --checkpoint-dir "$ckpt" --stop-after 30 > /dev/null &&
+        PYTHONPATH="$1" python -m repro $2 --checkpoint-dir "$ckpt" --resume
+}
+for cmd in "${RESUMES[@]}"; do
+    label="repro $cmd (--stop-after 30, then --resume)"
+    resumed_stdout "$WT/src" "$cmd" > "$OUT/base.out" 2>/dev/null || {
+        echo "SKIP (fails at base $BASE): $label"
+        continue
+    }
+    if ! resumed_stdout src "$cmd" > "$OUT/head.out" 2> "$OUT/head.err"; then
+        echo "FAIL $label (errors at HEAD but worked at $BASE):"
+        cat "$OUT/head.err"
+        status=1
+    elif diff -u "$OUT/base.out" "$OUT/head.out" > "$OUT/delta"; then
+        echo "OK  $label"
+    else
+        echo "DIFF $label (HEAD output differs from $BASE):"
+        cat "$OUT/delta"
+        status=1
+    fi
+done
+
 # The e2e smoke's four workload digests (one traced round each, ~15 s a
 # side). collect_vec8_n32 acts over eight lockstep replicas with no
 # learner, a path none of the commands above runs.

@@ -135,7 +135,7 @@ def _trainer_config(args):
 def cmd_train(args) -> int:
     from repro.env import VectorPrefixEnv
     from repro.pareto import ArchivingEvaluator
-    from repro.rl import RuntimeConfig, ScalarizedDoubleDQN, TrainingRuntime
+    from repro.rl import CheckpointError, RuntimeConfig, ScalarizedDoubleDQN, TrainingRuntime
     from repro.store import make_store
     from repro.synth import SynthesisEvaluator
 
@@ -165,9 +165,10 @@ def cmd_train(args) -> int:
         runtime = TrainingRuntime(
             env, agent, _trainer_config(args), runtime_config, checkpoint_dir=args.checkpoint_dir, rng=args.seed,
         )
-        history = runtime.run(
-            steps=None if args.resume else args.steps, resume=args.resume
-        )
+        try:
+            history = runtime.run(steps=None if args.resume else args.steps, resume=args.resume)
+        except CheckpointError as exc:
+            raise SystemExit(str(exc)) from None
         if runtime.preempted:
             print(
                 f"checkpointed at step {history.env_steps} into {args.checkpoint_dir}; "

@@ -183,8 +183,9 @@ class VectorPrefixEnv:
     def load_state_dict(self, state: dict) -> None:
         """Restore every replica and re-derive the lockstep state list.
 
-        Reads both layouts: one shared archive record, and (as older
-        checkpoints wrote) a copy of it in every replica's snapshot."""
+        Reads both layouts :meth:`state_dict` writes: one shared archive
+        record beside the replicas, or each replica's own archive in its
+        snapshot."""
         snaps = state["envs"]
         if len(snaps) != len(self.envs):
             raise ValueError(

@@ -269,17 +269,11 @@ class CollectionLoop:
 
     def state_dict(self) -> dict:
         """Loop-local state (the rest lives with env/agent/buffer/history)."""
-        return {"kind": "vector", "episode_returns": list(self.episode_returns)}
+        return {"episode_returns": list(self.episode_returns)}
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict`; also reads the loop states of
-        releases that had a separate one-env stepper (kind ``single``)."""
-        if state.get("kind") == "single":
-            returns = [float(state["episode_return"])]
-        elif state.get("kind") == "vector":
-            returns = [float(r) for r in state["episode_returns"]]
-        else:
-            raise ValueError(f"loop state is {state.get('kind')!r}, expected 'vector'")
+        """Restore :meth:`state_dict`."""
+        returns = [float(r) for r in state["episode_returns"]]
         if len(returns) != self.env.num_envs:
             raise ValueError(
                 f"loop state has {len(returns)} replicas, env has {self.env.num_envs}"

@@ -46,8 +46,7 @@ STATS_KEYS = (
     "cache",           # store counters dict, or None
 )
 
-# The counters a backend accumulates and checkpoints. A record may carry
-# keys beyond these (older releases counted lease traffic); loading skips them.
+# The counters a backend accumulates and checkpoints.
 COUNTER_KEYS = (
     "batches",
     "designs",
@@ -186,23 +185,25 @@ class EvaluationBackend:
         return {key: getattr(self, key) for key in COUNTER_KEYS}
 
     def load_counters(self, counters: dict) -> None:
-        for key in COUNTER_KEYS:
-            if key in counters:
-                setattr(self, key, int(counters[key]))
+        """Restore the counters ``counters`` names; a key that is not in
+        :data:`COUNTER_KEYS` is a ``ValueError``."""
+        unknown = sorted(set(counters) - set(COUNTER_KEYS))
+        if unknown:
+            raise ValueError(f"unknown backend counters {unknown}; a backend counts {list(COUNTER_KEYS)}")
+        for key, value in counters.items():
+            setattr(self, key, int(value))
 
     def state_dict(self) -> dict:
         """Checkpointable state: store contents + counters."""
         return {
             "cache": self.store.state_dict() if self.store is not None else None,
-            "counters": [self.counters_dict()],
+            "counters": self.counters_dict(),
         }
 
     def load_state_dict(self, state: dict) -> None:
-        if self.store is not None and state.get("cache") is not None:
+        if self.store is not None and state["cache"] is not None:
             self.store.load_state_dict(state["cache"])
-        counters = state.get("counters") or []
-        if counters:
-            self.load_counters(counters[0])
+        self.load_counters(state["counters"])
 
     def close(self) -> None:
         """Release the runner's resources (a pool); idempotent."""

@@ -2,7 +2,9 @@
 
 One module per package they specify (``prefix``, ``sta``, ``synth``,
 ``analytical``, ``nn``), moved verbatim out of ``src/``: they are test
-fixtures, and nothing under ``src/`` imports them. Import as
+fixtures, and nothing under ``src/`` imports them. ``checkpoint`` is the
+layout the training runtime wrote before checkpoint format 2, kept so tests
+can write format-1 snapshots. Import as
 ``from tests.oracles import sta`` — the same root-relative convention as
 ``from tests.conftest import ...``.
 """

@@ -26,6 +26,7 @@ from repro.synth import AnalyticalEvaluator
 
 PARENT_CHECKPOINT = Path(__file__).resolve().parents[1] / "fixtures" / "pr15_train8_seed3"
 FLOAT32_CHECKPOINT = PARENT_CHECKPOINT.with_name("pr22_train8_seed3")
+FORMAT2_CHECKPOINT = PARENT_CHECKPOINT.with_name("pr53_train8_seed3")
 
 
 def make_agent(seed=0, n=6):
@@ -170,6 +171,30 @@ class TestEarlierReleases:
         assert main(["train", "8", "--seed", "3", "--checkpoint-dir", str(ckpt), "--resume"]) == 0
         assert capsys.readouterr().out == (FLOAT32_CHECKPOINT / "uninterrupted.stdout").read_text()
 
+    def test_format2_checkpoint_resumes_to_its_own_stdout(self, tmp_path, capsys):
+        """The format-2 fixture (no ``mode``, ``env_kind``, ``caches`` or
+        ``obs``; one backend record) resumes without an upgrade step to the
+        bytes the format-1 fixtures end on too."""
+        state, manifest = CheckpointManager(str(FORMAT2_CHECKPOINT)).load()
+        assert manifest["version"] == 2 and "meta" not in manifest
+        assert set(state) == {"total", "trainer_config", "loop", "history", "agent", "buffer", "backend", "env"}
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(FORMAT2_CHECKPOINT, ckpt)
+        assert main(["train", "8", "--seed", "3", "--checkpoint-dir", str(ckpt), "--resume"]) == 0
+        out = capsys.readouterr().out
+        assert out == (FORMAT2_CHECKPOINT / "uninterrupted.stdout").read_text()
+        assert out == (FLOAT32_CHECKPOINT / "uninterrupted.stdout").read_text()
+
+    @pytest.mark.parametrize("fixture", [PARENT_CHECKPOINT, FLOAT32_CHECKPOINT], ids=lambda path: path.name)
+    def test_a_resumed_format1_fixture_writes_format_2(self, fixture, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(fixture, ckpt)
+        assert main(["train", "8", "--seed", "3", "--checkpoint-dir", str(ckpt), "--resume"]) == 0
+        capsys.readouterr()
+        state, manifest = CheckpointManager(str(ckpt)).load()
+        assert (manifest["step"], manifest["version"]) == (60, 2)
+        assert state["backend"] is not None and not {"mode", "env_kind", "caches", "obs"} & set(state)
+
     # What each fixture's retired ``obs.metrics.counters`` entry counted,
     # read back from the records a checkpoint still keeps.
     RETIRED_COUNTERS = {
@@ -189,10 +214,11 @@ class TestEarlierReleases:
         from repro.cells import nangate45
         from repro.synth import EvaluationBackend, SynthesisCache
 
-        state, _ = CheckpointManager(str(fixture)).load()
+        from repro.rl.checkpoint import upgrade
+
+        state, manifest = CheckpointManager(str(fixture)).load()
         backend = EvaluationBackend(nangate45(), store=SynthesisCache())
-        (record,) = state["caches"]
-        backend.load_state_dict(record)
+        backend.load_state_dict(upgrade(state, manifest["version"])["backend"])
         expected = state["obs"]["metrics"]["counters"][counter]
         assert self.RETIRED_COUNTERS[counter](backend.stats(), state["history"]) == expected
 
@@ -224,15 +250,24 @@ class TestEarlierReleases:
             assert arr.dtype == batches[1][key].dtype and np.array_equal(arr, batches[1][key]), key
 
     def test_parent_vector_loop_state_loads_without_its_gradient_debt(self):
+        """Format-1 loop states, through ``upgrade``: a ``vector`` one
+        drops its gradient debt, a ``single`` one is one replica's, any
+        other kind is refused."""
+        from repro.rl import CheckpointError
+        from repro.rl.checkpoint import upgrade
+
+        def format1(loop_state):
+            return upgrade({"mode": "sync", "loop": loop_state}, 1)["loop"]
+
         cfg = TrainerConfig(batch_size=4, warmup_steps=10)
         venv = VectorPrefixEnv([make_env(seed) for seed in range(3)])
         loop = make_loop(
             venv, make_agent(), ReplayBuffer(100, rng=0), cfg, 30, cfg.schedule(30), TrainingHistory()
         )
-        loop.load_state_dict({"kind": "vector", "episode_returns": [0.5, -1.0, 0.0], "gradient_debt": 0.5})
+        loop.load_state_dict(format1({"kind": "vector", "episode_returns": [0.5, -1.0, 0.0], "gradient_debt": 0.5}))
         assert loop.episode_returns == [0.5, -1.0, 0.0]
         assert "gradient_debt" not in loop.state_dict()
         with pytest.raises(ValueError, match="3 replicas|1 replicas"):
-            loop.load_state_dict({"kind": "single", "episode_return": 0.0})
-        with pytest.raises(ValueError, match="expected 'vector'"):
-            loop.load_state_dict({"kind": "actors"})
+            loop.load_state_dict(format1({"kind": "single", "episode_return": 0.0}))
+        with pytest.raises(CheckpointError, match="expected 'vector'"):
+            format1({"kind": "actors"})

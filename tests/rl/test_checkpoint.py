@@ -1,6 +1,9 @@
 """Checkpoint format and save -> resume -> continue bit-identity."""
 
+import hashlib
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +17,10 @@ from repro.rl import (
     TrainerConfig,
     TrainingRuntime,
 )
-from repro.rl.checkpoint import _flatten, _unflatten
+from repro.rl.checkpoint import FORMAT_VERSION, _flatten, _unflatten, upgrade
 from repro.synth import AnalyticalEvaluator
+from repro.synth.backend import COUNTER_KEYS
+from tests.oracles.checkpoint import as_format1, save_format1
 
 
 def make_sync_runtime(tmp_path=None, seed=3, steps=60, runtime=None, evaluator=None):
@@ -98,12 +103,11 @@ class TestCheckpointManager:
 
     def test_save_load_round_trip(self, tmp_path):
         mgr = CheckpointManager(tmp_path)
-        mgr.save(self._state(), step=10, meta={"mode": "sync"})
+        mgr.save(self._state(), step=10)
         state, manifest = mgr.load()
         np.testing.assert_array_equal(state["x"], np.arange(4.0))
         assert state["y"]["z"] == 7
         assert manifest["step"] == 10
-        assert manifest["meta"]["mode"] == "sync"
 
     def test_latest_wins(self, tmp_path):
         mgr = CheckpointManager(tmp_path)
@@ -257,9 +261,9 @@ class TestTrainingRoundTrip:
         rt_part.run()
         assert rt_part.preempted
         state, _ = rt_part.manager.load()
-        (record,) = state["caches"]
+        record = state["backend"]
         assert record == json.loads(json.dumps(rt_part.env.backend.state_dict()))
-        assert len(record["counters"]) == 1
+        assert record["counters"] == rt_part.env.backend.counters_dict()
 
         h_res = self._vector_synthesis_runtime(tmp_path).run(resume=True)
         assert_histories_identical(h_full, h_res)
@@ -268,16 +272,18 @@ class TestTrainingRoundTrip:
     @pytest.mark.parametrize("where", ["records", "counters"])
     def test_two_backend_records_are_refused(self, tmp_path, where):
         """The retired per-replica-backend layout wrote a record per cache
-        and a counter set per backend; a one-backend env resumes neither."""
+        and a counter set per backend (format 1); a one-backend env resumes
+        neither."""
         rt_part = self._vector_synthesis_runtime(tmp_path, stop_after=10)
         rt_part.run()
         state, manifest = rt_part.manager.load()
+        state = as_format1(state)
         (record,) = state["caches"]
         if where == "records":
             state["caches"] = [record, record]
         else:
             record["counters"] = record["counters"] * 2
-        rt_part.manager.save(state, step=manifest["step"], meta=manifest["meta"])
+        save_format1(rt_part.manager, state, manifest["step"])
 
         with pytest.raises(CheckpointError, match="has 2 "):
             self._vector_synthesis_runtime(tmp_path).run(resume=True)
@@ -326,8 +332,9 @@ class TestTrainingRoundTrip:
         rt, _ = make_sync_runtime(tmp_path, runtime=RuntimeConfig(stop_after=10))
         rt.run()
         state, manifest = rt.manager.load()
+        state = as_format1(state)
         state["mode"] = "bogus"
-        rt.manager.save(state, step=manifest["step"], meta=manifest["meta"])
+        save_format1(rt.manager, state, manifest["step"])
         with pytest.raises(CheckpointError, match="unknown mode 'bogus'"):
             make_sync_runtime(tmp_path)[0].run(resume=True)
 
@@ -361,7 +368,7 @@ class TestTrainingRoundTrip:
             "env": {"actors": [venv.state_dict() for venv in venvs]},
             "actor_rngs": [rng_state(r) for r in spawn_rngs(ensure_rng(11), 2)],
         }
-        CheckpointManager(tmp_path).save(state, step=0, meta={"mode": "async"})
+        save_format1(CheckpointManager(tmp_path), state, 0)
 
         runtime, _ = make_sync_runtime(tmp_path, steps=40)
         with pytest.raises(CheckpointError, match="'async'.*repro train --envs"):
@@ -398,7 +405,7 @@ class TestTrainingRoundTrip:
             "env": {"num_actors": 2},
             "obs": {"metrics": {}, "fleet": {}},
         }
-        CheckpointManager(tmp_path).save(state, step=0, meta={"mode": "cluster"})
+        save_format1(CheckpointManager(tmp_path), state, 0)
         runtime, _ = make_sync_runtime(tmp_path)
         before = runtime.agent.state_dict()["local"]
         with pytest.raises(CheckpointError, match="'cluster' socket-fleet learner.*repro train --envs"):
@@ -437,6 +444,7 @@ class TestBackendCountersRideTheCheckpoint:
         )
         rt_part.run()
         state, manifest = rt_part.manager.load()
+        state = as_format1(state)
         (group,) = state["caches"]
         (record,) = group["counters"]
         group["counters"] = [
@@ -452,7 +460,7 @@ class TestBackendCountersRideTheCheckpoint:
             "total_batches": 7, "total_graphs": 7, "total_unique": 7,
             "total_cache_hits": 0, "total_dispatched": 7,
         }
-        rt_part.manager.save(state, step=manifest["step"], meta=manifest["meta"])
+        save_format1(rt_part.manager, state, manifest["step"])
 
         rt_res, _ = make_sync_runtime(tmp_path, steps=30, evaluator=evaluator())
         h_res = rt_res.run(resume=True)
@@ -482,6 +490,7 @@ class TestBackendCountersRideTheCheckpoint:
         )
         rt_part.run()
         state, manifest = rt_part.manager.load()
+        state = as_format1(state)
         (group,) = state["caches"]
         (record,) = group["counters"]
         assert set(record) == set(COUNTER_KEYS)
@@ -490,7 +499,7 @@ class TestBackendCountersRideTheCheckpoint:
             worker_setup_seconds=0.25, worker_opt_seconds=1.5, redispatched_tasks=3,
             prepared_hits=5, shipped_elided=3,
         )
-        rt_part.manager.save(state, step=manifest["step"], meta=manifest["meta"])
+        save_format1(rt_part.manager, state, manifest["step"])
 
         rt_res, env_res = make_sync_runtime(tmp_path, steps=30, evaluator=evaluator())
         h_res = rt_res.run(resume=True)
@@ -514,7 +523,7 @@ def make_replica_runtime(checkpoint_dir=None, num_envs=1, synthesis=True, **knob
     return TrainingRuntime(venv, agent, cfg, RuntimeConfig(**knobs), checkpoint_dir=checkpoint_dir, rng=3)
 
 
-SNAPSHOT_KEYS = {"mode", "total", "trainer_config", "loop", "history", "agent", "buffer", "caches", "env_kind", "env"}
+SNAPSHOT_KEYS = {"total", "trainer_config", "loop", "history", "agent", "buffer", "backend", "env"}
 
 
 class TestASnapshotHoldsOnlyItsRun:
@@ -545,9 +554,7 @@ class TestASnapshotHoldsOnlyItsRun:
         runtime.run()
         state, _ = runtime.manager.load()
         assert set(state) == SNAPSHOT_KEYS
-        (record,) = state["caches"]
-        assert record["counters"] == [runtime.env.backend.counters_dict()]
-        assert state["history"]["gradient_steps"] == runtime.manager.load()[1]["meta"]["gradient_steps"]
+        assert state["backend"]["counters"] == runtime.env.backend.counters_dict()
 
     @pytest.mark.parametrize(
         "obs",
@@ -569,8 +576,9 @@ class TestASnapshotHoldsOnlyItsRun:
         halted = make_replica_runtime(tmp_path, num_envs=2, stop_after=10)
         halted.run()
         state, manifest = halted.manager.load()
+        state = as_format1(state)
         state["obs"] = obs
-        halted.manager.save(state, step=manifest["step"], meta=manifest["meta"])
+        save_format1(halted.manager, state, manifest["step"])
 
         resumed = make_replica_runtime(tmp_path, num_envs=2)
         h_res = resumed.run(resume=True)
@@ -578,3 +586,292 @@ class TestASnapshotHoldsOnlyItsRun:
         assert h_res.synthesis_stats == h_full.synthesis_stats
         final, _ = resumed.manager.load()
         assert set(final) == SNAPSHOT_KEYS
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+class TestTheManifestDigestsBothPayloadFiles:
+    """A manifest that does not digest exactly ``state.json`` and
+    ``arrays.npz`` is refused, so no payload byte is read unverified."""
+
+    @staticmethod
+    def fixture_copy(tmp_path):
+        root = tmp_path / "ckpt"
+        shutil.copytree(FIXTURES / "pr22_train8_seed3", root)
+        snap = root / "step-00000030"
+        return CheckpointManager(root), snap, json.loads((snap / "manifest.json").read_text())
+
+    @staticmethod
+    def write_manifest(snap, manifest):
+        (snap / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+
+    def test_without_files_an_edited_state_is_refused(self, tmp_path):
+        mgr, snap, manifest = self.fixture_copy(tmp_path)
+        del manifest["files"]
+        self.write_manifest(snap, manifest)
+        text = (snap / "state.json").read_text()
+        assert '"total": 60' in text
+        (snap / "state.json").write_text(text.replace('"total": 60', '"total": 61'))
+        with pytest.raises(CheckpointError, match="must digest exactly arrays.npz and state.json"):
+            mgr.load()
+
+    def test_without_the_arrays_digest_a_flipped_byte_is_refused(self, tmp_path):
+        mgr, snap, manifest = self.fixture_copy(tmp_path)
+        del manifest["files"]["arrays.npz"]
+        self.write_manifest(snap, manifest)
+        blob = bytearray((snap / "arrays.npz").read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        (snap / "arrays.npz").write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="must digest exactly"):
+            mgr.load()
+
+    def test_an_extra_file_is_refused(self, tmp_path):
+        mgr, snap, manifest = self.fixture_copy(tmp_path)
+        (snap / "notes.txt").write_text("hello")
+        manifest["files"]["notes.txt"] = hashlib.sha256(b"hello").hexdigest()
+        self.write_manifest(snap, manifest)
+        with pytest.raises(CheckpointError, match="must digest exactly"):
+            mgr.load()
+
+    def test_an_unreadable_archive_with_a_matching_digest_is_a_checkpoint_error(self, tmp_path):
+        """The payload read maps a broken zip to ``CheckpointError`` too."""
+        mgr, snap, manifest = self.fixture_copy(tmp_path)
+        (snap / "arrays.npz").write_bytes(b"not a zip archive")
+        manifest["files"]["arrays.npz"] = hashlib.sha256(b"not a zip archive").hexdigest()
+        self.write_manifest(snap, manifest)
+        with pytest.raises(CheckpointError, match="payload is unreadable"):
+            mgr.load()
+
+
+class TestVersions:
+    """The manifest's ``version`` is the one schema number: 2 is written,
+    1 and 2 are read, and ``upgrade`` is what reads 1."""
+
+    def test_a_new_snapshot_is_format_2(self, tmp_path):
+        runtime = make_replica_runtime(tmp_path, 2, synthesis=False, stop_after=10)
+        runtime.run()
+        state, manifest = runtime.manager.load()
+        assert manifest["version"] == FORMAT_VERSION == 2
+        assert set(manifest) == {"format", "version", "step", "files"}
+        assert upgrade(state, 2) is state
+
+    @pytest.mark.parametrize("version", [0, 3, "2", 2.0, True, None])
+    def test_other_versions_are_refused(self, version, tmp_path):
+        mgr = CheckpointManager(tmp_path)
+        path = mgr.save({"v": 1}, step=3)
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["version"] = version
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="format version"):
+            mgr.load()
+
+    def test_upgrade_refuses_an_unknown_version(self):
+        with pytest.raises(CheckpointError, match="no upgrade from checkpoint format version 7"):
+            upgrade({}, 7)
+
+    @pytest.mark.parametrize("fixture", ["pr15_train8_seed3", "pr22_train8_seed3"])
+    def test_a_format_1_fixture_upgrades_to_the_format_2_layout(self, fixture):
+        state, manifest = CheckpointManager(FIXTURES / fixture).load()
+        assert manifest["version"] == 1 and {"mode", "env_kind", "caches", "obs"} <= set(state)
+        new = upgrade(state, 1)
+        assert set(new) == SNAPSHOT_KEYS
+        assert len(new["env"]["envs"]) == len(new["loop"]["episode_returns"]) == 1
+        assert set(new["backend"]["counters"]) == set(COUNTER_KEYS)
+        assert new["backend"]["cache"] == state["caches"][0]["cache"]
+
+
+def live_runtime(checkpoint_dir, evaluator="store", num_envs=2):
+    """``make_replica_runtime``'s shape over a stored, storeless or
+    analytical evaluator."""
+    from repro.cells import nangate45
+    from repro.env import VectorPrefixEnv
+    from repro.pareto import ArchivingEvaluator
+    from repro.synth import EvaluationBackend, SynthesisCache, SynthesisEvaluator
+
+    lib = nangate45()
+    inner = {
+        "store": lambda: SynthesisEvaluator(lib, cache=SynthesisCache()),
+        "storeless": lambda: SynthesisEvaluator(lib, backend=EvaluationBackend(lib)),
+        "analytical": lambda: AnalyticalEvaluator(0.5, 0.5),
+    }[evaluator]()
+    venv = VectorPrefixEnv.make(6, ArchivingEvaluator(inner), num_envs, horizon=12, seed=3)
+    agent = ScalarizedDoubleDQN(6, 0.5, 0.5, blocks=0, channels=4, lr=1e-3, rng=3)
+    cfg = TrainerConfig(steps=24, batch_size=4, warmup_steps=8)
+    return TrainingRuntime(venv, agent, cfg, RuntimeConfig(), checkpoint_dir=checkpoint_dir, rng=3)
+
+
+def run_fingerprint(runtime) -> "tuple[str, dict]":
+    """Everything a resume could overwrite: agent, replay ring, env
+    replicas and backend, as JSON text plus arrays."""
+    backend = runtime.env.backend
+    arrays = {}
+    payload = _flatten(
+        {
+            "agent": runtime.agent.state_dict(),
+            "buffer": runtime.buffer.state_dict(),
+            "env": runtime.env.state_dict(),
+            "backend": None if backend is None else backend.state_dict(),
+        },
+        "", arrays,
+    )
+    return json.dumps(payload, sort_keys=True), {key: arr.copy() for key, arr in arrays.items()}
+
+
+def _f1(mutate):
+    def apply(state):
+        state = as_format1(state)
+        mutate(state)
+        return state, 1
+    return apply
+
+
+def _f2(mutate):
+    def apply(state):
+        mutate(state)
+        return state, 2
+    return apply
+
+
+REFUSALS = {
+    "async": (_f1(lambda s: s.update(mode="async")), "store", None, "'async' thread-actor"),
+    "cluster": (_f1(lambda s: s.update(mode="cluster")), "store", None, "'cluster' socket-fleet"),
+    "unknown-mode": (_f1(lambda s: s.update(mode="bogus")), "store", None, "unknown mode 'bogus'"),
+    "two-backend-records": (_f1(lambda s: s.update(caches=s["caches"] * 2)), "store", None,
+                            "has 2 evaluation-backend records"),
+    "two-counter-sets": (_f1(lambda s: s["caches"][0].update(counters=s["caches"][0]["counters"] * 2)), "store", None,
+                         "has 2 backend counter records"),
+    "config-drift": (_f2(lambda s: s["trainer_config"].update(batch_size=8)), "store", None, "drifted"),
+    "total": (_f2(lambda s: None), "store", 99, "targets 24 total steps"),
+    "replica-count": (_f2(lambda s: s["env"].update(envs=s["env"]["envs"][:1])), "store", None,
+                      "holds 1 env replicas, this run steps 2"),
+    "backend-into-analytical": (_f2(lambda s: None), "analytical", None,
+                                "has 1 evaluation-backend records, the live environment resolves through 0"),
+    "no-backend-record": (_f2(lambda s: s.update(backend=None)), "store", None,
+                          "has 0 evaluation-backend records, the live environment resolves through 1"),
+    "unknown-counter": (_f2(lambda s: s["backend"]["counters"].update(bogus=1)), "store", None, r"counts \['bogus'\]"),
+    "cache-into-storeless": (_f2(lambda s: None), "storeless", None, "has no local store"),
+}
+
+
+class TestARefusedResumeLeavesTheRunUntouched:
+    """Every check runs before the first ``load_state_dict``: a refused
+    resume leaves the live agent, replay ring, env replicas and backend as
+    they were."""
+
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_refusal(self, case, tmp_path):
+        mutate, evaluator, steps, match = REFUSALS[case]
+        halted = live_runtime(tmp_path / "halted")
+        halted.runtime = RuntimeConfig(stop_after=10)
+        halted.run()
+        state, version = mutate(halted.manager.load()[0])
+        bad = CheckpointManager(tmp_path / "bad")
+        if version == 1:
+            save_format1(bad, state, 10)
+        else:
+            bad.save(state, step=10)
+
+        live = live_runtime(tmp_path / "live", evaluator)
+        live.run()
+        before_text, before_arrays = run_fingerprint(live)
+        before_len = len(live.buffer)
+        live.manager = bad
+        with pytest.raises(CheckpointError, match=match):
+            live.run(steps=steps, resume=True)
+        after_text, after_arrays = run_fingerprint(live)
+        assert len(live.buffer) == before_len == 24
+        assert after_text == before_text
+        assert after_arrays.keys() == before_arrays.keys()
+        for key, arr in before_arrays.items():
+            np.testing.assert_array_equal(after_arrays[key], arr, err_msg=key)
+
+
+def payload_fingerprint(state: dict, version: int) -> str:
+    """A digest of a loaded snapshot: what a resume is a function of."""
+    arrays = {}
+    payload = _flatten(state, "", arrays)
+    h = hashlib.sha256(json.dumps([version, payload], sort_keys=True).encode())
+    for key in sorted(arrays):
+        h.update(f"{key}{arrays[key].dtype.str}{arrays[key].shape}".encode())
+        h.update(arrays[key].tobytes())
+    return h.hexdigest()
+
+
+def damaged(blob: bytes, offsets, every_bit: bool):
+    """``blob`` truncated at each offset, and with a bit flipped there
+    (every bit, or the offset's own bit position mod 8)."""
+    for offset in offsets:
+        yield blob[:offset]
+        for bit in range(8) if every_bit else (offset % 8,):
+            yield blob[:offset] + bytes([blob[offset] ^ (1 << bit)]) + blob[offset + 1:]
+
+
+class TestFuzzedCheckpoints:
+    """A truncated or bit-flipped snapshot file either loads and resumes to
+    the undamaged run's end, or raises ``CheckpointError``; never any other
+    exception. ``manifest.json`` is damaged at every byte (every bit),
+    ``state.json`` and ``arrays.npz`` at a stride of ~150 offsets.
+
+    A resume is a function of the loaded state and version, so every
+    damaged copy that loads is resumed once per distinct loaded payload."""
+
+    @staticmethod
+    def fuzz(root: Path, resume_matches) -> "dict[str, int]":
+        (snap,) = [p for p in root.iterdir() if p.name.startswith("step-")]
+        outcomes = {"refused": 0, "resumed": 0}
+        resumed: "dict[str, bool]" = {}
+        for name in ("manifest.json", "state.json", "arrays.npz"):
+            path = snap / name
+            blob = path.read_bytes()
+            stride = 1 if name == "manifest.json" else max(1, len(blob) // 150)
+            for bad in damaged(blob, range(0, len(blob), stride), every_bit=name == "manifest.json"):
+                path.write_bytes(bad)
+                try:
+                    state, manifest = CheckpointManager(root).load()
+                except CheckpointError:
+                    outcomes["refused"] += 1
+                    continue
+                finally:
+                    damaged_copy = path.read_bytes()
+                    path.write_bytes(blob)
+                key = payload_fingerprint(state, manifest["version"])
+                if key not in resumed:
+                    work = root.parent / f"resume-{len(resumed)}"
+                    shutil.copytree(root, work)
+                    (work / snap.name / name).write_bytes(damaged_copy)
+                    resumed[key] = resume_matches(work)
+                    shutil.rmtree(work)
+                assert resumed[key], f"{name} damaged to {len(damaged_copy)} bytes loads but resumes elsewhere"
+                outcomes["resumed"] += 1
+        assert len(resumed) == 1  # every copy that loads is the undamaged snapshot
+        return outcomes
+
+    def test_format_2(self, tmp_path):
+        h_full = make_replica_runtime(num_envs=2, synthesis=False).run()
+        make_replica_runtime(tmp_path / "ckpt", 2, synthesis=False, stop_after=10).run()
+
+        def resume_matches(root):
+            h = make_replica_runtime(root, 2, synthesis=False).run(resume=True)
+            return (h.losses, h.episode_returns, h.areas, h.delays, h.epsilon_trace, h.env_steps) == (
+                h_full.losses, h_full.episode_returns, h_full.areas, h_full.delays, h_full.epsilon_trace,
+                h_full.env_steps,
+            )
+
+        outcomes = self.fuzz(tmp_path / "ckpt", resume_matches)
+        assert outcomes["refused"] > 2000 and outcomes["resumed"] > 0
+
+    def test_format_1_through_upgrade(self, tmp_path, capsys):
+        from repro.cli import main
+
+        fixture = FIXTURES / "pr22_train8_seed3"
+        shutil.copytree(fixture, tmp_path / "ckpt")
+        expected = (fixture / "uninterrupted.stdout").read_text()
+
+        def resume_matches(root):
+            capsys.readouterr()
+            assert main(["train", "8", "--seed", "3", "--checkpoint-dir", str(root), "--resume"]) == 0
+            return capsys.readouterr().out == expected
+
+        outcomes = self.fuzz(tmp_path / "ckpt", resume_matches)
+        assert outcomes["refused"] > 2000 and outcomes["resumed"] > 0

@@ -146,15 +146,22 @@ class TestConformance:
         params = inspect.signature(EvaluationBackend).parameters
         assert list(params) == ["library", "synthesizer", "store", "runner"]
 
+    @staticmethod
+    def format1_record(counters: dict) -> dict:
+        """A format-1 checkpoint's backend record, as ``upgrade`` reads it."""
+        from repro.rl.checkpoint import upgrade
+
+        return upgrade({"mode": "sync", "caches": [{"cache": None, "counters": [counters]}]}, 1)["backend"]
+
     def test_counters_with_retired_lease_keys_load(self, lib):
-        """Records from releases that counted lease traffic keep loading:
-        the six live counters are restored, the rest are ignored."""
+        """Format-1 records from releases that counted lease traffic keep
+        loading: the six live counters are restored, the rest are dropped."""
         backend = EvaluationBackend(lib, store=SynthesisCache())
         counters = dict(
             batches=2, designs=9, unique_designs=7, cache_hits=3, cache_misses=4, synthesized=4,
             lease_granted=4, lease_waited=1, wait_hits=1, reclaimed_grants=0,
         )
-        backend.load_state_dict({"cache": None, "counters": [counters]})
+        backend.load_state_dict(self.format1_record(counters))
         assert backend.counters_dict() == {k: counters[k] for k in backend.counters_dict()}
         assert set(backend.stats()) == set(STATS_KEYS)
 
@@ -165,18 +172,27 @@ class TestConformance:
             dict(designs=8, worker_setup_seconds=0.5, worker_opt_seconds=2.0, redispatched_tasks=1,
                  prepared_hits=3, shipped_elided=2),
             dict(batches=2, designs=5),
-            dict(synthesized=4, a_counter_from_a_later_release=9),
         ],
-        ids=["lease-service", "remote-farm", "partial", "unknown-key"],
+        ids=["lease-service", "remote-farm", "partial"],
     )
     def test_a_record_restores_the_live_counters_it_carries(self, lib, record):
-        """Whatever a record carries, the live counters it names are
-        restored and every other live counter keeps its value."""
+        """Whatever a format-1 record carries, the live counters it names
+        are restored and every other live counter keeps its value."""
         backend = EvaluationBackend(lib, store=SynthesisCache())
         backend.evaluate_many(design_set())
         before = backend.counters_dict()
-        backend.load_counters(record)
+        backend.load_counters(self.format1_record(record)["counters"])
         assert backend.counters_dict() == {k: record.get(k, v) for k, v in before.items()}
+
+    def test_an_unknown_counter_is_refused(self, lib):
+        """A key no backend counts (nor any retired one) is an error, and
+        no counter is restored."""
+        backend = EvaluationBackend(lib, store=SynthesisCache())
+        backend.evaluate_many(design_set())
+        before = backend.counters_dict()
+        with pytest.raises(ValueError, match="a_counter_from_a_later_release"):
+            backend.load_counters(dict(synthesized=4, a_counter_from_a_later_release=9))
+        assert backend.counters_dict() == before
 
 
 class RecordingStore(SynthesisCache):

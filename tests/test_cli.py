@@ -153,12 +153,10 @@ class TestCliRuntime:
         assert capsys.readouterr().out == expected
 
     def test_resume_with_another_replica_count_is_refused(self, tmp_path, capsys):
-        from repro.rl import CheckpointError
-
         ckpt = str(tmp_path / "ckpt")
         assert main(self.TRAIN + ["--envs", "3", "--checkpoint-dir", ckpt, "--stop-after", "9"]) == 0
         capsys.readouterr()
-        with pytest.raises(CheckpointError, match="holds 3 env replicas, this run steps 2; resume with --envs 3"):
+        with pytest.raises(SystemExit, match="holds 3 env replicas, this run steps 2; resume with --envs 3"):
             main(self.TRAIN + ["--envs", "2", "--checkpoint-dir", ckpt, "--resume"])
 
     def test_checkpoint_flags_require_dir(self):
@@ -175,9 +173,7 @@ class TestCliRuntime:
         assert not any(tmp_path.iterdir())
 
     def test_resume_without_checkpoint_fails_clearly(self, tmp_path):
-        from repro.rl import CheckpointError
-
-        with pytest.raises(CheckpointError, match="no checkpoint found"):
+        with pytest.raises(SystemExit, match="no checkpoint found"):
             main(self.TRAIN + ["--resume", "--checkpoint-dir", str(tmp_path / "empty")])
 
 
