@@ -36,6 +36,8 @@ COMMANDS=(
     "synth kogge_stone 64 --library industrial8nm"
     "train 8 --steps 60 --seed 3"
     "train 8 --steps 60 --seed 3 --envs 3"
+    # 185 gradient steps: the target network syncs at 60, 120 and 180.
+    "train 8 --steps 200 --seed 3"
     "sweep 6 --weights 2 --steps 40 --seed 1"
     "eval han_carlson 65"
     "sweep 33 --weights 2 --steps 40 --seed 2"
@@ -76,6 +78,7 @@ done
 RESUMES=(
     "train 8 --steps 60 --seed 3"
     "train 8 --steps 60 --seed 3 --envs 3"
+    "train 8 --steps 200 --seed 3"
 )
 resumed_stdout() {  # <src-dir> <command>
     local ckpt

@@ -331,6 +331,22 @@ def restore(state: dict, version: int, env, agent, buffer, config, steps: "int |
                 f"checkpoint carries cache contents for a backend ({backend.name}) that has no local store"
             )
 
+    saved_agent = state["agent"]
+    if int(saved_agent["n"]) != agent.n:
+        raise CheckpointError(
+            f"checkpoint's agent is {saved_agent['n']} bits wide, this run's is {agent.n}; "
+            f"resume with width {saved_agent['n']}"
+        )
+    for net in ("local", "target"):
+        saved = {k: np.shape(v) for k, v in saved_agent[net].items()}
+        live = {k: v.shape for k, v in getattr(agent, net).state_arrays().items()}
+        if saved != live:
+            key = min(k for k in saved.keys() | live.keys() if saved.get(k) != live.get(k))
+            raise CheckpointError(
+                f"checkpoint's {net} network does not fit this agent: {key} is {saved.get(key, 'absent')} in "
+                f"the checkpoint, {live.get(key, 'absent')} here; resume with the checkpoint's --blocks and --channels"
+            )
+
     loop = make_loop(env, agent, buffer, config, total, config.schedule(total), TrainingHistory(**state["history"]))
     loop.load_state_dict(state["loop"])
     agent.load_state_dict(state["agent"])

@@ -4,8 +4,8 @@ The invariant that makes this exact: an inference pass is row-independent
 bit for bit (every convolution is the same per-row GEMM whatever the batch,
 eval-mode batchnorm, LeakyReLU and the residual add are elementwise), so a
 row's Q map does not depend on which other rows share its batch. The
-property tests hold that byte for byte over repeats and permutations; the
-spy tests hold what ``forward`` is handed.
+property tests hold that byte for byte over repeats, permutations and call
+sizes from 1 to 96 rows; the spy tests hold what ``forward`` is handed.
 """
 
 from __future__ import annotations
@@ -22,14 +22,16 @@ from repro.nn import QNetwork
 WIDTHS = (3, 5, 8, 16, 32)
 
 
-@lru_cache(maxsize=None)
-def network(n: int) -> QNetwork:
+def batchnorm_network(n: int) -> QNetwork:
     net = QNetwork(n, blocks=2, channels=16, rng=n)
     # Non-trivial running statistics, so eval-mode batchnorm is not the identity.
     for stage in (net.body.stages[1], net.head.stages[1]):
         stage.running_mean[...] = np.linspace(-0.5, 0.5, stage.running_mean.size)
         stage.running_var[...] = np.linspace(0.5, 2.0, stage.running_var.size)
     return net
+
+
+network = lru_cache(maxsize=None)(batchnorm_network)
 
 
 def rows(n: int, count: int, seed: int) -> np.ndarray:
@@ -80,6 +82,26 @@ class TestRowIndependence:
         x64 = x[idx].astype(np.float64) * nudge
         assert len({row.tobytes() for row in x64}) == len(idx)
         assert same_bytes(net.predict(x)[idx], net.predict(x64))
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        st.sampled_from((8, 16, 32)),
+        st.integers(0, 2**16),
+        st.lists(st.integers(0, 95), min_size=16, max_size=16, unique=True),
+        st.integers(0, 15),
+    )
+    @example(8, 0, list(range(16)), 0)
+    @example(16, 0, list(range(16)), 0)
+    @example(32, 0, list(range(16)), 0)
+    def test_a_row_is_the_same_from_calls_of_1_16_and_96_rows(self, n, seed, idx16, k):
+        # The agent's target memo mixes maps from calls of every size, from
+        # one new row up to a whole batch (96 is the paper's per-GPU batch).
+        # An uncached network: a 96-row pass at n=32 grows its workspace by
+        # ~230 MB, which the rest of the session need not hold.
+        net, x, i = batchnorm_network(n), rows(n, 96, seed), idx16[k]
+        q96, q16, q1 = net.predict(x), net.predict(x[idx16]), net.predict(x[i:i + 1])
+        assert same_bytes(q16, q96[idx16])
+        assert same_bytes(q1[0], q96[i])
 
 
 class TestForwardSeesDistinctRows:

@@ -751,6 +751,12 @@ REFUSALS = {
                           "has 0 evaluation-backend records, the live environment resolves through 1"),
     "unknown-counter": (_f2(lambda s: s["backend"]["counters"].update(bogus=1)), "store", None, r"counts \['bogus'\]"),
     "cache-into-storeless": (_f2(lambda s: None), "storeless", None, "has no local store"),
+    "agent-width": (_f2(lambda s: s["agent"].update(n=7)), "store", None,
+                    "agent is 7 bits wide, this run's is 6; resume with width 7"),
+    "local-shape": (_f2(lambda s: s["agent"]["local"].update({"body.stages.0.weight": np.zeros((8, 4, 3, 3))})),
+                    "store", None, r"local network does not fit this agent: body.stages.0.weight is \(8, 4, 3, 3\)"),
+    "target-extra-array": (_f2(lambda s: s["agent"]["target"].update(extra=np.zeros(3))), "store", None,
+                           r"target network does not fit this agent: extra is \(3,\) in the checkpoint, absent here"),
 }
 
 

@@ -159,6 +159,22 @@ class TestCliRuntime:
         with pytest.raises(SystemExit, match="holds 3 env replicas, this run steps 2; resume with --envs 3"):
             main(self.TRAIN + ["--envs", "2", "--checkpoint-dir", ckpt, "--resume"])
 
+    @pytest.mark.parametrize(
+        "resume, message",
+        [
+            (["train", "7"] + TRAIN[2:], "checkpoint's agent is 6 bits wide, this run's is 7; resume with width 6"),
+            (TRAIN[:-1] + ["8"], "checkpoint's local network does not fit this agent: body.stages.0.bias is (4,)"),
+        ],
+    )
+    def test_resume_into_another_network_is_refused_in_one_line(self, resume, message, tmp_path):
+        """The refusal comes before anything loads (``TestARefusedResumeLeavesTheRunUntouched``
+        holds the live run unchanged) and prints one line, no traceback."""
+        ckpt = str(tmp_path / "ckpt")
+        assert main(self.TRAIN + ["--checkpoint-dir", ckpt, "--stop-after", "20"]) == 0
+        with pytest.raises(SystemExit) as excinfo:
+            main(resume + ["--checkpoint-dir", ckpt, "--resume"])
+        assert str(excinfo.value).startswith(message) and "\n" not in str(excinfo.value)
+
     def test_checkpoint_flags_require_dir(self):
         with pytest.raises(SystemExit, match="checkpoint-dir"):
             main(self.TRAIN + ["--stop-after", "10"])
