@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from repro.cells import nangate45
-from repro.pareto import pareto_front
+from repro.pareto import frontier, pareto_front
 from repro.prefix import REGULAR_STRUCTURES
 from repro.rl import TrainerConfig
-from repro.rl.sweep import pareto_sweep, weight_grid
+from repro.rl.sweep import rl_search, weight_grid
 from repro.synth import (
     SynthesisCache,
     SynthesisEvaluator,
@@ -74,8 +74,11 @@ def regular_structure_series(library, synthesizer, n, num_points):
     return series
 
 
-def _run_synthesis_sweep(n, scale, steps_per_weight, num_weights, horizon):
-    """One synthesis-in-the-loop multi-weight RL sweep with a shared cache."""
+def _run_synthesis_sweep(n, scale, budget, num_weights, horizon):
+    """One synthesis-in-the-loop multi-weight RL sweep with a shared cache.
+
+    Each weight's agent trains ``budget`` env steps, its search budget.
+    """
     library = nangate45()
     synthesizer = Synthesizer()
     cache = SynthesisCache()
@@ -99,12 +102,7 @@ def _run_synthesis_sweep(n, scale, steps_per_weight, num_weights, horizon):
             c_delay=c_delay,
         )
 
-    weights = weight_grid(num_weights)
-    sweep = pareto_sweep(
-        n=n,
-        evaluator_factory=evaluator_factory,
-        weights=weights,
-        steps_per_weight=steps_per_weight,
+    search = rl_search(
         agent_kwargs=dict(
             blocks=scale.residual_blocks,
             channels=scale.channels,
@@ -116,10 +114,11 @@ def _run_synthesis_sweep(n, scale, steps_per_weight, num_weights, horizon):
             warmup_steps=max(scale.batch_size, 16),
         ),
         horizon=horizon,
-        seed=0,
     )
+    archive, spent = frontier(search, n, evaluator_factory, weight_grid(num_weights), budget, seed=0)
     return {
-        "sweep": sweep,
+        "archive": archive,
+        "spent": spent,
         "cache": cache,
         "library": library,
         "synthesizer": synthesizer,
@@ -135,7 +134,7 @@ def rl_sweep_small(scale):
     return _run_synthesis_sweep(
         n=scale.width_small,
         scale=scale,
-        steps_per_weight=scale.train_steps,
+        budget=scale.train_steps,
         num_weights=min(scale.num_weights, 5),
         horizon=24,
     )
@@ -152,7 +151,7 @@ def rl_sweep_large(scale):
     return _run_synthesis_sweep(
         n=scale.width_large,
         scale=scale,
-        steps_per_weight=max(scale.train_steps // 2, 50),
+        budget=max(scale.train_steps // 2, 50),
         num_weights=min(scale.num_weights, 3),
         horizon=32,
     )
@@ -161,7 +160,7 @@ def rl_sweep_large(scale):
 def frontier_design_series(bundle, num_points, max_designs=16):
     """Synthesis-curve samples of a sweep's Pareto-frontier designs."""
     points = []
-    designs = [g for _, _, g in bundle["sweep"].frontier_designs()][:max_designs]
+    designs = [g for _, _, g in bundle["archive"].entries()][:max_designs]
     for graph in designs:
         curve = synthesize_curve(graph, bundle["library"], bundle["synthesizer"])
         points.extend(curve_series(curve, num_points))

@@ -6,15 +6,19 @@ OpenPhySyn + Nangate45; max area saving 16.0% at matched delay, gains
 largest at tight delay targets.
 
 This bench regenerates every series end-to-end at the CI stand-in width
-(REPRO_SCALE controls widths/steps; see ``repro.utils.config``).
+(REPRO_SCALE controls widths/steps; see ``repro.utils.config``). Beside each
+series' hypervolume it prints the distinct designs its search spent (summed
+over weights): SA's analytical, PrefixRL's synthesized, and PS's admitted
+enumeration (of which the first 30 by key are synthesized).
 """
 
 
-from repro.baselines import pruned_designs, sa_frontier
+from repro.baselines import pruned_designs, simulated_annealing
 from repro.pareto import (
     area_savings_at_matched_delay,
     bin_by_delay,
     fraction_dominated,
+    frontier,
     hypervolume_2d,
     pareto_front,
 )
@@ -34,11 +38,12 @@ def build_series(bundle, scale):
 
     # SA baseline: annealed on the analytical model (the paper notes SA
     # cannot afford synthesis in the loop), then its designs synthesized.
-    sa_archive = sa_frontier(
+    sa_archive, sa_spent = frontier(
+        simulated_annealing,
         n,
         lambda wa, wd: AnalyticalEvaluator(wa, wd),
         weights=[0.2, 0.4, 0.6, 0.8],
-        iterations_per_weight=scale.sa_iterations,
+        budget=scale.sa_budget,
         seed=11,
     )
     sa_points = []
@@ -57,11 +62,12 @@ def build_series(bundle, scale):
 
     rl_points, rl_designs = frontier_design_series(bundle, num_points)
     series["PrefixRL"] = rl_points
-    return series, rl_designs
+    spent = {"SA": sum(sa_spent), "PS": len(ps_designs), "PrefixRL": sum(bundle["spent"])}
+    return series, spent
 
 
 def test_fig4a_pareto_32b(benchmark, rl_sweep_small, scale):
-    series, _ = benchmark.pedantic(
+    series, spent = benchmark.pedantic(
         build_series, args=(rl_sweep_small, scale), rounds=1, iterations=1
     )
     num_bins = scale.delay_targets
@@ -74,9 +80,12 @@ def test_fig4a_pareto_32b(benchmark, rl_sweep_small, scale):
     rl = series["PrefixRL"]
     all_points = [p for pts in series.values() for p in pts]
     ref = (max(a for a, _ in all_points) * 1.05, max(d for _, d in all_points) * 1.05)
-    print(f"{'series':>12s}  {'hypervolume':>12s}  {'front size':>10s}")
+    print(f"{'series':>12s}  {'hypervolume':>12s}  {'front size':>10s}  {'spend':>6s}")
     for name, pts in series.items():
-        print(f"{name:>12s}  {hypervolume_2d(pts, ref):12.4f}  {len(pareto_front(pts)):10d}")
+        print(
+            f"{name:>12s}  {hypervolume_2d(pts, ref):12.4f}  {len(pareto_front(pts)):10d}  "
+            f"{spent.get(name, '-')!s:>6s}"
+        )
 
     for name in ("sklansky", "kogge_stone", "brent_kung", "SA", "PS"):
         savings = area_savings_at_matched_delay(rl, series[name])

@@ -43,7 +43,7 @@ def build_series(bundle, scale):
 
     # 7 Pareto-optimal PrefixRL adders from the Nangate45 training sweep,
     # re-synthesized under the new tool/library.
-    rl_designs = [g for _, _, g in bundle["sweep"].frontier_designs()][:NUM_RL_ADDERS]
+    rl_designs = [g for _, _, g in bundle["archive"].entries()][:NUM_RL_ADDERS]
     rl_points = []
     for graph in rl_designs:
         curve = synthesize_curve(graph, lib8, tool)

@@ -36,7 +36,7 @@ def build_series(bundle):
         commercial_points.append((result.area, result.delay))
     series["Commercial"] = pareto_front(commercial_points)
 
-    rl_designs = [g for _, _, g in bundle["sweep"].frontier_designs()][:NUM_RL_ADDERS]
+    rl_designs = [g for _, _, g in bundle["archive"].entries()][:NUM_RL_ADDERS]
     rl_points = []
     for graph in rl_designs:
         curve = synthesize_curve(graph, lib8, tool)

@@ -13,7 +13,7 @@ NUM_RENDERED = 4
 
 
 def collect_designs(bundle):
-    entries = bundle["sweep"].frontier_designs()
+    entries = bundle["archive"].entries()
     if len(entries) <= NUM_RENDERED:
         return entries
     # Spread picks across the frontier, fastest to smallest.

@@ -1,52 +1,45 @@
 #!/usr/bin/env python
-"""Train Analytical-PrefixRL agents and beat simulated annealing (Fig. 6a).
+"""Train Analytical-PrefixRL agents and compare them with simulated annealing (Fig. 6a).
 
 Trains a small multi-weight sweep of scalarized Double-DQN agents on the
-Moto-Kaneko analytical model at 8 bits, runs the SA baseline with the same
-evaluation budget, and prints both Pareto fronts — the Fig. 6a experiment
-at example scale (about a minute of CPU).
+Moto-Kaneko analytical model at 8 bits, runs the SA baseline under the
+same per-weight budget of distinct designs, and prints both Pareto fronts
+with what each actually spent — the Fig. 6a experiment at example scale
+(about a minute of CPU). An agent trains ``budget`` env steps and revisits
+designs, so it usually spends well under its budget; SA spends all of it.
 
-Run: ``python examples/train_analytical.py [width] [steps_per_weight]``
+Run: ``python examples/train_analytical.py [width] [budget]``
 """
 
 import sys
 
-from repro.baselines import sa_frontier
-from repro.pareto import fraction_dominated, hypervolume_2d
-from repro.rl import TrainerConfig
-from repro.rl.sweep import pareto_sweep
+from repro.baselines import simulated_annealing
+from repro.pareto import fraction_dominated, frontier, hypervolume_2d
+from repro.rl import TrainerConfig, rl_search
 from repro.synth import AnalyticalEvaluator
 from repro.utils import scatter_plot
 
 
-def main(n: int = 8, steps_per_weight: int = 400):
+def main(n: int = 8, budget: int = 400):
     weights = [0.2, 0.5, 0.8]
-    print(f"Training {len(weights)} agents at {n}b, {steps_per_weight} steps each...")
-    sweep = pareto_sweep(
-        n=n,
-        evaluator_factory=lambda wa, wd: AnalyticalEvaluator(wa, wd),
-        weights=weights,
-        steps_per_weight=steps_per_weight,
+
+    def analytical(wa, wd):
+        return AnalyticalEvaluator(wa, wd)
+
+    print(f"Training {len(weights)} agents at {n}b, {budget} env steps each...")
+    rl = rl_search(
         agent_kwargs=dict(blocks=1, channels=8, lr=3e-4),
         trainer_config=TrainerConfig(batch_size=8, warmup_steps=16),
         horizon=24,
-        seed=0,
     )
-    for w, hist in sweep.histories.items():
-        tail = hist.episode_returns[-3:] if hist.episode_returns else []
-        print(f"  w_area={w:.2f}: {hist.gradient_steps} gradient steps, "
-              f"last episode returns {[round(r, 2) for r in tail]}")
+    rl_archive, rl_spent = frontier(rl, n, analytical, weights, budget, seed=0)
 
-    print(f"\nRunning SA with the same budget ({steps_per_weight} evals/weight)...")
-    sa = sa_frontier(
-        n,
-        lambda wa, wd: AnalyticalEvaluator(wa, wd),
-        weights=weights,
-        iterations_per_weight=steps_per_weight,
-        seed=1,
-    )
+    print(f"Running SA with a budget of {budget} distinct designs per weight...")
+    sa_archive, sa_spent = frontier(simulated_annealing, n, analytical, weights, budget, seed=1)
+    for name, spent in (("PrefixRL", rl_spent), ("SA", sa_spent)):
+        print(f"  {name:>8s} spent {spent} distinct designs per weight ({sum(spent)} in all)")
 
-    series = {"SA": sa.points(), "PrefixRL": sweep.frontier()}
+    series = {"SA": sa_archive.points(), "PrefixRL": rl_archive.points()}
     print(scatter_plot(series, xlabel="analytical area", ylabel="analytical delay"))
     ref = (
         max(a for pts in series.values() for a, _ in pts) * 1.05,
@@ -57,12 +50,12 @@ def main(n: int = 8, steps_per_weight: int = 400):
     print("fraction of SA frontier dominated by PrefixRL: "
           f"{fraction_dominated(series['PrefixRL'], series['SA'], eps=1e-9):.2f}")
     print("\nFrontier designs (area, delay):")
-    for area, delay, graph in sweep.frontier_designs():
+    for area, delay, graph in rl_archive.entries():
         print(f"  ({area:5.1f}, {delay:5.1f})  size={graph.num_compute_nodes:3d} "
               f"depth={graph.depth():2d} fanout={graph.max_fanout():2d}")
 
 
 if __name__ == "__main__":
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 8
-    steps = int(sys.argv[2]) if len(sys.argv) > 2 else 400
-    main(n, steps)
+    budget = int(sys.argv[2]) if len(sys.argv) > 2 else 400
+    main(n, budget)

@@ -10,25 +10,23 @@
 
 The published design sets are not available, so each baseline is implemented
 from its paper's algorithm and run on this repo's evaluators — every curve in
-the benchmarks is regenerated end-to-end. Each records what it evaluates
-through :func:`repro.pareto.archiving`; PS's enumeration
-(:func:`pruned_designs`) evaluates nothing.
+the benchmarks is regenerated end-to-end. Each is a search with the one
+signature ``search(n, evaluator, budget, rng) -> ParetoArchive``
+(:func:`repro.pareto.budgeted_search`): ``budget`` counts distinct designs,
+and :func:`repro.pareto.frontier` runs a search once per weight. PS's
+enumeration (:func:`pruned_designs`) evaluates nothing.
 """
 
-from repro.baselines.sa import simulated_annealing, sa_frontier, SAResult
-from repro.baselines.ps import pruned_designs, pruned_search, PrunedSearchResult, PruningRules
-from repro.baselines.cl import cross_layer_optimization, CrossLayerResult
+from repro.baselines.sa import simulated_annealing
+from repro.baselines.ps import pruned_designs, pruned_exhaustive_search, PruningRules
+from repro.baselines.cl import cross_layer_optimization
 from repro.baselines.random_walk import random_walk_frontier
 
 __all__ = [
     "simulated_annealing",
-    "sa_frontier",
-    "SAResult",
     "pruned_designs",
-    "pruned_search",
-    "PrunedSearchResult",
+    "pruned_exhaustive_search",
     "PruningRules",
     "cross_layer_optimization",
-    "CrossLayerResult",
     "random_walk_frontier",
 ]

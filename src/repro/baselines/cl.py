@@ -14,18 +14,18 @@ metrics". Reproduced as a three-stage pipeline:
 3. **Predicted-Pareto selection** — the predictor scores the whole pool;
    the predicted-frontier designs (plus the training sample) are actually
    synthesized, and those measurements form the CL series.
+
+The budget splits in two: ``budget // 2`` training evaluations (at least
+one) and the rest on the predicted frontier.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.baselines.ps import PruningRules, pruned_designs
-from repro.pareto.front import ParetoArchive, archiving, pareto_front
+from repro.pareto.front import budgeted_search, pareto_front
 from repro.prefix.graph import PrefixGraph
-from repro.utils.rng import ensure_rng
 
 
 def graph_feature_vector(graph: PrefixGraph) -> np.ndarray:
@@ -76,60 +76,36 @@ class RidgePredictor:
             raise RuntimeError("predictor not fitted")
         return np.asarray(features, dtype=np.float64) @ self._weights
 
-    def r_squared(self, features: np.ndarray, targets: np.ndarray) -> float:
-        """Coefficient of determination, averaged over output columns."""
-        pred = self.predict(features)
-        y = np.asarray(targets, dtype=np.float64)
-        ss_res = ((y - pred) ** 2).sum(axis=0)
-        ss_tot = ((y - y.mean(axis=0)) ** 2).sum(axis=0) + 1e-12
-        return float((1.0 - ss_res / ss_tot).mean())
 
-
-@dataclass
-class CrossLayerResult:
-    """Outcome of the CL pipeline."""
-
-    archive: ParetoArchive
-    candidates: int
-    synthesized: int
-    predictor_r2: float
-
-
+@budgeted_search
 def cross_layer_optimization(
     n: int,
     evaluator,
-    sample_size: int = 24,
-    select_size: int = 24,
+    budget: int,
+    rng,
+    *,
     max_candidates: int = 400,
     rules: "PruningRules | None" = None,
-    rng=None,
-) -> CrossLayerResult:
+):
     """Run the CL pipeline against ``evaluator`` (a synthesis evaluator).
 
     ``evaluator.evaluate`` is the expensive oracle; the predictor rations
-    it: ``sample_size`` training calls plus ``select_size`` verification
-    calls of the predicted frontier.
+    it: ``budget // 2`` (at least one) training calls on a random sample
+    of the candidate pool, then verification calls down the predicted
+    frontier until the budget or the pool is spent.
     """
-    if sample_size < 1:
-        raise ValueError("sample_size must be positive")
-    if select_size < 0:
-        raise ValueError("select_size must be nonnegative")
-    gen = ensure_rng(rng)
     if rules is None:
         rules = PruningRules(level_slack=3, max_fanout=8, size_slack=3.0)
     pool, _ = pruned_designs(n, rules, max_designs=max_candidates)
     features = np.stack([graph_feature_vector(g) for g in pool])
 
-    evaluator = archiving(evaluator)
-    sample_size = min(sample_size, len(pool))
-    sample_idx = gen.choice(len(pool), size=sample_size, replace=False)
+    sample_idx = rng.choice(len(pool), size=min(max(budget // 2, 1), len(pool)), replace=False)
     targets = []
     for i in sample_idx:
         metrics = evaluator.evaluate(pool[i])
         targets.append([metrics.area, metrics.delay])
     predictor = RidgePredictor()
     predictor.fit(features[sample_idx], np.array(targets))
-    r2 = predictor.r_squared(features[sample_idx], np.array(targets))
 
     predictions = predictor.predict(features)
     predicted_points = [(float(a), float(d)) for a, d in predictions]
@@ -137,19 +113,7 @@ def cross_layer_optimization(
     ranked = [i for i, p in enumerate(predicted_points) if p in frontier_set]
     ranked += [i for i in np.argsort(predictions @ np.array([0.5, 0.5])) if i not in set(ranked)]
 
-    synthesized = 0
     sampled = set(int(i) for i in sample_idx)
     for i in ranked:
-        if synthesized >= select_size:
-            break
-        if int(i) in sampled:
-            continue
-        evaluator.evaluate(pool[int(i)])
-        synthesized += 1
-
-    return CrossLayerResult(
-        archive=evaluator.archive,
-        candidates=len(pool),
-        synthesized=synthesized + sample_size,
-        predictor_r2=r2,
-    )
+        if int(i) not in sampled:
+            evaluator.evaluate(pool[int(i)])

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from repro.env.actions import ActionSpace
-from repro.pareto.front import ParetoArchive, archiving
+from repro.pareto.front import budgeted_search
 from repro.prefix.graph import PrefixGraph
 from repro.prefix.structures import REGULAR_STRUCTURES
 
@@ -56,28 +56,17 @@ class PruningRules:
         return graph.num_compute_nodes <= max_size
 
 
-@dataclass
-class PrunedSearchResult:
-    """Outcome of one pruned search."""
-
-    designs: "list[PrefixGraph]"
-    archive: ParetoArchive
-    explored: int
-    admitted: int
-
-
 def pruned_designs(
     n: int,
     rules: "PruningRules | None" = None,
     max_designs: int = 300,
-    max_frontier_rounds: int = 4,
 ) -> "tuple[list[PrefixGraph], int]":
     """Enumerate the pruned design space; returns ``(designs, explored)``.
 
     Breadth-first over single-action neighbourhoods starting from the
-    regular structures; stops after ``max_frontier_rounds`` expansion
-    rounds or once ``max_designs`` admitted designs exist (never more).
-    ``explored`` counts every candidate looked at. Nothing is evaluated.
+    regular structures; stops once ``max_designs`` admitted designs exist
+    (never more) or the pruned space is exhausted. ``explored`` counts
+    every candidate looked at. Nothing is evaluated.
     """
     if max_designs < 1:
         raise ValueError("max_designs must be positive")
@@ -95,9 +84,7 @@ def pruned_designs(
             seen[g.key()] = g
             frontier.append(g)
 
-    rounds = 0
-    while frontier and len(seen) < max_designs and rounds < max_frontier_rounds:
-        rounds += 1
+    while frontier and len(seen) < max_designs:
         next_frontier: "list[PrefixGraph]" = []
         for graph in frontier:
             for action in space.legal_actions(graph):
@@ -117,16 +104,10 @@ def pruned_designs(
     return list(seen.values())[:max_designs], explored
 
 
-def pruned_search(
-    n: int,
-    evaluator,
-    rules: "PruningRules | None" = None,
-    max_designs: int = 300,
-    max_frontier_rounds: int = 4,
-) -> PrunedSearchResult:
-    """Evaluate (and archive) every design :func:`pruned_designs` admits."""
-    designs, explored = pruned_designs(n, rules, max_designs, max_frontier_rounds)
-    evaluator = archiving(evaluator)
-    for graph in designs:
+@budgeted_search
+def pruned_exhaustive_search(n: int, evaluator, budget: int, rng, *, rules: "PruningRules | None" = None):
+    """Evaluate (and archive) the first ``budget`` designs :func:`pruned_designs`
+    admits, so it spends ``min(budget, |pruned space|)``. ``rng`` is unused:
+    the enumeration is deterministic."""
+    for graph in pruned_designs(n, rules, max_designs=budget)[0]:
         evaluator.evaluate(graph)
-    return PrunedSearchResult(designs=designs, archive=evaluator.archive, explored=explored, admitted=len(designs))

@@ -9,41 +9,29 @@ mechanism alone.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro.env.actions import ActionSpace
-from repro.pareto.front import ParetoArchive, archiving
+from repro.pareto.front import budgeted_search
 from repro.prefix.structures import ripple_carry, sklansky
-from repro.utils.rng import ensure_rng
 
 
-def random_walk_frontier(
-    n: int,
-    evaluator,
-    steps: int,
-    restart_every: int = 32,
-    rng=None,
-) -> ParetoArchive:
-    """Uniform random legal actions for ``steps`` evaluations.
+@budgeted_search
+def random_walk_frontier(n: int, evaluator, budget: int, rng, *, restart_every: int = 32):
+    """Uniform random legal actions until ``budget`` distinct designs are spent.
 
     Restarts from ripple/Sklansky (alternating) every ``restart_every``
-    steps, mirroring the RL environment's episode structure.
+    evaluations, mirroring the RL environment's episode structure.
     """
-    if steps < 1:
-        raise ValueError("steps must be positive")
     if restart_every < 1:
         raise ValueError("restart_every must be positive")
-    gen = ensure_rng(rng)
     space = ActionSpace(n)
-    evaluator = archiving(evaluator)
     starts = (ripple_carry, sklansky)
-    graph = starts[0](n)
-
-    for step in range(steps):
+    for step in itertools.count():
         if step % restart_every == 0:
             graph = starts[(step // restart_every) % 2](n)
         evaluator.evaluate(graph)
         legal = np.flatnonzero(space.legal_mask(graph))
-        graph = space.apply(graph, space.action(int(legal[gen.integers(legal.size)])))
-
-    return evaluator.archive
+        graph = space.apply(graph, space.action(int(legal[rng.integers(legal.size)])))

@@ -189,23 +189,24 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from repro.rl.sweep import pareto_sweep, weight_grid
+    from repro.pareto import frontier
+    from repro.rl.sweep import rl_search, weight_grid
     from repro.synth import AnalyticalEvaluator
 
     _check_training_args(args)
+    _require(args.steps >= 1, "--steps", args.steps, "a search budget must be >= 1")
     _require(args.weights >= 1, "--weights", args.weights, "must be >= 1")
-    result = pareto_sweep(
-        n=args.width,
-        evaluator_factory=lambda wa, wd: AnalyticalEvaluator(wa, wd),
-        weights=weight_grid(args.weights),
-        steps_per_weight=args.steps,
-        agent_kwargs=_agent_kwargs(args),
-        trainer_config=_trainer_config(args),
-        horizon=_HORIZON,
+    # Each weight's agent trains --steps env steps: its budget of distinct designs.
+    archive, _ = frontier(
+        rl_search(_agent_kwargs(args), _trainer_config(args), _HORIZON),
+        args.width,
+        lambda wa, wd: AnalyticalEvaluator(wa, wd),
+        weight_grid(args.weights),
+        args.steps,
         seed=args.seed,
     )
     print("merged analytical frontier (area, delay):")
-    for area, delay in result.frontier():
+    for area, delay in archive.points():
         print(f"  {area:8.1f}  {delay:8.2f}")
     return 0
 

@@ -115,17 +115,22 @@ class Module:
         out.update((key, attr) for key, attr in self.__dict__.items() if key.startswith("running_"))
         return out
 
-    def load_state_arrays(self, arrays: "dict[str, np.ndarray]") -> None:
-        """Inverse of :meth:`state_arrays`; shapes must match exactly."""
+    def check_state_arrays(self, arrays: "dict[str, np.ndarray]") -> None:
+        """Raise ``ValueError`` unless ``arrays`` has exactly this module's keys and shapes."""
         own = self.state_arrays()
         if set(own) != set(arrays):
             missing = set(own) ^ set(arrays)
             raise ValueError(f"state mismatch on keys: {sorted(missing)[:5]}...")
         for key, arr in own.items():
-            src = np.asarray(arrays[key], dtype=arr.dtype)
-            if src.shape != arr.shape:
-                raise ValueError(f"shape mismatch for {key}: {src.shape} vs {arr.shape}")
-            arr[...] = src
+            if np.shape(arrays[key]) != arr.shape:
+                raise ValueError(f"shape mismatch for {key}: {np.shape(arrays[key])} vs {arr.shape}")
+
+    def load_state_arrays(self, arrays: "dict[str, np.ndarray]") -> None:
+        """Inverse of :meth:`state_arrays`; every key and shape is checked
+        before any array is written, so a refused state changes nothing."""
+        self.check_state_arrays(arrays)
+        for key, arr in self.state_arrays().items():
+            arr[...] = np.asarray(arrays[key], dtype=arr.dtype)
 
     def copy_from(self, other: "Module") -> None:
         """Copy parameters/buffers from a same-architecture module (target sync)."""

@@ -92,14 +92,21 @@ class Adam:
             "v": [v.copy() for v in self._v],
         }
 
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output onto the same parameter list."""
+    def check_state_dict(self, state: dict) -> None:
+        """Raise ``ValueError`` unless ``state`` fits this optimizer's parameter list."""
         m, v = state["m"], state["v"]
         if len(m) != len(self.params) or len(v) != len(self.params):
             raise ValueError(f"optimizer state has {len(m)} slots, optimizer tracks {len(self.params)} parameters")
-        self._t = int(state["t"])
         for slots, arrays in ((self._m, m), (self._v, v)):
             for slot, arr in zip(slots, arrays):
                 if slot.shape != np.shape(arr):
                     raise ValueError(f"optimizer moment shape mismatch: {np.shape(arr)} vs {slot.shape}")
+
+    def load_state_dict(self, state: dict) -> None:
+        """Restore :meth:`state_dict` output onto the same parameter list;
+        the whole state is checked before anything is written."""
+        self.check_state_dict(state)
+        self._t = int(state["t"])
+        for slots, arrays in ((self._m, state["m"]), (self._v, state["v"])):
+            for slot, arr in zip(slots, arrays):
                 slot[...] = arr  # into the live (float32) slot: a float64 checkpoint's moments load by cast

@@ -6,7 +6,11 @@ better* in both coordinates.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+
+from repro.utils.rng import ensure_rng, spawn_rngs
 
 Point = "tuple[float, float]"
 
@@ -104,6 +108,10 @@ class ParetoArchive:
         return f"ParetoArchive(frontier={len(self)}, seen={self.num_seen})"
 
 
+class BudgetExhausted(Exception):
+    """A budgeted :class:`ArchivingEvaluator` ending the search that uses it."""
+
+
 class ArchivingEvaluator:
     """An evaluator that offers every design it evaluates to an archive.
 
@@ -111,28 +119,110 @@ class ArchivingEvaluator:
     is the search's evaluation count and ``archive`` its frontier (the
     paper bins *all* evaluated designs, Sec. V-A). Several searches share
     a frontier by sharing the archive.
+
+    It is also the one place a search's ``budget`` is counted and spent.
+    A budget counts *distinct* designs (by ``graph.key()``), what a
+    synthesis run pays for, since a repeat is a store hit. ``spent`` is
+    how many this evaluator has seen. It raises :class:`BudgetExhausted`
+    before evaluating a new design once ``budget`` are spent, or a
+    design after ``budget`` evaluations in a row found nothing new (a
+    search confined to a small space ends too). With ``budget=None``
+    nothing is counted.
     """
 
-    def __init__(self, evaluator, archive: "ParetoArchive | None" = None):
+    def __init__(self, evaluator, archive: "ParetoArchive | None" = None, budget: "int | None" = None):
+        if budget is not None and budget < 1:
+            raise ValueError(f"budget must be positive, got {budget}")
         self.evaluator = evaluator
         self.archive = archive if archive is not None else ParetoArchive()
+        self.budget = budget
+        self._keys: "set[bytes]" = set()
+        self._stale = 0  # evaluations in a row of designs already seen
+
+    @property
+    def spent(self) -> int:
+        """Distinct designs evaluated (0 without a budget)."""
+        return len(self._keys)
 
     def evaluate(self, graph):
         """The inner evaluator's metrics, after archiving ``graph``."""
-        return self.record(graph, self.evaluator.evaluate(graph))
+        if self.budget is not None:
+            self._charge(graph)
+        metrics = self.evaluator.evaluate(graph)
+        self.archive.add(metrics.area, metrics.delay, payload=graph)
+        return metrics
 
     def record(self, graph, metrics):
         """Archive ``graph`` with metrics evaluated elsewhere (a batch)."""
+        if self.budget is not None:
+            self._charge(graph)
         self.archive.add(metrics.area, metrics.delay, payload=graph)
         return metrics
+
+    def _charge(self, graph) -> None:
+        key = graph.key()
+        if key in self._keys:
+            if self._stale >= self.budget:
+                raise BudgetExhausted(f"{self.budget} evaluations in a row found no new design")
+            self._stale += 1
+        elif len(self._keys) >= self.budget:
+            raise BudgetExhausted(f"all {self.budget} designs of the budget are spent")
+        else:
+            self._keys.add(key)
+            self._stale = 0
 
     def scalarize(self, metrics) -> float:
         return self.evaluator.scalarize(metrics)
 
 
-def archiving(evaluator) -> ArchivingEvaluator:
-    """``evaluator`` if it already archives, else a wrapper with a fresh archive."""
-    return evaluator if isinstance(evaluator, ArchivingEvaluator) else ArchivingEvaluator(evaluator)
+def archiving(evaluator, budget: "int | None" = None) -> ArchivingEvaluator:
+    """``evaluator`` if it already archives under ``budget`` (any, when
+    ``budget`` is None), else a wrapper around it. A new wrapper of an
+    archiving evaluator shares its archive."""
+    if isinstance(evaluator, ArchivingEvaluator):
+        if budget is None or budget == evaluator.budget:
+            return evaluator
+        return ArchivingEvaluator(evaluator.evaluator, evaluator.archive, budget)
+    return ArchivingEvaluator(evaluator, budget=budget)
+
+
+def budgeted_search(body):
+    """The search contract, ``search(n, evaluator, budget, rng) -> ParetoArchive``.
+
+    ``body(n, evaluator, budget, rng, **knobs)`` gets ``archiving(evaluator,
+    budget)`` and a generator, and evaluates until that evaluator stops it
+    (or it has nothing left to evaluate). The search returns the archive;
+    :class:`BudgetExhausted` never reaches its caller. Knobs that change
+    the algorithm are keywords.
+    """
+
+    @functools.wraps(body)
+    def search(n: int, evaluator, budget: int, rng=None, **knobs) -> ParetoArchive:
+        evaluator = archiving(evaluator, budget)
+        try:
+            body(n, evaluator, budget, ensure_rng(rng), **knobs)
+        except BudgetExhausted:
+            pass
+        return evaluator.archive
+
+    return search
+
+
+def frontier(search, n: int, evaluator_factory, weights: "list[float]", budget: int, seed=0):
+    """Run ``search`` once per area weight into one shared archive.
+
+    ``evaluator_factory(w_area, 1 - w_area)`` builds each weight's
+    evaluator. Every weight gets the whole ``budget`` and one child
+    generator of ``seed``. Returns ``(archive, spent)``: the merged archive
+    and each weight's distinct-design spend, in weight order.
+    """
+    archive = ParetoArchive()
+    spent = []
+    for w_area, rng in zip(weights, spawn_rngs(seed, len(weights))):
+        evaluator = ArchivingEvaluator(evaluator_factory(w_area, 1.0 - w_area), archive, budget)
+        search(n, evaluator, budget, rng)
+        spent.append(evaluator.spent)
+    return archive, spent
 
 
 def bin_by_delay(

@@ -20,7 +20,7 @@ from repro.rl.trainer import (
 )
 from repro.rl.checkpoint import CheckpointError, CheckpointManager
 from repro.rl.runtime import RuntimeConfig, TrainingRuntime
-from repro.rl.sweep import pareto_sweep, SweepResult
+from repro.rl.sweep import rl_search
 from repro.rl.evaluation import greedy_rollout, RolloutResult
 
 __all__ = [
@@ -40,6 +40,5 @@ __all__ = [
     "CheckpointManager",
     "RuntimeConfig",
     "TrainingRuntime",
-    "pareto_sweep",
-    "SweepResult",
+    "rl_search",
 ]

@@ -248,17 +248,25 @@ class ScalarizedDoubleDQN:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot onto a same-shape agent."""
+        """Restore a :meth:`state_dict` snapshot onto a same-shape agent.
+
+        Both networks, the optimizer state and the scalars are checked
+        before anything is assigned, so a refused snapshot leaves the agent
+        untouched.
+        """
         if int(state["n"]) != self.n:
             raise ValueError(
                 f"agent width mismatch: checkpoint n={state['n']}, agent n={self.n}"
             )
-        self.gamma = float(state["gamma"])
-        self.double = bool(state["double"])
-        self.target_sync_every = int(state["target_sync_every"])
-        self.w = np.asarray(state["w"], dtype=np.float64)
-        self.gradient_steps = int(state["gradient_steps"])
-        set_rng_state(self._rng, state["rng"])
+        self.local.check_state_arrays(state["local"])
+        self.target.check_state_arrays(state["target"])
+        self.optimizer.check_state_dict(state["optimizer"])
+        gamma, double = float(state["gamma"]), bool(state["double"])
+        target_sync_every, gradient_steps = int(state["target_sync_every"]), int(state["gradient_steps"])
+        w = np.asarray(state["w"], dtype=np.float64)
+        set_rng_state(self._rng, state["rng"])  # checks the bit generator before it writes
+        self.gamma, self.double, self.w = gamma, double, w
+        self.target_sync_every, self.gradient_steps = target_sync_every, gradient_steps
         self.local.load_state_arrays(state["local"])
         self.target.load_state_arrays(state["target"])
         self.target.eval()

@@ -23,14 +23,17 @@ class RunScale:
         name: profile identifier (``ci`` or ``paper``).
         width_small: stand-in for the paper's 32b setting.
         width_large: stand-in for the paper's 64b setting.
-        train_steps: environment steps per RL training run.
+        train_steps: environment steps per RL training run (its search
+            budget: one env step evaluates at most one new design).
         num_weights: number of area/delay scalarization weights swept.
         residual_blocks: Q-network residual blocks (paper: 32).
         channels: Q-network channels (paper: 256).
         batch_size: training batch size (paper: 96 per GPU).
         delay_targets: synthesis delay targets used when binning Pareto
             fronts (paper: 40).
-        sa_iterations: simulated-annealing step budget per weight.
+        sa_budget: simulated annealing's budget of distinct designs per
+            weight (each value is the mean per-weight spend of 400 / 3000 /
+            100000 SA iterations over Figs. 4a and 6a's weights).
     """
 
     name: str
@@ -42,7 +45,7 @@ class RunScale:
     channels: int
     batch_size: int
     delay_targets: int
-    sa_iterations: int
+    sa_budget: int
 
 
 _PROFILES = {
@@ -56,7 +59,7 @@ _PROFILES = {
         channels=16,
         batch_size=16,
         delay_targets=12,
-        sa_iterations=400,
+        sa_budget=116,
     ),
     "medium": RunScale(
         name="medium",
@@ -68,7 +71,7 @@ _PROFILES = {
         channels=32,
         batch_size=32,
         delay_targets=24,
-        sa_iterations=3000,
+        sa_budget=1288,
     ),
     "paper": RunScale(
         name="paper",
@@ -80,7 +83,7 @@ _PROFILES = {
         channels=256,
         batch_size=96,
         delay_targets=40,
-        sa_iterations=100_000,
+        sa_budget=46_931,
     ),
 }
 

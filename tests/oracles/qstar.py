@@ -15,6 +15,9 @@ solve per policy) are independent solvers of the same fixed point.
 
 Greedy regret of a learned Q-hat is the mean over all states of
 V*(s) - Q*(s, argmax over legal a of w . Q-hat(s, a)).
+
+:func:`lookahead_actions` is the control that needs no learning: a greedy
+policy on the exact scalarized reward, looking one or two moves ahead.
 """
 
 from __future__ import annotations
@@ -154,3 +157,22 @@ def uniform_regret(sol: Solution) -> float:
     legal = np.isfinite(sol.q)
     mean_q = np.where(legal, sol.q, 0.0).sum(axis=1) / legal.sum(axis=1)
     return float((sol.v - mean_q).mean())
+
+
+def lookahead_actions(n: int, w_area: float, depth: int, gamma: float = 0.75) -> np.ndarray:
+    """Each state's action under a depth-``depth`` greedy lookahead.
+
+    Depth 1 takes the argmax of the exact scalarized reward phi(s) -
+    phi(s'); depth 2 the argmax of that reward plus ``gamma`` times the
+    best reward available from s'. Depth d is d sweeps of value iteration
+    from V = 0, which is exactly that.
+    """
+    if depth < 1:
+        raise ValueError(f"depth must be positive, got {depth}")
+    sg = state_graph(n)
+    phi = sg.metrics @ np.array([w_area, 1.0 - w_area])
+    v = np.zeros(len(sg.graphs))
+    for _ in range(depth):
+        q = _q_from_v(sg, phi, v, gamma)
+        v = q.max(axis=1)
+    return q.argmax(axis=1)

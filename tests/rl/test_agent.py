@@ -156,6 +156,50 @@ class TestLearning:
         assert len(flat_positions) == 2 * len(positions)
 
 
+def state_bytes(agent) -> bytes:
+    """A canonical byte string of everything ``agent.state_dict()`` holds."""
+    import pickle
+
+    return pickle.dumps(agent.state_dict(), protocol=4)
+
+
+class TestRefusedLoad:
+    """A snapshot that does not fit is refused before anything is written."""
+
+    @staticmethod
+    def other_shapes(**kwargs):
+        return ScalarizedDoubleDQN(6, channels=8, blocks=0, gamma=0.9, w_area=0.9, w_delay=0.1, **kwargs).state_dict()
+
+    @pytest.mark.parametrize("spoil", ["local", "target", "optimizer"])
+    def test_refused_load_leaves_the_agent_untouched(self, spoil):
+        agent = ScalarizedDoubleDQN(6, channels=4, blocks=0, gamma=0.5, rng=0)
+        twin = ScalarizedDoubleDQN(6, channels=4, blocks=0, gamma=0.5, rng=0)
+        agent.train_step(make_batch(agent))
+        twin.train_step(make_batch(twin))
+        before = state_bytes(agent)
+        # A snapshot of the right shape except for one part.
+        state = agent.state_dict()
+        state.update(gamma=0.9, w=np.array([0.9, 0.1]), gradient_steps=99, target_sync_every=7)
+        state["rng"] = np.random.default_rng(123).bit_generator.state
+        state[spoil] = self.other_shapes()[spoil]
+        with pytest.raises(ValueError, match="mismatch"):
+            agent.load_state_dict(state)
+        assert state_bytes(agent) == before
+        assert agent.gamma == 0.5 and list(agent.w) == [0.5, 0.5]
+        # It trains like the twin that never saw the refused snapshot.
+        for seed in (1, 2):
+            assert agent.train_step(make_batch(agent, rng=seed)) == twin.train_step(make_batch(twin, rng=seed))
+        assert state_bytes(agent) == state_bytes(twin)
+
+    def test_the_reported_refusal(self):
+        agent = ScalarizedDoubleDQN(6, channels=4, blocks=0, gamma=0.5)
+        before = state_bytes(agent)
+        with pytest.raises(ValueError, match="shape mismatch for body.stages.0.weight"):
+            agent.load_state_dict(self.other_shapes())
+        assert agent.gamma == 0.5 and list(agent.w) == [0.5, 0.5]
+        assert state_bytes(agent) == before
+
+
 class TestOneDtype:
     """float32 is the dtype network arrays are born in, and nothing selects
     another. A silent upcast (NumPy 2: ``float32_array * np.float64(2)`` is

@@ -28,6 +28,7 @@ from repro.synth import AnalyticalEvaluator
 from tests.oracles.qstar import (
     greedy_actions,
     greedy_regret,
+    lookahead_actions,
     policy_iteration,
     state_graph,
     uniform_regret,
@@ -108,6 +109,30 @@ def in_band(regrets, n):
 @pytest.fixture(scope="module")
 def trained_n5():
     return {seed: train(5, seed, steps=600) for seed in SEEDS}
+
+
+# Greedy regret of the depth-1 / depth-2 lookahead at w = 0.5, gamma 0.75.
+LOOKAHEAD_REGRET = {5: (0.013, 0.009), 6: (0.030, 0.012)}
+
+
+class TestLookaheadControl:
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_lookahead_ladder(self, n):
+        sol = value_iteration(n, 0.5)
+        depth1 = greedy_regret(sol, lookahead_actions(n, 0.5, 1))
+        depth2 = greedy_regret(sol, lookahead_actions(n, 0.5, 2))
+        assert depth2 <= depth1 < uniform_regret(sol)
+        assert (round(depth1, 3), round(depth2, 3)) == LOOKAHEAD_REGRET[n]
+
+    def test_depth_one_takes_the_best_reward(self):
+        sg = state_graph(5)
+        phi = sg.metrics @ np.array([0.3, 0.7])
+        actions = lookahead_actions(5, 0.3, 1)
+        nxt = np.where(sg.legal, sg.succ, 0)
+        reward = np.where(sg.legal, phi[:, None] - phi[nxt], -np.inf)
+        assert np.array_equal(reward[np.arange(len(actions)), actions], reward.max(axis=1))
+        assert sg.legal[np.arange(len(actions)), actions].all()
 
 
 class TestLearning:

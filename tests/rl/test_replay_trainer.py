@@ -12,7 +12,8 @@ from repro.rl import (
     TrainerConfig,
     Transition,
 )
-from repro.rl.sweep import pareto_sweep, weight_grid
+from repro.pareto import frontier
+from repro.rl.sweep import rl_search, weight_grid
 from repro.synth import AnalyticalEvaluator
 
 
@@ -227,31 +228,28 @@ class TestSweep:
             weight_grid(0)
 
     def test_sweep_merges_archives(self):
-        result = pareto_sweep(
-            n=6,
-            evaluator_factory=lambda wa, wd: AnalyticalEvaluator(wa, wd),
+        archive, spent = frontier(
+            rl_search(agent_kwargs=dict(blocks=0, channels=4, lr=1e-3), horizon=10),
+            6,
+            lambda wa, wd: AnalyticalEvaluator(wa, wd),
             weights=[0.2, 0.8],
-            steps_per_weight=40,
-            agent_kwargs=dict(blocks=0, channels=4, lr=1e-3),
-            horizon=10,
+            budget=40,
             seed=0,
         )
-        assert set(result.histories) == {0.2, 0.8}
-        assert len(result.frontier()) >= 1
+        assert len(spent) == 2 and all(0 < s <= 40 for s in spent)
+        assert len(archive.points()) >= 1
         # Frontier payloads are actual designs.
-        for area, delay, graph in result.frontier_designs():
+        for area, delay, graph in archive.entries():
             assert graph.n == 6
 
     def test_sweep_deterministic(self):
-        kwargs = dict(
-            n=6,
-            evaluator_factory=lambda wa, wd: AnalyticalEvaluator(wa, wd),
-            weights=[0.5],
-            steps_per_weight=30,
-            agent_kwargs=dict(blocks=0, channels=4),
-            horizon=8,
-            seed=7,
+        args = (
+            rl_search(agent_kwargs=dict(blocks=0, channels=4), horizon=8),
+            6,
+            lambda wa, wd: AnalyticalEvaluator(wa, wd),
+            [0.5],
+            30,
         )
-        a = pareto_sweep(**kwargs)
-        b = pareto_sweep(**kwargs)
-        assert a.frontier() == b.frontier()
+        a, spent_a = frontier(*args, seed=7)
+        b, spent_b = frontier(*args, seed=7)
+        assert a.points() == b.points() and spent_a == spent_b

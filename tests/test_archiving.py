@@ -1,10 +1,11 @@
 """One archiving evaluator: every search records what it evaluates.
 
-Each search — the random walk, SA (alone and multi-weight), PS, CL, a bare
-``PrefixEnv``, a batched ``VectorPrefixEnv`` and ``pareto_sweep`` — evaluates
-through :class:`repro.pareto.ArchivingEvaluator`, so the inner evaluator's
-graph count equals ``archive.num_seen``: nothing is evaluated without being
-archived, and nothing is archived twice for one evaluation.
+Each search — the random walk, SA (alone and under ``frontier``), PS, CL, a
+bare ``PrefixEnv``, a batched ``VectorPrefixEnv`` and ``rl_search`` under
+``frontier`` — evaluates through :class:`repro.pareto.ArchivingEvaluator`, so
+the inner evaluator's graph count equals ``archive.num_seen``: nothing is
+evaluated without being archived, and nothing is archived twice for one
+evaluation. The budget contract itself is ``tests/test_search_contract.py``.
 """
 
 import numpy as np
@@ -12,15 +13,14 @@ import pytest
 
 from repro.baselines import (
     cross_layer_optimization,
-    pruned_search,
+    pruned_exhaustive_search,
     random_walk_frontier,
-    sa_frontier,
     simulated_annealing,
 )
 from repro.env import PrefixEnv, VectorPrefixEnv
-from repro.pareto import ArchivingEvaluator, ParetoArchive, archiving
+from repro.pareto import ArchivingEvaluator, BudgetExhausted, ParetoArchive, archiving, frontier
 from repro.prefix import ripple_carry, sklansky
-from repro.rl import TrainerConfig, pareto_sweep
+from repro.rl import TrainerConfig, rl_search
 from repro.synth import AnalyticalEvaluator
 
 
@@ -81,17 +81,54 @@ class TestArchivingEvaluator:
         fresh = archiving(AnalyticalEvaluator())
         assert isinstance(fresh, ArchivingEvaluator) and fresh.archive.num_seen == 0
 
-    def test_env_holds_the_inner_evaluator_and_a_read_only_archive(self):
-        inner = AnalyticalEvaluator()
-        wrapped = ArchivingEvaluator(inner)
-        env = PrefixEnv(8, wrapped, rng=0)
-        assert env.evaluator is inner
-        assert env.archive is wrapped.archive
-        with pytest.raises(AttributeError):
-            env.archive = ParetoArchive()
-        with pytest.raises(AttributeError):
-            env.evaluator = AnalyticalEvaluator()
-        assert PrefixEnv(8, inner, rng=0).archive is not wrapped.archive
+    def test_archiving_under_a_budget_shares_the_archive(self):
+        budgeted = ArchivingEvaluator(AnalyticalEvaluator(), budget=5)
+        assert archiving(budgeted) is budgeted
+        assert archiving(budgeted, 5) is budgeted
+        rebudgeted = archiving(budgeted, 3)
+        assert rebudgeted.budget == 3 and rebudgeted.archive is budgeted.archive
+        plain = ArchivingEvaluator(AnalyticalEvaluator())
+        assert archiving(plain, 4).archive is plain.archive
+
+    def test_no_budget_counts_nothing(self):
+        wrapped = ArchivingEvaluator(AnalyticalEvaluator())
+        for _ in range(3):
+            wrapped.evaluate(sklansky(8))
+        assert wrapped.budget is None and wrapped.spent == 0
+
+    @pytest.mark.parametrize("budget", [0, -4])
+    def test_bad_budget(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            ArchivingEvaluator(AnalyticalEvaluator(), budget=budget)
+
+    @pytest.mark.parametrize("path", ["evaluate", "record"])
+    def test_budget_counts_distinct_designs(self, path):
+        counter = CountingEvaluator()
+        wrapped = ArchivingEvaluator(counter, budget=2)
+        metrics = AnalyticalEvaluator().evaluate
+
+        def offer(graph):
+            if path == "evaluate":
+                return wrapped.evaluate(graph)
+            return wrapped.record(graph, metrics(graph))
+
+        offer(ripple_carry(8))
+        offer(ripple_carry(8))
+        offer(sklansky(8))
+        assert wrapped.spent == 2 and wrapped.archive.num_seen == 3
+        offer(ripple_carry(8))  # a repeat after the budget is still evaluated
+        with pytest.raises(BudgetExhausted, match="budget"):
+            offer(ripple_carry(9))
+        assert wrapped.spent == 2 and wrapped.archive.num_seen == 4
+        assert counter.counts["graphs"] == (4 if path == "evaluate" else 0)
+
+    def test_stall_rule(self):
+        wrapped = ArchivingEvaluator(AnalyticalEvaluator(), budget=3)
+        for graph in [sklansky(8)] * 3 + [ripple_carry(8)] + [sklansky(8)] * 3:
+            wrapped.evaluate(graph)  # the new design resets the streak
+        with pytest.raises(BudgetExhausted, match="in a row"):
+            wrapped.evaluate(ripple_carry(8))
+        assert wrapped.spent == 2 and wrapped.archive.num_seen == 7
 
 
 def random_steps(env, rounds, seed):
@@ -108,34 +145,35 @@ class TestEveryEvaluationIsArchivedOnce:
 
     def test_random_walk(self):
         counter = CountingEvaluator()
-        archive = random_walk_frontier(8, counter, steps=90, restart_every=20, rng=0)
-        assert counter.counts["graphs"] == archive.num_seen == 90
+        archive = random_walk_frontier(8, counter, 83, rng=0, restart_every=20)
+        assert counter.counts["graphs"] == archive.num_seen >= 90
 
     def test_simulated_annealing(self):
         counter = CountingEvaluator()
-        res = simulated_annealing(8, counter, iterations=120, rng=0)
-        assert counter.counts["graphs"] == res.archive.num_seen == 121
+        archive = simulated_annealing(8, counter, 71, rng=0)
+        assert counter.counts["graphs"] == archive.num_seen > 71
 
-    def test_sa_frontier(self):
+    def test_frontier(self):
         counts = {"graphs": 0, "batches": 0}
-        archive = sa_frontier(
+        archive, spent = frontier(
+            simulated_annealing,
             8,
             lambda wa, wd: CountingEvaluator(wa, wd, counts),
             weights=[0.2, 0.8],
-            iterations_per_weight=60,
+            budget=60,
             seed=0,
         )
-        assert counts["graphs"] == archive.num_seen == 2 * 61
+        assert counts["graphs"] == archive.num_seen > sum(spent)
 
     def test_pruned_search(self):
         counter = CountingEvaluator()
-        res = pruned_search(8, counter, max_designs=40)
-        assert counter.counts["graphs"] == res.archive.num_seen == res.admitted == 40
+        archive = pruned_exhaustive_search(8, counter, 40)
+        assert counter.counts["graphs"] == archive.num_seen == 40
 
     def test_cross_layer(self):
         counter = CountingEvaluator()
-        res = cross_layer_optimization(8, counter, sample_size=10, select_size=6, max_candidates=60, rng=0)
-        assert counter.counts["graphs"] == res.archive.num_seen == res.synthesized == 16
+        archive = cross_layer_optimization(8, counter, 16, rng=0, max_candidates=60)
+        assert counter.counts["graphs"] == archive.num_seen == 16
 
     def test_bare_env(self):
         counter = CountingEvaluator()
@@ -151,17 +189,20 @@ class TestEveryEvaluationIsArchivedOnce:
         assert counter.counts["batches"] > 0  # the ``record`` path ran
         assert counter.counts["graphs"] == sum(env.archive.num_seen for env in venv.envs)
 
-    def test_pareto_sweep(self):
+    def test_rl_frontier(self):
         counts = {"graphs": 0, "batches": 0}
-        result = pareto_sweep(
+        archive, spent = frontier(
+            rl_search(
+                agent_kwargs={"blocks": 0, "channels": 4},
+                trainer_config=TrainerConfig(batch_size=4, warmup_steps=8),
+                horizon=6,
+            ),
             5,
             lambda wa, wd: CountingEvaluator(wa, wd, counts),
             weights=[0.3, 0.7],
-            steps_per_weight=20,
-            agent_kwargs={"blocks": 0, "channels": 4},
-            trainer_config=TrainerConfig(batch_size=4, warmup_steps=8),
-            horizon=6,
+            budget=20,
             seed=0,
         )
-        assert counts["graphs"] == result.archive.num_seen
-        assert result.archive.num_seen >= 2 * 20
+        assert counts["graphs"] == archive.num_seen
+        assert archive.num_seen >= 2 * 20  # 20 env steps per weight, plus resets
+        assert all(s <= 20 for s in spent)

@@ -341,6 +341,7 @@ class TestInputErrors:
             (["train", "--envs", "0"], "--envs", "0"),
             (["train", "--envs", "-2"], "--envs", "-2"),
             (["sweep", "--weights", "0"], "--weights", "0"),
+            (["sweep", "--steps", "0"], "--steps", "0"),
         ],
     )
     def test_out_of_range_argument_exits_naming_it(self, argv, argument, value, tmp_path, monkeypatch):
