@@ -20,7 +20,7 @@ MAX_DESIGNS_PER_SET = 8
 
 def build_series(fig6_store, bundle, scale):
     if "archives" not in fig6_store:
-        series, archives = run_fig6a(scale, bundle["n"])
+        series, archives, _ = run_fig6a(scale, bundle["n"])
         fig6_store.update(series=series, archives=archives, n=bundle["n"])
     archives = fig6_store["archives"]
     library, synthesizer = bundle["library"], bundle["synthesizer"]

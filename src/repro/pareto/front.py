@@ -10,7 +10,7 @@ import functools
 
 import numpy as np
 
-from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.utils.rng import ensure_rng
 
 Point = "tuple[float, float]"
 
@@ -212,13 +212,17 @@ def frontier(search, n: int, evaluator_factory, weights: "list[float]", budget: 
     """Run ``search`` once per area weight into one shared archive.
 
     ``evaluator_factory(w_area, 1 - w_area)`` builds each weight's
-    evaluator. Every weight gets the whole ``budget`` and one child
-    generator of ``seed``. Returns ``(archive, spent)``: the merged archive
-    and each weight's distinct-design spend, in weight order.
+    evaluator. Every weight gets the whole ``budget``, and the weights'
+    searches draw, in weight order, from the one generator of ``seed``
+    (:func:`repro.rl.sweep.rl_search` spawns its env and agent streams
+    from it, two draws per weight). Returns ``(archive, spent)``: the
+    merged archive and each weight's distinct-design spend, in weight
+    order.
     """
     archive = ParetoArchive()
     spent = []
-    for w_area, rng in zip(weights, spawn_rngs(seed, len(weights))):
+    rng = ensure_rng(seed)
+    for w_area in weights:
         evaluator = ArchivingEvaluator(evaluator_factory(w_area, 1.0 - w_area), archive, budget)
         search(n, evaluator, budget, rng)
         spent.append(evaluator.spent)

@@ -12,9 +12,10 @@ from repro.rl import (
     TrainerConfig,
     Transition,
 )
-from repro.pareto import frontier
+from repro.pareto import ArchivingEvaluator, ParetoArchive, frontier
 from repro.rl.sweep import rl_search, weight_grid
 from repro.synth import AnalyticalEvaluator
+from repro.utils.rng import spawn_rngs
 
 
 def dummy_transition(i=0, n=6, num_actions=20):
@@ -253,3 +254,22 @@ class TestSweep:
         a, spent_a = frontier(*args, seed=7)
         b, spent_b = frontier(*args, seed=7)
         assert a.points() == b.points() and spent_a == spent_b
+
+    def test_sweep_streams_are_one_agent_per_weight(self):
+        """Weight i's env and agent take children 2i and 2i+1 of the seed."""
+        agent_kwargs, config, weights, steps = dict(blocks=0, channels=4, lr=1e-3), TrainerConfig(), [0.2, 0.8], 40
+        search = rl_search(agent_kwargs, config, horizon=10)
+        archive, _ = frontier(search, 6, AnalyticalEvaluator, weights, steps, seed=3)
+        by_hand = ParetoArchive()
+        rngs = spawn_rngs(3, 2 * len(weights))
+        for i, w in enumerate(weights):
+            evaluator = ArchivingEvaluator(AnalyticalEvaluator(w, 1.0 - w), by_hand)
+            env = PrefixEnv(6, evaluator, horizon=10, rng=rngs[2 * i])
+            agent = ScalarizedDoubleDQN(6, w_area=w, w_delay=1.0 - w, rng=rngs[2 * i + 1], **agent_kwargs)
+            Trainer(env, agent, config, rng=rngs[2 * i + 1]).run(steps)
+
+        def keyed(a):
+            return [(area, delay, graph.key()) for area, delay, graph in a.entries()]
+
+        assert keyed(archive) == keyed(by_hand)
+        assert archive.num_seen == by_hand.num_seen

@@ -258,8 +258,8 @@ class TestControlTrajectoriesPinned:
     }
     SA_FRONTIER = (
         [(11.0, 7.5), (10.0, 8.0), (9.0, 9.0), (8.0, 10.5), (7.0, 11.5)],
-        "11330c496fdd17cd",
-        (1087, [76, 91, 93]),
+        "42b13393ace13459",
+        (824, [70, 77, 50]),
     )
     PS_FRONT = [(13.0, 7.0), (12.0, 7.5), (11.0, 8.5), (9.0, 9.5)]
     CL_FRONT = (PS_FRONT, "dbfa35af239c7601")
