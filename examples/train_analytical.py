@@ -6,7 +6,9 @@ Moto-Kaneko analytical model at 8 bits, runs the SA baseline under the
 same per-weight budget of distinct designs, and prints both Pareto fronts
 with what each actually spent — the Fig. 6a experiment at example scale
 (about a minute of CPU). An agent trains ``budget`` env steps and revisits
-designs, so it usually spends well under its budget; SA spends all of it.
+designs, so it usually spends well under its budget. SA usually stops
+before it spends its budget too: once it is stuck in one basin, the stall
+rule ends it.
 
 Run: ``python examples/train_analytical.py [width] [budget]``
 """

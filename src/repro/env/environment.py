@@ -68,7 +68,7 @@ class PrefixEnv:
         self._archiving = archiving(evaluator)
         self.horizon = horizon
         self.action_space = ActionSpace(n)
-        self._start_ctors = tuple(start_states) if start_states else (ripple_carry, sklansky)
+        self.start_states = tuple(start_states) if start_states else (ripple_carry, sklansky)
         self._rng = ensure_rng(rng)
         self.state: "PrefixGraph | None" = None
         self._metrics = None
@@ -85,7 +85,7 @@ class PrefixEnv:
         one synthesis batch before finalizing the resets; the RNG stream
         is consumed exactly as a plain ``reset()`` would.
         """
-        ctor = self._start_ctors[int(self._rng.integers(len(self._start_ctors)))]
+        ctor = self.start_states[int(self._rng.integers(len(self.start_states)))]
         return ctor(self.n)
 
     def reset(self, start: "PrefixGraph | None" = None, _metrics=None) -> PrefixGraph:

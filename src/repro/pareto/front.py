@@ -126,8 +126,9 @@ class ArchivingEvaluator:
     how many this evaluator has seen. It raises :class:`BudgetExhausted`
     before evaluating a new design once ``budget`` are spent, or a
     design after ``budget`` evaluations in a row found nothing new (a
-    search confined to a small space ends too). With ``budget=None``
-    nothing is counted.
+    search confined to a small space ends too). Designs passed to
+    :meth:`exempt` are outside the budget. With ``budget=None`` nothing
+    is counted.
     """
 
     def __init__(self, evaluator, archive: "ParetoArchive | None" = None, budget: "int | None" = None):
@@ -137,6 +138,7 @@ class ArchivingEvaluator:
         self.archive = archive if archive is not None else ParetoArchive()
         self.budget = budget
         self._keys: "set[bytes]" = set()
+        self._exempt: "set[bytes]" = set()
         self._stale = 0  # evaluations in a row of designs already seen
 
     @property
@@ -159,8 +161,16 @@ class ArchivingEvaluator:
         self.archive.add(metrics.area, metrics.delay, payload=graph)
         return metrics
 
+    def exempt(self, graphs) -> None:
+        """Leave ``graphs`` out of the budget: they are not counted in
+        ``spent``, and evaluating them never stops the search nor adds to
+        a stall (the start states an RL run's episodes reset to)."""
+        self._exempt.update(graph.key() for graph in graphs)
+
     def _charge(self, graph) -> None:
         key = graph.key()
+        if key in self._exempt:
+            return
         if key in self._keys:
             if self._stale >= self.budget:
                 raise BudgetExhausted(f"{self.budget} evaluations in a row found no new design")
@@ -176,13 +186,13 @@ class ArchivingEvaluator:
 
 
 def archiving(evaluator, budget: "int | None" = None) -> ArchivingEvaluator:
-    """``evaluator`` if it already archives under ``budget`` (any, when
-    ``budget`` is None), else a wrapper around it. A new wrapper of an
-    archiving evaluator shares its archive."""
+    """``evaluator`` if it already archives, else a wrapper around it under
+    ``budget``. An archiving evaluator must already spend ``budget`` (any,
+    when ``budget`` is None): one budget is never set in two places."""
     if isinstance(evaluator, ArchivingEvaluator):
-        if budget is None or budget == evaluator.budget:
-            return evaluator
-        return ArchivingEvaluator(evaluator.evaluator, evaluator.archive, budget)
+        if budget is not None and budget != evaluator.budget:
+            raise ValueError(f"the archiving evaluator's budget is {evaluator.budget}, not the search's {budget}")
+        return evaluator
     return ArchivingEvaluator(evaluator, budget=budget)
 
 

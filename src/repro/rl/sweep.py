@@ -36,9 +36,11 @@ def rl_search(
 
     The agent's scalarization weight is the evaluator's (``w_area`` /
     ``w_delay``), ``rng`` seeds the environment and the agent, and the
-    environment evaluates through the search's archiving evaluator. One
-    env step evaluates at most one new design, so a run spends at most
-    ``budget`` (usually far less: an agent revisits designs).
+    environment evaluates through the search's archiving evaluator. The
+    episodes' start states (ripple carry and Sklansky) are exempt from the
+    budget, and one env step evaluates at most one new design, so a run
+    spends at most ``budget`` and is never stopped before its last step
+    (it usually spends far less: an agent revisits designs).
 
     Args:
         agent_kwargs: extra :class:`ScalarizedDoubleDQN` arguments
@@ -54,6 +56,7 @@ def rl_search(
         env_rng, agent_rng = spawn_rngs(rng, 2)
         inner = evaluator.evaluator
         env = PrefixEnv(n, evaluator, horizon=horizon, rng=env_rng)
+        evaluator.exempt(ctor(n) for ctor in env.start_states)
         agent = ScalarizedDoubleDQN(n, w_area=inner.w_area, w_delay=inner.w_delay, rng=agent_rng, **agent_kwargs)
         Trainer(env, agent, config, rng=agent_rng).run(budget)
 

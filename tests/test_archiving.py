@@ -81,14 +81,28 @@ class TestArchivingEvaluator:
         fresh = archiving(AnalyticalEvaluator())
         assert isinstance(fresh, ArchivingEvaluator) and fresh.archive.num_seen == 0
 
-    def test_archiving_under_a_budget_shares_the_archive(self):
+    def test_env_holds_the_inner_evaluator_and_a_read_only_archive(self):
+        inner = AnalyticalEvaluator()
+        wrapped = ArchivingEvaluator(inner)
+        env = PrefixEnv(8, wrapped, rng=0)
+        assert env.evaluator is inner
+        assert env.archive is wrapped.archive
+        with pytest.raises(AttributeError):
+            env.archive = ParetoArchive()
+        with pytest.raises(AttributeError):
+            env.evaluator = AnalyticalEvaluator()
+        assert PrefixEnv(8, inner, rng=0).archive is not wrapped.archive
+
+    def test_archiving_keeps_one_budget(self):
         budgeted = ArchivingEvaluator(AnalyticalEvaluator(), budget=5)
         assert archiving(budgeted) is budgeted
         assert archiving(budgeted, 5) is budgeted
-        rebudgeted = archiving(budgeted, 3)
-        assert rebudgeted.budget == 3 and rebudgeted.archive is budgeted.archive
-        plain = ArchivingEvaluator(AnalyticalEvaluator())
-        assert archiving(plain, 4).archive is plain.archive
+        assert archiving(AnalyticalEvaluator(), 4).budget == 4
+        for wrapped, budget in ((budgeted, 3), (ArchivingEvaluator(AnalyticalEvaluator()), 4)):
+            with pytest.raises(ValueError, match="budget"):
+                archiving(wrapped, budget)
+        with pytest.raises(ValueError, match="budget"):
+            random_walk_frontier(8, budgeted, 3, rng=0)
 
     def test_no_budget_counts_nothing(self):
         wrapped = ArchivingEvaluator(AnalyticalEvaluator())
@@ -121,6 +135,16 @@ class TestArchivingEvaluator:
             offer(ripple_carry(9))
         assert wrapped.spent == 2 and wrapped.archive.num_seen == 4
         assert counter.counts["graphs"] == (4 if path == "evaluate" else 0)
+
+    def test_exempt_designs_are_outside_the_budget(self):
+        wrapped = ArchivingEvaluator(AnalyticalEvaluator(), budget=1)
+        wrapped.exempt([ripple_carry(8), sklansky(8)])
+        for graph in [ripple_carry(8), sklansky(8)] * 3 + [ripple_carry(9)]:
+            wrapped.evaluate(graph)
+        assert wrapped.spent == 1 and wrapped.archive.num_seen == 7
+        wrapped.evaluate(ripple_carry(8))  # neither a new design nor a stall
+        with pytest.raises(BudgetExhausted, match="budget"):
+            wrapped.evaluate(sklansky(9))
 
     def test_stall_rule(self):
         wrapped = ArchivingEvaluator(AnalyticalEvaluator(), budget=3)

@@ -19,6 +19,7 @@ from repro.baselines import (
 )
 from repro.pareto import ArchivingEvaluator, frontier
 from repro.rl import TrainerConfig, rl_search
+from repro.prefix import ripple_carry, sklansky
 from repro.synth import AnalyticalEvaluator
 from tests.oracles.qstar import from_ripple
 
@@ -80,7 +81,9 @@ def archived_keys(archive):
 @pytest.mark.parametrize("name", sorted(SEARCHES))
 def test_contract(name, n, budget):
     inner, evaluator, archive = run(name, n, budget)
-    spent = len(set(inner.keys))
+    # RL's episode start states are exempt from its budget.
+    exempt = {ripple_carry(n).key(), sklansky(n).key()} if name == "RL" else set()
+    spent = len(set(inner.keys) - exempt)
     assert evaluator.spent == spent <= budget
     # Every archived design was evaluated, and every evaluation archived once.
     assert set(archived_keys(archive)) <= set(inner.keys)
@@ -102,11 +105,31 @@ def test_contract(name, n, budget):
 @pytest.mark.parametrize("name", sorted(SEARCHES))
 def test_a_small_space_ends_every_search(name):
     # n=5 has 43 designs in all, fewer than the budget: the walk and SA
-    # would never spend it, so the stall rule ends them.
+    # would never spend it, so the stall rule ends them. RL ends with its
+    # last env step.
     inner, evaluator, _ = run(name, 5, 60)
     assert evaluator.spent <= 43
     if name in ("walk", "SA"):
         assert stalled(inner.keys, 60)
+
+
+@pytest.mark.parametrize("n, budget", [(5, 60), (8, 7), (8, 60)])
+def test_rl_takes_every_env_step_of_its_budget(monkeypatch, n, budget):
+    # At n=8 with budget 7 every step finds a new design, so charging the
+    # episodes' start state would stop the run before its last step.
+    from repro.rl import sweep
+
+    envs = []
+
+    class Env(sweep.PrefixEnv):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            envs.append(self)
+
+    monkeypatch.setattr(sweep, "PrefixEnv", Env)
+    inner, evaluator, _ = run("RL", n, budget)
+    assert [env.total_steps for env in envs] == [budget]
+    assert evaluator.spent <= budget
 
 
 def test_frontier_gives_each_weight_its_own_spend_over_one_archive():
@@ -120,7 +143,7 @@ def test_frontier_gives_each_weight_its_own_spend_over_one_archive():
     assert spent == [len(set(r.keys)) for r in recorders] == [25, 25, 25]
     assert archive.num_seen == sum(len(r.keys) for r in recorders)
     assert [(r.w_area, r.w_delay) for r in recorders] == [(0.2, 0.8), (0.5, 0.5), pytest.approx((0.8, 0.2))]
-    # Each weight gets its own child stream: the walks differ.
+    # The weights draw from the seed's one generator in turn: the walks differ.
     assert len({tuple(r.keys) for r in recorders}) == 3
     assert frontier(random_walk_frontier, 8, factory, [0.2, 0.5, 0.8], 25, seed=4)[0].points() == archive.points()
 
