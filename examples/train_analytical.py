@@ -5,10 +5,10 @@ Trains a small multi-weight sweep of scalarized Double-DQN agents on the
 Moto-Kaneko analytical model at 8 bits, runs the SA baseline under the
 same per-weight budget of distinct designs, and prints both Pareto fronts
 with what each actually spent — the Fig. 6a experiment at example scale
-(about a minute of CPU). An agent trains ``budget`` env steps and revisits
-designs, so it usually spends well under its budget. SA usually stops
-before it spends its budget too: once it is stuck in one basin, the stall
-rule ends it.
+(about 20 s of CPU). An agent trains until it has spent its budget;
+once it acts greedily (the last 20% of the budget) it may circle designs
+it has seen until the stall rule ends it short of the budget. SA restarts
+from its best design whenever it is stuck, so it spends its whole budget.
 
 Run: ``python examples/train_analytical.py [width] [budget]``
 """
@@ -28,7 +28,7 @@ def main(n: int = 8, budget: int = 400):
     def analytical(wa, wd):
         return AnalyticalEvaluator(wa, wd)
 
-    print(f"Training {len(weights)} agents at {n}b, {budget} env steps each...")
+    print(f"Training {len(weights)} agents at {n}b, {budget} distinct designs each...")
     rl = rl_search(
         agent_kwargs=dict(blocks=1, channels=8, lr=3e-4),
         trainer_config=TrainerConfig(batch_size=8, warmup_steps=16),

@@ -196,7 +196,7 @@ def cmd_sweep(args) -> int:
     _check_training_args(args)
     _require(args.steps >= 1, "--steps", args.steps, "a search budget must be >= 1")
     _require(args.weights >= 1, "--weights", args.weights, "must be >= 1")
-    # Each weight's agent trains --steps env steps: its budget of distinct designs.
+    # Each weight's agent trains until it has spent --steps distinct designs.
     archive, _ = frontier(
         rl_search(_agent_kwargs(args), _trainer_config(args), _HORIZON),
         args.width,
@@ -262,7 +262,10 @@ _COMMANDS = {
          "checkpoint_dir", "checkpoint_every", "stop_after", "resume", "store_dir"),
         {},
     ),
-    "sweep": (("width", "weights", "steps", "blocks", "channels", "seed"), {"steps": dict(default=300, help=None)}),
+    "sweep": (
+        ("width", "weights", "steps", "blocks", "channels", "seed"),
+        {"steps": dict(default=300, help="distinct designs per weight (the search budget)")},
+    ),
 }
 
 

@@ -7,10 +7,11 @@ analytical) and the reward definition:
            c_delay * (delay(s_t) - delay(s_{t+1}))]
 
 Episodes start from the ripple-carry or Sklansky graph (chosen uniformly —
-the paper's two extreme start states) and run for a fixed horizon. The
-environment evaluates through a :class:`repro.pareto.ArchivingEvaluator`, so
-its ``archive`` holds every design it evaluated, which is how a training run
-yields a frontier (Section V-A bins all visited designs).
+the paper's two extreme start states, :data:`START_STATES`) and run for a
+fixed horizon. The environment evaluates through a
+:class:`repro.pareto.ArchivingEvaluator`, so its ``archive`` holds every
+design it evaluated, which is how a training run yields a frontier
+(Section V-A bins all visited designs).
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from repro.pareto.front import ParetoArchive, archiving
 from repro.prefix.graph import PrefixGraph
 from repro.prefix.structures import ripple_carry, sklansky
 from repro.utils.rng import ensure_rng
+
+START_STATES = (ripple_carry, sklansky)  # Section IV-B's two extremes
 
 
 @dataclass
@@ -49,9 +52,8 @@ class PrefixEnv:
             :mod:`repro.synth.evaluator`); an ``ArchivingEvaluator`` lends
             the env its archive. ``env.evaluator`` is the inner evaluator.
         horizon: steps per episode.
-        start_states: iterable of constructors; episodes sample uniformly.
-            Defaults to (ripple_carry, sklansky) per Section IV-B.
-        rng: seed or generator for start-state sampling.
+        rng: seed or generator for start-state sampling (uniform over
+            :data:`START_STATES`).
     """
 
     def __init__(
@@ -59,7 +61,6 @@ class PrefixEnv:
         n: int,
         evaluator,
         horizon: int = 64,
-        start_states=None,
         rng=None,
     ):
         if horizon < 1:
@@ -68,7 +69,6 @@ class PrefixEnv:
         self._archiving = archiving(evaluator)
         self.horizon = horizon
         self.action_space = ActionSpace(n)
-        self.start_states = tuple(start_states) if start_states else (ripple_carry, sklansky)
         self._rng = ensure_rng(rng)
         self.state: "PrefixGraph | None" = None
         self._metrics = None
@@ -85,7 +85,7 @@ class PrefixEnv:
         one synthesis batch before finalizing the resets; the RNG stream
         is consumed exactly as a plain ``reset()`` would.
         """
-        ctor = self.start_states[int(self._rng.integers(len(self.start_states)))]
+        ctor = START_STATES[int(self._rng.integers(len(START_STATES)))]
         return ctor(self.n)
 
     def reset(self, start: "PrefixGraph | None" = None, _metrics=None) -> PrefixGraph:

@@ -9,12 +9,15 @@ agent's environment records into.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.env.environment import PrefixEnv
 from repro.pareto.front import budgeted_search
 from repro.rl.agent import ScalarizedDoubleDQN
-from repro.rl.trainer import Trainer, TrainerConfig
+from repro.rl.replay import ReplayBuffer
+from repro.rl.trainer import TrainerConfig, TrainingHistory, make_loop
 from repro.utils.rng import spawn_rngs
 
 
@@ -32,20 +35,23 @@ def rl_search(
     trainer_config: "TrainerConfig | None" = None,
     horizon: int = 32,
 ):
-    """The search that trains one agent for ``budget`` environment steps.
+    """The search that trains one agent until it has spent ``budget`` distinct designs.
 
     The agent's scalarization weight is the evaluator's (``w_area`` /
     ``w_delay``), ``rng`` seeds the environment and the agent, and the
-    environment evaluates through the search's archiving evaluator. The
-    episodes' start states (ripple carry and Sklansky) are exempt from the
-    budget, and one env step evaluates at most one new design, so a run
-    spends at most ``budget`` and is never stopped before its last step
-    (it usually spends far less: an agent revisits designs).
+    environment evaluates through the search's archiving evaluator, which
+    counts the episodes' start states like any other design. Training has
+    no step limit: it ends when the evaluator has spent ``budget`` or its
+    stall rule ends it (``budget`` evaluations in a row with nothing new,
+    as when a greedy agent keeps revisiting designs). Epsilon follows the
+    config's schedule for ``budget``, read at the evaluator's spend rather
+    than the env-step count, as simulated annealing cools.
 
     Args:
         agent_kwargs: extra :class:`ScalarizedDoubleDQN` arguments
             (blocks, channels, lr, ...).
-        trainer_config: trainer knobs (its ``steps`` is the budget's).
+        trainer_config: trainer knobs (batch size, cadence, epsilon; its
+            ``steps`` is unused: ``budget`` sizes the run).
         horizon: episode length.
     """
     agent_kwargs = dict(agent_kwargs or {})
@@ -56,8 +62,13 @@ def rl_search(
         env_rng, agent_rng = spawn_rngs(rng, 2)
         inner = evaluator.evaluator
         env = PrefixEnv(n, evaluator, horizon=horizon, rng=env_rng)
-        evaluator.exempt(ctor(n) for ctor in env.start_states)
         agent = ScalarizedDoubleDQN(n, w_area=inner.w_area, w_delay=inner.w_delay, rng=agent_rng, **agent_kwargs)
-        Trainer(env, agent, config, rng=agent_rng).run(budget)
+        buffer = ReplayBuffer(config.buffer_capacity, rng=agent_rng)
+        schedule = config.schedule(budget)
+        # No step limit (the evaluator ends the run), and epsilon is read at the spend.
+        loop = make_loop(env, agent, buffer, config, math.inf, lambda _: schedule(evaluator.spent), TrainingHistory())
+        loop.start()
+        while True:
+            loop.tick()
 
     return search

@@ -1,5 +1,7 @@
 """Replay buffer, schedules, trainer loop and the multi-weight sweep."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,9 @@ from repro.rl import (
     TrainerConfig,
     Transition,
 )
-from repro.pareto import ArchivingEvaluator, ParetoArchive, frontier
+from repro.pareto import ArchivingEvaluator, BudgetExhausted, ParetoArchive, frontier
 from repro.rl.sweep import rl_search, weight_grid
+from repro.rl.trainer import TrainingHistory, make_loop
 from repro.synth import AnalyticalEvaluator
 from repro.utils.rng import spawn_rngs
 
@@ -256,17 +259,32 @@ class TestSweep:
         assert a.points() == b.points() and spent_a == spent_b
 
     def test_sweep_streams_are_one_agent_per_weight(self):
-        """Weight i's env and agent take children 2i and 2i+1 of the seed."""
-        agent_kwargs, config, weights, steps = dict(blocks=0, channels=4, lr=1e-3), TrainerConfig(), [0.2, 0.8], 40
+        """Weight i's env and agent take children 2i and 2i+1 of the seed,
+        and its epsilon is the config's schedule read at the spend."""
+        agent_kwargs, config, weights, budget = dict(blocks=0, channels=4, lr=1e-3), TrainerConfig(), [0.2, 0.8], 40
         search = rl_search(agent_kwargs, config, horizon=10)
-        archive, _ = frontier(search, 6, AnalyticalEvaluator, weights, steps, seed=3)
+        archive, spent = frontier(search, 6, AnalyticalEvaluator, weights, budget, seed=3)
         by_hand = ParetoArchive()
         rngs = spawn_rngs(3, 2 * len(weights))
+        schedule = config.schedule(budget)
+        traces, spent_by_hand = [], []
         for i, w in enumerate(weights):
-            evaluator = ArchivingEvaluator(AnalyticalEvaluator(w, 1.0 - w), by_hand)
+            evaluator = ArchivingEvaluator(AnalyticalEvaluator(w, 1.0 - w), by_hand, budget)
             env = PrefixEnv(6, evaluator, horizon=10, rng=rngs[2 * i])
             agent = ScalarizedDoubleDQN(6, w_area=w, w_delay=1.0 - w, rng=rngs[2 * i + 1], **agent_kwargs)
-            Trainer(env, agent, config, rng=rngs[2 * i + 1]).run(steps)
+            buffer = ReplayBuffer(config.buffer_capacity, rng=rngs[2 * i + 1])
+            history = TrainingHistory()
+            loop = make_loop(env, agent, buffer, config, math.inf, lambda _, e=evaluator: schedule(e.spent), history)
+            loop.start()
+            with pytest.raises(BudgetExhausted):
+                while True:
+                    loop.tick()
+            traces.append(history.epsilon_trace)
+            spent_by_hand.append(evaluator.spent)
+        assert spent == spent_by_hand
+        # The spend, not the step count, anneals epsilon: the runs take
+        # more env steps than the schedule's duration and end greedy.
+        assert all(len(trace) > schedule.duration and trace[-1] == 0.0 for trace in traces)
 
         def keyed(a):
             return [(area, delay, graph.key()) for area, delay, graph in a.entries()]

@@ -136,16 +136,6 @@ class TestArchivingEvaluator:
         assert wrapped.spent == 2 and wrapped.archive.num_seen == 4
         assert counter.counts["graphs"] == (4 if path == "evaluate" else 0)
 
-    def test_exempt_designs_are_outside_the_budget(self):
-        wrapped = ArchivingEvaluator(AnalyticalEvaluator(), budget=1)
-        wrapped.exempt([ripple_carry(8), sklansky(8)])
-        for graph in [ripple_carry(8), sklansky(8)] * 3 + [ripple_carry(9)]:
-            wrapped.evaluate(graph)
-        assert wrapped.spent == 1 and wrapped.archive.num_seen == 7
-        wrapped.evaluate(ripple_carry(8))  # neither a new design nor a stall
-        with pytest.raises(BudgetExhausted, match="budget"):
-            wrapped.evaluate(sklansky(9))
-
     def test_stall_rule(self):
         wrapped = ArchivingEvaluator(AnalyticalEvaluator(), budget=3)
         for graph in [sklansky(8)] * 3 + [ripple_carry(8)] + [sklansky(8)] * 3:

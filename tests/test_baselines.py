@@ -83,7 +83,7 @@ class TestSimulatedAnnealing:
         assert len(front) >= 3
         areas = [a for a, _ in front]
         assert max(areas) > min(areas)  # a real spread, not one point
-        assert len(spent) == 3 and all(0 < s <= 120 for s in spent)
+        assert spent == [120, 120, 120]
 
 
 class TestPrunedSearch:
@@ -232,8 +232,9 @@ class TestControlTrajectoriesPinned:
     Budgets are the distinct designs each walk saw when it was sized in
     steps (the random walk's 150 steps: 133 at n=8, 147 at n=16), so its
     archive is the one recorded then. SA cools by the share of its budget
-    spent and CL splits its budget in half, so their pins were recorded
-    with those rules; PS evaluates the same enumeration as before.
+    spent and restarts from its best design when stuck, and CL splits its
+    budget in half, so their pins were recorded with those rules; PS
+    evaluates the same enumeration as before.
     """
 
     RANDOM_WALK = {
@@ -244,7 +245,9 @@ class TestControlTrajectoriesPinned:
             147,
         ),
     }
-    # n=8 stalls after spending 44 of its 108: its basin is exhausted.
+    # Both spend their whole budget. n=8 used to stall after 44 of its 108;
+    # restarting from its best design spends the rest but finds no better
+    # front, so its pin did not move.
     ANNEALING = {
         8: ([(10.0, 8.0), (8.0, 10.5), (7.0, 11.5)], "cf35333ed3e39763", 108),
         16: (
@@ -257,9 +260,9 @@ class TestControlTrajectoriesPinned:
         ),
     }
     SA_FRONTIER = (
-        [(11.0, 7.5), (10.0, 8.0), (9.0, 9.0), (8.0, 10.5), (7.0, 11.5)],
-        "42b13393ace13459",
-        (824, [70, 77, 50]),
+        [(12.0, 7.5), (10.0, 8.0), (9.0, 9.0), (8.0, 10.5), (7.0, 11.5)],
+        "a0854f93cdb39546",
+        (1008, [134, 134, 134]),
     )
     PS_FRONT = [(13.0, 7.0), (12.0, 7.5), (11.0, 8.5), (9.0, 9.5)]
     CL_FRONT = (PS_FRONT, "dbfa35af239c7601")
@@ -278,9 +281,11 @@ class TestControlTrajectoriesPinned:
     @pytest.mark.parametrize("n", (8, 16))
     def test_annealing_archive(self, n):
         points, digest, budget = self.ANNEALING[n]
-        archive = simulated_annealing(n, AnalyticalEvaluator(0.3, 0.7), budget, rng=11)
+        wrapped = ArchivingEvaluator(AnalyticalEvaluator(0.3, 0.7), budget=budget)
+        archive = simulated_annealing(n, wrapped, budget, rng=11)
         assert archive.points() == points
         assert self.payload_digest(archive) == digest
+        assert wrapped.spent == budget
 
     def test_sa_frontier_archive(self):
         archive, spent = frontier(

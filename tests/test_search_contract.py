@@ -81,19 +81,17 @@ def archived_keys(archive):
 @pytest.mark.parametrize("name", sorted(SEARCHES))
 def test_contract(name, n, budget):
     inner, evaluator, archive = run(name, n, budget)
-    # RL's episode start states are exempt from its budget.
-    exempt = {ripple_carry(n).key(), sklansky(n).key()} if name == "RL" else set()
-    spent = len(set(inner.keys) - exempt)
+    spent = len(set(inner.keys))
     assert evaluator.spent == spent <= budget
     # Every archived design was evaluated, and every evaluation archived once.
     assert set(archived_keys(archive)) <= set(inner.keys)
     assert len(inner.keys) == archive.num_seen
     space = space_size(name, n)
-    if name == "walk" and space >= budget:
+    if name in ("walk", "SA") and space >= budget:
         assert spent == budget
     if name in ("CL", "PS"):  # each walks its own candidate list to the end
         assert spent == min(budget, space)
-    if name == "SA":
+    if name == "RL":
         assert spent == budget or stalled(inner.keys, budget)
     # The same seed walks the same path.
     _, _, again = run(name, n, budget)
@@ -104,32 +102,31 @@ def test_contract(name, n, budget):
 
 @pytest.mark.parametrize("name", sorted(SEARCHES))
 def test_a_small_space_ends_every_search(name):
-    # n=5 has 43 designs in all, fewer than the budget: the walk and SA
-    # would never spend it, so the stall rule ends them. RL ends with its
-    # last env step.
+    # n=5 has 43 designs in all, fewer than the budget: the walk, SA and
+    # RL would never spend it, so the stall rule ends them.
     inner, evaluator, _ = run(name, 5, 60)
     assert evaluator.spent <= 43
-    if name in ("walk", "SA"):
+    if name in ("walk", "SA", "RL"):
         assert stalled(inner.keys, 60)
 
 
-@pytest.mark.parametrize("n, budget", [(5, 60), (8, 7), (8, 60)])
-def test_rl_takes_every_env_step_of_its_budget(monkeypatch, n, budget):
-    # At n=8 with budget 7 every step finds a new design, so charging the
-    # episodes' start state would stop the run before its last step.
-    from repro.rl import sweep
-
-    envs = []
-
-    class Env(sweep.PrefixEnv):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            envs.append(self)
-
-    monkeypatch.setattr(sweep, "PrefixEnv", Env)
-    inner, evaluator, _ = run("RL", n, budget)
-    assert [env.total_steps for env in envs] == [budget]
-    assert evaluator.spent <= budget
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("name", ["SA", "RL"])
+def test_sa_and_rl_spend_their_budget(name, budget):
+    # At n=8 neither runs out of new designs: SA restarts from its best
+    # design when it is stuck, and RL trains until the budget is spent.
+    # The start state is a design like any other and is counted.
+    inner, evaluator, _ = run(name, 8, budget)
+    assert inner.keys[0] in {ripple_carry(8).key(), sklansky(8).key()}
+    spent = len(set(inner.keys))
+    assert evaluator.spent == spent
+    if name == "SA" or budget < 60:
+        assert spent == budget
+    else:
+        # Once 80% of the budget is spent RL's epsilon is 0, and a greedy
+        # agent may circle designs it has seen until the stall rule ends
+        # it (this seed: 49 of 60).
+        assert spent == budget or (spent >= 0.8 * budget and stalled(inner.keys, budget))
 
 
 def test_frontier_gives_each_weight_its_own_spend_over_one_archive():
