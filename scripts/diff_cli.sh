@@ -38,6 +38,9 @@ COMMANDS=(
     "train 8 --steps 60 --seed 3 --envs 3"
     # 185 gradient steps: the target network syncs at 60, 120 and 180.
     "train 8 --steps 200 --seed 3"
+    # Most of its ticks take their gradient step while the round's
+    # successors synthesize on the prefetch worker.
+    "train 16 --steps 400 --seed 0"
     "sweep 6 --weights 2 --steps 40 --seed 1"
     "eval han_carlson 65"
     "sweep 33 --weights 2 --steps 40 --seed 2"
@@ -79,6 +82,7 @@ RESUMES=(
     "train 8 --steps 60 --seed 3"
     "train 8 --steps 60 --seed 3 --envs 3"
     "train 8 --steps 200 --seed 3"
+    "train 16 --steps 400 --seed 0"
 )
 resumed_stdout() {  # <src-dir> <command>
     local ckpt

@@ -155,12 +155,12 @@ def cmd_train(args) -> int:
     # --store-dir: a memory front over a durable DiskStore, so a rerun
     # against the same directory starts warm.
     cache = make_store(args.store_dir)
+    synthesis = SynthesisEvaluator(
+        library, w_area=args.w_area, w_delay=1 - args.w_area, cache=cache, c_area=c_area, c_delay=c_delay,
+    )
     try:
         # Every replica records into one archive, so the frontier is the run's.
-        evaluator = ArchivingEvaluator(SynthesisEvaluator(
-            library, w_area=args.w_area, w_delay=1 - args.w_area,
-            cache=cache, c_area=c_area, c_delay=c_delay,
-        ))
+        evaluator = ArchivingEvaluator(synthesis)
         env = VectorPrefixEnv.make(args.width, evaluator, args.envs, horizon=_HORIZON, seed=args.seed)
         runtime = TrainingRuntime(
             env, agent, _trainer_config(args), runtime_config, checkpoint_dir=args.checkpoint_dir, rng=args.seed,
@@ -184,7 +184,8 @@ def cmd_train(args) -> int:
             print(f"  {area:10.2f}  {delay:.4f}")
         return 0
     finally:
-        # Release a --store-dir store's files and its one-writer lock.
+        # Stop the synthesis worker; release a --store-dir store's files and its one-writer lock.
+        synthesis.backend.close()
         cache.close()
 
 

@@ -24,6 +24,10 @@ of each replica paying for synthesis serially inside its own ``env.step``.
 Rewards and RL trajectories are unchanged (synthesis is deterministic);
 only the latency overlaps. A single replica steps itself (``env.step`` /
 ``env.reset``): that is how the trainer runs a bare :class:`PrefixEnv`.
+:meth:`VectorPrefixEnv.successors` computes a round's successors without
+evaluating them and :meth:`VectorPrefixEnv.prefetch` starts their
+synthesis in another process, so the caller can work while they
+synthesize; :meth:`VectorPrefixEnv.step` then collects them.
 Backend-less (e.g. analytical) replicas may hold evaluators of their own;
 they step themselves too.
 """
@@ -102,19 +106,41 @@ class VectorPrefixEnv:
         space = self.action_space
         return np.stack([space.legal_mask(s) for s in self._states])
 
-    def step(self, action_indices) -> "list[StepResult]":
-        """Apply one flat action index per replica; auto-resets on done.
-
-        Returns the ``E`` transitions in replica order. ``result.done``
-        marks episode ends; the replica's state has already been reset when
-        it is True, so the next :meth:`observe` sees the new episode.
-        """
+    def successors(self, action_indices) -> "list":
+        """Each replica's successor under its flat action index, applied once
+        per distinct (state, action): replicas that coincide share one graph
+        object, and with it the features, mask and levels memoized on it.
+        Evaluates nothing; :meth:`step` takes the list back."""
         self._require_reset()
         if len(action_indices) != len(self.envs):
             raise ValueError(
                 f"got {len(action_indices)} actions for {len(self.envs)} environments"
             )
-        actions, successors = self._successors(action_indices)
+        shared = {}
+        successors = []
+        for env, idx in zip(self.envs, map(int, action_indices)):
+            key = (env.state.key(), idx)
+            if key not in shared:
+                shared[key] = env.action_space.apply(env.state, env.action_space.action(idx))
+            successors.append(shared[key])
+        return successors
+
+    def prefetch(self, successors) -> None:
+        """Start synthesizing ``successors`` in another process (see
+        :meth:`repro.synth.EvaluationBackend.prefetch`), for a :meth:`step`
+        to collect; nothing for replicas without a backend."""
+        if self.backend is not None:
+            self.backend.prefetch(successors)
+
+    def step(self, action_indices, successors) -> "list[StepResult]":
+        """Apply one flat action index per replica; auto-resets on done.
+
+        ``successors`` is :meth:`successors` of the same indices. Returns
+        the ``E`` transitions in replica order. ``result.done`` marks
+        episode ends; the replica's state has already been reset when it is
+        True, so the next :meth:`observe` sees the new episode.
+        """
+        actions = [env.action_space.action(int(idx)) for env, idx in zip(self.envs, action_indices)]
         if self._batch_evaluator is not None:
             return self._step_batched(actions, successors)
         results = []
@@ -123,21 +149,6 @@ class VectorPrefixEnv:
             self._states[i] = env.reset() if result.done else result.next_state
             results.append(result)
         return results
-
-    def _successors(self, action_indices):
-        """Each replica's action and successor, applied once per distinct
-        (state, action): replicas that coincide share one graph object, and
-        with it the features, mask and levels memoized on it."""
-        shared = {}
-        actions, successors = [], []
-        for env, idx in zip(self.envs, map(int, action_indices)):
-            action = env.action_space.action(idx)
-            key = (env.state.key(), idx)
-            if key not in shared:
-                shared[key] = env.action_space.apply(env.state, action)
-            actions.append(action)
-            successors.append(shared[key])
-        return actions, successors
 
     def _step_batched(self, actions, successors) -> "list[StepResult]":
         """One evaluator batch for all successors, one for all reset starts."""

@@ -148,7 +148,7 @@ def _row_conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: "np.ndarray | N
     return _row_conv2d(xfull, weight, bias), xfull
 
 
-def _row_conv2d_backward(dy: np.ndarray, xfull: np.ndarray, weight: np.ndarray, x_shape):
+def _row_conv2d_backward(dy: np.ndarray, xfull: np.ndarray, weight: np.ndarray, x_shape, input_grad: bool):
     c_out, c_in, kh, kw = weight.shape
     b, _, h, w = x_shape
     rows = _unfold_rows(xfull, kw)
@@ -158,6 +158,8 @@ def _row_conv2d_backward(dy: np.ndarray, xfull: np.ndarray, weight: np.ndarray, 
     for i in range(kh):
         np.matmul(dyf, rows[:, i * w : (i + h) * w], out=per_item)
         dweight[:, :, i, :] = per_item.sum(axis=0).reshape(c_out, kw, c_in).transpose(0, 2, 1)
+    if not input_grad:
+        return None, dweight
     # dx is the same correlation, of the padded dy with the flipped kernel, in and out swapped.
     dyp = _pad_channels_last(dy, (kh - 1) // 2, scratch)
     return _row_conv2d(dyp, weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), None), dweight
@@ -173,11 +175,13 @@ def _pointwise_conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: "np.ndarr
     return y.reshape(b, c_out, h, w), xf
 
 
-def _pointwise_conv2d_backward(dy: np.ndarray, xf: np.ndarray, weight: np.ndarray, x_shape):
+def _pointwise_conv2d_backward(dy: np.ndarray, xf: np.ndarray, weight: np.ndarray, x_shape, input_grad: bool):
     c_out, c_in, _, _ = weight.shape
     b, _, h, w = x_shape
     dyf = dy.reshape(b, c_out, h * w)
     dweight = np.matmul(dyf, xf.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
+    if not input_grad:
+        return None, dweight
     dx = np.matmul(weight.reshape(c_out, c_in).T, dyf, out=empty((b, c_in, h * w), dy.dtype))
     return dx.reshape(b, c_in, h, w), dweight
 
@@ -202,15 +206,17 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: "np.ndarray | None")
     return y, (saved, weight, x.shape, bias is not None)
 
 
-def conv2d_backward(dy: np.ndarray, cache):
+def conv2d_backward(dy: np.ndarray, cache, input_grad: bool = True):
     """Gradients of :func:`conv2d_forward`.
 
-    Returns ``(dx, dweight, dbias)`` (``dbias`` None if no bias). The
-    layout follows the kernel size recorded in the cache, as in forward.
+    Returns ``(dx, dweight, dbias)`` (``dbias`` None if no bias; ``dx``
+    None, and not computed, if not ``input_grad``: a network's first layer
+    has no one to hand it to). The layout follows the kernel size recorded
+    in the cache, as in forward.
     """
     saved, weight, x_shape, has_bias = cache
     backward = _pointwise_conv2d_backward if weight.shape[2] == 1 else _row_conv2d_backward
-    dx, dweight = backward(dy, saved, weight, x_shape)
+    dx, dweight = backward(dy, saved, weight, x_shape, input_grad)
     dbias = dy.sum(axis=(0, 2, 3)) if has_bias else None
     return dx, dweight, dbias
 

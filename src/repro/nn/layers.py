@@ -156,8 +156,10 @@ class Conv2d(Module):
         y, self._cache = F.conv2d_forward(x, self.weight.value, bias)
         return y
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        dx, dw, db = F.conv2d_backward(dy, self._take_cache())
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> "np.ndarray | None":
+        """Accumulate the parameter gradients; return ``dx`` unless ``input_grad`` is False
+        (then it is not computed: a network's first layer has no one to hand it to)."""
+        dx, dw, db = F.conv2d_backward(dy, self._take_cache(), input_grad)
         self.weight.grad += dw
         if self.bias is not None:
             self.bias.grad += db

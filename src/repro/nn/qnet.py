@@ -74,9 +74,18 @@ class QNetwork(Module):
             raise ValueError(f"expected (B,4,{self.n},{self.n}) input, got {x.shape}")
         return x
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray) -> None:
+        """Accumulate every parameter's gradient of the last :meth:`forward`.
+
+        Returns nothing: the input gradient has no reader, so the stem
+        convolution's is never computed.
+        """
         with self._workspace:
-            return self.body.backward(self.head.backward(np.asarray(dy, dtype=self.dtype))).copy()
+            dy = self.head.backward(np.asarray(dy, dtype=self.dtype))
+            stem, *rest = self.body.stages
+            for stage in reversed(rest):
+                dy = stage.backward(dy)
+            stem.backward(dy, input_grad=False)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Inference-mode forward that leaves no layer holding a backward cache.

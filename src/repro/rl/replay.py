@@ -87,16 +87,30 @@ class ReplayBuffer:
         arrays = self._arrays
         return {name: arrays[name][idx] for name in _FIELDS}
 
+    def draw(self, batch_size: int, size: "int | None" = None) -> np.ndarray:
+        """The ring positions of one uniform batch over the first ``size``
+        positions (default: ``len(self)``), one draw from the sampling RNG.
+
+        A caller that knows how full the ring will be after its next pushes
+        draws over that size now and gathers later (:meth:`gather`): the
+        RNG stream is consumed exactly as :meth:`sample` would consume it then.
+        """
+        size = self._size if size is None else size
+        if not size:
+            raise ValueError("cannot sample from an empty buffer")
+        return self._rng.integers(size, size=batch_size)
+
+    def written(self, count: int) -> np.ndarray:
+        """The ring positions the next ``count`` pushes will write."""
+        return (self._cursor + np.arange(count)) % self.capacity
+
     def sample(self, batch_size: int) -> "dict[str, np.ndarray]":
-        """Uniformly sample a batch as stacked arrays.
+        """Uniformly sample a batch as stacked arrays: ``gather(draw(batch_size))``.
 
         Keys: ``states (B,4,N,N)``, ``actions (B,)``, ``rewards (B,2)``,
         ``next_states (B,4,N,N)``, ``next_masks (B,A)``, ``dones (B,)``.
         """
-        if not self._size:
-            raise ValueError("cannot sample from an empty buffer")
-        idx = self._rng.integers(self._size, size=batch_size)
-        return self.gather(idx)
+        return self.gather(self.draw(batch_size))
 
     # -- persistence -----------------------------------------------------
 

@@ -4,8 +4,9 @@ The paper hides synthesis latency by running many actors (Section IV-D).
 Here one process runs ``E`` lockstep replicas of a
 :class:`~repro.env.VectorPrefixEnv` (``repro train --envs E``): one stacked
 Q-network forward acts for all of them and one batched evaluation
-synthesizes their successors, optionally on a
-:class:`repro.distributed.SynthesisFarm` runner. :class:`TrainingRuntime`
+synthesizes their successors, on a worker process while the learner takes
+the gradient steps that need not wait for them (see
+:class:`~repro.rl.trainer.CollectionLoop`). :class:`TrainingRuntime`
 drives the :class:`~repro.rl.trainer.CollectionLoop` tick by tick with
 checkpoint hooks in between, so it is deterministic: save -> resume ->
 continue is bit-identical to an uninterrupted run. ``repro train`` is this

@@ -45,7 +45,10 @@ def rl_search(
     stall rule ends it (``budget`` evaluations in a row with nothing new,
     as when a greedy agent keeps revisiting designs). Epsilon follows the
     config's schedule for ``budget``, read at the evaluator's spend rather
-    than the env-step count, as simulated annealing cools.
+    than the env-step count, as simulated annealing cools. A synthesis
+    evaluator's misses are prefetched to a worker process while the agent
+    learns, as in ``repro train``; the search closes its evaluator's
+    backend when it ends, so no worker outlives it.
 
     Args:
         agent_kwargs: extra :class:`ScalarizedDoubleDQN` arguments
@@ -68,7 +71,14 @@ def rl_search(
         # No step limit (the evaluator ends the run), and epsilon is read at the spend.
         loop = make_loop(env, agent, buffer, config, math.inf, lambda _: schedule(evaluator.spent), TrainingHistory())
         loop.start()
-        while True:
-            loop.tick()
+        try:
+            while True:
+                loop.tick()
+        finally:
+            # The budget ends the run with the design past it still in flight
+            # on the backend's prefetch worker: stop the worker (the backend
+            # starts another if it prefetches again).
+            if loop.env.backend is not None:
+                loop.env.backend.close()
 
     return search

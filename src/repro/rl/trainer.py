@@ -15,8 +15,9 @@ with checkpoint hooks in between, and :class:`Trainer` is that runtime
 without a checkpoint directory.
 
 The stepper is built from three functions — :func:`acting_round` (act,
-step, fix the terminal successors; :class:`repro.distributed.BatchedActor`
-collects with it too), :func:`fold_round` (account a round in the history
+step, fix the terminal successors, with a hook between act and step where
+a tick learns while the successors synthesize;
+:class:`repro.distributed.BatchedActor` collects with it too), :func:`fold_round` (account a round in the history
 under the step budget) and :func:`push_round` (the kept prefix into a
 replay buffer) — and from the one statement of the gradient cadence,
 :func:`gradient_due`.
@@ -110,19 +111,23 @@ def gradient_due(buffered: int, gradient_steps: int, env_steps: int, cfg: Traine
 # ----------------------------------------------------------------------
 
 
-def acting_round(venv: VectorPrefixEnv, obs: np.ndarray, masks: np.ndarray, act):
+def acting_round(venv: VectorPrefixEnv, obs: np.ndarray, masks: np.ndarray, act, overlap=None):
     """One lockstep acting round — the only one in the repo.
 
     ``obs`` / ``masks`` are the stacked observations the round acts on
     (carried out of the previous round, or ``venv.observe()`` /
     ``venv.legal_masks()`` after a reset or restore) and ``act(obs,
-    masks)`` picks one flat action per replica. Returns ``(round,
-    next_obs, next_masks)``: ``round`` holds the stacked transition
-    fields, and ``next_obs`` / ``next_masks`` are the post-reset stacks
-    the next round acts on.
+    masks)`` picks one flat action per replica. ``overlap(successors)``,
+    when given, runs once the round's successors are known and before any
+    of them is evaluated. Returns ``(round, next_obs, next_masks)``:
+    ``round`` holds the stacked transition fields, and ``next_obs`` /
+    ``next_masks`` are the post-reset stacks the next round acts on.
     """
     actions = act(obs, masks)
-    results = venv.step(actions)
+    successors = venv.successors(actions)
+    if overlap is not None:
+        overlap(successors)
+    results = venv.step(actions, successors)
     # The per-graph feature/mask memo makes these stacks cheap for
     # replicas whose state was already observed.
     next_obs, next_masks = venv.observe(), venv.legal_masks()
@@ -201,9 +206,21 @@ def as_vector(env: "PrefixEnv | VectorPrefixEnv") -> VectorPrefixEnv:
 
 
 class CollectionLoop:
-    """The synchronous collection stepper: one :meth:`tick` = one lockstep
-    round of ``E`` env steps (``E`` = 1 for a bare environment) plus the
-    gradient steps the cadence then owes.
+    """The collection stepper: one :meth:`tick` = one lockstep round of
+    ``E`` env steps (``E`` = 1 for a bare environment) plus the gradient
+    steps the cadence then owes.
+
+    A tick acts, then learns while the round's successors synthesize,
+    then collects them: it draws every due step's batch indices (over the
+    ring's size after this round's push, in step order, from the buffer's
+    one stream), prefetches the successors' store misses to a worker
+    process, and takes the leading due steps whose draws miss every ring
+    slot this round's push will write. Such a batch reads exactly what it
+    would read after the push, so the run is byte for byte the serial one
+    (act, step, push, train). The env step then collects the curves,
+    the round is folded and pushed, and the steps left, those from the
+    first batch that reads a slot of this round on, are taken. A tick with
+    no step to take early prefetches nothing: there is nothing to overlap.
 
     Holds only the loop-local state (per-replica running episode returns);
     everything else (env, agent, buffer, history) is owned by the caller
@@ -249,21 +266,44 @@ class CollectionLoop:
 
     def tick(self) -> None:
         """One lockstep round: E env steps plus the due gradient steps."""
-        cfg = self.config
         history = self.history
         epsilon = self.schedule(history.env_steps)
+        draws = []
+
+        def overlap(successors):
+            # The draws the serial order makes after the push, made now: the
+            # buffer's stream has no other reader in between.
+            cfg, buffer = self.config, self.buffer
+            kept = min(self.env.num_envs, self.total - history.env_steps)
+            size, steps = min(len(buffer) + kept, buffer.capacity), history.env_steps + kept
+            while gradient_due(size, history.gradient_steps + len(draws), steps, cfg):
+                draws.append(buffer.draw(cfg.batch_size, size))
+            written = buffer.written(kept)
+            early = 0
+            while early < len(draws) and not np.isin(draws[early], written).any():
+                early += 1
+            if early:
+                self.env.prefetch(successors)
+            for idx in draws[:early]:
+                self._learn(idx)
+            del draws[:early]
+
         round_, self._obs, self._masks = acting_round(
             self.env, self._obs, self._masks,
             lambda obs, masks: self.agent.act_batch(obs, masks, epsilon=epsilon),
+            overlap,
         )
         # The round stepped every replica, but the budget is exact: the
         # overshoot is dropped.
         kept = fold_round(history, self.episode_returns, self.agent.w, round_, epsilon, self.total)
         push_round(self.buffer, round_, kept)
-        while gradient_due(len(self.buffer), history.gradient_steps, history.env_steps, cfg):
-            loss = self.agent.train_step(self.buffer.sample(cfg.batch_size))
-            history.losses.append(loss)
-            history.gradient_steps += 1
+        for idx in draws:
+            self._learn(idx)
+
+    def _learn(self, idx: np.ndarray) -> None:
+        """One gradient step on the batch at ring positions ``idx``."""
+        self.history.losses.append(self.agent.train_step(self.buffer.gather(idx)))
+        self.history.gradient_steps += 1
 
     # -- persistence -----------------------------------------------------
 

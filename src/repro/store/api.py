@@ -24,6 +24,7 @@ Every implementation provides::
 
     get(key) / put(key, value)            # single-key
     get_many(keys) / put_many(items)      # batched, one lock acquisition
+    contains_many(keys)                   # batched ``in``: no counter, no LRU move
     hits / misses / hit_rate              # lookup accounting
     stats()                               # uniform counters dict
     state_dict() / load_state_dict()      # checkpoint face
@@ -70,6 +71,12 @@ class CurveStore:
 
     def put_many(self, items: "list[tuple]") -> None:
         """Batched :meth:`put` of ``(key, value)`` pairs."""
+        raise NotImplementedError
+
+    def contains_many(self, keys: "list[tuple]") -> "list[bool]":
+        """Batched ``in``: which keys the store holds. Ticks no hit/miss
+        counter and moves no LRU position, so asking changes nothing a
+        later :meth:`get_many` reports."""
         raise NotImplementedError
 
     def __len__(self) -> int:

@@ -52,6 +52,7 @@ import mmap
 import os
 import struct
 import threading
+import weakref
 import zlib
 
 try:  # single-writer guard; POSIX only
@@ -82,6 +83,23 @@ def _parse_segment_id(name: str) -> "int | None":
 # ``json.dumps(..., separators=...)`` builds a new encoder per call; this one
 # is built once and writes the same bytes.
 _KEY_JSON = json.JSONEncoder(separators=(",", ":"))
+
+# Every open store that holds its directory's lock.
+_LOCKED: "weakref.WeakSet[DiskStore]" = weakref.WeakSet()
+
+
+def _drop_locks_in_child() -> None:
+    """A forked child (a synthesis worker) closes its copies of the lock
+    fds: the parent's still hold the flocks, and a child that outlived its
+    parent would otherwise keep the store owned."""
+    for store in list(_LOCKED):
+        if store._lock_fd >= 0:
+            os.close(store._lock_fd)
+            store._lock_fd = -1
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_locks_in_child)
 
 
 def encode_record(key: tuple, points: "list[tuple[float, float]]") -> bytes:
@@ -165,7 +183,8 @@ class DiskStore(CurveStore):
         # Appends assume exclusive ownership of the directory: concurrent
         # appenders would interleave records under each other's tracked
         # offsets. The kernel drops a flock on any process death —
-        # including SIGKILL — so a crashed owner never wedges the store.
+        # including SIGKILL — and forked children do not keep it, so a
+        # crashed owner never wedges the store.
         self._lock_fd = -1
         if fcntl is not None:
             self._lock_fd = os.open(
@@ -181,6 +200,7 @@ class DiskStore(CurveStore):
                     "(one writer per store directory; give each process its "
                     "own directory)"
                 ) from None
+            _LOCKED.add(self)
         self._open_all()
 
     # -- open / recovery ---------------------------------------------------
@@ -445,6 +465,7 @@ class DiskStore(CurveStore):
             if self._lock_fd >= 0:
                 os.close(self._lock_fd)  # releases the flock
                 self._lock_fd = -1
+                _LOCKED.discard(self)
 
     def __repr__(self) -> str:
         return (

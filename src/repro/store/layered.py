@@ -64,6 +64,11 @@ class LayeredStore(CurveStore):
                 self.hits += 1
         return out
 
+    def contains_many(self, keys):
+        """The disk tier's answer: it holds every key the front does."""
+        self._check_open()
+        return self.disk.contains_many([tuple(k) for k in keys])
+
     # -- writes ------------------------------------------------------------
 
     def put(self, key: tuple, value) -> None:

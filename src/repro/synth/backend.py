@@ -12,6 +12,16 @@ runner)``. Without a runner, misses are synthesized in this process (what
 ``repro train`` and plain evaluators get); with one they go to a
 :class:`repro.distributed.SynthesisFarm` (a warm same-host process pool).
 
+A caller that knows which designs it will ask for next, and has other work
+to do first, calls :meth:`~EvaluationBackend.prefetch`: their store misses
+start on the runner, or on one worker process of the backend's own
+(started by the first prefetch), and the next :meth:`evaluate_many` of
+them collects the curves instead of synthesizing them. A prefetch counts
+nothing and moves no store counter or LRU position, so every stat and
+every store byte is what the same calls without it would give. A miss
+nobody prefetched is synthesized as before; one whose worker died is
+synthesized in this process.
+
 Every construction produces byte-identical curves for the same designs
 (every path bottoms out in the same synthesis ladder) and reports the same
 :data:`STATS_KEYS` counter schema from :meth:`~EvaluationBackend.stats`.
@@ -25,6 +35,8 @@ evaluation record.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import BrokenExecutor
 
 from repro.prefix.serialize import graph_digest
 from repro.synth.curve import AreaDelayCurve, synthesize_curve
@@ -107,6 +119,8 @@ class EvaluationBackend:
         self.runner = runner
         for key in COUNTER_KEYS:
             setattr(self, key, 0)
+        self._worker = None  # a runner-less backend's prefetch worker, started by the first prefetch
+        self._inflight: "dict[tuple, tuple]" = {}  # content key -> submit handle of a prefetched miss
 
     @property
     def name(self) -> str:
@@ -138,6 +152,33 @@ class EvaluationBackend:
         curves = self._resolve(unique) if unique else []
         return [curves[slot] for slot in order]
 
+    def prefetch(self, graphs) -> None:
+        """Start synthesizing the store misses among ``graphs`` off this
+        process and return at once; the next :meth:`evaluate_many` that asks
+        for them collects the curves. Counts nothing: the store is asked
+        with ``contains_many``, which ticks no counter and moves no LRU
+        position."""
+        fresh = {}
+        for graph in graphs:
+            key = self.key(graph)
+            if key not in self._inflight:
+                fresh.setdefault(key, graph)
+        if fresh and self.store is not None:
+            known = self.store.contains_many(list(fresh))
+            fresh = {key: graph for (key, graph), hit in zip(fresh.items(), known) if not hit}
+        if not fresh:
+            return
+        if self.runner is None and self._worker is None:
+            from repro.distributed.farm import SynthesisFarm  # the farm imports synthesis
+
+            self._worker = SynthesisFarm.worker(self.library, self.synthesizer)
+        try:
+            handles = (self.runner or self._worker).submit(list(fresh.values()))
+        except BrokenExecutor:
+            self._drop_worker()
+            return
+        self._inflight.update(zip(fresh, handles))
+
     # -- the one resolution loop -------------------------------------------
 
     def _resolve(self, graphs) -> "list[AreaDelayCurve]":
@@ -147,10 +188,14 @@ class EvaluationBackend:
         curves = store.get_many(keys) if store is not None else [None] * len(keys)
         pending = [i for i, curve in enumerate(curves) if curve is None]
         self.cache_hits += len(keys) - len(pending)
+        if self._inflight and len(pending) < len(keys):
+            for key, curve in zip(keys, curves):
+                if curve is not None:  # the store has it now: nothing waits for the prefetch
+                    self._inflight.pop(key, None)
         if not pending:
             return curves
         self.cache_misses += len(pending)
-        fresh = self._run([graphs[i] for i in pending])
+        fresh = self._run([graphs[i] for i in pending], [keys[i] for i in pending])
         self.synthesized += len(fresh)
         if store is not None:
             store.put_many([(keys[i], curve) for i, curve in zip(pending, fresh)])
@@ -158,10 +203,36 @@ class EvaluationBackend:
             curves[i] = curve
         return curves
 
-    def _run(self, graphs) -> "list[AreaDelayCurve]":
-        if self.runner is not None:
-            return self.runner.run(graphs)
-        return [synthesize_curve(g, self.library, self.synthesizer) for g in graphs]
+    def _run(self, graphs, keys) -> "list[AreaDelayCurve]":
+        """The misses' curves: prefetched ones collected, the rest run here or on the runner."""
+        curves = [self._collect(self._inflight.pop(key)) if key in self._inflight else None for key in keys]
+        rest = [i for i, curve in enumerate(curves) if curve is None]
+        if rest:
+            todo = [graphs[i] for i in rest]
+            if self.runner is not None:
+                done = self.runner.run(todo)
+            else:
+                done = [synthesize_curve(g, self.library, self.synthesizer) for g in todo]
+            for i, curve in zip(rest, done):
+                curves[i] = curve
+        return curves
+
+    def _collect(self, handle) -> "AreaDelayCurve | None":
+        """A prefetched curve, or None when its worker died before handing it over."""
+        from repro.distributed.farm import collect
+
+        try:
+            return collect(handle)
+        except BrokenExecutor:
+            self._drop_worker()
+            return None
+
+    def _drop_worker(self) -> None:
+        """Stop the prefetch worker and forget what it held; the next prefetch starts another."""
+        if self._worker is not None:
+            self._worker.close()
+            self._worker = None
+        self._inflight.clear()
 
     # -- telemetry / persistence ------------------------------------------
 
@@ -206,6 +277,8 @@ class EvaluationBackend:
         self.load_counters(state["counters"])
 
     def close(self) -> None:
-        """Release the runner's resources (a pool); idempotent."""
+        """Release the runner's and the prefetch worker's processes; idempotent.
+        The backend stays usable: a later prefetch or run starts them again."""
+        self._drop_worker()
         if self.runner is not None:
             self.runner.close()

@@ -61,6 +61,11 @@ class SynthesisCache(CurveStore):
                     out.append(None)
         return out
 
+    def contains_many(self, keys: "list[tuple]") -> "list[bool]":
+        """Batched ``in`` under one lock; no counter, no LRU move."""
+        with self._lock:
+            return [key in self._data for key in keys]
+
     def put_many(self, items: "list[tuple]") -> None:
         """Batched :meth:`put` of ``(key, value)`` pairs under one lock."""
         with self._lock:

@@ -2,10 +2,24 @@
 
 from __future__ import annotations
 
+import gc
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from repro.prefix import PrefixGraph, ripple_carry
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_process_outlives_the_suite():
+    """Every worker process a test started (a farm's pool, a backend's
+    prefetch worker) has ended by the end of the session: closed, or
+    collected with what owned it."""
+    yield
+    gc.collect()
+    left = multiprocessing.active_children()
+    assert not left, f"{len(left)} child processes outlived the test suite: {left}"
 
 
 @pytest.fixture

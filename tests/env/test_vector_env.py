@@ -13,6 +13,11 @@ from repro.rl.checkpoint import _flatten
 from repro.synth import AnalyticalEvaluator, SynthesisCache, SynthesisEvaluator
 
 
+def step(venv, actions):
+    """One round: ``venv.step`` of the actions and their successors."""
+    return venv.step(actions, venv.successors(actions))
+
+
 def make_vector(n=6, num_envs=3, horizon=8):
     return VectorPrefixEnv.make(
         n, AnalyticalEvaluator(), num_envs=num_envs, horizon=horizon, seed=0
@@ -35,7 +40,7 @@ class TestVectorPrefixEnv:
         venv.reset()
         masks = venv.legal_masks()
         actions = [int(np.nonzero(m)[0][0]) for m in masks]
-        results = venv.step(actions)
+        results = step(venv, actions)
         assert len(results) == 3
         for result, state in zip(results, venv.states):
             assert result.reward.shape == (2,)
@@ -47,7 +52,7 @@ class TestVectorPrefixEnv:
         venv.reset()
         for _ in range(2):
             masks = venv.legal_masks()
-            results = venv.step([int(np.nonzero(m)[0][0]) for m in masks])
+            results = step(venv, [int(np.nonzero(m)[0][0]) for m in masks])
         assert all(r.done for r in results)
         # All replicas were auto-reset: states live, steps back at zero.
         assert all(s is not None for s in venv.states)
@@ -59,7 +64,7 @@ class TestVectorPrefixEnv:
         with pytest.raises(RuntimeError):
             venv.observe()
         with pytest.raises(RuntimeError):
-            venv.step([0, 0, 0])
+            venv.successors([0, 0, 0])
 
     def test_rejects_empty_and_mixed_widths(self):
         with pytest.raises(ValueError):
@@ -75,7 +80,7 @@ class TestVectorPrefixEnv:
         venv = make_vector()
         venv.reset()
         with pytest.raises(ValueError):
-            venv.step([0])
+            venv.successors([0])
 
 
 class CountingEvaluator(SynthesisEvaluator):
@@ -113,7 +118,7 @@ class TestBatchedSynthesisEvaluation:
         assert venv.backend is evaluator.backend
         venv.reset()
         before_many, before_single = evaluator.evaluate_many_calls, evaluator.evaluate_calls
-        venv.step(first_legal(venv.legal_masks()))
+        step(venv, first_legal(venv.legal_masks()))
         # One batched call for the round's successors, zero serial calls.
         assert evaluator.evaluate_many_calls == before_many + 1
         assert evaluator.evaluate_calls == before_single
@@ -122,7 +127,7 @@ class TestBatchedSynthesisEvaluation:
         venv, evaluator = self._synthesis_vector(horizon=1)
         venv.reset()
         before = evaluator.evaluate_many_calls
-        results = venv.step(first_legal(venv.legal_masks()))
+        results = step(venv, first_legal(venv.legal_masks()))
         assert all(r.done for r in results)
         # Successor batch + reset-start batch.
         assert evaluator.evaluate_many_calls == before + 2
@@ -134,7 +139,7 @@ class TestBatchedSynthesisEvaluation:
         assert venv._batch_evaluator is None
         assert venv.backend is evaluator.backend
         venv.reset()
-        (result,) = venv.step(first_legal(venv.legal_masks()))
+        (result,) = step(venv, first_legal(venv.legal_masks()))
         assert result.done and venv.states[0] is venv.envs[0].state
         assert evaluator.evaluate_many_calls == 0 and evaluator.evaluate_calls > 0
 
@@ -161,7 +166,7 @@ class TestBatchedSynthesisEvaluation:
         venv = VectorPrefixEnv(envs)
         assert venv._batch_evaluator is None and venv.backend is None
         venv.reset()
-        assert len(venv.step(first_legal(venv.legal_masks()))) == 2
+        assert len(step(venv, first_legal(venv.legal_masks()))) == 2
 
     def test_analytical_evaluator_not_batched(self):
         venv = make_vector()
@@ -182,7 +187,7 @@ class TestBatchedSynthesisEvaluation:
         venv.reset()
         batched = []
         for _ in range(4):
-            results = venv.step(first_legal(venv.legal_masks()))
+            results = step(venv, first_legal(venv.legal_masks()))
             batched.append(record(results, venv.states))
 
         envs = [PrefixEnv(8, SynthesisEvaluator(lib), horizon=2, rng=s) for s in range(2)]
@@ -240,7 +245,7 @@ class TestSharedSuccessors:
         for round_ in range(5):
             states = venv.states
             actions = two_choices(venv.legal_masks())
-            results = venv.step(actions)
+            results = step(venv, actions)
             successors = {}
             for state, action, result in zip(states, actions, results):
                 successors.setdefault((state.key(), action), set()).add(id(result.next_state))
@@ -257,7 +262,7 @@ class TestSharedSuccessors:
         for _ in range(5):
             actions = two_choices(venv.legal_masks())
             assert actions == two_choices([env.legal_mask(s) for env, s in zip(bare, states)])
-            got = venv.step(actions)
+            got = step(venv, actions)
             want = [env.step(env.action_space.action(a)) for env, a in zip(bare, actions)]
             states = [env.reset() if r.done else r.next_state for env, r in zip(bare, want)]
             for g, w in zip(got, want):
@@ -359,7 +364,7 @@ class TestReplicaCounts:
         assert venv.num_envs == num_envs and len(venv.reset()) == num_envs
         assert venv.observe().shape == (num_envs, 4, 6, 6)
         assert venv.legal_masks().shape == (num_envs, venv.action_space.size)
-        assert len(venv.step(first_legal(venv.legal_masks()))) == num_envs
+        assert len(step(venv, first_legal(venv.legal_masks()))) == num_envs
 
     def test_mixed_widths_are_refused_naming_them(self):
         envs = [PrefixEnv(n, AnalyticalEvaluator(), rng=0) for n in (6, 8, 6)]
@@ -374,7 +379,7 @@ class TestPersistence:
     def advance(venv, rounds):
         records = []
         for _ in range(rounds):
-            results = venv.step(two_choices(venv.legal_masks()))
+            results = step(venv, two_choices(venv.legal_masks()))
             records.append(
                 ([(tuple(r.reward), r.done, r.info["steps"]) for r in results], [s.key() for s in venv.states])
             )

@@ -97,9 +97,14 @@ class TestModuleSystem:
         net.train()
         y = net.forward(xs[2])
         y_kept, forward_arrays = y.copy(), len(net._workspace)
-        dx = net.backward(np.ones_like(y))
+        assert net.backward(np.ones_like(y)) is None  # nothing reads the stem's input gradient
         assert np.array_equal(y, y_kept) and len(net._workspace) > forward_arrays
-        assert not any(np.shares_memory(dx, a) or np.shares_memory(y, a) for a in net._workspace)
+        assert not any(np.shares_memory(y, a) for a in net._workspace)
+        # A layer's dx is still computed for the layer below: the head hands the body its gradient.
+        net.forward(xs[2])
+        dx = net.head.backward(np.ones_like(y))
+        assert dx.shape == (len(xs[2]), net.channels, 6, 6) and dx.dtype == np.float32
+        net.drop_caches()
 
     def test_varying_batch_reuses_workspace_and_scratch(self, gen):
         """Acting's exploit-row count wanders (B = 8, 5, 8, ...): after the

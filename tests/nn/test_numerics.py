@@ -119,6 +119,11 @@ class TestConv:
         assert_close(y, y_ref, dtype)
         for got, want in zip(F.conv2d_backward(dy, cache), oracle.conv2d_backward(dy, cache_ref)):
             assert_close(got, want, dtype)
+        # Without the input gradient, the parameter gradients are the same bytes.
+        dx, *params = F.conv2d_backward(dy, F.conv2d_forward(x, w, bias)[1], input_grad=False)
+        assert dx is None
+        for got, want in zip(params, F.conv2d_backward(dy, cache)[1:]):
+            assert np.array_equal(got, want)
 
     # The last is the stem (K=3, C_in=4) at B=1 on a non-square input.
     @pytest.mark.parametrize("shape", [(2, 6, 3, 5, 1), (2, 3, 4, 6, 3), (1, 4, 16, (7, 5), 3)])

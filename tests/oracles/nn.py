@@ -107,10 +107,11 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: "np.ndarray | None")
     return np.ascontiguousarray(y), cache
 
 
-def conv2d_backward(dy: np.ndarray, cache):
+def conv2d_backward(dy: np.ndarray, cache, input_grad: bool = True):
     """Gradients of :func:`conv2d_forward`.
 
-    Returns ``(dx, dweight, dbias)`` (``dbias`` None if no bias).
+    Returns ``(dx, dweight, dbias)`` (``dbias`` None if no bias; ``dx``
+    None if not ``input_grad``, as the production op).
     """
     cols, wmat, x_shape, kh, kw, pad, has_bias = cache
     b, c_in, h, w = x_shape
@@ -121,7 +122,7 @@ def conv2d_backward(dy: np.ndarray, cache):
     dbias = dout.sum(axis=0) if has_bias else None
     dcols = dout @ wmat
     dx = col2im(dcols, x_shape, kh, kw, pad)
-    return dx, dweight, dbias
+    return (dx if input_grad else None), dweight, dbias
 
 
 def batchnorm_forward(x, gamma, beta, running_mean, running_var, momentum, eps, training):

@@ -217,7 +217,7 @@ class TestOneDtype:
         yield from ((f"adam.m[{i}]", m) for i, m in enumerate(agent.optimizer._m))
         yield from ((f"adam.v[{i}]", v) for i, v in enumerate(agent.optimizer._v))
 
-    def test_no_pass_upcasts(self):
+    def test_no_pass_upcasts(self, monkeypatch):
         agent = make_agent(blocks=1, lr=1e-3)
         batch = make_batch(agent, size=4)
         assert batch["states"].dtype == batch["next_states"].dtype == np.float32
@@ -227,7 +227,12 @@ class TestOneDtype:
         assert agent.local.predict(doubles).dtype == np.float32
         qmap = agent.local.forward(doubles)
         assert qmap.dtype == np.float32
-        assert agent.local.backward(np.ones(qmap.shape)).dtype == np.float32  # a float64 dy too
+        # A float64 dy too: the stem is handed the dx of the layer above it in float32.
+        stem = agent.local.body.stages[0]
+        handed, stem_backward = [], stem.backward
+        monkeypatch.setattr(stem, "backward", lambda dy, **kw: handed.append(dy) or stem_backward(dy, **kw))
+        assert agent.local.backward(np.ones(qmap.shape)) is None
+        assert [dy.dtype for dy in handed] == [np.float32]
 
         # The locals of one full train_step, read as its frame returns.
         step_locals = {}

@@ -195,7 +195,7 @@ class TestOneSeedOneRun:
         assert [s.key() for s in venv.reset()] == [env.reset().key() for env in bare]
         for _ in range(3 * horizon):
             actions = [int(np.flatnonzero(mask)[0]) for mask in venv.legal_masks()]
-            results = venv.step(actions)
+            results = venv.step(actions, venv.successors(actions))
             for i, (env, action, result) in enumerate(zip(bare, actions, results)):
                 expected = env.step(env.action_space.action(action))
                 np.testing.assert_array_equal(result.reward, expected.reward)

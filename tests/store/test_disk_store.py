@@ -348,3 +348,53 @@ class TestSingleWriter:
         first.close()
         second = DiskStore(tmp_path)  # lock released
         second.close()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+    def test_a_killed_train_leaves_no_owner(self, tmp_path):
+        """SIGKILL ``repro train --store-dir D`` once it has forked its
+        prefetch worker: the worker never held D's lock (a forked child
+        closes it), so D opens at once, and the worker exits with its parent."""
+        from tests.processes import kill_process, wait_until
+
+        script = textwrap.dedent(
+            """
+            import multiprocessing, sys
+            from repro import cli
+            from repro.synth import EvaluationBackend
+
+            prefetch = EvaluationBackend.prefetch
+
+            def announce(self, graphs):
+                prefetch(self, graphs)
+                workers = multiprocessing.active_children()
+                if workers:  # the first prefetch forked the worker
+                    print(*[p.pid for p in workers], flush=True)
+                    EvaluationBackend.prefetch = prefetch
+
+            EvaluationBackend.prefetch = announce
+            sys.exit(cli.main(sys.argv[1:]))
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        root = tmp_path / "store"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, "train", "8", "--steps", "100000", "--store-dir", str(root)],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            workers = [int(pid) for pid in proc.stdout.readline().split()]
+        finally:
+            kill_process(proc, sig=signal.SIGKILL)
+            proc.stdout.close()
+        assert len(workers) == 1
+        DiskStore(root).close()  # "owned by another process" if the worker kept the lock
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as f:
+                    return f.read().rsplit(")", 1)[1].split()[0] != "Z"  # a zombie has exited
+            except FileNotFoundError:
+                return False
+
+        wait_until(lambda: not running(workers[0]), timeout=10.0, message="the orphaned worker exited")

@@ -151,7 +151,8 @@ def random_steps(env, rounds, seed):
     env.reset()
     for _ in range(rounds):
         masks = env.legal_masks()
-        env.step([int(gen.choice(np.flatnonzero(mask))) for mask in masks])
+        actions = [int(gen.choice(np.flatnonzero(mask))) for mask in masks]
+        env.step(actions, env.successors(actions))
 
 
 class TestEveryEvaluationIsArchivedOnce:
