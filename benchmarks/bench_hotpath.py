@@ -180,9 +180,9 @@ def bench_features() -> dict:
 
 def _trainer_throughput(n: int, env) -> float:
     agent = ScalarizedDoubleDQN(n, blocks=1, channels=8, rng=0)
-    trainer = Trainer(env, agent, TrainerConfig(steps=TRAINER_STEPS, **TRAINER_CONFIG), rng=0)
+    trainer = Trainer(env, agent, TrainerConfig(**TRAINER_CONFIG), rng=0)
     start = time.perf_counter()
-    history = trainer.run()
+    history = trainer.run(TRAINER_STEPS)
     wall = time.perf_counter() - start
     return history.env_steps / wall
 

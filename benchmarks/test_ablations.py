@@ -62,7 +62,7 @@ def run_rl_ablations(steps=250):
                     return result
 
                 env.step = blended_step
-            Trainer(env, agent, TrainerConfig(steps=steps, batch_size=8, warmup_steps=16), rng=seed).run()
+            Trainer(env, agent, TrainerConfig(batch_size=8, warmup_steps=16), rng=seed).run(steps)
             for _, _, g in env.archive.entries():
                 m = evaluate_analytical(g)
                 pts.append((m.area, m.delay))

@@ -50,11 +50,11 @@ def main(n: int = 8, steps: int = 150, w_area: float = 0.5):
     agent = ScalarizedDoubleDQN(
         n, w_area=w_area, w_delay=1 - w_area, blocks=1, channels=8, lr=3e-4, rng=0
     )
-    trainer = Trainer(env, agent, TrainerConfig(steps=steps, batch_size=8, warmup_steps=16), rng=0)
+    trainer = Trainer(env, agent, TrainerConfig(batch_size=8, warmup_steps=16), rng=0)
 
     print(f"\nTraining {steps} steps with synthesis in the loop (w_area={w_area})...")
     start = time.time()
-    history = trainer.run()
+    history = trainer.run(steps)
     wall = time.time() - start
     print(f"done in {wall:.1f}s ({steps / wall:.1f} env steps/s)")
     print(f"cache: {cache}")

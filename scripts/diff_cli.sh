@@ -81,6 +81,8 @@ done
 RESUMES=(
     "train 8 --steps 60 --seed 3"
     "train 8 --steps 60 --seed 3 --envs 3"
+    # Periodic snapshots before the halt: the checkpoint cadence's path.
+    "train 8 --steps 60 --seed 3 --envs 3 --checkpoint-every 7"
     "train 8 --steps 200 --seed 3"
     "train 16 --steps 400 --seed 0"
 )

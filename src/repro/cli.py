@@ -125,27 +125,26 @@ def _agent_kwargs(args) -> dict:
     return dict(blocks=args.blocks, channels=args.channels, lr=3e-4)
 
 
-def _trainer_config(args):
-    """Every training command's trainer config; only the step budget is a flag."""
+def _trainer_config():
+    """Every training command's trainer config; the step budget is its own flag."""
     from repro.rl import TrainerConfig
 
-    return TrainerConfig(steps=args.steps, batch_size=8, warmup_steps=16)
+    return TrainerConfig(batch_size=8, warmup_steps=16)
 
 
 def cmd_train(args) -> int:
     from repro.env import VectorPrefixEnv
     from repro.pareto import ArchivingEvaluator
-    from repro.rl import CheckpointError, RuntimeConfig, ScalarizedDoubleDQN, TrainingRuntime
+    from repro.rl import CheckpointError, ScalarizedDoubleDQN, Trainer
     from repro.store import make_store
     from repro.synth import SynthesisEvaluator
 
     _check_training_args(args)
     _require(args.envs >= 1, "--envs", args.envs, "must be >= 1")
     _require_checkpoint_dir(args)
-    try:
-        runtime_config = RuntimeConfig(checkpoint_every=args.checkpoint_every, stop_after=args.stop_after)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+    _require(args.checkpoint_every >= 0, "--checkpoint-every", args.checkpoint_every, "must be >= 0")
+    _require(args.stop_after is None or args.stop_after >= 1, "--stop-after", args.stop_after,
+             "must be a positive env step")
     library = _library(args.library)
     c_area, c_delay = _calibrated_scaling(library, args.width)
     agent = ScalarizedDoubleDQN(
@@ -162,14 +161,15 @@ def cmd_train(args) -> int:
         # Every replica records into one archive, so the frontier is the run's.
         evaluator = ArchivingEvaluator(synthesis)
         env = VectorPrefixEnv.make(args.width, evaluator, args.envs, horizon=_HORIZON, seed=args.seed)
-        runtime = TrainingRuntime(
-            env, agent, _trainer_config(args), runtime_config, checkpoint_dir=args.checkpoint_dir, rng=args.seed,
+        trainer = Trainer(
+            env, agent, _trainer_config(), rng=args.seed, checkpoint_dir=args.checkpoint_dir,
+            checkpoint_every=args.checkpoint_every, stop_after=args.stop_after,
         )
         try:
-            history = runtime.run(steps=None if args.resume else args.steps, resume=args.resume)
+            history = trainer.run(None if args.resume else args.steps, resume=args.resume)
         except CheckpointError as exc:
             raise SystemExit(str(exc)) from None
-        if runtime.preempted:
+        if trainer.preempted:
             print(
                 f"checkpointed at step {history.env_steps} into {args.checkpoint_dir}; "
                 "rerun with --resume to continue",
@@ -199,7 +199,7 @@ def cmd_sweep(args) -> int:
     _require(args.weights >= 1, "--weights", args.weights, "must be >= 1")
     # Each weight's agent trains until it has spent --steps distinct designs.
     archive, _ = frontier(
-        rl_search(_agent_kwargs(args), _trainer_config(args), _HORIZON),
+        rl_search(_agent_kwargs(args), _trainer_config(), _HORIZON),
         args.width,
         lambda wa, wd: AnalyticalEvaluator(wa, wd),
         weight_grid(args.weights),

@@ -13,7 +13,7 @@ reproduces the two mechanisms and their measurable effects:
   statistics the paper reports (50% at 32b, 10% at 64b).
 
 Training over many replicas is ``repro train --envs E``: one
-:class:`repro.rl.TrainingRuntime` over a :class:`repro.env.VectorPrefixEnv`.
+:class:`repro.rl.Trainer` over a :class:`repro.env.VectorPrefixEnv`.
 """
 
 from repro.distributed.farm import SynthesisFarm

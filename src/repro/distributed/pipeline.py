@@ -7,7 +7,7 @@ lockstep, with one batched Q-network forward serving all of them per
 round (:class:`CollectStats` reports the steps/second achieved so the
 speedup over one-env acting is measurable) — collection without a
 learner. Training over ``E`` lockstep replicas is
-:class:`repro.rl.TrainingRuntime` on a :class:`repro.env.VectorPrefixEnv`.
+:class:`repro.rl.Trainer` on a :class:`repro.env.VectorPrefixEnv`.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from repro.rl.trainer import (
     make_loop,
 )
 from repro.rl.checkpoint import CheckpointError, CheckpointManager
-from repro.rl.runtime import RuntimeConfig, TrainingRuntime
 from repro.rl.sweep import rl_search
 from repro.rl.evaluation import greedy_rollout, RolloutResult
 
@@ -38,7 +37,5 @@ __all__ = [
     "TrainingHistory",
     "CheckpointError",
     "CheckpointManager",
-    "RuntimeConfig",
-    "TrainingRuntime",
     "rl_search",
 ]

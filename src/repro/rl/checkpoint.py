@@ -22,8 +22,9 @@ in which nested dicts/lists of scalars and numpy arrays round-trip exactly
 bit-generator states are 128-bit — and floats via JSON's shortest
 round-trip repr). A training snapshot is format 2 (the manifest's
 ``version``), ``{total, trainer_config, loop, history, agent, buffer,
-backend, env}``, written by :func:`snapshot` and read by :func:`restore`;
-:func:`upgrade` is the one reader of format 1.
+backend, env}``, written by :func:`repro.rl.trainer.snapshot` and read by
+:func:`~repro.rl.trainer.restore`; :func:`upgrade` is the one reader of
+format 1.
 """
 
 from __future__ import annotations
@@ -33,13 +34,9 @@ import json
 import os
 import shutil
 import zipfile
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
-
-from repro.rl.trainer import CollectionLoop, TrainingHistory, make_loop
-from repro.synth.backend import COUNTER_KEYS
 
 FORMAT_NAME = "prefixrl-checkpoint"
 FORMAT_VERSION = 2
@@ -270,96 +267,12 @@ class CheckpointManager:
 
 
 # ----------------------------------------------------------------------
-# The training snapshot: one writer, one reader, one upgrade
+# The training snapshot's one upgrade
 # ----------------------------------------------------------------------
 
 
-def snapshot(loop: CollectionLoop) -> dict:
-    """The format-2 state of the run ``loop`` steps, taken between ticks."""
-    backend = loop.env.backend
-    history = asdict(loop.history)
-    del history["synthesis_stats"]  # the backend's stats(), rebuilt from its record
-    return {
-        "total": loop.total,
-        "trainer_config": asdict(loop.config),
-        "loop": loop.state_dict(),
-        "history": history,
-        "agent": loop.agent.state_dict(),
-        "buffer": loop.buffer.state_dict(),
-        "backend": None if backend is None else backend.state_dict(),
-        "env": loop.env.state_dict(),
-    }
-
-
-def restore(state: dict, version: int, env, agent, buffer, config, steps: "int | None" = None) -> CollectionLoop:
-    """Load a snapshot of manifest ``version`` into the live ``env`` (a
-    :class:`~repro.env.VectorPrefixEnv`), ``agent`` and ``buffer``; returns
-    the loop that continues the run. Every refusal is a
-    :class:`CheckpointError` raised before anything is loaded."""
-    state = upgrade(state, version)
-    saved_cfg, live_cfg = state["trainer_config"], asdict(config)
-    drift = {k: (saved_cfg.get(k), v) for k, v in live_cfg.items() if k != "steps" and saved_cfg.get(k) != v}
-    if drift:
-        raise CheckpointError(
-            "trainer config drifted since the checkpoint (resuming would "
-            f"silently change the trajectory): {drift}"
-        )
-    total = int(state["total"])
-    if steps is not None and steps != total:
-        raise CheckpointError(
-            f"checkpoint targets {total} total steps; pass steps={total} "
-            f"(or None) to resume, got {steps}"
-        )
-    saved, live = len(state["env"]["envs"]), env.num_envs
-    if saved != live:
-        raise CheckpointError(
-            f"checkpoint holds {saved} env replicas, this run steps {live}; "
-            f"resume with --envs {saved}"
-        )
-    record, backend = state["backend"], env.backend
-    if (record is None) != (backend is None):
-        raise CheckpointError(
-            f"checkpoint has {int(record is not None)} evaluation-backend records, "
-            f"the live environment resolves through {int(backend is not None)}"
-        )
-    if record is not None:
-        unknown = sorted(set(record["counters"]) - set(COUNTER_KEYS))
-        if unknown:
-            raise CheckpointError(f"checkpoint's backend record counts {unknown}, which no backend counts")
-        if record["cache"] is not None and backend.store is None:
-            raise CheckpointError(
-                f"checkpoint carries cache contents for a backend ({backend.name}) that has no local store"
-            )
-
-    saved_agent = state["agent"]
-    if int(saved_agent["n"]) != agent.n:
-        raise CheckpointError(
-            f"checkpoint's agent is {saved_agent['n']} bits wide, this run's is {agent.n}; "
-            f"resume with width {saved_agent['n']}"
-        )
-    for net in ("local", "target"):
-        saved = {k: np.shape(v) for k, v in saved_agent[net].items()}
-        live = {k: v.shape for k, v in getattr(agent, net).state_arrays().items()}
-        if saved != live:
-            key = min(k for k in saved.keys() | live.keys() if saved.get(k) != live.get(k))
-            raise CheckpointError(
-                f"checkpoint's {net} network does not fit this agent: {key} is {saved.get(key, 'absent')} in "
-                f"the checkpoint, {live.get(key, 'absent')} here; resume with the checkpoint's --blocks and --channels"
-            )
-
-    loop = make_loop(env, agent, buffer, config, total, config.schedule(total), TrainingHistory(**state["history"]))
-    loop.load_state_dict(state["loop"])
-    agent.load_state_dict(state["agent"])
-    buffer.load_state_dict(state["buffer"])
-    if backend is not None:
-        backend.load_state_dict(record)
-    env.load_state_dict(state["env"])
-    loop.resume()
-    return loop
-
-
 # Format 1 named the runtime that wrote it; only "sync" (today's one
-# runtime) can be resumed.
+# training shape) can be resumed.
 _RETIRED_MODES = {
     "async": "the retired 'async' thread-actor runtime",
     "cluster": "the retired 'cluster' socket-fleet learner, whose environments lived in actor processes",

@@ -53,8 +53,8 @@ def rl_search(
     Args:
         agent_kwargs: extra :class:`ScalarizedDoubleDQN` arguments
             (blocks, channels, lr, ...).
-        trainer_config: trainer knobs (batch size, cadence, epsilon; its
-            ``steps`` is unused: ``budget`` sizes the run).
+        trainer_config: trainer knobs (batch size, cadence, epsilon;
+            ``budget`` sizes the run).
         horizon: episode length.
     """
     agent_kwargs = dict(agent_kwargs or {})

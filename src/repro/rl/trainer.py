@@ -1,18 +1,25 @@
-"""The single-weight training loop.
+"""The single-weight training run.
 
 One :class:`Trainer` runs one agent (one scalarization weight) against one
 environment: epsilon-greedy experience collection into the replay buffer,
 gradient steps on a fixed cadence, target sync handled by the agent, and
 the environment's Pareto archive accumulating every evaluated design.
 
-There is one collection stepper, :class:`CollectionLoop`: ``E`` replicas of
-a :class:`repro.env.VectorPrefixEnv` advance in lockstep, one
-``agent.act_batch`` call picks every replica's action (one stacked Q-net
-forward over the rows that exploit — Section V-C's batched acting), and a
-bare :class:`PrefixEnv` is the ``E`` = 1 case. Each :meth:`~CollectionLoop.tick`
-is one round; :class:`repro.rl.runtime.TrainingRuntime` drives the ticks
-with checkpoint hooks in between, and :class:`Trainer` is that runtime
-without a checkpoint directory.
+The paper hides synthesis latency by running many actors (Section IV-D).
+Here one process runs ``E`` lockstep replicas of a
+:class:`repro.env.VectorPrefixEnv` (``repro train --envs E``). There is one
+collection stepper, :class:`CollectionLoop`: one ``agent.act_batch`` call
+picks every replica's action (one stacked Q-net forward over the rows that
+exploit — Section V-C's batched acting), one batched evaluation
+synthesizes their successors on a worker process while the learner takes
+the gradient steps that need not wait for them, and a bare
+:class:`PrefixEnv` is the ``E`` = 1 case. Each :meth:`~CollectionLoop.tick`
+is one round; :class:`Trainer` drives the ticks with checkpoint hooks in
+between, so it is deterministic: save -> resume -> continue is
+bit-identical to an uninterrupted run. ``repro train`` is this driver. A
+snapshot (:func:`snapshot`, read back by :func:`restore`) holds everything
+the loop's next tick depends on, in :class:`repro.rl.checkpoint.CheckpointManager`'s
+file format.
 
 The stepper is built from three functions — :func:`acting_round` (act,
 step, fix the terminal successors, with a hook between act and step where
@@ -25,25 +32,28 @@ replay buffer) — and from the one statement of the gradient cadence,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from repro.env.environment import PrefixEnv
 from repro.env.vector import VectorPrefixEnv
 from repro.rl.agent import ScalarizedDoubleDQN
+from repro.rl.checkpoint import CheckpointError, CheckpointManager, upgrade
 from repro.rl.replay import ReplayBuffer, Transition
 from repro.rl.schedule import LinearSchedule
+from repro.synth.backend import COUNTER_KEYS
 
 
 @dataclass
 class TrainerConfig:
     """Knobs of one training run.
 
-    Defaults are CI-scale; the paper-scale values are noted inline.
+    Defaults are CI-scale; the paper-scale values are noted inline. The
+    run's length is not a knob: it is :meth:`Trainer.run`'s ``steps``
+    (paper: 5e5 env steps at 64b).
     """
 
-    steps: int = 400                  # paper: 5e5 env steps (64b)
     batch_size: int = 16              # paper: 96 per GPU
     buffer_capacity: int = 10_000     # paper: 4e5
     warmup_steps: int = 32            # learning starts once buffer has this many
@@ -56,8 +66,6 @@ class TrainerConfig:
         for name in ("learn_every", "batch_size", "warmup_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.steps < 0:
-            raise ValueError("steps must be nonnegative")
         if self.buffer_capacity < self.warmup_steps:
             raise ValueError(
                 f"buffer_capacity {self.buffer_capacity} can never reach "
@@ -85,7 +93,6 @@ class TrainingHistory:
     epsilon_trace: "list[float]" = field(default_factory=list)
     env_steps: int = 0
     gradient_steps: int = 0
-    synthesis_stats: "dict | None" = None  # the env's backend stats (synthesis evaluators only)
 
 
 def grads_allowed(env_steps: int, cfg: TrainerConfig) -> int:
@@ -334,12 +341,116 @@ def make_loop(
     return CollectionLoop(as_vector(env), agent, buffer, config, total, schedule, history)
 
 
-class Trainer:
-    """One uncheckpointed training run: the synchronous runtime, nothing else.
+# ----------------------------------------------------------------------
+# The training snapshot: one writer, one reader
+# ----------------------------------------------------------------------
 
-    ``env`` may be a single :class:`PrefixEnv` (the paper-faithful
-    sequential loop: one replica per round) or a :class:`VectorPrefixEnv`
-    (one stacked forward selects every replica's action each round).
+
+def snapshot(loop: CollectionLoop) -> dict:
+    """The format-2 state of the run ``loop`` steps, taken between ticks."""
+    backend = loop.env.backend
+    return {
+        "total": loop.total,
+        "trainer_config": asdict(loop.config),
+        "loop": loop.state_dict(),
+        "history": asdict(loop.history),
+        "agent": loop.agent.state_dict(),
+        "buffer": loop.buffer.state_dict(),
+        "backend": None if backend is None else backend.state_dict(),
+        "env": loop.env.state_dict(),
+    }
+
+
+def restore(state: dict, version: int, env, agent, buffer, config, steps: "int | None" = None) -> CollectionLoop:
+    """Load a snapshot of manifest ``version`` into the live ``env`` (a
+    :class:`~repro.env.VectorPrefixEnv`), ``agent`` and ``buffer``; returns
+    the loop that continues the run. Every refusal is a
+    :class:`CheckpointError` raised before anything is loaded."""
+    state = upgrade(state, version)
+    saved_cfg, live_cfg = state["trainer_config"], asdict(config)
+    drift = {k: (saved_cfg.get(k), v) for k, v in live_cfg.items() if saved_cfg.get(k) != v}
+    if drift:
+        raise CheckpointError(
+            "trainer config drifted since the checkpoint (resuming would "
+            f"silently change the trajectory): {drift}"
+        )
+    total = int(state["total"])
+    if steps is not None and steps != total:
+        raise CheckpointError(
+            f"checkpoint targets {total} total steps; pass steps={total} "
+            f"(or None) to resume, got {steps}"
+        )
+    saved, live = len(state["env"]["envs"]), env.num_envs
+    if saved != live:
+        raise CheckpointError(
+            f"checkpoint holds {saved} env replicas, this run steps {live}; "
+            f"resume with --envs {saved}"
+        )
+    record, backend = state["backend"], env.backend
+    if (record is None) != (backend is None):
+        raise CheckpointError(
+            f"checkpoint has {int(record is not None)} evaluation-backend records, "
+            f"the live environment resolves through {int(backend is not None)}"
+        )
+    if record is not None:
+        unknown = sorted(set(record["counters"]) - set(COUNTER_KEYS))
+        if unknown:
+            raise CheckpointError(f"checkpoint's backend record counts {unknown}, which no backend counts")
+        if record["cache"] is not None and backend.store is None:
+            raise CheckpointError(
+                f"checkpoint carries cache contents for a backend ({backend.name}) that has no local store"
+            )
+
+    saved_agent = state["agent"]
+    if int(saved_agent["n"]) != agent.n:
+        raise CheckpointError(
+            f"checkpoint's agent is {saved_agent['n']} bits wide, this run's is {agent.n}; "
+            f"resume with width {saved_agent['n']}"
+        )
+    for net in ("local", "target"):
+        saved = {k: np.shape(v) for k, v in saved_agent[net].items()}
+        live = {k: v.shape for k, v in getattr(agent, net).state_arrays().items()}
+        if saved != live:
+            key = min(k for k in saved.keys() | live.keys() if saved.get(k) != live.get(k))
+            raise CheckpointError(
+                f"checkpoint's {net} network does not fit this agent: {key} is {saved.get(key, 'absent')} in "
+                f"the checkpoint, {live.get(key, 'absent')} here; resume with the checkpoint's --blocks and --channels"
+            )
+
+    loop = make_loop(env, agent, buffer, config, total, config.schedule(total), TrainingHistory(**state["history"]))
+    loop.load_state_dict(state["loop"])
+    agent.load_state_dict(state["agent"])
+    buffer.load_state_dict(state["buffer"])
+    if backend is not None:
+        backend.load_state_dict(record)
+    env.load_state_dict(state["env"])
+    loop.resume()
+    return loop
+
+
+# ----------------------------------------------------------------------
+# The run driver
+# ----------------------------------------------------------------------
+
+
+class Trainer:
+    """One training run, checkpointed and resumable when given a directory.
+
+    Args:
+        env: a :class:`PrefixEnv` (the paper-faithful sequential loop, held
+            as a one-replica vector env) or a :class:`VectorPrefixEnv`.
+        agent: the agent to train.
+        config: :class:`TrainerConfig` (batch size, cadences, epsilon).
+        rng: seed or generator for replay sampling.
+        checkpoint_dir: snapshot root, where the three newest snapshots
+            are kept; without one the run writes nothing and cannot resume.
+        checkpoint_every: env steps between checkpoints (0: only at halt
+            and completion).
+        stop_after: checkpoint and halt at this env step (preemption). A
+            vector env of ``E`` replicas steps all of them per tick, so the
+            run halts at the first round boundary at or past the step
+            (``stop_after=25`` with E=3 halts at 27) — the point a resume
+            continues bit-identically from.
     """
 
     def __init__(
@@ -348,15 +459,62 @@ class Trainer:
         agent: ScalarizedDoubleDQN,
         config: "TrainerConfig | None" = None,
         rng=None,
+        *,
+        checkpoint_dir=None,
+        checkpoint_every: int = 0,
+        stop_after: "int | None" = None,
     ):
-        from repro.rl.runtime import TrainingRuntime  # runtime imports this module
-
-        self._runtime = TrainingRuntime(env, agent, config, rng=rng)
-        self.env = env
+        if env is None or isinstance(env, (list, tuple)):
+            raise ValueError("a Trainer takes a single environment (PrefixEnv or VectorPrefixEnv)")
+        if checkpoint_every < 0:
+            raise ValueError(f"checkpoint_every must be nonnegative, got {checkpoint_every}")
+        if stop_after is not None and stop_after < 1:
+            raise ValueError(f"stop_after must be a positive env step, got {stop_after}")
+        if checkpoint_dir is None and (checkpoint_every or stop_after is not None):
+            raise ValueError("checkpoint_every and stop_after need a checkpoint_dir to write to")
+        self.env = as_vector(env)
         self.agent = agent
-        self.config = self._runtime.config
-        self.buffer = self._runtime.buffer
+        self.config = config if config is not None else TrainerConfig()
+        self.buffer = ReplayBuffer(self.config.buffer_capacity, rng=rng)
+        self.manager = CheckpointManager(checkpoint_dir) if checkpoint_dir is not None else None
+        self.checkpoint_every = checkpoint_every
+        self.stop_after = stop_after
+        self.preempted = False
 
-    def run(self, steps: "int | None" = None) -> TrainingHistory:
-        """Train for ``steps`` environment steps (default: config.steps)."""
-        return self._runtime.run(steps)
+    def run(self, steps: "int | None" = None, resume: bool = False) -> TrainingHistory:
+        """Train for ``steps`` env steps (or to ``stop_after``); returns the history.
+
+        ``resume=True`` restores the latest checkpoint and continues to
+        its recorded total (``steps``, if given, must equal it). A run
+        halted by ``stop_after`` checkpoints itself and leaves
+        :attr:`preempted` True, so the caller can tell completion from
+        preemption.
+        """
+        self.preempted = False
+        if resume:
+            if self.manager is None:
+                raise ValueError("cannot resume: this Trainer was built without a checkpoint_dir")
+            state, manifest = self.manager.load()
+            loop = restore(state, manifest["version"], self.env, self.agent, self.buffer, self.config, steps)
+        else:
+            if steps is None or steps < 0:
+                raise ValueError(f"a fresh run needs a nonnegative step count, got steps={steps}")
+            loop = make_loop(
+                self.env, self.agent, self.buffer, self.config, steps, self.config.schedule(steps), TrainingHistory()
+            )
+            loop.start()
+
+        history = loop.history
+        last_saved = history.env_steps
+        while not loop.done:
+            loop.tick()
+            if self.stop_after is not None and history.env_steps >= self.stop_after and not loop.done:
+                break
+            if self.checkpoint_every and history.env_steps - last_saved >= self.checkpoint_every:
+                self.manager.save(snapshot(loop), step=history.env_steps)
+                last_saved = history.env_steps
+
+        if self.manager is not None:
+            self.manager.save(snapshot(loop), step=history.env_steps)
+        self.preempted = not loop.done
+        return history

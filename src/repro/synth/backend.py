@@ -1,10 +1,10 @@
 """The evaluation backend: the one seam where curves come from.
 
 Every consumer of area-delay curves — :class:`repro.synth.SynthesisEvaluator`,
-:class:`repro.env.VectorPrefixEnv`, :class:`repro.rl.Trainer`,
-:class:`repro.rl.runtime.TrainingRuntime` — resolves them through an
-:class:`EvaluationBackend`, and the resolution loop (dedup a batch, look up
-the store, run the misses, write back, count) lives here, once.
+:class:`repro.env.VectorPrefixEnv`, :class:`repro.rl.Trainer` — resolves
+them through an :class:`EvaluationBackend`, and the resolution loop (dedup a
+batch, look up the store, run the misses, write back, count) lives here,
+once.
 
 A backend is a **store** and an optional **runner** to run misses on, and
 it is built one way: ``EvaluationBackend(library, synthesizer, store,
@@ -29,7 +29,7 @@ Every construction produces byte-identical curves for the same designs
 A training run resolves through one backend: the replicas of a
 :class:`repro.env.VectorPrefixEnv` hold one evaluator over it (the env
 exposes it as ``env.backend``), so its :meth:`~EvaluationBackend.stats` are
-the run's ``TrainingHistory.synthesis_stats`` and its
+the run's synthesis counts and its
 :meth:`~EvaluationBackend.state_dict` is the run checkpoint's one
 evaluation record.
 """
@@ -42,8 +42,7 @@ from repro.prefix.serialize import graph_digest
 from repro.synth.curve import AreaDelayCurve, synthesize_curve
 from repro.synth.optimizer import Synthesizer
 
-# The unified stats() schema every construction (and
-# TrainingHistory.synthesis_stats) reports. "cache" is the store's own
+# The unified stats() schema every construction reports. "cache" is the store's own
 # counters ({"entries", "hits", "misses", "hit_rate"}) or None for a
 # storeless backend. These keys are never renamed.
 STATS_KEYS = (

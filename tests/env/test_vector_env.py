@@ -312,9 +312,9 @@ class TestVectorTrainer:
     def test_run_collects_expected_history(self):
         venv = make_vector(n=6, num_envs=4, horizon=6)
         agent = ScalarizedDoubleDQN(6, blocks=0, channels=4, lr=1e-3, rng=0)
-        cfg = TrainerConfig(steps=48, batch_size=4, warmup_steps=8)
+        cfg = TrainerConfig(batch_size=4, warmup_steps=8)
         trainer = Trainer(venv, agent, cfg, rng=0)
-        hist = trainer.run()
+        hist = trainer.run(48)
         assert hist.env_steps == 48
         assert len(hist.areas) == 48
         assert hist.gradient_steps > 0
@@ -327,25 +327,25 @@ class TestVectorTrainer:
     def test_archives_accumulate_per_replica(self):
         venv = make_vector(n=6, num_envs=3, horizon=4)
         agent = ScalarizedDoubleDQN(6, blocks=0, channels=4, rng=0)
-        trainer = Trainer(venv, agent, TrainerConfig(steps=24, warmup_steps=1000), rng=0)
-        trainer.run()
+        trainer = Trainer(venv, agent, TrainerConfig(warmup_steps=1000), rng=0)
+        trainer.run(24)
         for env in venv.envs:
             assert env.archive.num_seen >= 8
 
     def test_buffer_receives_all_transitions(self):
         venv = make_vector(n=6, num_envs=3, horizon=4)
         agent = ScalarizedDoubleDQN(6, blocks=0, channels=4, rng=0)
-        cfg = TrainerConfig(steps=12, warmup_steps=1000)
+        cfg = TrainerConfig(warmup_steps=1000)
         trainer = Trainer(venv, agent, cfg, rng=0)
-        trainer.run()
+        trainer.run(12)
         assert len(trainer.buffer) == 12
 
     def test_vector_transitions_trainable(self):
         venv = make_vector(n=6, num_envs=2, horizon=4)
         agent = ScalarizedDoubleDQN(6, blocks=0, channels=4, rng=0)
-        cfg = TrainerConfig(steps=16, warmup_steps=1000)
+        cfg = TrainerConfig(warmup_steps=1000)
         trainer = Trainer(venv, agent, cfg, rng=0)
-        trainer.run()
+        trainer.run(16)
         loss = agent.train_step(trainer.buffer.sample(8))
         assert np.isfinite(loss)
 

@@ -18,6 +18,8 @@ V*(s) - Q*(s, argmax over legal a of w . Q-hat(s, a)).
 
 :func:`lookahead_actions` is the control that needs no learning: a greedy
 policy on the exact scalarized reward, looking one or two moves ahead.
+:func:`oracle_prior_actions` is the state-free control: one fixed ranking
+of the actions, read off Q*, played within each state's legal set.
 """
 
 from __future__ import annotations
@@ -176,3 +178,17 @@ def lookahead_actions(n: int, w_area: float, depth: int, gamma: float = 0.75) ->
         q = _q_from_v(sg, phi, v, gamma)
         v = q.max(axis=1)
     return q.argmax(axis=1)
+
+
+def oracle_prior_actions(sol: Solution) -> np.ndarray:
+    """Each state's action under the best state-free prior.
+
+    Every action gets one score, the mean of its advantage Q*(s, a) -
+    V*(s) over the states where it is legal; a state takes its
+    best-scoring legal action. The policy sees the legal mask and nothing
+    else of the state.
+    """
+    legal = np.isfinite(sol.q)
+    advantage = np.where(legal, sol.q - sol.v[:, None], 0.0)
+    score = advantage.sum(axis=0) / np.maximum(legal.sum(axis=0), 1)
+    return np.where(legal, score[None, :], -np.inf).argmax(axis=1)

@@ -110,10 +110,10 @@ class TestOneStepper:
     def test_bare_env_and_one_replica_vector_env_are_the_same_run(self):
         """At the parent the modulo (single) and debt (vector) cadences
         disagreed in phase at ``learn_every`` 3."""
-        cfg = TrainerConfig(steps=50, batch_size=4, warmup_steps=10, learn_every=3)
+        cfg = TrainerConfig(batch_size=4, warmup_steps=10, learn_every=3)
         a_bare, a_vec = make_agent(), make_agent()
-        h_bare = Trainer(make_env(), a_bare, cfg, rng=0).run()
-        h_vec = Trainer(VectorPrefixEnv([make_env()]), a_vec, cfg, rng=0).run()
+        h_bare = Trainer(make_env(), a_bare, cfg, rng=0).run(50)
+        h_vec = Trainer(VectorPrefixEnv([make_env()]), a_vec, cfg, rng=0).run(50)
         assert h_bare.gradient_steps == h_vec.gradient_steps == grads_allowed(50, cfg) > 0
         for name in ("losses", "areas", "delays", "epsilon_trace", "episode_returns"):
             assert getattr(h_bare, name) == getattr(h_vec, name), name
@@ -178,6 +178,8 @@ class TestEarlierReleases:
         state, manifest = CheckpointManager(str(FORMAT2_CHECKPOINT)).load()
         assert manifest["version"] == 2 and "meta" not in manifest
         assert set(state) == {"total", "trainer_config", "loop", "history", "agent", "buffer", "backend", "env"}
+        # Written while the run length was a config field: the drift check reads past it.
+        assert state["trainer_config"]["steps"] == state["total"] == 60
         ckpt = tmp_path / "ckpt"
         shutil.copytree(FORMAT2_CHECKPOINT, ckpt)
         assert main(["train", "8", "--seed", "3", "--checkpoint-dir", str(ckpt), "--resume"]) == 0
@@ -194,6 +196,7 @@ class TestEarlierReleases:
         state, manifest = CheckpointManager(str(ckpt)).load()
         assert (manifest["step"], manifest["version"]) == (60, 2)
         assert state["backend"] is not None and not {"mode", "env_kind", "caches", "obs"} & set(state)
+        assert "steps" not in state["trainer_config"]  # the run's length is `total` alone
 
     # What each fixture's retired ``obs.metrics.counters`` entry counted,
     # read back from the records a checkpoint still keeps.

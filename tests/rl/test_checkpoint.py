@@ -12,10 +12,9 @@ from repro.env import PrefixEnv
 from repro.rl import (
     CheckpointError,
     CheckpointManager,
-    RuntimeConfig,
     ScalarizedDoubleDQN,
+    Trainer,
     TrainerConfig,
-    TrainingRuntime,
 )
 from repro.rl.checkpoint import FORMAT_VERSION, _flatten, _unflatten, upgrade
 from repro.synth import AnalyticalEvaluator
@@ -23,7 +22,8 @@ from repro.synth.backend import COUNTER_KEYS
 from tests.oracles.checkpoint import as_format1, save_format1
 
 
-def make_sync_runtime(tmp_path=None, seed=3, steps=60, runtime=None, evaluator=None):
+def make_sync_trainer(tmp_path=None, seed=3, evaluator=None, **knobs):
+    """One bare env's ``Trainer`` and that env; ``knobs`` are its checkpoint keywords."""
     env = PrefixEnv(
         6,
         evaluator if evaluator is not None else AnalyticalEvaluator(0.5, 0.5),
@@ -31,12 +31,8 @@ def make_sync_runtime(tmp_path=None, seed=3, steps=60, runtime=None, evaluator=N
         rng=seed,
     )
     agent = ScalarizedDoubleDQN(6, 0.5, 0.5, blocks=0, channels=4, lr=1e-3, rng=seed)
-    cfg = TrainerConfig(steps=steps, batch_size=4, warmup_steps=8)
-    return TrainingRuntime(
-        env, agent, cfg,
-        runtime if runtime is not None else RuntimeConfig(),
-        checkpoint_dir=tmp_path, rng=seed,
-    ), env
+    cfg = TrainerConfig(batch_size=4, warmup_steps=8)
+    return Trainer(env, agent, cfg, rng=seed, checkpoint_dir=tmp_path, **knobs), env
 
 
 def sharded_buffer_state(capacity: int, num_shards: int = 2) -> dict:
@@ -220,24 +216,21 @@ class TestTrainingRoundTrip:
         def evaluator():
             return SynthesisEvaluator(library, cache=SynthesisCache())
 
-        rt_full, env_full = make_sync_runtime(steps=30, evaluator=evaluator())
-        h_full = rt_full.run()
+        rt_full, env_full = make_sync_trainer(evaluator=evaluator())
+        h_full = rt_full.run(30)
 
-        rt_part, _ = make_sync_runtime(
-            tmp_path, steps=30, evaluator=evaluator(),
-            runtime=RuntimeConfig(stop_after=12),
-        )
-        rt_part.run()
+        rt_part, _ = make_sync_trainer(tmp_path, evaluator=evaluator(), stop_after=12)
+        rt_part.run(30)
 
-        rt_res, env_res = make_sync_runtime(tmp_path, steps=30, evaluator=evaluator())
+        rt_res, env_res = make_sync_trainer(tmp_path, evaluator=evaluator())
         h_res = rt_res.run(resume=True)
         assert_histories_identical(h_full, h_res)
         # Cache counters and archive ride along exactly.
-        assert h_res.synthesis_stats == h_full.synthesis_stats
+        assert rt_res.env.backend.stats() == rt_full.env.backend.stats()
         assert env_res.archive.points() == env_full.archive.points()
 
     @staticmethod
-    def _vector_synthesis_runtime(checkpoint_dir=None, **knobs):
+    def _vector_synthesis_trainer(checkpoint_dir=None, **knobs):
         """Two replicas over one synthesis evaluator, as ``make`` builds them."""
         from repro.cells import nangate45
         from repro.env import VectorPrefixEnv
@@ -246,36 +239,36 @@ class TestTrainingRoundTrip:
         evaluator = SynthesisEvaluator(nangate45(), cache=SynthesisCache())
         venv = VectorPrefixEnv.make(6, evaluator, num_envs=2, horizon=12, seed=3)
         agent = ScalarizedDoubleDQN(6, 0.5, 0.5, blocks=0, channels=4, lr=1e-3, rng=3)
-        cfg = TrainerConfig(steps=24, batch_size=4, warmup_steps=8)
-        return TrainingRuntime(
-            venv, agent, cfg, RuntimeConfig(**knobs), checkpoint_dir=checkpoint_dir, rng=3
-        )
+        cfg = TrainerConfig(batch_size=4, warmup_steps=8)
+        return Trainer(venv, agent, cfg, rng=3, checkpoint_dir=checkpoint_dir, **knobs)
 
     def test_resume_vector_synthesis_run(self, tmp_path):
         """Two replicas over one evaluator checkpoint their backend as one
         record, and the resumed run's synthesis stats equal the
         uninterrupted run's."""
-        h_full = self._vector_synthesis_runtime().run()
+        rt_full = self._vector_synthesis_trainer()
+        h_full = rt_full.run(24)
 
-        rt_part = self._vector_synthesis_runtime(tmp_path, stop_after=10)
-        rt_part.run()
+        rt_part = self._vector_synthesis_trainer(tmp_path, stop_after=10)
+        rt_part.run(24)
         assert rt_part.preempted
         state, _ = rt_part.manager.load()
         record = state["backend"]
         assert record == json.loads(json.dumps(rt_part.env.backend.state_dict()))
         assert record["counters"] == rt_part.env.backend.counters_dict()
 
-        h_res = self._vector_synthesis_runtime(tmp_path).run(resume=True)
+        rt_res = self._vector_synthesis_trainer(tmp_path)
+        h_res = rt_res.run(resume=True)
         assert_histories_identical(h_full, h_res)
-        assert h_res.synthesis_stats == h_full.synthesis_stats
+        assert rt_res.env.backend.stats() == rt_full.env.backend.stats()
 
     @pytest.mark.parametrize("where", ["records", "counters"])
     def test_two_backend_records_are_refused(self, tmp_path, where):
         """The retired per-replica-backend layout wrote a record per cache
         and a counter set per backend (format 1); a one-backend env resumes
         neither."""
-        rt_part = self._vector_synthesis_runtime(tmp_path, stop_after=10)
-        rt_part.run()
+        rt_part = self._vector_synthesis_trainer(tmp_path, stop_after=10)
+        rt_part.run(24)
         state, manifest = rt_part.manager.load()
         state = as_format1(state)
         (record,) = state["caches"]
@@ -286,69 +279,58 @@ class TestTrainingRoundTrip:
         save_format1(rt_part.manager, state, manifest["step"])
 
         with pytest.raises(CheckpointError, match="has 2 "):
-            self._vector_synthesis_runtime(tmp_path).run(resume=True)
+            self._vector_synthesis_trainer(tmp_path).run(resume=True)
 
     def test_resume_through_multiple_preemptions(self, tmp_path):
-        rt_full, _ = make_sync_runtime()
-        h_full = rt_full.run()
+        rt_full, _ = make_sync_trainer()
+        h_full = rt_full.run(60)
 
-        rt, _ = make_sync_runtime(
-            tmp_path, runtime=RuntimeConfig(stop_after=10)
-        )
-        rt.run()
+        rt, _ = make_sync_trainer(tmp_path, stop_after=10)
+        rt.run(60)
         for stop in (20, 40):
-            rt, _ = make_sync_runtime(
-                tmp_path, runtime=RuntimeConfig(stop_after=stop)
-            )
+            rt, _ = make_sync_trainer(tmp_path, stop_after=stop)
             h = rt.run(resume=True)
             assert h.env_steps == stop
-        rt, _ = make_sync_runtime(tmp_path)
+        rt, _ = make_sync_trainer(tmp_path)
         h_res = rt.run(resume=True)
         assert_histories_identical(h_full, h_res)
 
     def test_periodic_checkpoints_written(self, tmp_path):
-        rt, _ = make_sync_runtime(
-            tmp_path, runtime=RuntimeConfig(checkpoint_every=20)
-        )
-        rt.run()
+        rt, _ = make_sync_trainer(tmp_path, checkpoint_every=20)
+        rt.run(60)
         assert rt.manager.steps() == [20, 40, 60]
 
     def test_config_drift_rejected(self, tmp_path):
-        rt, _ = make_sync_runtime(
-            tmp_path, runtime=RuntimeConfig(stop_after=10)
-        )
-        rt.run()
+        rt, _ = make_sync_trainer(tmp_path, stop_after=10)
+        rt.run(60)
         env = PrefixEnv(6, AnalyticalEvaluator(0.5, 0.5), horizon=12, rng=3)
         agent = ScalarizedDoubleDQN(6, 0.5, 0.5, blocks=0, channels=4, rng=3)
-        drifted = TrainerConfig(steps=60, batch_size=8, warmup_steps=8)
-        rt2 = TrainingRuntime(
-            env, agent, drifted, RuntimeConfig(),
-            checkpoint_dir=tmp_path, rng=3,
-        )
+        drifted = TrainerConfig(batch_size=8, warmup_steps=8)
+        rt2 = Trainer(env, agent, drifted, rng=3, checkpoint_dir=tmp_path)
         with pytest.raises(CheckpointError, match="drifted"):
             rt2.run(resume=True)
 
     def test_unknown_mode_rejected(self, tmp_path):
-        rt, _ = make_sync_runtime(tmp_path, runtime=RuntimeConfig(stop_after=10))
-        rt.run()
+        rt, _ = make_sync_trainer(tmp_path, stop_after=10)
+        rt.run(60)
         state, manifest = rt.manager.load()
         state = as_format1(state)
         state["mode"] = "bogus"
         save_format1(rt.manager, state, manifest["step"])
         with pytest.raises(CheckpointError, match="unknown mode 'bogus'"):
-            make_sync_runtime(tmp_path)[0].run(resume=True)
+            make_sync_trainer(tmp_path)[0].run(resume=True)
 
     def test_retired_async_checkpoint_is_refused(self, tmp_path):
         """An async state as the retired thread-actor runtime wrote it,
         built by hand: ``loop`` of kind ``async`` with per-actor
         ``episode_returns``, ``env_kind`` ``actors``, ``actor_rngs``. The
-        runtime refuses it; the error names the mode and its successor."""
+        driver refuses it; the error names the mode and its successor."""
         from dataclasses import asdict
 
         from repro.env import VectorPrefixEnv
         from repro.utils.rng import ensure_rng, rng_state, spawn_rngs
 
-        cfg = TrainerConfig(steps=40, batch_size=4, warmup_steps=8)
+        cfg = TrainerConfig(batch_size=4, warmup_steps=8)
         venvs = [
             VectorPrefixEnv([PrefixEnv(6, AnalyticalEvaluator(0.5, 0.5), horizon=12, rng=s)])
             for s in (0, 10)
@@ -370,7 +352,7 @@ class TestTrainingRoundTrip:
         }
         save_format1(CheckpointManager(tmp_path), state, 0)
 
-        runtime, _ = make_sync_runtime(tmp_path, steps=40)
+        runtime, _ = make_sync_trainer(tmp_path)
         with pytest.raises(CheckpointError, match="'async'.*repro train --envs"):
             runtime.run(resume=True)
 
@@ -379,14 +361,14 @@ class TestTrainingRoundTrip:
         """A state as the retired socket-fleet learner wrote it, built by
         hand: no environments (they lived in the actor processes), the
         shared cache as its one record, and its replay in either layout it
-        ever used. The runtime refuses it with a ``CheckpointError`` naming
+        ever used. The driver refuses it with a ``CheckpointError`` naming
         the mode and its successor, before restoring anything."""
         from dataclasses import asdict
 
         from repro.rl import ReplayBuffer
         from repro.store import make_store
 
-        cfg = TrainerConfig(steps=60, batch_size=4, warmup_steps=8)
+        cfg = TrainerConfig(batch_size=4, warmup_steps=8)
         buffer = (
             ReplayBuffer(cfg.buffer_capacity, rng=5).state_dict()
             if layout == "one-ring"
@@ -406,7 +388,7 @@ class TestTrainingRoundTrip:
             "obs": {"metrics": {}, "fleet": {}},
         }
         save_format1(CheckpointManager(tmp_path), state, 0)
-        runtime, _ = make_sync_runtime(tmp_path)
+        runtime, _ = make_sync_trainer(tmp_path)
         before = runtime.agent.state_dict()["local"]
         with pytest.raises(CheckpointError, match="'cluster' socket-fleet learner.*repro train --envs"):
             runtime.run(resume=True)
@@ -414,8 +396,8 @@ class TestTrainingRoundTrip:
             np.testing.assert_array_equal(value, before[key])
 
     def test_resume_without_checkpoint_dir_fails(self):
-        rt, _ = make_sync_runtime()
-        with pytest.raises(CheckpointError, match="without a checkpoint_dir"):
+        rt, _ = make_sync_trainer()
+        with pytest.raises(ValueError, match="without a checkpoint_dir"):
             rt.run(resume=True)
 
 
@@ -435,14 +417,11 @@ class TestBackendCountersRideTheCheckpoint:
         def evaluator():
             return SynthesisEvaluator(library, cache=SynthesisCache())
 
-        rt_full, _ = make_sync_runtime(steps=30, evaluator=evaluator())
-        h_full = rt_full.run()
+        rt_full, _ = make_sync_trainer(evaluator=evaluator())
+        h_full = rt_full.run(30)
 
-        rt_part, _ = make_sync_runtime(
-            tmp_path, steps=30, evaluator=evaluator(),
-            runtime=RuntimeConfig(stop_after=12),
-        )
-        rt_part.run()
+        rt_part, _ = make_sync_trainer(tmp_path, evaluator=evaluator(), stop_after=12)
+        rt_part.run(30)
         state, manifest = rt_part.manager.load()
         state = as_format1(state)
         (group,) = state["caches"]
@@ -462,10 +441,10 @@ class TestBackendCountersRideTheCheckpoint:
         }
         save_format1(rt_part.manager, state, manifest["step"])
 
-        rt_res, _ = make_sync_runtime(tmp_path, steps=30, evaluator=evaluator())
+        rt_res, _ = make_sync_trainer(tmp_path, evaluator=evaluator())
         h_res = rt_res.run(resume=True)
         assert_histories_identical(h_full, h_res)
-        assert h_res.synthesis_stats == h_full.synthesis_stats
+        assert rt_res.env.backend.stats() == rt_full.env.backend.stats()
 
     def test_record_with_retired_lease_and_farm_counters_still_loads(self, tmp_path):
         """A counter record written while backends counted lease traffic
@@ -483,12 +462,10 @@ class TestBackendCountersRideTheCheckpoint:
         def evaluator():
             return SynthesisEvaluator(library, cache=make_store())
 
-        h_full = make_sync_runtime(steps=30, evaluator=evaluator())[0].run()
-        rt_part, _ = make_sync_runtime(
-            tmp_path, steps=30, evaluator=evaluator(),
-            runtime=RuntimeConfig(stop_after=12),
-        )
-        rt_part.run()
+        rt_full, _ = make_sync_trainer(evaluator=evaluator())
+        h_full = rt_full.run(30)
+        rt_part, _ = make_sync_trainer(tmp_path, evaluator=evaluator(), stop_after=12)
+        rt_part.run(30)
         state, manifest = rt_part.manager.load()
         state = as_format1(state)
         (group,) = state["caches"]
@@ -501,14 +478,14 @@ class TestBackendCountersRideTheCheckpoint:
         )
         save_format1(rt_part.manager, state, manifest["step"])
 
-        rt_res, env_res = make_sync_runtime(tmp_path, steps=30, evaluator=evaluator())
+        rt_res, env_res = make_sync_trainer(tmp_path, evaluator=evaluator())
         h_res = rt_res.run(resume=True)
         assert_histories_identical(h_full, h_res)
-        assert h_res.synthesis_stats == h_full.synthesis_stats
+        assert rt_res.env.backend.stats() == rt_full.env.backend.stats()
         assert set(env_res.evaluator.backend.stats()) == set(STATS_KEYS)
 
 
-def make_replica_runtime(checkpoint_dir=None, num_envs=1, synthesis=True, **knobs):
+def make_replica_trainer(checkpoint_dir=None, num_envs=1, synthesis=True, **knobs):
     """``repro train``'s shape, small: ``num_envs`` replicas over one
     archiving evaluator (synthesis or analytical)."""
     from repro.cells import nangate45
@@ -519,8 +496,8 @@ def make_replica_runtime(checkpoint_dir=None, num_envs=1, synthesis=True, **knob
     inner = SynthesisEvaluator(nangate45(), cache=SynthesisCache()) if synthesis else AnalyticalEvaluator(0.5, 0.5)
     venv = VectorPrefixEnv.make(6, ArchivingEvaluator(inner), num_envs, horizon=12, seed=3)
     agent = ScalarizedDoubleDQN(6, 0.5, 0.5, blocks=0, channels=4, lr=1e-3, rng=3)
-    cfg = TrainerConfig(steps=24, batch_size=4, warmup_steps=8)
-    return TrainingRuntime(venv, agent, cfg, RuntimeConfig(**knobs), checkpoint_dir=checkpoint_dir, rng=3)
+    cfg = TrainerConfig(batch_size=4, warmup_steps=8)
+    return Trainer(venv, agent, cfg, rng=3, checkpoint_dir=checkpoint_dir, **knobs)
 
 
 SNAPSHOT_KEYS = {"total", "trainer_config", "loop", "history", "agent", "buffer", "backend", "env"}
@@ -542,16 +519,16 @@ class TestASnapshotHoldsOnlyItsRun:
     def test_two_runs_in_one_process_write_the_same_bytes(self, num_envs, synthesis, tmp_path):
         written = []
         for name in ("first", "second"):
-            runtime = make_replica_runtime(tmp_path / name, num_envs, synthesis, checkpoint_every=8)
-            runtime.run()
+            runtime = make_replica_trainer(tmp_path / name, num_envs, synthesis, checkpoint_every=8)
+            runtime.run(24)
             written.append(self.files(tmp_path / name))
         assert len(written[0]) >= 3 * 3  # state.json, arrays.npz and manifest.json per kept snapshot
         assert written[0] == written[1]
 
     @pytest.mark.parametrize("num_envs", [1, 2, 4])
     def test_a_snapshot_holds_the_runtime_record_and_nothing_else(self, num_envs, tmp_path):
-        runtime = make_replica_runtime(tmp_path, num_envs, stop_after=10)
-        runtime.run()
+        runtime = make_replica_trainer(tmp_path, num_envs, stop_after=10)
+        runtime.run(24)
         state, _ = runtime.manager.load()
         assert set(state) == SNAPSHOT_KEYS
         assert state["backend"]["counters"] == runtime.env.backend.counters_dict()
@@ -572,18 +549,19 @@ class TestASnapshotHoldsOnlyItsRun:
         """Releases that kept a process-global metrics registry wrote it
         under ``"obs"``: a resume reads past it, whatever it holds, and the
         run ends as the uninterrupted one does."""
-        h_full = make_replica_runtime(num_envs=2).run()
-        halted = make_replica_runtime(tmp_path, num_envs=2, stop_after=10)
-        halted.run()
+        full = make_replica_trainer(num_envs=2)
+        h_full = full.run(24)
+        halted = make_replica_trainer(tmp_path, num_envs=2, stop_after=10)
+        halted.run(24)
         state, manifest = halted.manager.load()
         state = as_format1(state)
         state["obs"] = obs
         save_format1(halted.manager, state, manifest["step"])
 
-        resumed = make_replica_runtime(tmp_path, num_envs=2)
+        resumed = make_replica_trainer(tmp_path, num_envs=2)
         h_res = resumed.run(resume=True)
         assert_histories_identical(h_full, h_res)
-        assert h_res.synthesis_stats == h_full.synthesis_stats
+        assert resumed.env.backend.stats() == full.env.backend.stats()
         final, _ = resumed.manager.load()
         assert set(final) == SNAPSHOT_KEYS
 
@@ -649,8 +627,8 @@ class TestVersions:
     1 and 2 are read, and ``upgrade`` is what reads 1."""
 
     def test_a_new_snapshot_is_format_2(self, tmp_path):
-        runtime = make_replica_runtime(tmp_path, 2, synthesis=False, stop_after=10)
-        runtime.run()
+        runtime = make_replica_trainer(tmp_path, 2, synthesis=False, stop_after=10)
+        runtime.run(24)
         state, manifest = runtime.manager.load()
         assert manifest["version"] == FORMAT_VERSION == 2
         assert set(manifest) == {"format", "version", "step", "files"}
@@ -681,8 +659,8 @@ class TestVersions:
         assert new["backend"]["cache"] == state["caches"][0]["cache"]
 
 
-def live_runtime(checkpoint_dir, evaluator="store", num_envs=2):
-    """``make_replica_runtime``'s shape over a stored, storeless or
+def live_trainer(checkpoint_dir, evaluator="store", num_envs=2, **knobs):
+    """``make_replica_trainer``'s shape over a stored, storeless or
     analytical evaluator."""
     from repro.cells import nangate45
     from repro.env import VectorPrefixEnv
@@ -697,8 +675,8 @@ def live_runtime(checkpoint_dir, evaluator="store", num_envs=2):
     }[evaluator]()
     venv = VectorPrefixEnv.make(6, ArchivingEvaluator(inner), num_envs, horizon=12, seed=3)
     agent = ScalarizedDoubleDQN(6, 0.5, 0.5, blocks=0, channels=4, lr=1e-3, rng=3)
-    cfg = TrainerConfig(steps=24, batch_size=4, warmup_steps=8)
-    return TrainingRuntime(venv, agent, cfg, RuntimeConfig(), checkpoint_dir=checkpoint_dir, rng=3)
+    cfg = TrainerConfig(batch_size=4, warmup_steps=8)
+    return Trainer(venv, agent, cfg, rng=3, checkpoint_dir=checkpoint_dir, **knobs)
 
 
 def run_fingerprint(runtime) -> "tuple[str, dict]":
@@ -768,9 +746,8 @@ class TestARefusedResumeLeavesTheRunUntouched:
     @pytest.mark.parametrize("case", sorted(REFUSALS))
     def test_refusal(self, case, tmp_path):
         mutate, evaluator, steps, match = REFUSALS[case]
-        halted = live_runtime(tmp_path / "halted")
-        halted.runtime = RuntimeConfig(stop_after=10)
-        halted.run()
+        halted = live_trainer(tmp_path / "halted", stop_after=10)
+        halted.run(24)
         state, version = mutate(halted.manager.load()[0])
         bad = CheckpointManager(tmp_path / "bad")
         if version == 1:
@@ -778,8 +755,8 @@ class TestARefusedResumeLeavesTheRunUntouched:
         else:
             bad.save(state, step=10)
 
-        live = live_runtime(tmp_path / "live", evaluator)
-        live.run()
+        live = live_trainer(tmp_path / "live", evaluator)
+        live.run(24)
         before_text, before_arrays = run_fingerprint(live)
         before_len = len(live.buffer)
         live.manager = bad
@@ -854,11 +831,11 @@ class TestFuzzedCheckpoints:
         return outcomes
 
     def test_format_2(self, tmp_path):
-        h_full = make_replica_runtime(num_envs=2, synthesis=False).run()
-        make_replica_runtime(tmp_path / "ckpt", 2, synthesis=False, stop_after=10).run()
+        h_full = make_replica_trainer(num_envs=2, synthesis=False).run(24)
+        make_replica_trainer(tmp_path / "ckpt", 2, synthesis=False, stop_after=10).run(24)
 
         def resume_matches(root):
-            h = make_replica_runtime(root, 2, synthesis=False).run(resume=True)
+            h = make_replica_trainer(root, 2, synthesis=False).run(resume=True)
             return (h.losses, h.episode_returns, h.areas, h.delays, h.epsilon_trace, h.env_steps) == (
                 h_full.losses, h_full.episode_returns, h_full.areas, h_full.delays, h_full.epsilon_trace,
                 h_full.env_steps,

@@ -29,6 +29,7 @@ from tests.oracles.qstar import (
     greedy_actions,
     greedy_regret,
     lookahead_actions,
+    oracle_prior_actions,
     policy_iteration,
     state_graph,
     uniform_regret,
@@ -89,7 +90,7 @@ def train(n, seed, steps, flip_rewards=False, envs=1):
         step = agent.train_step
         agent.train_step = lambda batch: step({**batch, "rewards": -batch["rewards"]})
     env = VectorPrefixEnv.make(n, AnalyticalEvaluator(), envs, horizon=24, seed=seed)
-    Trainer(env, agent, TrainerConfig(steps=steps), rng=seed).run()
+    Trainer(env, agent, TrainerConfig(), rng=seed).run(steps)
     return agent
 
 
@@ -114,6 +115,9 @@ def trained_n5():
 # Greedy regret of the depth-1 / depth-2 lookahead at w = 0.5, gamma 0.75.
 LOOKAHEAD_REGRET = {5: (0.013, 0.009), 6: (0.030, 0.012)}
 
+# Greedy regret of the oracle action prior at w = 0.5, gamma 0.75.
+ORACLE_PRIOR_REGRET = {5: 0.0149, 6: 0.0470}
+
 
 class TestLookaheadControl:
     @pytest.mark.slow
@@ -124,6 +128,30 @@ class TestLookaheadControl:
         depth2 = greedy_regret(sol, lookahead_actions(n, 0.5, 2))
         assert depth2 <= depth1 < uniform_regret(sol)
         assert (round(depth1, 3), round(depth2, 3)) == LOOKAHEAD_REGRET[n]
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_the_oracle_prior_sits_between_lookahead_and_uniform(self, n):
+        """Rung 0 of the ladder: the best state-free policy (one ranking of
+        the actions, read off Q*, played within the legal mask) is worse
+        than one move of lookahead and far better than uniform random. A
+        trained agent that only matches it has learned a prior, not the
+        state ("Rethinking RL based Logic Synthesis")."""
+        sol = value_iteration(n, 0.5)
+        depth1 = greedy_regret(sol, lookahead_actions(n, 0.5, 1))
+        depth2 = greedy_regret(sol, lookahead_actions(n, 0.5, 2))
+        prior = greedy_regret(sol, oracle_prior_actions(sol))
+        assert depth2 <= depth1 < prior < uniform_regret(sol)
+        assert round(prior, 4) == ORACLE_PRIOR_REGRET[n]
+
+    def test_the_oracle_prior_is_one_ranking_within_the_mask(self):
+        sol = value_iteration(5, 0.3)
+        actions = oracle_prior_actions(sol)
+        legal = np.isfinite(sol.q)
+        assert legal[np.arange(len(actions)), actions].all()
+        # Two states with the same legal set take the same action.
+        by_mask = {}
+        for mask, action in zip(map(bytes, np.packbits(legal, axis=1)), actions):
+            assert by_mask.setdefault(mask, action) == action
 
     def test_depth_one_takes_the_best_reward(self):
         sg = state_graph(5)

@@ -23,7 +23,7 @@ import pytest
 from repro.cells import nangate45
 from repro.env import VectorPrefixEnv
 from repro.pareto import ArchivingEvaluator
-from repro.rl import RuntimeConfig, ScalarizedDoubleDQN, Trainer, TrainerConfig, TrainingRuntime, rl_search
+from repro.rl import ScalarizedDoubleDQN, Trainer, TrainerConfig, rl_search
 from repro.rl.trainer import CollectionLoop
 from repro.store import make_store
 from repro.synth import EvaluationBackend, SynthesisEvaluator
@@ -73,8 +73,8 @@ class Run:
 
         self.backend.prefetch = counted
 
-    def runtime(self, **kwargs) -> TrainingRuntime:
-        return TrainingRuntime(self.env, self.agent, self.config, rng=0, **kwargs)
+    def trainer(self, **kwargs) -> Trainer:
+        return Trainer(self.env, self.agent, self.config, rng=0, **kwargs)
 
     def record(self, history, buffer) -> dict:
         assert not self.backend._inflight  # every prefetched curve was collected
@@ -89,10 +89,10 @@ class Run:
         }
 
 
-def trained(lib, num_envs, config) -> "tuple[dict, int]":
+def trained(lib, num_envs, config, steps) -> "tuple[dict, int]":
     run = Run(lib, num_envs, config)
-    trainer = Trainer(run.env, run.agent, config, rng=0)
-    return run.record(trainer.run(), trainer.buffer), run.prefetches
+    trainer = run.trainer()
+    return run.record(trainer.run(steps), trainer.buffer), run.prefetches
 
 
 def serial(monkeypatch, build):
@@ -108,31 +108,31 @@ class TestSameBytes:
     def test_a_small_ring_that_wraps(self, lib, monkeypatch, num_envs, learn_every):
         """Capacity 10 at batch 4: many draws hit the slots a round writes,
         so ticks take their steps early, late and split, and the ring wraps."""
-        config = TrainerConfig(steps=36, batch_size=4, warmup_steps=6, buffer_capacity=10, learn_every=learn_every)
-        want, none = serial(monkeypatch, lambda: trained(lib, num_envs, config))
-        got, prefetches = trained(lib, num_envs, config)
+        config = TrainerConfig(batch_size=4, warmup_steps=6, buffer_capacity=10, learn_every=learn_every)
+        want, none = serial(monkeypatch, lambda: trained(lib, num_envs, config, 36))
+        got, prefetches = trained(lib, num_envs, config, 36)
         assert none == 0 and prefetches > 0
         assert_same(want, got)
 
     def test_a_large_ring(self, lib, monkeypatch):
-        config = TrainerConfig(steps=40, batch_size=8, warmup_steps=8)
-        want, _ = serial(monkeypatch, lambda: trained(lib, 1, config))
-        got, prefetches = trained(lib, 1, config)
+        config = TrainerConfig(batch_size=8, warmup_steps=8)
+        want, _ = serial(monkeypatch, lambda: trained(lib, 1, config, 40))
+        got, prefetches = trained(lib, 1, config, 40)
         assert prefetches > 0
         assert_same(want, got)
 
     @pytest.mark.parametrize("num_envs", [1, 3])
     def test_a_mid_run_resume(self, lib, monkeypatch, tmp_path, num_envs):
-        config = TrainerConfig(steps=45, batch_size=4, warmup_steps=6, buffer_capacity=30)
-        want, _ = serial(monkeypatch, lambda: trained(lib, num_envs, config))
+        config = TrainerConfig(batch_size=4, warmup_steps=6, buffer_capacity=30)
+        want, _ = serial(monkeypatch, lambda: trained(lib, num_envs, config, 45))
         first = Run(lib, num_envs, config)
-        first.runtime(runtime=RuntimeConfig(stop_after=21), checkpoint_dir=tmp_path).run()
+        first.trainer(checkpoint_dir=tmp_path, stop_after=21).run(45)
         first.backend.close()
         second = Run(lib, num_envs, config)
-        runtime = second.runtime(checkpoint_dir=tmp_path)
-        history = runtime.run(resume=True)
+        trainer = second.trainer(checkpoint_dir=tmp_path)
+        history = trainer.run(resume=True)
         assert first.prefetches > 0 and second.prefetches > 0
-        assert_same(want, second.record(history, runtime.buffer))
+        assert_same(want, second.record(history, trainer.buffer))
 
 
 class TestWorkerDeath:
@@ -140,8 +140,8 @@ class TestWorkerDeath:
         """The worker dies with a prefetch in flight: that miss and every
         later one until the next prefetch are synthesized in this process,
         and the next prefetch starts another worker."""
-        config = TrainerConfig(steps=40, batch_size=8, warmup_steps=8)
-        want, _ = serial(monkeypatch, lambda: trained(lib, 1, config))
+        config = TrainerConfig(batch_size=8, warmup_steps=8)
+        want, _ = serial(monkeypatch, lambda: trained(lib, 1, config, 40))
         run = Run(lib, 1, config)
         backend, workers = run.backend, []
         prefetch = backend.prefetch
@@ -157,8 +157,8 @@ class TestWorkerDeath:
                 workers.extend(backend._worker._pool._processes)
 
         backend.prefetch = kill_the_third
-        trainer = Trainer(run.env, run.agent, config, rng=0)
-        got = run.record(trainer.run(), trainer.buffer)
+        trainer = run.trainer()
+        got = run.record(trainer.run(40), trainer.buffer)
         assert run.prefetches > 3 and len(set(workers)) >= 2  # a second worker took over
         assert_same(want, got)
         assert not multiprocessing.active_children()

@@ -174,37 +174,37 @@ class TestSchedule:
 
 
 class TestTrainer:
-    def _trainer(self, steps=60, n=6, seed=0):
+    def _trainer(self, n=6, seed=0):
         env = PrefixEnv(n, AnalyticalEvaluator(0.5, 0.5), horizon=12, rng=seed)
         agent = ScalarizedDoubleDQN(
             n, 0.5, 0.5, blocks=0, channels=4, lr=1e-3, rng=seed
         )
-        cfg = TrainerConfig(steps=steps, batch_size=4, warmup_steps=8)
+        cfg = TrainerConfig(batch_size=4, warmup_steps=8)
         return Trainer(env, agent, cfg, rng=seed), env
 
     def test_run_collects_history(self):
-        trainer, env = self._trainer(steps=50)
-        hist = trainer.run()
+        trainer, env = self._trainer()
+        hist = trainer.run(50)
         assert hist.env_steps == 50
         assert hist.gradient_steps > 0
         assert len(hist.losses) == hist.gradient_steps
         assert len(hist.areas) == 50
 
     def test_episodes_complete(self):
-        trainer, env = self._trainer(steps=40)
-        hist = trainer.run()
+        trainer, env = self._trainer()
+        hist = trainer.run(40)
         # horizon 12 -> at least 3 completed episodes in 40 steps
         assert len(hist.episode_returns) >= 3
 
     def test_epsilon_anneals(self):
-        trainer, _ = self._trainer(steps=50)
-        hist = trainer.run()
+        trainer, _ = self._trainer()
+        hist = trainer.run(50)
         assert hist.epsilon_trace[0] == 1.0
         assert hist.epsilon_trace[-1] < hist.epsilon_trace[0]
 
     def test_archive_grows(self):
-        trainer, env = self._trainer(steps=50)
-        trainer.run()
+        trainer, env = self._trainer()
+        trainer.run(50)
         assert env.archive.num_seen > 50  # steps + episode resets
         assert len(env.archive) >= 1
 
@@ -214,8 +214,8 @@ class TestTrainer:
         from repro.analytical import evaluate_analytical
         from repro.prefix import ripple_carry
 
-        trainer, env = self._trainer(steps=120)
-        trainer.run()
+        trainer, env = self._trainer()
+        trainer.run(120)
         front = env.archive.points()
         rip = evaluate_analytical(ripple_carry(6))
         assert any(a <= rip.area and d <= rip.delay for a, d in front)

@@ -1,14 +1,16 @@
 """Training over E lockstep replicas: the one path every multi-replica run takes.
 
-``repro train --envs E`` is :class:`TrainingRuntime` over
+``repro train --envs E`` is :class:`Trainer` over
 ``VectorPrefixEnv.make(n, evaluator, E)``. These tests hold that path to
-the promises the runtime makes at every replica count: the env-step
+the promises the driver makes at every replica count: the env-step
 budget is exact, a seed is one run, a preempted run halts at the first
 round boundary at or past ``stop_after`` and resumes bit-identically,
 periodic checkpoints land on round boundaries, a checkpoint only resumes
 on its own replica count, one replica is the bare env, and a synthesis
 evaluator is asked once per round.
 """
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,11 +22,9 @@ from repro.pareto import ArchivingEvaluator, dominates
 from repro.rl import (
     CheckpointError,
     CheckpointManager,
-    RuntimeConfig,
     ScalarizedDoubleDQN,
     Trainer,
     TrainerConfig,
-    TrainingRuntime,
 )
 from repro.rl.trainer import TrainingHistory, fold_round, grads_allowed
 from repro.store import make_store
@@ -32,7 +32,8 @@ from repro.synth import STATS_KEYS, AnalyticalEvaluator, EvaluationBackend, Synt
 
 N = 6
 HORIZON = 12
-CFG = TrainerConfig(steps=40, batch_size=4, warmup_steps=8)
+CFG = TrainerConfig(batch_size=4, warmup_steps=8)
+STEPS = 40
 
 
 def make_agent(seed=0):
@@ -75,9 +76,9 @@ class TestBudget:
         """Whatever E, the history, the replay buffer and the gradient
         cadence see exactly ``steps`` transitions: a last round that
         overshoots the budget is dropped, not recorded."""
-        cfg = TrainerConfig(steps=steps, batch_size=4, warmup_steps=8, learn_every=learn_every)
-        runtime = TrainingRuntime(make_venv(num_envs), make_agent(), cfg, rng=0)
-        history = runtime.run()
+        cfg = TrainerConfig(batch_size=4, warmup_steps=8, learn_every=learn_every)
+        runtime = Trainer(make_venv(num_envs), make_agent(), cfg, rng=0)
+        history = runtime.run(steps)
         assert history.env_steps == steps
         for name in ("areas", "delays", "epsilon_trace"):
             assert len(getattr(history, name)) == steps, name
@@ -91,8 +92,8 @@ class TestBudget:
     @pytest.mark.parametrize("num_envs", [1, 2, 4])
     def test_a_zero_budget_steps_no_replica(self, num_envs):
         venv = make_venv(num_envs)
-        runtime = TrainingRuntime(venv, make_agent(), TrainerConfig(steps=0, batch_size=4, warmup_steps=8), rng=0)
-        history = runtime.run()
+        runtime = Trainer(venv, make_agent(), CFG, rng=0)
+        history = runtime.run(0)
         assert history.env_steps == history.gradient_steps == 0
         assert len(runtime.buffer) == 0
         assert [env.total_steps for env in venv.envs] == [0] * num_envs
@@ -100,21 +101,21 @@ class TestBudget:
     @pytest.mark.parametrize("num_envs", [1, 2, 3, 5])
     def test_a_round_acts_on_one_epsilon(self, num_envs):
         """Epsilon is read once per round, at the round's first env step."""
-        schedule = CFG.schedule(CFG.steps)
-        history = TrainingRuntime(make_venv(num_envs), make_agent(), CFG, rng=0).run()
-        expected = [schedule((k // num_envs) * num_envs) for k in range(CFG.steps)]
+        schedule = CFG.schedule(STEPS)
+        history = Trainer(make_venv(num_envs), make_agent(), CFG, rng=0).run(STEPS)
+        expected = [schedule((k // num_envs) * num_envs) for k in range(STEPS)]
         assert history.epsilon_trace == expected
 
     @pytest.mark.parametrize("num_envs", [1, 2, 3, 5])
     def test_the_buffer_holds_the_kept_transitions_in_replica_order(self, num_envs):
         """Transition ``k`` of the run is replica ``k % E`` in round
         ``k // E``; its ``done`` flag marks that replica's episode end."""
-        cfg = TrainerConfig(steps=30, batch_size=4, warmup_steps=8, buffer_capacity=64)
+        cfg, steps = TrainerConfig(batch_size=4, warmup_steps=8, buffer_capacity=64), 30
         horizon = 4
-        runtime = TrainingRuntime(make_venv(num_envs, horizon=horizon), make_agent(), cfg, rng=0)
-        runtime.run()
+        runtime = Trainer(make_venv(num_envs, horizon=horizon), make_agent(), cfg, rng=0)
+        runtime.run(steps)
         dones = runtime.buffer.state_dict()["arrays"]["dones"]
-        expected = [(k // num_envs + 1) % horizon == 0 for k in range(cfg.steps)]
+        expected = [(k // num_envs + 1) % horizon == 0 for k in range(steps)]
         assert dones.tolist() == expected
 
 
@@ -162,10 +163,10 @@ class TestFoldRound:
 
 class TestOneSeedOneRun:
     @pytest.mark.parametrize("num_envs", [1, 2, 3, 4, 5, 6])
-    def test_trainer_and_runtime_give_one_run_per_seed(self, num_envs):
+    def test_a_checkpoint_dir_does_not_change_the_run(self, num_envs, tmp_path):
         agent_a, agent_b = make_agent(), make_agent()
-        history_a = Trainer(make_venv(num_envs), agent_a, CFG, rng=0).run()
-        history_b = TrainingRuntime(make_venv(num_envs), agent_b, CFG, RuntimeConfig(), rng=0).run()
+        history_a = Trainer(make_venv(num_envs), agent_a, CFG, rng=0).run(STEPS)
+        history_b = Trainer(make_venv(num_envs), agent_b, CFG, rng=0, checkpoint_dir=tmp_path).run(STEPS)
         assert history_a.gradient_steps > 0
         assert_same_run(history_a, agent_a, history_b, agent_b)
 
@@ -174,15 +175,15 @@ class TestOneSeedOneRun:
     def test_one_replica_is_the_bare_env(self, n, seed):
         """``--envs 1`` is today's env: replica 0 of ``make(seed=s)`` draws
         from the stream a bare ``PrefixEnv(rng=s)`` draws from."""
-        cfg = TrainerConfig(steps=30, batch_size=4, warmup_steps=8)
+        cfg = TrainerConfig(batch_size=4, warmup_steps=8)
 
         def agent():
             return ScalarizedDoubleDQN(n, 0.5, 0.5, blocks=0, channels=4, lr=1e-3, rng=seed)
 
         bare_agent, vec_agent = agent(), agent()
         bare = PrefixEnv(n, AnalyticalEvaluator(0.5, 0.5), horizon=HORIZON, rng=seed)
-        h_bare = TrainingRuntime(bare, bare_agent, cfg, rng=seed).run()
-        h_vec = TrainingRuntime(make_venv(1, seed=seed, n=n), vec_agent, cfg, rng=seed).run()
+        h_bare = Trainer(bare, bare_agent, cfg, rng=seed).run(30)
+        h_vec = Trainer(make_venv(1, seed=seed, n=n), vec_agent, cfg, rng=seed).run(30)
         assert_same_run(h_bare, bare_agent, h_vec, vec_agent)
 
     @pytest.mark.parametrize("num_envs", [2, 3, 5])
@@ -209,20 +210,15 @@ class TestPreemption:
     @pytest.mark.parametrize("stop", [1, 10, 23, 33])
     @pytest.mark.parametrize("num_envs", [1, 2, 3, 4])
     def test_halts_at_the_round_boundary_and_resumes_bit_identically(self, num_envs, stop, tmp_path):
-        part = TrainingRuntime(
-            make_venv(num_envs), make_agent(), CFG, RuntimeConfig(stop_after=stop),
-            checkpoint_dir=tmp_path, rng=0,
-        )
-        halted = part.run()
+        part = Trainer(make_venv(num_envs), make_agent(), CFG, rng=0, checkpoint_dir=tmp_path, stop_after=stop)
+        halted = part.run(STEPS)
         boundary = round_boundary(stop, num_envs)
         assert part.preempted and halted.env_steps == boundary
         assert part.manager.steps() == [boundary]
 
         full_agent, resumed_agent = make_agent(), make_agent()
-        h_full = Trainer(make_venv(num_envs), full_agent, CFG, rng=0).run()
-        resumed = TrainingRuntime(
-            make_venv(num_envs), resumed_agent, CFG, RuntimeConfig(), checkpoint_dir=tmp_path, rng=0
-        )
+        h_full = Trainer(make_venv(num_envs), full_agent, CFG, rng=0).run(STEPS)
+        resumed = Trainer(make_venv(num_envs), resumed_agent, CFG, rng=0, checkpoint_dir=tmp_path)
         h_resumed = resumed.run(resume=True)
         assert not resumed.preempted
         assert_same_run(h_full, full_agent, h_resumed, resumed_agent)
@@ -233,45 +229,37 @@ class TestPreemption:
         """The last round reaches the budget before the stop: the run
         completes, with its final checkpoint at the budget."""
         full_agent, agent = make_agent(), make_agent()
-        h_full = Trainer(make_venv(num_envs), full_agent, CFG, rng=0).run()
-        runtime = TrainingRuntime(
-            make_venv(num_envs), agent, CFG, RuntimeConfig(stop_after=stop),
-            checkpoint_dir=tmp_path, rng=0,
-        )
-        history = runtime.run()
+        h_full = Trainer(make_venv(num_envs), full_agent, CFG, rng=0).run(STEPS)
+        runtime = Trainer(make_venv(num_envs), agent, CFG, rng=0, checkpoint_dir=tmp_path, stop_after=stop)
+        history = runtime.run(STEPS)
         assert not runtime.preempted
-        assert runtime.manager.steps() == [CFG.steps]
+        assert runtime.manager.steps() == [STEPS]
         assert_same_run(h_full, full_agent, history, agent)
 
     @pytest.mark.parametrize("num_envs", [2, 3])
     def test_two_preemptions_then_completion(self, num_envs, tmp_path):
         full_agent, last_agent = make_agent(), make_agent()
-        h_full = Trainer(make_venv(num_envs), full_agent, CFG, rng=0).run()
+        h_full = Trainer(make_venv(num_envs), full_agent, CFG, rng=0).run(STEPS)
         for stop in (7, 20):
-            runtime = TrainingRuntime(
-                make_venv(num_envs), make_agent(), CFG, RuntimeConfig(stop_after=stop),
-                checkpoint_dir=tmp_path, rng=0,
-            )
-            history = runtime.run(resume=stop != 7)
+            runtime = Trainer(make_venv(num_envs), make_agent(), CFG, rng=0, checkpoint_dir=tmp_path, stop_after=stop)
+            history = runtime.run(STEPS, resume=stop != 7)
             assert runtime.preempted and history.env_steps == round_boundary(stop, num_envs)
-        h_last = TrainingRuntime(
-            make_venv(num_envs), last_agent, CFG, RuntimeConfig(), checkpoint_dir=tmp_path, rng=0,
-        ).run(resume=True)
+        h_last = Trainer(make_venv(num_envs), last_agent, CFG, rng=0, checkpoint_dir=tmp_path).run(resume=True)
         assert_same_run(h_full, full_agent, h_last, last_agent)
 
 
 def due_snapshots(num_envs, every):
-    """The steps a run of ``CFG`` checkpoints at: once ``every`` env steps
+    """The steps a run of ``STEPS`` checkpoints at: once ``every`` env steps
     passed since the last snapshot, checked after each round, and once
     more when the run completes."""
     expected, last, step = [], 0, 0
-    while step < CFG.steps:
-        step = min(step + num_envs, CFG.steps)
+    while step < STEPS:
+        step = min(step + num_envs, STEPS)
         if step - last >= every:
             expected.append(step)
             last = step
-    if expected[-1] != CFG.steps:
-        expected.append(CFG.steps)
+    if expected[-1] != STEPS:
+        expected.append(STEPS)
     return expected
 
 
@@ -279,21 +267,17 @@ class TestPeriodicCheckpoints:
     @pytest.mark.parametrize("every", [5, 16])
     @pytest.mark.parametrize("num_envs", [1, 2, 3, 4])
     def test_snapshots_land_on_round_boundaries(self, num_envs, every, tmp_path):
-        runtime = TrainingRuntime(
-            make_venv(num_envs), make_agent(), CFG, RuntimeConfig(checkpoint_every=every),
-            checkpoint_dir=tmp_path, rng=0,
+        runtime = Trainer(
+            make_venv(num_envs), make_agent(), CFG, rng=0, checkpoint_dir=tmp_path, checkpoint_every=every,
         )
         runtime.manager = CheckpointManager(tmp_path, keep_last=None)  # every snapshot stays to be counted
-        runtime.run()
+        runtime.run(STEPS)
         assert runtime.manager.steps() == due_snapshots(num_envs, every)
 
     @pytest.mark.parametrize("num_envs", [1, 3])
     def test_retention_keeps_the_three_newest_snapshots(self, num_envs, tmp_path):
-        runtime = TrainingRuntime(
-            make_venv(num_envs), make_agent(), CFG, RuntimeConfig(checkpoint_every=6),
-            checkpoint_dir=tmp_path, rng=0,
-        )
-        runtime.run()
+        runtime = Trainer(make_venv(num_envs), make_agent(), CFG, rng=0, checkpoint_dir=tmp_path, checkpoint_every=6)
+        runtime.run(STEPS)
         assert runtime.manager.steps() == due_snapshots(num_envs, 6)[-3:]
 
 
@@ -303,14 +287,11 @@ RESUME_PAIRS = [(saved, live) for saved in (1, 2, 3, 4) for live in (1, 2, 3, 4)
 class TestReplicaCount:
     @pytest.mark.parametrize("saved, live", RESUME_PAIRS, ids=[f"{s}to{l}" for s, l in RESUME_PAIRS])
     def test_another_count_is_refused_before_anything_is_restored(self, saved, live, tmp_path):
-        TrainingRuntime(
-            make_venv(saved), make_agent(), CFG, RuntimeConfig(stop_after=12),
-            checkpoint_dir=tmp_path, rng=0,
-        ).run()
+        Trainer(make_venv(saved), make_agent(), CFG, rng=0, checkpoint_dir=tmp_path, stop_after=12).run(STEPS)
         agent = make_agent(seed=5)
         before = {k: v.copy() for k, v in agent.local.state_arrays().items()}
         venv = make_venv(live)
-        runtime = TrainingRuntime(venv, agent, CFG, RuntimeConfig(), checkpoint_dir=tmp_path, rng=0)
+        runtime = Trainer(venv, agent, CFG, rng=0, checkpoint_dir=tmp_path)
         with pytest.raises(
             CheckpointError,
             match=f"holds {saved} env replicas, this run steps {live}; resume with --envs {saved}",
@@ -324,10 +305,9 @@ class TestReplicaCount:
 
 def backend_records(tmp_path, evaluator, num_envs):
     """Preempt a run over ``evaluator`` into ``tmp_path``."""
-    TrainingRuntime(
-        make_venv(num_envs, evaluator=evaluator), make_agent(), CFG, RuntimeConfig(stop_after=6),
-        checkpoint_dir=tmp_path, rng=0,
-    ).run()
+    Trainer(
+        make_venv(num_envs, evaluator=evaluator), make_agent(), CFG, rng=0, checkpoint_dir=tmp_path, stop_after=6,
+    ).run(STEPS)
 
 
 def synthesis_evaluator(library, store=None, runner=None):
@@ -356,7 +336,8 @@ def lib():
 
 
 class TestSynthesisReplicas:
-    SCFG = TrainerConfig(steps=30, batch_size=4, warmup_steps=8)
+    SCFG = TrainerConfig(batch_size=4, warmup_steps=8)
+    SSTEPS = 30
 
     @pytest.mark.parametrize("num_envs", [1, 2, 3, 4, 6])
     def test_one_synthesis_batch_per_round(self, lib, num_envs):
@@ -365,10 +346,10 @@ class TestSynthesisReplicas:
         replicas' episodes one more batch of E fresh starts."""
         horizon = 4
         venv = make_venv(num_envs, evaluator=synthesis_evaluator(lib), horizon=horizon)
-        history = Trainer(venv, make_agent(), self.SCFG, rng=0).run()
-        rounds = round_boundary(self.SCFG.steps, num_envs) // num_envs
+        Trainer(venv, make_agent(), self.SCFG, rng=0).run(self.SSTEPS)
+        rounds = round_boundary(self.SSTEPS, num_envs) // num_envs
         batches = num_envs + rounds + rounds // horizon
-        stats = history.synthesis_stats
+        stats = venv.backend.stats()
         assert stats["batches"] == batches
         assert stats["designs"] == num_envs + num_envs * (rounds + rounds // horizon)
 
@@ -381,11 +362,9 @@ class TestSynthesisReplicas:
         batched_eval = synthesis_evaluator(lib)
         serial_eval = ArchivingEvaluator(OneAtATime(synthesis_evaluator(lib).evaluator))
         agents = make_agent(), make_agent()
-        histories = [
-            Trainer(make_venv(num_envs, evaluator=evaluator, horizon=horizon), agent, self.SCFG, rng=0).run()
-            for evaluator, agent in zip((batched_eval, serial_eval), agents)
-        ]
-        assert histories[0].synthesis_stats is not None and histories[1].synthesis_stats is None
+        venvs = [make_venv(num_envs, evaluator=evaluator, horizon=horizon) for evaluator in (batched_eval, serial_eval)]
+        histories = [Trainer(venv, agent, self.SCFG, rng=0).run(self.SSTEPS) for venv, agent in zip(venvs, agents)]
+        assert venvs[0].backend is not None and venvs[1].backend is None
         assert_same_run(histories[0], agents[0], histories[1], agents[1])
         assert batched_eval.archive.points() == serial_eval.archive.points()
 
@@ -393,7 +372,7 @@ class TestSynthesisReplicas:
     def test_every_replica_records_into_the_one_archive(self, lib, num_envs):
         evaluator = synthesis_evaluator(lib)
         venv = make_venv(num_envs, evaluator=evaluator)
-        history = Trainer(venv, make_agent(), self.SCFG, rng=0).run()
+        history = Trainer(venv, make_agent(), self.SCFG, rng=0).run(self.SSTEPS)
         assert all(env.archive is evaluator.archive for env in venv.envs)
         frontier = evaluator.archive.points()
         assert frontier and not any(dominates(p, q) for p in frontier for q in frontier)
@@ -405,44 +384,43 @@ class TestSynthesisReplicas:
     def test_backend_counters_and_frontier_resume_bit_identically(self, lib, num_envs, tmp_path):
         full_eval = synthesis_evaluator(lib)
         full_agent, resumed_agent = make_agent(), make_agent()
-        h_full = Trainer(make_venv(num_envs, evaluator=full_eval), full_agent, self.SCFG, rng=0).run()
-        TrainingRuntime(
+        h_full = Trainer(make_venv(num_envs, evaluator=full_eval), full_agent, self.SCFG, rng=0).run(self.SSTEPS)
+        Trainer(
             make_venv(num_envs, evaluator=synthesis_evaluator(lib)), make_agent(), self.SCFG,
-            RuntimeConfig(stop_after=10), checkpoint_dir=tmp_path, rng=0,
-        ).run()
+            rng=0, checkpoint_dir=tmp_path, stop_after=10,
+        ).run(self.SSTEPS)
         resumed_eval = synthesis_evaluator(lib)
-        h_resumed = TrainingRuntime(
-            make_venv(num_envs, evaluator=resumed_eval), resumed_agent, self.SCFG,
-            checkpoint_dir=tmp_path, rng=0,
+        h_resumed = Trainer(
+            make_venv(num_envs, evaluator=resumed_eval), resumed_agent, self.SCFG, rng=0, checkpoint_dir=tmp_path,
         ).run(resume=True)
         assert_same_run(h_full, full_agent, h_resumed, resumed_agent)
-        assert h_resumed.synthesis_stats == h_full.synthesis_stats
+        assert resumed_eval.evaluator.backend.stats() == full_eval.evaluator.backend.stats()
         assert resumed_eval.archive.entries() == full_eval.archive.entries()
 
     def test_a_preempted_run_reports_its_synthesis_counts(self, lib, tmp_path):
-        """A halted run's history carries the counts it synthesized; the
-        checkpoint does not hold them, so the resumed run's stats are the
+        """A halted run's backend reports the counts it synthesized; the
+        checkpoint's history holds only the history's own fields, its
+        backend record the counts, so the resumed run's stats are the
         uninterrupted run's."""
         venv = make_venv(2, evaluator=synthesis_evaluator(lib), n=6)
-        part = TrainingRuntime(
-            venv, make_agent(), self.SCFG, RuntimeConfig(stop_after=10), checkpoint_dir=tmp_path, rng=0,
-        )
-        halted = part.run()
+        part = Trainer(venv, make_agent(), self.SCFG, rng=0, checkpoint_dir=tmp_path, stop_after=10)
+        part.run(self.SSTEPS)
         assert part.preempted
-        assert halted.synthesis_stats == venv.backend.stats() and halted.synthesis_stats["synthesized"] > 0
+        assert venv.backend.stats()["synthesized"] > 0
         state, _ = part.manager.load()
-        assert "synthesis_stats" not in state["history"]
-        h_full = Trainer(make_venv(2, evaluator=synthesis_evaluator(lib)), make_agent(), self.SCFG, rng=0).run()
-        h_resumed = TrainingRuntime(
-            make_venv(2, evaluator=synthesis_evaluator(lib)), make_agent(), self.SCFG,
-            checkpoint_dir=tmp_path, rng=0,
-        ).run(resume=True)
-        assert h_resumed.synthesis_stats == h_full.synthesis_stats
+        assert set(state["history"]) == {f.name for f in fields(TrainingHistory)}
+        assert state["backend"]["counters"] == venv.backend.counters_dict()
+        full = make_venv(2, evaluator=synthesis_evaluator(lib))
+        Trainer(full, make_agent(), self.SCFG, rng=0).run(self.SSTEPS)
+        resumed = make_venv(2, evaluator=synthesis_evaluator(lib))
+        Trainer(resumed, make_agent(), self.SCFG, rng=0, checkpoint_dir=tmp_path).run(resume=True)
+        assert resumed.backend.stats() == full.backend.stats()
 
     @pytest.mark.parametrize("num_envs", [1, 2, 4])
     def test_stats_carry_the_one_schema(self, lib, num_envs):
-        history = Trainer(make_venv(num_envs, evaluator=synthesis_evaluator(lib)), make_agent(), self.SCFG, rng=0).run()
-        stats = history.synthesis_stats
+        venv = make_venv(num_envs, evaluator=synthesis_evaluator(lib))
+        Trainer(venv, make_agent(), self.SCFG, rng=0).run(self.SSTEPS)
+        stats = venv.backend.stats()
         assert list(stats) == list(STATS_KEYS) and stats["backend"] == "local"
         assert stats["dedup_saved"] == stats["designs"] - stats["unique_designs"]
         assert stats["cache_hits"] + stats["cache_misses"] == stats["unique_designs"]
@@ -451,15 +429,16 @@ class TestSynthesisReplicas:
     @pytest.mark.parametrize("num_envs", [2, 3])
     def test_a_pool_runner_gives_the_in_process_run(self, lib, num_envs):
         local_agent, pool_agent = make_agent(), make_agent()
-        h_local = Trainer(make_venv(num_envs, evaluator=synthesis_evaluator(lib)), local_agent, self.SCFG, rng=0).run()
+        local = make_venv(num_envs, evaluator=synthesis_evaluator(lib))
+        h_local = Trainer(local, local_agent, self.SCFG, rng=0).run(self.SSTEPS)
         with SynthesisFarm("nangate45", num_workers=2) as farm:
-            h_pool = Trainer(
-                make_venv(num_envs, evaluator=synthesis_evaluator(lib, runner=farm)), pool_agent, self.SCFG, rng=0,
-            ).run()
+            pool = make_venv(num_envs, evaluator=synthesis_evaluator(lib, runner=farm))
+            h_pool = Trainer(pool, pool_agent, self.SCFG, rng=0).run(self.SSTEPS)
+            pool_stats = pool.backend.stats()
         assert_same_run(h_local, local_agent, h_pool, pool_agent)
-        assert h_pool.synthesis_stats["backend"] == farm.name
-        assert {k: v for k, v in h_pool.synthesis_stats.items() if k != "backend"} == {
-            k: v for k, v in h_local.synthesis_stats.items() if k != "backend"
+        assert pool_stats["backend"] == farm.name
+        assert {k: v for k, v in pool_stats.items() if k != "backend"} == {
+            k: v for k, v in local.backend.stats().items() if k != "backend"
         }
 
     @pytest.mark.parametrize("num_envs", [1, 3])
@@ -468,16 +447,15 @@ class TestSynthesisReplicas:
         for _ in range(2):
             store = make_store(str(tmp_path / "store"))
             try:
-                agent = make_agent()
-                history = Trainer(
-                    make_venv(num_envs, evaluator=synthesis_evaluator(lib, store=store)), agent, self.SCFG, rng=0,
-                ).run()
+                agent, venv = make_agent(), make_venv(num_envs, evaluator=synthesis_evaluator(lib, store=store))
+                history = Trainer(venv, agent, self.SCFG, rng=0).run(self.SSTEPS)
+                stats = venv.backend.stats()
             finally:
                 store.close()
-            runs.append((history, agent))
-        (h_cold, a_cold), (h_warm, a_warm) = runs
-        assert h_cold.synthesis_stats["synthesized"] > 0
-        assert h_warm.synthesis_stats["synthesized"] == h_warm.synthesis_stats["cache_misses"] == 0
+            runs.append((history, agent, stats))
+        (h_cold, a_cold, s_cold), (h_warm, a_warm, s_warm) = runs
+        assert s_cold["synthesized"] > 0
+        assert s_warm["synthesized"] == s_warm["cache_misses"] == 0
         assert_same_run(h_cold, a_cold, h_warm, a_warm)
 
 
@@ -488,8 +466,8 @@ class TestBackendRecords:
     @pytest.mark.parametrize("num_envs", [1, 3])
     def test_an_analytical_checkpoint_is_refused_by_a_synthesis_run(self, lib, num_envs, tmp_path):
         backend_records(tmp_path, AnalyticalEvaluator(0.5, 0.5), num_envs)
-        runtime = TrainingRuntime(
-            make_venv(num_envs, evaluator=synthesis_evaluator(lib)), make_agent(), CFG, checkpoint_dir=tmp_path, rng=0,
+        runtime = Trainer(
+            make_venv(num_envs, evaluator=synthesis_evaluator(lib)), make_agent(), CFG, rng=0, checkpoint_dir=tmp_path,
         )
         with pytest.raises(
             CheckpointError, match="0 evaluation-backend records, the live environment resolves through 1"
@@ -499,7 +477,7 @@ class TestBackendRecords:
     @pytest.mark.parametrize("num_envs", [1, 3])
     def test_a_synthesis_checkpoint_is_refused_by_an_analytical_run(self, lib, num_envs, tmp_path):
         backend_records(tmp_path, synthesis_evaluator(lib), num_envs)
-        runtime = TrainingRuntime(make_venv(num_envs), make_agent(), CFG, checkpoint_dir=tmp_path, rng=0)
+        runtime = Trainer(make_venv(num_envs), make_agent(), CFG, rng=0, checkpoint_dir=tmp_path)
         with pytest.raises(
             CheckpointError, match="1 evaluation-backend records, the live environment resolves through 0"
         ):
@@ -511,8 +489,6 @@ class TestBackendRecords:
         storeless = ArchivingEvaluator(
             SynthesisEvaluator(lib, w_area=0.5, w_delay=0.5, backend=EvaluationBackend(lib))
         )
-        runtime = TrainingRuntime(
-            make_venv(num_envs, evaluator=storeless), make_agent(), CFG, checkpoint_dir=tmp_path, rng=0,
-        )
+        runtime = Trainer(make_venv(num_envs, evaluator=storeless), make_agent(), CFG, rng=0, checkpoint_dir=tmp_path)
         with pytest.raises(CheckpointError, match=r"cache contents for a backend \(local\) that has no local store"):
             runtime.run(resume=True)

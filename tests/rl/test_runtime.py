@@ -1,4 +1,4 @@
-"""The training runtime's sync shape: one stepper, checkpoints, its config."""
+"""The one training driver: one stepper, checkpoints, its config."""
 
 import inspect
 from dataclasses import fields
@@ -9,11 +9,9 @@ import pytest
 from repro.env import PrefixEnv, VectorPrefixEnv
 from repro.rl import (
     CheckpointError,
-    RuntimeConfig,
     ScalarizedDoubleDQN,
     Trainer,
     TrainerConfig,
-    TrainingRuntime,
 )
 from repro.synth import AnalyticalEvaluator
 
@@ -26,7 +24,8 @@ def make_env(seed=0, n=6, horizon=12):
     return PrefixEnv(n, AnalyticalEvaluator(0.5, 0.5), horizon=horizon, rng=seed)
 
 
-CFG = TrainerConfig(steps=60, batch_size=4, warmup_steps=8)
+CFG = TrainerConfig(batch_size=4, warmup_steps=8)
+STEPS = 60
 
 
 def assert_histories_identical(a, b):
@@ -54,24 +53,17 @@ class TestSyncMode:
     @pytest.mark.parametrize("make", [make_env, make_venv], ids=["single", "vector"])
     def test_one_seed_one_run_across_trainer_sync_and_resume(self, make, tmp_path):
         """ROADMAP D.5: a seed gives a bit-identical history and final
-        weights through ``Trainer``, the sync runtime, and a run preempted
-        at step 24 (a round boundary of the vector env) then resumed."""
+        weights through a ``Trainer`` without a checkpoint dir, one with
+        a dir, and a run preempted at step 24 (a round boundary of the
+        vector env) then resumed."""
         a_trainer, a_sync, a_resumed = make_agent(), make_agent(), make_agent()
-        h_trainer = Trainer(make(), a_trainer, CFG, rng=0).run()
-        h_sync = TrainingRuntime(
-            make(), a_sync, CFG, RuntimeConfig(), rng=0
-        ).run()
+        h_trainer = Trainer(make(), a_trainer, CFG, rng=0).run(STEPS)
+        h_sync = Trainer(make(), a_sync, CFG, rng=0, checkpoint_dir=tmp_path / "full").run(STEPS)
 
-        part = TrainingRuntime(
-            make(), make_agent(), CFG, RuntimeConfig(stop_after=24),
-            checkpoint_dir=tmp_path, rng=0,
-        )
-        h_part = part.run()
+        part = Trainer(make(), make_agent(), CFG, rng=0, checkpoint_dir=tmp_path, stop_after=24)
+        h_part = part.run(STEPS)
         assert part.preempted and h_part.env_steps == 24
-        resumed = TrainingRuntime(
-            make(), a_resumed, CFG, RuntimeConfig(),
-            checkpoint_dir=tmp_path, rng=0,
-        )
+        resumed = Trainer(make(), a_resumed, CFG, rng=0, checkpoint_dir=tmp_path)
         h_resumed = resumed.run(resume=True)
         assert not resumed.preempted
 
@@ -82,62 +74,62 @@ class TestSyncMode:
     @pytest.mark.parametrize("env", [None, [make_env()]], ids=["none", "list"])
     def test_rejects_anything_but_one_env(self, env):
         with pytest.raises(ValueError, match="single environment"):
-            TrainingRuntime(env, make_agent(), CFG, RuntimeConfig())
+            Trainer(env, make_agent(), CFG)
 
     def test_one_shape(self):
-        """Every multi-replica run is this runtime over a vector env."""
-        params = inspect.signature(TrainingRuntime).parameters
-        assert list(params) == ["env", "agent", "config", "runtime", "checkpoint_dir", "rng"]
+        """Every run, with or without checkpoints, is this one driver; the
+        checkpoint knobs are keywords, the run's length is ``run``'s."""
+        params = inspect.signature(Trainer).parameters
+        assert list(params) == ["env", "agent", "config", "rng", "checkpoint_dir", "checkpoint_every", "stop_after"]
+        keyword_only = [name for name, p in params.items() if p.kind is inspect.Parameter.KEYWORD_ONLY]
+        assert keyword_only == ["checkpoint_dir", "checkpoint_every", "stop_after"]
+        assert list(inspect.signature(Trainer.run).parameters) == ["self", "steps", "resume"]
 
     def test_another_replica_count_is_refused_before_anything_is_restored(self, tmp_path):
         """A checkpoint of E=3 replicas resumed on E=2 fails naming both
         counts, and the agent and the replay buffer are left as built."""
-        TrainingRuntime(
-            make_venv(), make_agent(), CFG, RuntimeConfig(stop_after=12),
-            checkpoint_dir=tmp_path, rng=0,
-        ).run()
+        Trainer(make_venv(), make_agent(), CFG, rng=0, checkpoint_dir=tmp_path, stop_after=12).run(STEPS)
         fresh = make_agent(seed=5)
         before = {k: v.copy() for k, v in fresh.local.state_arrays().items()}
         two = VectorPrefixEnv.make(6, AnalyticalEvaluator(0.5, 0.5), num_envs=2, horizon=12, seed=0)
-        runtime = TrainingRuntime(two, fresh, CFG, RuntimeConfig(), checkpoint_dir=tmp_path, rng=0)
+        trainer = Trainer(two, fresh, CFG, rng=0, checkpoint_dir=tmp_path)
         with pytest.raises(CheckpointError, match="3 env replicas, this run steps 2"):
-            runtime.run(resume=True)
+            trainer.run(resume=True)
         for key, value in fresh.local.state_arrays().items():
             np.testing.assert_array_equal(value, before[key])
-        assert fresh.gradient_steps == 0 and len(runtime.buffer) == 0
+        assert fresh.gradient_steps == 0 and len(trainer.buffer) == 0
 
     def test_vector_env_halts_at_the_round_boundary_past_stop_after(self, tmp_path):
         """E=3 replicas step together, so ``stop_after=25`` halts at 27, the
         first round boundary at or past it; the resume then matches an
         uninterrupted run bit for bit."""
-        part = TrainingRuntime(
-            make_venv(), make_agent(), CFG, RuntimeConfig(stop_after=25),
-            checkpoint_dir=tmp_path, rng=0,
-        )
-        h_part = part.run()
+        part = Trainer(make_venv(), make_agent(), CFG, rng=0, checkpoint_dir=tmp_path, stop_after=25)
+        h_part = part.run(STEPS)
         assert part.preempted
         assert h_part.env_steps == 27 and len(h_part.areas) == 27
         assert part.manager.steps() == [27]
 
         a_full, a_resumed = make_agent(), make_agent()
-        h_full = Trainer(make_venv(), a_full, CFG, rng=0).run()
-        h_resumed = TrainingRuntime(
-            make_venv(), a_resumed, CFG, RuntimeConfig(), checkpoint_dir=tmp_path, rng=0
-        ).run(resume=True)
+        h_full = Trainer(make_venv(), a_full, CFG, rng=0).run(STEPS)
+        h_resumed = Trainer(make_venv(), a_resumed, CFG, rng=0, checkpoint_dir=tmp_path).run(resume=True)
         assert_histories_identical(h_full, h_resumed)
         assert_weights_identical(a_full, a_resumed)
 
 
-class TestRuntimeConfigValidation:
+class TestTrainerValidation:
     def test_mode_is_not_a_knob(self):
-        """The runtime has one shape."""
+        """The driver has one shape."""
         with pytest.raises(TypeError, match="mode"):
-            RuntimeConfig(mode="sync")
+            Trainer(make_env(), make_agent(), CFG, mode="sync")
 
-    def test_only_the_checkpoint_knobs(self):
-        assert [f.name for f in fields(RuntimeConfig)] == [
-            "checkpoint_every", "stop_after",
+    def test_the_run_length_is_not_a_config_field(self):
+        """``TrainerConfig`` holds the run's knobs, not its length."""
+        assert [f.name for f in fields(TrainerConfig)] == [
+            "batch_size", "buffer_capacity", "warmup_steps", "learn_every",
+            "epsilon_start", "epsilon_end", "epsilon_anneal_frac",
         ]
+        with pytest.raises(TypeError, match="steps"):
+            TrainerConfig(steps=60)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -146,14 +138,32 @@ class TestRuntimeConfigValidation:
             ("checkpoint_every", -1),
         ],
     )
-    def test_runtime_config_rejects_out_of_range(self, field, value):
+    def test_checkpoint_knobs_reject_out_of_range(self, field, value, tmp_path):
         with pytest.raises(ValueError, match=field):
-            RuntimeConfig(**{field: value})
+            Trainer(make_env(), make_agent(), CFG, checkpoint_dir=tmp_path, **{field: value})
+
+    @pytest.mark.parametrize("knobs", [dict(stop_after=20), dict(checkpoint_every=10)], ids=["stop_after", "every"])
+    def test_checkpoint_knobs_without_a_dir_fail_before_training(self, knobs):
+        """A knob that writes a checkpoint needs a directory: the driver
+        refuses at construction, before any env step or gradient step."""
+        env, agent = make_env(), make_agent()
+        with pytest.raises(ValueError, match="need a checkpoint_dir"):
+            Trainer(env, agent, CFG, rng=0, **knobs)
+        assert agent.gradient_steps == 0 and env.total_steps == 0
+
+    @pytest.mark.parametrize("steps", [None, -1])
+    def test_a_fresh_run_needs_a_step_count(self, steps):
+        with pytest.raises(ValueError, match="step count"):
+            Trainer(make_env(), make_agent(), CFG).run(steps)
+
+    def test_resume_needs_a_checkpoint_dir(self):
+        with pytest.raises(ValueError, match="without a checkpoint_dir"):
+            Trainer(make_env(), make_agent(), CFG).run(resume=True)
 
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("learn_every", 0), ("batch_size", 0), ("warmup_steps", 0), ("steps", -1),
+            ("learn_every", 0), ("batch_size", 0), ("warmup_steps", 0),
             ("epsilon_start", 1.5), ("epsilon_end", -0.1),
             # Above 1 epsilon never reaches epsilon_end; NaN died in int().
             ("epsilon_anneal_frac", 1.5), ("epsilon_anneal_frac", -0.5),

@@ -1,4 +1,4 @@
-"""Trainer telemetry: synthesis cache/farm stats surfaced per run."""
+"""Run telemetry: a run's synthesis cache/farm counts are its env's ``backend.stats()``."""
 
 import numpy as np
 
@@ -8,19 +8,21 @@ from repro.rl import ScalarizedDoubleDQN, Trainer, TrainerConfig
 from repro.synth import AnalyticalEvaluator, SynthesisCache, SynthesisEvaluator
 
 
-def test_analytical_run_reports_no_synthesis_stats():
+def test_analytical_run_has_no_backend():
     env = PrefixEnv(6, AnalyticalEvaluator(), horizon=4, rng=0)
     agent = ScalarizedDoubleDQN(6, blocks=0, channels=4, rng=0)
-    hist = Trainer(env, agent, TrainerConfig(steps=8, warmup_steps=1000), rng=0).run()
-    assert hist.synthesis_stats is None
+    trainer = Trainer(env, agent, TrainerConfig(warmup_steps=1000), rng=0)
+    assert trainer.run(8).env_steps == 8
+    assert trainer.env.backend is None
 
 
-def test_single_env_synthesis_stats():
+def test_single_env_backend_stats():
     env = PrefixEnv(8, SynthesisEvaluator(nangate45()), horizon=4, rng=0)
     agent = ScalarizedDoubleDQN(8, blocks=0, channels=4, rng=0)
-    hist = Trainer(env, agent, TrainerConfig(steps=6, warmup_steps=1000), rng=0).run()
-    stats = hist.synthesis_stats
-    assert stats is not None
+    trainer = Trainer(env, agent, TrainerConfig(warmup_steps=1000), rng=0)
+    hist = trainer.run(6)
+    stats = trainer.env.backend.stats()
+    assert stats == env.evaluator.backend.stats()
     assert stats["backend"] == "local"
     cache = stats["cache"]
     assert cache["misses"] > 0
@@ -35,9 +37,9 @@ def test_vector_env_stats_are_its_backends():
     evaluator = SynthesisEvaluator(nangate45(), cache=shared)
     venv = VectorPrefixEnv.make(8, evaluator, num_envs=3, horizon=4, seed=0)
     agent = ScalarizedDoubleDQN(8, blocks=0, channels=4, rng=0)
-    hist = Trainer(venv, agent, TrainerConfig(steps=9, warmup_steps=1000), rng=0).run()
-    stats = hist.synthesis_stats
-    assert stats == venv.backend.stats() == evaluator.backend.stats()
+    Trainer(venv, agent, TrainerConfig(warmup_steps=1000), rng=0).run(9)
+    stats = venv.backend.stats()
+    assert stats == evaluator.backend.stats()
     assert stats["cache"]["entries"] == len(shared)
     assert stats["cache"]["hit_rate"] == shared.hit_rate
     # Three replicas' rounds went through one batch each.
@@ -56,9 +58,8 @@ def test_farm_backed_run_reports_farm_backend_stats():
         backend = EvaluationBackend(lib, store=make_store(), runner=farm)
         env = PrefixEnv(8, SynthesisEvaluator(lib, backend=backend), horizon=3, rng=0)
         agent = ScalarizedDoubleDQN(8, blocks=0, channels=4, rng=0)
-        hist = Trainer(env, agent, TrainerConfig(steps=3, warmup_steps=1000), rng=0).run()
-    stats = hist.synthesis_stats
-    assert stats is not None
+        Trainer(env, agent, TrainerConfig(warmup_steps=1000), rng=0).run(3)
+    stats = backend.stats()
     assert stats["backend"] == "farm-pool[1]"
     assert stats["synthesized"] == stats["cache_misses"] > 0
     assert np.isfinite(stats["cache"]["hit_rate"])

@@ -305,15 +305,16 @@ class TestStatsSchema:
             assert_schema(backend.stats())
             assert backend.stats()["backend"] == "farm-pool[1]"
 
-    def test_history_synthesis_stats_schema(self, lib):
+    def test_a_runs_backend_stats_schema(self, lib):
         from repro.env import PrefixEnv
         from repro.rl import ScalarizedDoubleDQN, Trainer, TrainerConfig
 
         env = PrefixEnv(8, SynthesisEvaluator(lib), horizon=4, rng=0)
         agent = ScalarizedDoubleDQN(8, blocks=0, channels=4, rng=0)
-        hist = Trainer(env, agent, TrainerConfig(steps=4, warmup_steps=1000), rng=0).run()
-        assert_schema(hist.synthesis_stats)
-        assert hist.synthesis_stats == env.evaluator.backend.stats()
+        trainer = Trainer(env, agent, TrainerConfig(warmup_steps=1000), rng=0)
+        trainer.run(4)
+        assert trainer.env.backend is env.evaluator.backend
+        assert_schema(trainer.env.backend.stats())
 
 
 class TestEvaluatorBackendWiring:

@@ -4,8 +4,8 @@ exactly its documented keys, with numeric counter values.
 The pins live next to the implementations (``STATS_KEYS``,
 ``STATS_BASE_KEYS`` …); this test walks one instance of each
 implementation and fails the moment a key is added, renamed, or dropped
-without updating its pin — ``TrainingHistory.synthesis_stats`` and the
-checkpoint format both read these dicts by key.
+without updating its pin — ``repro train``'s report and the checkpoint
+format both read these dicts by key.
 """
 
 from __future__ import annotations

@@ -184,7 +184,7 @@ class TestCliRuntime:
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_stop_after_before_the_first_step_exits(self, value, tmp_path):
-        with pytest.raises(SystemExit, match="stop_after must be a positive env step"):
+        with pytest.raises(SystemExit, match=f"argument --stop-after: must be a positive env step, got {value}"):
             main(self.TRAIN + ["--checkpoint-dir", str(tmp_path), "--stop-after", value])
         assert not any(tmp_path.iterdir())
 
@@ -340,6 +340,8 @@ class TestInputErrors:
             (["train", "--w-area", "-0.25"], "--w-area", "-0.25"),
             (["train", "--envs", "0"], "--envs", "0"),
             (["train", "--envs", "-2"], "--envs", "-2"),
+            (["train", "--stop-after", "0"], "--stop-after", "0"),
+            (["train", "--checkpoint-every", "-1"], "--checkpoint-every", "-1"),
             (["sweep", "--weights", "0"], "--weights", "0"),
             (["sweep", "--steps", "0"], "--steps", "0"),
         ],

@@ -125,7 +125,7 @@ class TestGreedyEvaluation:
     def _trained(self, steps=80):
         env = PrefixEnv(6, AnalyticalEvaluator(0.5, 0.5), horizon=10, rng=0)
         agent = ScalarizedDoubleDQN(6, blocks=0, channels=4, lr=1e-3, rng=0)
-        Trainer(env, agent, TrainerConfig(steps=steps, batch_size=4, warmup_steps=8), rng=0).run()
+        Trainer(env, agent, TrainerConfig(batch_size=4, warmup_steps=8), rng=0).run(steps)
         return env, agent
 
     def test_rollout_structure(self):

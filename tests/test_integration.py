@@ -37,9 +37,7 @@ class TestSynthesisInTheLoopTraining:
         )
         env = PrefixEnv(6, evaluator, horizon=8, rng=0)
         agent = ScalarizedDoubleDQN(6, blocks=0, channels=4, lr=1e-3, rng=0)
-        history = Trainer(
-            env, agent, TrainerConfig(steps=30, batch_size=4, warmup_steps=8), rng=0
-        ).run()
+        history = Trainer(env, agent, TrainerConfig(batch_size=4, warmup_steps=8), rng=0).run(30)
         assert history.env_steps == 30
         assert history.gradient_steps > 0
         assert cache.hits > 0  # revisited states hit the cache
